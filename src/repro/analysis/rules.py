@@ -920,15 +920,18 @@ class LinkDrainsBehindGuard(Rule):
     in-flight pipeline and
     ``Link.credits()`` drains the matured credit returns — per-port,
     per-cycle work that dominates busy ticks when called unconditionally.
-    Each has a cheap O(1) pre-check: ``pending_arrival(now)`` before a
-    receive, ``can_send(now)`` (which short-circuits the credit drain)
-    before transmit-side credit inspection, or ``credits_in_return()``
-    emptiness.  The rule flags receive/credits calls lexically reachable
-    from a ``tick`` method (following ``self.<method>()`` calls within
-    the class) that are neither inside an ``if``/``while`` whose test
-    mentions one of the guards nor after a preceding
-    ``if <guard-test>: continue/return`` in an enclosing body.  The link
-    implementation itself is exempt.
+    Each has a cheap O(1) pre-check: ``pending_arrival(now)`` or the
+    receiver's ``_rx_pending`` port mask (set by the link on every send,
+    see ``repro.switches.ports``) before a receive, ``can_send(now)``
+    (which short-circuits the credit drain) before transmit-side credit
+    inspection, or ``credits_in_return()`` emptiness.  The rule flags
+    receive/credits calls lexically reachable from a ``tick`` method
+    (following ``self.<method>()`` calls within the class) that are
+    neither inside an ``if``/``while`` whose test mentions one of the
+    guards, nor inside a ``for`` whose iterable mentions the rx-pending
+    mask (iterating the mask's set bits visits only links that hold
+    flits), nor after a preceding ``if <guard-test>: continue/return``
+    in an enclosing body.  The link implementation itself is exempt.
     """
 
     code = "REP007"
@@ -937,8 +940,9 @@ class LinkDrainsBehindGuard(Rule):
         "credits() without a cheap guard"
     )
     hint = (
-        "test link.pending_arrival(now) / link.can_send(now) / "
-        "link.credits_in_return() before draining in a tick path"
+        "test link.pending_arrival(now) or the _rx_pending mask / "
+        "link.can_send(now) / link.credits_in_return() before draining "
+        "in a tick path"
     )
 
     #: the drain calls that must be guarded (``receive_span`` is the
@@ -947,7 +951,12 @@ class LinkDrainsBehindGuard(Rule):
         {"receive", "receive_into", "receive_span", "credits"}
     )
     #: identifiers any of which makes an enclosing/preceding test a guard
-    GUARDS = ("pending_arrival", "can_send", "credits_in_return")
+    GUARDS = (
+        "pending_arrival", "_rx_pending", "can_send", "credits_in_return"
+    )
+    #: the mask whose set bits name the in-links worth draining: a loop
+    #: over it guards the receives inside it (not a credits() drain)
+    RX_MASK = ("_rx_pending",)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         if not module.in_package(*KERNEL_PACKAGES):
@@ -1022,6 +1031,13 @@ class LinkDrainsBehindGuard(Rule):
             ):
                 if _mentions_any(ancestor.test, self.GUARDS):
                     return True
+            if (
+                isinstance(ancestor, ast.For)
+                and node.func.attr != "credits"  # type: ignore[attr-defined]
+                and any(previous is statement for statement in ancestor.body)
+                and _mentions_any(ancestor.iter, self.RX_MASK)
+            ):
+                return True
             # scan only the statement list actually containing `previous`
             # (a guard inside a sibling branch protects nothing)
             for attr in ("body", "orelse", "finalbody"):

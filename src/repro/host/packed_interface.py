@@ -71,16 +71,21 @@ class PackedHostInterface(HostInterface):
             self.wake_at(now + 1)
 
     def _eject_spans(self, now: int) -> None:
-        link = self.in_link
-        if link is None or not link.pending_arrival(now):
+        # the ejection link sets _rx_pending on every send (see
+        # Link.wake_on_arrival): clear means nothing is in flight
+        if not self._rx_pending:
             return
-        while True:
-            span = link.receive_span(now)
-            if span is None:
-                break
+        link = self.in_link
+        assert link is not None
+        queue = link._in_flight
+        span = link.receive_span(now)
+        while span is not None:
             worm, start, count = span
             link.return_credit(now, count)
             self._absorb_span(worm, start, count, now)
+            span = link.receive_span(now) if queue._flits else None
+        if not queue._flits:
+            self._rx_pending = 0
 
     def _absorb_span(self, worm: Worm, start: int, count: int, now: int) -> None:
         if self._rx_worm is None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import List, Optional, Union
 
 from repro.core.schemes import SwitchArchitecture
@@ -72,27 +73,51 @@ class Network:
 
 
 def _build_topology(config: SimulationConfig):
-    if config.topology is TopologyKind.BMIN:
-        bmin = BidirectionalMin.for_hosts(config.num_hosts, config.arity)
+    """Topology object, link graph and routing tables of ``config``."""
+    return _cached_topology(
+        config.topology,
+        config.num_hosts,
+        config.arity,
+        config.irregular_switches,
+        config.irregular_extra_links,
+        config.topology_seed,
+    )
+
+
+@lru_cache(maxsize=8)
+def _cached_topology(
+    kind: TopologyKind,
+    num_hosts: int,
+    arity: int,
+    irregular_switches: int,
+    irregular_extra_links: int,
+    topology_seed: int,
+):
+    """Build once per process per structure: a campaign builds the same
+    few topologies hundreds of times, and the result — the graph and the
+    routing tables — is read-only after construction, so every network
+    of one structure shares it."""
+    if kind is TopologyKind.BMIN:
+        bmin = BidirectionalMin.for_hosts(num_hosts, arity)
         return bmin, bmin.topology, tables_for_bmin(bmin)
-    if config.topology is TopologyKind.UMIN:
+    if kind is TopologyKind.UMIN:
         levels = 1
-        size = config.arity
-        while size < config.num_hosts:
-            size *= config.arity
+        size = arity
+        while size < num_hosts:
+            size *= arity
             levels += 1
-        umin = UnidirectionalMin(config.arity, levels)
+        umin = UnidirectionalMin(arity, levels)
         return umin, umin.topology, tables_for_umin(umin)
-    if config.topology is TopologyKind.IRREGULAR:
+    if kind is TopologyKind.IRREGULAR:
         irregular = IrregularNetwork(
-            num_switches=config.irregular_switches,
-            hosts_per_switch=config.num_hosts // config.irregular_switches,
-            ports_per_switch=2 * config.arity,
-            extra_links=config.irregular_extra_links,
-            seed=config.topology_seed,
+            num_switches=irregular_switches,
+            hosts_per_switch=num_hosts // irregular_switches,
+            ports_per_switch=2 * arity,
+            extra_links=irregular_extra_links,
+            seed=topology_seed,
         )
         return irregular, irregular.topology, tables_for_irregular(irregular)
-    raise ConfigurationError(f"unknown topology kind {config.topology!r}")
+    raise ConfigurationError(f"unknown topology kind {kind!r}")
 
 
 def _switch_class(architecture: SwitchArchitecture, packed: bool):

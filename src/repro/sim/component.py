@@ -47,6 +47,11 @@ class Component:
         # cycle this component was last marked due (the kernel's
         # scan-based dedup for busy cycles — see Simulator.step)
         self._due_marker = -1
+        # input ports whose in-link holds in-flight flits, one bit per
+        # port: set by Link on every send (see Link.wake_on_arrival),
+        # cleared by receivers that drain by mask — the packed data
+        # plane; the object plane polls every in-link and ignores it
+        self._rx_pending = 0
 
     @property
     def sim(self) -> "Simulator":

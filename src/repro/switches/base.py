@@ -134,13 +134,15 @@ class SwitchBase(Component):
 
         Also registers this switch as the link's arrival waker: a send
         on the link schedules a tick at the delivery cycle, so an idle
-        switch needs no polling to notice new worms.
+        switch needs no polling to notice new worms — and marks ``port``
+        in ``_rx_pending``, so a woken packed switch drains only the
+        in-links that hold flits.
         """
         if self.in_links[port] is not None:
             raise ProtocolError(f"{self.name}: input port {port} already wired")
         self.in_links[port] = link
         link.set_credits(self.input_credit_depth(port))
-        link.wake_on_arrival(self)
+        link.wake_on_arrival(self, port)
 
     def connect_out(self, port: int, link: Link) -> None:
         """Wire an outgoing link and register this switch as its credit

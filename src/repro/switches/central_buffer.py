@@ -43,6 +43,7 @@ from repro.switches.chunks import (
     CentralBufferPool,
     StoredPacket,
 )
+from repro.switches.ports import PORTS_OF
 
 
 class _IngressState(enum.Enum):
@@ -127,12 +128,15 @@ class CentralBufferSwitch(SwitchBase):
         self._stored_of_cursor: dict = {}
         #: routing decisions parked while a reservation waits
         self._pending_requests: dict = {}
-        # hot-path activity counters: skip whole phases when nothing is
-        # inside the switch (and, on the active-set kernel, decide
-        # whether to re-arm at all)
-        self._total_ingresses = 0
-        self._outputs_busy = 0
-        self._queued_branches = 0
+        # port-activity masks (see repro.switches.ports), kept at the
+        # point of state change: bit p of each mirrors `_inflow[p]`
+        # non-empty / `_out_queue[p]` non-empty / `_out_current[p]` set.
+        # As whole-switch tests they skip phases when nothing is inside
+        # the switch (and, on the active-set kernel, decide whether to
+        # re-arm at all); the packed phases also iterate them
+        self._ingress_occupied = 0
+        self._egress_wanted = 0
+        self._egress_busy = 0
         # set whenever a tick changes any switch state (flit accepted,
         # route/admit decision, write, activation, send); a blocked tick
         # that stays False may sleep instead of re-arming — see tick()
@@ -159,10 +163,10 @@ class CentralBufferSwitch(SwitchBase):
     def tick(self, now: int) -> None:
         self._stirred = False
         self._receive(now)
-        if self._total_ingresses:
+        if self._ingress_occupied:
             self._route_and_admit(now)
             self._write_central_buffer(now)
-        if self._outputs_busy or self._queued_branches:
+        if self._egress_busy or self._egress_wanted:
             self._drive_outputs(now)
         # active-set re-arm: ingresses cover arriving/routing/admission-
         # waiting worms; busy outputs and queued branches cover everything
@@ -178,7 +182,7 @@ class CentralBufferSwitch(SwitchBase):
         # the re-arm entirely.  Exception: with metrics enabled the
         # blocked-cycles counter must increment every blocked cycle, as it
         # does on the dense kernel, so observed runs keep polling.
-        if self._total_ingresses or self._outputs_busy or self._queued_branches:
+        if self._ingress_occupied or self._egress_busy or self._egress_wanted:
             if self._stirred or self._obs:
                 self.wake_at(now + 1)
             else:
@@ -194,10 +198,9 @@ class CentralBufferSwitch(SwitchBase):
         """
         delay = self.settings.routing_delay
         best: Optional[int] = None
-        for inflow in self._inflow:
-            if not inflow:
-                continue
-            ingress = inflow[0]
+        inflows = self._inflow
+        for port in PORTS_OF[self._ingress_occupied]:
+            ingress = inflows[port][0]
             if ingress.state is _IngressState.ROUTE_WAIT:
                 assert ingress.header_done_cycle is not None
                 cycle = ingress.header_done_cycle + delay
@@ -226,7 +229,7 @@ class CentralBufferSwitch(SwitchBase):
                 )
             ingress = _Ingress(flit.worm)
             inflow.append(ingress)
-            self._total_ingresses += 1
+            self._ingress_occupied |= 1 << port
         if flit.worm is not ingress.worm or flit.index != ingress.received:
             raise ProtocolError(
                 f"{self.name}.in{port}: out-of-order flit {flit!r} "
@@ -281,7 +284,7 @@ class CentralBufferSwitch(SwitchBase):
             ingress.bypass_port = out_port
             ingress.state = _IngressState.STREAM_BYPASS
             self._out_current[out_port] = _BypassFeed(port, ingress)
-            self._outputs_busy += 1
+            self._egress_busy |= 1 << out_port
             if self.tracer.enabled:
                 self.tracer.emit(
                     now, self.name, "bypass", inp=port, out=out_port,
@@ -296,7 +299,7 @@ class CentralBufferSwitch(SwitchBase):
             cursor = stored.add_branch(child, out_port)
             self._stored_of_cursor[id(cursor)] = stored
             self._out_queue[out_port].append(cursor)
-            self._queued_branches += 1
+            self._egress_wanted |= 1 << out_port
             ingress.stored = stored
             ingress.state = _IngressState.STREAM_CB
             if self.tracer.enabled:
@@ -326,7 +329,7 @@ class CentralBufferSwitch(SwitchBase):
             cursor = stored.add_branch(child, request.port)
             self._stored_of_cursor[id(cursor)] = stored
             self._out_queue[request.port].append(cursor)
-            self._queued_branches += 1
+            self._egress_wanted |= 1 << request.port
         ingress.state = _IngressState.STREAM_CB
         if self.tracer.enabled:
             self.tracer.emit(
@@ -377,8 +380,10 @@ class CentralBufferSwitch(SwitchBase):
         if link is not None:
             link.return_credit(now)
         if ingress.complete:
-            self._inflow[port].popleft()
-            self._total_ingresses -= 1
+            inflow = self._inflow[port]
+            inflow.popleft()
+            if not inflow:
+                self._ingress_occupied &= ~(1 << port)
 
     # -- phase 4: drive the output ports ---------------------------------
     def _drive_outputs(self, now: int) -> None:
@@ -386,8 +391,9 @@ class CentralBufferSwitch(SwitchBase):
         for port in range(self.num_ports):
             if self._out_current[port] is None and self._out_queue[port]:
                 self._out_current[port] = self._out_queue[port].popleft()
-                self._queued_branches -= 1
-                self._outputs_busy += 1
+                if not self._out_queue[port]:
+                    self._egress_wanted &= ~(1 << port)
+                self._egress_busy |= 1 << port
                 self._stirred = True
         # bypass feeds move independently of central-buffer bandwidth
         read_candidates = []
@@ -425,7 +431,7 @@ class CentralBufferSwitch(SwitchBase):
             if cursor.read == stored.total_flits:
                 del self._stored_of_cursor[id(cursor)]
                 self._out_current[port] = None
-                self._outputs_busy -= 1
+                self._egress_busy &= ~(1 << port)
 
     def _advance_bypass(self, port: int, feed: _BypassFeed, now: int) -> None:
         ingress = feed.ingress
@@ -444,7 +450,7 @@ class CentralBufferSwitch(SwitchBase):
         self.sim.note_progress()
         if ingress.complete:
             self._out_current[port] = None
-            self._outputs_busy -= 1
+            self._egress_busy &= ~(1 << port)
 
     # ------------------------------------------------------------------
     # introspection for tests and metrics

@@ -30,6 +30,7 @@ from repro.routing.table import SwitchRoutingTable
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switches.arbiter import RoundRobinArbiter
 from repro.switches.base import ReplicationMode, SwitchBase, SwitchSettings
+from repro.switches.ports import PORTS_OF
 
 
 class _Branch:
@@ -98,10 +99,15 @@ class InputBufferSwitch(SwitchBase):
         self._grant_arbiters = [
             RoundRobinArbiter(num_ports) for _ in range(num_ports)
         ]
-        # hot-path activity counters: skip whole phases when idle (and,
-        # on the active-set kernel, decide whether to re-arm at all)
-        self._total_ingresses = 0
-        self._active = 0  # granted branches plus waiting requests
+        # port-activity masks (see repro.switches.ports), kept at the
+        # point of state change: bit p of each mirrors `_inflow[p]`
+        # non-empty / `_waiting[p]` non-empty / `_current[p]` set.  As
+        # whole-switch tests they skip phases when idle (and, on the
+        # active-set kernel, decide whether to re-arm at all); the
+        # packed phases also iterate them
+        self._ingress_occupied = 0
+        self._egress_wanted = 0
+        self._egress_busy = 0
         # set whenever a tick changes any switch state (flit accepted,
         # routing decision, output grant, send); a blocked tick that
         # stays False may sleep instead of re-arming — see tick()
@@ -132,9 +138,9 @@ class InputBufferSwitch(SwitchBase):
     def tick(self, now: int) -> None:
         self._stirred = False
         self._receive(now)
-        if self._total_ingresses:
+        if self._ingress_occupied:
             self._route_heads(now)
-        if self._active:
+        if self._egress_busy or self._egress_wanted:
             self._drive_outputs(now)
         # active-set re-arm: any worm anywhere inside the switch (inflow,
         # waiting, granted, or parked in the sync queue — sync entries are
@@ -148,7 +154,7 @@ class InputBufferSwitch(SwitchBase):
         # re-arm.  Exception: with metrics enabled the blocked-cycles
         # counter must increment every blocked cycle, as it does on the
         # dense kernel, so observed runs keep polling.
-        if self._total_ingresses or self._active:
+        if self._ingress_occupied or self._egress_busy or self._egress_wanted:
             if self._stirred or self._obs:
                 self.wake_at(now + 1)
             else:
@@ -164,10 +170,9 @@ class InputBufferSwitch(SwitchBase):
         """
         delay = self.settings.routing_delay
         best: Optional[int] = None
-        for inflow in self._inflow:
-            if not inflow:
-                continue
-            ingress = inflow[0]
+        inflows = self._inflow
+        for port in PORTS_OF[self._ingress_occupied]:
+            ingress = inflows[port][0]
             if not ingress.routed and ingress.header_done_cycle is not None:
                 cycle = ingress.header_done_cycle + delay
                 if best is None or cycle < best:
@@ -195,7 +200,7 @@ class InputBufferSwitch(SwitchBase):
                 )
             ingress = _Ingress(flit.worm)
             inflow.append(ingress)
-            self._total_ingresses += 1
+            self._ingress_occupied |= 1 << port
         if flit.worm is not ingress.worm or flit.index != ingress.received:
             raise ProtocolError(
                 f"{self.name}.in{port}: out-of-order flit {flit!r} "
@@ -214,36 +219,37 @@ class InputBufferSwitch(SwitchBase):
     def _route_heads(self, now: int) -> None:
         for port in range(self.num_ports):
             inflow = self._inflow[port]
-            if not inflow:
-                continue
-            ingress = inflow[0]
-            if ingress.routed or ingress.header_done_cycle is None:
-                continue
-            if now < ingress.header_done_cycle + self.settings.routing_delay:
-                continue
-            self._stirred = True
-            for request in self.compute_requests(ingress.worm):
-                child = ingress.worm.branch(
-                    request.destinations, request.descending
-                )
-                branch = _Branch(child, request.port, port, ingress)
-                ingress.branches.append(branch)
-            if self._obs and len(ingress.branches) > 1:
-                self._c_replicated.inc(len(ingress.branches) - 1)
-            if self._synchronous and len(ingress.branches) > 1:
-                self._sync_queue.append(ingress)
-                if self._sync_queue[0] is ingress:
-                    self._register_branches(ingress)
-            else:
+            if inflow:
+                self._route_head(port, inflow[0], now)
+
+    def _route_head(self, port: int, ingress: _Ingress, now: int) -> None:
+        if ingress.routed or ingress.header_done_cycle is None:
+            return
+        if now < ingress.header_done_cycle + self.settings.routing_delay:
+            return
+        self._stirred = True
+        for request in self.compute_requests(ingress.worm):
+            child = ingress.worm.branch(
+                request.destinations, request.descending
+            )
+            branch = _Branch(child, request.port, port, ingress)
+            ingress.branches.append(branch)
+        if self._obs and len(ingress.branches) > 1:
+            self._c_replicated.inc(len(ingress.branches) - 1)
+        if self._synchronous and len(ingress.branches) > 1:
+            self._sync_queue.append(ingress)
+            if self._sync_queue[0] is ingress:
                 self._register_branches(ingress)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    now, self.name, "route",
-                    inp=port, branches=len(ingress.branches),
-                    packet=ingress.worm.packet.packet_id,
-                    waited=now - ingress.header_done_cycle
-                    - self.settings.routing_delay,
-                )
+        else:
+            self._register_branches(ingress)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                now, self.name, "route",
+                inp=port, branches=len(ingress.branches),
+                packet=ingress.worm.packet.packet_id,
+                waited=now - ingress.header_done_cycle
+                - self.settings.routing_delay,
+            )
 
     @property
     def _synchronous(self) -> bool:
@@ -253,7 +259,7 @@ class InputBufferSwitch(SwitchBase):
         """Expose a worm's branches to output-port arbitration."""
         for branch in ingress.branches:
             self._waiting[branch.out_port][branch.input_port] = branch
-            self._active += 1
+            self._egress_wanted |= 1 << branch.out_port
 
     # -- phase 3: grant outputs and move flits -----------------------------
     def _drive_outputs(self, now: int) -> None:
@@ -261,8 +267,7 @@ class InputBufferSwitch(SwitchBase):
             if self._current[port] is None and self._waiting[port]:
                 winner = self._grant_arbiters[port].grant(self._waiting[port])
                 if winner is not None:
-                    self._current[port] = self._waiting[port].pop(winner)
-                    self._stirred = True
+                    self._grant_output(port, winner)
         lockstep_done = set()
         for port in range(self.num_ports):
             branch = self._current[port]
@@ -295,7 +300,16 @@ class InputBufferSwitch(SwitchBase):
             self._recycle_slots(branch.input_port, ingress, now)
             if branch.read == branch.worm.size_flits:
                 self._current[port] = None
-                self._active -= 1
+                self._egress_busy &= ~(1 << port)
+
+    def _grant_output(self, port: int, winner: int) -> None:
+        """Make input ``winner``'s waiting branch output ``port``'s current."""
+        waiting = self._waiting[port]
+        self._current[port] = waiting.pop(winner)
+        if not waiting:
+            self._egress_wanted &= ~(1 << port)
+        self._egress_busy |= 1 << port
+        self._stirred = True
 
     def _advance_lockstep(self, ingress: _Ingress, now: int) -> None:
         """Synchronous replication: every branch sends the same flit in
@@ -322,7 +336,7 @@ class InputBufferSwitch(SwitchBase):
         if branches[0].read == ingress.worm.size_flits:
             for branch in branches:
                 self._current[branch.out_port] = None
-                self._active -= 1
+                self._egress_busy &= ~(1 << branch.out_port)
             if self._sync_queue and self._sync_queue[0] is ingress:
                 self._sync_queue.popleft()
                 if self._sync_queue:
@@ -338,8 +352,10 @@ class InputBufferSwitch(SwitchBase):
             if link is not None:
                 link.return_credit(now, delta)
         if ingress.drained:
-            popped = self._inflow[input_port].popleft()
-            self._total_ingresses -= 1
+            inflow = self._inflow[input_port]
+            popped = inflow.popleft()
+            if not inflow:
+                self._ingress_occupied &= ~(1 << input_port)
             if popped is not ingress:
                 raise ProtocolError(
                     f"{self.name}.in{input_port}: drained a non-head worm"

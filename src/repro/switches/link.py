@@ -38,6 +38,17 @@ sending component registers :meth:`on_credit` (wired by ``connect_out``)
 so a credit return wakes it when the credit matures.  Both hooks are
 optional — a bare link in a unit test works exactly as before.
 
+The component form of the arrival waker (:meth:`wake_on_arrival`) also
+carries the receiver's *rx-pending* bit: every send sets bit ``port`` of
+the component's ``_rx_pending`` mask, and a receiver that drains by mask
+— the packed switches and NI, see :mod:`repro.switches.ports` — clears
+it when this link's span queue runs empty.  Such a receiver never polls
+:attr:`pending_arrival`; it calls :attr:`receive_span` on exactly the
+in-links whose bit is set.  Both are instance attributes, and the packed
+receivers look ``receive_span`` up on the link instance no earlier than
+their first tick, so a profiler may rebind it (and the send entry
+points) per link before the run starts.
+
 The arrival hook fires once per :meth:`send` and once per
 :meth:`send_span` — at the span's *first* arrival cycle, not once per
 member flit.  A receiver that drains a span partially therefore owns its
@@ -106,6 +117,8 @@ class Link:
         # common case in a busy network
         self._arrival_comp: Optional[Component] = None
         self._credit_comp: Optional[Component] = None
+        #: this link's bit in the arrival component's ``_rx_pending`` mask
+        self._rx_bit = 0
         #: total flits ever sent (utilisation statistics)
         self.flits_sent = 0
 
@@ -128,16 +141,24 @@ class Link:
             raise ProtocolError(f"link {self.name}: credit hook already set")
         self._credit_hook = hook
 
-    def wake_on_arrival(self, component: Component) -> None:
+    def wake_on_arrival(self, component: Component, port: int = 0) -> None:
         """Register the receiving component itself as the arrival waker.
 
         Equivalent to ``on_arrival(component.wake_at)`` but lets the
         send paths dedup against the component's next-cycle wake marker
         without a call; the standard network wiring uses this form.
+
+        ``port`` is the receiver's input port this link feeds: every
+        send also sets bit ``port`` of the component's ``_rx_pending``
+        mask, so a receiver draining by mask visits only in-links that
+        hold flits (it clears the bit when the span queue runs empty).
         """
         if self._arrival_hook is not None or self._arrival_comp is not None:
             raise ProtocolError(f"link {self.name}: arrival hook already set")
         self._arrival_comp = component
+        self._rx_bit = 1 << port
+        if len(self._in_flight):
+            component._rx_pending |= self._rx_bit
 
     def wake_on_credit(self, component: Component) -> None:
         """Register the sending component itself as the credit waker
@@ -267,6 +288,7 @@ class Link:
         self.flits_sent += 1
         comp = self._arrival_comp
         if comp is not None:
+            comp._rx_pending |= self._rx_bit
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
         elif self._arrival_hook is not None:
@@ -290,6 +312,7 @@ class Link:
         self.flits_sent += 1
         comp = self._arrival_comp
         if comp is not None:
+            comp._rx_pending |= self._rx_bit
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
         elif self._arrival_hook is not None:
@@ -323,6 +346,7 @@ class Link:
         self.flits_sent += count
         comp = self._arrival_comp
         if comp is not None:
+            comp._rx_pending |= self._rx_bit
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
         elif self._arrival_hook is not None:

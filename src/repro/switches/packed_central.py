@@ -22,11 +22,16 @@ flit: the bandwidth caps are cached at construction, the stored packet
 of each active output is cached per port instead of re-resolved through
 the ``id(cursor)`` registry twice per cycle, and the FIFO-slot consume
 and kernel progress bookkeeping are inlined into the phase loops.
+
+No phase scans the whole port range: each iterates the set bits of the
+port-activity mask that names its work (see :mod:`repro.switches.ports`),
+in ascending port order, so a tick costs in proportion to the ports
+that have something to do.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import ProtocolError
 from repro.flits.packed import flit_repr
@@ -42,13 +47,15 @@ from repro.switches.central_buffer import (
     _IngressState,
 )
 from repro.switches.chunks import StoredPacket
-from repro.switches.link import Link
+from repro.switches.ports import PORTS_OF, MaskedReceive
 
-#: per-port receive bindings: (port, pending_arrival, receive_span)
-_RxPort = Tuple[int, Callable[[int], bool], Callable[..., object]]
+_ARRIVING = _IngressState.ARRIVING
+_ROUTE_WAIT = _IngressState.ROUTE_WAIT
+_ADMIT_WAIT = _IngressState.ADMIT_WAIT
+_STREAM_CB = _IngressState.STREAM_CB
 
 
-class PackedCentralBufferSwitch(CentralBufferSwitch):
+class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
     """SP2-style shared-buffer switch on the packed data plane."""
 
     def __init__(
@@ -69,29 +76,8 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
         #: at branch activation so the per-cycle scan never consults the
         #: ``_stored_of_cursor`` registry
         self._cur_stored: List[Optional[StoredPacket]] = [None] * num_ports
-        #: per-wired-input receive bindings, built lazily on first tick
-        #: (wiring happens after construction) and invalidated by
-        #: :meth:`connect_in`
-        self._rx_ports: Optional[List[_RxPort]] = None
 
-    def connect_in(self, port: int, link: Link) -> None:
-        super().connect_in(port, link)
-        self._rx_ports = None
-
-    # -- phase 1: absorb link arrivals as spans --------------------------
-    def _receive(self, now: int) -> None:
-        rx = self._rx_ports
-        if rx is None:
-            rx = self._rx_ports = [
-                (port, link.pending_arrival, link.receive_span)
-                for port, link in enumerate(self.in_links)
-                if link is not None
-            ]
-        for port, has_arrived, take in rx:
-            while has_arrived(now):
-                worm, start, count = take(now)  # type: ignore[misc]
-                self._accept_span(port, worm, start, count, now)
-
+    # -- phase 1: absorb link arrivals as spans (MaskedReceive) ----------
     def _accept_span(
         self, port: int, worm: Worm, start: int, count: int, now: int
     ) -> None:
@@ -105,7 +91,7 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
                 )
             ingress = _Ingress(worm)
             inflow.append(ingress)
-            self._total_ingresses += 1
+            self._ingress_occupied |= 1 << port
         if worm is not ingress.worm or start != ingress.received:
             raise ProtocolError(
                 f"{self.name}.in{port}: out-of-order flit "
@@ -119,8 +105,8 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
         # the header boundary that is exactly this tick's cycle
         if start < worm.header_flits <= start + count:
             ingress.header_done_cycle = now
-            if ingress.state is _IngressState.ARRIVING:
-                ingress.state = _IngressState.ROUTE_WAIT
+            if ingress.state is _ARRIVING:
+                ingress.state = _ROUTE_WAIT
         if self.tracer.enabled:
             for index in range(start, start + count):
                 self.tracer.emit(
@@ -128,17 +114,24 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
                     port=port, flit=flit_repr(worm, index),
                 )
 
+    # -- phase 2: route the FIFO-front worm and admit it -----------------
+    def _route_and_admit(self, now: int) -> None:
+        inflows = self._inflow
+        for port in PORTS_OF[self._ingress_occupied]:
+            ingress = inflows[port][0]
+            if ingress.state is _ROUTE_WAIT:
+                self._try_route(port, ingress, now)
+            if ingress.state is _ADMIT_WAIT:
+                self._try_admit(port, ingress, now)
+
     # -- phase 3: move flits from input FIFOs into the central buffer ----
     def _write_central_buffer(self, now: int) -> None:
         inflows = self._inflow
         candidates = []
-        for port in range(self.num_ports):
-            inflow = inflows[port]
-            if not inflow:
-                continue
-            ingress = inflow[0]
+        for port in PORTS_OF[self._ingress_occupied]:
+            ingress = inflows[port][0]
             if (
-                ingress.state is _IngressState.STREAM_CB
+                ingress.state is _STREAM_CB
                 and ingress.consumed < ingress.received
             ):
                 candidates.append(port)
@@ -170,8 +163,10 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
             if link is not None:
                 link.return_credit(now)
             if consumed == ingress.worm.size_flits:
-                inflows[port].popleft()
-                self._total_ingresses -= 1
+                inflow = inflows[port]
+                inflow.popleft()
+                if not inflow:
+                    self._ingress_occupied &= ~(1 << port)
             progress += 1
         if progress:
             self._stirred = True
@@ -183,22 +178,22 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
         out_links = self.out_links
         cur_stored = self._cur_stored
         # activate queued branches on idle outputs
-        if self._queued_branches:
+        ready = self._egress_wanted & ~self._egress_busy
+        if ready:
             out_queue = self._out_queue
-            for port in range(self.num_ports):
-                if out_current[port] is None and out_queue[port]:
-                    cursor = out_queue[port].popleft()
-                    out_current[port] = cursor
-                    cur_stored[port] = self._stored_of_cursor[id(cursor)]
-                    self._queued_branches -= 1
-                    self._outputs_busy += 1
-                    self._stirred = True
+            for port in PORTS_OF[ready]:
+                queue = out_queue[port]
+                cursor = queue.popleft()
+                out_current[port] = cursor
+                cur_stored[port] = self._stored_of_cursor[id(cursor)]
+                if not queue:
+                    self._egress_wanted &= ~(1 << port)
+            self._egress_busy |= ready
+            self._stirred = True
         # bypass feeds move independently of central-buffer bandwidth
         read_candidates = []
-        for port in range(self.num_ports):
+        for port in PORTS_OF[self._egress_busy]:
             current = out_current[port]
-            if current is None:
-                continue
             if type(current) is _BypassFeed:
                 self._advance_bypass(port, current, now)
             else:
@@ -246,7 +241,7 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
                 del self._stored_of_cursor[id(cursor)]
                 out_current[port] = None
                 cur_stored[port] = None
-                self._outputs_busy -= 1
+                self._egress_busy &= ~(1 << port)
         if progress:
             self._stirred = True
             self.sim.progress += progress
@@ -280,7 +275,9 @@ class PackedCentralBufferSwitch(CentralBufferSwitch):
             self._c_forwarded.inc()
         self.sim.progress += 1
         if consumed == ingress.worm.size_flits:
-            self._inflow[feed.input_port].popleft()
-            self._total_ingresses -= 1
+            inflow = self._inflow[feed.input_port]
+            inflow.popleft()
+            if not inflow:
+                self._ingress_occupied &= ~(1 << feed.input_port)
             self._out_current[port] = None
-            self._outputs_busy -= 1
+            self._egress_busy &= ~(1 << port)

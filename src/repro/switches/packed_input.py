@@ -5,7 +5,9 @@ Same microarchitecture as
 output arbitration and slot recycling are inherited unchanged — but the
 flit-movement phases use the packed link API: spans in
 (:meth:`~repro.switches.link.Link.receive_span`), flit coordinates out
-(:meth:`~repro.switches.link.Link.send_packed`).  No
+(:meth:`~repro.switches.link.Link.send_granted`), and every phase
+iterates the set bits of a port-activity mask instead of the port range
+(see :mod:`repro.switches.ports`).  No
 :class:`~repro.flits.flit.Flit` object is ever constructed here
 (enforced by reprolint rule REP008); trace events use
 :func:`~repro.flits.packed.flit_repr`.
@@ -22,23 +24,13 @@ from repro.errors import ProtocolError
 from repro.flits.packed import flit_repr
 from repro.flits.worm import Worm
 from repro.switches.input_buffer import InputBufferSwitch, _Ingress
+from repro.switches.ports import PORTS_OF, MaskedReceive
 
 
-class PackedInputBufferSwitch(InputBufferSwitch):
+class PackedInputBufferSwitch(MaskedReceive, InputBufferSwitch):
     """Input-queued switch on the packed data plane."""
 
-    # -- phase 1: absorb link arrivals as spans --------------------------
-    def _receive(self, now: int) -> None:
-        for port, link in enumerate(self.in_links):
-            if link is None or not link.pending_arrival(now):
-                continue
-            while True:
-                span = link.receive_span(now)
-                if span is None:
-                    break
-                worm, start, count = span
-                self._accept_span(port, worm, start, count, now)
-
+    # -- phase 1: absorb link arrivals as spans (MaskedReceive) ----------
     def _accept_span(
         self, port: int, worm: Worm, start: int, count: int, now: int
     ) -> None:
@@ -52,7 +44,7 @@ class PackedInputBufferSwitch(InputBufferSwitch):
                 )
             ingress = _Ingress(worm)
             inflow.append(ingress)
-            self._total_ingresses += 1
+            self._ingress_occupied |= 1 << port
         if worm is not ingress.worm or start != ingress.received:
             raise ProtocolError(
                 f"{self.name}.in{port}: out-of-order flit "
@@ -73,47 +65,63 @@ class PackedInputBufferSwitch(InputBufferSwitch):
                     port=port, flit=flit_repr(worm, index),
                 )
 
+    # -- phase 2: decode the worm at each buffer head ----------------------
+    def _route_heads(self, now: int) -> None:
+        inflows = self._inflow
+        for port in PORTS_OF[self._ingress_occupied]:
+            ingress = inflows[port][0]
+            if not ingress.branches:
+                self._route_head(port, ingress, now)
+
     # -- phase 3: grant outputs and move flits -----------------------------
     def _drive_outputs(self, now: int) -> None:
-        for port in range(self.num_ports):
-            if self._current[port] is None and self._waiting[port]:
-                winner = self._grant_arbiters[port].grant(self._waiting[port])
+        current = self._current
+        ready = self._egress_wanted & ~self._egress_busy
+        if ready:
+            waiting = self._waiting
+            arbiters = self._grant_arbiters
+            for port in PORTS_OF[ready]:
+                winner = arbiters[port].grant(waiting[port])
                 if winner is not None:
-                    self._current[port] = self._waiting[port].pop(winner)
-                    self._stirred = True
+                    self._grant_output(port, winner)
+        out_links = self.out_links
+        synchronous = self._synchronous
         lockstep_done = set()
-        for port in range(self.num_ports):
-            branch = self._current[port]
+        progress = 0
+        for port in PORTS_OF[self._egress_busy]:
+            branch = current[port]
             if branch is None:
-                continue
-            link = self.out_links[port]
+                continue  # a lock-step tail freed this port earlier in the loop
+            link = out_links[port]
             if link is None:
                 raise ProtocolError(f"{self.name}: active branch on unwired "
                                     f"output port {port}")
             ingress = branch.ingress
-            if self._synchronous and len(ingress.branches) > 1:
+            if synchronous and len(ingress.branches) > 1:
                 if id(ingress) not in lockstep_done:
                     lockstep_done.add(id(ingress))
                     self._advance_lockstep(ingress, now)
                 continue
-            if branch.read >= ingress.received or not link.can_send(now):
-                if (
-                    self._obs
-                    and branch.read < ingress.received
-                    and not link.can_send(now)
-                ):
+            read = branch.read
+            if read >= ingress.received:
+                continue
+            if not link.can_send(now):
+                if self._obs:
                     self._c_blocked.inc()
                 continue
-            link.send_packed(now, branch.worm, branch.read)
-            branch.read += 1
-            self._stirred = True
-            if self._obs:
-                self._c_forwarded.inc()
-            self.sim.note_progress()
+            link.send_granted(now, branch.worm, read)
+            read += 1
+            branch.read = read
+            progress += 1
             self._recycle_slots(branch.input_port, ingress, now)
-            if branch.read == branch.worm.size_flits:
-                self._current[port] = None
-                self._active -= 1
+            if read == branch.worm.size_flits:
+                current[port] = None
+                self._egress_busy &= ~(1 << port)
+        if progress:
+            self._stirred = True
+            self.sim.progress += progress
+            if self._obs:
+                self._c_forwarded.inc(progress)
 
     def _advance_lockstep(self, ingress: _Ingress, now: int) -> None:
         """Synchronous replication: every branch sends the same flit in
@@ -131,16 +139,17 @@ class PackedInputBufferSwitch(InputBufferSwitch):
             return  # one blocked branch stalls the whole worm
         self._stirred = True
         for branch, link in zip(branches, links):
-            link.send_packed(now, branch.worm, branch.read)
+            # the all-links can_send test above is send_granted's contract
+            link.send_granted(now, branch.worm, branch.read)
             branch.read += 1
         if self._obs:
             self._c_forwarded.inc(len(branches))
-        self.sim.note_progress()
+        self.sim.progress += 1
         self._recycle_slots(branches[0].input_port, ingress, now)
         if branches[0].read == ingress.worm.size_flits:
             for branch in branches:
                 self._current[branch.out_port] = None
-                self._active -= 1
+                self._egress_busy &= ~(1 << branch.out_port)
             if self._sync_queue and self._sync_queue[0] is ingress:
                 self._sync_queue.popleft()
                 if self._sync_queue:

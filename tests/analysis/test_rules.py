@@ -521,6 +521,78 @@ class TestREP007LinkDrainGuard:
         )
         assert codes(result) == []
 
+    def test_unguarded_receive_span_in_packed_tick_flagged(self, lint):
+        # the mask is a guard only where it is actually consulted
+        result = lint(
+            "repro/host/packed_bad.py",
+            """
+            class Interface:
+                def tick(self, now):
+                    span = self.in_link.receive_span(now)
+                    while span is not None:
+                        self.absorb(span)
+                        span = self.in_link.receive_span(now)
+            """,
+        )
+        assert codes(result) == ["REP007", "REP007"]
+
+    def test_rx_pending_mask_early_return_accepted(self, lint):
+        result = lint(
+            "repro/host/packed_good.py",
+            """
+            class Interface:
+                def tick(self, now):
+                    self._eject(now)
+
+                def _eject(self, now):
+                    if not self._rx_pending:
+                        return
+                    span = self.in_link.receive_span(now)
+                    while span is not None:
+                        self.absorb(span)
+                        span = self.in_link.receive_span(now)
+            """,
+        )
+        assert codes(result) == []
+
+    def test_iteration_over_rx_pending_mask_accepted(self, lint):
+        result = lint(
+            "repro/switches/packed_good.py",
+            """
+            class Switch:
+                def tick(self, now):
+                    for port in PORTS_OF[self._rx_pending]:
+                        take = self.in_links[port].receive_span
+                        span = take(now)
+                        self.accept(port, self.in_links[port].receive_span(now))
+            """,
+        )
+        assert codes(result) == []
+
+    def test_iteration_over_another_mask_is_no_guard(self, lint):
+        result = lint(
+            "repro/switches/packed_bad.py",
+            """
+            class Switch:
+                def tick(self, now):
+                    for port in PORTS_OF[self._ingress_occupied]:
+                        self.accept(port, self.in_links[port].receive_span(now))
+            """,
+        )
+        assert codes(result) == ["REP007"]
+
+    def test_mask_does_not_excuse_the_credits_half(self, lint):
+        result = lint(
+            "repro/switches/packed_bad.py",
+            """
+            class Switch:
+                def tick(self, now):
+                    for port in PORTS_OF[self._rx_pending]:
+                        self.window[port] = self.out_links[port].credits(now)
+            """,
+        )
+        assert codes(result) == ["REP007"]
+
     def test_outside_kernel_packages_exempt(self, lint):
         result = lint(
             "repro/experiments/probe.py",

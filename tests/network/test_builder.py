@@ -5,10 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.schemes import SwitchArchitecture
+from repro.network import builder
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig, TopologyKind
+from repro.network.simulation import run_workload
 from repro.switches.central_buffer import CentralBufferSwitch
 from repro.switches.input_buffer import InputBufferSwitch
+from repro.traffic.unicast import UniformRandomUnicast
 
 
 class TestBuild:
@@ -72,3 +75,51 @@ class TestBuild:
     def test_unicast_header_flits(self):
         network = build_network(SimulationConfig(num_hosts=64))
         assert network.unicast_header_flits() == 1
+
+
+class TestTopologyMemo:
+    """Topology and routing tables are built once per structure."""
+
+    IRREGULAR = dict(
+        num_hosts=16, topology=TopologyKind.IRREGULAR, irregular_switches=8,
+    )
+
+    @staticmethod
+    def _run(config):
+        network = build_network(config)
+        result = run_workload(network, UniformRandomUnicast(
+            load=0.3, payload_flits=8, warmup_cycles=20, measure_cycles=200,
+        ))
+        return result.cycles, result.summary(), network.sim.progress
+
+    def test_builds_of_one_structure_share_tables(self):
+        first = build_network(SimulationConfig(**self.IRREGULAR, seed=1))
+        # the run seed is not structure: a different seed still hits
+        second = build_network(SimulationConfig(**self.IRREGULAR, seed=2))
+        assert second.tables is first.tables
+        assert second.topology is first.topology
+        assert second.topology_object is first.topology_object
+
+    def test_differing_topology_seed_misses(self):
+        first = build_network(SimulationConfig(**self.IRREGULAR))
+        other = build_network(
+            SimulationConfig(**self.IRREGULAR, topology_seed=8)
+        )
+        assert other.tables is not first.tables
+        assert other.topology is not first.topology
+
+    def test_run_on_shared_tables_equals_run_on_fresh_ones(self):
+        config = SimulationConfig(**self.IRREGULAR, seed=5)
+        self._run(config)  # leave used tables in the cache
+        shared = self._run(config)
+        builder._cached_topology.cache_clear()
+        assert self._run(config) == shared
+
+    def test_cache_is_bounded(self):
+        bound = builder._cached_topology.cache_info().maxsize
+        assert bound is not None and bound <= 16
+        for seed in range(bound + 4):
+            build_network(
+                SimulationConfig(**self.IRREGULAR, topology_seed=seed)
+            )
+        assert builder._cached_topology.cache_info().currsize == bound
