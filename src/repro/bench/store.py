@@ -49,6 +49,9 @@ WARM_RATIO_MAX = 0.1
 #: minimum speedup of a 50%-duplicate grid from coalescing alone
 DEDUP_SPEEDUP_MIN = 1.8
 
+#: timed runs of each leg of the 50%-duplicate pair
+DEDUP_REPEATS = 3
+
 #: loads swept by the benchmark campaign (unique grid points)
 _LOADS = (0.05, 0.1, 0.2, 0.4)
 
@@ -202,16 +205,19 @@ def run_store_bench(smoke: bool = False) -> StoreBenchResult:
                 f"{len(plan.specs)} hits, got {warm_hits}"
             )
 
+    # each leg is the minimum of DEDUP_REPEATS runs: the gate's margin
+    # (true ratio ~1.95x against 1.8x) is narrower than one run's swing
     dedup = dedup_plan(smoke)
-    watch = Stopwatch()
-    dedup_plain = resolve(_plain_outcomes(dedup, jobs=1))
-    dedup_plain_seconds = watch.elapsed()
-
-    with tempfile.TemporaryDirectory(prefix="repro-store-bench-") as tmp:
+    plain_runs, coalesced_runs = [], []
+    for _ in range(DEDUP_REPEATS):
         watch.restart()
-        with JournalStore(Path(tmp) / "store") as store:
-            coalesced_outcomes = memoized_outcomes(dedup, store, jobs=1)
-        dedup_coalesced_seconds = watch.elapsed()
+        dedup_plain = resolve(_plain_outcomes(dedup, jobs=1))
+        plain_runs.append(watch.elapsed())
+        with tempfile.TemporaryDirectory(prefix="repro-store-bench-") as tmp:
+            watch.restart()
+            with JournalStore(Path(tmp) / "store") as store:
+                coalesced_outcomes = memoized_outcomes(dedup, store, jobs=1)
+            coalesced_runs.append(watch.elapsed())
 
     if resolve(coalesced_outcomes) != dedup_plain:
         raise BenchmarkError(
@@ -233,8 +239,8 @@ def run_store_bench(smoke: bool = False) -> StoreBenchResult:
         warm_seconds=warm_seconds,
         warm_hits=warm_hits,
         dedup_runs=len(dedup.specs),
-        dedup_plain_seconds=dedup_plain_seconds,
-        dedup_coalesced_seconds=dedup_coalesced_seconds,
+        dedup_plain_seconds=min(plain_runs),
+        dedup_coalesced_seconds=min(coalesced_runs),
         dedup_coalesced=coalesced_count,
         entries=int(stats["entries"]),
         segments=int(stats["segments"]),

@@ -1,4 +1,4 @@
-"""Parallel experiment execution: plans of independent runs plus a pool.
+"""Experiment plans: the data types, the default executor, the report.
 
 Every experiment in this suite is an embarrassingly parallel grid — a
 (seed x sweep-point x scheme) cross product of simulations that share no
@@ -7,12 +7,20 @@ state.  This module gives that structure a name:
 * an experiment *declares* its grid as a list of :class:`RunSpec`\\ s —
   each a picklable, module-level worker function plus keyword arguments
   and a unique sortable ``key``;
-* :func:`execute_plan` runs the specs, either serially (``jobs=1``) or
-  on a ``multiprocessing`` pool, and returns ``{key: value}``;
+* :func:`execute_plan` runs the specs and returns ``{key: value}``.
+  There is one way a plan runs — the partition → execute → journal →
+  merge loop in :mod:`repro.store.memo` — and :func:`run_outcomes`
+  picks its two inputs: the result store (or none) and the *executor*
+  that runs the specs the store cannot answer.  This module holds the
+  default executor, :func:`local_executor` (this process for
+  ``jobs=1``, else a ``multiprocessing`` pool); the farm
+  (:mod:`repro.farm`) is the other;
 * the experiment's *reduce* step folds the per-run values into table
   rows by looking results up **by key** in its own declared grid order —
   never by iterating the result mapping — so the output is identical no
-  matter how workers were scheduled.
+  matter how workers were scheduled;
+* :class:`TimingSummary` / :class:`StderrProgress` report where the
+  wall time of an executed plan went.
 
 Determinism contract: a run's value depends only on its spec (all
 simulator randomness flows from the config seed), and reduction order is
@@ -22,19 +30,22 @@ fixed by the plan, so ``jobs=N`` is bit-identical to ``jobs=1``.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import (
     Any,
     Callable,
     Dict,
     Hashable,
+    Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
+    Sequence,
     Tuple,
 )
 
@@ -116,8 +127,8 @@ class RunOutcome:
     execution in the same plan).  ``saved_seconds`` is the execution
     time a hit or coalesced outcome avoided, as journaled/measured for
     the run that did execute.  ``worker`` names the farm worker that
-    executed (or whose execution resolved) the run — empty on the
-    plain pool path and for store hits, where no farm worker is
+    executed (or whose execution resolved) the run — empty under the
+    default executor and for store hits, where no farm worker is
     involved.
     """
 
@@ -151,7 +162,7 @@ class ExecutionPlan:
 
 
 def _execute_spec(spec: RunSpec) -> RunOutcome:
-    """Pool worker: run one spec and time it."""
+    """Run one spec and time it (in a pool process, or right here)."""
     started = time.perf_counter()
     value = spec.execute()
     return RunOutcome(
@@ -169,45 +180,35 @@ def run_outcomes(
 ) -> List[RunOutcome]:
     """Execute every spec in ``plan``; outcomes are in completion order.
 
-    ``jobs=None`` uses :func:`default_jobs`; ``jobs=1`` (or a one-spec
-    plan) runs serially in this process.  If the pool cannot be set up —
-    some sandboxes forbid the semaphores ``multiprocessing`` needs — the
-    plan silently falls back to the serial path, which computes the same
-    values.
-
-    ``store`` routes the plan through the result store's memoizing
-    layer (:mod:`repro.store.memo`): cached specs are answered without
-    executing, duplicate specs are coalesced into one execution, and
-    fresh results are journaled.  ``store=None`` consults the
-    process-wide session configured by :mod:`repro.store.runtime` (the
-    ``--store-dir`` / ``REPRO_STORE_DIR`` plumbing); when that is also
-    absent the plan executes plainly.  Either way the returned values
-    are bit-identical — the reduce step cannot tell a warm campaign
-    from a cold one.
-
-    When a farm session is active (:mod:`repro.farm.runtime`, the
-    ``--farm``/``--shards`` plumbing), the plan runs as a sharded
-    campaign instead of through the pool below; the farm layer resolves
-    the store exactly as this function would, and its values are — by
-    the same determinism contract — bit-identical to the serial path.
+    Every plan runs through the one loop in :mod:`repro.store.memo`
+    (partition against the store, emit hits, then journal, emit and fan
+    out each executed leader); this function only resolves its inputs.
+    *The store*: the ``store`` argument, else the process-wide session
+    of :mod:`repro.store.runtime` (``--store-dir``/``REPRO_STORE_DIR``,
+    whose tallies are updated here), else none — every spec executes
+    and nothing is journaled.  *The executor*: the active farm session
+    (:mod:`repro.farm.runtime`, ``--farm``/``--shards``), else
+    :func:`local_executor` with ``jobs`` workers.  Whatever the
+    combination, the returned values are bit-identical — the reduce
+    step cannot tell a warm campaign from a cold one, or a fleet from a
+    loop.
     """
     from repro.farm import runtime as farm_runtime
+    from repro.store import runtime as store_runtime
+    from repro.store.memo import memoized_outcomes
 
-    farm = farm_runtime.active_farm()
-    if farm is not None:
-        return farm.run(plan, progress=progress, store=store)
-    if store is not None:
-        from repro.store.memo import memoized_outcomes
-
-        return memoized_outcomes(
-            plan, store, jobs=jobs, progress=progress
-        )
-    from repro.store import runtime
-
-    session = runtime.active_session()
+    session = store_runtime.active_session() if store is None else None
+    refresh = False
     if session is not None:
-        return session.run(plan, jobs=jobs, progress=progress)
-    return _plain_outcomes(plan, jobs=jobs, progress=progress)
+        store, refresh = session.store, session.refresh
+    farm = farm_runtime.active_farm()
+    run = memoized_outcomes if farm is None else farm.run
+    outcomes = run(
+        plan, store, jobs=jobs, progress=progress, refresh=refresh
+    )
+    if session is not None:
+        session.record(outcomes)
+    return outcomes
 
 
 def _plain_outcomes(
@@ -215,40 +216,40 @@ def _plain_outcomes(
     jobs: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[RunOutcome]:
-    """The store-free execution path (pool with serial fallback)."""
+    """The plan loop with no store and no farm, whatever is configured."""
+    from repro.store.memo import memoized_outcomes
+
+    return memoized_outcomes(plan, None, jobs=jobs, progress=progress)
+
+
+@contextmanager
+def local_executor(
+    jobs: Optional[int], leaders: Sequence[RunSpec]
+) -> Iterator[Iterable[RunOutcome]]:
+    """The default executor of the plan loop: a pool, or this process.
+
+    Up to ``jobs`` pool processes (``None`` uses :func:`default_jobs`;
+    never more than there are leaders) yield outcomes as they complete;
+    one worker needs no pool and runs the leaders in order right here.
+    So does a sandbox where the pool cannot be *built* (no semaphores),
+    which computes the same values.  Only construction falls back: an
+    error raised by a running spec, ``OSError`` included, propagates.
+    """
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    workers = min(jobs, len(plan.specs))
+    workers = min(jobs, len(leaders))
+    pool = None
     if workers > 1:
+        from repro.farm.transport import BackendUnavailable, create_pool
+
         try:
-            return _run_pool(plan, workers, progress)
-        except (OSError, ImportError):
+            pool = create_pool(workers)
+        except BackendUnavailable:
             pass
-    return _run_serial(plan, progress)
-
-
-def _run_serial(
-    plan: ExecutionPlan, progress: Optional[ProgressFn]
-) -> List[RunOutcome]:
-    outcomes = []
-    for spec in plan.specs:
-        outcomes.append(_execute_spec(spec))
-        if progress is not None:
-            progress(outcomes[-1], len(outcomes), len(plan.specs))
-    return outcomes
-
-
-def _run_pool(
-    plan: ExecutionPlan, workers: int, progress: Optional[ProgressFn]
-) -> List[RunOutcome]:
-    outcomes: List[RunOutcome] = []
-    with multiprocessing.Pool(processes=workers) as pool:
-        for outcome in pool.imap_unordered(
-            _execute_spec, plan.specs, chunksize=1
-        ):
-            outcomes.append(outcome)
-            if progress is not None:
-                progress(outcome, len(outcomes), len(plan.specs))
-    return outcomes
+    if pool is None:
+        yield map(_execute_spec, leaders)
+        return
+    with pool:
+        yield pool.imap_unordered(_execute_spec, leaders, chunksize=1)
 
 
 def resolve(outcomes: List[RunOutcome]) -> Dict[Key, Any]:

@@ -180,8 +180,8 @@ def main(argv=None) -> int:
     )
     farm_group.add_argument(
         "--shards", type=int, default=None, metavar="N",
-        help="worker/shard count for --farm (default: CPU count, "
-        "capped at the grid size)",
+        help="worker/shard count for --farm (default: the --jobs "
+        "value, capped at the grid size)",
     )
     farm_group.add_argument(
         "--farm-manifest", metavar="FILE",
@@ -239,12 +239,11 @@ def main(argv=None) -> int:
         args.shards is not None or args.farm_manifest
     ):
         parser.error("--shards/--farm-manifest need --farm")
+    # parallel lanes each plan gets: pool processes, or farm shards
+    lanes = jobs if args.shards is None else max(1, args.shards)
     if args.farm is not None:
         farm_runtime.configure(
-            farm_runtime.open_farm(
-                args.farm,
-                shards=None if args.shards is None else max(1, args.shards),
-            )
+            farm_runtime.open_farm(args.farm, shards=lanes)
         )
 
     overall = Stopwatch()
@@ -255,9 +254,8 @@ def main(argv=None) -> int:
             result = EXPERIMENTS[name](scale, jobs=jobs, progress=progress)
             elapsed = watch.elapsed()
             print(result.render())
-            farm = farm_runtime.active_farm()
-            if farm is not None:
-                detail = f"farm={farm.kind}, shards={farm.shards or jobs}"
+            if args.farm is not None:
+                detail = f"farm={args.farm}, shards={lanes}"
             else:
                 detail = f"jobs={jobs}"
             print(
@@ -265,7 +263,6 @@ def main(argv=None) -> int:
                 f"{detail}]"
             )
             if progress is not None and progress.outcomes:
-                lanes = jobs if farm is None else (farm.shards or jobs)
                 print(progress.summary(lanes).render(), file=sys.stderr)
             if args.chart and name in CHARTS:
                 x_key, y_key, series_key = CHARTS[name]

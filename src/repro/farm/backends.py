@@ -25,8 +25,8 @@ Backends:
     dispatch order.  The always-available reference implementation and
     the engine the hypothesis scheduling properties run on.
 :class:`LocalPoolBackend`
-    today's multiprocessing path: one pool process per worker, specs
-    submitted with ``apply_async``.  Raises
+    one pool process per worker, specs submitted with ``apply_async``
+    and completions awaited on a queue its callbacks feed.  Raises
     :class:`~repro.farm.transport.BackendUnavailable` from ``start``
     where pools cannot exist, so the session can fall back to serial.
 :class:`SubprocessFleetBackend`
@@ -39,11 +39,11 @@ Backends:
 
 from __future__ import annotations
 
-import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Union
+from queue import SimpleQueue
+from typing import Any, Deque, Dict, Optional, Union
 
 from repro.errors import ReproError
 from repro.experiments.parallel import RunSpec, Stopwatch
@@ -171,12 +171,11 @@ class LocalPoolBackend(WorkerBackend):
 
     kind = "local"
 
-    #: seconds between readiness sweeps while waiting on the pool
-    POLL_SECONDS = 0.002
-
     def __init__(self) -> None:
         self._pool: Optional[Any] = None
         self._outstanding: Dict[int, tuple] = {}
+        #: workers whose job finished, fed by the pool's result thread
+        self._finished: "SimpleQueue[int]" = SimpleQueue()
 
     def start(self, workers: int) -> None:
         self._pool = transport.create_pool(workers)
@@ -185,28 +184,33 @@ class LocalPoolBackend(WorkerBackend):
         assert self._pool is not None, "start() before dispatch()"
         if worker in self._outstanding:
             raise FarmError(f"worker {worker} already has a job in flight")
+
+        def finished(_result: Any) -> None:
+            self._finished.put(worker)
+
+        # a raising spec must wake collect() too, or it blocks forever
         self._outstanding[worker] = (
             spec,
-            self._pool.apply_async(_pool_execute, (spec,)),
+            self._pool.apply_async(
+                _pool_execute,
+                (spec,),
+                callback=finished,
+                error_callback=finished,
+            ),
         )
 
     def collect(self) -> CollectEvent:
         if not self._outstanding:
             raise FarmError("pool backend: collect with nothing dispatched")
-        while True:
-            for worker in sorted(self._outstanding):
-                spec, handle = self._outstanding[worker]
-                if not handle.ready():
-                    continue
-                del self._outstanding[worker]
-                value, wall = handle.get()  # worker errors re-raise here
-                return CompletedJob(
-                    worker=worker,
-                    spec=spec,
-                    value=value,
-                    wall_seconds=wall,
-                )
-            time.sleep(self.POLL_SECONDS)
+        worker = self._finished.get()
+        spec, handle = self._outstanding.pop(worker)
+        value, wall = handle.get()  # worker errors re-raise here
+        return CompletedJob(
+            worker=worker,
+            spec=spec,
+            value=value,
+            wall_seconds=wall,
+        )
 
     def close(self) -> None:
         if self._pool is not None:
@@ -214,6 +218,7 @@ class LocalPoolBackend(WorkerBackend):
             self._pool.join()
             self._pool = None
         self._outstanding.clear()
+        self._finished = SimpleQueue()
 
 
 class SubprocessFleetBackend(WorkerBackend):

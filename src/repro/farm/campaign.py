@@ -1,14 +1,14 @@
 """The campaign driver: shard a plan, drive a backend, merge the story.
 
-:func:`run_campaign` is the farm's execution loop.  It partitions the
-plan against the result store exactly as the memo layer does (store
-hits never reach a worker; duplicate specs coalesce onto one leader),
-deals the executing leaders into shards (:func:`~repro.farm.scheduler
-.shard_specs`), and then drives the backend: keep every live worker
-busy, collect completions and failures as they land, journal each
-completed leader through the store, and requeue the in-flight spec of
-any worker that dies.  The campaign fails only when *every* worker is
-dead with work remaining — a single survivor finishes the whole plan.
+:func:`run_campaign` runs a plan through the one plan loop
+(:func:`repro.store.memo.run_plan` — store hits never reach a worker,
+duplicate specs coalesce onto one leader, completed leaders are
+journaled) with the farm as that loop's executor: deal the executing
+leaders into shards (:func:`~repro.farm.scheduler.shard_specs`), keep
+every live worker busy, collect completions and failures as they land,
+and requeue the in-flight spec of any worker that dies.  The campaign
+fails only when *every* worker is dead with work remaining — a single
+survivor finishes the whole plan.
 
 Bit-identity: the driver decides *where and when* specs execute, never
 *what they compute*.  Values come back as the same pickles the
@@ -24,8 +24,18 @@ fault-injection suite.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from functools import partial
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+)
 
 from repro.experiments.parallel import (
     ExecutionPlan,
@@ -35,7 +45,6 @@ from repro.experiments.parallel import (
     RunSpec,
 )
 from repro.farm.backends import (
-    CompletedJob,
     FarmError,
     FarmWorkerError,
     WorkerBackend,
@@ -47,13 +56,7 @@ from repro.farm.scheduler import (
     StealPolicy,
 )
 from repro.obs.manifest import RunManifest
-from repro.store.memo import (
-    fanout_duplicates,
-    hit_outcomes,
-    journal_outcome,
-    partition_plan,
-    plain_partition,
-)
+from repro.store.memo import run_plan
 
 __all__ = [
     "CampaignResult",
@@ -135,13 +138,14 @@ def run_campaign(
 ) -> CampaignResult:
     """Execute ``plan`` as a sharded campaign on ``backend``.
 
-    ``store`` enables the memo layer: hits are emitted without touching
-    a worker, duplicates coalesce, and every executed leader is
-    journaled *here, on completion* — which is what makes a killed
-    campaign resumable (rerun it; the journaled prefix comes back as
-    hits and only the unfinished tail executes).  ``progress`` sees
-    every outcome with a running count over the whole plan, exactly
-    like the pool path.
+    This is :func:`~repro.store.memo.run_plan` with the farm as its
+    executor, so ``store`` means what it means everywhere: hits are
+    emitted without touching a worker, duplicates coalesce, and every
+    executed leader is journaled *in this process, on completion* —
+    which is what makes a killed campaign resumable (rerun it; the
+    journaled prefix comes back as hits and only the unfinished tail
+    executes).  ``progress`` sees every outcome with a running count
+    over the whole plan.
 
     Raises :class:`FarmError` when every worker has died with work
     remaining, and :class:`~repro.farm.transport.BackendUnavailable`
@@ -151,99 +155,89 @@ def run_campaign(
     """
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
-    part = (
-        partition_plan(plan, store, refresh=refresh)
-        if store is not None
-        else plain_partition(plan)
-    )
-    total = len(plan.specs)
-    outcomes: List[RunOutcome] = []
-    reports = [
-        WorkerReport(label=backend.label(index))
-        for index in range(shards)
-    ]
-    scheduler = ShardScheduler(
-        part.leaders, shards, steal_policy=steal_policy
-    )
-
-    def emit(outcome: RunOutcome) -> None:
-        outcomes.append(outcome)
-        if progress is not None:
-            progress(outcome, len(outcomes), total)
-
-    if part.leaders:
-        # start before emitting anything: BackendUnavailable must
-        # escape while a fallback retry is still side-effect free
-        backend.start(shards)
-    for hit in hit_outcomes(part):
-        emit(hit)
-    if not part.leaders:
-        return CampaignResult(
-            plan=plan.name,
-            backend=backend.kind,
-            shards=shards,
-            outcomes=outcomes,
-            workers=reports,
-            provenance=scheduler.provenance,
-        )
-
-    leaders_by_key = {spec.key: spec for spec in part.leaders}
-    busy: Dict[int, RunSpec] = {}
-    dead: set = set()
-    try:
-        while scheduler.pending or busy:
-            for worker in range(shards):
-                if worker in busy or worker in dead:
-                    continue
-                spec = scheduler.next_for(worker)
-                if spec is None:
-                    break
-                busy[worker] = spec
-                backend.dispatch(worker, spec)
-            if not busy:
-                raise FarmError(
-                    f"campaign {plan.name!r}: all {shards} worker(s) "
-                    f"dead with {scheduler.pending} spec(s) unfinished"
-                )
-            event = backend.collect()
-            if isinstance(event, WorkerFailure):
-                dead.add(event.worker)
-                reports[event.worker].failure = event.reason
-                lost = busy.pop(event.worker, None)
-                if lost is not None:
-                    scheduler.requeue(lost)
-                continue
-            job = event
-            busy.pop(job.worker, None)
-            scheduler.record_completion(job.spec.key, job.worker)
-            label = backend.label(job.worker)
-            reports[job.worker].runs += 1
-            reports[job.worker].work_seconds += job.wall_seconds
-            outcome = RunOutcome(
-                key=job.spec.key,
-                value=job.value,
-                wall_seconds=job.wall_seconds,
-                worker=label,
-            )
-            journal_outcome(
-                store,
-                part.store_keys.get(outcome.key) if store else None,
-                leaders_by_key[outcome.key],
-                outcome,
-            )
-            emit(outcome)
-            for duplicate in fanout_duplicates(part, outcome):
-                emit(duplicate)
-    finally:
-        backend.close()
-    return CampaignResult(
+    result = CampaignResult(
         plan=plan.name,
         backend=backend.kind,
         shards=shards,
-        outcomes=outcomes,
-        workers=reports,
-        provenance=scheduler.provenance,
-        steals=scheduler.steals,
-        requeues=scheduler.requeues,
-        worker_manifests=backend.manifests(),
+        outcomes=[],
+        workers=[
+            WorkerReport(label=backend.label(index))
+            for index in range(shards)
+        ],
+        provenance={},
     )
+    result.outcomes = run_plan(
+        plan,
+        store,
+        partial(_farm_executor, result, backend, steal_policy),
+        refresh=refresh,
+        progress=progress,
+    )
+    return result
+
+
+@contextmanager
+def _farm_executor(
+    result: CampaignResult,
+    backend: WorkerBackend,
+    steal_policy: Optional[StealPolicy],
+    leaders: Sequence[RunSpec],
+) -> Iterator[Iterable[RunOutcome]]:
+    """The farm's executor: deal ``leaders`` into shards, start the
+    backend, drive it, and leave the dispatch story in ``result``."""
+    scheduler = ShardScheduler(
+        leaders, result.shards, steal_policy=steal_policy
+    )
+    result.provenance = scheduler.provenance
+    try:
+        backend.start(result.shards)
+        yield _drive(result, backend, scheduler)
+    finally:
+        backend.close()
+    result.steals = scheduler.steals
+    result.requeues = scheduler.requeues
+    result.worker_manifests = backend.manifests()
+
+
+def _drive(
+    result: CampaignResult,
+    backend: WorkerBackend,
+    scheduler: ShardScheduler,
+) -> Iterator[RunOutcome]:
+    """Keep every live worker busy; yield leaders as they complete."""
+    shards = result.shards
+    busy: Dict[int, RunSpec] = {}
+    dead: set = set()
+    while scheduler.pending or busy:
+        for worker in range(shards):
+            if worker in busy or worker in dead:
+                continue
+            spec = scheduler.next_for(worker)
+            if spec is None:
+                break
+            busy[worker] = spec
+            backend.dispatch(worker, spec)
+        if not busy:
+            raise FarmError(
+                f"campaign {result.plan!r}: all {shards} worker(s) "
+                f"dead with {scheduler.pending} spec(s) unfinished"
+            )
+        event = backend.collect()
+        if isinstance(event, WorkerFailure):
+            dead.add(event.worker)
+            result.workers[event.worker].failure = event.reason
+            lost = busy.pop(event.worker, None)
+            if lost is not None:
+                scheduler.requeue(lost)
+            continue
+        busy.pop(event.worker, None)
+        scheduler.record_completion(event.spec.key, event.worker)
+        report = result.workers[event.worker]
+        report.runs += 1
+        report.work_seconds += event.wall_seconds
+        yield RunOutcome(
+            key=event.spec.key,
+            value=event.value,
+            wall_seconds=event.wall_seconds,
+            worker=report.label,
+        )

@@ -4,11 +4,11 @@ Mirrors :mod:`repro.store.runtime`: CLI entry points call
 :func:`configure` once (from ``--farm``/``--shards`` flags) inside a
 ``try``/``finally`` that ends with :func:`reset`, and
 :func:`repro.experiments.parallel.run_outcomes` consults
-:func:`active_farm` before choosing an execution path.  Experiments
-themselves never know whether their plans ran on a pool, a fleet, or
-serially — the farm resolves the result store exactly as
-``run_outcomes`` would, so warm/cold behaviour and session tallies are
-identical too.
+:func:`active_farm` to choose who executes a plan's leaders.
+Experiments themselves never know whether their plans ran on a pool, a
+fleet, or serially — ``run_outcomes`` resolves the result store and
+records its session tallies the same way for all three, so flipping
+``--farm`` on changes scheduling and nothing else.
 
 Backend resolution degrades the way the execution engine always has:
 ``local`` falls back to serial where multiprocessing pools cannot
@@ -86,37 +86,23 @@ class FarmSession:
         self.worker_failures = 0
         self.last_result: Optional[CampaignResult] = None
 
-    def _resolve_shards(self, plan: ExecutionPlan) -> int:
-        """Shard count for one plan: configured, capped by its size."""
-        shards = (
-            default_jobs() if self.shards is None else self.shards
-        )
-        return max(1, min(shards, max(1, len(plan.specs))))
-
     def run(
         self,
         plan: ExecutionPlan,
-        progress: Optional[ProgressFn] = None,
         store: Optional[object] = None,
+        jobs: Optional[int] = None,
+        progress: Optional[ProgressFn] = None,
+        refresh: bool = False,
     ) -> List[RunOutcome]:
-        """Execute ``plan`` as a campaign; same contract as the pool.
+        """Execute ``plan`` as a campaign; ``memoized_outcomes``'s
+        signature and contract, so ``run_outcomes`` calls either.
 
-        ``store=None`` consults the process-wide store session (the
-        ``--store-dir`` plumbing) and folds the campaign's outcomes
-        into its tallies — precisely what ``run_outcomes`` does on the
-        non-farm path, so flipping ``--farm`` on changes scheduling and
-        nothing else.
+        Without a configured shard count the campaign gets ``jobs``
+        shards (``None`` uses :func:`default_jobs`), never more than
+        the plan has specs — ``--farm X --jobs N`` means N lanes.
         """
-        from repro.store import runtime as store_runtime
-
-        session = None
-        refresh = False
-        if store is None:
-            session = store_runtime.active_session()
-            if session is not None:
-                store = session.store
-                refresh = session.refresh
-        shards = self._resolve_shards(plan)
+        shards = self.shards or jobs or default_jobs()
+        shards = max(1, min(shards, len(plan.specs)))
         candidates = (
             [self.backend_factory]
             if self.backend_factory is not None
@@ -146,8 +132,6 @@ class FarmSession:
             1 for report in result.workers if report.failure
         )
         self.last_result = result
-        if session is not None:
-            session.record(result.outcomes)
         return result.outcomes
 
 

@@ -1,7 +1,7 @@
-"""The memoizing execution layer between plans and the pool.
+"""The plan loop: partition, execute, journal, merge — written once.
 
-Before a plan dispatches to the multiprocessing pool, every spec is
-content-addressed (:mod:`repro.store.hashing`) and the plan is
+:func:`run_plan` is the only place a plan turns into outcomes.  Every
+spec is content-addressed (:mod:`repro.store.hashing`) and the plan is
 partitioned three ways:
 
 *hits*
@@ -12,10 +12,16 @@ partitioned three ways:
     several specs in the plan share one content address — one *leader*
     executes and the duplicates fan out from its value the moment it
     completes, each costing zero execution;
-*misses*
-    everything else executes on the ordinary pool path and is
-    journaled (with provenance) as it completes, so a campaign killed
+*leaders*
+    everything else is handed to an *executor* and journaled (with
+    provenance) in this process as it completes, so a campaign killed
     half-way resumes from its partial results on the next run.
+
+The loop's one parameter is the executor — *how* leaders get executed:
+:func:`~repro.experiments.parallel.local_executor` (this process, or an
+``imap_unordered`` pool) or the farm's scheduler over a ``WorkerBackend``
+(:mod:`repro.farm.campaign`).  "No store" is ``store=None``: every spec
+is a leader and nothing is hashed, looked up or journaled.
 
 Specs whose kwargs cannot be canonicalised (:class:`SpecHashError`) or
 whose values cannot be encoded bit-exactly (:class:`CodecError`) are
@@ -29,8 +35,10 @@ callback with a running ``done``/``total`` over the *whole* plan, so
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from functools import partial
+from typing import Any, Callable, ContextManager, Dict, Iterable, List, Optional, Tuple
 
 from repro.experiments.parallel import (
     SOURCE_COALESCED,
@@ -40,11 +48,16 @@ from repro.experiments.parallel import (
     ProgressFn,
     RunOutcome,
     RunSpec,
-    _plain_outcomes,
+    local_executor,
 )
 from repro.store.backend import StoreEntry
 from repro.store.codec import CodecError, decode_value, encode_value
 from repro.store.hashing import SpecHashError, fn_reference, spec_key
+
+#: how a plan's leaders get executed: called with the leaders, returns a
+#: context manager that *starts* whatever it needs on entry (raising
+#: there if it cannot) and yields the outcomes in completion order
+Executor = Callable[[List[RunSpec]], ContextManager[Iterable[RunOutcome]]]
 
 
 @dataclass
@@ -55,8 +68,8 @@ class PlanPartition:
     hits: List[Tuple[RunSpec, Any, float]] = field(default_factory=list)
     #: specs that will execute (cache misses + uncacheable specs)
     leaders: List[RunSpec] = field(default_factory=list)
-    #: leader plan-key -> store key (``None`` for uncacheable specs)
-    store_keys: Dict[Key, Optional[str]] = field(default_factory=dict)
+    #: leader plan-key -> store key (uncacheable leaders have none)
+    store_keys: Dict[Key, str] = field(default_factory=dict)
     #: leader plan-key -> duplicate specs coalesced onto it
     duplicates: Dict[Key, List[RunSpec]] = field(default_factory=dict)
 
@@ -73,16 +86,20 @@ def partition_plan(
     ``refresh=True`` ignores journaled results (every cacheable spec
     becomes a leader or duplicate) but keeps coalescing: identical
     specs still cost one execution, and the fresh results are appended
-    to the journal where they shadow the stale entries.
+    to the journal where they shadow the stale entries.  With
+    ``store=None`` every spec is a leader without a store key: there is
+    nothing to hit, coalesce or journal.
     """
     part = PlanPartition()
+    if store is None:
+        part.leaders = list(plan.specs)
+        return part
     pending: Dict[str, Key] = {}  # store key -> leader plan key
     for spec in plan.specs:
         try:
             address = spec_key(spec)
         except SpecHashError:
             part.leaders.append(spec)
-            part.store_keys[spec.key] = None
             continue
         if not refresh:
             entry = store.get(address)
@@ -107,31 +124,15 @@ def partition_plan(
     return part
 
 
-def plain_partition(plan: ExecutionPlan) -> PlanPartition:
-    """A store-free partition: every spec is an uncacheable leader.
-
-    The farm's campaign driver uses this when no store is configured,
-    so the same dispatch/journal/fan-out loop serves warm and cold
-    campaigns — journaling and coalescing just have nothing to do.
-    """
-    part = PlanPartition()
-    part.leaders = list(plan.specs)
-    part.store_keys = {spec.key: None for spec in plan.specs}
-    return part
-
-
 def journal_outcome(
-    store: Any, address: Optional[str], spec: RunSpec, outcome: RunOutcome
+    store: Any, address: str, spec: RunSpec, outcome: RunOutcome
 ) -> None:
-    """Journal one executed leader's result (no-op when uncacheable).
+    """Journal one executed leader's result under its store key.
 
-    Shared by the pool path below and the farm campaign driver, so
-    "what gets journaled, when" has exactly one definition: the leader
-    completed in *this* process, its value encodes bit-exactly, and its
-    spec hashed to a content address.
+    "What gets journaled, when" has exactly one definition: the leader
+    completed in *this* process, its spec hashed to a content address,
+    and its value encodes bit-exactly.
     """
-    if address is None:
-        return
     try:
         encoded = encode_value(outcome.value)
     except CodecError:
@@ -178,20 +179,21 @@ def hit_outcomes(part: PlanPartition) -> List[RunOutcome]:
     ]
 
 
-def memoized_outcomes(
+def run_plan(
     plan: ExecutionPlan,
     store: Any,
-    jobs: Optional[int] = None,
-    progress: Optional[ProgressFn] = None,
+    execute: Executor,
     refresh: bool = False,
+    progress: Optional[ProgressFn] = None,
 ) -> List[RunOutcome]:
-    """Run ``plan`` through the store; values match plain execution.
+    """Run ``plan`` through ``store`` on ``execute``.
 
     Returns one outcome per spec (hits first, then executed leaders in
     completion order, each followed by the duplicates it resolves).
     The reduce step looks values up by key, so this ordering is
     invisible in experiment output — ``tests/store/test_memo.py``
-    checks the resolved mapping is identical with and without a store.
+    checks the resolved mapping is identical for every executor, with
+    and without a store.
     """
     part = partition_plan(plan, store, refresh=refresh)
     total = len(plan.specs)
@@ -202,28 +204,38 @@ def memoized_outcomes(
         if progress is not None:
             progress(outcome, len(outcomes), total)
 
-    for hit in hit_outcomes(part):
-        emit(hit)
-
-    if not part.leaders:
-        return outcomes
-
-    def on_executed(
-        outcome: RunOutcome, _done: int, _total: int
-    ) -> None:
-        emit(outcome)
-        journal_outcome(
-            store,
-            part.store_keys.get(outcome.key),
-            leaders_by_key[outcome.key],
-            outcome,
-        )
-        for duplicate in fanout_duplicates(part, outcome):
-            emit(duplicate)
-
-    leaders_by_key = {spec.key: spec for spec in part.leaders}
-    subplan = ExecutionPlan(
-        name=plan.name, specs=part.leaders, meta=dict(plan.meta)
-    )
-    _plain_outcomes(subplan, jobs=jobs, progress=on_executed)
+    leaders = {spec.key: spec for spec in part.leaders}
+    # entered before the first emit: an executor that cannot start here
+    # raises while a caller's retry on a simpler one is still free of
+    # side effects; a plan with nothing to execute starts nothing
+    with execute(part.leaders) if leaders else nullcontext(()) as executed:
+        for hit in hit_outcomes(part):
+            emit(hit)
+        for outcome in executed:
+            address = part.store_keys.get(outcome.key)
+            if address is not None:
+                journal_outcome(
+                    store, address, leaders[outcome.key], outcome
+                )
+            emit(outcome)
+            if outcome.key in part.duplicates:
+                for duplicate in fanout_duplicates(part, outcome):
+                    emit(duplicate)
     return outcomes
+
+
+def memoized_outcomes(
+    plan: ExecutionPlan,
+    store: Any,
+    jobs: Optional[int] = None,
+    progress: Optional[ProgressFn] = None,
+    refresh: bool = False,
+) -> List[RunOutcome]:
+    """:func:`run_plan` on the default pool-or-serial executor."""
+    return run_plan(
+        plan,
+        store,
+        partial(local_executor, jobs),
+        refresh=refresh,
+        progress=progress,
+    )

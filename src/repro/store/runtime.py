@@ -7,8 +7,8 @@ variable) inside a ``try``/``finally`` that ends with :func:`reset`,
 and :func:`repro.experiments.parallel.run_outcomes` consults
 :func:`active_session` whenever no explicit ``store`` argument was
 passed.  Experiments themselves never know whether a store is active —
-memoization happens in the parent process, before specs reach the
-pool, so worker code is untouched.
+memoization happens in the parent process, before specs reach an
+executor, so worker code is untouched.
 
 Only the entry points read the environment; library code sees a
 :class:`StoreSession` or nothing.
@@ -20,13 +20,8 @@ import os
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    ProgressFn,
-    RunOutcome,
-)
+from repro.experiments.parallel import RunOutcome
 from repro.store.backend import JournalStore
-from repro.store.memo import memoized_outcomes
 
 #: environment variable naming the store directory for CLI entry points
 ENV_STORE_DIR = "REPRO_STORE_DIR"
@@ -50,29 +45,11 @@ class StoreSession:
         self.executed = 0
         self.saved_seconds = 0.0
 
-    def run(
-        self,
-        plan: ExecutionPlan,
-        jobs: Optional[int] = None,
-        progress: Optional[ProgressFn] = None,
-    ) -> List[RunOutcome]:
-        """Execute a plan through this session's store."""
-        outcomes = memoized_outcomes(
-            plan,
-            self.store,
-            jobs=jobs,
-            progress=progress,
-            refresh=self.refresh,
-        )
-        self.record(outcomes)
-        return outcomes
-
     def record(self, outcomes: List[RunOutcome]) -> None:
         """Fold a plan's outcomes into the session tallies.
 
-        Called by :meth:`run` and by the farm runtime, which executes
-        plans through its own campaign driver but borrows this
-        session's store and must keep its bookkeeping truthful.
+        ``run_outcomes`` calls this once per plan it ran against this
+        session's store, whichever executor ran the leaders.
         """
         for outcome in outcomes:
             if outcome.source == "hit":

@@ -19,6 +19,7 @@ from repro.experiments.parallel import (
 from repro.farm.backends import (
     CompletedJob,
     FarmError,
+    LocalPoolBackend,
     SerialBackend,
     SubprocessFleetBackend,
     WorkerFailure,
@@ -26,6 +27,7 @@ from repro.farm.backends import (
 from repro.farm.campaign import run_campaign
 from repro.farm.runtime import FarmSession
 from repro.farm.transport import BackendUnavailable
+from repro.store.backend import MemoryStore
 
 from tests.farm import _workers
 
@@ -114,6 +116,38 @@ class TestLocalPoolBackend:
         outcomes = FarmSession(kind="local", shards=2).run(plan(6))
         assert resolve(outcomes) == REFERENCE
 
+    def test_collect_answers_each_dispatch_once(self):
+        backend = LocalPoolBackend()
+        backend.start(2)
+        try:
+            backend.dispatch(0, spec(2))
+            backend.dispatch(1, spec(5))
+            jobs = [backend.collect(), backend.collect()]
+            with pytest.raises(FarmError, match="nothing dispatched"):
+                backend.collect()
+        finally:
+            backend.close()
+        assert {(job.worker, job.spec.key) for job in jobs} == {
+            (0, ("s", 2)),
+            (1, ("s", 5)),
+        }
+        assert {job.worker: job.value for job in jobs} == {
+            0: {"x": 2, "squared": 4},
+            1: {"x": 5, "squared": 25},
+        }
+
+    def test_raising_spec_wakes_collect_with_the_original_error(self):
+        # the error callback must feed the completion queue too, or
+        # collect() waits forever on a job that already failed
+        backend = LocalPoolBackend()
+        backend.start(1)
+        try:
+            backend.dispatch(0, RunSpec(key=("b",), fn=_workers.boom))
+            with pytest.raises(_workers.Detonation, match="exploded"):
+                backend.collect()
+        finally:
+            backend.close()
+
 
 class TestBackendFallback:
     def test_unavailable_backend_falls_back_to_serial(self):
@@ -135,11 +169,22 @@ class TestBackendFallback:
             Unavailable,
             SerialBackend,
         ]
+        # one spec is already journaled: the retry must not emit its
+        # hit a second time, so the backend starts before any emission
+        store = MemoryStore()
+        run_campaign(plan(1), SerialBackend(), 1, store=store)
+        done = []
         try:
-            outcomes = session.run(plan(4))
+            outcomes = session.run(
+                plan(4),
+                store,
+                progress=lambda outcome, count, total: done.append(count),
+            )
         finally:
             farm_runtime._backend_candidates = original
         assert calls == ["tried"]
+        assert done == [1, 2, 3, 4]
+        assert store.puts == 4
         assert resolve(outcomes) == {
             key: value
             for key, value in REFERENCE.items()
@@ -169,6 +214,35 @@ class TestRunOutcomesIntegration:
             farm_runtime.reset()
         assert resolve(outcomes) == REFERENCE
         assert all(o.worker.startswith("w") for o in outcomes)
+
+    def test_shards_default_to_the_callers_jobs(self):
+        from repro.farm import runtime as farm_runtime
+
+        session = FarmSession(backend_factory=SerialBackend)
+        farm_runtime.configure(session)
+        try:
+            outcomes = run_outcomes(plan(6), jobs=3)
+        finally:
+            farm_runtime.reset()
+        assert resolve(outcomes) == REFERENCE
+        assert session.last_result.shards == 3
+        assert {o.worker for o in outcomes} == {"w0", "w1", "w2"}
+
+    def test_runner_reports_the_shard_count_it_used(
+        self, tmp_path, capsys
+    ):
+        import json
+
+        from repro.experiments.runner import main
+
+        manifest = tmp_path / "farm.json"
+        argv = ["--experiment", "a3", "--scale", "quick"]
+        argv += ["--farm", "serial", "--jobs", "3"]
+        assert main(argv + ["--farm-manifest", str(manifest)]) == 0
+        assert "farm=serial, shards=3]" in capsys.readouterr().out
+        extras = json.loads(manifest.read_text())["extras"]
+        assert extras["farm_shards"] == 3
+        assert sorted(extras["farm_workers"]) == ["w0", "w1", "w2"]
 
     def test_no_session_leaves_plain_path_untouched(self):
         outcomes = run_outcomes(plan(6), jobs=1)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import partial
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -13,6 +16,7 @@ from repro.experiments.parallel import (
     resolve,
     run_outcomes,
 )
+from repro.farm.runtime import FarmSession
 from repro.store.backend import MemoryStore
 from repro.store.memo import memoized_outcomes, partition_plan
 
@@ -29,6 +33,10 @@ def work(tag=0, factor=1, probe=None):
 def opaque(tag=0):
     CALLS.append(tag)
     return object()  # not encodable: the value is execute-only
+
+
+def missing_file(tag=0):
+    raise FileNotFoundError(f"spec {tag} wants a file that is not there")
 
 
 def _plan(name="grid", tags=(1, 2, 3), prefix="run"):
@@ -217,3 +225,130 @@ class TestProgress:
         assert [source for source, _, _ in seen] == [
             SOURCE_HIT, SOURCE_EXECUTED, SOURCE_COALESCED
         ]
+
+
+#: every way into the plan loop, as ``run(plan, store, progress=,
+#: refresh=)``: the default executor serial and pooled, and the farm's
+#: executor over each backend
+EXECUTORS = {
+    "jobs=1": partial(memoized_outcomes, jobs=1),
+    "jobs=2": partial(memoized_outcomes, jobs=2),
+    "farm-serial": FarmSession("serial", shards=2).run,
+    "farm-local": FarmSession("local", shards=2).run,
+    "farm-fleet": FarmSession("fleet", shards=2).run,
+}
+
+
+class TestOneLoop:
+    """Every executor x every store state: same values, same sources."""
+
+    #: two duplicated specs, one unique, one uncacheable (a complex
+    #: kwarg pickles but has no canonical form)
+    CACHEABLE_LEADERS = 3
+
+    def _mixed_plan(self):
+        specs = [
+            RunSpec(key=(prefix, tag), fn=work, kwargs={"tag": tag})
+            for tag in (1, 2)
+            for prefix in ("a", "b")
+        ]
+        specs.append(RunSpec(key=("solo", 3), fn=work, kwargs={"tag": 3}))
+        specs.append(
+            RunSpec(
+                key=("unhashable", 4),
+                fn=work,
+                kwargs={"tag": 4, "probe": 1j},
+            )
+        )
+        return ExecutionPlan("mixed", specs)
+
+    VALUES = {
+        (prefix, tag): {"tag": tag, "scaled": tag}
+        for prefix, tag in (
+            ("a", 1), ("b", 1), ("a", 2), ("b", 2),
+            ("solo", 3), ("unhashable", 4),
+        )
+    }
+    COLD_SOURCES = Counter(
+        {
+            (("a", 1), SOURCE_EXECUTED): 1,
+            (("b", 1), SOURCE_COALESCED): 1,
+            (("a", 2), SOURCE_EXECUTED): 1,
+            (("b", 2), SOURCE_COALESCED): 1,
+            (("solo", 3), SOURCE_EXECUTED): 1,
+            (("unhashable", 4), SOURCE_EXECUTED): 1,
+        }
+    )
+
+    @pytest.mark.parametrize("executor", sorted(EXECUTORS))
+    @pytest.mark.parametrize("state", ["none", "cold", "warm", "refresh"])
+    def test_same_outcomes_whoever_executes(self, executor, state):
+        plan = self._mixed_plan()
+        store = None if state == "none" else MemoryStore()
+        if state in ("warm", "refresh"):
+            memoized_outcomes(plan, store, jobs=1)
+            assert store.puts == self.CACHEABLE_LEADERS
+            store.puts = 0
+        done = []
+
+        def progress(outcome, count, total):
+            done.append((count, total))
+
+        outcomes = EXECUTORS[executor](
+            plan, store, progress=progress, refresh=state == "refresh"
+        )
+
+        assert resolve(outcomes) == self.VALUES
+        sources = Counter((o.key, o.source) for o in outcomes)
+        if state == "none":
+            assert sources == Counter(
+                (key, SOURCE_EXECUTED) for key in self.VALUES
+            )
+        elif state == "warm":
+            assert sources == Counter(
+                (
+                    key,
+                    SOURCE_EXECUTED
+                    if key == ("unhashable", 4)
+                    else SOURCE_HIT,
+                )
+                for key in self.VALUES
+            )
+            assert store.puts == 0
+        else:
+            assert sources == self.COLD_SOURCES
+            assert store.puts == self.CACHEABLE_LEADERS
+        assert done == [(count, 6) for count in range(1, 7)]
+
+
+class TestSpecErrors:
+    def test_a_specs_own_oserror_does_not_rerun_the_plan(self):
+        """The pool-to-serial fallback covers building the pool, not
+        running it: an ``OSError`` raised *by a spec* used to restart
+        the whole plan serially before surfacing."""
+        specs = [
+            RunSpec(key=("ok", tag), fn=work, kwargs={"tag": tag})
+            for tag in range(5)
+        ]
+        specs.append(
+            RunSpec(key=("bad", 5), fn=missing_file, kwargs={"tag": 5})
+        )
+        store = MemoryStore()
+        seen = []
+
+        def progress(outcome, done, total):
+            seen.append((outcome.key, done))
+
+        with pytest.raises(FileNotFoundError, match="spec 5"):
+            memoized_outcomes(
+                ExecutionPlan("oserror", specs),
+                store,
+                jobs=2,
+                progress=progress,
+            )
+        keys = [key for key, _ in seen]
+        assert len(set(keys)) == len(keys) <= 5  # each emitted once
+        assert [done for _, done in seen] == list(
+            range(1, len(seen) + 1)
+        )
+        assert store.puts == len(seen)  # one put per leader
