@@ -247,6 +247,30 @@ class SpanQueue:
             and self._arr[3 * (self._head & self._mask)] <= now
         )
 
+    def head(self) -> Optional[Tuple[int, Worm, int, int]]:
+        """The oldest record as ``(arrival, worm, start, count)``, left
+        queued — what a receiver may look ahead at without taking it."""
+        if self._head == self._tail:
+            return None
+        slot = self._head & self._mask
+        base = 3 * slot
+        arr = self._arr
+        worm = self._worms[slot]
+        assert worm is not None
+        return arr[base], worm, arr[base + 1], arr[base + 2]
+
+    def arrived(self, now: int) -> int:
+        """Flits that have landed by ``now`` and were not taken yet."""
+        arr = self._arr
+        landed = 0
+        for record in range(self._head, self._tail):
+            base = 3 * (record & self._mask)
+            due = now - arr[base] + 1
+            if due <= 0:
+                break  # records are in arrival order
+            landed += min(due, arr[base + 2])
+        return landed
+
     def take(
         self, now: int, limit: Optional[int] = None
     ) -> Optional[Tuple[Worm, int, int]]:

@@ -75,7 +75,8 @@ class HostInterface(Component):
     # ------------------------------------------------------------------
     def connect_out(self, link: Link) -> None:
         """Wire the injection link toward the switch and register this NI
-        as its credit waker (a maturing credit schedules a tick)."""
+        as its credit waker (once the link has refused it a credit, the
+        next one to mature schedules a tick)."""
         if self.out_link is not None:
             raise ProtocolError(f"{self.name}: out link already wired")
         self.out_link = link

@@ -2,12 +2,16 @@
 
 Same injection/ejection engine as
 :class:`~repro.host.interface.HostInterface`, but moving spans instead
-of flit objects: injection stages up to ``min(credits, remaining)``
-flits of the head worm in one :meth:`~repro.switches.link.Link.send_span`
-call (wire-identical to the same flits sent one per cycle), and ejection
-drains :meth:`~repro.switches.link.Link.receive_span` spans, returning
-the freed credits in one batch.  No :class:`~repro.flits.flit.Flit`
-object is ever constructed here (enforced by reprolint rule REP008).
+of flit objects: injection stages up to ``min(credit window,
+remaining)`` flits of the head worm in one
+:meth:`~repro.switches.link.Link.send_span` call (wire-identical to the
+same flits sent one per cycle; the window of
+:meth:`~repro.switches.link.Link.sendable_span` counts queued credit
+returns from the cycle they mature), and ejection drains
+:meth:`~repro.switches.link.Link.receive_span` spans, returning the
+freed credits in one batch and waking itself for span members still in
+flight.  No :class:`~repro.flits.flit.Flit` object is ever constructed
+here (enforced by reprolint rule REP008).
 
 Staging a whole span up front means the head worm leaves the injection
 queue *at the staging cycle* rather than at the tail's nominal send
@@ -86,6 +90,13 @@ class PackedHostInterface(HostInterface):
             span = link.receive_span(now) if queue._flits else None
         if not queue._flits:
             self._rx_pending = 0
+        elif self._wake_marker != now + 1:
+            # a span fires the arrival hook once, at its first member:
+            # the later members are ours to wake for (already due next
+            # cycle, e.g. by a single send's own hook: ask again then)
+            head = queue.head()
+            assert head is not None
+            self.wake_at(head[0])
 
     def _absorb_span(self, worm: Worm, start: int, count: int, now: int) -> None:
         if self._rx_worm is None:

@@ -146,7 +146,8 @@ class SwitchBase(Component):
 
     def connect_out(self, port: int, link: Link) -> None:
         """Wire an outgoing link and register this switch as its credit
-        waker (a returned credit schedules a tick when it matures)."""
+        waker (once the link has refused it a credit, the next one to
+        mature schedules a tick)."""
         if self.out_links[port] is not None:
             raise ProtocolError(f"{self.name}: output port {port} already wired")
         self.out_links[port] = link
@@ -165,10 +166,17 @@ class SwitchBase(Component):
         )
 
     def _up_port_credits(self, port: int) -> int:
+        """Credits the adaptive up-port policy sees on ``port``: what
+        the sender holds at the start of this cycle on the
+        one-flit-per-cycle timeline.  A committed span took the credits
+        of its later members up front (the link's own counter may even
+        be negative meanwhile), so the slots it still holds from this
+        cycle on are added back."""
         link = self.out_links[port]
         if link is None:
             return -1
-        return link.credits(self.sim.now)
+        now = self.sim.now
+        return link.credits(now) + max(0, link._last_send_cycle - now + 1)
 
     def compute_requests(self, worm: Worm) -> List[PortRequest]:
         """Decode a worm's header into output-port branch requests."""

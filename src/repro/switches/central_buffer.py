@@ -137,6 +137,14 @@ class CentralBufferSwitch(SwitchBase):
         self._ingress_occupied = 0
         self._egress_wanted = 0
         self._egress_busy = 0
+        # FIFO-front state masks, same discipline: bit p of
+        # `_route_pending` means the worm at the front of `_inflow[p]`
+        # awaits routing or admission (phase 2 has work), bit p of
+        # `_cb_feed` that it streams into the central buffer (phase 3
+        # may).  A front worm with neither bit is still arriving or is
+        # pulled by a bypass feed
+        self._route_pending = 0
+        self._cb_feed = 0
         # set whenever a tick changes any switch state (flit accepted,
         # route/admit decision, write, activation, send); a blocked tick
         # that stays False may sleep instead of re-arming — see tick()
@@ -163,8 +171,9 @@ class CentralBufferSwitch(SwitchBase):
     def tick(self, now: int) -> None:
         self._stirred = False
         self._receive(now)
-        if self._ingress_occupied:
+        if self._route_pending:
             self._route_and_admit(now)
+        if self._cb_feed:
             self._write_central_buffer(now)
         if self._egress_busy or self._egress_wanted:
             self._drive_outputs(now)
@@ -182,9 +191,14 @@ class CentralBufferSwitch(SwitchBase):
         # the re-arm entirely.  Exception: with metrics enabled the
         # blocked-cycles counter must increment every blocked cycle, as it
         # does on the dense kernel, so observed runs keep polling.
+        #
+        # Committed-sleep: a stirred switch whose every worm is inside a
+        # committed bypass run (packed plane, see `_inside_runs`) has
+        # nothing to do before the run's own wake or the next arrival.
         if self._ingress_occupied or self._egress_busy or self._egress_wanted:
             if self._stirred or self._obs:
-                self.wake_at(now + 1)
+                if not self._inside_runs(now):
+                    self.wake_at(now + 1)
             else:
                 wake = self._blocked_wake()
                 if wake is not None:
@@ -199,7 +213,7 @@ class CentralBufferSwitch(SwitchBase):
         delay = self.settings.routing_delay
         best: Optional[int] = None
         inflows = self._inflow
-        for port in PORTS_OF[self._ingress_occupied]:
+        for port in PORTS_OF[self._route_pending]:
             ingress = inflows[port][0]
             if ingress.state is _IngressState.ROUTE_WAIT:
                 assert ingress.header_done_cycle is not None
@@ -207,6 +221,11 @@ class CentralBufferSwitch(SwitchBase):
                 if best is None or cycle < best:
                     best = cycle
         return best
+
+    def _inside_runs(self, now: int) -> bool:
+        """True when every worm in the switch is inside a committed run
+        that extends past ``now``.  The object plane commits none."""
+        return False
 
     # -- phase 1: absorb link arrivals into the input FIFOs -------------
     def _receive(self, now: int) -> None:
@@ -241,6 +260,8 @@ class CentralBufferSwitch(SwitchBase):
             ingress.header_done_cycle = now
             if ingress.state is _IngressState.ARRIVING:
                 ingress.state = _IngressState.ROUTE_WAIT
+                if inflow[0] is ingress:
+                    self._route_pending |= 1 << port
         if self.tracer.enabled:
             self.tracer.emit(
                 now, self.name, "flit_in", port=port, flit=repr(flit)
@@ -283,6 +304,7 @@ class CentralBufferSwitch(SwitchBase):
             ingress.bypass_worm = child
             ingress.bypass_port = out_port
             ingress.state = _IngressState.STREAM_BYPASS
+            self._route_pending &= ~(1 << port)
             self._out_current[out_port] = _BypassFeed(port, ingress)
             self._egress_busy |= 1 << out_port
             if self.tracer.enabled:
@@ -301,7 +323,7 @@ class CentralBufferSwitch(SwitchBase):
             self._out_queue[out_port].append(cursor)
             self._egress_wanted |= 1 << out_port
             ingress.stored = stored
-            ingress.state = _IngressState.STREAM_CB
+            self._stream_to_buffer(port, ingress)
             if self.tracer.enabled:
                 self.tracer.emit(
                     now, self.name, "queue_cb", inp=port, out=out_port,
@@ -309,6 +331,13 @@ class CentralBufferSwitch(SwitchBase):
                     waited=now - ingress.header_done_cycle
                     - self.settings.routing_delay,
                 )
+
+    def _stream_to_buffer(self, port: int, ingress: _Ingress) -> None:
+        """Routing (and admission) of the FIFO-front worm is done: its
+        flits now flow into the central buffer."""
+        ingress.state = _IngressState.STREAM_CB
+        self._route_pending &= ~(1 << port)
+        self._cb_feed |= 1 << port
 
     def _try_admit(self, port: int, ingress: _Ingress, now: int) -> None:
         stored = ingress.stored
@@ -330,7 +359,7 @@ class CentralBufferSwitch(SwitchBase):
             self._stored_of_cursor[id(cursor)] = stored
             self._out_queue[request.port].append(cursor)
             self._egress_wanted |= 1 << request.port
-        ingress.state = _IngressState.STREAM_CB
+        self._stream_to_buffer(port, ingress)
         if self.tracer.enabled:
             self.tracer.emit(
                 now, self.name, "admit_multidest",
@@ -380,10 +409,19 @@ class CentralBufferSwitch(SwitchBase):
         if link is not None:
             link.return_credit(now)
         if ingress.complete:
-            inflow = self._inflow[port]
-            inflow.popleft()
-            if not inflow:
-                self._ingress_occupied &= ~(1 << port)
+            self._pop_front(port)
+
+    def _pop_front(self, port: int) -> None:
+        """The FIFO-front worm has left input ``port`` entirely: expose
+        the worm behind it, if any, to routing."""
+        inflow = self._inflow[port]
+        inflow.popleft()
+        bit = 1 << port
+        self._cb_feed &= ~bit
+        if not inflow:
+            self._ingress_occupied &= ~bit
+        elif inflow[0].state is _IngressState.ROUTE_WAIT:
+            self._route_pending |= bit
 
     # -- phase 4: drive the output ports ---------------------------------
     def _drive_outputs(self, now: int) -> None:
@@ -456,7 +494,8 @@ class CentralBufferSwitch(SwitchBase):
     # introspection for tests and metrics
     # ------------------------------------------------------------------
     def fifo_occupancy(self, port: int) -> int:
-        """Flits currently held in an input FIFO."""
+        """Flits held in an input FIFO once the current cycle's ticks
+        are done."""
         return sum(i.received - i.consumed for i in self._inflow[port])
 
     def output_queue_length(self, port: int) -> int:

@@ -34,9 +34,13 @@ one-flit-per-tick reference bit for bit (see
 For the active-set kernel the link carries two *wake hooks*: the
 receiving component registers :meth:`on_arrival` (wired by
 ``connect_in``) so a send wakes it at the delivery cycle, and the
-sending component registers :meth:`on_credit` (wired by ``connect_out``)
-so a credit return wakes it when the credit matures.  Both hooks are
-optional — a bare link in a unit test works exactly as before.
+sending component registers :meth:`on_credit` (wired by ``connect_out``).
+The credit wake is *on demand*: a sender that never runs out of credits
+is never woken for one.  Only a sender that :meth:`can_send` or
+:meth:`sendable_span` just refused for lack of a credit is owed a wake —
+at the maturity of the head queued return if one is already travelling
+back, else at the maturity of the next :meth:`return_credit`.  Both
+hooks are optional — a bare link in a unit test works exactly as before.
 
 The component form of the arrival waker (:meth:`wake_on_arrival`) also
 carries the receiver's *rx-pending* bit: every send sets bit ``port`` of
@@ -52,9 +56,21 @@ points) per link before the run starts.
 The arrival hook fires once per :meth:`send` and once per
 :meth:`send_span` — at the span's *first* arrival cycle, not once per
 member flit.  A receiver that drains a span partially therefore owns its
-own re-arm for the remaining members; every switch satisfies this for
-free, because accepting a flit stirs it and a stirred non-empty switch
-always re-arms for the next cycle.
+own re-arm for the remaining members: a switch re-arms while stirred, or
+is inside a committed bypass run whose own wake takes the rest (see
+:mod:`repro.switches.packed_central`); the packed NI wakes itself at the
+head record's arrival.
+
+A receiver that knows it will free one slot per cycle for the next
+``count`` cycles — a switch that committed a run of bypass flits — hands
+all of them back in one :meth:`return_credit_ramp`, each dated exactly as
+the per-cycle :meth:`return_credit` would date it.  The queue of returns
+is kept in maturity order, and :meth:`sendable_span` counts a queued
+return from the cycle it matures, so a sender may commit a span against
+credits that are still travelling back: member ``j`` leaves at
+``now + j`` and needs its credit only by then.  Returns queued later can
+only widen that window, so a span committed early is always a prefix of
+what the one-flit-per-cycle reference sends.
 """
 
 from __future__ import annotations
@@ -103,8 +119,17 @@ class Link:
         #: nothing has arrived.  The packed-plane drain: call repeatedly
         #: until ``None``; a span is never split across worms.
         self.receive_span = in_flight.take
+        #: ``(maturity, count)`` credit returns, in maturity order
         self._credit_returns: Deque[Tuple[int, int]] = deque()
+        #: credits at the sender, net of the returns drained so far.
+        #: Transiently negative while a span has borrowed against queued
+        #: returns (:meth:`sendable_span`); every borrowed return matures
+        #: no later than the span's last reserved slot, so any check made
+        #: once the slot is free again sees a non-negative count
         self._credits: Optional[int] = None
+        #: the sender was refused for lack of a credit while no return
+        #: was queued: the next return wakes it
+        self._credit_wanted = False
         #: last cycle with a reserved send slot; a span send at cycle t
         #: reserves slots t .. t+count-1 in one call
         self._last_send_cycle = -1
@@ -134,9 +159,9 @@ class Link:
         self._arrival_hook = hook
 
     def on_credit(self, hook: WakeHook) -> None:
-        """Register the sender's wake hook; called per credit return with
-        the cycle the credit matures, so a credit-starved sender can go
-        dormant instead of polling."""
+        """Register the sender's wake hook; called with the cycle a credit
+        matures, once per refusal for lack of one, so a credit-starved
+        sender can go dormant instead of polling."""
         if self._credit_hook is not None or self._credit_comp is not None:
             raise ProtocolError(f"link {self.name}: credit hook already set")
         self._credit_hook = hook
@@ -211,16 +236,68 @@ class Link:
         if count < 1:
             raise ValueError("count must be positive")
         mature = now + self.credit_latency
-        self._credit_returns.append((mature, count))
+        returns = self._credit_returns
+        if returns and returns[-1][0] > mature:
+            self._insert_return(mature, count)
+        else:
+            returns.append((mature, count))
+        if self._credit_wanted:
+            self._credit_wanted = False
+            self._wake_sender(mature)
+
+    def return_credit_ramp(self, now: int, count: int) -> None:
+        """Receiver frees one slot per cycle for ``count`` cycles from
+        ``now`` — a committed run of flits leaving its buffer.
+
+        Queue-identical to :meth:`return_credit` called at ``now``,
+        ``now + 1``, … ``now + count - 1``: return ``j`` matures at
+        ``now + j + credit_latency``.
+        """
+        if count < 1:
+            raise ValueError("count must be positive")
+        first = now + self.credit_latency
+        returns = self._credit_returns
+        if returns and returns[-1][0] > first:
+            for mature in range(first, first + count):
+                self._insert_return(mature, 1)
+        else:
+            returns.extend(
+                [(mature, 1) for mature in range(first, first + count)]
+            )
+        if self._credit_wanted:
+            self._credit_wanted = False
+            self._wake_sender(first)
+
+    def _insert_return(self, mature: int, count: int) -> None:
+        """Queue a return that matures before one already queued (a ramp
+        reaches past it): the drains and the span window rely on
+        maturity order."""
+        returns = self._credit_returns
+        position = len(returns)
+        while position and returns[position - 1][0] > mature:
+            position -= 1
+        returns.insert(position, (mature, count))
+
+    def _wake_sender(self, cycle: int) -> None:
         comp = self._credit_comp
         if comp is not None:
-            # inline wake dedup: the marker equals `mature` only when the
+            # inline wake dedup: the marker equals `cycle` only when the
             # component is already in the kernel's next-cycle bucket for
             # exactly that cycle (markers never run ahead of the bucket)
-            if comp._wake_marker != mature:
-                comp.wake_at(mature)
+            if comp._wake_marker != cycle:
+                comp.wake_at(cycle)
         elif self._credit_hook is not None:
-            self._credit_hook(mature)
+            self._credit_hook(cycle)
+
+    def _wake_for_credit(self) -> None:
+        """The sender was just refused for lack of a credit: wake it when
+        the next one matures — the head queued return, else whichever
+        return is queued first."""
+        returns = self._credit_returns
+        if returns:
+            self._wake_sender(returns[0][0])
+        else:
+            self._credit_wanted = True
 
     # ------------------------------------------------------------------
     # sender side
@@ -250,13 +327,30 @@ class Link:
             while returns and returns[0][0] <= now:
                 credits += returns.popleft()[1]
             self._credits = credits
-        return credits > 0
+        if credits > 0:
+            return True
+        self._wake_for_credit()
+        return False
 
     def sendable_span(self, now: int) -> int:
-        """Largest span :meth:`send_span` would accept at cycle ``now``."""
+        """Largest span :meth:`send_span` would accept at cycle ``now``.
+
+        Member ``j`` leaves at ``now + j`` and needs its credit only by
+        then: the credits on hand pay for the first members, and each
+        queued return extends the window if it matures no later than
+        the member it pays for.
+        """
         if self._last_send_cycle >= now:
             return 0
-        return self.credits(now)
+        window = self.credits(now)
+        if window <= 0:
+            self._wake_for_credit()
+            return 0
+        for mature, count in self._credit_returns:
+            if mature > now + window:
+                break
+            window += count
+        return window
 
     def send(self, now: int, flit: Flit) -> None:
         """Transmit one flit; requires :meth:`can_send`."""
@@ -325,8 +419,8 @@ class Link:
         one send slot and one credit per member flit (all reserved now)
         and member ``j`` arriving at ``now + latency + j``.  The arrival
         hook fires once, at the first arrival cycle; the receiver's own
-        stirred re-arm covers the rest of the span (see the module
-        docstring).  Requires ``count <= sendable_span(now)``.
+        re-arm covers the rest of the span (see the module docstring).
+        Requires ``count <= sendable_span(now)``.
         """
         if count < 1:
             raise ValueError("span count must be positive")
@@ -334,10 +428,11 @@ class Link:
             raise ProtocolError(
                 f"link {self.name}: second send in cycle {now}"
             )
-        if self.credits(now) < count:
+        window = self.sendable_span(now)
+        if window < count:
             raise ProtocolError(
-                f"link {self.name}: span of {count} flits exceeds "
-                f"{self._credits} credits in cycle {now}"
+                f"link {self.name}: span of {count} flits exceeds the "
+                f"credit window of {window} in cycle {now}"
             )
         self._credits -= count  # type: ignore[operator]
         self._last_send_cycle = now + count - 1
@@ -359,21 +454,43 @@ class Link:
         """Flits currently traversing the pipeline."""
         return len(self._in_flight)
 
-    def credits_in_return(self) -> int:
-        """Credits currently travelling back to the sender."""
-        return sum(count for _, count in self._credit_returns)
+    def credits_in_return(self, now: Optional[int] = None) -> int:
+        """Credits travelling back to the sender.
 
-    def accounted_credits(self) -> Optional[int]:
+        Without ``now``: every queued return.  A committed run queues its
+        returns ahead of time (:meth:`return_credit_ramp`); given ``now``
+        a return counts only from the cycle its flit leaves the
+        receiver's buffer (``maturity - credit_latency``) — the
+        one-flit-per-cycle timeline.
+        """
+        returns = self._credit_returns
+        if now is None:
+            return sum(count for _, count in returns)
+        horizon = now + self.credit_latency
+        return sum(count for mature, count in returns if mature <= horizon)
+
+    def accounted_credits(self, now: Optional[int] = None) -> Optional[int]:
         """Credits at the sender plus those in flight (either direction).
 
         Credit conservation: this value plus the flits the *receiver*
         currently holds without having returned their credits equals the
         depth declared via :meth:`set_credits`.  Tests use it to assert
         no credit is ever lost or duplicated.
+
+        Given ``now`` the count follows the one-flit-per-cycle timeline
+        as of the end of that cycle, whatever was committed ahead of it:
+        a flit that has landed belongs to the receiver even if not yet
+        taken, and a ramped return counts only once its flit has left
+        (:meth:`credits_in_return`).  The sender's counter may be
+        negative while a span has borrowed against queued returns; the
+        sum is unaffected.
         """
         if self._credits is None:
             return None
-        return self._credits + self.in_flight() + self.credits_in_return()
+        flying = len(self._in_flight)
+        if now is not None:
+            flying -= self._in_flight.arrived(now)
+        return self._credits + flying + self.credits_in_return(now)
 
     def __repr__(self) -> str:
         return f"Link({self.name!r}, latency={self.latency})"

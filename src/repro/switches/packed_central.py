@@ -5,28 +5,44 @@ Same microarchitecture as
 routing, admission and buffering phases are inherited unchanged — but
 the flit-movement phases are rewritten against the packed link API:
 spans in (:meth:`~repro.switches.link.Link.receive_span`), flit
-coordinates out (:meth:`~repro.switches.link.Link.send_packed`), and
-central-buffer bandwidth arbitrated with the single-rotation
+coordinates out (:meth:`~repro.switches.link.Link.send_granted`, or a
+whole run of them, see below), and central-buffer bandwidth arbitrated
+with the single-rotation
 :meth:`~repro.switches.arbiter.RoundRobinArbiter.grant_batch`.  No
 :class:`~repro.flits.flit.Flit` object is ever constructed here
 (enforced by reprolint rule REP008); trace events use
 :func:`~repro.flits.packed.flit_repr`.
 
 Every observable is bit-identical to the object path: a span accept
-updates the same ingress cursors the per-flit accept would, and switch
-egress is still one flit per output per cycle, so credits, arrival
-cycles, arbiter pointers and pool occupancy evolve identically (see
-``tests/sim/test_packed_differential.py``).  Beyond the span moves,
-the rewritten phases shave constant factors the object path pays per
-flit: the bandwidth caps are cached at construction, the stored packet
-of each active output is cached per port instead of re-resolved through
-the ``id(cursor)`` registry twice per cycle, and the FIFO-slot consume
-and kernel progress bookkeeping are inlined into the phase loops.
+updates the same ingress cursors the per-flit accept would, and every
+flit leaves on the cycle the one-flit-per-cycle reference sends it, so
+credits, arrival cycles, arbiter pointers and pool occupancy evolve
+identically (see ``tests/sim/test_packed_differential.py`` and
+``tests/switches/test_span_commit.py``).  Beyond the span moves, the
+rewritten phases shave constant factors the object path pays per flit:
+the bandwidth caps are cached at construction, the stored packet of each
+active output is cached per port instead of re-resolved through the
+``id(cursor)`` registry twice per cycle, and the FIFO-slot consume and
+kernel progress bookkeeping are inlined into the phase loops.
 
 No phase scans the whole port range: each iterates the set bits of the
 port-activity mask that names its work (see :mod:`repro.switches.ports`),
 in ascending port order, so a tick costs in proportion to the ports
 that have something to do.
+
+**Span cut-through.**  Central-buffer reads and writes are arbitrated
+per cycle, so they stay one flit per call.  The bypass path is not: once
+a unicast worm owns an idle output nothing but arrivals and credits can
+delay it.  When at least two of its non-tail flits have send cycles that
+are already determined, :meth:`PackedCentralBufferSwitch._advance_bypass`
+commits them in one :meth:`~repro.switches.link.Link.send_span`, hands
+their FIFO slots back as one future-dated
+:meth:`~repro.switches.link.Link.return_credit_ramp` and wakes itself
+when the run ends; a switch whose every worm is inside such a run does
+not re-arm in between (``_inside_runs``).  Runs are committed only while
+tracer and metrics registry are both disabled: per-flit observers need
+the one-flit timeline.  ``fifo_occupancy`` and the link's credit
+introspection keep reporting that timeline while a run is ahead of it.
 """
 
 from __future__ import annotations
@@ -47,12 +63,55 @@ from repro.switches.central_buffer import (
     _IngressState,
 )
 from repro.switches.chunks import StoredPacket
+from repro.switches.link import Link
 from repro.switches.ports import PORTS_OF, MaskedReceive
 
 _ARRIVING = _IngressState.ARRIVING
 _ROUTE_WAIT = _IngressState.ROUTE_WAIT
 _ADMIT_WAIT = _IngressState.ADMIT_WAIT
-_STREAM_CB = _IngressState.STREAM_CB
+
+
+def _bypass_run(
+    ingress: _Ingress, in_link: Optional[Link], link: Link, now: int
+) -> int:
+    """Flits of a bypass worm to commit at ``now`` in one span: at least
+    2, or 0 for the single-flit path.
+
+    A flit belongs to the run when its send cycle is already determined:
+    it sits in the input FIFO, or it is a member of the in-link's head
+    span record that lands no later than its turn (the record continues
+    this worm where the FIFO ends, and member ``m`` arrives at
+    ``arrival + m`` for a turn at ``now + waiting + m``); and the
+    out-link's credit window covers it.  The output is this worm's until
+    its tail, and bypass feeds do not contend for buffer bandwidth, so
+    nothing else can delay those sends — the run is exactly what the
+    per-flit path would do over the next cycles.  The tail is never a
+    member: it leaves through the single-flit path, which releases the
+    output, pops the FIFO and exposes the next worm at the cycle they
+    are due.
+    """
+    consumed = ingress.consumed
+    received = ingress.received
+    waiting = received - consumed
+    run = waiting
+    if in_link is not None:
+        head = in_link._in_flight.head()
+        if (
+            head is not None
+            and head[1] is ingress.worm
+            and head[2] == received
+            and head[0] - now <= waiting
+        ):
+            run += head[3]
+    body = ingress.worm.size_flits - 1 - consumed
+    if run > body:
+        run = body
+    if run < 2:
+        return 0
+    window = link.sendable_span(now)
+    if run > window:
+        run = window
+    return run if run >= 2 else 0
 
 
 class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
@@ -76,6 +135,9 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
         #: at branch activation so the per-cycle scan never consults the
         #: ``_stored_of_cursor`` registry
         self._cur_stored: List[Optional[StoredPacket]] = [None] * num_ports
+        #: commit runs of bypass flits in one call (see _advance_bypass);
+        #: per-flit observers need the one-flit timeline, so off with them
+        self._commit = not (tracer.enabled or metrics.enabled)
 
     # -- phase 1: absorb link arrivals as spans (MaskedReceive) ----------
     def _accept_span(
@@ -107,6 +169,8 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
             ingress.header_done_cycle = now
             if ingress.state is _ARRIVING:
                 ingress.state = _ROUTE_WAIT
+                if inflow[0] is ingress:
+                    self._route_pending |= 1 << port
         if self.tracer.enabled:
             for index in range(start, start + count):
                 self.tracer.emit(
@@ -117,7 +181,7 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
     # -- phase 2: route the FIFO-front worm and admit it -----------------
     def _route_and_admit(self, now: int) -> None:
         inflows = self._inflow
-        for port in PORTS_OF[self._ingress_occupied]:
+        for port in PORTS_OF[self._route_pending]:
             ingress = inflows[port][0]
             if ingress.state is _ROUTE_WAIT:
                 self._try_route(port, ingress, now)
@@ -128,12 +192,9 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
     def _write_central_buffer(self, now: int) -> None:
         inflows = self._inflow
         candidates = []
-        for port in PORTS_OF[self._ingress_occupied]:
+        for port in PORTS_OF[self._cb_feed]:
             ingress = inflows[port][0]
-            if (
-                ingress.state is _STREAM_CB
-                and ingress.consumed < ingress.received
-            ):
+            if ingress.consumed < ingress.received:
                 candidates.append(port)
         if not candidates:
             return
@@ -163,10 +224,7 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
             if link is not None:
                 link.return_credit(now)
             if consumed == ingress.worm.size_flits:
-                inflow = inflows[port]
-                inflow.popleft()
-                if not inflow:
-                    self._ingress_occupied &= ~(1 << port)
+                self._pop_front(port)
             progress += 1
         if progress:
             self._stirred = True
@@ -227,14 +285,10 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
             link.send_granted(now, cursor.worm, read)  # type: ignore[union-attr]
             read += 1
             cursor.read = read  # type: ignore[union-attr]
-            # inlined single-branch chunk release: _release_consumed only
-            # frees chunks at chunk boundaries or on full consumption, so
-            # skip the call on every other flit (multi-branch packets
-            # keep the slowest-branch logic in branch_read)
-            if len(stored.branches) == 1:
-                if read == stored.total_flits or not read % chunk:
-                    stored._release_consumed(now)
-            else:
+            # inlined chunk release: the slowest branch's chunk index
+            # can only move when this cursor crosses a chunk boundary or
+            # finishes, so skip the call on every other flit
+            if read == stored.total_flits or not read % chunk:
                 stored._release_consumed(now)
             progress += 1
             if read == stored.total_flits:
@@ -254,6 +308,8 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
         if link is None:
             raise ProtocolError(f"{self.name}: bypass to unwired port {port}")
         consumed = ingress.consumed
+        # a committed run holds the link's slot (and keeps `consumed`
+        # ahead of `received`) until its last member's cycle has passed
         if consumed >= ingress.received or link._last_send_cycle >= now:
             return
         # inlined Link.can_send, as in the read-candidate scan
@@ -263,21 +319,77 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
             return
         worm = ingress.bypass_worm
         assert worm is not None
-        link.send_granted(now, worm, consumed)
+        in_link = self.in_links[feed.input_port]
         self._stirred = True
+        if self._commit:
+            run = _bypass_run(ingress, in_link, link, now)
+            if run:
+                link.send_span(now, worm, consumed, run)
+                ingress.consumed = consumed + run
+                if in_link is not None:
+                    in_link.return_credit_ramp(now, run)
+                self.sim.progress += run
+                self.wake_at(now + run)
+                return
+        link.send_granted(now, worm, consumed)
         # inlined FIFO-slot consume, as in _write_central_buffer
         consumed += 1
         ingress.consumed = consumed
-        in_link = self.in_links[feed.input_port]
         if in_link is not None:
             in_link.return_credit(now)
         if self._obs:
             self._c_forwarded.inc()
         self.sim.progress += 1
         if consumed == ingress.worm.size_flits:
-            inflow = self._inflow[feed.input_port]
-            inflow.popleft()
-            if not inflow:
-                self._ingress_occupied &= ~(1 << feed.input_port)
+            self._pop_front(feed.input_port)
             self._out_current[port] = None
             self._egress_busy &= ~(1 << port)
+
+    def _inside_runs(self, now: int) -> bool:
+        # sleep rule: no queued or stored egress, every busy output a
+        # bypass feed whose link slot is reserved past `now`, and the fed
+        # worm alone in its FIFO — and no occupied FIFO left unfed.  Each
+        # run's own wake resumes it; anything new arrives through a link
+        # hook, and a second worm behind a fed one ends the sleep (its
+        # header completion must be stamped at its own cycle).
+        if (
+            not self._commit
+            or self._egress_wanted
+            or self._route_pending
+            or self._cb_feed
+        ):
+            return False
+        out_current = self._out_current
+        out_links = self.out_links
+        inflows = self._inflow
+        fed = 0
+        for port in PORTS_OF[self._egress_busy]:
+            feed = out_current[port]
+            if (
+                type(feed) is not _BypassFeed
+                or out_links[port]._last_send_cycle <= now  # type: ignore[union-attr]
+                or len(inflows[feed.input_port]) != 1
+            ):
+                return False
+            fed |= 1 << feed.input_port
+        return fed == self._ingress_occupied
+
+    # ------------------------------------------------------------------
+    # introspection: the one-flit-per-cycle timeline (cf. the packed NI)
+    # ------------------------------------------------------------------
+    def fifo_occupancy(self, port: int) -> int:
+        # during a committed run `consumed` is ahead of the flits that
+        # have left by now, and flits that landed while the switch slept
+        # wait untaken in the link: count both where the per-flit
+        # timeline has them — in the FIFO
+        occupancy = super().fifo_occupancy(port)
+        now = self.sim.now
+        in_link = self.in_links[port]
+        if in_link is not None:
+            occupancy += in_link._in_flight.arrived(now)
+        inflow = self._inflow[port]
+        if inflow and inflow[0].bypass_port is not None:
+            link = self.out_links[inflow[0].bypass_port]
+            assert link is not None
+            occupancy += max(0, link._last_send_cycle - now)
+        return occupancy

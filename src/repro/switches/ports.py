@@ -23,6 +23,14 @@ only the set bits:
 ``_egress_busy``
     output ``p`` has a current branch or bypass feed.  Set on bypass
     grant / branch activation, cleared on tail send.
+``_route_pending``, ``_cb_feed`` (central-buffer switch only)
+    the worm at the *front* of ``_inflow[p]`` awaits routing or
+    admission / streams into the central buffer.  Set when a front
+    worm's header completes, by the routing and admission decisions and
+    when a ``popleft`` exposes the next worm; cleared by the decision
+    that moves the worm on and by its ``popleft``.  They gate phases 2
+    and 3 of ``tick``; a switch may sleep through committed bypass runs
+    only while both are clear.
 
 The ingress and egress masks live on the object-plane base classes,
 where they double as the whole-switch activity tests of ``tick``; only
@@ -96,7 +104,9 @@ class MaskedReceive:
                     port, span[0], span[1], span[2], now
                 )
                 span = take(now) if queue._flits else None
-            # flits still in flight keep the bit: the link's arrival
-            # wake brings the switch back when they land
+            # flits still in flight keep the bit: the switch comes back
+            # for them through its own re-arm (it was just stirred), the
+            # wake of the committed run they belong to, or the arrival
+            # wake of the send that follows
             if not queue._flits:
                 self._rx_pending &= ~(1 << port)

@@ -17,6 +17,7 @@ from repro.flits.destset import DestinationSet
 from repro.flits.flit import Flit
 from repro.flits.packet import Message, Packet, TrafficClass
 from repro.flits.worm import Worm
+from repro.host.packed_interface import PackedHostInterface
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.switches.link import Link
@@ -218,30 +219,31 @@ class TestWakeSemantics:
         sim.run(20)
         assert receiver.ticks == [0, 4]  # registration tick + arrival
 
-    def test_component_waker_equivalent_to_hook_form(self):
-        def ticks(wire):
-            sim = Simulator()
-            receiver = sim.add_component(Recorder())
-            sender = sim.add_component(Recorder("snd"))
-            link = make_link(depth=1, latency=2)
-            wire(link, receiver, sender)
-            worm = make_worm()
-            sim.schedule(1, lambda: link.send_packed(sim.now, worm, 0))
-            # drain + credit return at the arrival cycle, waking the
-            # sender when the credit matures
-            sim.schedule(3, lambda: (link.receive_span(3),
-                                     link.return_credit(3)))
-            sim.run(20)
-            return receiver.ticks, sender.ticks
-
-        fast = ticks(lambda link, r, s: (link.wake_on_arrival(r),
-                                         link.wake_on_credit(s)))
-        slow = ticks(lambda link, r, s: (link.on_arrival(r.wake_at),
-                                         link.on_credit(s.wake_at)))
-        assert fast == slow
-        receiver_ticks, sender_ticks = fast
-        assert 3 in receiver_ticks  # arrival cycle
-        assert 5 in sender_ticks  # credit maturity cycle
+    def test_span_to_a_host_is_absorbed_member_by_member(self):
+        # regression: the arrival hook fires once per span, so the NI
+        # must wake itself for the later members — it used to strand
+        # them until some unrelated wake came along
+        sim = Simulator()
+        interface = sim.add_component(PackedHostInterface(1))
+        link = Link("eject", latency=2)
+        interface.connect_in(link)
+        worm = make_worm(size=4)
+        delivered = []
+        interface.on_delivery(lambda w, now: delivered.append(now))
+        sim.schedule(1, lambda: link.send_span(1, worm, 0, 4))
+        ejected, returning = [], []
+        for _ in range(9):
+            sim.run(1)  # the counters as of the end of cycle sim.now - 1
+            ejected.append(interface.flits_ejected)
+            returning.append(link.credits_in_return())
+        # members land at cycles 3, 4, 5, 6 and are absorbed right there
+        assert ejected == [0, 0, 0, 1, 2, 3, 4, 4, 4]
+        assert delivered == [6]
+        assert interface._rx_pending == 0
+        # one credit returned per member, at its own arrival cycle
+        assert [mature for mature, _ in link._credit_returns] == [5, 6, 7, 8]
+        assert returning[3:7] == [1, 2, 3, 4]
+        assert link.credits(8) == PackedHostInterface.RX_DEPTH
 
     def test_waker_and_hook_are_mutually_exclusive(self):
         link = make_link()
@@ -275,3 +277,176 @@ class TestWakeSemantics:
         sim.schedule(2, fire)
         sim.run(10)
         assert receiver.ticks == [0, 3]
+
+
+def wired(form, depth=1, latency=1, credit_latency=None):
+    """A link whose sender is a :class:`Recorder`, wired as a component
+    (``wake_on_credit``) or as a callback (``on_credit``)."""
+    sim = Simulator()
+    sender = sim.add_component(Recorder("snd"))
+    link = make_link(depth, latency, credit_latency)
+    if form == "component":
+        link.wake_on_credit(sender)
+    else:
+        link.on_credit(sender.wake_at)
+    return sim, sender, link
+
+
+@pytest.mark.parametrize("form", ["component", "hook"])
+class TestCreditWakeOnDemand:
+    """Credits wake their sender only after it was refused one."""
+
+    def test_no_wake_for_a_sender_that_never_asked(self, form):
+        sim, sender, link = wired(form, depth=4)
+        worm = make_worm()
+
+        def traffic():
+            link.send_packed(sim.now, worm, 0)
+            link.receive_span(sim.now + 5)
+            link.return_credit(sim.now)
+            link.return_credit_ramp(sim.now, 2)
+
+        sim.schedule(1, traffic)
+        sim.run(20)
+        assert sender.ticks == [0]  # the registration tick only
+        assert link.credits(20) == 6  # the returns still matured
+
+    def test_slot_refusal_is_not_a_credit_demand(self, form):
+        sim, sender, link = wired(form, depth=4)
+        sim.schedule(1, lambda: link.send_span(1, make_worm(), 0, 2))
+        sim.schedule(2, lambda: (link.can_send(2), link.sendable_span(2)))
+        sim.schedule(3, lambda: link.return_credit(3))
+        sim.run(20)
+        assert sender.ticks == [0]
+
+    @pytest.mark.parametrize("ask", ["can_send", "sendable_span"])
+    def test_woken_at_maturity_of_a_return_queued_after_it_asked(
+        self, form, ask
+    ):
+        sim, sender, link = wired(form, depth=1, credit_latency=3)
+        sim.schedule(1, lambda: link.send_packed(1, make_worm(), 0))
+        sim.schedule(2, lambda: getattr(link, ask)(2))  # refused: starved
+        sim.schedule(5, lambda: link.return_credit(5))
+        sim.schedule(6, lambda: link.return_credit(6))  # nobody asked again
+        sim.run(20)
+        assert sender.ticks == [0, 8]
+
+    @pytest.mark.parametrize("ask", ["can_send", "sendable_span"])
+    def test_woken_at_maturity_of_a_return_queued_before_it_asked(
+        self, form, ask
+    ):
+        sim, sender, link = wired(form, depth=1, credit_latency=3)
+        sim.schedule(1, lambda: link.send_packed(1, make_worm(), 0))
+        sim.schedule(2, lambda: link.return_credit(2))  # matures at 5
+        sim.schedule(3, lambda: link.return_credit(3))
+        sim.schedule(4, lambda: getattr(link, ask)(4))  # refused: starved
+        sim.run(20)
+        assert sender.ticks == [0, 5]  # the head return, not a later one
+
+    def test_a_granted_request_leaves_no_demand_behind(self, form):
+        sim, sender, link = wired(form, depth=2)
+        sim.schedule(1, lambda: link.can_send(1))
+        sim.schedule(2, lambda: link.return_credit(2))
+        sim.run(20)
+        assert sender.ticks == [0]
+
+
+class TestCreditWindow:
+    """``sendable_span`` counts queued returns from the cycle they
+    mature; ``send_span`` validates against the same window."""
+
+    def test_queued_ramp_extends_the_window_member_by_member(self):
+        link = make_link(depth=3, credit_latency=1)
+        worm = make_worm(size=16)
+        link.send_span(0, worm, 0, 3)
+        link.receive_span(10)
+        # the receiver commits to freeing a slot at cycles 10, 11, 12:
+        # returns mature at 11, 12, 13
+        link.return_credit_ramp(10, 3)
+        assert link.sendable_span(10) == 0  # nothing on hand yet
+        assert link.sendable_span(11) == 3  # one on hand, two borrowed
+        link.send_span(11, worm, 3, 3)
+        assert link._credits == -2  # borrowed against queued returns
+        assert link.accounted_credits() == 3
+        assert link.credits(13) == 0 and not link.can_send(14)
+
+    def test_a_return_maturing_too_late_closes_the_window(self):
+        link = make_link(depth=1, credit_latency=4)
+        worm = make_worm()
+        link.send_packed(0, worm, 0)
+        link.receive_span(1)
+        link.return_credit(1)  # matures at 5
+        link.return_credit(3)  # matures at 7: member 1 would leave at 6
+        assert link.sendable_span(5) == 1
+        with pytest.raises(ProtocolError):
+            link.send_span(5, worm, 1, 2)
+        link.send_span(5, worm, 1, 1)
+
+    @pytest.mark.parametrize("seen", [True, False])
+    def test_wire_schedule_is_tick_order_independent(self, seen):
+        # the receiver frees a slot in cycle 4 (matures at 5).  Whether
+        # the sender's tick of cycle 4 runs after it (return seen: one
+        # span of two) or before it (not seen: two single sends), the
+        # wire carries the same flits on the same cycles
+        link = make_link(depth=1, credit_latency=1)
+        worm = make_worm()
+        link.send_packed(0, worm, 0)
+        link.receive_span(1)
+        link.return_credit(3)  # matures at 4
+        if seen:
+            link.return_credit(4)
+            assert link.sendable_span(4) == 2
+            link.send_span(4, worm, 1, 2)
+        else:
+            assert link.sendable_span(4) == 1
+            link.send_span(4, worm, 1, 1)
+            link.return_credit(4)
+            assert link.sendable_span(5) == 1
+            link.send_span(5, worm, 2, 1)
+        assert link._in_flight.head() == (5, worm, 1, 2)
+        assert link.credits(5) == 0 and link._last_send_cycle == 5
+
+    def test_ramp_is_queue_identical_to_per_cycle_returns(self):
+        ramped, stepped = make_link(credit_latency=2), make_link(credit_latency=2)
+        ramped.return_credit_ramp(7, 4)
+        for now in range(7, 11):
+            stepped.return_credit(now)
+        assert ramped._credit_returns == stepped._credit_returns
+        assert [mature for mature, _ in ramped._credit_returns] == [9, 10, 11, 12]
+
+    def test_returns_stay_in_maturity_order(self):
+        link = make_link(credit_latency=2)
+        link.return_credit_ramp(5, 4)  # matures 7, 8, 9, 10
+        link.return_credit(6, 2)  # matures 8: inside the ramp
+        link.return_credit_ramp(6, 2)  # matures 8, 9
+        link.return_credit(20)
+        matures = [mature for mature, _ in link._credit_returns]
+        assert matures == sorted(matures) == [7, 8, 8, 8, 9, 9, 10, 22]
+        assert link.credits_in_return() == 9
+        # the drain stops at the first immature return, so order matters
+        assert link.credits(8) == 8 + 1 + 1 + 2 + 1
+
+    def test_introspection_counts_a_ramped_return_once_its_flit_left(self):
+        link = make_link(depth=4, latency=1, credit_latency=2)
+        worm = make_worm()
+        link.send_span(0, worm, 0, 4)
+        assert link.accounted_credits(0) == 4  # all four still flying
+        # at cycle 4 the receiver has taken 0..3 and commits to forward
+        # one per cycle from now on
+        link.receive_span(4)
+        link.return_credit_ramp(4, 4)
+        assert link.credits_in_return() == 4
+        for now, left in ((4, 1), (5, 2), (6, 3), (7, 4)):
+            assert link.credits_in_return(now) == left
+            # what the link accounts for plus what the receiver holds
+            assert link.accounted_credits(now) + (4 - left) == 4
+
+    def test_landed_but_untaken_flits_belong_to_the_receiver(self):
+        link = make_link(depth=4, latency=1)
+        link.send_span(0, make_worm(), 0, 4)  # lands at 1, 2, 3, 4
+        assert link._in_flight.arrived(0) == 0
+        assert link._in_flight.arrived(2) == 2
+        assert link._in_flight.arrived(9) == 4
+        assert link.in_flight() == 4  # raw: nothing was taken
+        assert link.accounted_credits(2) == 2
+        assert link.accounted_credits() == 4
