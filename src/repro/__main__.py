@@ -17,12 +17,8 @@ Subcommands:
 ``lint [PATHS...]``
     Run the reprolint static-analysis gate over the tree; see
     :mod:`repro.analysis` and ``docs/static-analysis.md``.
-``bench [--smoke] [--check [BASELINE]]``
-    Benchmark the active-set kernel against the dense reference and
-    gate on the recorded speedup baseline; see :mod:`repro.bench` and
-    ``docs/performance.md``.
 ``profile [--scenario NAME] [--arch cb|ib|both] [--export-trace FILE]``
-    Run one bench scenario with the profiling subsystem attached and
+    Run one named scenario with the profiling subsystem attached and
     report kernel attribution, worm phase latencies and link
     utilisation; optionally export a Chrome-trace JSON.  See
     :mod:`repro.obs.profile` and ``docs/observability.md``.
@@ -48,7 +44,6 @@ commands:
   demo     run the headline three-scheme multicast comparison (default)
   inspect  summarise observability JSONL/manifest artifacts
   lint     run the reprolint static-analysis gate
-  bench    benchmark the active-set kernel vs the dense reference
   profile  profile one scenario (kernel, worm phases, Chrome trace)
   store    inspect/maintain the result store (stats, verify, gc, ...)
 
@@ -108,10 +103,6 @@ def main(argv=None) -> int:
             from repro.analysis.cli import main as lint_main
 
             return lint_main(rest)
-        if command == "bench":
-            from repro.bench.kernel import main as bench_main
-
-            return bench_main(rest)
         if command == "profile":
             from repro.obs.profile.runner import main as profile_main
 
@@ -181,7 +172,8 @@ def main(argv=None) -> int:
           "--experiment e1 --metrics-out m.jsonl")
     print("                   python -m repro inspect m.jsonl")
     print("Static analysis:   python -m repro lint")
-    print("Kernel benchmark:  python -m repro bench --smoke")
+    print("Performance:       python3 benchmarks/ledger/run.py "
+          "--workload idle-256")
     print("Profiling:         python -m repro profile --arch cb "
           "--export-trace trace.json")
     print("Benchmarks:        pytest benchmarks/ --benchmark-only")

@@ -65,14 +65,6 @@ class LintResult:
         """0 when the gate passes, 1 when new findings exist."""
         return 1 if self.new else 0
 
-    @property
-    def all_findings(self) -> List[Finding]:
-        """Every finding regardless of partition, in report order."""
-        return sorted(
-            self.new + self.suppressed + self.baselined,
-            key=lambda f: (f.path, f.line, f.code),
-        )
-
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:
     """Yield every ``.py`` file under ``paths``, in sorted order."""

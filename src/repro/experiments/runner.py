@@ -290,7 +290,7 @@ def main(argv=None) -> int:
         farm_runtime.reset()
 
     if recording:
-        anchor = args.metrics_out or args.trace_out
+        anchor = args.metrics_out or args.trace_out or args.profile_out
         manifest_path = str(Path(anchor).with_suffix(".manifest.json"))
         RunManifest.collect(
             wall_seconds=round(overall.elapsed(), 3),

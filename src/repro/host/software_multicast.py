@@ -127,7 +127,3 @@ class SoftwareMulticastEngine:
         if operation is not None and operation.completed_cycle is not None:
             self._children_by_op.pop(op_id, None)
             self._tag_by_op.pop(op_id, None)
-
-    def pending_operations(self) -> int:
-        """Schedules still retained (unfinished operations)."""
-        return len(self._children_by_op)

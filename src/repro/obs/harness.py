@@ -17,7 +17,8 @@ bit-identical to the uninstrumented path (enforced by
 from __future__ import annotations
 
 import time
-from typing import TYPE_CHECKING, Any, Dict, Optional
+from contextlib import ExitStack, closing
+from typing import TYPE_CHECKING, Optional
 
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig, describe
@@ -25,23 +26,12 @@ from repro.obs import runtime
 from repro.obs.manifest import config_sha256
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sampler import CycleSampler, register_network_gauges
-from repro.obs.sinks import (
-    SCHEMA_LIFECYCLE,
-    SCHEMA_PROFILE,
-    JsonlTracer,
-    JsonlWriter,
-    MetricsSink,
-)
+from repro.obs.sinks import JsonlTracer, MetricsSink
+from repro.sim.trace import Tracer
 from repro.traffic.base import Workload
 
 if TYPE_CHECKING:  # circular at runtime: simulation.py imports us lazily
-    from repro.network.builder import Network
     from repro.network.simulation import SimulationResult
-    from repro.obs.profile import (
-        KernelProfiler,
-        SpanProfiler,
-        WormLifecycleTracer,
-    )
 
 
 def run_instrumented(
@@ -58,139 +48,68 @@ def run_instrumented(
     fingerprint = describe(config)
     registry = MetricsRegistry(enabled=True)
 
-    stream_tracer = None
-    if options.trace_out:
-        stream_tracer = JsonlTracer(options.trace_out, run=run_id)
+    # every writer opened here is closed on the way out, whether the
+    # run finishes, stalls, or the config never builds a network
+    with ExitStack() as writers:
+        stream_tracer = None
+        if options.trace_out:
+            stream_tracer = writers.enter_context(
+                closing(JsonlTracer(options.trace_out, run=run_id))
+            )
+        sink = None
+        if options.metrics_out:
+            sink = writers.enter_context(MetricsSink(options.metrics_out))
 
-    lifecycle = None
-    kernel_profiler = None
-    span_profiler = None
-    tracer = stream_tracer
-    if options.profile_out:
-        # profiling layers on top of (and chains to) the stream tracer
-        from repro.obs.profile import (
-            KernelProfiler,
-            SpanProfiler,
-            WormLifecycleTracer,
+        instruments = None
+        tracer: Optional[Tracer] = stream_tracer
+        if options.profile_out:
+            # profiling layers on top of (and chains to) the stream
+            # tracer; imported lazily, the runner imports simulation.py
+            from repro.obs.profile.runner import Instruments, write_digest
+
+            instruments = Instruments(inner=stream_tracer)
+            tracer = instruments.lifecycle
+
+        network = build_network(config, tracer=tracer, metrics=registry)
+        if instruments is not None:
+            instruments.attach(network)
+        register_network_gauges(network, registry)
+        sampler = CycleSampler(
+            registry,
+            every=options.effective_sample_every,
+            sink=sink,
+            run=run_id,
         )
+        network.sim.add_component(sampler)
 
-        lifecycle = WormLifecycleTracer(inner=stream_tracer)
-        kernel_profiler = KernelProfiler()
-        span_profiler = SpanProfiler()
-        tracer = lifecycle
-
-    sink = None
-    if options.metrics_out:
-        sink = MetricsSink(options.metrics_out)
-
-    network = build_network(config, tracer=tracer, metrics=registry)
-    if kernel_profiler is not None and span_profiler is not None:
-        network.sim.attach_profiler(kernel_profiler)
-        # before the first tick: packed switches freeze per-port
-        # receive bindings on first use
-        span_profiler.attach_all(network.links)
-    register_network_gauges(network, registry)
-    sampler = CycleSampler(
-        registry,
-        every=options.effective_sample_every,
-        sink=sink,
-        run=run_id,
-    )
-    network.sim.add_component(sampler)
-
-    if sink is not None:
-        sink.write_run_event(
-            run_id,
-            "start",
-            config=fingerprint,
-            config_sha256=config_sha256(fingerprint),
-            seed=config.seed,
-            workload=type(workload).__name__,
-            sample_every=sampler.every,
-        )
-    started = time.perf_counter()
-    try:
-        result = run_workload(network, workload, max_cycles=max_cycles)
-    finally:
-        wall = time.perf_counter() - started
         if sink is not None:
             sink.write_run_event(
                 run_id,
-                "end",
-                cycles=network.sim.now,
-                wall_seconds=round(wall, 6),
-                samples=len(sampler.series),
-                **registry.snapshot(),
+                "start",
+                config=fingerprint,
+                config_sha256=config_sha256(fingerprint),
+                seed=config.seed,
+                workload=type(workload).__name__,
+                sample_every=sampler.every,
             )
-            sink.close()
-        if (
-            options.profile_out
-            and lifecycle is not None
-            and kernel_profiler is not None
-            and span_profiler is not None
-        ):
-            _write_profile_digest(
-                options.profile_out,
-                run_id,
-                fingerprint,
-                network,
-                lifecycle,
-                kernel_profiler,
-                span_profiler,
-                registry,
-            )
-        if stream_tracer is not None:
-            stream_tracer.close()
+        started = time.perf_counter()
+        try:
+            result = run_workload(network, workload, max_cycles=max_cycles)
+        finally:
+            wall = time.perf_counter() - started
+            if sink is not None:
+                sink.write_run_event(
+                    run_id,
+                    "end",
+                    cycles=network.sim.now,
+                    wall_seconds=round(wall, 6),
+                    samples=len(sampler.series),
+                    **registry.snapshot(),
+                )
+            if instruments is not None and options.profile_out:
+                write_digest(
+                    [instruments.report(network, registry)],
+                    options.profile_out,
+                    run=run_id,
+                )
     return result
-
-
-def _write_profile_digest(
-    path: str,
-    run_id: str,
-    fingerprint: str,
-    network: "Network",
-    lifecycle: "WormLifecycleTracer",
-    kernel_profiler: "KernelProfiler",
-    span_profiler: "SpanProfiler",
-    registry: MetricsRegistry,
-) -> None:
-    """Append one run's profiling sections and worm lifecycles."""
-    from repro.obs.profile.heatmap import link_heatmap
-
-    packets = lifecycle.finalise()
-    cycles = network.sim.now
-    arch = network.config.switch_architecture.value
-    sections = {
-        "run": {
-            "arch": arch,
-            "config": fingerprint,
-            "cycles": cycles,
-        },
-        "kernel": kernel_profiler.snapshot(),
-        "spans": span_profiler.snapshot(),
-        "phases": lifecycle.phase_summary(),
-        "heatmap": link_heatmap(network, cycles),
-        "counters": {
-            name: counter.value
-            for name, counter in sorted(registry.counters.items())
-        },
-    }
-    with JsonlWriter(path) as writer:
-        for section, data in sections.items():
-            writer.write(
-                {
-                    "schema": SCHEMA_PROFILE,
-                    "run": run_id,
-                    "arch": arch,
-                    "section": section,
-                    "data": data,
-                }
-            )
-        for life in packets:
-            record: Dict[str, Any] = {
-                "schema": SCHEMA_LIFECYCLE,
-                "run": run_id,
-                "arch": arch,
-            }
-            record.update(life.snapshot())
-            writer.write(record)

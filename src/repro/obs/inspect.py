@@ -1,12 +1,12 @@
 """``python -m repro inspect``: summarise manifests and JSONL files.
 
 Reads any mix of run manifests (``*.manifest.json``), metrics JSONL,
-trace JSONL, profiling-digest JSONL and ``BENCH_*.json`` benchmark
-artifacts and prints a human-readable summary: per-run gauge
+trace JSONL, profiling-digest JSONL and ``BENCH_<experiment>.json``
+benchmark archives and prints a human-readable summary: per-run gauge
 statistics, an ASCII chart of central-buffer occupancy over time (via
 :mod:`repro.metrics.ascii_chart`), trace event counts, kernel/phase
 profiling sections with a link-utilisation heatmap, worm lifecycle
-digests, manifest provenance, and — for benchmark artifacts — the
+digests, manifest provenance, and — for benchmark archives — the
 result-store section (hits, coalesced runs, bytes, segment count)
 recorded when the run memoized through ``REPRO_STORE_DIR``.  With
 ``--check`` it validates every line against the schemas in
@@ -50,20 +50,15 @@ def _is_manifest_file(path: str) -> bool:
 
 
 def _load_bench_file(path: str) -> Optional[Dict[str, Any]]:
-    """The parsed ``BENCH_*.json`` artifact, or ``None`` if not one.
-
-    Recognises both shapes: the kernel benchmark artifact (tagged
-    ``repro.bench.kernel/1``) and the per-experiment archives written
-    by ``benchmarks/_benchlib`` (``experiment`` + ``rows`` keys).
-    """
+    """The parsed ``BENCH_<experiment>.json`` archive written by
+    ``benchmarks/_benchlib`` (``experiment`` + ``rows`` keys), or
+    ``None`` if the file is not one."""
     try:
         data = json.loads(Path(path).read_text(encoding="utf-8"))
     except (OSError, json.JSONDecodeError):
         return None
     if not isinstance(data, dict):
         return None
-    if str(data.get("schema", "")).startswith("repro.bench."):
-        return data
     if "experiment" in data and "rows" in data:
         return data
     return None
@@ -78,7 +73,7 @@ def _summarise_bench(path: str, data: Dict[str, Any]) -> str:
             f"  experiment {data['experiment']}"
             + (f": {title}" if title else "")
         )
-    rows = data.get("rows") or data.get("scenarios") or []
+    rows = data.get("rows") or []
     if isinstance(rows, list):
         lines.append(f"  {len(rows)} row(s)")
     manifest = data.get("manifest")
@@ -92,7 +87,6 @@ def _summarise_bench(path: str, data: Dict[str, Any]) -> str:
         table = Table("result store", ["field", "value"])
         for key in (
             "hits", "coalesced", "executed", "saved_seconds",
-            "warm_hits", "warm_ratio", "dedup_speedup",
             "entries", "segments", "bytes",
         ):
             if key in store:

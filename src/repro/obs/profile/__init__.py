@@ -14,12 +14,12 @@ goldens and no hot-path cost when off — see ``docs/observability.md``):
   :class:`~repro.sim.trace.Tracer` digesting the simulator's event
   stream into per-worm phase timings (setup / blocked / transfer).
 * exporters — :mod:`repro.obs.profile.chrome_trace` (Chrome/Perfetto
-  ``traceEvents`` JSON), :mod:`repro.obs.profile.heatmap` (ASCII link
-  utilisation per switch port) and :mod:`repro.obs.profile.trend`
-  (speedup trajectories across ``BENCH_*.json`` artifacts).
+  ``traceEvents`` JSON) and :mod:`repro.obs.profile.heatmap` (ASCII
+  link utilisation per switch port).
 
 ``python -m repro profile`` (:mod:`repro.obs.profile.runner`) drives a
-bench scenario through all three and prints/exports the results.
+named scenario (:mod:`repro.traffic.scenarios`) through all three and
+prints/exports the results.
 """
 
 from repro.obs.profile.kernel_profiler import KernelProfiler, SpanProfiler
@@ -30,7 +30,6 @@ from repro.obs.profile.chrome_trace import (
     write_trace,
 )
 from repro.obs.profile.heatmap import link_heatmap, render_heatmap
-from repro.obs.profile.trend import render_trend
 from repro.obs.profile.runner import ProfileReport, run_profiled
 
 __all__ = [
@@ -42,7 +41,6 @@ __all__ = [
     "build_trace",
     "link_heatmap",
     "render_heatmap",
-    "render_trend",
     "run_profiled",
     "validate_chrome_trace",
     "write_trace",

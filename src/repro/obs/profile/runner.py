@@ -1,11 +1,12 @@
 """``python -m repro profile``: run one scenario fully instrumented.
 
-Drives a benchmark scenario (default: ``saturation-hotspot``, the
-tree-saturation case where contention is most visible) through the fast
-flavour with every profiling instrument attached — kernel profiler,
-span profiler, worm lifecycle tracer, metrics registry — then prints
-the kernel attribution table, the per-phase worm latency breakdown and
-the link-utilisation heatmap, and optionally exports a merged
+Drives a named scenario (:mod:`repro.traffic.scenarios`; default:
+``saturation-hotspot``, the tree-saturation case where contention is
+most visible) through the production flavour with every profiling
+instrument attached — kernel profiler, span profiler, worm lifecycle
+tracer, metrics registry — then prints the kernel attribution table,
+the per-phase worm latency breakdown and the link-utilisation heatmap,
+and optionally exports a merged
 Chrome-trace JSON (``--export-trace``) and a schema-tagged JSONL digest
 (``--out``).
 
@@ -15,6 +16,11 @@ call sites and link counters, never by changing scheduling decisions —
 so a profiled run's :meth:`~repro.network.simulation.SimulationResult.summary`
 is bit-identical to an unprofiled one (asserted by
 ``tests/obs/profile/test_differential.py``).
+
+:class:`Instruments` and :func:`write_digest` are the one place the
+three instruments are wired and their digest is written; the
+``--profile-out`` path of :mod:`repro.obs.harness` goes through them
+too.
 """
 
 from __future__ import annotations
@@ -24,20 +30,20 @@ import sys
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
-from repro.bench.kernel import SCENARIOS, Scenario
 from repro.core.schemes import SwitchArchitecture
-from repro.network.builder import build_network
-from repro.network.config import SimulationConfig
+from repro.network.builder import Network, build_network
+from repro.network.config import SimulationConfig, describe
 from repro.network.simulation import run_workload
 from repro.obs.profile.chrome_trace import build_trace, write_trace
 from repro.obs.profile.heatmap import link_heatmap, render_heatmap
 from repro.obs.profile.kernel_profiler import KernelProfiler, SpanProfiler
 from repro.obs.profile.lifecycle import PacketLife, WormLifecycleTracer
-from repro.obs.profile.trend import TrendError, render_trend
 from repro.obs.registry import MetricsRegistry
 from repro.obs.sinks import SCHEMA_LIFECYCLE, SCHEMA_PROFILE, JsonlWriter
 from repro.obs.runtime import next_run_id
+from repro.sim.trace import Tracer
 from repro.traffic.base import Workload
+from repro.traffic.scenarios import SCENARIOS, Scenario
 
 #: architecture spellings accepted by ``--arch``
 ARCH_CHOICES = {
@@ -60,6 +66,8 @@ class ProfileReport:
     packets: List[PacketLife] = field(default_factory=list)
     heatmap: Dict[str, Any] = field(default_factory=dict)
     counters: Dict[str, int] = field(default_factory=dict)
+    #: the :func:`~repro.network.config.describe` fingerprint of the run
+    config: str = ""
 
     def sections(self) -> Dict[str, Dict[str, Any]]:
         """Named JSON-ready sections for the JSONL digest."""
@@ -67,6 +75,7 @@ class ProfileReport:
             "run": {
                 "arch": self.arch,
                 "scenario": self.scenario,
+                "config": self.config,
                 "cycles": self.cycles,
                 "summary": self.summary,
             },
@@ -78,6 +87,55 @@ class ProfileReport:
         }
 
 
+class Instruments:
+    """The three profiling instruments and their wiring to one network.
+
+    Build the network with :attr:`lifecycle` as its tracer (``inner``
+    chains an ordinary trace capture behind it), :meth:`attach` before
+    the first tick, :meth:`report` once the run is over.
+    """
+
+    def __init__(self, inner: Optional[Tracer] = None) -> None:
+        self.kernel = KernelProfiler()
+        self.spans = SpanProfiler()
+        self.lifecycle = WormLifecycleTracer(inner=inner)
+
+    def attach(self, network: Network) -> None:
+        """Hook the kernel and span profilers into ``network``."""
+        network.sim.attach_profiler(self.kernel)
+        # before the first tick: packed switches freeze their per-port
+        # receive bindings on first use
+        self.spans.attach_all(network.links)
+
+    def report(
+        self,
+        network: Network,
+        registry: MetricsRegistry,
+        arch_label: str = "",
+        scenario_label: str = "",
+        summary: Optional[Dict[str, float]] = None,
+    ) -> ProfileReport:
+        """Digest what the instruments saw up to ``network.sim.now``."""
+        config = network.config
+        cycles = network.sim.now
+        return ProfileReport(
+            arch=arch_label or config.switch_architecture.value,
+            scenario=scenario_label,
+            config=describe(config),
+            cycles=cycles,
+            summary=summary or {},
+            kernel=self.kernel,
+            spans=self.spans,
+            lifecycle=self.lifecycle,
+            packets=self.lifecycle.finalise(),
+            heatmap=link_heatmap(network, cycles),
+            counters={
+                name: counter.value
+                for name, counter in sorted(registry.counters.items())
+            },
+        )
+
+
 def run_profiled(
     config: SimulationConfig,
     workload: Workload,
@@ -86,31 +144,15 @@ def run_profiled(
     max_cycles: Optional[int] = None,
 ) -> ProfileReport:
     """Run ``workload`` on ``config`` with every instrument attached."""
-    kernel = KernelProfiler()
-    spans = SpanProfiler()
-    lifecycle = WormLifecycleTracer()
+    instruments = Instruments()
     registry = MetricsRegistry(enabled=True)
-    network = build_network(config, tracer=lifecycle, metrics=registry)
-    network.sim.attach_profiler(kernel)
-    # before the first tick: the packed central-buffer switch freezes
-    # its per-port receive bindings on first use
-    spans.attach_all(network.links)
+    network = build_network(
+        config, tracer=instruments.lifecycle, metrics=registry
+    )
+    instruments.attach(network)
     result = run_workload(network, workload, max_cycles=max_cycles)
-    packets = lifecycle.finalise()
-    return ProfileReport(
-        arch=arch_label or config.switch_architecture.value,
-        scenario=scenario_label,
-        cycles=result.cycles,
-        summary=result.summary(),
-        kernel=kernel,
-        spans=spans,
-        lifecycle=lifecycle,
-        packets=packets,
-        heatmap=link_heatmap(network, result.cycles),
-        counters={
-            name: counter.value
-            for name, counter in sorted(registry.counters.items())
-        },
+    return instruments.report(
+        network, registry, arch_label, scenario_label, result.summary()
     )
 
 
@@ -149,9 +191,11 @@ def _render_phases(report: ProfileReport) -> str:
     return "\n".join(lines)
 
 
-def _write_digest(reports: Sequence[ProfileReport], path: str) -> int:
-    """Stream all reports to a JSONL digest; returns lines written."""
-    run = next_run_id()
+def write_digest(
+    reports: Sequence[ProfileReport], path: str, run: Optional[str] = None
+) -> int:
+    """Append all reports to a JSONL digest; returns lines written."""
+    run = run or next_run_id()
     with JsonlWriter(path) as writer:
         for report in reports:
             for section, data in report.sections().items():
@@ -181,14 +225,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro profile",
         description=(
-            "Run one benchmark scenario with the profiling subsystem "
+            "Run one named scenario with the profiling subsystem "
             "attached and report kernel attribution, worm phase "
             "latencies and link utilisation."
         ),
     )
     parser.add_argument(
         "--scenario", default="saturation-hotspot",
-        help="bench scenario name (default: saturation-hotspot)",
+        help="scenario name (default: saturation-hotspot)",
     )
     parser.add_argument(
         "--arch", default="both", choices=[*ARCH_CHOICES, "both"],
@@ -206,22 +250,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "--out", metavar="PATH",
         help="write a repro.profile/1 + repro.lifecycle/1 JSONL digest",
     )
-    parser.add_argument(
-        "--bench-trend", nargs="+", metavar="BENCH_JSON",
-        help=(
-            "report speedup trends across recorded bench artifacts "
-            "instead of running a scenario"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    if args.bench_trend:
-        try:
-            print(render_trend(args.bench_trend))
-        except TrendError as exc:
-            print(f"profile: {exc}", file=sys.stderr)
-            return 1
-        return 0
 
     scenarios = {scenario.name: scenario for scenario in SCENARIOS}
     scenario: Optional[Scenario] = scenarios.get(args.scenario)
@@ -267,7 +296,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         count = write_trace(build_trace(reports), args.export_trace)
         print(f"wrote {count} trace events to {args.export_trace}")
     if args.out:
-        lines = _write_digest(reports, args.out)
+        lines = write_digest(reports, args.out)
         print(f"wrote {lines} digest records to {args.out}")
     return 0
 

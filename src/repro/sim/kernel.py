@@ -203,16 +203,6 @@ class Simulator:
         component._wake_cycles.add(cycle)
         heapq.heappush(self._wakes, (cycle, component._index))
 
-    def next_wake_cycle(self) -> Optional[int]:
-        """Cycle of the earliest pending wake-up, or ``None``."""
-        if self._bucket:
-            if self._wakes:
-                return min(self._bucket_cycle, self._wakes[0][0])
-            return self._bucket_cycle
-        if not self._wakes:
-            return None
-        return self._wakes[0][0]
-
     def mark_time(self, cycle: int) -> None:
         """Declare that a ``run_until`` predicate may flip at ``cycle``.
 

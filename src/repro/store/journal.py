@@ -28,7 +28,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, TextIO, Tuple
+from typing import Any, Dict, Iterator, List, TextIO, Tuple
 
 SEGMENTS_DIR = "segments"
 SEGMENT_PREFIX = "seg-"
@@ -195,12 +195,3 @@ def write_export(path: Path, records: List[Dict[str, Any]]) -> int:
 def read_export(path: Path) -> SegmentScan:
     """Read a standalone JSONL file (``store import``)."""
     return scan_segment(Path(path))
-
-
-def read_json_file(path: Path) -> Optional[Dict[str, Any]]:
-    """Parse one whole-file JSON object, or ``None`` when unreadable."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    return data if isinstance(data, dict) else None

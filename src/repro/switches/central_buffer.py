@@ -498,10 +498,6 @@ class CentralBufferSwitch(SwitchBase):
         are done."""
         return sum(i.received - i.consumed for i in self._inflow[port])
 
-    def output_queue_length(self, port: int) -> int:
-        """Branches queued (not yet active) on an output port."""
-        return len(self._out_queue[port])
-
     def idle(self) -> bool:
         """True when no worm is anywhere inside the switch."""
         return (

@@ -164,6 +164,14 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "parameter,value" in out
 
+    def test_cli_profile_out_alone_anchors_the_manifest(self, tmp_path):
+        digest = tmp_path / "p.jsonl"
+        assert main(
+            ["--experiment", "e7", "--scale", "quick",
+             "--profile-out", str(digest)]
+        ) == 0
+        assert (tmp_path / "p.manifest.json").exists()
+
     def test_cli_requires_selection(self):
         with pytest.raises(SystemExit):
             main(["--scale", "quick"])

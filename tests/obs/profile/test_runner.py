@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 
-from repro.bench.kernel import BENCH_SCHEMA
 from repro.obs.profile import validate_chrome_trace
 from repro.obs.profile.runner import main
 from repro.obs.sinks import (
@@ -76,25 +75,3 @@ class TestProfileCli:
         err = capsys.readouterr().err
         assert "unknown scenario" in err
         assert "saturation-hotspot" in err  # the catalogue is listed
-
-    def test_bench_trend_mode(self, tmp_path, capsys):
-        artifact = tmp_path / "BENCH_a.json"
-        artifact.write_text(
-            json.dumps(
-                {
-                    "schema": BENCH_SCHEMA,
-                    "manifest": {"created_at": "2026-01-01"},
-                    "scenarios": [{"scenario": "hot", "speedup": 2.2}],
-                }
-            )
-        )
-        code = main(["--bench-trend", str(artifact)])
-        assert code == 0
-        assert "speedup trend" in capsys.readouterr().out
-
-    def test_bench_trend_rejects_bad_artifact(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code = main(["--bench-trend", str(bad)])
-        assert code == 1
-        assert "profile:" in capsys.readouterr().err

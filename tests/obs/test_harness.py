@@ -5,11 +5,15 @@ from __future__ import annotations
 import pytest
 
 from repro.core.schemes import MulticastScheme
+from repro.errors import ConfigurationError
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation
-from repro.obs import runtime
+from repro.obs import harness, runtime
 from repro.obs.sinks import (
+    PROFILE_SECTIONS,
+    SCHEMA_LIFECYCLE,
     SCHEMA_METRICS,
+    SCHEMA_PROFILE,
     SCHEMA_RUN,
     iter_jsonl,
     validate_file,
@@ -97,3 +101,59 @@ class TestInstrumentedRun:
             instrumented = run_simulation(config, _workload())
         assert instrumented.summary() == plain.summary()
         assert instrumented.cycles == plain.cycles
+
+    def test_profile_digest_shares_the_run_tag(self, tmp_path):
+        metrics = tmp_path / "m.jsonl"
+        digest = tmp_path / "p.jsonl"
+        config = SimulationConfig(num_hosts=16)
+        with runtime.enabled(
+            metrics_out=str(metrics), profile_out=str(digest)
+        ):
+            result = run_simulation(config, _workload())
+
+        records = [obj for _, obj in iter_jsonl(str(digest))]
+        assert validate_file(str(digest)) == (len(records), [])
+        sections = {
+            r["section"]: r["data"]
+            for r in records
+            if r["schema"] == SCHEMA_PROFILE
+        }
+        assert set(sections) == set(PROFILE_SECTIONS)
+        assert sections["run"]["cycles"] == result.cycles
+        assert sections["run"]["config"].startswith("repro(")
+        assert sections["counters"]["host.messages_delivered"] == 4
+        lives = [r for r in records if r["schema"] == SCHEMA_LIFECYCLE]
+        assert lives
+        (start, _end) = (
+            obj for _, obj in iter_jsonl(str(metrics))
+            if obj["schema"] == SCHEMA_RUN
+        )
+        assert {r["run"] for r in records} == {start["run"]}
+
+    def test_config_that_fails_to_build_leaks_no_open_writer(
+        self, tmp_path, monkeypatch
+    ):
+        opened = []
+
+        def recording(writer_class):
+            def build(*args, **kwargs):
+                writer = writer_class(*args, **kwargs)
+                opened.append(writer)
+                return writer
+            return build
+
+        monkeypatch.setattr(
+            harness, "JsonlTracer", recording(harness.JsonlTracer)
+        )
+        monkeypatch.setattr(
+            harness, "MetricsSink", recording(harness.MetricsSink)
+        )
+        with runtime.enabled(
+            metrics_out=str(tmp_path / "m.jsonl"),
+            trace_out=str(tmp_path / "t.jsonl"),
+        ):
+            with pytest.raises(ConfigurationError):
+                run_simulation(SimulationConfig(num_hosts=1), _workload())
+        tracer, sink = opened
+        assert tracer._writer._file.closed
+        assert sink._file.closed

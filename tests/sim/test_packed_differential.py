@@ -18,6 +18,7 @@ closing the square whose other sides the two differential suites pin.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
@@ -29,6 +30,7 @@ from repro.sim.trace import Tracer
 from repro.switches.base import ReplicationMode
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream, SingleMulticast
+from repro.traffic.scenarios import SCENARIOS
 from repro.traffic.unicast import UniformRandomUnicast
 
 N = 16
@@ -64,6 +66,21 @@ WORKLOADS = (
         load=0.5, hotspot_fraction=0.4, payload_flits=8,
         warmup_cycles=100, measure_cycles=300,
     )),
+)
+
+
+#: the named scenarios checked at their real sizes (256 and 64 hosts);
+#: the three left out are the long runs (their traffic classes are in
+#: WORKLOADS above at 16 hosts)
+REAL_SIZE_SCENARIOS = tuple(
+    scenario for scenario in SCENARIOS
+    if scenario.name in {
+        "e5-low-load-smoke",
+        "e5-broadcast",
+        "e5-quarter",
+        "saturation-stream",
+        "saturation-hotspot",
+    }
 )
 
 
@@ -126,6 +143,24 @@ class TestWholeSystemDifferential:
             seed=seed,
         )
         assert_planes_agree(config, make_workload)
+
+    @pytest.mark.parametrize("architecture", list(SwitchArchitecture))
+    @pytest.mark.parametrize(
+        "scenario", REAL_SIZE_SCENARIOS, ids=lambda scenario: scenario.name
+    )
+    def test_named_scenario_matches_dense_object_reference(
+        self, scenario, architecture
+    ):
+        # both optimisation layers at once, at the sizes the profiler
+        # and the ledger run: production flavour (active-set kernel,
+        # packed plane) against dense_kernel=True, packed=False
+        def run(reference: bool):
+            config = scenario.make_config(reference).derived(
+                switch_architecture=architecture
+            )
+            return observables(config, scenario.make_workload)
+
+        assert run(reference=False) == run(reference=True)
 
     def test_synchronous_replication_matches_object_plane(self):
         # SYNCHRONOUS is only modelled on the input-buffer switch, so it
