@@ -6,18 +6,16 @@ telemetry — are *behavioural* contracts that a stray ``random.random()``
 or an unguarded metrics call silently violates until a golden test
 happens to catch it.  This package moves those contracts to lint time:
 
-* :mod:`repro.analysis.rules` — the REP001-REP006 rules and the
+* :mod:`repro.analysis.rules` — the REP001-REP014 rules and the
   pluggable registry new rules hook into;
-* :mod:`repro.analysis.engine` — file walking, suppression and
-  baseline partitioning;
-* :mod:`repro.analysis.baseline` — the checked-in grandfather list;
+* :mod:`repro.analysis.engine` — file walking and suppression
+  partitioning;
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` gate.
 
 See ``docs/static-analysis.md`` for the rule catalogue, the
-suppression/baseline workflow, and how to add a rule.
+suppression workflow, and how to add a rule.
 """
 
-from repro.analysis.baseline import load_baseline, write_baseline
 from repro.analysis.cli import LINT_JSON_SCHEMA, LINT_SCHEMA, main
 from repro.analysis.engine import LintResult, lint_paths
 from repro.analysis.findings import Finding, scan_suppressions
@@ -38,10 +36,8 @@ __all__ = [
     "Rule",
     "all_rules",
     "lint_paths",
-    "load_baseline",
     "main",
     "register",
     "rule_catalog",
     "scan_suppressions",
-    "write_baseline",
 ]

@@ -1,8 +1,8 @@
 """``python -m repro lint``: the command-line lint gate.
 
 Exit codes follow the convention of the other gates in CI: ``0`` when
-the tree is clean (inline-suppressed and baselined findings do not
-count), ``1`` when new findings exist, ``2`` for usage errors.
+the tree is clean (inline-suppressed findings do not count), ``1``
+when new findings exist, ``2`` for usage errors.
 
 ``--format json`` emits a single ``repro.lint/1`` object on stdout; its
 layout is pinned by :data:`LINT_JSON_SCHEMA` (a JSON Schema the test
@@ -10,29 +10,17 @@ suite validates real output against) and documented in
 ``docs/static-analysis.md``.  ``--format github`` emits one GitHub
 Actions ``::error`` workflow command per finding, so findings surface
 as inline annotations on pull requests.
-
-``--changed-only`` narrows the lint *selection* to files touched since
-a git ref (``--since``, default ``origin/main``) — but the engine still
-indexes the whole ``repro`` tree, so cross-module rules stay sound on
-partial selections.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import subprocess
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro._version import __version__
-from repro.analysis.baseline import (
-    DEFAULT_BASELINE,
-    BaselineError,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import LintResult, lint_paths
 from repro.analysis.rules import all_rules, rule_catalog
 
@@ -73,7 +61,6 @@ LINT_JSON_SCHEMA: Dict[str, Any] = {
                     "col",
                     "message",
                     "hint",
-                    "fingerprint",
                     "chain",
                 ],
                 "properties": {
@@ -83,10 +70,6 @@ LINT_JSON_SCHEMA: Dict[str, Any] = {
                     "col": {"type": "integer", "minimum": 0},
                     "message": {"type": "string"},
                     "hint": {"type": "string"},
-                    "fingerprint": {
-                        "type": "string",
-                        "pattern": "^[0-9a-f]{16}$",
-                    },
                     "chain": {
                         "type": "array",
                         "items": {"type": "string"},
@@ -96,11 +79,10 @@ LINT_JSON_SCHEMA: Dict[str, Any] = {
         },
         "counts": {
             "type": "object",
-            "required": ["new", "suppressed", "baselined"],
+            "required": ["new", "suppressed"],
             "properties": {
                 "new": {"type": "integer", "minimum": 0},
                 "suppressed": {"type": "integer", "minimum": 0},
-                "baselined": {"type": "integer", "minimum": 0},
             },
         },
     },
@@ -129,36 +111,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "::error workflow commands for PR annotations",
     )
     parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files changed since --since (the whole tree "
-        "is still indexed, so cross-module rules stay sound)",
-    )
-    parser.add_argument(
-        "--since",
-        metavar="REF",
-        default="origin/main",
-        help="git ref --changed-only diffs against "
-        "(default: origin/main)",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default=DEFAULT_BASELINE,
-        help=f"baseline of grandfathered findings "
-        f"(default: {DEFAULT_BASELINE})",
-    )
-    parser.add_argument(
-        "--no-baseline",
-        action="store_true",
-        help="ignore the baseline file even if it exists",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="record current findings as the new baseline and exit 0",
-    )
-    parser.add_argument(
         "--select",
         metavar="CODES",
         help="comma-separated rule codes to run (default: all)",
@@ -169,55 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print every registered rule and exit",
     )
     return parser
-
-
-class ChangedFilesError(RuntimeError):
-    """git could not produce the changed-file list."""
-
-
-def _git_lines(args: Sequence[str]) -> List[str]:
-    """Run one git command, returning stdout lines; raise on failure."""
-    try:
-        proc = subprocess.run(
-            ["git", *args],
-            capture_output=True,
-            text=True,
-            check=False,
-        )
-    except OSError as error:
-        raise ChangedFilesError(f"cannot run git: {error}") from error
-    if proc.returncode != 0:
-        detail = proc.stderr.strip() or f"exit code {proc.returncode}"
-        raise ChangedFilesError(
-            f"git {' '.join(args[:2])} failed: {detail}"
-        )
-    return [line for line in proc.stdout.splitlines() if line]
-
-
-def changed_files(since: str) -> List[Path]:
-    """Python files changed vs the merge-base with ``since``.
-
-    Covers committed changes (``git diff`` against the merge-base, so a
-    stale ``since`` branch does not drag in other people's edits),
-    uncommitted modifications, and untracked files.  Deleted files are
-    excluded — there is nothing left to lint.
-    """
-    base = _git_lines(["merge-base", "HEAD", since])[0]
-    names: List[str] = []
-    names.extend(
-        _git_lines(["diff", "--name-only", "--diff-filter=d", base])
-    )
-    names.extend(
-        _git_lines(
-            ["ls-files", "--others", "--exclude-standard"]
-        )
-    )
-    out: List[Path] = []
-    for name in dict.fromkeys(names):
-        path = Path(name)
-        if path.suffix == ".py" and path.exists():
-            out.append(path)
-    return sorted(out)
 
 
 def _list_rules() -> int:
@@ -237,13 +140,8 @@ def _render_text(result: LintResult, out: Any = None) -> None:
         f"reprolint: {result.checked_files} file(s) checked, "
         f"{len(result.new)} finding(s)"
     )
-    extras: List[str] = []
     if result.suppressed:
-        extras.append(f"{len(result.suppressed)} suppressed")
-    if result.baselined:
-        extras.append(f"{len(result.baselined)} baselined")
-    if extras:
-        tail += f" ({', '.join(extras)})"
+        tail += f" ({len(result.suppressed)} suppressed)"
     print(tail, file=out)
 
 
@@ -293,7 +191,6 @@ def _render_json(result: LintResult) -> None:
         "counts": {
             "new": len(result.new),
             "suppressed": len(result.suppressed),
-            "baselined": len(result.baselined),
         },
     }
     json.dump(payload, sys.stdout, indent=1, sort_keys=False)
@@ -326,46 +223,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if not path.exists():
             parser.error(f"no such file or directory: {path}")
 
-    if args.changed_only:
-        try:
-            changed = changed_files(args.since)
-        except ChangedFilesError as error:
-            parser.error(str(error))
-        roots = [path.resolve() for path in paths]
-        paths = [
-            path
-            for path in changed
-            if any(
-                path.resolve() == root
-                or root in path.resolve().parents
-                for root in roots
-            )
-        ]
-        if not paths:
-            print(
-                "reprolint: no files changed since "
-                f"{args.since}; nothing to lint"
-            )
-            return 0
-
-    baseline_path = Path(args.baseline)
-    fingerprints: Set[str] = set()
-    if not args.no_baseline and not args.write_baseline:
-        try:
-            fingerprints = load_baseline(baseline_path)
-        except BaselineError as error:
-            parser.error(str(error))
-
-    result = lint_paths(paths, rules=rules, baseline=fingerprints)
-
-    if args.write_baseline:
-        count = write_baseline(
-            baseline_path, result.new + result.baselined
-        )
-        print(
-            f"reprolint: wrote {count} fingerprint(s) to {baseline_path}"
-        )
-        return 0
+    result = lint_paths(paths, rules=rules)
 
     if args.format == "json":
         _render_json(result)

@@ -3,21 +3,19 @@
 :func:`lint_paths` is the single entry point used by the CLI and the
 test suite.  It walks the given files/directories, parses each python
 file once, runs every (selected) rule over it, then partitions raw
-findings three ways:
+findings two ways:
 
 * **suppressed** — an inline ``# reprolint: ignore[CODE] reason``
   comment on the finding's line waives it;
-* **baselined** — the finding's fingerprint appears in the checked-in
-  baseline of grandfathered findings;
 * **new** — everything else; these fail the gate.
 
 After the per-module pass the engine builds one
 :class:`~repro.analysis.project.ProjectIndex` over the *whole*
 ``repro`` tree containing the linted files — parsing any modules the
-lint selection skipped, so cross-module rules stay sound under
-``--changed-only`` — and runs every rule's ``check_project`` hook over
-it.  Semantic findings are reported only for files in the lint
-selection, and flow through the same suppression/baseline partitioning.
+lint selection skipped, so cross-module rules stay sound when only a
+few paths are linted — and runs every rule's ``check_project`` hook
+over it.  Semantic findings are reported only for files in the lint
+selection, and flow through the same suppression partitioning.
 
 Files that do not parse surface as ``REP000`` findings (not
 suppressible — a file the linter cannot read is a file the invariants
@@ -29,14 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Set
+from typing import Dict, Iterator, List, Optional, Sequence
 
-from repro.analysis.findings import (
-    Finding,
-    Suppression,
-    assign_occurrences,
-    scan_suppressions,
-)
+from repro.analysis.findings import Finding, Suppression, scan_suppressions
 from repro.analysis.project import ProjectIndex, repro_roots
 from repro.analysis.rules import Rule, all_rules
 from repro.analysis.source import SourceModule
@@ -58,7 +51,6 @@ class LintResult:
     checked_files: int = 0
     new: List[Finding] = field(default_factory=list)
     suppressed: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
 
     @property
     def exit_code(self) -> int:
@@ -97,7 +89,6 @@ def _display_path(path: Path, root: Optional[Path]) -> str:
 def lint_paths(
     paths: Sequence[Path],
     rules: Optional[Sequence[Rule]] = None,
-    baseline: Optional[Set[str]] = None,
     root: Optional[Path] = None,
 ) -> LintResult:
     """Lint every python file under ``paths``.
@@ -108,15 +99,11 @@ def lint_paths(
         Files and/or directories to check.
     rules:
         Rule instances to run; default is every registered rule.
-    baseline:
-        Fingerprints of grandfathered findings (see
-        :mod:`repro.analysis.baseline`).
     root:
         Directory findings' paths are reported relative to (default:
         the current working directory).
     """
     active_rules = list(rules) if rules is not None else all_rules()
-    baseline = baseline or set()
     root = root if root is not None else Path.cwd()
     result = LintResult()
 
@@ -129,8 +116,6 @@ def lint_paths(
         )
         if waiver is not None and finding.code in waiver.codes:
             result.suppressed.append(finding)
-        elif finding.fingerprint in baseline:
-            result.baselined.append(finding)
         else:
             result.new.append(finding)
 
@@ -159,30 +144,20 @@ def lint_paths(
             module.text
         )
 
-        raw: List[Finding] = []
         for rule in active_rules:
-            raw.extend(rule.check(module))
-        raw.sort(key=lambda f: (f.line, f.col, f.code))
-        for finding in assign_occurrences(raw):
-            partition(finding)
+            for finding in rule.check(module):
+                partition(finding)
 
     project = _build_project(parsed, root)
     if project is not None:
         linted = {module.display_path for module in parsed}
-        semantic: List[Finding] = []
         for rule in active_rules:
-            semantic.extend(
-                finding
-                for finding in rule.check_project(project)
-                if finding.path in linted
-            )
-        semantic.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-        for finding in assign_occurrences(semantic):
-            partition(finding)
+            for finding in rule.check_project(project):
+                if finding.path in linted:
+                    partition(finding)
 
     result.new.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     result.suppressed.sort(key=lambda f: (f.path, f.line, f.col, f.code))
-    result.baselined.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return result
 
 

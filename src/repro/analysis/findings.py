@@ -1,23 +1,18 @@
-"""Findings, fingerprints and per-line suppressions.
+"""Findings and per-line suppressions.
 
-A :class:`Finding` is one rule violation at one source location.  Two
-pieces of identity matter beyond the location itself:
-
-* the *fingerprint* — a line-number-independent hash used by the
-  baseline file (:mod:`repro.analysis.baseline`), so grandfathered
-  findings survive unrelated edits that shift line numbers;
-* the *suppression* — an inline ``# reprolint: ignore[REP00x] reason``
-  comment on the offending line, for the rare site where a rule's
-  invariant is deliberately waived.  Suppressions must name the code
-  they waive; a blanket ``ignore`` is not honoured.
+A :class:`Finding` is one rule violation at one source location.  The
+one way to waive it is the *suppression* — an inline
+``# reprolint: ignore[REP00x] reason`` comment on the offending line,
+for the rare site where a rule's invariant is deliberately waived.
+Suppressions must name the code they waive; a blanket ``ignore`` is not
+honoured.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Sequence, Set, Tuple
+from dataclasses import dataclass, field
+from typing import Dict, Set, Tuple
 
 #: matches ``# reprolint: ignore[REP001]`` and
 #: ``# reprolint: ignore[REP001,REP003] reason text``
@@ -32,8 +27,7 @@ class Finding:
 
     ``path`` is the path as given to the engine (normally relative to
     the repository root), ``line``/``col`` are 1- and 0-based as in
-    :mod:`ast`, and ``line_text`` is the stripped source line, kept for
-    fingerprinting and text output.
+    :mod:`ast`, and ``line_text`` is the stripped source line.
     """
 
     code: str
@@ -43,22 +37,8 @@ class Finding:
     message: str
     hint: str
     line_text: str = ""
-    #: disambiguates identical findings on identical line text (0-based)
-    occurrence: int = 0
-    #: call chain for reachability findings (entry point first); part of
-    #: the fingerprint, so a baselined chain survives line-number churn
-    #: but re-surfaces when the path through the program changes
+    #: call chain for reachability findings (entry point first)
     chain: Tuple[str, ...] = ()
-
-    @property
-    def fingerprint(self) -> str:
-        """Line-number-independent identity for the baseline file."""
-        parts = [self.code, self.path, self.line_text,
-                 str(self.occurrence)]
-        if self.chain:
-            parts.append("->".join(self.chain))
-        payload = "|".join(parts)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
     def render(self) -> str:
         """One-line text format: ``path:line:col: CODE message``."""
@@ -76,25 +56,8 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "fingerprint": self.fingerprint,
             "chain": list(self.chain),
         }
-
-
-def assign_occurrences(findings: Sequence[Finding]) -> List[Finding]:
-    """Number findings that share (code, path, line text) 0, 1, 2, ...
-
-    The occurrence index makes fingerprints unique when the same
-    violation appears on several identical source lines of one file.
-    """
-    counts: Dict[str, int] = {}
-    out: List[Finding] = []
-    for finding in findings:
-        key = "|".join((finding.code, finding.path, finding.line_text))
-        occurrence = counts.get(key, 0)
-        counts[key] = occurrence + 1
-        out.append(replace(finding, occurrence=occurrence))
-    return out
 
 
 @dataclass(frozen=True)

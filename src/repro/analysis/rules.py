@@ -38,7 +38,17 @@ import ast
 import inspect
 import re
 from abc import ABC, abstractmethod
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
+from typing import (
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+    Type,
+)
 
 from repro.analysis.findings import Finding
 from repro.analysis.project import FunctionInfo, ProjectIndex
@@ -114,8 +124,8 @@ class Rule(ABC):
         """Yield cross-module findings over the whole-program index.
 
         The engine calls this once per run, after the per-module pass,
-        with an index covering the *entire* ``repro`` tree (even under
-        ``--changed-only``).  The default is no semantic layer.
+        with an index covering the *entire* ``repro`` tree (even when
+        only a few paths are linted).  The default is no semantic layer.
         """
         return iter(())
 
@@ -231,6 +241,45 @@ def _mentions_guard_negatively(test: ast.expr) -> bool:
     """True for tests like ``not self._obs`` (early-return guards)."""
     if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
         return _mentions_guard(test.operand)
+    return False
+
+
+def _behind_guard(
+    module: SourceModule,
+    node: ast.AST,
+    positive: Callable[[ast.expr], bool],
+    negative: Callable[[ast.expr], bool],
+) -> bool:
+    """True when ``node`` only runs with a telemetry guard on.
+
+    Either an enclosing ``if``/``while`` holds it in its body under a
+    test that satisfies ``positive``, or an enclosing function exits
+    early — ``if <negative test>: return/raise/continue`` at its top
+    level — before the statement that contains it.
+    """
+    previous: ast.AST = node
+    for ancestor in module.parent_chain(node):
+        if isinstance(ancestor, (ast.If, ast.While)):
+            in_body = any(
+                previous is statement for statement in ancestor.body
+            )
+            if in_body and positive(ancestor.test):
+                return True
+        elif isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for statement in ancestor.body:
+                if statement is previous:
+                    break
+                if (
+                    isinstance(statement, ast.If)
+                    and negative(statement.test)
+                    and statement.body
+                    and isinstance(
+                        statement.body[-1],
+                        (ast.Return, ast.Raise, ast.Continue),
+                    )
+                ):
+                    return True
+        previous = ancestor
     return False
 
 
@@ -799,7 +848,9 @@ class MetricsBehindGuard(Rule):
                 and node.func.attr in ("inc", "observe")
             ):
                 continue
-            if self._is_guarded(module, node):
+            if _behind_guard(
+                module, node, _mentions_guard, _mentions_guard_negatively
+            ):
                 continue
             yield self.finding(
                 module,
@@ -807,46 +858,6 @@ class MetricsBehindGuard(Rule):
                 f".{node.func.attr}() call not behind a captured "
                 "metrics.enabled guard",
             )
-
-    def _is_guarded(self, module: SourceModule, node: ast.AST) -> bool:
-        previous: ast.AST = node
-        for ancestor in module.parent_chain(node):
-            if isinstance(ancestor, (ast.If, ast.While)):
-                in_body = any(
-                    previous is statement for statement in ancestor.body
-                )
-                if in_body and _mentions_guard(ancestor.test):
-                    return True
-            if isinstance(
-                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                if self._early_return_guard(ancestor, previous):
-                    return True
-                previous = ancestor
-                continue
-            previous = ancestor
-        return False
-
-    @staticmethod
-    def _early_return_guard(
-        func: ast.AST, top_statement: ast.AST
-    ) -> bool:
-        """``if not <guard>: return`` before the statement at hand."""
-        body = getattr(func, "body", [])
-        for statement in body:
-            if statement is top_statement:
-                return False
-            if (
-                isinstance(statement, ast.If)
-                and _mentions_guard_negatively(statement.test)
-                and statement.body
-                and isinstance(
-                    statement.body[-1],
-                    (ast.Return, ast.Raise, ast.Continue),
-                )
-            ):
-                return True
-        return False
 
 
 @register
@@ -925,8 +936,10 @@ class LinkDrainsBehindGuard(Rule):
     see ``repro.switches.ports``) before a receive, ``can_send(now)``
     (which short-circuits the credit drain) before transmit-side credit
     inspection, or ``credits_in_return()`` emptiness.  The rule flags
-    receive/credits calls lexically reachable from a ``tick`` method
-    (following ``self.<method>()`` calls within the class) that are
+    receive/credits calls on the ``tick`` closure of any class in a
+    kernel package — ``self.<method>()`` calls resolved in that class's
+    own MRO, so a ``tick`` inherited from a base class still polices the
+    phases a subclass overrides — that are
     neither inside an ``if``/``while`` whose test mentions one of the
     guards, nor inside a ``for`` whose iterable mentions the rx-pending
     mask (iterating the mask's set bits visits only links that hold
@@ -959,43 +972,30 @@ class LinkDrainsBehindGuard(Rule):
     RX_MASK = ("_rx_pending",)
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.in_package(*KERNEL_PACKAGES):
-            return
-        if module.module_name == LINK_HOME:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.ClassDef):
+        return iter(())
+
+    def check_project(
+        self, project: ProjectIndex
+    ) -> Iterator[Finding]:
+        checked: Set[str] = set()
+        for cls_qualname in sorted(project.classes):
+            if not self._policed(project.classes[cls_qualname].module):
                 continue
-            methods: Dict[str, ast.AST] = {
-                statement.name: statement
-                for statement in node.body
-                if isinstance(
-                    statement, (ast.FunctionDef, ast.AsyncFunctionDef)
-                )
-            }
-            if "tick" not in methods:
-                continue
-            for name in self._reachable_from_tick(methods):
-                yield from self._check_method(module, methods[name])
+            for qualname in project.method_closure(cls_qualname, "tick"):
+                if qualname in checked:
+                    continue
+                checked.add(qualname)
+                fn = project.functions[qualname]
+                if self._policed(fn.module):
+                    yield from self._check_method(
+                        project.modules[fn.module].source, fn.node
+                    )
 
     @staticmethod
-    def _reachable_from_tick(methods: Dict[str, ast.AST]) -> Set[str]:
-        """Method names reachable from ``tick`` via ``self.<m>()`` calls."""
-        seen = {"tick"}
-        frontier = ["tick"]
-        while frontier:
-            for node in ast.walk(methods[frontier.pop()]):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                    and node.func.attr in methods
-                    and node.func.attr not in seen
-                ):
-                    seen.add(node.func.attr)
-                    frontier.append(node.func.attr)
-        return seen
+    def _policed(module_name: str) -> bool:
+        return module_name != LINK_HOME and _in_packages(
+            module_name, KERNEL_PACKAGES
+        )
 
     def _check_method(
         self, module: SourceModule, method: ast.AST
@@ -1080,17 +1080,15 @@ class PackedPathBuildsNoFlits(Rule):
     The packed data plane's entire value is that the hot path moves flit
     *coordinates* — ``(worm, index)`` ints and ``(worm, start, count)``
     spans — instead of allocating one object per flit per hop.  A
-    ``Flit(...)`` construction (or a ``worm.flit(...)`` /
-    ``span_flits(...)`` materialisation) inside
+    ``Flit(...)`` construction (or a ``worm.flit(...)``
+    materialisation) inside
     ``repro.switches.packed_central``, ``repro.switches.packed_input``
     or ``repro.host.packed_interface`` quietly reintroduces the
     allocation churn the plane exists to remove — every behavioural test
     still passes, only the benchmark gate would eventually notice.
-    Conversion back to the object world stays at the sanctioned
-    boundary: :func:`repro.flits.packed.flit_repr` for byte-identical
-    trace strings, and the :class:`~repro.flits.packed.WormTable` /
-    ``span_flits`` helpers for telemetry and the object reference path,
-    which live outside the packed modules.
+    The one sanctioned conversion is
+    :func:`repro.flits.packed.flit_repr`, for byte-identical trace
+    strings; it lives outside the packed modules.
     """
 
     code = "REP008"
@@ -1102,12 +1100,7 @@ class PackedPathBuildsNoFlits(Rule):
     )
 
     #: canonical callables that materialise Flit objects
-    MATERIALISERS = frozenset(
-        {
-            "repro.flits.flit.Flit",
-            "repro.flits.packed.span_flits",
-        }
-    )
+    MATERIALISERS = frozenset({"repro.flits.flit.Flit"})
 
     def check(self, module: SourceModule) -> Iterator[Finding]:
         if module.module_name not in PACKED_MODULES:
@@ -1229,7 +1222,12 @@ class TraceEmitsBehindGuard(Rule):
                 and node.func.attr in self.EMITS
             ):
                 continue
-            if self._is_guarded(module, node):
+            if _behind_guard(
+                module,
+                node,
+                _mentions_trace_guard,
+                _mentions_trace_guard_negatively,
+            ):
                 continue
             yield self.finding(
                 module,
@@ -1237,44 +1235,6 @@ class TraceEmitsBehindGuard(Rule):
                 f".{node.func.attr}() call not behind a tracer-enabled "
                 "or profiler-attached guard",
             )
-
-    def _is_guarded(self, module: SourceModule, node: ast.AST) -> bool:
-        previous: ast.AST = node
-        for ancestor in module.parent_chain(node):
-            if isinstance(ancestor, (ast.If, ast.While)):
-                in_body = any(
-                    previous is statement for statement in ancestor.body
-                )
-                if in_body and _mentions_trace_guard(ancestor.test):
-                    return True
-            if isinstance(
-                ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)
-            ):
-                if self._early_exit_guard(ancestor, previous):
-                    return True
-                previous = ancestor
-                continue
-            previous = ancestor
-        return False
-
-    @staticmethod
-    def _early_exit_guard(func: ast.AST, top_statement: ast.AST) -> bool:
-        """A negative guard with an early exit before the statement."""
-        body = getattr(func, "body", [])
-        for statement in body:
-            if statement is top_statement:
-                return False
-            if (
-                isinstance(statement, ast.If)
-                and _mentions_trace_guard_negatively(statement.test)
-                and statement.body
-                and isinstance(
-                    statement.body[-1],
-                    (ast.Return, ast.Raise, ast.Continue),
-                )
-            ):
-                return True
-        return False
 
 
 @register
@@ -1288,8 +1248,10 @@ class LostWakeMutations(Rule):
     fix, and invisible to tests that happen to keep the network busy.
     For every :class:`~repro.sim.component.Component` subclass in a
     kernel package, the rule examines each method that is *not* on the
-    tick/``__init__``/``attach`` closure (those run with a wake already
-    guaranteed): if the method's own ``self``-call closure mutates
+    tick/``__init__``/``attach`` closure of the class or of one of its
+    subclasses (those run with a wake already guaranteed; a skeleton
+    class's helper may be reached only through the phases its
+    subclasses plug in): if the method's own ``self``-call closure mutates
     dormancy-relevant state — a container mutation or assignment to a
     ``self`` attribute whose name mentions queue/credit/blocked/
     pending/backlog/inflow/waiting/inject/fifo/buffer — it must also
@@ -1341,10 +1303,9 @@ class LostWakeMutations(Rule):
             if module_info is None:
                 continue
             exempt: Set[str] = set()
-            for root in self.EXEMPT_ROOTS:
-                exempt.update(
-                    project.method_closure(cls_qualname, root)
-                )
+            for view in (cls_qualname, *project.descendants(cls_qualname)):
+                for root in self.EXEMPT_ROOTS:
+                    exempt.update(project.method_closure(view, root))
             for name in sorted(info.methods):
                 method = info.methods[name]
                 if name.startswith("__") or name in self.EXEMPT_ROOTS:

@@ -50,3 +50,9 @@ class DeadlockSuspected(SimulationError):
     parameters (for example central buffers smaller than a packet, used in
     tests of the acceptance rule) fail loudly instead of spinning forever.
     """
+
+
+class CycleBudgetExhausted(SimulationError):
+    """``run_until`` spent its ``max_cycles`` with the predicate still
+    false.  Unlike every other :class:`SimulationError` this is not a
+    fault: a saturated open-loop run simply does not finish in time."""

@@ -11,79 +11,21 @@ plane replaces flit *objects* in the hot path with flit *coordinates*:
 * in-flight spans are stored as ints in a preallocated array-of-struct
   ring (:class:`SpanQueue`): three ints per record ``(arrival, start,
   count)`` plus a parallel worm-reference table, so pushing, merging and
-  taking spans are integer slice operations with no per-flit objects;
-* for the conversion boundary (telemetry, tracing, goldens, the object
-  reference path) a single flit packs losslessly into one int *word*
-  (:func:`pack_word`) with a :class:`WormTable` interning live worms to
-  slot numbers; :meth:`WormTable.decode` materialises the equivalent
-  :class:`~repro.flits.flit.Flit` object.
+  taking spans are integer slice operations with no per-flit objects.
 
 Packed-path modules (``repro.switches.packed_central``,
 ``repro.switches.packed_input``, ``repro.host.packed_interface``) must
-not construct ``Flit`` objects — enforced by reprolint rule REP008.  The
-helpers here (:func:`flit_repr`, :func:`span_flits`, ``decode``) are the
-sanctioned escape hatch: they live outside the packed modules and keep
-every observable (trace strings, delivered worms, metric attribution)
-bit-identical to the object path.
-
-Word layout (``WORD_INDEX_BITS`` = 28)::
-
-    word = (slot << 32) | (flags << 28) | index
-
-    bit 63..32  worm slot in the WormTable
-    bit 31..28  flags: 1 = head, 2 = tail, 4 = header
-    bit 27..0   flit index within the worm
+not construct ``Flit`` objects — enforced by reprolint rule REP008.
+:func:`flit_repr` is the sanctioned escape hatch for trace strings: it
+lives outside the packed modules and is byte-identical to the object
+path's ``repr(flit)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.errors import ProtocolError
-from repro.flits.flit import Flit
 from repro.flits.worm import Worm
-
-#: width of the index field in a packed word
-WORD_INDEX_BITS = 28
-#: flag bits stored alongside the index
-FLAG_HEAD = 1
-FLAG_TAIL = 2
-FLAG_HEADER = 4
-
-_INDEX_MASK = (1 << WORD_INDEX_BITS) - 1
-_FLAG_SHIFT = WORD_INDEX_BITS
-_SLOT_SHIFT = WORD_INDEX_BITS + 4
-_FLAG_MASK = 0xF
-
-
-def flit_flags(worm: Worm, index: int) -> int:
-    """The flag bits of flit ``index`` of ``worm``."""
-    flags = 0
-    if index == 0:
-        flags |= FLAG_HEAD
-    if index == worm.size_flits - 1:
-        flags |= FLAG_TAIL
-    if index < worm.header_flits:
-        flags |= FLAG_HEADER
-    return flags
-
-
-def pack_word(slot: int, index: int, flags: int) -> int:
-    """Pack a worm slot, flit index and flag bits into one int."""
-    if not 0 <= index <= _INDEX_MASK:
-        raise ProtocolError(f"flit index {index} exceeds {WORD_INDEX_BITS} bits")
-    if slot < 0:
-        raise ProtocolError(f"worm slot {slot} must be non-negative")
-    return (slot << _SLOT_SHIFT) | (flags << _FLAG_SHIFT) | index
-
-
-def unpack_word(word: int) -> Tuple[int, int, int]:
-    """Invert :func:`pack_word`: ``(slot, index, flags)``."""
-    return (
-        word >> _SLOT_SHIFT,
-        word & _INDEX_MASK,
-        (word >> _FLAG_SHIFT) & _FLAG_MASK,
-    )
 
 
 def flit_repr(worm: Worm, index: int) -> str:
@@ -99,76 +41,6 @@ def flit_repr(worm: Worm, index: int) -> str:
     else:
         kind = "B"
     return f"Flit({worm.packet.packet_id}:{index}{kind})"
-
-
-def span_flits(worm: Worm, start: int, count: int) -> Iterator[Flit]:
-    """Materialise the :class:`Flit` objects of a span, in order.
-
-    Conversion helper for the object reference path and for telemetry
-    that genuinely needs flit objects; never used inside packed modules.
-    """
-    for index in range(start, start + count):
-        yield Flit(worm, index)
-
-
-class WormTable:
-    """Interns live :class:`Worm` objects to dense integer slots.
-
-    The packed word format identifies a worm by slot number; the table
-    keeps the mapping bijective while the worm is in flight and recycles
-    slots after :meth:`release`, so the slot space stays as dense as the
-    number of concurrently live worms.
-    """
-
-    def __init__(self) -> None:
-        self._worms: List[Optional[Worm]] = []
-        self._free: List[int] = []
-        self._slots: dict = {}
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-    def intern(self, worm: Worm) -> int:
-        """The slot of ``worm``, allocating one on first sight."""
-        slot = self._slots.get(id(worm))
-        if slot is not None:
-            return slot
-        if self._free:
-            slot = self._free.pop()
-            self._worms[slot] = worm
-        else:
-            slot = len(self._worms)
-            self._worms.append(worm)
-        self._slots[id(worm)] = slot
-        return slot
-
-    def worm(self, slot: int) -> Worm:
-        """The worm interned at ``slot``."""
-        worm = self._worms[slot] if 0 <= slot < len(self._worms) else None
-        if worm is None:
-            raise ProtocolError(f"worm slot {slot} is not live")
-        return worm
-
-    def release(self, worm: Worm) -> None:
-        """Recycle the slot of a worm that left the packed plane."""
-        slot = self._slots.pop(id(worm), None)
-        if slot is None:
-            raise ProtocolError("releasing a worm that was never interned")
-        self._worms[slot] = None
-        self._free.append(slot)
-
-    def encode(self, worm: Worm, index: int) -> int:
-        """Pack flit ``(worm, index)`` into one word."""
-        if not 0 <= index < worm.size_flits:
-            raise ProtocolError(
-                f"flit index {index} outside worm of {worm.size_flits} flits"
-            )
-        return pack_word(self.intern(worm), index, flit_flags(worm, index))
-
-    def decode(self, word: int) -> Flit:
-        """Materialise the :class:`Flit` a word denotes (lossless)."""
-        slot, index, _ = unpack_word(word)
-        return Flit(self.worm(slot), index)
 
 
 class SpanQueue:

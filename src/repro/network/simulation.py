@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Union
 
-from repro.errors import SimulationError
+from repro.errors import CycleBudgetExhausted
 from repro.flits.packet import TrafficClass
 from repro.metrics.collectors import MetricsCollector
 from repro.network.builder import Network, build_network
@@ -257,8 +257,9 @@ def run_workload(
 
     Returns a result with ``completed=False`` (rather than raising) when
     the cycle budget runs out — a saturated open-loop run is data, not an
-    error.  A genuine stall (no progress and nothing scheduled) still
-    raises :class:`~repro.errors.SimulationError`.
+    error.  Every other :class:`~repro.errors.SimulationError` — a
+    genuine stall (:class:`~repro.errors.DeadlockSuspected`: no progress
+    and nothing scheduled), a probe that fails to advance — still raises.
     """
     budget = max_cycles if max_cycles is not None else workload.max_cycles_hint()
     workload.start(network)
@@ -271,9 +272,7 @@ def run_workload(
             max_cycles=budget,
             stall_limit=stall_limit,
         )
-    except SimulationError as error:
-        if "suspected deadlock" in str(error):
-            raise
+    except CycleBudgetExhausted:
         completed = False
     return SimulationResult(
         config=network.config,

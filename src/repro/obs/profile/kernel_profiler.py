@@ -128,9 +128,9 @@ class SpanProfiler:
     def __init__(self) -> None:
         #: flits per transmit operation (send_span counts the whole
         #: span; per-flit sends land in the 1-bucket)
-        self.tx_spans = BucketHistogram("link.tx_span_flits", SPAN_BOUNDS)
+        self.tx_spans = BucketHistogram("link.tx_span_len", SPAN_BOUNDS)
         #: flits per receive_span drain
-        self.rx_spans = BucketHistogram("link.rx_span_flits", SPAN_BOUNDS)
+        self.rx_spans = BucketHistogram("link.rx_span_len", SPAN_BOUNDS)
         #: links currently wrapped
         self.links_attached = 0
 

@@ -25,7 +25,11 @@ import heapq
 import itertools
 from typing import Callable, List, Optional, Protocol, Tuple
 
-from repro.errors import SimulationError
+from repro.errors import (
+    CycleBudgetExhausted,
+    DeadlockSuspected,
+    SimulationError,
+)
 from repro.sim.component import Component
 from repro.sim.rng import RngStreams
 
@@ -449,9 +453,9 @@ class Simulator:
             declared as a time mark.
         max_cycles:
             Hard bound on cycles to execute; exceeding it raises
-            :class:`~repro.errors.SimulationError`.
+            :class:`~repro.errors.CycleBudgetExhausted`.
         stall_limit:
-            If given, raise :class:`~repro.errors.SimulationError` when no
+            If given, raise :class:`~repro.errors.DeadlockSuspected` when no
             component reports progress *and* no calendar event fires for
             this many consecutive cycles while the predicate is false —
             the signature of a deadlocked network.  Idle cycles spent
@@ -466,7 +470,7 @@ class Simulator:
         stalled = 0
         while not predicate():
             if executed >= max_cycles:
-                raise SimulationError(
+                raise CycleBudgetExhausted(
                     f"predicate still false after {max_cycles} cycles"
                 )
             if not self.dense:
@@ -495,7 +499,7 @@ class Simulator:
                     # detector trips after at most stall_limit further
                     # idle cycles.
                     continue
-                raise SimulationError(
+                raise DeadlockSuspected(
                     f"no progress for {stalled} cycles at cycle "
                     f"{self.now}; suspected deadlock"
                 )
@@ -529,7 +533,7 @@ class Simulator:
             trip = stall_limit - stalled
             if trip <= jump:
                 self._skip_to(self.now + trip)
-                raise SimulationError(
+                raise DeadlockSuspected(
                     f"no progress for {stall_limit} cycles at cycle "
                     f"{self.now}; suspected deadlock"
                 )

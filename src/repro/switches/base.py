@@ -1,12 +1,24 @@
-"""Shared machinery for the two switch architectures."""
+"""The switch skeleton: everything the two architectures share.
+
+The paper's central-buffer (section 4) and input-buffer (section 5)
+switches differ only in where an accepted worm is buffered and how the
+outputs read it.  The rest is the same hardware and lives here, once:
+ports and links, in-order worm reassembly at an input port, the
+routing-delay wait, the bit-string decode, and ``tick`` with its
+dormancy decision.  An architecture subclasses :class:`Ingress` with its
+own cursors and :class:`SwitchBase` with its :meth:`~SwitchBase._phases`.
+"""
 
 from __future__ import annotations
 
 import enum
+from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import Any, Deque, List, Optional, Type
 
 from repro.errors import ConfigurationError, ProtocolError
+from repro.flits.flit import Flit
+from repro.flits.packed import flit_repr
 from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.base import (
@@ -20,6 +32,7 @@ from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switches.link import Link
+from repro.switches.ports import PORTS_OF
 
 
 class ReplicationMode(enum.Enum):
@@ -99,8 +112,25 @@ class SwitchSettings:
             raise ConfigurationError("max_packet_flits must be >= 2")
 
 
+class Ingress:
+    """Per-worm arrival state at one input port (flits arrive in order,
+    so ``received`` is a cursor); architectures add their own cursors."""
+
+    __slots__ = ("worm", "received", "header_done_cycle")
+
+    def __init__(self, worm: Worm) -> None:
+        self.worm = worm
+        self.received = 0
+        #: cycle the header completed; the routing delay runs from here
+        self.header_done_cycle: Optional[int] = None
+
+
 class SwitchBase(Component):
-    """Ports, links and routing plumbing common to both architectures."""
+    """Ports, links, worm arrival, routing plumbing and the tick skeleton
+    common to both architectures."""
+
+    #: the architecture's :class:`Ingress` subclass
+    ingress_type: Type[Ingress] = Ingress
 
     def __init__(
         self,
@@ -121,6 +151,31 @@ class SwitchBase(Component):
         self.in_links: List[Optional[Link]] = [None] * num_ports
         self.out_links: List[Optional[Link]] = [None] * num_ports
         self._up_selector = None
+        #: per-input FIFO of accepted worms (`ingress_type`), oldest first
+        self._inflow: List[Deque[Any]] = [deque() for _ in range(num_ports)]
+        # port-activity masks (see repro.switches.ports), kept at the
+        # point of state change: bit p mirrors `_inflow[p]` non-empty /
+        # a branch queued for output p / output p owned by a branch.
+        # They gate the phases and the re-arm; packed phases iterate them
+        self._ingress_occupied = 0
+        self._egress_wanted = 0
+        self._egress_busy = 0
+        # bit p: the front worm of `_inflow[p]` has a complete header and
+        # awaits routing or admission; set on header completion and when
+        # a pop exposes such a worm, cleared by the routing decision
+        self._route_pending = 0
+        # set whenever a tick changes any switch state (flit accepted,
+        # routing decision, grant, write, send); a blocked tick that
+        # leaves it False may sleep instead of re-arming — see tick()
+        self._stirred = False
+        #: reused drain buffer — the per-cycle receive loop is allocation-free
+        self._rx_scratch: List[Flit] = []
+        # observability: shared process-wide counters (no-ops unless an
+        # enabled registry was passed in; `_obs` keeps the hot path to a
+        # single boolean test)
+        self._obs = metrics.enabled
+        self._c_forwarded = metrics.counter("switch.flits_forwarded")
+        self._c_blocked = metrics.counter("switch.blocked_cycles")
 
     # ------------------------------------------------------------------
     # wiring (done by the network builder)
@@ -152,6 +207,161 @@ class SwitchBase(Component):
             raise ProtocolError(f"{self.name}: output port {port} already wired")
         self.out_links[port] = link
         link.wake_on_credit(self)
+
+    # ------------------------------------------------------------------
+    # per-cycle behaviour
+    # ------------------------------------------------------------------
+    def tick(self, now: int) -> None:
+        self._stirred = False
+        self._receive(now)
+        self._phases(now)
+        # Re-arm: a worm anywhere inside the switch — in an input FIFO,
+        # queued for an output or owning one — is covered by one of the
+        # three masks and needs the next cycle too.  A fully idle switch
+        # is woken again by its in-links' arrival hooks.
+        #
+        # Blocked-sleep: a non-empty switch whose tick changed *nothing*
+        # can only be unblocked by an arrival (in-link hook), a maturing
+        # credit (out-link hook), its own routing delay expiring (exact
+        # wake computed by `_blocked_wake`), or buffer space freed by its
+        # own reads — which are sends, hence stirring.  So an un-stirred
+        # tick may skip the re-arm entirely.  Exception: with metrics
+        # enabled the blocked-cycles counter must increment every blocked
+        # cycle, as it does on the dense kernel, so observed runs keep
+        # polling.
+        #
+        # Committed-sleep: a stirred switch whose every worm is inside a
+        # committed run (see `_inside_runs`) has nothing to do before
+        # the run's own wake or the next arrival.
+        if self._ingress_occupied or self._egress_busy or self._egress_wanted:
+            if self._stirred or self._obs:
+                if not self._inside_runs(now):
+                    self.wake_at(now + 1)
+            else:
+                wake = self._blocked_wake(now)
+                if wake is not None:
+                    self.wake_at(wake)
+
+    def _phases(self, now: int) -> None:
+        """Everything an architecture does in a cycle after the receive:
+        route, buffer, arbitrate, send — each phase gated by its mask."""
+        raise NotImplementedError
+
+    def _blocked_wake(self, now: int) -> Optional[int]:
+        """Earliest routing-delay expiry among the route-pending worms.
+
+        The only *time*-driven transition a sleeping switch could miss:
+        every other unblocking event fires a link wake hook.  A pending
+        worm whose delay has already run is waiting for something else
+        (admission), which only a stirring event can change.
+        """
+        delay = self.settings.routing_delay
+        best: Optional[int] = None
+        inflows = self._inflow
+        for port in PORTS_OF[self._route_pending]:
+            cycle = inflows[port][0].header_done_cycle + delay
+            if cycle > now and (best is None or cycle < best):
+                best = cycle
+        return best
+
+    def _inside_runs(self, now: int) -> bool:
+        """True when every worm in the switch is inside a committed run
+        that extends past ``now`` (only a plane that commits runs can be)."""
+        return False
+
+    # -- worm arrival: absorb link arrivals into the input FIFOs ---------
+    def _receive(self, now: int) -> None:
+        scratch = self._rx_scratch
+        for port, link in enumerate(self.in_links):
+            if link is None or not link.pending_arrival(now):
+                continue
+            del scratch[:]
+            link.receive_into(now, scratch)
+            for flit in scratch:
+                self._accept_flit(port, flit, now)
+
+    def _accept_flit(self, port: int, flit: Flit, now: int) -> None:
+        """Object plane: one flit joins the worm arriving at ``port``."""
+        inflow = self._inflow[port]
+        ingress = inflow[-1] if inflow else None
+        if ingress is None or ingress.received == ingress.worm.size_flits:
+            if not flit.is_head:
+                raise ProtocolError(
+                    f"{self.name}.in{port}: body flit {flit!r} without head"
+                )
+            ingress = self.ingress_type(flit.worm)
+            inflow.append(ingress)
+            self._ingress_occupied |= 1 << port
+        if flit.worm is not ingress.worm or flit.index != ingress.received:
+            raise ProtocolError(
+                f"{self.name}.in{port}: out-of-order flit {flit!r} "
+                f"(expected index {ingress.received} of {ingress.worm!r})"
+            )
+        ingress.received += 1
+        self._stirred = True
+        if ingress.received == ingress.worm.header_flits:
+            ingress.header_done_cycle = now
+            if inflow[0] is ingress:
+                self._route_pending |= 1 << port
+            self._header_complete(ingress)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                now, self.name, "flit_in", port=port, flit=repr(flit)
+            )
+
+    def _accept_span(
+        self, port: int, worm: Worm, start: int, count: int, now: int
+    ) -> None:
+        """Packed plane (:class:`~repro.switches.ports.MaskedReceive`):
+        ``count`` flits of ``worm`` from ``start`` join the worm arriving
+        at ``port``, as ``count`` calls of :meth:`_accept_flit` would."""
+        inflow = self._inflow[port]
+        ingress = inflow[-1] if inflow else None
+        if ingress is None or ingress.received == ingress.worm.size_flits:
+            if start != 0:
+                raise ProtocolError(
+                    f"{self.name}.in{port}: body flit "
+                    f"{flit_repr(worm, start)} without head"
+                )
+            ingress = self.ingress_type(worm)
+            inflow.append(ingress)
+            self._ingress_occupied |= 1 << port
+        if worm is not ingress.worm or start != ingress.received:
+            raise ProtocolError(
+                f"{self.name}.in{port}: out-of-order flit "
+                f"{flit_repr(worm, start)} "
+                f"(expected index {ingress.received} of {ingress.worm!r})"
+            )
+        ingress.received = start + count
+        self._stirred = True
+        # the object path stamps header completion at the cycle of the
+        # tick that drains the completing flit — for a span that crosses
+        # the header boundary that is exactly this tick's cycle
+        if start < worm.header_flits <= start + count:
+            ingress.header_done_cycle = now
+            if inflow[0] is ingress:
+                self._route_pending |= 1 << port
+            self._header_complete(ingress)
+        if self.tracer.enabled:
+            for index in range(start, start + count):
+                self.tracer.emit(
+                    now, self.name, "flit_in",
+                    port=port, flit=flit_repr(worm, index),
+                )
+
+    def _header_complete(self, ingress: Ingress) -> None:
+        """Hook, called once per worm by the accept that completes its
+        header, for an architecture that tracks more than the cycle."""
+
+    def _pop_front(self, port: int) -> None:
+        """The FIFO-front worm has left input ``port`` entirely: expose
+        the worm behind it, if any, to routing."""
+        inflow = self._inflow[port]
+        inflow.popleft()
+        if not inflow:
+            self._ingress_occupied &= ~(1 << port)
+        elif inflow[0].header_done_cycle is not None:
+            self._route_pending |= 1 << port
 
     # ------------------------------------------------------------------
     # routing

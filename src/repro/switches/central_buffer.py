@@ -22,6 +22,10 @@ Flits are never physically copied into Python lists: a worm's flits
 arrive in order, so an input port tracks ``received``/``consumed``
 cursors and materialises :class:`~repro.flits.flit.Flit` objects on
 transmission.
+
+Worm arrival, the routing-delay wait and ``tick`` with its sleep rule
+are :class:`~repro.switches.base.SwitchBase`'s; this module is what the
+paper says is different about a central-buffer switch.
 """
 
 from __future__ import annotations
@@ -37,13 +41,12 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.table import SwitchRoutingTable
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switches.arbiter import RoundRobinArbiter
-from repro.switches.base import SwitchBase, SwitchSettings
+from repro.switches.base import Ingress, SwitchBase, SwitchSettings
 from repro.switches.chunks import (
     BranchCursor,
     CentralBufferPool,
     StoredPacket,
 )
-from repro.switches.ports import PORTS_OF
 
 
 class _IngressState(enum.Enum):
@@ -56,25 +59,14 @@ class _IngressState(enum.Enum):
     STREAM_BYPASS = "stream_bypass"  # flits pulled directly by the output
 
 
-class _Ingress:
-    """Per-worm arrival state at one input port."""
+class _Ingress(Ingress):
+    """A worm in an input FIFO: how far it has drained, and where to."""
 
-    __slots__ = (
-        "worm",
-        "received",
-        "consumed",
-        "header_done_cycle",
-        "state",
-        "stored",
-        "bypass_worm",
-        "bypass_port",
-    )
+    __slots__ = ("consumed", "state", "stored", "bypass_worm", "bypass_port")
 
     def __init__(self, worm: Worm) -> None:
-        self.worm = worm
-        self.received = 0
+        super().__init__(worm)
         self.consumed = 0
-        self.header_done_cycle: Optional[int] = None
         self.state = _IngressState.ARRIVING
         self.stored: Optional[StoredPacket] = None
         self.bypass_worm: Optional[Worm] = None
@@ -99,6 +91,8 @@ class _BypassFeed:
 class CentralBufferSwitch(SwitchBase):
     """SP2-style shared-buffer switch with multidestination support."""
 
+    ingress_type = _Ingress
+
     def __init__(
         self,
         name: str,
@@ -116,7 +110,6 @@ class CentralBufferSwitch(SwitchBase):
             quota_chunks=-(-settings.max_packet_flits // settings.chunk_flits),
         )
         self.pool = quota_pool
-        self._inflow: List[Deque[_Ingress]] = [deque() for _ in range(num_ports)]
         #: per-output FIFO of branch cursors queued in the central buffer
         self._out_queue: List[Deque[BranchCursor]] = [
             deque() for _ in range(num_ports)
@@ -128,36 +121,14 @@ class CentralBufferSwitch(SwitchBase):
         self._stored_of_cursor: dict = {}
         #: routing decisions parked while a reservation waits
         self._pending_requests: dict = {}
-        # port-activity masks (see repro.switches.ports), kept at the
-        # point of state change: bit p of each mirrors `_inflow[p]`
-        # non-empty / `_out_queue[p]` non-empty / `_out_current[p]` set.
-        # As whole-switch tests they skip phases when nothing is inside
-        # the switch (and, on the active-set kernel, decide whether to
-        # re-arm at all); the packed phases also iterate them
-        self._ingress_occupied = 0
-        self._egress_wanted = 0
-        self._egress_busy = 0
-        # FIFO-front state masks, same discipline: bit p of
-        # `_route_pending` means the worm at the front of `_inflow[p]`
-        # awaits routing or admission (phase 2 has work), bit p of
-        # `_cb_feed` that it streams into the central buffer (phase 3
-        # may).  A front worm with neither bit is still arriving or is
-        # pulled by a bypass feed
-        self._route_pending = 0
+        # the skeleton's egress masks mirror `_out_queue[p]` non-empty
+        # (wanted) and `_out_current[p]` set (busy); a route-pending
+        # front worm is in ROUTE_WAIT or ADMIT_WAIT.  One more FIFO-front
+        # mask, same discipline: bit p of `_cb_feed` means the front worm
+        # of `_inflow[p]` streams into the central buffer.  A front worm
+        # with neither bit is still arriving or pulled by a bypass feed
         self._cb_feed = 0
-        # set whenever a tick changes any switch state (flit accepted,
-        # route/admit decision, write, activation, send); a blocked tick
-        # that stays False may sleep instead of re-arming — see tick()
-        self._stirred = False
-        #: reused drain buffer — the per-cycle receive loop is allocation-free
-        self._rx_scratch: List[Flit] = []
-        # observability: shared process-wide counters (no-ops unless an
-        # enabled registry was passed in; `_obs` keeps the hot path to a
-        # single boolean test)
-        self._obs = metrics.enabled
-        self._c_forwarded = metrics.counter("switch.flits_forwarded")
         self._c_replicated = metrics.counter("switch.chunks_replicated")
-        self._c_blocked = metrics.counter("switch.blocked_cycles")
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -166,106 +137,20 @@ class CentralBufferSwitch(SwitchBase):
         return self.settings.input_fifo_depth
 
     # ------------------------------------------------------------------
-    # per-cycle behaviour
+    # per-cycle behaviour (phase 1, worm arrival, is the skeleton's)
     # ------------------------------------------------------------------
-    def tick(self, now: int) -> None:
-        self._stirred = False
-        self._receive(now)
+    def _phases(self, now: int) -> None:
         if self._route_pending:
             self._route_and_admit(now)
         if self._cb_feed:
             self._write_central_buffer(now)
         if self._egress_busy or self._egress_wanted:
             self._drive_outputs(now)
-        # active-set re-arm: ingresses cover arriving/routing/admission-
-        # waiting worms; busy outputs and queued branches cover everything
-        # held in the central buffer (a stored packet always has at least
-        # one live branch cursor until fully drained).  A fully idle
-        # switch is woken again by its in-links' arrival hooks.
-        #
-        # Blocked-sleep: a non-empty switch whose tick changed *nothing*
-        # can only be unblocked by an arrival (in-link hook), a maturing
-        # credit (out-link hook), its own routing delay expiring (exact
-        # wake computed below), or chunk space freed by its own reads —
-        # which are sends, hence stirring.  So an un-stirred tick may skip
-        # the re-arm entirely.  Exception: with metrics enabled the
-        # blocked-cycles counter must increment every blocked cycle, as it
-        # does on the dense kernel, so observed runs keep polling.
-        #
-        # Committed-sleep: a stirred switch whose every worm is inside a
-        # committed bypass run (packed plane, see `_inside_runs`) has
-        # nothing to do before the run's own wake or the next arrival.
-        if self._ingress_occupied or self._egress_busy or self._egress_wanted:
-            if self._stirred or self._obs:
-                if not self._inside_runs(now):
-                    self.wake_at(now + 1)
-            else:
-                wake = self._blocked_wake()
-                if wake is not None:
-                    self.wake_at(wake)
 
-    def _blocked_wake(self) -> Optional[int]:
-        """Earliest routing-delay expiry among blocked FIFO-head worms.
-
-        The only *time*-driven transition a sleeping switch could miss:
-        every other unblocking event fires a link wake hook.
-        """
-        delay = self.settings.routing_delay
-        best: Optional[int] = None
-        inflows = self._inflow
-        for port in PORTS_OF[self._route_pending]:
-            ingress = inflows[port][0]
-            if ingress.state is _IngressState.ROUTE_WAIT:
-                assert ingress.header_done_cycle is not None
-                cycle = ingress.header_done_cycle + delay
-                if best is None or cycle < best:
-                    best = cycle
-        return best
-
-    def _inside_runs(self, now: int) -> bool:
-        """True when every worm in the switch is inside a committed run
-        that extends past ``now``.  The object plane commits none."""
-        return False
-
-    # -- phase 1: absorb link arrivals into the input FIFOs -------------
-    def _receive(self, now: int) -> None:
-        scratch = self._rx_scratch
-        for port, link in enumerate(self.in_links):
-            if link is None or not link.pending_arrival(now):
-                continue
-            del scratch[:]
-            link.receive_into(now, scratch)
-            for flit in scratch:
-                self._accept_flit(port, flit, now)
-
-    def _accept_flit(self, port: int, flit: Flit, now: int) -> None:
-        inflow = self._inflow[port]
-        ingress = inflow[-1] if inflow else None
-        if ingress is None or ingress.received == ingress.worm.size_flits:
-            if not flit.is_head:
-                raise ProtocolError(
-                    f"{self.name}.in{port}: body flit {flit!r} without head"
-                )
-            ingress = _Ingress(flit.worm)
-            inflow.append(ingress)
-            self._ingress_occupied |= 1 << port
-        if flit.worm is not ingress.worm or flit.index != ingress.received:
-            raise ProtocolError(
-                f"{self.name}.in{port}: out-of-order flit {flit!r} "
-                f"(expected index {ingress.received} of {ingress.worm!r})"
-            )
-        ingress.received += 1
-        self._stirred = True
-        if ingress.received == ingress.worm.header_flits:
-            ingress.header_done_cycle = now
-            if ingress.state is _IngressState.ARRIVING:
-                ingress.state = _IngressState.ROUTE_WAIT
-                if inflow[0] is ingress:
-                    self._route_pending |= 1 << port
-        if self.tracer.enabled:
-            self.tracer.emit(
-                now, self.name, "flit_in", port=port, flit=repr(flit)
-            )
+    def _header_complete(  # type: ignore[override]
+        self, ingress: _Ingress
+    ) -> None:
+        ingress.state = _IngressState.ROUTE_WAIT
 
     # -- phase 2: route the FIFO-front worm and admit it -----------------
     def _route_and_admit(self, now: int) -> None:
@@ -412,16 +297,8 @@ class CentralBufferSwitch(SwitchBase):
             self._pop_front(port)
 
     def _pop_front(self, port: int) -> None:
-        """The FIFO-front worm has left input ``port`` entirely: expose
-        the worm behind it, if any, to routing."""
-        inflow = self._inflow[port]
-        inflow.popleft()
-        bit = 1 << port
-        self._cb_feed &= ~bit
-        if not inflow:
-            self._ingress_occupied &= ~bit
-        elif inflow[0].state is _IngressState.ROUTE_WAIT:
-            self._route_pending |= bit
+        self._cb_feed &= ~(1 << port)
+        super()._pop_front(port)
 
     # -- phase 4: drive the output ports ---------------------------------
     def _drive_outputs(self, now: int) -> None:

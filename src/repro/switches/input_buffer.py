@@ -15,6 +15,10 @@ faithfully:
 * storage is statically partitioned per input (no sharing), and
 * strict FIFO service means a blocked head worm blocks every packet
   behind it (head-of-line blocking), even ones whose outputs are idle.
+
+Worm arrival, the routing-delay wait and ``tick`` with its sleep rule
+are :class:`~repro.switches.base.SwitchBase`'s; this module is what the
+paper says is different about an input-buffer switch.
 """
 
 from __future__ import annotations
@@ -29,8 +33,12 @@ from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.table import SwitchRoutingTable
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switches.arbiter import RoundRobinArbiter
-from repro.switches.base import ReplicationMode, SwitchBase, SwitchSettings
-from repro.switches.ports import PORTS_OF
+from repro.switches.base import (
+    Ingress,
+    ReplicationMode,
+    SwitchBase,
+    SwitchSettings,
+)
 
 
 class _Branch:
@@ -48,16 +56,14 @@ class _Branch:
         self.ingress = ingress
 
 
-class _Ingress:
-    """Per-worm arrival state at one input buffer."""
+class _Ingress(Ingress):
+    """A worm in an input buffer: its branches and the slots they freed."""
 
-    __slots__ = ("worm", "received", "freed", "header_done_cycle", "branches")
+    __slots__ = ("freed", "branches")
 
     def __init__(self, worm: Worm) -> None:
-        self.worm = worm
-        self.received = 0
+        super().__init__(worm)
         self.freed = 0
-        self.header_done_cycle: Optional[int] = None
         self.branches: List[_Branch] = []
 
     @property
@@ -80,6 +86,8 @@ class _Ingress:
 class InputBufferSwitch(SwitchBase):
     """Input-queued switch with per-branch asynchronous replication."""
 
+    ingress_type = _Ingress
+
     def __init__(
         self,
         name: str,
@@ -90,7 +98,9 @@ class InputBufferSwitch(SwitchBase):
         metrics: MetricsRegistry = NULL_REGISTRY,
     ) -> None:
         super().__init__(name, table, num_ports, settings, tracer, metrics)
-        self._inflow: List[Deque[_Ingress]] = [deque() for _ in range(num_ports)]
+        # the skeleton's egress masks mirror `_waiting[p]` non-empty
+        # (wanted) and `_current[p]` set (busy); a route-pending front
+        # worm has no branches yet
         #: branches waiting for each output port, keyed by input port
         self._waiting: List[Dict[int, _Branch]] = [
             {} for _ in range(num_ports)
@@ -99,32 +109,12 @@ class InputBufferSwitch(SwitchBase):
         self._grant_arbiters = [
             RoundRobinArbiter(num_ports) for _ in range(num_ports)
         ]
-        # port-activity masks (see repro.switches.ports), kept at the
-        # point of state change: bit p of each mirrors `_inflow[p]`
-        # non-empty / `_waiting[p]` non-empty / `_current[p]` set.  As
-        # whole-switch tests they skip phases when idle (and, on the
-        # active-set kernel, decide whether to re-arm at all); the
-        # packed phases also iterate them
-        self._ingress_occupied = 0
-        self._egress_wanted = 0
-        self._egress_busy = 0
-        # set whenever a tick changes any switch state (flit accepted,
-        # routing decision, output grant, send); a blocked tick that
-        # stays False may sleep instead of re-arming — see tick()
-        self._stirred = False
-        #: reused drain buffer — the per-cycle receive loop is allocation-free
-        self._rx_scratch: List[Flit] = []
         #: FIFO of multidestination worms awaiting the replication token
         #: (synchronous mode only): at most one worm per switch may
         #: hold-and-accumulate output ports, the deadlock-avoidance
         #: arbitration synchronous replication requires (ref [6])
         self._sync_queue: Deque[_Ingress] = deque()
-        # observability: shared process-wide counters (no-ops unless an
-        # enabled registry was passed in)
-        self._obs = metrics.enabled
-        self._c_forwarded = metrics.counter("switch.flits_forwarded")
         self._c_replicated = metrics.counter("switch.branches_replicated")
-        self._c_blocked = metrics.counter("switch.blocked_cycles")
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -133,87 +123,15 @@ class InputBufferSwitch(SwitchBase):
         return self.settings.input_buffer_flits
 
     # ------------------------------------------------------------------
-    # per-cycle behaviour
+    # per-cycle behaviour (phase 1, worm arrival, is the skeleton's)
     # ------------------------------------------------------------------
-    def tick(self, now: int) -> None:
-        self._stirred = False
-        self._receive(now)
-        if self._ingress_occupied:
+    def _phases(self, now: int) -> None:
+        # (a worm parked in the sync queue needs no phase of its own:
+        # the lock-step tail that frees the token registers its branches)
+        if self._route_pending:
             self._route_heads(now)
         if self._egress_busy or self._egress_wanted:
             self._drive_outputs(now)
-        # active-set re-arm: any worm anywhere inside the switch (inflow,
-        # waiting, granted, or parked in the sync queue — sync entries are
-        # always inflow worms) needs the next cycle too; a fully idle
-        # switch is woken again by its in-links' arrival hooks.
-        #
-        # Blocked-sleep: a non-empty switch whose tick changed *nothing*
-        # can only be unblocked by an arrival (in-link hook), a maturing
-        # credit (out-link hook), or its own routing delay expiring (exact
-        # wake computed below) — so an un-stirred tick may skip the
-        # re-arm.  Exception: with metrics enabled the blocked-cycles
-        # counter must increment every blocked cycle, as it does on the
-        # dense kernel, so observed runs keep polling.
-        if self._ingress_occupied or self._egress_busy or self._egress_wanted:
-            if self._stirred or self._obs:
-                self.wake_at(now + 1)
-            else:
-                wake = self._blocked_wake()
-                if wake is not None:
-                    self.wake_at(wake)
-
-    def _blocked_wake(self) -> Optional[int]:
-        """Earliest routing-delay expiry among unrouted buffer-head worms.
-
-        The only *time*-driven transition a sleeping switch could miss:
-        every other unblocking event fires a link wake hook.
-        """
-        delay = self.settings.routing_delay
-        best: Optional[int] = None
-        inflows = self._inflow
-        for port in PORTS_OF[self._ingress_occupied]:
-            ingress = inflows[port][0]
-            if not ingress.routed and ingress.header_done_cycle is not None:
-                cycle = ingress.header_done_cycle + delay
-                if best is None or cycle < best:
-                    best = cycle
-        return best
-
-    # -- phase 1: absorb link arrivals ------------------------------------
-    def _receive(self, now: int) -> None:
-        scratch = self._rx_scratch
-        for port, link in enumerate(self.in_links):
-            if link is None or not link.pending_arrival(now):
-                continue
-            del scratch[:]
-            link.receive_into(now, scratch)
-            for flit in scratch:
-                self._accept_flit(port, flit, now)
-
-    def _accept_flit(self, port: int, flit: Flit, now: int) -> None:
-        inflow = self._inflow[port]
-        ingress = inflow[-1] if inflow else None
-        if ingress is None or ingress.received == ingress.worm.size_flits:
-            if not flit.is_head:
-                raise ProtocolError(
-                    f"{self.name}.in{port}: body flit {flit!r} without head"
-                )
-            ingress = _Ingress(flit.worm)
-            inflow.append(ingress)
-            self._ingress_occupied |= 1 << port
-        if flit.worm is not ingress.worm or flit.index != ingress.received:
-            raise ProtocolError(
-                f"{self.name}.in{port}: out-of-order flit {flit!r} "
-                f"(expected index {ingress.received} of {ingress.worm!r})"
-            )
-        ingress.received += 1
-        self._stirred = True
-        if ingress.received == ingress.worm.header_flits:
-            ingress.header_done_cycle = now
-        if self.tracer.enabled:
-            self.tracer.emit(
-                now, self.name, "flit_in", port=port, flit=repr(flit)
-            )
 
     # -- phase 2: decode the worm at each buffer head ----------------------
     def _route_heads(self, now: int) -> None:
@@ -228,6 +146,7 @@ class InputBufferSwitch(SwitchBase):
         if now < ingress.header_done_cycle + self.settings.routing_delay:
             return
         self._stirred = True
+        self._route_pending &= ~(1 << port)
         for request in self.compute_requests(ingress.worm):
             child = ingress.worm.branch(
                 request.destinations, request.descending
@@ -313,7 +232,8 @@ class InputBufferSwitch(SwitchBase):
 
     def _advance_lockstep(self, ingress: _Ingress, now: int) -> None:
         """Synchronous replication: every branch sends the same flit in
-        the same cycle, or nobody sends."""
+        the same cycle, or nobody sends.  Shared by both planes: flits
+        leave by coordinates, so nothing here depends on the container."""
         branches = ingress.branches
         if any(self._current[b.out_port] is not b for b in branches):
             return  # still accumulating output ports
@@ -327,7 +247,7 @@ class InputBufferSwitch(SwitchBase):
             return  # one blocked branch stalls the whole worm
         self._stirred = True
         for branch, link in zip(branches, links):
-            link.send(now, Flit(branch.worm, branch.read))
+            link.send_packed(now, branch.worm, branch.read)
             branch.read += 1
         if self._obs:
             self._c_forwarded.inc(len(branches))
@@ -352,14 +272,11 @@ class InputBufferSwitch(SwitchBase):
             if link is not None:
                 link.return_credit(now, delta)
         if ingress.drained:
-            inflow = self._inflow[input_port]
-            popped = inflow.popleft()
-            if not inflow:
-                self._ingress_occupied &= ~(1 << input_port)
-            if popped is not ingress:
+            if self._inflow[input_port][0] is not ingress:
                 raise ProtocolError(
                     f"{self.name}.in{input_port}: drained a non-head worm"
                 )
+            self._pop_front(input_port)
 
     # ------------------------------------------------------------------
     # introspection

@@ -4,14 +4,14 @@ Same microarchitecture as
 :class:`~repro.switches.central_buffer.CentralBufferSwitch` — the
 routing, admission and buffering phases are inherited unchanged — but
 the flit-movement phases are rewritten against the packed link API:
-spans in (:meth:`~repro.switches.link.Link.receive_span`), flit
-coordinates out (:meth:`~repro.switches.link.Link.send_granted`, or a
-whole run of them, see below), and central-buffer bandwidth arbitrated
-with the single-rotation
+spans in (:class:`~repro.switches.ports.MaskedReceive` feeding the
+skeleton's ``_accept_span``), flit coordinates out
+(:meth:`~repro.switches.link.Link.send_granted`, or a whole run of
+them, see below), and central-buffer bandwidth arbitrated with the
+single-rotation
 :meth:`~repro.switches.arbiter.RoundRobinArbiter.grant_batch`.  No
 :class:`~repro.flits.flit.Flit` object is ever constructed here
-(enforced by reprolint rule REP008); trace events use
-:func:`~repro.flits.packed.flit_repr`.
+(enforced by reprolint rule REP008).
 
 Every observable is bit-identical to the object path: a span accept
 updates the same ingress cursors the per-flit accept would, and every
@@ -50,8 +50,6 @@ from __future__ import annotations
 from typing import List, Optional
 
 from repro.errors import ProtocolError
-from repro.flits.packed import flit_repr
-from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.table import SwitchRoutingTable
 from repro.sim.trace import NULL_TRACER, Tracer
@@ -66,7 +64,6 @@ from repro.switches.chunks import StoredPacket
 from repro.switches.link import Link
 from repro.switches.ports import PORTS_OF, MaskedReceive
 
-_ARRIVING = _IngressState.ARRIVING
 _ROUTE_WAIT = _IngressState.ROUTE_WAIT
 _ADMIT_WAIT = _IngressState.ADMIT_WAIT
 
@@ -138,45 +135,6 @@ class PackedCentralBufferSwitch(MaskedReceive, CentralBufferSwitch):
         #: commit runs of bypass flits in one call (see _advance_bypass);
         #: per-flit observers need the one-flit timeline, so off with them
         self._commit = not (tracer.enabled or metrics.enabled)
-
-    # -- phase 1: absorb link arrivals as spans (MaskedReceive) ----------
-    def _accept_span(
-        self, port: int, worm: Worm, start: int, count: int, now: int
-    ) -> None:
-        inflow = self._inflow[port]
-        ingress = inflow[-1] if inflow else None
-        if ingress is None or ingress.received == ingress.worm.size_flits:
-            if start != 0:
-                raise ProtocolError(
-                    f"{self.name}.in{port}: body flit "
-                    f"{flit_repr(worm, start)} without head"
-                )
-            ingress = _Ingress(worm)
-            inflow.append(ingress)
-            self._ingress_occupied |= 1 << port
-        if worm is not ingress.worm or start != ingress.received:
-            raise ProtocolError(
-                f"{self.name}.in{port}: out-of-order flit "
-                f"{flit_repr(worm, start)} "
-                f"(expected index {ingress.received} of {ingress.worm!r})"
-            )
-        ingress.received = start + count
-        self._stirred = True
-        # the object path stamps header completion at the cycle of the
-        # tick that drains the completing flit — for a span that crosses
-        # the header boundary that is exactly this tick's cycle
-        if start < worm.header_flits <= start + count:
-            ingress.header_done_cycle = now
-            if ingress.state is _ARRIVING:
-                ingress.state = _ROUTE_WAIT
-                if inflow[0] is ingress:
-                    self._route_pending |= 1 << port
-        if self.tracer.enabled:
-            for index in range(start, start + count):
-                self.tracer.emit(
-                    now, self.name, "flit_in",
-                    port=port, flit=flit_repr(worm, index),
-                )
 
     # -- phase 2: route the FIFO-front worm and admit it -----------------
     def _route_and_admit(self, now: int) -> None:

@@ -2,15 +2,15 @@
 
 Same microarchitecture as
 :class:`~repro.switches.input_buffer.InputBufferSwitch` — routing,
-output arbitration and slot recycling are inherited unchanged — but the
-flit-movement phases use the packed link API: spans in
-(:meth:`~repro.switches.link.Link.receive_span`), flit coordinates out
+output arbitration, lock-step replication and slot recycling are
+inherited unchanged — but the flit-movement phases use the packed link
+API: spans in (:class:`~repro.switches.ports.MaskedReceive` feeding the
+skeleton's ``_accept_span``), flit coordinates out
 (:meth:`~repro.switches.link.Link.send_granted`), and every phase
 iterates the set bits of a port-activity mask instead of the port range
 (see :mod:`repro.switches.ports`).  No
 :class:`~repro.flits.flit.Flit` object is ever constructed here
-(enforced by reprolint rule REP008); trace events use
-:func:`~repro.flits.packed.flit_repr`.
+(enforced by reprolint rule REP008).
 
 Every observable is bit-identical to the object path — a span accept
 updates the same ingress cursors the per-flit accept would, and egress
@@ -21,57 +21,18 @@ stays one flit per output per cycle (see
 from __future__ import annotations
 
 from repro.errors import ProtocolError
-from repro.flits.packed import flit_repr
-from repro.flits.worm import Worm
-from repro.switches.input_buffer import InputBufferSwitch, _Ingress
+from repro.switches.input_buffer import InputBufferSwitch
 from repro.switches.ports import PORTS_OF, MaskedReceive
 
 
 class PackedInputBufferSwitch(MaskedReceive, InputBufferSwitch):
     """Input-queued switch on the packed data plane."""
 
-    # -- phase 1: absorb link arrivals as spans (MaskedReceive) ----------
-    def _accept_span(
-        self, port: int, worm: Worm, start: int, count: int, now: int
-    ) -> None:
-        inflow = self._inflow[port]
-        ingress = inflow[-1] if inflow else None
-        if ingress is None or ingress.received == ingress.worm.size_flits:
-            if start != 0:
-                raise ProtocolError(
-                    f"{self.name}.in{port}: body flit "
-                    f"{flit_repr(worm, start)} without head"
-                )
-            ingress = _Ingress(worm)
-            inflow.append(ingress)
-            self._ingress_occupied |= 1 << port
-        if worm is not ingress.worm or start != ingress.received:
-            raise ProtocolError(
-                f"{self.name}.in{port}: out-of-order flit "
-                f"{flit_repr(worm, start)} "
-                f"(expected index {ingress.received} of {ingress.worm!r})"
-            )
-        ingress.received = start + count
-        self._stirred = True
-        # the object path stamps header completion at the cycle of the
-        # tick that drains the completing flit — for a span that crosses
-        # the header boundary that is exactly this tick's cycle
-        if start < worm.header_flits <= start + count:
-            ingress.header_done_cycle = now
-        if self.tracer.enabled:
-            for index in range(start, start + count):
-                self.tracer.emit(
-                    now, self.name, "flit_in",
-                    port=port, flit=flit_repr(worm, index),
-                )
-
     # -- phase 2: decode the worm at each buffer head ----------------------
     def _route_heads(self, now: int) -> None:
         inflows = self._inflow
-        for port in PORTS_OF[self._ingress_occupied]:
-            ingress = inflows[port][0]
-            if not ingress.branches:
-                self._route_head(port, ingress, now)
+        for port in PORTS_OF[self._route_pending]:
+            self._route_head(port, inflows[port][0], now)
 
     # -- phase 3: grant outputs and move flits -----------------------------
     def _drive_outputs(self, now: int) -> None:
@@ -122,35 +83,3 @@ class PackedInputBufferSwitch(MaskedReceive, InputBufferSwitch):
             self.sim.progress += progress
             if self._obs:
                 self._c_forwarded.inc(progress)
-
-    def _advance_lockstep(self, ingress: _Ingress, now: int) -> None:
-        """Synchronous replication: every branch sends the same flit in
-        the same cycle, or nobody sends."""
-        branches = ingress.branches
-        if any(self._current[b.out_port] is not b for b in branches):
-            return  # still accumulating output ports
-        index = branches[0].read
-        if index >= ingress.received:
-            return
-        links = [self.out_links[b.out_port] for b in branches]
-        if any(link is None or not link.can_send(now) for link in links):
-            if self._obs:
-                self._c_blocked.inc()
-            return  # one blocked branch stalls the whole worm
-        self._stirred = True
-        for branch, link in zip(branches, links):
-            # the all-links can_send test above is send_granted's contract
-            link.send_granted(now, branch.worm, branch.read)
-            branch.read += 1
-        if self._obs:
-            self._c_forwarded.inc(len(branches))
-        self.sim.progress += 1
-        self._recycle_slots(branches[0].input_port, ingress, now)
-        if branches[0].read == ingress.worm.size_flits:
-            for branch in branches:
-                self._current[branch.out_port] = None
-                self._egress_busy &= ~(1 << branch.out_port)
-            if self._sync_queue and self._sync_queue[0] is ingress:
-                self._sync_queue.popleft()
-                if self._sync_queue:
-                    self._register_branches(self._sync_queue[0])

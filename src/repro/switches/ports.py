@@ -23,22 +23,26 @@ only the set bits:
 ``_egress_busy``
     output ``p`` has a current branch or bypass feed.  Set on bypass
     grant / branch activation, cleared on tail send.
-``_route_pending``, ``_cb_feed`` (central-buffer switch only)
-    the worm at the *front* of ``_inflow[p]`` awaits routing or
-    admission / streams into the central buffer.  Set when a front
-    worm's header completes, by the routing and admission decisions and
-    when a ``popleft`` exposes the next worm; cleared by the decision
-    that moves the worm on and by its ``popleft``.  They gate phases 2
-    and 3 of ``tick``; a switch may sleep through committed bypass runs
-    only while both are clear.
+``_route_pending``
+    the worm at the *front* of ``_inflow[p]`` has a complete header and
+    awaits routing (central buffer: or admission).  Set when a front
+    worm's header completes and when a ``popleft`` exposes a worm whose
+    header already has; cleared by the routing decision.
+``_cb_feed`` (central-buffer switch only)
+    the front worm of ``_inflow[p]`` streams into the central buffer.
+    Set by the routing/admission decision, cleared by its ``popleft``.
+    A switch may sleep through committed bypass runs only while this
+    and ``_route_pending`` are clear.
 
-The ingress and egress masks live on the object-plane base classes,
-where they double as the whole-switch activity tests of ``tick``; only
-the packed phases iterate them.  :data:`PORTS_OF` maps a mask to its
-set bits in *ascending* port order — the order ``range(num_ports)``
-visited them — so tracer event order, the ascending-candidates contract
-of :meth:`~repro.switches.arbiter.RoundRobinArbiter.grant_batch` and
-every arbiter pointer are exactly what the full scans produced.
+``_rx_pending`` lives on :class:`~repro.sim.component.Component`; the
+others, bar ``_cb_feed``, on :class:`~repro.switches.base.SwitchBase`,
+where they gate the phases of ``tick`` and decide its re-arm on both
+planes; only the packed phases iterate them.  :data:`PORTS_OF` maps a
+mask to its set bits in *ascending* port order — the order
+``range(num_ports)`` visited them — so tracer event order, the
+ascending-candidates contract of
+:meth:`~repro.switches.arbiter.RoundRobinArbiter.grant_batch` and every
+arbiter pointer are exactly what the full scans produced.
 """
 
 from __future__ import annotations
@@ -72,8 +76,8 @@ _RxPort = Tuple[Callable[..., object], SpanQueue]
 class MaskedReceive:
     """Mixin: drain in-links as spans, visiting only rx-pending ports.
 
-    For a :class:`~repro.switches.base.SwitchBase` subclass that defines
-    ``_accept_span(port, worm, start, count, now)``.  The per-port
+    For a :class:`~repro.switches.base.SwitchBase` subclass, whose
+    ``_accept_span(port, worm, start, count, now)`` it feeds.  The per-port
     ``receive_span`` bindings are captured lazily on the first receive
     (wiring happens after construction) and invalidated by
     :meth:`connect_in`, so an entry point rebound on the link instance

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import textwrap
 from pathlib import Path
-from typing import Optional, Sequence, Set
+from typing import Optional, Sequence
 
 import pytest
 
@@ -23,23 +23,19 @@ def lint_snippet(
     rel_path: str,
     source: str,
     select: Optional[Sequence[str]] = None,
-    baseline: Optional[Set[str]] = None,
 ) -> LintResult:
     """Write ``source`` at ``rel_path`` under ``tmp_path`` and lint it."""
     target = tmp_path / rel_path
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(textwrap.dedent(source), encoding="utf-8")
     rules = all_rules(select) if select is not None else None
-    return lint_paths(
-        [target], rules=rules, baseline=baseline, root=tmp_path
-    )
+    return lint_paths([target], rules=rules, root=tmp_path)
 
 
 def lint_tree(
     tmp_path: Path,
     files: dict,
     select: Optional[Sequence[str]] = None,
-    baseline: Optional[Set[str]] = None,
 ) -> LintResult:
     """Write a multi-file fixture tree and lint all of it.
 
@@ -54,19 +50,15 @@ def lint_tree(
         target.write_text(textwrap.dedent(source), encoding="utf-8")
         targets.append(target)
     rules = all_rules(select) if select is not None else None
-    return lint_paths(
-        targets, rules=rules, baseline=baseline, root=tmp_path
-    )
+    return lint_paths(targets, rules=rules, root=tmp_path)
 
 
 @pytest.fixture
 def lint(tmp_path):
     """Partial application of :func:`lint_snippet` over ``tmp_path``."""
 
-    def _lint(rel_path, source, select=None, baseline=None):
-        return lint_snippet(
-            tmp_path, rel_path, source, select=select, baseline=baseline
-        )
+    def _lint(rel_path, source, select=None):
+        return lint_snippet(tmp_path, rel_path, source, select=select)
 
     return _lint
 
@@ -75,10 +67,8 @@ def lint(tmp_path):
 def lint_files(tmp_path):
     """Partial application of :func:`lint_tree` over ``tmp_path``."""
 
-    def _lint(files, select=None, baseline=None):
-        return lint_tree(
-            tmp_path, files, select=select, baseline=baseline
-        )
+    def _lint(files, select=None):
+        return lint_tree(tmp_path, files, select=select)
 
     return _lint
 

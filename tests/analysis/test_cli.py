@@ -32,13 +32,13 @@ def _write(tmp_path: Path, rel: str, source: str) -> Path:
 class TestExitCodes:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         _write(tmp_path, "repro/sim/clean.py", "X = 1\n")
-        assert main([str(tmp_path), "--no-baseline"]) == 0
+        assert main([str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "0 finding(s)" in out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         _write(tmp_path, "repro/sim/bad.py", DIRTY)
-        assert main([str(tmp_path), "--no-baseline"]) == 1
+        assert main([str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "REP002" in out
 
@@ -75,7 +75,7 @@ class TestExitCodes:
     def test_select_runs_only_requested_rules(self, tmp_path, capsys):
         _write(tmp_path, "repro/sim/bad.py", DIRTY)
         assert main(
-            [str(tmp_path), "--select", "REP001", "--no-baseline"]
+            [str(tmp_path), "--select", "REP001"]
         ) == 0
         capsys.readouterr()
 
@@ -88,7 +88,7 @@ class TestExitCodes:
 
 class TestJsonFormat:
     def _lint_json(self, tmp_path, capsys, *extra):
-        code = main([str(tmp_path), "--no-baseline", "--format", "json",
+        code = main([str(tmp_path), "--format", "json",
                      *extra])
         payload = json.loads(capsys.readouterr().out)
         return code, payload
@@ -126,7 +126,7 @@ class TestGithubFormat:
     def test_one_annotation_per_finding(self, tmp_path, capsys):
         _write(tmp_path, "repro/sim/bad.py", DIRTY)
         code = main(
-            [str(tmp_path), "--no-baseline", "--format", "github"]
+            [str(tmp_path), "--format", "github"]
         )
         assert code == 1
         out = capsys.readouterr().out
@@ -144,7 +144,7 @@ class TestGithubFormat:
     def test_clean_tree_emits_no_annotations(self, tmp_path, capsys):
         _write(tmp_path, "repro/sim/clean.py", "X = 1\n")
         code = main(
-            [str(tmp_path), "--no-baseline", "--format", "github"]
+            [str(tmp_path), "--format", "github"]
         )
         assert code == 0
         out = capsys.readouterr().out
@@ -160,105 +160,6 @@ class TestGithubFormat:
         assert _gh_escape_property("a:b,c") == "a%3Ab%2Cc"
 
 
-class TestChangedOnly:
-    @pytest.fixture
-    def git_repo(self, tmp_path, monkeypatch):
-        """A git repo with one committed clean file on ``main``."""
-        import subprocess
-
-        def git(*args):
-            subprocess.run(
-                ["git", *args],
-                cwd=tmp_path,
-                check=True,
-                capture_output=True,
-            )
-
-        monkeypatch.chdir(tmp_path)
-        git("init", "-q", "-b", "main")
-        git("config", "user.email", "t@example.invalid")
-        git("config", "user.name", "t")
-        _write(tmp_path, "repro/sim/clean.py", "X = 1\n")
-        git("add", ".")
-        git("commit", "-q", "-m", "seed")
-        return tmp_path
-
-    def test_nothing_changed_exits_zero(self, git_repo, capsys):
-        code = main(
-            ["repro", "--no-baseline", "--changed-only",
-             "--since", "HEAD"]
-        )
-        assert code == 0
-        assert "nothing to lint" in capsys.readouterr().out
-
-    def test_untracked_dirty_file_is_linted(self, git_repo, capsys):
-        _write(git_repo, "repro/sim/bad.py", DIRTY)
-        code = main(
-            ["repro", "--no-baseline", "--changed-only",
-             "--since", "HEAD"]
-        )
-        assert code == 1
-        out = capsys.readouterr().out
-        assert "REP002" in out
-        assert "1 file(s) checked" in out
-
-    def test_committed_change_vs_ref_is_linted(self, git_repo, capsys):
-        import subprocess
-
-        _write(git_repo, "repro/sim/bad.py", DIRTY)
-        subprocess.run(
-            ["git", "add", "."], cwd=git_repo, check=True,
-            capture_output=True,
-        )
-        subprocess.run(
-            ["git", "commit", "-q", "-m", "dirty"],
-            cwd=git_repo, check=True, capture_output=True,
-        )
-        code = main(
-            ["repro", "--no-baseline", "--changed-only",
-             "--since", "HEAD~1"]
-        )
-        assert code == 1
-        assert "REP002" in capsys.readouterr().out
-
-    def test_changes_outside_the_lint_paths_are_ignored(
-        self, git_repo, capsys
-    ):
-        _write(git_repo, "scripts/tool.py", DIRTY)
-        code = main(
-            ["repro", "--no-baseline", "--changed-only",
-             "--since", "HEAD"]
-        )
-        assert code == 0
-        assert "nothing to lint" in capsys.readouterr().out
-
-    def test_bad_ref_exits_two(self, git_repo, capsys):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["repro", "--changed-only", "--since",
-                 "no-such-ref"]
-            )
-        assert excinfo.value.code == 2
-
-
-class TestBaselineWorkflow:
-    def test_write_then_respect_baseline(
-        self, tmp_path, capsys, monkeypatch
-    ):
-        _write(tmp_path, "repro/sim/bad.py", DIRTY)
-        monkeypatch.chdir(tmp_path)
-        assert main(["repro", "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert (tmp_path / ".reprolint-baseline.json").exists()
-
-        assert main(["repro"]) == 0
-        out = capsys.readouterr().out
-        assert "1 baselined" in out
-
-        assert main(["repro", "--no-baseline"]) == 1
-        capsys.readouterr()
-
-
 class TestRepoGate:
     def test_repository_lints_clean(self, capsys, monkeypatch):
         """The regression gate: the tree must satisfy its own linter."""
@@ -266,14 +167,6 @@ class TestRepoGate:
         exit_code = main(["src"])
         out = capsys.readouterr().out
         assert exit_code == 0, f"reprolint found new violations:\n{out}"
-
-    def test_checked_in_baseline_loads(self):
-        from repro.analysis.baseline import load_baseline
-
-        fingerprints = load_baseline(
-            REPO_ROOT / ".reprolint-baseline.json"
-        )
-        assert isinstance(fingerprints, set)
 
 
 class TestDocsCatalog:

@@ -1,14 +1,7 @@
-"""Engine behaviour: baselines, fingerprints, parse errors, discovery."""
+"""Engine behaviour: parse errors, discovery, suppression scanning."""
 
 from __future__ import annotations
 
-import textwrap
-
-from repro.analysis.baseline import (
-    BASELINE_SCHEMA,
-    load_baseline,
-    write_baseline,
-)
 from repro.analysis.engine import iter_python_files, lint_paths
 from repro.analysis.findings import scan_suppressions
 from tests.analysis.conftest import codes, lint_snippet
@@ -21,50 +14,8 @@ WALLCLOCK = """
     """
 
 
-class TestBaseline:
-    def test_baselined_findings_do_not_fail_the_gate(self, tmp_path):
-        first = lint_snippet(tmp_path, "repro/sim/old.py", WALLCLOCK)
-        assert codes(first) == ["REP002"]
-
-        baseline_path = tmp_path / "baseline.json"
-        write_baseline(baseline_path, first.new)
-        fingerprints = load_baseline(baseline_path)
-        assert len(fingerprints) == 1
-
-        second = lint_snippet(
-            tmp_path, "repro/sim/old.py", WALLCLOCK, baseline=fingerprints
-        )
-        assert second.new == []
-        assert [f.code for f in second.baselined] == ["REP002"]
-        assert second.exit_code == 0
-
-    def test_fingerprint_survives_line_shift(self, tmp_path):
-        first = lint_snippet(tmp_path, "repro/sim/old.py", WALLCLOCK)
-        fingerprints = {f.fingerprint for f in first.new}
-
-        shifted = "# a new leading comment\n\n" + textwrap.dedent(
-            WALLCLOCK
-        )
-        second = lint_snippet(
-            tmp_path, "repro/sim/old.py", shifted, baseline=fingerprints
-        )
-        assert second.new == []
-        assert len(second.baselined) == 1
-
-    def test_new_finding_still_fails_with_baseline(self, tmp_path):
-        first = lint_snippet(tmp_path, "repro/sim/old.py", WALLCLOCK)
-        fingerprints = {f.fingerprint for f in first.new}
-
-        grown = textwrap.dedent(WALLCLOCK) + (
-            "\ndef stamp2():\n    return time.perf_counter()\n"
-        )
-        second = lint_snippet(
-            tmp_path, "repro/sim/old.py", grown, baseline=fingerprints
-        )
-        assert codes(second) == ["REP002"]
-        assert len(second.baselined) == 1
-
-    def test_identical_lines_get_distinct_fingerprints(self, tmp_path):
+class TestEngine:
+    def test_identical_lines_are_each_reported(self, tmp_path):
         source = """
             import time
 
@@ -76,19 +27,8 @@ class TestBaseline:
             """
         result = lint_snippet(tmp_path, "repro/sim/twice.py", source)
         assert codes(result) == ["REP002", "REP002"]
-        fingerprints = {f.fingerprint for f in result.new}
-        assert len(fingerprints) == 2
+        assert len({f.line for f in result.new}) == 2
 
-    def test_baseline_file_is_schema_stamped(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, [])
-        import json
-
-        data = json.loads(path.read_text())
-        assert data["schema"] == BASELINE_SCHEMA
-
-
-class TestEngine:
     def test_parse_error_is_a_rep000_finding(self, tmp_path):
         result = lint_snippet(
             tmp_path, "repro/sim/broken.py", "def broken(:\n"

@@ -242,8 +242,8 @@ class TestReproRoots:
 class TestDeterminism:
     def test_repo_lint_is_byte_identical_across_runs(self, capsys):
         """Two full semantic runs over ``src/repro`` produce identical
-        JSON — index construction, chain ordering and occurrence
-        numbering are all deterministic."""
+        JSON — index construction and chain ordering are
+        deterministic."""
         import os
 
         from repro.analysis.cli import main
@@ -253,9 +253,7 @@ class TestDeterminism:
         try:
             outputs = []
             for _ in range(2):
-                main(
-                    ["src/repro", "--format", "json", "--no-baseline"]
-                )
+                main(["src/repro", "--format", "json"])
                 outputs.append(capsys.readouterr().out)
         finally:
             os.chdir(cwd)

@@ -631,20 +631,6 @@ class TestREP008PackedFlitFree:
         )
         assert codes(result) == ["REP008"]
 
-    def test_span_flits_helper_flagged(self, lint):
-        result = lint(
-            "repro/switches/packed_input.py",
-            """
-            from repro.flits.packed import span_flits
-
-            class Switch:
-                def _trace(self, worm, start, count, now):
-                    for flit in span_flits(worm, start, count):
-                        self.tracer.emit(now, self.name, "x", flit=flit)
-            """,
-        )
-        assert "REP008" in codes(result)
-
     def test_flit_repr_boundary_is_sanctioned(self, lint):
         result = lint(
             "repro/switches/packed_central.py",
@@ -686,7 +672,7 @@ class TestREP008PackedFlitFree:
             """
             from repro.flits.flit import Flit
 
-            def span_flits(worm, start, count):
+            def materialise(worm, start, count):
                 for index in range(start, start + count):
                     yield Flit(worm, index)
             """,

@@ -60,15 +60,23 @@ class TestTransitiveREP001:
         result = lint_files(tree, select=["REP001"])
         assert codes(result) == []
 
-    def test_chain_is_part_of_the_fingerprint(self, lint_files):
-        result = lint_files(self.TREE, select=["REP001"])
-        finding = result.new[0]
-        from dataclasses import replace
+    def test_chain_follows_the_call_path(self, lint_files):
+        # the same sink reached without the helper hop reports the
+        # shorter chain: the chain is the path, not a label of the sink
+        tree = dict(self.TREE)
+        tree["repro/switches/noisy.py"] = """
+            from repro.sim.rng import jitter
 
-        rerouted = replace(
-            finding, chain=finding.chain[:1] + finding.chain[2:]
+            class NoisySwitch:
+                def tick(self, now):
+                    return jitter()
+            """
+        result = lint_files(tree, select=["REP001"])
+        assert result.new[0].chain == (
+            "repro.switches.noisy.NoisySwitch.tick",
+            "repro.sim.rng.jitter",
+            "random.random",
         )
-        assert rerouted.fingerprint != finding.fingerprint
 
 
 class TestTransitiveREP002:
@@ -106,6 +114,83 @@ class TestTransitiveREP002:
             """
         result = lint_files(tree, select=["REP002"])
         assert codes(result) == []
+
+
+class TestREP007InheritedTick:
+    """``tick`` lives on a skeleton class; subclasses plug in phases."""
+
+    SKELETON = """
+        from repro.switches.ports import PORTS_OF
+
+        class SwitchBase:
+            def tick(self, now):
+                self._receive(now)
+                self._phases(now)
+
+            def _receive(self, now):
+                for port in PORTS_OF[self._rx_pending]:
+                    self._accept(self.in_links[port].receive_span(now))
+
+            def _phases(self, now):
+                raise NotImplementedError
+        """
+
+    def tree(self, phases_body):
+        return {
+            "repro/switches/base.py": self.SKELETON,
+            "repro/switches/central.py": f"""
+                from repro.switches.base import SwitchBase
+
+                class CentralSwitch(SwitchBase):
+                    def _phases(self, now):
+                        for link in self.in_links:
+                            {phases_body}
+
+                    def _debug_dump(self, now):
+                        return [l.receive_span(now) for l in self.in_links]
+                """,
+        }
+
+    def test_unguarded_drain_in_an_overridden_phase_flagged(
+        self, lint_files
+    ):
+        result = lint_files(
+            self.tree("self._accept(link.receive_span(now))"),
+            select=["REP007"],
+        )
+        assert codes(result) == ["REP007"]
+        finding = result.new[0]
+        assert finding.path == "repro/switches/central.py"
+        assert "receive_span" in finding.message
+
+    def test_guarded_phase_and_unreached_method_are_silent(
+        self, lint_files
+    ):
+        result = lint_files(
+            self.tree(
+                "if link.pending_arrival(now): "
+                "self._accept(link.receive_span(now))"
+            ),
+            select=["REP007"],
+        )
+        assert codes(result) == []
+
+    def test_shared_skeleton_method_is_reported_once(self, lint_files):
+        tree = self.tree("pass")
+        tree["repro/switches/base.py"] = self.SKELETON.replace(
+            "PORTS_OF[self._rx_pending]", "range(self.num_ports)"
+        )
+        tree["repro/switches/input.py"] = """
+            from repro.switches.base import SwitchBase
+
+            class InputSwitch(SwitchBase):
+                def _phases(self, now):
+                    pass
+            """
+        result = lint_files(tree, select=["REP007"])
+        assert [(f.code, f.path) for f in result.new] == [
+            ("REP007", "repro/switches/base.py")
+        ]
 
 
 class TestREP010LostWake:
@@ -170,6 +255,46 @@ class TestREP010LostWake:
         }
         result = lint_files(tree, select=["REP010"])
         assert codes(result) == []
+
+    def test_skeleton_helper_reached_through_a_subclass_phase_is_exempt(
+        self, lint_files
+    ):
+        # the helper is on no tick closure in the skeleton's own view —
+        # only the phase a subclass plugs in calls it
+        tree = {
+            "repro/switches/base.py": """
+                from repro.sim.component import Component
+
+                class Skeleton(Component):
+                    def tick(self, now):
+                        self._phases(now)
+
+                    def _phases(self, now):
+                        raise NotImplementedError
+
+                    def _pop_front(self, port):
+                        self._route_pending |= 1 << port
+                """,
+            "repro/switches/central.py": """
+                from repro.switches.base import Skeleton
+
+                class Central(Skeleton):
+                    def _phases(self, now):
+                        self._pop_front(0)
+                """,
+        }
+        assert codes(lint_files(tree, select=["REP010"])) == []
+        # with no subclass phase reaching it, the obligation is back
+        tree["repro/switches/central.py"] = """
+            from repro.switches.base import Skeleton
+
+            class Central(Skeleton):
+                def _phases(self, now):
+                    pass
+            """
+        result = lint_files(tree, select=["REP010"])
+        assert codes(result) == ["REP010"]
+        assert "Skeleton._pop_front()" in result.new[0].message
 
     def test_non_component_class_is_exempt(self, lint_files):
         tree = {

@@ -1,10 +1,11 @@
-"""Packed flit plane: lossless word roundtrips and span-queue laws.
+"""Packed flit plane: trace-string parity and span-queue laws.
 
 The packed data plane (``repro.flits.packed``) replaces ``Flit`` objects
-with integer words and spans; every conversion back to the object world
-must be lossless for every flit kind (head/body/tail, header/payload)
-and every destination-set shape.  These are property-based pins of that
-contract, mirroring the style of ``tests/flits/test_encoding.py``.
+with ``(worm, index)`` coordinates and spans; the one conversion back to
+the object world, ``flit_repr``, must match ``repr(Flit)`` for every
+flit kind (head/body/tail) of every worm shape.  These are
+property-based pins of that contract and of the in-flight ring,
+mirroring the style of ``tests/flits/test_encoding.py``.
 """
 
 from __future__ import annotations
@@ -12,22 +13,9 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.errors import ProtocolError
 from repro.flits.destset import DestinationSet
 from repro.flits.flit import Flit
-from repro.flits.packed import (
-    FLAG_HEAD,
-    FLAG_HEADER,
-    FLAG_TAIL,
-    SpanQueue,
-    WORD_INDEX_BITS,
-    WormTable,
-    flit_flags,
-    flit_repr,
-    pack_word,
-    span_flits,
-    unpack_word,
-)
+from repro.flits.packed import SpanQueue, flit_repr
 from repro.flits.packet import Message, Packet, TrafficClass
 from repro.flits.worm import Worm
 
@@ -68,88 +56,12 @@ def worms():
     )
 
 
-class TestWordRoundtrip:
-    @given(
-        slot=st.integers(0, 2 ** 40),
-        index=st.integers(0, (1 << WORD_INDEX_BITS) - 1),
-        flags=st.integers(0, 7),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_pack_unpack_is_identity(self, slot, index, flags):
-        assert unpack_word(pack_word(slot, index, flags)) == (
-            slot, index, flags,
-        )
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ProtocolError):
-            pack_word(0, 1 << WORD_INDEX_BITS, 0)
-        with pytest.raises(ProtocolError):
-            pack_word(-1, 0, 0)
-
-    @given(worm=worms())
-    @settings(max_examples=60, deadline=None)
-    def test_flags_match_flit_kind_for_every_index(self, worm):
-        for index in range(worm.size_flits):
-            flit = Flit(worm, index)
-            flags = flit_flags(worm, index)
-            assert bool(flags & FLAG_HEAD) == flit.is_head
-            assert bool(flags & FLAG_TAIL) == flit.is_tail
-            assert bool(flags & FLAG_HEADER) == flit.is_header
-
-
-class TestWormTableRoundtrip:
-    @given(worm=worms())
-    @settings(max_examples=60, deadline=None)
-    def test_encode_decode_lossless_for_every_flit(self, worm):
-        table = WormTable()
-        for index in range(worm.size_flits):
-            decoded = table.decode(table.encode(worm, index))
-            # identity, not just equality: the decoded flit must carry
-            # the same live worm (branch), hence the same destination
-            # set, header split and packet
-            assert decoded.worm is worm
-            assert decoded.index == index
-            assert decoded == Flit(worm, index)
-
+class TestFlitRepr:
     @given(worm=worms())
     @settings(max_examples=40, deadline=None)
     def test_repr_matches_object_flit(self, worm):
         for index in range(worm.size_flits):
             assert flit_repr(worm, index) == repr(Flit(worm, index))
-
-    def test_destination_set_shape_survives(self):
-        multi = make_worm(universe=16, destination_ids=(1, 5, 7, 12))
-        table = WormTable()
-        decoded = table.decode(table.encode(multi, 0))
-        assert decoded.worm.destinations == multi.destinations
-        assert decoded.worm.is_multidestination
-
-    def test_index_outside_worm_rejected(self):
-        worm = make_worm(payload_flits=2)
-        table = WormTable()
-        with pytest.raises(ProtocolError):
-            table.encode(worm, worm.size_flits)
-
-    @given(count=st.integers(1, 24))
-    @settings(max_examples=30, deadline=None)
-    def test_slots_recycle_and_stay_bijective(self, count):
-        table = WormTable()
-        live = [make_worm(packet_id=i) for i in range(count)]
-        slots = [table.intern(worm) for worm in live]
-        assert len(set(slots)) == count  # bijective while live
-        assert all(table.intern(w) == s for w, s in zip(live, slots))
-        table.release(live[0])
-        with pytest.raises(ProtocolError):
-            table.worm(slots[0])
-        with pytest.raises(ProtocolError):
-            table.release(live[0])  # double release
-        replacement = make_worm(packet_id=count)
-        assert table.intern(replacement) == slots[0]  # slot recycled
-
-    def test_span_flits_materialises_the_exact_range(self):
-        worm = make_worm(payload_flits=6)
-        flits = list(span_flits(worm, 2, 3))
-        assert flits == [Flit(worm, 2), Flit(worm, 3), Flit(worm, 4)]
 
 
 class TestSpanQueue:

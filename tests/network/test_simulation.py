@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.schemes import MulticastScheme
+from repro.errors import CycleBudgetExhausted, SimulationError
 from repro.flits.packet import TrafficClass
+from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
-from repro.network.simulation import run_simulation
+from repro.network.simulation import run_simulation, run_workload
 from repro.traffic.multicast import MultipleMulticastBurst, SingleMulticast
 from repro.traffic.unicast import UniformRandomUnicast
 
@@ -44,6 +48,24 @@ class TestRunSimulation:
         )
         assert not result.completed
         assert result.cycles >= 2_500
+
+    def test_only_budget_exhaustion_becomes_data(self):
+        # a probe that fails to advance is a fault in the run, not a
+        # saturated network: it must surface, not read completed=False
+        class StuckProbe:
+            next_cycle = 0
+
+            def sample(self, cycle):
+                pass
+
+        network = build_network(SimulationConfig(num_hosts=16))
+        network.sim.add_probe(StuckProbe())
+        with pytest.raises(SimulationError, match="did not advance") as err:
+            run_workload(network, SingleMulticast(
+                source=0, degree=4, payload_flits=16,
+                scheme=MulticastScheme.HARDWARE,
+            ))
+        assert not isinstance(err.value, CycleBudgetExhausted)
 
     def test_summary_keys(self):
         result = run_simulation(

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import DeadlockSuspected, SimulationError
 from repro.obs.profile import KernelProfiler
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
@@ -121,7 +121,7 @@ class TestProbeReplay:
         sim.add_component(Recorder())
         probe = PeriodicProbe(sim, every=5)
         sim.add_probe(probe)
-        with pytest.raises(SimulationError, match="suspected deadlock"):
+        with pytest.raises(DeadlockSuspected, match="suspected deadlock"):
             sim.run_until(lambda: False, max_cycles=10_000, stall_limit=40)
         # the fast-forward that trips the detector still replays the
         # probe grid through the trip cycle, exactly like dense stepping

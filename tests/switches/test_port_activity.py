@@ -6,11 +6,11 @@ port silently skipped — a lost flit or a starved output, but only on the
 workloads that happen to hit the gap.  The sweep below recomputes every
 mask from first principles after *every cycle* of whole-network runs
 (probes fire after the cycle's ticks) on both architectures, both
-kernels and both planes (the object plane keeps the ingress/egress masks
-as its activity tests but polls its in-links, so rx-pending is audited
-on the packed plane only), with telemetry on and off; the link-level
-cases pin the rx-pending protocol between :class:`Link` and its
-receiver.
+kernels and both planes (the object plane keeps the ingress, egress and
+route-pending masks as its phase gates but polls its in-links, so
+rx-pending is audited on the packed plane only), with telemetry on and
+off; the link-level cases pin the rx-pending protocol between
+:class:`Link` and its receiver.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from repro.host.packed_interface import PackedHostInterface
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.switches.base import ReplicationMode
-from repro.switches.central_buffer import CentralBufferSwitch
+from repro.switches.central_buffer import CentralBufferSwitch, _IngressState
 from repro.switches.link import Link
 from repro.switches.ports import PORTS_OF
 from repro.traffic.hotspot import HotspotTraffic
@@ -75,15 +75,30 @@ def mask_of(flags):
 
 
 def switch_truth(switch):
-    """(ingress, wanted, busy) recomputed from the switch's own state."""
+    """(ingress, wanted, busy, route-pending) recomputed from the
+    switch's own state."""
+    fronts = [inflow[0] if inflow else None for inflow in switch._inflow]
     if isinstance(switch, CentralBufferSwitch):
         wanted, current = switch._out_queue, switch._out_current
+        pending = [
+            front is not None and front.state in (
+                _IngressState.ROUTE_WAIT, _IngressState.ADMIT_WAIT
+            )
+            for front in fronts
+        ]
     else:
         wanted, current = switch._waiting, switch._current
+        pending = [
+            front is not None
+            and not front.branches
+            and front.received >= front.worm.header_flits
+            for front in fronts
+        ]
     return (
         mask_of(bool(inflow) for inflow in switch._inflow),
         mask_of(bool(queue) for queue in wanted),
         mask_of(slot is not None for slot in current),
+        mask_of(pending),
     )
 
 
@@ -111,6 +126,7 @@ class MaskAuditor:
                 switch._ingress_occupied,
                 switch._egress_wanted,
                 switch._egress_busy,
+                switch._route_pending,
             )
             assert masks == switch_truth(switch), (cycle, switch.name)
             # the link sets the bit at send time and the receiver clears
@@ -121,7 +137,7 @@ class MaskAuditor:
                     cycle, switch.name,
                 )
             if switch.idle():
-                assert masks == (0, 0, 0)
+                assert masks == (0, 0, 0, 0)
         if self.audit_rx:
             for interface in self.network.interfaces:
                 assert interface._rx_pending == rx_truth(
