@@ -6,8 +6,8 @@ telemetry — are *behavioural* contracts that a stray ``random.random()``
 or an unguarded metrics call silently violates until a golden test
 happens to catch it.  This package moves those contracts to lint time:
 
-* :mod:`repro.analysis.rules` — the REP001-REP014 rules and the
-  pluggable registry new rules hook into;
+* :mod:`repro.analysis.rules` — the twelve rules (REP001-REP014, two
+  codes retired) and the pluggable registry new rules hook into;
 * :mod:`repro.analysis.engine` — file walking and suppression
   partitioning;
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` gate.

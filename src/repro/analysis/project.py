@@ -386,30 +386,34 @@ class ProjectIndex:
     # class hierarchy
     # ------------------------------------------------------------------
     def mro(self, qualname: str) -> Tuple[str, ...]:
-        """Approximate linearization: DFS over bases, first-seen wins.
-
-        Not C3 — diamond order may differ from python's — but method
-        *membership* along the chain matches, which is what resolution
-        needs.  Unknown (external) base names appear in the chain too.
+        """C3 linearization, as python computes it (a mixin that shares
+        a base with its sibling must resolve in python's order, not
+        depth-first).  Unknown (external) base names appear in the chain
+        too; where python would refuse the hierarchy (inconsistent
+        order, inheritance cycle) the first pending base is taken.
         """
         cached = self._mro_cache.get(qualname)
         if cached is not None:
             return cached
-        out: List[str] = []
-        visiting: Set[str] = set()
-
-        def visit(name: str) -> None:
-            if name in visiting or name in out:
-                return
-            visiting.add(name)
-            out.append(name)
-            info = self.classes.get(name)
-            if info is not None:
-                for base in info.bases:
-                    visit(base)
-            visiting.discard(name)
-
-        visit(qualname)
+        self._mro_cache[qualname] = (qualname,)  # cuts inheritance cycles
+        info = self.classes.get(qualname)
+        bases = list(info.bases) if info is not None else []
+        pending = [list(self.mro(base)) for base in bases] + [bases]
+        out = [qualname]
+        while any(pending):
+            heads = [chain[0] for chain in pending if chain]
+            head = next(
+                (
+                    head for head in heads
+                    if not any(head in chain[1:] for chain in pending)
+                ),
+                heads[0],
+            )
+            out.append(head)
+            pending = [
+                [name for name in chain if name != head]
+                for chain in pending
+            ]
         result = tuple(out)
         self._mro_cache[qualname] = result
         return result

@@ -1,4 +1,5 @@
-"""The reprolint rule registry and the REP001-REP014 invariant rules.
+"""The reprolint rule registry and its twelve invariant rules (codes
+REP001-REP014; two are retired and never reused).
 
 Each rule guards one contract the reproduction's results depend on but
 that nothing else enforces at rest (see ``docs/static-analysis.md``):
@@ -11,10 +12,8 @@ REP004   pool-submitted callables are module-level (picklable)
 REP005   metric calls stay behind a captured ``metrics.enabled`` guard
 REP006   records handed to JSONL sink writers carry a ``schema`` tag
 REP007   tick-path link drains stay behind a cheap emptiness guard
-REP008   packed-path modules never construct ``Flit`` objects
 REP009   tracer/profiler emits stay behind an enabled/attached guard
 REP010   dormancy-state mutations register a kernel wake
-REP011   packed and object data planes emit identical telemetry names
 REP012   literal sink records match their registered schema fields
 REP013   result-store file I/O flows through the journal module only
 REP014   farm process/pipe machinery stays in the transport module
@@ -27,7 +26,8 @@ Rules come in two layers: the *syntactic* layer sees one module at a
 time through ``check``; the *semantic* layer additionally implements
 ``check_project`` over the whole-program
 :class:`~repro.analysis.project.ProjectIndex` (REP001/REP002 use it for
-kernel-reachability chains; REP010-REP012 are purely cross-module).
+kernel-reachability chains; REP007, REP010 and REP012 are purely
+cross-module).
 Register new rules with the :func:`register` decorator; the engine and
 CLI discover them through :func:`all_rules`.
 """
@@ -64,6 +64,7 @@ KERNEL_PACKAGES: Tuple[str, ...] = (
     "repro.routing",
     "repro.host",
     "repro.traffic",
+    "repro.reference",
 )
 
 #: the only modules allowed to read the wall clock (REP002): telemetry
@@ -79,14 +80,6 @@ RNG_HOME = "repro.sim.rng"
 #: the link implementation itself is exempt from REP007 (its methods
 #: *are* the drain primitives the rule protects)
 LINK_HOME = "repro.switches.link"
-
-#: modules that must stay ``Flit``-object-free (REP008): the packed
-#: data plane's hot path moves flit coordinates, never flit objects
-PACKED_MODULES: Tuple[str, ...] = (
-    "repro.switches.packed_central",
-    "repro.switches.packed_input",
-    "repro.host.packed_interface",
-)
 
 #: the tracer implementation itself is exempt from REP009 (its ``emit``
 #: *is* the guarded primitive the rule protects)
@@ -959,7 +952,7 @@ class LinkDrainsBehindGuard(Rule):
     )
 
     #: the drain calls that must be guarded (``receive_span`` is the
-    #: packed plane's bulk drain — same walk, same guard)
+    #: production plane's bulk drain — same walk, same guard)
     DRAINS = frozenset(
         {"receive", "receive_into", "receive_span", "credits"}
     )
@@ -1071,60 +1064,6 @@ class LinkDrainsBehindGuard(Rule):
             ):
                 return True
         return False
-
-
-@register
-class PackedPathBuildsNoFlits(Rule):
-    """REP008 — packed-path modules never construct ``Flit`` objects.
-
-    The packed data plane's entire value is that the hot path moves flit
-    *coordinates* — ``(worm, index)`` ints and ``(worm, start, count)``
-    spans — instead of allocating one object per flit per hop.  A
-    ``Flit(...)`` construction (or a ``worm.flit(...)``
-    materialisation) inside
-    ``repro.switches.packed_central``, ``repro.switches.packed_input``
-    or ``repro.host.packed_interface`` quietly reintroduces the
-    allocation churn the plane exists to remove — every behavioural test
-    still passes, only the benchmark gate would eventually notice.
-    The one sanctioned conversion is
-    :func:`repro.flits.packed.flit_repr`, for byte-identical trace
-    strings; it lives outside the packed modules.
-    """
-
-    code = "REP008"
-    summary = "Flit object construction inside a packed-path module"
-    hint = (
-        "move flits as (worm, index) coordinates or spans; for trace "
-        "strings use repro.flits.packed.flit_repr, and keep object "
-        "conversion outside the packed modules"
-    )
-
-    #: canonical callables that materialise Flit objects
-    MATERIALISERS = frozenset({"repro.flits.flit.Flit"})
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if module.module_name not in PACKED_MODULES:
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            canonical = module.imports.resolve(node.func)
-            if canonical in self.MATERIALISERS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"{canonical.rsplit('.', 1)[1]}() materialises flit "
-                    "objects in a packed-path module",
-                )
-            elif (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr == "flit"
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    ".flit() materialises a Flit in a packed-path module",
-                )
 
 
 def _mentions_trace_guard(test: ast.expr) -> bool:
@@ -1393,190 +1332,6 @@ class LostWakeMutations(Rule):
                 ):
                     return True
         return False
-
-
-#: the object-plane/packed-plane module pairs REP011 holds to parity
-PLANE_PAIRS: Tuple[Tuple[str, str], ...] = (
-    ("repro.switches.central_buffer", "repro.switches.packed_central"),
-    ("repro.switches.input_buffer", "repro.switches.packed_input"),
-    ("repro.host.interface", "repro.host.packed_interface"),
-)
-
-
-@register
-class PlaneTelemetryParity(Rule):
-    """REP011 — packed and object data planes emit identical telemetry.
-
-    The packed plane is a drop-in replacement for the object plane; the
-    differential tests prove the *data* is bit-identical, but nothing
-    dynamic notices a packed override that silently drops a tracer
-    event or counter — disabled-telemetry runs exercise neither.  For
-    each configured module pair, the rule pairs every packed class with
-    its nearest object-module ancestor and compares what their ``tick``
-    closures (``self``-calls resolved in each class's own MRO view, so
-    packed overrides replace inherited phases) can emit: the set of
-    tracer event names (third positional ``.emit()`` argument) and the
-    set of metric counter names (``.inc()``/``.observe()`` receivers,
-    mapped back to their ``metrics.counter("...")`` registrations).
-    Any asymmetry — an event or counter present on one plane's tick
-    path but not the other's — is a finding on the packed class.
-    """
-
-    code = "REP011"
-    summary = (
-        "packed/object plane tick paths emit different telemetry names"
-    )
-    hint = (
-        "make the packed override emit exactly the events/counters of "
-        "the object-plane phase it replaces (see docs/performance.md)"
-    )
-
-    #: instrument-registration calls mapping attrs to metric names
-    REGISTRATIONS = frozenset({"counter", "histogram", "gauge"})
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        for object_module, packed_module in PLANE_PAIRS:
-            if (
-                object_module not in project.modules
-                or packed_module not in project.modules
-            ):
-                continue
-            source = project.modules[packed_module].source
-            for cls_qualname in sorted(project.classes):
-                info = project.classes[cls_qualname]
-                if info.module != packed_module:
-                    continue
-                base = self._object_base(
-                    project, cls_qualname, object_module
-                )
-                if base is None:
-                    continue
-                packed_events, packed_counters = self._tick_surface(
-                    project, cls_qualname
-                )
-                object_events, object_counters = self._tick_surface(
-                    project, base
-                )
-                base_name = project.classes[base].name
-                yield from self._compare(
-                    source, info.node, info.name, base_name,
-                    "tracer event", packed_events, object_events,
-                )
-                yield from self._compare(
-                    source, info.node, info.name, base_name,
-                    "metric counter", packed_counters, object_counters,
-                )
-
-    @staticmethod
-    def _object_base(
-        project: ProjectIndex, cls_qualname: str, object_module: str
-    ) -> Optional[str]:
-        for ancestor in project.mro(cls_qualname)[1:]:
-            info = project.classes.get(ancestor)
-            if info is not None and info.module == object_module:
-                return ancestor
-        return None
-
-    def _tick_surface(
-        self, project: ProjectIndex, cls_qualname: str
-    ) -> Tuple[Set[str], Set[str]]:
-        """(event names, counter names) emittable from the tick closure."""
-        registrations = self._registration_map(project, cls_qualname)
-        events: Set[str] = set()
-        counters: Set[str] = set()
-        for qualname in project.method_closure(cls_qualname, "tick"):
-            fn = project.functions[qualname]
-            for node in ast.walk(fn.node):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                ):
-                    continue
-                if node.func.attr == "emit" and len(node.args) >= 3:
-                    event = node.args[2]
-                    if isinstance(event, ast.Constant) and isinstance(
-                        event.value, str
-                    ):
-                        events.add(event.value)
-                elif node.func.attr in ("inc", "observe"):
-                    receiver = node.func.value
-                    if (
-                        isinstance(receiver, ast.Attribute)
-                        and isinstance(receiver.value, ast.Name)
-                        and receiver.value.id == "self"
-                    ):
-                        counters.add(
-                            registrations.get(
-                                receiver.attr, receiver.attr
-                            )
-                        )
-        return events, counters
-
-    def _registration_map(
-        self, project: ProjectIndex, cls_qualname: str
-    ) -> Dict[str, str]:
-        """``self._c_x`` attr -> metric name, from the ``__init__`` MRO."""
-        registrations: Dict[str, str] = {}
-        for ancestor in project.mro(cls_qualname):
-            info = project.classes.get(ancestor)
-            if info is None or "__init__" not in info.methods:
-                continue
-            for node in ast.walk(info.methods["__init__"].node):
-                if not (
-                    isinstance(node, ast.Assign)
-                    and len(node.targets) == 1
-                    and isinstance(node.targets[0], ast.Attribute)
-                    and isinstance(node.targets[0].value, ast.Name)
-                    and node.targets[0].value.id == "self"
-                    and isinstance(node.value, ast.Call)
-                    and isinstance(node.value.func, ast.Attribute)
-                    and node.value.func.attr in self.REGISTRATIONS
-                    and node.value.args
-                    and isinstance(node.value.args[0], ast.Constant)
-                    and isinstance(node.value.args[0].value, str)
-                ):
-                    continue
-                attr = node.targets[0].attr
-                if attr not in registrations:
-                    registrations[attr] = node.value.args[0].value
-        return registrations
-
-    def _compare(
-        self,
-        source: SourceModule,
-        node: ast.AST,
-        packed_name: str,
-        object_name: str,
-        kind: str,
-        packed: Set[str],
-        objects: Set[str],
-    ) -> Iterator[Finding]:
-        missing = sorted(objects - packed)
-        extra = sorted(packed - objects)
-        if not missing and not extra:
-            return
-        clauses: List[str] = []
-        if missing:
-            clauses.append(
-                f"missing {', '.join(missing)} (emitted by "
-                f"{object_name})"
-            )
-        if extra:
-            clauses.append(
-                f"extra {', '.join(extra)} (absent from "
-                f"{object_name})"
-            )
-        yield self.finding(
-            source,
-            node,
-            f"{packed_name} tick path breaks {kind} parity with "
-            f"{object_name}: {'; '.join(clauses)}",
-        )
 
 
 @register

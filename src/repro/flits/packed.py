@@ -1,24 +1,23 @@
 """Packed flit representation: the allocation-free data plane.
 
-The object data plane moves one :class:`~repro.flits.flit.Flit` instance
-per link per cycle.  At saturation that allocation churn dominates the
-simulator's run time (see ``docs/performance.md``), so the packed data
-plane replaces flit *objects* in the hot path with flit *coordinates*:
+One :class:`~repro.flits.flit.Flit` instance per link per cycle is
+allocation churn that dominates a saturated run (see
+``docs/performance.md``), so the data plane moves flit *coordinates*,
+not flit objects:
 
 * a flit is ``(worm, index)``; a contiguous run of flits of one worm is
   a *span* ``(worm, start, count)`` whose members arrive on consecutive
-  cycles — the unit links and packed components move per wake;
+  cycles — the unit links, switches and NIs move per wake;
 * in-flight spans are stored as ints in a preallocated array-of-struct
   ring (:class:`SpanQueue`): three ints per record ``(arrival, start,
   count)`` plus a parallel worm-reference table, so pushing, merging and
   taking spans are integer slice operations with no per-flit objects.
 
-Packed-path modules (``repro.switches.packed_central``,
-``repro.switches.packed_input``, ``repro.host.packed_interface``) must
-not construct ``Flit`` objects — enforced by reprolint rule REP008.
-:func:`flit_repr` is the sanctioned escape hatch for trace strings: it
-lives outside the packed modules and is byte-identical to the object
-path's ``repr(flit)``.
+The production switches and NI never construct ``Flit`` objects (their
+modules do not import the class; only :mod:`repro.reference`, the
+per-flit plane the differential suites compare against, does).
+:func:`flit_repr` gives them trace strings byte-identical to the
+reference's ``repr(flit)``.
 """
 
 from __future__ import annotations

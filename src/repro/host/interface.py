@@ -1,20 +1,45 @@
 """Host network interface: flit-level injection and ejection.
 
-The NI injects queued worms one flit per cycle (subject to link credits)
-and sinks arriving flits at full rate, handing completed packets to the
-host node.  Its receive buffer is modelled as ample: ejected flits free
-their credit immediately, so the network is never back-pressured by a
-host that is merely receiving — matching the paper's assumption that
-reception bandwidth at the destination NI is not the bottleneck.
+The NI injects queued worms at one flit per cycle (subject to link
+credits) and sinks arriving flits at full rate, handing completed
+packets to the host node.  Its receive buffer is modelled as ample:
+ejected flits free their credit immediately, so the network is never
+back-pressured by a host that is merely receiving — matching the paper's
+assumption that reception bandwidth at the destination NI is not the
+bottleneck.
+
+Flits move as spans, never as objects: injection stages up to
+``min(credit window, remaining)`` flits of the head worm in one
+:meth:`~repro.switches.link.Link.send_span` call (wire-identical to the
+same flits sent one per cycle; the window of
+:meth:`~repro.switches.link.Link.sendable_span` counts queued credit
+returns from the cycle they mature), and ejection drains
+:meth:`~repro.switches.link.Link.receive_span` spans, returning the
+freed credits in one batch and waking itself for span members still in
+flight.  :class:`repro.reference.ReferenceHostInterface` is the
+one-``Flit``-per-tick engine the differential suites hold this one
+bit-identical to.
+
+Staging a whole span up front means the head worm leaves the injection
+queue *at the staging cycle* rather than at the tail's nominal send
+cycle.  Everything that observes injection state —
+:meth:`HostNode.idle`, :meth:`Network.quiescent`, the
+``ni.injection_backlog`` telemetry gauge — must still see the
+one-flit-per-cycle timeline, so :attr:`_tx_end` records the staged
+span's last nominal send slot and :meth:`idle` /
+:attr:`injection_backlog` count the worm as busy through that cycle.
+Events and ``run_until`` predicates run before ticks, so a per-flit pop
+(inside the tick at the tail-send cycle ``t_end``) becomes visible to
+them at ``t_end + 1`` — exactly when ``now > _tx_end`` first holds.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, Optional
 
 from repro.errors import ProtocolError
-from repro.flits.flit import Flit
+from repro.flits.packed import flit_repr
 from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.sim.component import Component
@@ -61,8 +86,8 @@ class HostInterface(Component):
         self.in_link: Optional[Link] = None
         self._inject: Deque[Worm] = deque()
         self._inject_cursor = 0
-        #: reused drain buffer — the per-cycle eject loop is allocation-free
-        self._rx_scratch: List[Flit] = []
+        #: last nominal send-slot cycle of the most recently staged span
+        self._tx_end = -1
         self._rx_worm: Optional[Worm] = None
         self._rx_count = 0
         self._on_delivery: Optional[DeliveryCallback] = None
@@ -113,49 +138,67 @@ class HostInterface(Component):
 
     @property
     def injection_backlog(self) -> int:
-        """Worms queued or partially injected."""
-        return len(self._inject)
+        """Worms queued or with send slots still nominally occupied."""
+        backlog = len(self._inject)
+        if self._sim is not None and self._sim.now <= self._tx_end and (
+            self._inject_cursor == 0
+        ):
+            backlog += 1
+        return backlog
 
     # ------------------------------------------------------------------
     # per-cycle behaviour
     # ------------------------------------------------------------------
     def tick(self, now: int) -> None:
-        self._eject(now)
-        sent = self._inject_one(now)
-        # active-set re-arm: keep ticking while flits are flowing out.  A
-        # credit-blocked NI sleeps instead — the out-link's credit hook
-        # wakes it exactly when the next credit matures.  Ejection is
-        # purely arrival-driven — the in-link's arrival hook wakes us per
-        # flit — so a half-reassembled worm alone needs no polling.
-        if self._inject and sent:
-            self.wake_at(now + 1)
+        self._eject_spans(now)
+        sent = self._inject_span(now)
+        # the staged span occupies send slots now .. now+sent-1, so the
+        # next send opportunity is now+sent — wake there unconditionally:
+        # a worm enqueued mid-span must start at exactly the cycle the
+        # one-flit-per-tick reference would reach it (when the queue
+        # stays empty the extra tick is a no-op and changes nothing)
+        if sent:
+            self.wake_at(now + sent)
         elif self._obs and self._inject:
-            # blocked with telemetry on: poll so blocked_cycles counts
-            # every stalled cycle, exactly as under the dense kernel (the
-            # extra ticks are behaviourally inert — sending still gates
-            # on can_send, which flips on the same cycle the credit hook
-            # would have woken us)
-            self._c_blocked.inc()
+            # blocked with telemetry on: poll every cycle so
+            # ni.blocked_cycles counts densely — but only cycles past the
+            # staged span's last nominal send slot are *blocked*; during
+            # the span the one-flit-per-cycle reference is still sending
+            if now > self._tx_end:
+                self._c_blocked.inc()
             self.wake_at(now + 1)
 
-    def _eject(self, now: int) -> None:
-        link = self.in_link
-        if link is None or not link.pending_arrival(now):
+    def _eject_spans(self, now: int) -> None:
+        # the ejection link sets _rx_pending on every send (see
+        # Link.wake_on_arrival): clear means nothing is in flight
+        if not self._rx_pending:
             return
-        scratch = self._rx_scratch
-        del scratch[:]
-        link.receive_into(now, scratch)
-        for flit in scratch:
-            link.return_credit(now)
-            self._absorb(flit, now)
+        link = self.in_link
+        assert link is not None
+        queue = link._in_flight
+        span = link.receive_span(now)
+        while span is not None:
+            worm, start, count = span
+            link.return_credit(now, count)
+            self._absorb_span(worm, start, count, now)
+            span = link.receive_span(now) if queue._flits else None
+        if not queue._flits:
+            self._rx_pending = 0
+        elif self._wake_marker != now + 1:
+            # a span fires the arrival hook once, at its first member:
+            # the later members are ours to wake for (already due next
+            # cycle, e.g. by a single send's own hook: ask again then)
+            head = queue.head()
+            assert head is not None
+            self.wake_at(head[0])
 
-    def _absorb(self, flit: Flit, now: int) -> None:
+    def _absorb_span(self, worm: Worm, start: int, count: int, now: int) -> None:
         if self._rx_worm is None:
-            if not flit.is_head:
+            if start != 0:
                 raise ProtocolError(
-                    f"{self.name}: body flit {flit!r} without head"
+                    f"{self.name}: body flit {flit_repr(worm, start)} "
+                    "without head"
                 )
-            worm = flit.worm
             if not worm.destinations.is_singleton() or (
                 self.host_id not in worm.destinations
             ):
@@ -165,18 +208,17 @@ class HostInterface(Component):
                 )
             self._rx_worm = worm
             self._rx_count = 0
-        if flit.worm is not self._rx_worm or flit.index != self._rx_count:
+        if worm is not self._rx_worm or start != self._rx_count:
             raise ProtocolError(
-                f"{self.name}: out-of-order flit {flit!r} "
+                f"{self.name}: out-of-order flit {flit_repr(worm, start)} "
                 f"(expected index {self._rx_count})"
             )
-        self._rx_count += 1
-        self.flits_ejected += 1
+        self._rx_count = start + count
+        self.flits_ejected += count
         if self._obs:
-            self._c_ejected.inc()
-        self.sim.note_progress()
-        if flit.is_tail:
-            worm = self._rx_worm
+            self._c_ejected.inc(count)
+        self.sim.progress += count  # note_progress(), once per member flit
+        if self._rx_count == worm.size_flits:
             self._rx_worm = None
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -186,14 +228,20 @@ class HostInterface(Component):
             if self._on_delivery is not None:
                 self._on_delivery(worm, now)
 
-    def _inject_one(self, now: int) -> bool:
-        """Push the next flit out; True when one was sent."""
-        if self.out_link is None or not self._inject:
-            return False
+    def _inject_span(self, now: int) -> int:
+        """Stage the next span out; returns the flits staged (0: blocked)."""
+        link = self.out_link
+        if link is None or not self._inject:
+            return 0
+        window = link.sendable_span(now)
+        if window <= 0:
+            return 0
         worm = self._inject[0]
-        if not self.out_link.can_send(now):
-            return False
-        if self._inject_cursor == 0 and worm.packet.injected_cycle is None:
+        cursor = self._inject_cursor
+        count = worm.size_flits - cursor
+        if count > window:
+            count = window
+        if cursor == 0 and worm.packet.injected_cycle is None:
             worm.packet.injected_cycle = now
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -202,20 +250,27 @@ class HostInterface(Component):
                     flits=worm.size_flits,
                     created=worm.packet.message.created_cycle,
                 )
-        self.out_link.send(now, Flit(worm, self._inject_cursor))
-        self._inject_cursor += 1
-        self.flits_injected += 1
+        link.send_span(now, worm, cursor, count)
+        cursor += count
+        self.flits_injected += count
         if self._obs:
-            self._c_injected.inc()
-        self.sim.note_progress()
-        if self._inject_cursor == worm.size_flits:
+            self._c_injected.inc(count)
+        self.sim.progress += count  # note_progress(), once per member flit
+        self._tx_end = now + count - 1
+        if cursor == worm.size_flits:
             self._inject.popleft()
             self._inject_cursor = 0
-        return True
+        else:
+            self._inject_cursor = cursor
+        return count
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def idle(self) -> bool:
-        """True when nothing is being injected or reassembled."""
-        return not self._inject and self._rx_worm is None
+        """True when nothing is being injected, staged, or reassembled."""
+        return (
+            not self._inject
+            and self._rx_worm is None
+            and (self._sim is None or self._sim.now > self._tx_end)
+        )

@@ -1,8 +1,8 @@
-"""Post-run network probes: buffer occupancy and link utilisation.
+"""Post-run network probe: central-buffer occupancy per BMIN level.
 
 The switches already keep continuous, time-weighted occupancy accounts
-(the central-buffer pool) and per-link flit counters, so these probes
-aggregate after a run rather than sampling during it.
+(the central-buffer pool), so the probe aggregates after a run rather
+than sampling during it.
 """
 
 from __future__ import annotations
@@ -14,25 +14,6 @@ from repro.topology.bmin import BidirectionalMin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.builder import Network
-
-
-def central_buffer_occupancy(network: "Network") -> Dict[str, float]:
-    """Mean and peak central-buffer occupancy, averaged over switches.
-
-    Values are in chunks; only meaningful for central-buffer networks.
-    """
-    now = network.sim.now
-    switches = [
-        s for s in network.switches if isinstance(s, CentralBufferSwitch)
-    ]
-    if not switches:
-        return {"mean_chunks": 0.0, "peak_chunks": 0.0}
-    means = [s.pool.occupancy.average(now) for s in switches]
-    peaks = [s.pool.occupancy.peak for s in switches]
-    return {
-        "mean_chunks": sum(means) / len(means),
-        "peak_chunks": max(peaks),
-    }
 
 
 def central_buffer_occupancy_by_level(
@@ -56,20 +37,3 @@ def central_buffer_occupancy_by_level(
         counts[level] = counts.get(level, 0) + 1
     return {level: sums[level] / counts[level] for level in sorted(sums)}
 
-
-def link_utilisation(network: "Network", elapsed_cycles: int) -> Dict[str, float]:
-    """Mean and peak utilisation over all switch-side links.
-
-    Utilisation is flits sent divided by elapsed cycles (1.0 = a link
-    busy every cycle).  Counts include warm-up traffic; use long runs or
-    treat these as relative indicators.
-    """
-    if elapsed_cycles <= 0 or not network.links:
-        return {"mean": 0.0, "peak": 0.0}
-    rates = [
-        link.flits_sent / elapsed_cycles for link in network.links
-    ]
-    return {
-        "mean": sum(rates) / len(rates),
-        "peak": max(rates),
-    }

@@ -12,7 +12,6 @@ from repro.flits.destset import DestinationSet
 from repro.flits.encoding import HeaderEncoding
 from repro.host.interface import HostInterface
 from repro.host.node import HostNode, allocate_nodes
-from repro.host.packed_interface import PackedHostInterface
 from repro.metrics.collectors import MetricsCollector
 from repro.network.config import SimulationConfig, TopologyKind
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
@@ -25,8 +24,6 @@ from repro.switches.base import SwitchBase
 from repro.switches.central_buffer import CentralBufferSwitch
 from repro.switches.input_buffer import InputBufferSwitch
 from repro.switches.link import Link
-from repro.switches.packed_central import PackedCentralBufferSwitch
-from repro.switches.packed_input import PackedInputBufferSwitch
 from repro.topology.bmin import BidirectionalMin
 from repro.topology.graph import NodeKind, Topology
 from repro.topology.irregular import IrregularNetwork
@@ -120,11 +117,11 @@ def _cached_topology(
     raise ConfigurationError(f"unknown topology kind {kind!r}")
 
 
-def _switch_class(architecture: SwitchArchitecture, packed: bool):
+def _switch_class(architecture: SwitchArchitecture):
     if architecture is SwitchArchitecture.CENTRAL_BUFFER:
-        return PackedCentralBufferSwitch if packed else CentralBufferSwitch
+        return CentralBufferSwitch
     if architecture is SwitchArchitecture.INPUT_BUFFER:
-        return PackedInputBufferSwitch if packed else InputBufferSwitch
+        return InputBufferSwitch
     raise ConfigurationError(f"unknown architecture {architecture!r}")
 
 
@@ -147,8 +144,18 @@ def build_network(
     encoding = config.build_encoding()
     collector = MetricsCollector(config.num_hosts)
     settings = config.switch_settings()
-    switch_class = _switch_class(config.switch_architecture, config.packed)
-    interface_class = PackedHostInterface if config.packed else HostInterface
+    switch_class = _switch_class(config.switch_architecture)
+    interface_class = HostInterface
+    if config.packed is False:
+        # the per-flit reference of the differential suites; imported
+        # here and nowhere else, so no production run ever loads it
+        from repro import reference
+
+        switch_class = {
+            CentralBufferSwitch: reference.ReferenceCentralBufferSwitch,
+            InputBufferSwitch: reference.ReferenceInputBufferSwitch,
+        }[switch_class]
+        interface_class = reference.ReferenceHostInterface
 
     switches: List[SwitchBase] = []
     for switch_id, ports in enumerate(topology.switch_ports):

@@ -101,9 +101,9 @@ class SimulationConfig:
     #: knob exists for differential testing and benchmarking, so it is
     #: deliberately excluded from :func:`describe` fingerprints
     dense_kernel: bool = False
-    #: run the packed data plane (int spans, no per-flit objects; see
-    #: :mod:`repro.flits.packed`) instead of the object reference path.
-    #: Results are bit-identical either way — the object path exists for
+    #: ``False`` builds the per-flit ``Flit``-object reference switches
+    #: and NIs (:mod:`repro.reference`) instead of the production ones.
+    #: Results are bit-identical either way — the reference exists for
     #: differential testing (``tests/sim/test_packed_differential.py``),
     #: so this too is excluded from :func:`describe` fingerprints
     packed: bool = True

@@ -116,13 +116,13 @@ class SpanProfiler:
     ``attach`` replaces the link's span entry points with thin wrappers
     holding the originals in closures.  Because ``Link`` resolves these
     calls through instance attributes (``Link.send`` dispatches via
-    ``self.send_packed``; the packed switches cache
+    ``self.send_packed``; the switches cache
     ``link.receive_span`` bindings lazily at first tick), the wrappers
     intercept every data-plane movement — and a link that was never
     attached keeps its original bound methods, costing nothing.
 
-    Attach before the first simulation tick: the packed central-buffer
-    switch freezes its per-port receive bindings on first use.
+    Attach before the first simulation tick: a switch freezes its
+    per-port receive bindings on first use.
     """
 
     def __init__(self) -> None:

@@ -103,7 +103,7 @@ class Instruments:
     def attach(self, network: Network) -> None:
         """Hook the kernel and span profilers into ``network``."""
         network.sim.attach_profiler(self.kernel)
-        # before the first tick: packed switches freeze their per-port
+        # before the first tick: switches freeze their per-port
         # receive bindings on first use
         self.spans.attach_all(network.links)
 

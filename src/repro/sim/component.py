@@ -49,8 +49,8 @@ class Component:
         self._due_marker = -1
         # input ports whose in-link holds in-flight flits, one bit per
         # port: set by Link on every send (see Link.wake_on_arrival),
-        # cleared by receivers that drain by mask — the packed data
-        # plane; the object plane polls every in-link and ignores it
+        # cleared by receivers that drain by mask — the switches and
+        # NIs; the per-flit reference polls its in-links and ignores it
         self._rx_pending = 0
 
     @property

@@ -8,8 +8,9 @@ pipeline behaviour.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class Tracer:
     def __init__(self, enabled: bool = False, limit: int = 1_000_000) -> None:
         self.enabled = enabled
         self.limit = limit
-        self._records: List[TraceRecord] = []
+        self._records: Deque[TraceRecord] = deque(maxlen=limit)
         #: records evicted so far to honour ``limit`` (see class docs)
         self.dropped_count = 0
 
@@ -59,18 +60,17 @@ class Tracer:
         """Record one event if tracing is enabled."""
         if not self.enabled:
             return
-        self._records.append(
+        records = self._records
+        if len(records) == records.maxlen:
+            self.dropped_count += 1  # the append below evicts the oldest
+        records.append(
             TraceRecord(cycle, source, event, tuple(sorted(details.items())))
         )
-        if len(self._records) > self.limit:
-            excess = len(self._records) - self.limit
-            del self._records[:excess]
-            self.dropped_count += excess
 
     @property
     def records(self) -> List[TraceRecord]:
-        """All retained records, oldest first."""
-        return self._records
+        """All retained records, oldest first (a fresh list per call)."""
+        return list(self._records)
 
     def clear(self) -> None:
         """Drop all retained records and reset :attr:`dropped_count`."""

@@ -91,20 +91,3 @@ class RoundRobinArbiter:
             self._next = (winners[-1] + 1) % self.num_requesters
         return winners
 
-
-def rotate_from(items: Iterable[int], start: int) -> List[int]:
-    """Return ``items`` rotated so scanning starts at value ``start``.
-
-    Helper for per-cycle fair iteration orders over port indices.
-    """
-    ordered = sorted(items)
-    if not ordered:
-        return []
-    pivot = 0
-    for position, value in enumerate(ordered):
-        if value >= start:
-            pivot = position
-            break
-    else:
-        pivot = 0
-    return ordered[pivot:] + ordered[:pivot]

@@ -13,12 +13,11 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Deque, List, Optional, Type
+from dataclasses import dataclass
+from typing import Any, Callable, Deque, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError, ProtocolError
-from repro.flits.flit import Flit
-from repro.flits.packed import flit_repr
+from repro.flits.packed import SpanQueue, flit_repr
 from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.base import (
@@ -89,8 +88,6 @@ class SwitchSettings:
     up_port_policy: UpPortPolicy = UpPortPolicy.RANDOM
     #: enable expensive internal invariant checks (tests)
     self_check: bool = False
-    #: extra fields reserved for experiment-specific knobs
-    extras: dict = field(default_factory=dict)
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on out-of-range parameters."""
@@ -110,6 +107,10 @@ class SwitchSettings:
             raise ConfigurationError("routing_delay must be >= 0")
         if self.max_packet_flits < 2:
             raise ConfigurationError("max_packet_flits must be >= 2")
+
+
+#: per-input receive bindings: (receive_span, span queue)
+_RxPort = Tuple[Callable[..., object], SpanQueue]
 
 
 class Ingress:
@@ -156,7 +157,7 @@ class SwitchBase(Component):
         # port-activity masks (see repro.switches.ports), kept at the
         # point of state change: bit p mirrors `_inflow[p]` non-empty /
         # a branch queued for output p / output p owned by a branch.
-        # They gate the phases and the re-arm; packed phases iterate them
+        # They gate the phases and the re-arm, and the phases iterate them
         self._ingress_occupied = 0
         self._egress_wanted = 0
         self._egress_busy = 0
@@ -168,8 +169,12 @@ class SwitchBase(Component):
         # routing decision, grant, write, send); a blocked tick that
         # leaves it False may sleep instead of re-arming — see tick()
         self._stirred = False
-        #: reused drain buffer — the per-cycle receive loop is allocation-free
-        self._rx_scratch: List[Flit] = []
+        #: per-input ``(receive_span, span queue)`` bindings, captured on
+        #: the first receive (wiring happens after construction) and
+        #: dropped by `connect_in`, so an entry point rebound on the link
+        #: instance before the first tick — ``SpanProfiler``, the
+        #: ledger's ``SimProbe`` — is the one called
+        self._rx: Optional[List[Optional[_RxPort]]] = None
         # observability: shared process-wide counters (no-ops unless an
         # enabled registry was passed in; `_obs` keeps the hot path to a
         # single boolean test)
@@ -190,14 +195,15 @@ class SwitchBase(Component):
         Also registers this switch as the link's arrival waker: a send
         on the link schedules a tick at the delivery cycle, so an idle
         switch needs no polling to notice new worms — and marks ``port``
-        in ``_rx_pending``, so a woken packed switch drains only the
-        in-links that hold flits.
+        in ``_rx_pending``, so a woken switch drains only the in-links
+        that hold flits.
         """
         if self.in_links[port] is not None:
             raise ProtocolError(f"{self.name}: input port {port} already wired")
         self.in_links[port] = link
         link.set_credits(self.input_credit_depth(port))
         link.wake_on_arrival(self, port)
+        self._rx = None
 
     def connect_out(self, port: int, link: Link) -> None:
         """Wire an outgoing link and register this switch as its credit
@@ -266,55 +272,39 @@ class SwitchBase(Component):
 
     def _inside_runs(self, now: int) -> bool:
         """True when every worm in the switch is inside a committed run
-        that extends past ``now`` (only a plane that commits runs can be)."""
+        that extends past ``now`` (only an architecture that commits runs
+        can be)."""
         return False
 
     # -- worm arrival: absorb link arrivals into the input FIFOs ---------
     def _receive(self, now: int) -> None:
-        scratch = self._rx_scratch
-        for port, link in enumerate(self.in_links):
-            if link is None or not link.pending_arrival(now):
-                continue
-            del scratch[:]
-            link.receive_into(now, scratch)
-            for flit in scratch:
-                self._accept_flit(port, flit, now)
-
-    def _accept_flit(self, port: int, flit: Flit, now: int) -> None:
-        """Object plane: one flit joins the worm arriving at ``port``."""
-        inflow = self._inflow[port]
-        ingress = inflow[-1] if inflow else None
-        if ingress is None or ingress.received == ingress.worm.size_flits:
-            if not flit.is_head:
-                raise ProtocolError(
-                    f"{self.name}.in{port}: body flit {flit!r} without head"
-                )
-            ingress = self.ingress_type(flit.worm)
-            inflow.append(ingress)
-            self._ingress_occupied |= 1 << port
-        if flit.worm is not ingress.worm or flit.index != ingress.received:
-            raise ProtocolError(
-                f"{self.name}.in{port}: out-of-order flit {flit!r} "
-                f"(expected index {ingress.received} of {ingress.worm!r})"
-            )
-        ingress.received += 1
-        self._stirred = True
-        if ingress.received == ingress.worm.header_flits:
-            ingress.header_done_cycle = now
-            if inflow[0] is ingress:
-                self._route_pending |= 1 << port
-            self._header_complete(ingress)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                now, self.name, "flit_in", port=port, flit=repr(flit)
-            )
+        """Drain the in-links as spans, visiting only rx-pending ports."""
+        if not self._rx_pending:
+            return
+        rx = self._rx
+        if rx is None:
+            rx = self._rx = [
+                None if link is None else (link.receive_span, link._in_flight)
+                for link in self.in_links
+            ]
+        for port in PORTS_OF[self._rx_pending]:
+            take, queue = rx[port]  # type: ignore[misc]
+            span = take(now)
+            while span is not None:
+                self._accept_span(port, span[0], span[1], span[2], now)
+                span = take(now) if queue._flits else None
+            # flits still in flight keep the bit: the switch comes back
+            # for them through its own re-arm (it was just stirred), the
+            # wake of the committed run they belong to, or the arrival
+            # wake of the send that follows
+            if not queue._flits:
+                self._rx_pending &= ~(1 << port)
 
     def _accept_span(
         self, port: int, worm: Worm, start: int, count: int, now: int
     ) -> None:
-        """Packed plane (:class:`~repro.switches.ports.MaskedReceive`):
-        ``count`` flits of ``worm`` from ``start`` join the worm arriving
-        at ``port``, as ``count`` calls of :meth:`_accept_flit` would."""
+        """``count`` flits of ``worm`` from ``start`` join the worm
+        arriving at ``port``, as if accepted one per call."""
         inflow = self._inflow[port]
         ingress = inflow[-1] if inflow else None
         if ingress is None or ingress.received == ingress.worm.size_flits:
@@ -334,9 +324,9 @@ class SwitchBase(Component):
             )
         ingress.received = start + count
         self._stirred = True
-        # the object path stamps header completion at the cycle of the
-        # tick that drains the completing flit — for a span that crosses
-        # the header boundary that is exactly this tick's cycle
+        # header completion is stamped at the cycle of the tick that
+        # drains the completing flit — for a span that crosses the header
+        # boundary that is exactly this tick's cycle
         if start < worm.header_flits <= start + count:
             ingress.header_done_cycle = now
             if inflow[0] is ingress:

@@ -18,10 +18,37 @@ multidestination worms:
   ``cb_read_bandwidth`` flit-reads per cycle, arbitrated round-robin
   (the flit-wide-RAM alternative of ref [33]).
 
-Flits are never physically copied into Python lists: a worm's flits
-arrive in order, so an input port tracks ``received``/``consumed``
-cursors and materialises :class:`~repro.flits.flit.Flit` objects on
-transmission.
+Flits are never physically copied, nor made into objects: a worm's
+flits arrive in order as spans, so an input port tracks
+``received``/``consumed`` cursors and flits leave as coordinates
+(:meth:`~repro.switches.link.Link.send_granted`) or as a whole run of
+them (below).  No phase scans the whole port range: each iterates the
+set bits of the port-activity mask that names its work (see
+:mod:`repro.switches.ports`), in ascending port order, so a tick costs
+in proportion to the ports that have something to do, and buffer
+bandwidth is arbitrated with the single-rotation
+:meth:`~repro.switches.arbiter.RoundRobinArbiter.grant_batch`.
+
+**Span cut-through.**  Central-buffer reads and writes are arbitrated
+per cycle, so they stay one flit per call.  The bypass path is not: once
+a unicast worm owns an idle output nothing but arrivals and credits can
+delay it.  When at least two of its non-tail flits have send cycles that
+are already determined, :meth:`CentralBufferSwitch._advance_bypass`
+commits them in one :meth:`~repro.switches.link.Link.send_span`, hands
+their FIFO slots back as one future-dated
+:meth:`~repro.switches.link.Link.return_credit_ramp` and wakes itself
+when the run ends; a switch whose every worm is inside such a run does
+not re-arm in between (``_inside_runs``).  Runs are committed only while
+tracer and metrics registry are both disabled: per-flit observers need
+the one-flit timeline.  ``fifo_occupancy`` and the link's credit
+introspection keep reporting that timeline while a run is ahead of it.
+
+Every flit leaves on the cycle a one-flit-per-cycle switch would send
+it; :class:`repro.reference.ReferenceCentralBufferSwitch` is that
+switch, sharing every decision in this module and moving ``Flit``
+objects over full port scans, and the differential suites hold the two
+bit-identical (``tests/sim/test_packed_differential.py``,
+``tests/switches/test_span_commit.py``).
 
 Worm arrival, the routing-delay wait and ``tick`` with its sleep rule
 are :class:`~repro.switches.base.SwitchBase`'s; this module is what the
@@ -35,7 +62,6 @@ from collections import deque
 from typing import Deque, List, Optional
 
 from repro.errors import ProtocolError
-from repro.flits.flit import Flit
 from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.table import SwitchRoutingTable
@@ -47,6 +73,8 @@ from repro.switches.chunks import (
     CentralBufferPool,
     StoredPacket,
 )
+from repro.switches.link import Link
+from repro.switches.ports import PORTS_OF
 
 
 class _IngressState(enum.Enum):
@@ -57,6 +85,10 @@ class _IngressState(enum.Enum):
     ADMIT_WAIT = "admit_wait"      # multidestination reservation queued
     STREAM_CB = "stream_cb"        # flits flowing into the central buffer
     STREAM_BYPASS = "stream_bypass"  # flits pulled directly by the output
+
+
+_ROUTE_WAIT = _IngressState.ROUTE_WAIT
+_ADMIT_WAIT = _IngressState.ADMIT_WAIT
 
 
 class _Ingress(Ingress):
@@ -72,11 +104,6 @@ class _Ingress(Ingress):
         self.bypass_worm: Optional[Worm] = None
         self.bypass_port: Optional[int] = None
 
-    @property
-    def complete(self) -> bool:
-        """True once every flit has left the input FIFO."""
-        return self.consumed == self.worm.size_flits
-
 
 class _BypassFeed:
     """An output port streaming a unicast worm straight from an input FIFO."""
@@ -86,6 +113,49 @@ class _BypassFeed:
     def __init__(self, input_port: int, ingress: _Ingress) -> None:
         self.input_port = input_port
         self.ingress = ingress
+
+
+def _bypass_run(
+    ingress: _Ingress, in_link: Optional[Link], link: Link, now: int
+) -> int:
+    """Flits of a bypass worm to commit at ``now`` in one span: at least
+    2, or 0 for the single-flit path.
+
+    A flit belongs to the run when its send cycle is already determined:
+    it sits in the input FIFO, or it is a member of the in-link's head
+    span record that lands no later than its turn (the record continues
+    this worm where the FIFO ends, and member ``m`` arrives at
+    ``arrival + m`` for a turn at ``now + waiting + m``); and the
+    out-link's credit window covers it.  The output is this worm's until
+    its tail, and bypass feeds do not contend for buffer bandwidth, so
+    nothing else can delay those sends — the run is exactly what the
+    per-flit path would do over the next cycles.  The tail is never a
+    member: it leaves through the single-flit path, which releases the
+    output, pops the FIFO and exposes the next worm at the cycle they
+    are due.
+    """
+    consumed = ingress.consumed
+    received = ingress.received
+    waiting = received - consumed
+    run = waiting
+    if in_link is not None:
+        head = in_link._in_flight.head()
+        if (
+            head is not None
+            and head[1] is ingress.worm
+            and head[2] == received
+            and head[0] - now <= waiting
+        ):
+            run += head[3]
+    body = ingress.worm.size_flits - 1 - consumed
+    if run > body:
+        run = body
+    if run < 2:
+        return 0
+    window = link.sendable_span(now)
+    if run > window:
+        run = window
+    return run if run >= 2 else 0
 
 
 class CentralBufferSwitch(SwitchBase):
@@ -129,6 +199,17 @@ class CentralBufferSwitch(SwitchBase):
         # with neither bit is still arriving or pulled by a bypass feed
         self._cb_feed = 0
         self._c_replicated = metrics.counter("switch.chunks_replicated")
+        # hot-path constants and caches
+        self._w_bw = settings.cb_write_bandwidth
+        self._r_bw = settings.cb_read_bandwidth
+        self._chunk_flits = settings.chunk_flits
+        #: stored packet feeding each active (non-bypass) output, cached
+        #: at branch activation so the per-cycle scan never consults the
+        #: ``_stored_of_cursor`` registry
+        self._cur_stored: List[Optional[StoredPacket]] = [None] * num_ports
+        #: commit runs of bypass flits in one call (see _advance_bypass);
+        #: per-flit observers need the one-flit timeline, so off with them
+        self._commit = not (tracer.enabled or metrics.enabled)
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -154,14 +235,12 @@ class CentralBufferSwitch(SwitchBase):
 
     # -- phase 2: route the FIFO-front worm and admit it -----------------
     def _route_and_admit(self, now: int) -> None:
-        for port in range(self.num_ports):
-            inflow = self._inflow[port]
-            if not inflow:
-                continue
-            ingress = inflow[0]
-            if ingress.state is _IngressState.ROUTE_WAIT:
+        inflows = self._inflow
+        for port in PORTS_OF[self._route_pending]:
+            ingress = inflows[port][0]
+            if ingress.state is _ROUTE_WAIT:
                 self._try_route(port, ingress, now)
-            if ingress.state is _IngressState.ADMIT_WAIT:
+            if ingress.state is _ADMIT_WAIT:
                 self._try_admit(port, ingress, now)
 
     def _try_route(self, port: int, ingress: _Ingress, now: int) -> None:
@@ -256,22 +335,20 @@ class CentralBufferSwitch(SwitchBase):
 
     # -- phase 3: move flits from input FIFOs into the central buffer ----
     def _write_central_buffer(self, now: int) -> None:
+        inflows = self._inflow
         candidates = []
-        for port in range(self.num_ports):
-            inflow = self._inflow[port]
-            if not inflow:
-                continue
-            ingress = inflow[0]
-            if (
-                ingress.state is _IngressState.STREAM_CB
-                and ingress.consumed < ingress.received
-            ):
+        for port in PORTS_OF[self._cb_feed]:
+            ingress = inflows[port][0]
+            if ingress.consumed < ingress.received:
                 candidates.append(port)
-        winners = self._write_arbiter.grant_up_to(
-            candidates, self.settings.cb_write_bandwidth
-        )
+        if not candidates:
+            return
+        w_bw = self._w_bw
+        winners = self._write_arbiter.grant_batch(candidates, w_bw)
+        in_links = self.in_links
+        progress = 0
         for port in winners:
-            ingress = self._inflow[port][0]
+            ingress = inflows[port][0]
             stored = ingress.stored
             assert stored is not None
             if not stored.ensure_write_space(now):
@@ -280,21 +357,22 @@ class CentralBufferSwitch(SwitchBase):
                 # when more inputs competed than the write bandwidth
                 # admits, next cycle's rotated grant may reach an input
                 # whose own quota still has room — keep polling
-                if len(candidates) > self.settings.cb_write_bandwidth:
+                if len(candidates) > w_bw:
                     self._stirred = True
                 continue  # central buffer full: stall this input
             stored.write_flit()
+            # the FIFO slot is consumed inline: no call per flit
+            consumed = ingress.consumed + 1
+            ingress.consumed = consumed
+            link = in_links[port]
+            if link is not None:
+                link.return_credit(now)
+            if consumed == ingress.worm.size_flits:
+                self._pop_front(port)
+            progress += 1
+        if progress:
             self._stirred = True
-            self._consume_fifo_slot(port, ingress, now)
-            self.sim.note_progress()
-
-    def _consume_fifo_slot(self, port: int, ingress: _Ingress, now: int) -> None:
-        ingress.consumed += 1
-        link = self.in_links[port]
-        if link is not None:
-            link.return_credit(now)
-        if ingress.complete:
-            self._pop_front(port)
+            self.sim.progress += progress
 
     def _pop_front(self, port: int) -> None:
         self._cb_feed &= ~(1 << port)
@@ -302,78 +380,169 @@ class CentralBufferSwitch(SwitchBase):
 
     # -- phase 4: drive the output ports ---------------------------------
     def _drive_outputs(self, now: int) -> None:
+        out_current = self._out_current
+        out_links = self.out_links
+        cur_stored = self._cur_stored
         # activate queued branches on idle outputs
-        for port in range(self.num_ports):
-            if self._out_current[port] is None and self._out_queue[port]:
-                self._out_current[port] = self._out_queue[port].popleft()
-                if not self._out_queue[port]:
+        ready = self._egress_wanted & ~self._egress_busy
+        if ready:
+            out_queue = self._out_queue
+            for port in PORTS_OF[ready]:
+                queue = out_queue[port]
+                cursor = queue.popleft()
+                out_current[port] = cursor
+                cur_stored[port] = self._stored_of_cursor[id(cursor)]
+                if not queue:
                     self._egress_wanted &= ~(1 << port)
-                self._egress_busy |= 1 << port
-                self._stirred = True
+            self._egress_busy |= ready
+            self._stirred = True
         # bypass feeds move independently of central-buffer bandwidth
         read_candidates = []
-        for port in range(self.num_ports):
-            current = self._out_current[port]
-            if current is None:
-                continue
-            if isinstance(current, _BypassFeed):
+        for port in PORTS_OF[self._egress_busy]:
+            current = out_current[port]
+            if type(current) is _BypassFeed:
                 self._advance_bypass(port, current, now)
             else:
-                cursor = current
-                stored = self._stored_of_cursor[id(cursor)]
-                link = self.out_links[port]
+                stored = cur_stored[port]
+                link = out_links[port]
+                assert stored is not None
+                # inlined Link.can_send (kept in sync with it): credits
+                # only ever grow by draining matured returns, so a
+                # positive counter needs no drain to prove sendability
                 if (
                     link is not None
-                    and stored.readable(cursor)
-                    and link.can_send(now)
+                    and current.read < stored.flits_written  # type: ignore[attr-defined]
+                    and link._last_send_cycle < now
+                    and (
+                        link._credits > 0  # type: ignore[operator]
+                        or link.can_send(now)
+                    )
                 ):
                     read_candidates.append(port)
-        winners = self._read_arbiter.grant_up_to(
-            read_candidates, self.settings.cb_read_bandwidth
-        )
+        if not read_candidates:
+            return
+        winners = self._read_arbiter.grant_batch(read_candidates, self._r_bw)
+        chunk = self._chunk_flits
+        progress = 0
         for port in winners:
-            cursor = self._out_current[port]
-            stored = self._stored_of_cursor[id(cursor)]
-            link = self.out_links[port]
-            assert link is not None
-            flit = Flit(cursor.worm, cursor.read)
-            link.send(now, flit)
-            self._stirred = True
-            stored.branch_read(cursor, now)
-            if self._obs:
-                self._c_forwarded.inc()
-            self.sim.note_progress()
-            if cursor.read == stored.total_flits:
+            cursor = out_current[port]
+            stored = cur_stored[port]
+            link = out_links[port]
+            assert stored is not None and link is not None
+            read = cursor.read  # type: ignore[union-attr]
+            link.send_granted(now, cursor.worm, read)  # type: ignore[union-attr]
+            read += 1
+            cursor.read = read  # type: ignore[union-attr]
+            # inlined chunk release: the slowest branch's chunk index
+            # can only move when this cursor crosses a chunk boundary or
+            # finishes, so skip the call on every other flit
+            if read == stored.total_flits or not read % chunk:
+                stored._release_consumed(now)
+            progress += 1
+            if read == stored.total_flits:
                 del self._stored_of_cursor[id(cursor)]
-                self._out_current[port] = None
+                out_current[port] = None
+                cur_stored[port] = None
                 self._egress_busy &= ~(1 << port)
+        if progress:
+            self._stirred = True
+            self.sim.progress += progress
+            if self._obs:
+                self._c_forwarded.inc(progress)
 
     def _advance_bypass(self, port: int, feed: _BypassFeed, now: int) -> None:
         ingress = feed.ingress
         link = self.out_links[port]
         if link is None:
             raise ProtocolError(f"{self.name}: bypass to unwired port {port}")
-        if ingress.consumed >= ingress.received or not link.can_send(now):
+        consumed = ingress.consumed
+        # a committed run holds the link's slot (and keeps `consumed`
+        # ahead of `received`) until its last member's cycle has passed
+        if consumed >= ingress.received or link._last_send_cycle >= now:
             return
-        assert ingress.bypass_worm is not None
-        flit = Flit(ingress.bypass_worm, ingress.consumed)
-        link.send(now, flit)
+        # inlined Link.can_send, as in the read-candidate scan
+        if link._credits <= 0 and not link.can_send(  # type: ignore[operator]
+            now
+        ):
+            return
+        worm = ingress.bypass_worm
+        assert worm is not None
+        in_link = self.in_links[feed.input_port]
         self._stirred = True
-        self._consume_fifo_slot(feed.input_port, ingress, now)
+        if self._commit:
+            run = _bypass_run(ingress, in_link, link, now)
+            if run:
+                link.send_span(now, worm, consumed, run)
+                ingress.consumed = consumed + run
+                if in_link is not None:
+                    in_link.return_credit_ramp(now, run)
+                self.sim.progress += run
+                self.wake_at(now + run)
+                return
+        link.send_granted(now, worm, consumed)
+        # FIFO-slot consume, inline as in _write_central_buffer
+        consumed += 1
+        ingress.consumed = consumed
+        if in_link is not None:
+            in_link.return_credit(now)
         if self._obs:
             self._c_forwarded.inc()
-        self.sim.note_progress()
-        if ingress.complete:
+        self.sim.progress += 1
+        if consumed == ingress.worm.size_flits:
+            self._pop_front(feed.input_port)
             self._out_current[port] = None
             self._egress_busy &= ~(1 << port)
+
+    def _inside_runs(self, now: int) -> bool:
+        # sleep rule: no queued or stored egress, every busy output a
+        # bypass feed whose link slot is reserved past `now`, and the fed
+        # worm alone in its FIFO — and no occupied FIFO left unfed.  Each
+        # run's own wake resumes it; anything new arrives through a link
+        # hook, and a second worm behind a fed one ends the sleep (its
+        # header completion must be stamped at its own cycle).
+        if (
+            not self._commit
+            or self._egress_wanted
+            or self._route_pending
+            or self._cb_feed
+        ):
+            return False
+        out_current = self._out_current
+        out_links = self.out_links
+        inflows = self._inflow
+        fed = 0
+        for port in PORTS_OF[self._egress_busy]:
+            feed = out_current[port]
+            if (
+                type(feed) is not _BypassFeed
+                or out_links[port]._last_send_cycle <= now  # type: ignore[union-attr]
+                or len(inflows[feed.input_port]) != 1
+            ):
+                return False
+            fed |= 1 << feed.input_port
+        return fed == self._ingress_occupied
 
     # ------------------------------------------------------------------
     # introspection for tests and metrics
     # ------------------------------------------------------------------
     def fifo_occupancy(self, port: int) -> int:
         """Flits held in an input FIFO once the current cycle's ticks
-        are done."""
-        return sum(i.received - i.consumed for i in self._inflow[port])
+        are done, on the one-flit-per-cycle timeline."""
+        # during a committed run `consumed` is ahead of the flits that
+        # have left by now, and flits that landed while the switch slept
+        # wait untaken in the link: count both where the per-flit
+        # timeline has them — in the FIFO
+        inflow = self._inflow[port]
+        occupancy = sum(i.received - i.consumed for i in inflow)
+        now = self.sim.now
+        in_link = self.in_links[port]
+        if in_link is not None:
+            occupancy += in_link._in_flight.arrived(now)
+        if inflow and inflow[0].bypass_port is not None:
+            link = self.out_links[inflow[0].bypass_port]
+            assert link is not None
+            occupancy += max(0, link._last_send_cycle - now)
+        return occupancy
 
     def idle(self) -> bool:
         """True when no worm is anywhere inside the switch."""

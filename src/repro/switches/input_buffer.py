@@ -16,6 +16,14 @@ faithfully:
 * strict FIFO service means a blocked head worm blocks every packet
   behind it (head-of-line blocking), even ones whose outputs are idle.
 
+Flits arrive as spans and leave as coordinates
+(:meth:`~repro.switches.link.Link.send_granted`), one per output per
+cycle, and every phase iterates the set bits of a port-activity mask
+instead of the port range (see :mod:`repro.switches.ports`).
+:class:`repro.reference.ReferenceInputBufferSwitch` is the per-flit
+``Flit``-object switch the differential suites hold this one
+bit-identical to (``tests/sim/test_packed_differential.py``).
+
 Worm arrival, the routing-delay wait and ``tick`` with its sleep rule
 are :class:`~repro.switches.base.SwitchBase`'s; this module is what the
 paper says is different about an input-buffer switch.
@@ -27,7 +35,6 @@ from collections import deque
 from typing import Deque, Dict, List, Optional
 
 from repro.errors import ProtocolError
-from repro.flits.flit import Flit
 from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
 from repro.routing.table import SwitchRoutingTable
@@ -39,6 +46,7 @@ from repro.switches.base import (
     SwitchBase,
     SwitchSettings,
 )
+from repro.switches.ports import PORTS_OF
 
 
 class _Branch:
@@ -135,10 +143,9 @@ class InputBufferSwitch(SwitchBase):
 
     # -- phase 2: decode the worm at each buffer head ----------------------
     def _route_heads(self, now: int) -> None:
-        for port in range(self.num_ports):
-            inflow = self._inflow[port]
-            if inflow:
-                self._route_head(port, inflow[0], now)
+        inflows = self._inflow
+        for port in PORTS_OF[self._route_pending]:
+            self._route_head(port, inflows[port][0], now)
 
     def _route_head(self, port: int, ingress: _Ingress, now: int) -> None:
         if ingress.routed or ingress.header_done_cycle is None:
@@ -182,44 +189,53 @@ class InputBufferSwitch(SwitchBase):
 
     # -- phase 3: grant outputs and move flits -----------------------------
     def _drive_outputs(self, now: int) -> None:
-        for port in range(self.num_ports):
-            if self._current[port] is None and self._waiting[port]:
-                winner = self._grant_arbiters[port].grant(self._waiting[port])
+        current = self._current
+        ready = self._egress_wanted & ~self._egress_busy
+        if ready:
+            waiting = self._waiting
+            arbiters = self._grant_arbiters
+            for port in PORTS_OF[ready]:
+                winner = arbiters[port].grant(waiting[port])
                 if winner is not None:
                     self._grant_output(port, winner)
+        out_links = self.out_links
+        synchronous = self._synchronous
         lockstep_done = set()
-        for port in range(self.num_ports):
-            branch = self._current[port]
+        progress = 0
+        for port in PORTS_OF[self._egress_busy]:
+            branch = current[port]
             if branch is None:
-                continue
-            link = self.out_links[port]
+                continue  # a lock-step tail freed this port earlier in the loop
+            link = out_links[port]
             if link is None:
                 raise ProtocolError(f"{self.name}: active branch on unwired "
                                     f"output port {port}")
             ingress = branch.ingress
-            if self._synchronous and len(ingress.branches) > 1:
+            if synchronous and len(ingress.branches) > 1:
                 if id(ingress) not in lockstep_done:
                     lockstep_done.add(id(ingress))
                     self._advance_lockstep(ingress, now)
                 continue
-            if branch.read >= ingress.received or not link.can_send(now):
-                if (
-                    self._obs
-                    and branch.read < ingress.received
-                    and not link.can_send(now)
-                ):
+            read = branch.read
+            if read >= ingress.received:
+                continue
+            if not link.can_send(now):
+                if self._obs:
                     self._c_blocked.inc()
                 continue
-            link.send(now, Flit(branch.worm, branch.read))
-            branch.read += 1
-            self._stirred = True
-            if self._obs:
-                self._c_forwarded.inc()
-            self.sim.note_progress()
+            link.send_granted(now, branch.worm, read)
+            read += 1
+            branch.read = read
+            progress += 1
             self._recycle_slots(branch.input_port, ingress, now)
-            if branch.read == branch.worm.size_flits:
-                self._current[port] = None
+            if read == branch.worm.size_flits:
+                current[port] = None
                 self._egress_busy &= ~(1 << port)
+        if progress:
+            self._stirred = True
+            self.sim.progress += progress
+            if self._obs:
+                self._c_forwarded.inc(progress)
 
     def _grant_output(self, port: int, winner: int) -> None:
         """Make input ``winner``'s waiting branch output ``port``'s current."""
@@ -232,8 +248,7 @@ class InputBufferSwitch(SwitchBase):
 
     def _advance_lockstep(self, ingress: _Ingress, now: int) -> None:
         """Synchronous replication: every branch sends the same flit in
-        the same cycle, or nobody sends.  Shared by both planes: flits
-        leave by coordinates, so nothing here depends on the container."""
+        the same cycle, or nobody sends."""
         branches = ingress.branches
         if any(self._current[b.out_port] is not b for b in branches):
             return  # still accumulating output ports

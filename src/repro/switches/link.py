@@ -16,9 +16,10 @@ In-flight flits are stored packed — as int spans in a preallocated
 :class:`~repro.flits.packed.SpanQueue`, never as per-flit objects.  Both
 data planes share this storage:
 
-* the object plane sends one :class:`~repro.flits.flit.Flit` per cycle
+* the per-flit reference (:mod:`repro.reference`; bare links in unit
+  tests) sends one :class:`~repro.flits.flit.Flit` per cycle
   (:meth:`send`) and materialises flit objects on :meth:`receive`;
-* the packed plane sends flit *coordinates* (:meth:`send_packed`) or a
+* production sends flit *coordinates* (:meth:`send_packed`) or a
   whole contiguous span in one call (:meth:`send_span`, which reserves
   one send slot and one credit per member flit, exactly as the same
   flits sent one per cycle would) and drains spans with
@@ -45,10 +46,10 @@ hooks are optional — a bare link in a unit test works exactly as before.
 The component form of the arrival waker (:meth:`wake_on_arrival`) also
 carries the receiver's *rx-pending* bit: every send sets bit ``port`` of
 the component's ``_rx_pending`` mask, and a receiver that drains by mask
-— the packed switches and NI, see :mod:`repro.switches.ports` — clears
+— the switches and NI, see :mod:`repro.switches.ports` — clears
 it when this link's span queue runs empty.  Such a receiver never polls
 :attr:`pending_arrival`; it calls :attr:`receive_span` on exactly the
-in-links whose bit is set.  Both are instance attributes, and the packed
+in-links whose bit is set.  Both are instance attributes, and those
 receivers look ``receive_span`` up on the link instance no earlier than
 their first tick, so a profiler may rebind it (and the send entry
 points) per link before the run starts.
@@ -58,7 +59,7 @@ The arrival hook fires once per :meth:`send` and once per
 member flit.  A receiver that drains a span partially therefore owns its
 own re-arm for the remaining members: a switch re-arms while stirred, or
 is inside a committed bypass run whose own wake takes the rest (see
-:mod:`repro.switches.packed_central`); the packed NI wakes itself at the
+:mod:`repro.switches.central_buffer`); the NI wakes itself at the
 head record's arrival.
 
 A receiver that knows it will free one slot per cycle for the next
@@ -116,7 +117,7 @@ class Link:
         self.pending_arrival = in_flight.has_arrived
         #: pop the longest arrived span as ``(worm, start, count)`` —
         #: up to ``min(limit, pending)`` flits of one worm, ``None`` when
-        #: nothing has arrived.  The packed-plane drain: call repeatedly
+        #: nothing has arrived.  The production drain: call repeatedly
         #: until ``None``; a span is never split across worms.
         self.receive_span = in_flight.take
         #: ``(maturity, count)`` credit returns, in maturity order
@@ -206,8 +207,8 @@ class Link:
     def receive(self, now: int) -> List[Flit]:
         """Pop every flit that has arrived by cycle ``now``, in order.
 
-        Allocates a fresh list per call; the per-cycle drain loops use
-        :meth:`receive_into` with a reused scratch buffer instead.
+        Allocates a fresh list per call; :meth:`receive_into` appends
+        to the caller's buffer instead.
         """
         out: List[Flit] = []
         self.receive_into(now, out)
@@ -216,7 +217,7 @@ class Link:
     def receive_into(self, now: int, buf: List[Flit]) -> int:
         """Append every flit arrived by ``now`` to ``buf``; return count.
 
-        The object-plane drain: materialises one :class:`Flit` per
+        The per-flit drain: materialises one :class:`Flit` per
         arrived member of the packed span records.
         """
         in_flight = self._in_flight
@@ -391,7 +392,7 @@ class Link:
     def send_granted(self, now: int, worm: Worm, index: int) -> None:
         """Transmit flit ``(worm, index)`` after a :meth:`can_send` check.
 
-        The packed switches test :meth:`can_send` while collecting grant
+        The switches test :meth:`can_send` while collecting grant
         candidates and send to each winner in the same cycle; since
         ``can_send`` already drained matured credit returns and nothing
         else can touch this link's credits within the tick, re-draining

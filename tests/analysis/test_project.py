@@ -167,6 +167,35 @@ class TestCallGraph:
         assert "repro.switches.sub.Sub.hook" in sub_view
         assert "repro.switches.base.Base.hook" not in sub_view
 
+    def test_diamond_resolves_in_python_order(self, tmp_path):
+        """A mixin sharing a base with its sibling (the shape of
+        ``repro.reference``): the sibling's override must win over the
+        shared base, as in python's C3 order — depth-first would reach
+        the base through the mixin first."""
+        tree = dict(self.TREE)
+        tree["repro/reference.py"] = """
+            from repro.switches.base import Base
+            from repro.switches.sub import Sub
+
+            class Mixin(Base):
+                def entry(self):
+                    return self.hook() + 1
+
+            class Leaf(Mixin, Sub):
+                pass
+            """
+        project = build_index(tmp_path, tree)
+        assert project.mro("repro.reference.Leaf") == (
+            "repro.reference.Leaf",
+            "repro.reference.Mixin",
+            "repro.switches.sub.Sub",
+            "repro.switches.base.Base",
+        )
+        view = project.method_closure("repro.reference.Leaf", "entry")
+        assert "repro.reference.Mixin.entry" in view
+        assert "repro.switches.sub.Sub.hook" in view
+        assert "repro.switches.base.Base.hook" not in view
+
     def test_class_call_reaches_init(self, tmp_path):
         project = build_index(
             tmp_path,

@@ -605,81 +605,6 @@ class TestREP007LinkDrainGuard:
         assert codes(result) == []
 
 
-class TestREP008PackedFlitFree:
-    def test_flit_construction_in_packed_module_flagged(self, lint):
-        result = lint(
-            "repro/switches/packed_central.py",
-            """
-            from repro.flits.flit import Flit
-
-            class Switch:
-                def _drain(self, worm, start, count, now):
-                    for index in range(start, start + count):
-                        self.accept(Flit(worm, index), now)
-            """,
-        )
-        assert codes(result) == ["REP008"]
-
-    def test_worm_flit_materialiser_flagged(self, lint):
-        result = lint(
-            "repro/host/packed_interface.py",
-            """
-            class Interface:
-                def _eject(self, worm, index, now):
-                    self.deliver(worm.flit(index), now)
-            """,
-        )
-        assert codes(result) == ["REP008"]
-
-    def test_flit_repr_boundary_is_sanctioned(self, lint):
-        result = lint(
-            "repro/switches/packed_central.py",
-            """
-            from repro.flits.packed import flit_repr
-
-            class Switch:
-                def _trace(self, worm, start, count, now):
-                    if not self.tracer.enabled:
-                        return
-                    for index in range(start, start + count):
-                        self.tracer.emit(
-                            now, self.name, "flit_in",
-                            flit=flit_repr(worm, index),
-                        )
-            """,
-        )
-        assert codes(result) == []
-
-    def test_object_plane_modules_exempt(self, lint):
-        # the object reference path is *supposed* to build Flits
-        result = lint(
-            "repro/switches/central_buffer.py",
-            """
-            from repro.flits.flit import Flit
-
-            class Switch:
-                def _drive(self, worm, index, now):
-                    self.out_link.send(now, Flit(worm, index))
-            """,
-        )
-        assert codes(result) == []
-
-    def test_helper_module_itself_exempt(self, lint):
-        # the conversion helpers live in repro.flits.packed, outside the
-        # packed-path module set
-        result = lint(
-            "repro/flits/packed.py",
-            """
-            from repro.flits.flit import Flit
-
-            def materialise(worm, start, count):
-                for index in range(start, start + count):
-                    yield Flit(worm, index)
-            """,
-        )
-        assert codes(result) == []
-
-
 class TestSuppressions:
     def test_matching_code_suppresses(self, lint):
         result = lint(

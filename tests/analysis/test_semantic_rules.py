@@ -325,97 +325,6 @@ class TestREP010LostWake:
         assert codes(result) == []
 
 
-class TestREP011PlaneParity:
-    OBJECT_SIDE = """
-        class CentralBufferSwitch:
-            def __init__(self, metrics, tracer=None):
-                self._tracer = tracer
-                self._c_fwd = metrics.counter("switch.flits_forwarded")
-
-            def tick(self, now):
-                self._phase(now)
-
-            def _phase(self, now):
-                if self._tracer is not None:
-                    self._tracer.emit(now, "s0", "flit_in")
-                self._c_fwd.inc()
-        """
-
-    def test_dropped_emit_breaks_parity(self, lint_files):
-        tree = {
-            "repro/switches/central_buffer.py": self.OBJECT_SIDE,
-            "repro/switches/packed_central.py": """
-                from repro.switches.central_buffer import (
-                    CentralBufferSwitch,
-                )
-
-                class PackedCentralBufferSwitch(CentralBufferSwitch):
-                    def _phase(self, now):
-                        self._c_fwd.inc()
-                """,
-        }
-        result = lint_files(tree, select=["REP011"])
-        assert codes(result) == ["REP011"]
-        finding = result.new[0]
-        assert finding.path == "repro/switches/packed_central.py"
-        assert "flit_in" in finding.message
-        assert "missing" in finding.message
-
-    def test_extra_counter_breaks_parity(self, lint_files):
-        tree = {
-            "repro/switches/central_buffer.py": self.OBJECT_SIDE,
-            "repro/switches/packed_central.py": """
-                from repro.switches.central_buffer import (
-                    CentralBufferSwitch,
-                )
-
-                class PackedCentralBufferSwitch(CentralBufferSwitch):
-                    def __init__(self, metrics, tracer=None):
-                        super().__init__(metrics, tracer)
-                        self._c_extra = metrics.counter("switch.extra")
-
-                    def _phase(self, now):
-                        if self._tracer is not None:
-                            self._tracer.emit(now, "s0", "flit_in")
-                        self._c_fwd.inc()
-                        self._c_extra.inc()
-                """,
-        }
-        result = lint_files(tree, select=["REP011"])
-        assert codes(result) == ["REP011"]
-        assert "switch.extra" in result.new[0].message
-        assert "extra" in result.new[0].message
-
-    def test_faithful_override_is_silent(self, lint_files):
-        tree = {
-            "repro/switches/central_buffer.py": self.OBJECT_SIDE,
-            "repro/switches/packed_central.py": """
-                from repro.switches.central_buffer import (
-                    CentralBufferSwitch,
-                )
-
-                class PackedCentralBufferSwitch(CentralBufferSwitch):
-                    def _phase(self, now):
-                        if self._tracer is not None:
-                            self._tracer.emit(now, "s0", "flit_in")
-                        self._c_fwd.inc()
-                """,
-        }
-        result = lint_files(tree, select=["REP011"])
-        assert codes(result) == []
-
-    def test_unpaired_module_is_ignored(self, lint_files):
-        tree = {
-            "repro/switches/packed_central.py": """
-                class PackedCentralBufferSwitch:
-                    def tick(self, now):
-                        pass
-                """,
-        }
-        result = lint_files(tree, select=["REP011"])
-        assert codes(result) == []
-
-
 class TestREP012SchemaDrift:
     REGISTRY = """
         SCHEMA_RUN = "repro.run/1"

@@ -2,16 +2,10 @@
 
 from __future__ import annotations
 
-from types import SimpleNamespace
-
 import pytest
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
-from repro.metrics.probe import (
-    central_buffer_occupancy,
-    central_buffer_occupancy_by_level,
-    link_utilisation,
-)
+from repro.metrics.probe import central_buffer_occupancy_by_level
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig, TopologyKind
 from repro.network.simulation import run_workload
@@ -30,18 +24,6 @@ def run_burst(**overrides):
 
 
 class TestCentralBufferOccupancy:
-    def test_fresh_network_is_empty(self):
-        network = build_network(SimulationConfig(num_hosts=16))
-        stats = central_buffer_occupancy(network)
-        assert stats["mean_chunks"] == 0.0
-        assert stats["peak_chunks"] == 0.0
-
-    def test_traffic_raises_peak(self):
-        network = run_burst()
-        stats = central_buffer_occupancy(network)
-        assert stats["peak_chunks"] > 0
-        assert 0 < stats["mean_chunks"] <= stats["peak_chunks"]
-
     def test_by_level_covers_all_levels(self):
         network = run_burst()
         by_level = central_buffer_occupancy_by_level(network)
@@ -58,15 +40,6 @@ class TestCentralBufferOccupancy:
         with pytest.raises(TypeError):
             central_buffer_occupancy_by_level(network)
 
-    def test_ib_network_reports_zero(self):
-        config = SimulationConfig(
-            num_hosts=16,
-            switch_architecture=SwitchArchitecture.INPUT_BUFFER,
-        )
-        network = build_network(config)
-        stats = central_buffer_occupancy(network)
-        assert stats == {"mean_chunks": 0.0, "peak_chunks": 0.0}
-
     def test_by_level_rejects_non_central_buffer_switches(self):
         config = SimulationConfig(
             num_hosts=16,
@@ -76,25 +49,3 @@ class TestCentralBufferOccupancy:
         with pytest.raises(TypeError, match="central-buffer"):
             central_buffer_occupancy_by_level(network)
 
-
-class TestLinkUtilisation:
-    def test_idle_network(self):
-        network = build_network(SimulationConfig(num_hosts=16))
-        network.sim.run(100)
-        stats = link_utilisation(network, 100)
-        assert stats["mean"] == 0.0
-
-    def test_traffic_registers(self):
-        network = run_burst()
-        stats = link_utilisation(network, network.sim.now)
-        assert 0 < stats["mean"] < 1.0
-        assert stats["peak"] <= 1.0
-
-    def test_zero_elapsed(self):
-        network = build_network(SimulationConfig(num_hosts=16))
-        assert link_utilisation(network, 0) == {"mean": 0.0, "peak": 0.0}
-
-    def test_empty_network_has_no_links(self):
-        # a network with no links at all must not divide by zero
-        empty = SimpleNamespace(links=[])
-        assert link_utilisation(empty, 100) == {"mean": 0.0, "peak": 0.0}

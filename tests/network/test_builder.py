@@ -2,13 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import pytest
 
 from repro.core.schemes import SwitchArchitecture
 from repro.network import builder
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig, TopologyKind
+from repro.host.interface import HostInterface
 from repro.network.simulation import run_workload
+from repro.sim.component import Component
+from repro.switches.base import SwitchBase
 from repro.switches.central_buffer import CentralBufferSwitch
 from repro.switches.input_buffer import InputBufferSwitch
 from repro.traffic.unicast import UniformRandomUnicast
@@ -33,6 +42,68 @@ class TestBuild:
             )
         )
         assert all(isinstance(s, InputBufferSwitch) for s in ib.switches)
+
+    def test_one_production_plane_and_a_reference_it_never_loads(self):
+        # the span-moving classes are the production classes, not leaves
+        # of a per-flit hierarchy ...
+        for cls in (CentralBufferSwitch, InputBufferSwitch):
+            assert cls.__mro__ == (cls, SwitchBase, Component, object)
+        assert HostInterface.__mro__ == (HostInterface, Component, object)
+        # ... a default run never loads the per-flit reference, and the
+        # production modules cannot build a Flit: they do not import it
+        probe = textwrap.dedent(
+            """
+            import sys
+            from repro import SimulationConfig, run_simulation
+            from repro.traffic.unicast import UniformRandomUnicast
+
+            run_simulation(
+                SimulationConfig(num_hosts=16),
+                UniformRandomUnicast(
+                    load=0.1, payload_flits=8,
+                    warmup_cycles=20, measure_cycles=60,
+                ),
+            )
+            assert "repro.reference" not in sys.modules
+            for name in (
+                "repro.switches.base",
+                "repro.switches.central_buffer",
+                "repro.switches.input_buffer",
+                "repro.host.interface",
+            ):
+                assert not hasattr(sys.modules[name], "Flit"), name
+            """
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        subprocess.run(
+            [sys.executable, "-c", probe],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            check=True,
+            timeout=120,
+        )
+        # packed=False is the one way in, and the reference classes
+        # still are their production classes (metrics/probe.py and
+        # tests/integration/test_conservation.py dispatch on isinstance)
+        from repro import reference
+
+        for architecture, production, expected in (
+            (SwitchArchitecture.CENTRAL_BUFFER, CentralBufferSwitch,
+             reference.ReferenceCentralBufferSwitch),
+            (SwitchArchitecture.INPUT_BUFFER, InputBufferSwitch,
+             reference.ReferenceInputBufferSwitch),
+        ):
+            network = build_network(
+                SimulationConfig(
+                    num_hosts=16, switch_architecture=architecture,
+                    packed=False,
+                )
+            )
+            assert {type(s) for s in network.switches} == {expected}
+            assert issubclass(expected, production)
+            assert {type(ni) for ni in network.interfaces} == {
+                reference.ReferenceHostInterface
+            }
+        assert issubclass(reference.ReferenceHostInterface, HostInterface)
 
     def test_every_bmin_port_wired(self):
         network = build_network(SimulationConfig(num_hosts=16))

@@ -55,6 +55,16 @@ class TestTracer:
         # the retained window is always the newest records
         assert [r.get("i") for r in t.records] == [2, 3, 4]
 
+    def test_records_of_a_full_ring_index_and_slice_oldest_first(self):
+        # the ring is a deque inside; callers still get a list
+        t = Tracer(enabled=True, limit=4)
+        for i in range(9):
+            t.emit(i, "a", "e", i=i)
+        records = t.records
+        assert records[0].get("i") == 5 and records[-1].get("i") == 8
+        assert [r.get("i") for r in records[1:3]] == [6, 7]
+        assert [r.get("i") for r in t.select(event="e")] == [5, 6, 7, 8]
+
     def test_dropped_count_ignores_disabled_emits(self):
         t = Tracer(enabled=False, limit=1)
         for i in range(5):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.switches.arbiter import RoundRobinArbiter, rotate_from
+from repro.switches.arbiter import RoundRobinArbiter
 
 
 class TestGrant:
@@ -131,13 +131,3 @@ class TestGrantBatch:
             == batch.grant_batch([0, 1, 3], 2)
         )
 
-
-class TestRotateFrom:
-    def test_rotation(self):
-        assert rotate_from([0, 1, 2, 3], 2) == [2, 3, 0, 1]
-
-    def test_start_past_everything_wraps(self):
-        assert rotate_from([0, 1, 2], 5) == [0, 1, 2]
-
-    def test_empty(self):
-        assert rotate_from([], 3) == []

@@ -1,8 +1,8 @@
 """Worm arrival is one protocol, whatever the switch and the plane.
 
 In-order reassembly at an input port, the head/order checks and the
-header-completion stamp live once in ``SwitchBase`` (``_accept_flit``
-for the object plane, ``_accept_span`` for the packed plane).  Each case
+header-completion stamp live once per plane (``SwitchBase._accept_span``
+in production, ``_accept_flit`` in ``repro.reference``).  Each case
 below drives a real in-link of a built switch and asserts the same
 outcome on both architectures and both planes.
 """

@@ -17,7 +17,7 @@ from repro.flits.destset import DestinationSet
 from repro.flits.flit import Flit
 from repro.flits.packet import Message, Packet, TrafficClass
 from repro.flits.worm import Worm
-from repro.host.packed_interface import PackedHostInterface
+from repro.host.interface import HostInterface
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.switches.link import Link
@@ -224,7 +224,7 @@ class TestWakeSemantics:
         # must wake itself for the later members — it used to strand
         # them until some unrelated wake came along
         sim = Simulator()
-        interface = sim.add_component(PackedHostInterface(1))
+        interface = sim.add_component(HostInterface(1))
         link = Link("eject", latency=2)
         interface.connect_in(link)
         worm = make_worm(size=4)
@@ -243,7 +243,7 @@ class TestWakeSemantics:
         # one credit returned per member, at its own arrival cycle
         assert [mature for mature, _ in link._credit_returns] == [5, 6, 7, 8]
         assert returning[3:7] == [1, 2, 3, 4]
-        assert link.credits(8) == PackedHostInterface.RX_DEPTH
+        assert link.credits(8) == HostInterface.RX_DEPTH
 
     def test_waker_and_hook_are_mutually_exclusive(self):
         link = make_link()

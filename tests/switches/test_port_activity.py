@@ -1,14 +1,14 @@
 """Port-activity masks always equal the state they mirror.
 
-The packed switches iterate ``PORTS_OF[mask]`` instead of scanning the
+The switches iterate ``PORTS_OF[mask]`` instead of scanning the
 port range (``repro.switches.ports``), so a bit that lags its state is a
 port silently skipped — a lost flit or a starved output, but only on the
 workloads that happen to hit the gap.  The sweep below recomputes every
 mask from first principles after *every cycle* of whole-network runs
 (probes fire after the cycle's ticks) on both architectures, both
-kernels and both planes (the object plane keeps the ingress, egress and
-route-pending masks as its phase gates but polls its in-links, so
-rx-pending is audited on the packed plane only), with telemetry on and
+kernels and both planes (the per-flit reference keeps the ingress, egress
+and route-pending masks as its phase gates but polls its in-links, so
+rx-pending is audited on the production plane only), with telemetry on and
 off; the link-level cases pin the rx-pending protocol between
 :class:`Link` and its receiver.
 """
@@ -22,7 +22,7 @@ from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_workload
 from repro.obs.registry import MetricsRegistry
-from repro.host.packed_interface import PackedHostInterface
+from repro.host.interface import HostInterface
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.switches.base import ReplicationMode
@@ -225,7 +225,7 @@ class TestLinkProtocol:
 
     def test_second_send_before_the_drain_keeps_the_bit(self):
         sim = Simulator()
-        interface = sim.add_component(PackedHostInterface(1))
+        interface = sim.add_component(HostInterface(1))
         link = Link("eject", latency=1)
         interface.connect_in(link)
         worm = make_worm(size=2)

@@ -1,7 +1,7 @@
 """Committed bypass runs are the per-flit reference, flit for flit.
 
-The packed central-buffer switch commits a run of bypass flits in one
-``send_span`` and sleeps through it (``repro.switches.packed_central``),
+The central-buffer switch commits a run of bypass flits in one
+``send_span`` and sleeps through it (``repro.switches.central_buffer``),
 and credits wake their sender only on demand (``repro.switches.link``).
 Neither may move a single flit by a single cycle.  The sweep below runs
 the scenarios of ``test_port_activity`` on the production flavour and on
@@ -27,8 +27,8 @@ from repro.switches.central_buffer import (
     CentralBufferSwitch,
     _Ingress,
     _IngressState,
+    _bypass_run,
 )
-from repro.switches.packed_central import _bypass_run
 from repro.traffic.unicast import UniformRandomUnicast
 
 from tests.switches.test_central_buffer import (
