@@ -15,25 +15,35 @@ E7     methodology / parameter table                   parameters
 A1     ablation: central-buffer bandwidth              ablations
 A2     ablation: LCA routing mode                      ablations
 A3     ablation: header encodings                      ablations
+A4     ablation: asynchronous vs. synchronous          ablations
+       replication on the IB switch
+A5     ablation: equal-storage comparison              ablations
+X1     extension: barrier latency and release skew     extensions
+X2     extension: hot-spot unicast traffic             extensions
+X3     extension: central-buffer occupancy by level    extensions
+X4     extension: scheme generality across topologies  cross_topology
 =====  ==============================================  =====================
 
-Every experiment function accepts a :class:`~repro.experiments.common.Scale`
-(``QUICK`` for benches/CI, ``PAPER`` for full-size runs) and returns an
-:class:`~repro.experiments.common.ExperimentResult` with both structured
-rows and a printable table.
-
-Each experiment is split into three pieces (see
-:mod:`repro.experiments.parallel`): a ``plan_*`` function declaring the
-grid of independent :class:`~repro.experiments.parallel.RunSpec`\\ s, a
-pure ``reduce_*`` step folding per-run summaries into table rows in
-declared grid order, and the ``run_*`` entry point tying them together.
-``run_*(..., jobs=N)`` fans the grid out over N worker processes with
-output bit-identical to the serial path.
+Each experiment is two functions and one record (see
+:mod:`repro.experiments.parallel`): ``plan_*`` declares the grid of
+independent :class:`~repro.experiments.parallel.RunSpec`\\ s, a pure
+``reduce_*`` folds per-run values into table rows in declared grid order,
+and an :class:`~repro.experiments.common.Experiment` record binds the
+two to the experiment's id under its ``run_*`` name.  Calling the record,
+``run_*(scale, jobs=N, progress=..., **plan_params)``, plans, executes
+and reduces: ``scale`` is a :class:`~repro.experiments.common.Scale`
+(``QUICK`` for benches/CI, ``PAPER`` for full-size runs), ``jobs=N`` fans
+the grid out over N worker processes with output bit-identical to the
+serial path, and the result is an
+:class:`~repro.experiments.common.ExperimentResult` with structured rows
+and a printable table.  :data:`repro.experiments.runner.EXPERIMENTS` is
+every record exported here, by id.
 """
 
 from repro.experiments.common import (
     PAPER,
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
@@ -68,6 +78,7 @@ from repro.experiments.extensions import (
 
 __all__ = [
     "ExecutionPlan",
+    "Experiment",
     "ExperimentResult",
     "PAPER",
     "QUICK",

@@ -19,24 +19,20 @@ A5 — equal-storage comparison: is the central buffer's win just silicon?
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.core.schemes import SwitchArchitecture
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.flits.destset import DestinationSet
 from repro.metrics.report import Table
 from repro.network.config import EncodingKind
@@ -63,25 +59,20 @@ def plan_cb_bandwidth_ablation(
     for bandwidth in bandwidths:
         for seed in seeds:
             specs.append(
-                RunSpec(
-                    key=(bandwidth, seed),
-                    fn=simulate_summary,
-                    kwargs=dict(
-                        config=base_config(
-                            num_hosts,
-                            seed=seed,
-                            cb_write_bandwidth=bandwidth,
-                            cb_read_bandwidth=bandwidth,
-                        ),
-                        workload_cls=MultipleMulticastBurst,
-                        workload_kwargs=dict(
-                            num_multicasts=num_multicasts,
-                            degree=degree,
-                            payload_flits=payload_flits,
-                            scheme=Scheme.CB_HW.multicast_scheme,
-                        ),
-                        max_cycles=scale.max_cycles,
+                summary_spec(
+                    (bandwidth, seed),
+                    base_config(
+                        num_hosts,
+                        seed=seed,
+                        cb_write_bandwidth=bandwidth,
+                        cb_read_bandwidth=bandwidth,
                     ),
+                    scale,
+                    MultipleMulticastBurst,
+                    num_multicasts=num_multicasts,
+                    degree=degree,
+                    payload_flits=payload_flits,
+                    scheme=Scheme.CB_HW.multicast_scheme,
                 )
             )
     meta = dict(
@@ -118,23 +109,11 @@ def reduce_cb_bandwidth_ablation(
     return result
 
 
-def run_cb_bandwidth_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    bandwidths: Sequence[int] = (1, 2, 4, 8),
-    num_multicasts: int = 8,
-    degree: int = 8,
-    payload_flits: int = 64,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """A1: E1's workload under reduced central-buffer port bandwidth."""
-    plan = plan_cb_bandwidth_ablation(
-        scale, num_hosts, bandwidths, num_multicasts, degree, payload_flits
-    )
-    return reduce_cb_bandwidth_ablation(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: A1: E1's workload under reduced central-buffer port bandwidth
+run_cb_bandwidth_ablation = Experiment(
+    "a1", plan_cb_bandwidth_ablation, reduce_cb_bandwidth_ablation,
+    chart=("bandwidth", "latency", None),
+)
 
 
 # ----------------------------------------------------------------------
@@ -154,22 +133,15 @@ def plan_routing_mode_ablation(
         for mode in modes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(degree, mode.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=base_config(
-                                num_hosts, seed=seed, multicast_mode=mode
-                            ),
-                            workload_cls=SingleMulticast,
-                            workload_kwargs=dict(
-                                source=seed % num_hosts,
-                                degree=degree,
-                                payload_flits=payload_flits,
-                                scheme=Scheme.CB_HW.multicast_scheme,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (degree, mode.value, seed),
+                        base_config(num_hosts, seed=seed, multicast_mode=mode),
+                        scale,
+                        SingleMulticast,
+                        source=seed % num_hosts,
+                        degree=degree,
+                        payload_flits=payload_flits,
+                        scheme=Scheme.CB_HW.multicast_scheme,
                     )
                 )
     meta = dict(
@@ -210,19 +182,10 @@ def reduce_routing_mode_ablation(
     return result
 
 
-def run_routing_mode_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    degrees: Sequence[int] = (4, 8, 16, 32),
-    payload_flits: int = 64,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """A2: turnaround vs. branch-on-up LCA routing on E2's workload."""
-    plan = plan_routing_mode_ablation(scale, num_hosts, degrees, payload_flits)
-    return reduce_routing_mode_ablation(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: A2: turnaround vs. branch-on-up LCA routing on E2's workload
+run_routing_mode_ablation = Experiment(
+    "a2", plan_routing_mode_ablation, reduce_routing_mode_ablation,
+)
 
 
 # ----------------------------------------------------------------------
@@ -234,7 +197,13 @@ def plan_encoding_ablation(
     degree: int = 8,
     payload_flits: int = 64,
 ) -> ExecutionPlan:
-    """Declare A3's (size x encoding x seed) grid."""
+    """Declare A3's (size x encoding x seed) grid.
+
+    The table reports the multicast header size each encoding needs and
+    the measured operation latency (multiport pays extra phases for
+    random — non-product — destination sets; bit-string pays a header
+    that grows with N).
+    """
     kinds = [EncodingKind.BITSTRING, EncodingKind.MULTIPORT]
     seeds = scale.seeds()
     usable = tuple(size for size in sizes if degree < size)
@@ -243,22 +212,15 @@ def plan_encoding_ablation(
         for kind in kinds:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(num_hosts, kind.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=base_config(
-                                num_hosts, seed=seed, encoding=kind
-                            ),
-                            workload_cls=SingleMulticast,
-                            workload_kwargs=dict(
-                                source=seed % num_hosts,
-                                degree=degree,
-                                payload_flits=payload_flits,
-                                scheme=Scheme.CB_HW.multicast_scheme,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (num_hosts, kind.value, seed),
+                        base_config(num_hosts, seed=seed, encoding=kind),
+                        scale,
+                        SingleMulticast,
+                        source=seed % num_hosts,
+                        degree=degree,
+                        payload_flits=payload_flits,
+                        scheme=Scheme.CB_HW.multicast_scheme,
                     )
                 )
     meta = dict(
@@ -319,24 +281,10 @@ def reduce_encoding_ablation(
     return result
 
 
-def run_encoding_ablation(
-    scale: Scale = QUICK,
-    sizes: Sequence[int] = (16, 64, 256),
-    degree: int = 8,
-    payload_flits: int = 64,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """A3: bit-string vs. multiport encoding across system sizes.
-
-    Reports the multicast header size each encoding needs and the measured
-    operation latency (multiport pays extra phases for random —
-    non-product — destination sets; bit-string pays a header that grows
-    with N)."""
-    plan = plan_encoding_ablation(scale, sizes, degree, payload_flits)
-    return reduce_encoding_ablation(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: A3: bit-string vs. multiport encoding across system sizes
+run_encoding_ablation = Experiment(
+    "a3", plan_encoding_ablation, reduce_encoding_ablation,
+)
 
 
 # ----------------------------------------------------------------------
@@ -349,7 +297,15 @@ def plan_replication_ablation(
     degree: int = 6,
     payload_flits: int = 48,
 ) -> ExecutionPlan:
-    """Declare A4's (m x mode x seed) grid."""
+    """Declare A4's (m x mode x seed) grid.
+
+    Both modes run on the input-buffer switch (synchronous replication
+    needs the per-switch arbitration of ref [6], which the IB design
+    hosts naturally).  Under concurrent multicasts, lock-step forwarding
+    lets any blocked branch stall its whole worm, and the single-worm-
+    at-a-time port arbitration serializes replication at each switch —
+    the performance argument for the paper's asynchronous choice.
+    """
     modes = list(ReplicationMode)
     seeds = scale.seeds()
     specs = []
@@ -357,27 +313,22 @@ def plan_replication_ablation(
         for mode in modes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(m, mode.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=base_config(
-                                num_hosts,
-                                seed=seed,
-                                switch_architecture=(
-                                    SwitchArchitecture.INPUT_BUFFER
-                                ),
-                                replication=mode,
+                    summary_spec(
+                        (m, mode.value, seed),
+                        base_config(
+                            num_hosts,
+                            seed=seed,
+                            switch_architecture=(
+                                SwitchArchitecture.INPUT_BUFFER
                             ),
-                            workload_cls=MultipleMulticastBurst,
-                            workload_kwargs=dict(
-                                num_multicasts=m,
-                                degree=degree,
-                                payload_flits=payload_flits,
-                                scheme=Scheme.IB_HW.multicast_scheme,
-                            ),
-                            max_cycles=scale.max_cycles,
+                            replication=mode,
                         ),
+                        scale,
+                        MultipleMulticastBurst,
+                        num_multicasts=m,
+                        degree=degree,
+                        payload_flits=payload_flits,
+                        scheme=Scheme.IB_HW.multicast_scheme,
                     )
                 )
     meta = dict(
@@ -420,30 +371,11 @@ def reduce_replication_ablation(
     return result
 
 
-def run_replication_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 16,
-    concurrency: Sequence[int] = (2, 4, 8, 16),
-    degree: int = 6,
-    payload_flits: int = 48,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """A4: asynchronous vs. synchronous replication (paper §3).
-
-    Both run on the input-buffer switch (synchronous replication needs
-    the per-switch arbitration of ref [6], which the IB design hosts
-    naturally).  Under concurrent multicasts, lock-step forwarding lets
-    any blocked branch stall its whole worm, and the single-worm-at-a-
-    time port arbitration serializes replication at each switch — the
-    performance argument for the paper's asynchronous choice.
-    """
-    plan = plan_replication_ablation(
-        scale, num_hosts, concurrency, degree, payload_flits
-    )
-    return reduce_replication_ablation(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: A4: asynchronous vs. synchronous replication (paper §3)
+run_replication_ablation = Experiment(
+    "a4", plan_replication_ablation, reduce_replication_ablation,
+    chart=("m", "latency", "replication"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -464,7 +396,16 @@ def plan_equal_storage_ablation(
     loads: Sequence[float] = (0.3, 0.45, 0.6),
     payload_flits: int = 32,
 ) -> ExecutionPlan:
-    """Declare A5's (load x variant x seed) grid."""
+    """Declare A5's (load x variant x seed) grid.
+
+    Compares three switches with identical behaviourally relevant totals:
+    the central-buffer switch (2048 shared flits), the input-buffer
+    switch at its minimal legal size (one max packet per input), and the
+    input-buffer switch given the same 2048 flits of storage as the
+    central buffer (256 flits per input, ~1.9 packets each).  If sharing
+    is what matters — the claim of refs [36, 37] the paper builds on —
+    the equal-storage IB switch must still trail the CB switch.
+    """
     seeds = scale.seeds()
     specs = []
     for load in loads:
@@ -474,20 +415,15 @@ def plan_equal_storage_ablation(
                 if buffer_flits is not None:
                     config = config.derived(input_buffer_flits=buffer_flits)
                 specs.append(
-                    RunSpec(
-                        key=(load, name, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=config,
-                            workload_cls=UniformRandomUnicast,
-                            workload_kwargs=dict(
-                                load=load,
-                                payload_flits=payload_flits,
-                                warmup_cycles=scale.warmup_cycles,
-                                measure_cycles=scale.measure_cycles,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (load, name, seed),
+                        config,
+                        scale,
+                        UniformRandomUnicast,
+                        load=load,
+                        payload_flits=payload_flits,
+                        warmup_cycles=scale.warmup_cycles,
+                        measure_cycles=scale.measure_cycles,
                     )
                 )
     meta = dict(
@@ -526,25 +462,8 @@ def reduce_equal_storage_ablation(
     return result
 
 
-def run_equal_storage_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    loads: Sequence[float] = (0.3, 0.45, 0.6),
-    payload_flits: int = 32,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """A5: is the central buffer's win just more silicon?
-
-    Compares three switches with identical behaviourally relevant totals:
-    the central-buffer switch (2048 shared flits), the input-buffer
-    switch at its minimal legal size (one max packet per input), and the
-    input-buffer switch given the same 2048 flits of storage as the
-    central buffer (256 flits per input, ~1.9 packets each).  If sharing
-    is what matters — the claim of refs [36, 37] the paper builds on —
-    the equal-storage IB switch must still trail the CB switch.
-    """
-    plan = plan_equal_storage_ablation(scale, num_hosts, loads, payload_flits)
-    return reduce_equal_storage_ablation(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: A5: is the central buffer's win just more silicon?
+run_equal_storage_ablation = Experiment(
+    "a5", plan_equal_storage_ablation, reduce_equal_storage_ablation,
+    chart=("load", "latency", "variant"),
+)

@@ -18,19 +18,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.metrics.report import Table
 from repro.traffic.bimodal import BimodalTraffic
 
@@ -56,25 +52,18 @@ def plan_bimodal(
         for scheme in schemes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(load, scheme.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=scheme.apply(
-                                base_config(num_hosts, seed=seed)
-                            ),
-                            workload_cls=BimodalTraffic,
-                            workload_kwargs=dict(
-                                load=load,
-                                multicast_fraction=multicast_fraction,
-                                degree=degree,
-                                payload_flits=payload_flits,
-                                scheme=scheme.multicast_scheme,
-                                warmup_cycles=scale.warmup_cycles,
-                                measure_cycles=scale.measure_cycles,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (load, scheme.value, seed),
+                        scheme.apply(base_config(num_hosts, seed=seed)),
+                        scale,
+                        BimodalTraffic,
+                        load=load,
+                        multicast_fraction=multicast_fraction,
+                        degree=degree,
+                        payload_flits=payload_flits,
+                        scheme=scheme.multicast_scheme,
+                        warmup_cycles=scale.warmup_cycles,
+                        measure_cycles=scale.measure_cycles,
                     )
                 )
     meta = dict(
@@ -130,22 +119,8 @@ def reduce_bimodal(
     return result
 
 
-def run_bimodal(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    multicast_fraction: float = 1.0 / 16.0,
-    degree: int = 8,
-    payload_flits: int = 32,
-    schemes: Optional[Sequence[Scheme]] = None,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run E4; rows carry unicast and op latency per (load, scheme)."""
-    plan = plan_bimodal(
-        scale, num_hosts, loads, multicast_fraction, degree, payload_flits,
-        schemes,
-    )
-    return reduce_bimodal(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E4; rows carry unicast and op latency per (load, scheme)
+run_bimodal = Experiment(
+    "e4", plan_bimodal, reduce_bimodal,
+    chart=("load", "unicast_latency", "scheme"),
+)

@@ -4,9 +4,16 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from typing import Callable, Dict, List, Optional, Tuple, Type
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
+from repro.experiments.parallel import (
+    ExecutionPlan,
+    Key,
+    ProgressFn,
+    RunSpec,
+    execute_plan,
+)
 from repro.metrics.report import Table
 from repro.network.config import SimulationConfig
 from repro.network.simulation import RunSummary, run_simulation
@@ -112,12 +119,12 @@ class ExperimentResult:
         self,
         x_key: str,
         y_key: str,
-        series_key: str,
+        series_key: Optional[str],
         title: str = "",
     ) -> str:
         """An ASCII chart of ``y_key`` over ``x_key``, one mark per
-        distinct ``series_key`` value.  Rows with non-numeric values are
-        skipped."""
+        distinct ``series_key`` value (``None``: a single series).  Rows
+        with non-numeric values are skipped."""
         from repro.metrics.ascii_chart import render_chart
 
         series: Dict[str, list] = {}
@@ -132,6 +139,41 @@ class ExperimentResult:
         return render_chart(
             series, title=title or self.experiment,
             x_label=x_key, y_label=y_key,
+        )
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment of the suite: a declared grid and its fold.
+
+    ``plan(scale, **params)`` declares the grid of independent runs and
+    ``reduce(plan, results)`` folds the per-run values into an
+    :class:`ExperimentResult` in declared grid order.  Calling the
+    record runs the grid in between — this is the only place the three
+    steps are tied together, so every experiment takes the same
+    ``jobs``/``progress`` arguments and passes everything else to its
+    plan function, which owns the parameter names and defaults.
+    """
+
+    #: the id the runner, the goldens and the benches know it by
+    id: str
+    plan: Callable[..., ExecutionPlan]
+    reduce: Callable[[ExecutionPlan, Dict[Key, object]], ExperimentResult]
+    #: (x key, y key, series key or None) of its rows, for sweeps worth
+    #: an ASCII chart
+    chart: Optional[Tuple[str, str, Optional[str]]] = None
+
+    def __call__(
+        self,
+        scale: Scale = QUICK,
+        *,
+        jobs: Optional[int] = 1,
+        progress: Optional[ProgressFn] = None,
+        **params: object,
+    ) -> ExperimentResult:
+        plan = self.plan(scale, **params)
+        return self.reduce(
+            plan, execute_plan(plan, jobs=jobs, progress=progress)
         )
 
 
@@ -163,3 +205,26 @@ def simulate_summary(
     workload = workload_cls(**workload_kwargs)
     result = run_simulation(config, workload, max_cycles=max_cycles)
     return result.to_summary()
+
+
+def summary_spec(
+    key: Key,
+    config: SimulationConfig,
+    scale: Scale,
+    workload_cls: Type[Workload],
+    /,
+    **workload_kwargs: object,
+) -> RunSpec:
+    """The spec of one ordinary run: ``workload_cls(**workload_kwargs)``
+    on ``config`` within ``scale``'s cycle budget, through
+    :func:`simulate_summary`."""
+    return RunSpec(
+        key=key,
+        fn=simulate_summary,
+        kwargs=dict(
+            config=config,
+            workload_cls=workload_cls,
+            workload_kwargs=workload_kwargs,
+            max_cycles=scale.max_cycles,
+        ),
+    )

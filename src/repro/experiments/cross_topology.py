@@ -11,23 +11,19 @@ the fat-tree.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.metrics.report import Table
 from repro.network.config import TopologyKind
 from repro.traffic.multicast import SingleMulticast
@@ -59,24 +55,17 @@ def plan_cross_topology(
             for scheme in schemes:
                 for seed in seeds:
                     specs.append(
-                        RunSpec(
-                            key=(
-                                degree, topology.value, scheme.value, seed
+                        summary_spec(
+                            (degree, topology.value, scheme.value, seed),
+                            scheme.apply(
+                                _config_for(topology, num_hosts, seed)
                             ),
-                            fn=simulate_summary,
-                            kwargs=dict(
-                                config=scheme.apply(
-                                    _config_for(topology, num_hosts, seed)
-                                ),
-                                workload_cls=SingleMulticast,
-                                workload_kwargs=dict(
-                                    source=seed % num_hosts,
-                                    degree=degree,
-                                    payload_flits=32,
-                                    scheme=scheme.multicast_scheme,
-                                ),
-                                max_cycles=scale.max_cycles,
-                            ),
+                            scale,
+                            SingleMulticast,
+                            source=seed % num_hosts,
+                            degree=degree,
+                            payload_flits=32,
+                            scheme=scheme.multicast_scheme,
                         )
                     )
     meta = dict(
@@ -130,15 +119,7 @@ def reduce_cross_topology(
     return result
 
 
-def run_cross_topology(
-    scale: Scale = QUICK,
-    num_hosts: int = 16,
-    degrees: Sequence[int] = (4, 8, 12),
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run X4: HW vs SW multicast latency on BMIN, UMIN and irregular."""
-    plan = plan_cross_topology(scale, num_hosts, degrees)
-    return reduce_cross_topology(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: X4: HW vs SW multicast latency on BMIN, UMIN and irregular
+run_cross_topology = Experiment(
+    "x4", plan_cross_topology, reduce_cross_topology,
+)

@@ -13,19 +13,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.metrics.report import Table
 from repro.traffic.multicast import SingleMulticast
 
@@ -48,22 +44,15 @@ def plan_degree_sweep(
         for scheme in schemes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(degree, scheme.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=scheme.apply(
-                                base_config(num_hosts, seed=seed)
-                            ),
-                            workload_cls=SingleMulticast,
-                            workload_kwargs=dict(
-                                source=seed % num_hosts,
-                                degree=degree,
-                                payload_flits=payload_flits,
-                                scheme=scheme.multicast_scheme,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (degree, scheme.value, seed),
+                        scheme.apply(base_config(num_hosts, seed=seed)),
+                        scale,
+                        SingleMulticast,
+                        source=seed % num_hosts,
+                        degree=degree,
+                        payload_flits=payload_flits,
+                        scheme=scheme.multicast_scheme,
                     )
                 )
     meta = dict(
@@ -105,17 +94,8 @@ def reduce_degree_sweep(
     return result
 
 
-def run_degree_sweep(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    degrees: Sequence[int] = DEFAULT_DEGREES,
-    payload_flits: int = 64,
-    schemes: Optional[Sequence[Scheme]] = None,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run E2 and return per-(degree, scheme) last-arrival latencies."""
-    plan = plan_degree_sweep(scale, num_hosts, degrees, payload_flits, schemes)
-    return reduce_degree_sweep(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E2: per-(degree, scheme) last-arrival latencies
+run_degree_sweep = Experiment(
+    "e2", plan_degree_sweep, reduce_degree_sweep,
+    chart=("degree", "latency", "scheme"),
+)

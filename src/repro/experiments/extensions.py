@@ -15,28 +15,30 @@ X3 — central-buffer occupancy by switch level under bimodal traffic,
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Sequence
 
-from repro.collectives.barrier import BarrierEngine, ReleaseScheme
+from repro.collectives.barrier import (
+    BarrierEngine,
+    BarrierOperation,
+    ReleaseScheme,
+)
+from repro.errors import CycleBudgetExhausted
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key, RunSpec
 from repro.metrics.probe import central_buffer_occupancy_by_level
 from repro.metrics.report import Table
-from repro.network.builder import build_network
-from repro.network.simulation import run_workload
+from repro.network.builder import Network
+from repro.network.simulation import run_simulation
+from repro.traffic.base import Workload
 from repro.traffic.bimodal import BimodalTraffic
 from repro.traffic.hotspot import HotspotTraffic
 
@@ -44,6 +46,32 @@ from repro.traffic.hotspot import HotspotTraffic
 # ----------------------------------------------------------------------
 # X1: barrier scaling
 # ----------------------------------------------------------------------
+class FullBarrier(Workload):
+    """Every host enters one barrier at cycle 0; over when it completes."""
+
+    name = "barrier"
+    #: the barrier being measured, created by :meth:`start`
+    operation: BarrierOperation
+
+    def __init__(self, release: ReleaseScheme) -> None:
+        self.release = release
+
+    def start(self, network: Network) -> None:
+        engine = BarrierEngine(network.nodes)
+        hosts = range(network.num_hosts)
+        operation = engine.create(list(hosts), release_scheme=self.release)
+        self.operation = operation
+
+        def enter_all() -> None:
+            for host in hosts:
+                engine.enter(operation, host)
+
+        network.sim.schedule_at(0, enter_all)
+
+    def finished(self, network: Network) -> bool:
+        return self.operation.complete
+
+
 def _run_barrier(
     num_hosts: int,
     seed: int,
@@ -51,22 +79,15 @@ def _run_barrier(
     max_cycles: int,
 ) -> Dict[str, float]:
     """Worker: one full-system barrier; returns latency and skew."""
-    network = build_network(base_config(num_hosts, seed=seed))
-    engine = BarrierEngine(network.nodes)
-    operation = engine.create(
-        list(range(num_hosts)), release_scheme=release
+    workload = FullBarrier(release)
+    run = run_simulation(
+        base_config(num_hosts, seed=seed), workload, max_cycles=max_cycles
     )
-
-    def enter_all(op=operation, eng=engine, n=num_hosts):
-        for host in range(n):
-            eng.enter(op, host)
-
-    network.sim.schedule_at(0, enter_all)
-    network.sim.run_until(
-        lambda op=operation: op.complete,
-        max_cycles=max_cycles,
-        stall_limit=30_000,
-    )
+    if not run.completed:
+        raise CycleBudgetExhausted(
+            f"{num_hosts}-host barrier still open after {run.cycles} cycles"
+        )
+    operation = workload.operation
     return {"latency": operation.last_latency, "skew": operation.skew}
 
 
@@ -131,17 +152,10 @@ def reduce_barrier_scaling(
     return result
 
 
-def run_barrier_scaling(
-    scale: Scale = QUICK,
-    sizes: Sequence[int] = (16, 64, 256),
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """X1: full-system barrier latency/skew vs. N for both releases."""
-    plan = plan_barrier_scaling(scale, sizes)
-    return reduce_barrier_scaling(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: X1: full-system barrier latency/skew vs. N for both releases
+run_barrier_scaling = Experiment(
+    "x1", plan_barrier_scaling, reduce_barrier_scaling,
+)
 
 
 # ----------------------------------------------------------------------
@@ -162,24 +176,17 @@ def plan_hotspot(
         for scheme in schemes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(fraction, scheme.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=scheme.apply(
-                                base_config(num_hosts, seed=seed)
-                            ),
-                            workload_cls=HotspotTraffic,
-                            workload_kwargs=dict(
-                                load=load,
-                                hotspot_fraction=fraction,
-                                hotspot_host=0,
-                                payload_flits=payload_flits,
-                                warmup_cycles=scale.warmup_cycles,
-                                measure_cycles=scale.measure_cycles,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (fraction, scheme.value, seed),
+                        scheme.apply(base_config(num_hosts, seed=seed)),
+                        scale,
+                        HotspotTraffic,
+                        load=load,
+                        hotspot_fraction=fraction,
+                        hotspot_host=0,
+                        payload_flits=payload_flits,
+                        warmup_cycles=scale.warmup_cycles,
+                        measure_cycles=scale.measure_cycles,
                     )
                 )
     meta = dict(
@@ -225,20 +232,11 @@ def reduce_hotspot(
     return result
 
 
-def run_hotspot(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    load: float = 0.3,
-    fractions: Sequence[float] = (0.0, 0.02, 0.05, 0.10),
-    payload_flits: int = 32,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """X2: hot-spot unicast — latency vs. hot fraction, CB vs. IB."""
-    plan = plan_hotspot(scale, num_hosts, load, fractions, payload_flits)
-    return reduce_hotspot(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: X2: hot-spot unicast — latency vs. hot fraction, CB vs. IB
+run_hotspot = Experiment(
+    "x2", plan_hotspot, reduce_hotspot,
+    chart=("fraction", "latency", "scheme"),
+)
 
 
 # ----------------------------------------------------------------------
@@ -248,10 +246,10 @@ def _run_occupancy(
     config, workload_kwargs: Dict[str, object], max_cycles: int
 ) -> Dict[int, float]:
     """Worker: one bimodal run; returns occupancy by switch level."""
-    network = build_network(config)
-    workload = BimodalTraffic(**workload_kwargs)
-    run_workload(network, workload, max_cycles=max_cycles)
-    return central_buffer_occupancy_by_level(network)
+    run = run_simulation(
+        config, BimodalTraffic(**workload_kwargs), max_cycles=max_cycles
+    )
+    return central_buffer_occupancy_by_level(run.network)
 
 
 def plan_buffer_occupancy(
@@ -334,16 +332,7 @@ def reduce_buffer_occupancy(
     return result
 
 
-def run_buffer_occupancy(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    load: float = 0.3,
-    degree: int = 8,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """X3: central-buffer occupancy by level under bimodal traffic."""
-    plan = plan_buffer_occupancy(scale, num_hosts, load, degree)
-    return reduce_buffer_occupancy(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: X3: central-buffer occupancy by level under bimodal traffic
+run_buffer_occupancy = Experiment(
+    "x3", plan_buffer_occupancy, reduce_buffer_occupancy,
+)

@@ -12,19 +12,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.metrics.report import Table
 from repro.traffic.multicast import SingleMulticast
 
@@ -46,29 +42,24 @@ def plan_length_sweep(
         for scheme in schemes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(length, scheme.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=scheme.apply(
-                                base_config(
-                                    num_hosts,
-                                    seed=seed,
-                                    max_packet_payload_flits=max(128, length),
-                                    central_buffer_flits=_buffer_for(
-                                        num_hosts, length
-                                    ),
-                                )
-                            ),
-                            workload_cls=SingleMulticast,
-                            workload_kwargs=dict(
-                                source=seed % num_hosts,
-                                degree=degree,
-                                payload_flits=length,
-                                scheme=scheme.multicast_scheme,
-                            ),
-                            max_cycles=scale.max_cycles,
+                    summary_spec(
+                        (length, scheme.value, seed),
+                        scheme.apply(
+                            base_config(
+                                num_hosts,
+                                seed=seed,
+                                max_packet_payload_flits=max(128, length),
+                                central_buffer_flits=_buffer_for(
+                                    num_hosts, length
+                                ),
+                            )
                         ),
+                        scale,
+                        SingleMulticast,
+                        source=seed % num_hosts,
+                        degree=degree,
+                        payload_flits=length,
+                        scheme=scheme.multicast_scheme,
                     )
                 )
     meta = dict(
@@ -110,20 +101,11 @@ def reduce_length_sweep(
     return result
 
 
-def run_length_sweep(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    lengths: Sequence[int] = DEFAULT_LENGTHS,
-    degree: int = 8,
-    schemes: Optional[Sequence[Scheme]] = None,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run E3 and return per-(length, scheme) last-arrival latencies."""
-    plan = plan_length_sweep(scale, num_hosts, lengths, degree, schemes)
-    return reduce_length_sweep(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E3: per-(length, scheme) last-arrival latencies
+run_length_sweep = Experiment(
+    "e3", plan_length_sweep, reduce_length_sweep,
+    chart=("length", "latency", "scheme"),
+)
 
 
 def _buffer_for(num_hosts: int, length: int) -> int:

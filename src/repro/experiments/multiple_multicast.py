@@ -14,19 +14,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.metrics.report import Table
 from repro.traffic.multicast import MultipleMulticastBurst
 
@@ -49,22 +45,15 @@ def plan_multiple_multicast(
         for scheme in schemes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(m, scheme.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=scheme.apply(
-                                base_config(num_hosts, seed=seed)
-                            ),
-                            workload_cls=MultipleMulticastBurst,
-                            workload_kwargs=dict(
-                                num_multicasts=m,
-                                degree=degree,
-                                payload_flits=payload_flits,
-                                scheme=scheme.multicast_scheme,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (m, scheme.value, seed),
+                        scheme.apply(base_config(num_hosts, seed=seed)),
+                        scale,
+                        MultipleMulticastBurst,
+                        num_multicasts=m,
+                        degree=degree,
+                        payload_flits=payload_flits,
+                        scheme=scheme.multicast_scheme,
                     )
                 )
     meta = dict(
@@ -108,20 +97,8 @@ def reduce_multiple_multicast(
     return result
 
 
-def run_multiple_multicast(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    concurrency: Sequence[int] = DEFAULT_CONCURRENCY,
-    degree: int = 8,
-    payload_flits: int = 64,
-    schemes: Optional[Sequence[Scheme]] = None,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run E1 and return per-(m, scheme) mean last-arrival latencies."""
-    plan = plan_multiple_multicast(
-        scale, num_hosts, concurrency, degree, payload_flits, schemes
-    )
-    return reduce_multiple_multicast(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E1: per-(m, scheme) mean last-arrival latencies
+run_multiple_multicast = Experiment(
+    "e1", plan_multiple_multicast, reduce_multiple_multicast,
+    chart=("m", "latency", "scheme"),
+)

@@ -8,38 +8,35 @@ the calibration step a simulation-methodology section reports.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.core.latency_model import unicast_zero_load
 from repro.core.schemes import MulticastScheme
-from repro.experiments.common import QUICK, ExperimentResult, Scale, base_config
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
+from repro.experiments.common import (
+    QUICK,
+    Experiment,
+    ExperimentResult,
+    Scale,
+    base_config,
 )
+from repro.experiments.parallel import ExecutionPlan, Key, RunSpec
 from repro.metrics.report import Table
-from repro.network.builder import build_network
-from repro.network.simulation import run_workload
+from repro.network.simulation import run_simulation
 from repro.traffic.multicast import SingleMulticast
 
 
 def _run_calibration(num_hosts: int, max_cycles: int) -> Dict[str, float]:
     """Worker: one far multicast at zero load, simulator vs. model."""
-    config = base_config(num_hosts)
-    network = build_network(config.derived(seed=11))
-    dests = [num_hosts - 1]
+    config = base_config(num_hosts, seed=11)
     workload = SingleMulticast(
-        source=0, destinations=dests, payload_flits=32,
+        source=0, destinations=[num_hosts - 1], payload_flits=32,
         scheme=MulticastScheme.HARDWARE,
     )
-    run = run_workload(network, workload, max_cycles=max_cycles)
+    run = run_simulation(config, workload, max_cycles=max_cycles)
     (op,) = run.collector.completed_operations()
-    bmin = network.topology_object
-    hops = bmin.min_switch_hops(0, num_hosts - 1)
+    network = run.network
     model = unicast_zero_load(
-        hops=hops,
+        hops=network.topology_object.min_switch_hops(0, num_hosts - 1),
         size_flits=network.unicast_header_flits() + 32,
         link_latency=config.link_latency,
         routing_delay=config.routing_delay,
@@ -114,14 +111,5 @@ def reduce_parameters(
     return result
 
 
-def run_parameters(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Emit the parameter table plus zero-load model-vs-simulator checks."""
-    plan = plan_parameters(scale, num_hosts)
-    return reduce_parameters(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E7: the parameter table plus zero-load model-vs-simulator checks
+run_parameters = Experiment("e7", plan_parameters, reduce_parameters)

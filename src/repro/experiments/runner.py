@@ -21,70 +21,26 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Callable, Dict
+from typing import Dict
 
-from repro.experiments.ablations import (
-    run_cb_bandwidth_ablation,
-    run_encoding_ablation,
-    run_equal_storage_ablation,
-    run_replication_ablation,
-    run_routing_mode_ablation,
-)
-from repro.experiments.bimodal import run_bimodal
-from repro.experiments.common import PAPER, QUICK, ExperimentResult
-from repro.experiments.cross_topology import run_cross_topology
-from repro.experiments.degree_sweep import run_degree_sweep
-from repro.experiments.extensions import (
-    run_barrier_scaling,
-    run_buffer_occupancy,
-    run_hotspot,
-)
-from repro.experiments.length_sweep import run_length_sweep
-from repro.experiments.multiple_multicast import run_multiple_multicast
+from repro import experiments
+from repro.experiments.common import PAPER, QUICK, Experiment
 from repro.experiments.parallel import (
     Stopwatch,
     default_jobs,
     stderr_progress,
 )
-from repro.experiments.parameters import run_parameters
-from repro.experiments.system_size import run_system_size
-from repro.experiments.unicast_baseline import run_unicast_baseline
 from repro.farm import runtime as farm_runtime
 from repro.obs import runtime as obs_runtime
 from repro.obs.manifest import RunManifest
 from repro.obs.runtime import ObsOptions
 from repro.store import runtime as store_runtime
 
-EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
-    "e1": run_multiple_multicast,
-    "e2": run_degree_sweep,
-    "e3": run_length_sweep,
-    "e4": run_bimodal,
-    "e5": run_system_size,
-    "e6": run_unicast_baseline,
-    "e7": run_parameters,
-    "a1": run_cb_bandwidth_ablation,
-    "a2": run_routing_mode_ablation,
-    "a3": run_encoding_ablation,
-    "a4": run_replication_ablation,
-    "a5": run_equal_storage_ablation,
-    "x1": run_barrier_scaling,
-    "x2": run_hotspot,
-    "x3": run_buffer_occupancy,
-    "x4": run_cross_topology,
-}
-
-#: (x key, y key, series key) for experiments with chartable sweeps
-CHARTS: Dict[str, tuple] = {
-    "e1": ("m", "latency", "scheme"),
-    "e2": ("degree", "latency", "scheme"),
-    "e3": ("length", "latency", "scheme"),
-    "e4": ("load", "unicast_latency", "scheme"),
-    "e6": ("load", "latency", "scheme"),
-    "a1": ("bandwidth", "latency", "scheme"),
-    "a4": ("m", "latency", "replication"),
-    "a5": ("load", "latency", "variant"),
-    "x2": ("fraction", "latency", "scheme"),
+#: every experiment record the package exports, by id
+EXPERIMENTS: Dict[str, Experiment] = {
+    entry.id: entry
+    for entry in vars(experiments).values()
+    if isinstance(entry, Experiment)
 }
 
 
@@ -250,8 +206,9 @@ def main(argv=None) -> int:
     try:
         for name in names:
             progress = stderr_progress(name) if args.progress else None
+            experiment = EXPERIMENTS[name]
             watch = Stopwatch()
-            result = EXPERIMENTS[name](scale, jobs=jobs, progress=progress)
+            result = experiment(scale, jobs=jobs, progress=progress)
             elapsed = watch.elapsed()
             print(result.render())
             if args.farm is not None:
@@ -264,10 +221,9 @@ def main(argv=None) -> int:
             )
             if progress is not None and progress.outcomes:
                 print(progress.summary(lanes).render(), file=sys.stderr)
-            if args.chart and name in CHARTS:
-                x_key, y_key, series_key = CHARTS[name]
+            if args.chart and experiment.chart:
                 print()
-                print(result.chart(x_key, y_key, series_key))
+                print(result.chart(*experiment.chart))
             if args.csv:
                 print(result.table.to_csv())
             print()

@@ -12,19 +12,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.metrics.report import Table
 from repro.traffic.multicast import SingleMulticast
 
@@ -53,22 +49,15 @@ def plan_system_size(
             for scheme in schemes:
                 for seed in seeds:
                     specs.append(
-                        RunSpec(
-                            key=(num_hosts, label, scheme.value, seed),
-                            fn=simulate_summary,
-                            kwargs=dict(
-                                config=scheme.apply(
-                                    base_config(num_hosts, seed=seed)
-                                ),
-                                workload_cls=SingleMulticast,
-                                workload_kwargs=dict(
-                                    source=seed % num_hosts,
-                                    degree=degree,
-                                    payload_flits=payload_flits,
-                                    scheme=scheme.multicast_scheme,
-                                ),
-                                max_cycles=scale.max_cycles,
-                            ),
+                        summary_spec(
+                            (num_hosts, label, scheme.value, seed),
+                            scheme.apply(base_config(num_hosts, seed=seed)),
+                            scale,
+                            SingleMulticast,
+                            source=seed % num_hosts,
+                            degree=degree,
+                            payload_flits=payload_flits,
+                            scheme=scheme.multicast_scheme,
                         )
                     )
     meta = dict(
@@ -119,16 +108,5 @@ def reduce_system_size(
     return result
 
 
-def run_system_size(
-    scale: Scale = QUICK,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    payload_flits: int = 64,
-    schemes: Optional[Sequence[Scheme]] = None,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run E5: broadcast and N/4-degree multicast at each system size."""
-    plan = plan_system_size(scale, sizes, payload_flits, schemes)
-    return reduce_system_size(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E5: broadcast and N/4-degree multicast at each system size
+run_system_size = Experiment("e5", plan_system_size, reduce_system_size)

@@ -14,19 +14,15 @@ from typing import Dict, Optional, Sequence
 
 from repro.experiments.common import (
     QUICK,
+    Experiment,
     ExperimentResult,
     Scale,
     Scheme,
     base_config,
     mean,
-    simulate_summary,
+    summary_spec,
 )
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    Key,
-    RunSpec,
-    execute_plan,
-)
+from repro.experiments.parallel import ExecutionPlan, Key
 from repro.flits.packet import TrafficClass
 from repro.metrics.report import Table
 from repro.traffic.unicast import UniformRandomUnicast
@@ -53,22 +49,15 @@ def plan_unicast_baseline(
         for scheme in schemes:
             for seed in seeds:
                 specs.append(
-                    RunSpec(
-                        key=(load, scheme.value, seed),
-                        fn=simulate_summary,
-                        kwargs=dict(
-                            config=scheme.apply(
-                                base_config(num_hosts, seed=seed)
-                            ),
-                            workload_cls=UniformRandomUnicast,
-                            workload_kwargs=dict(
-                                load=load,
-                                payload_flits=payload_flits,
-                                warmup_cycles=scale.warmup_cycles,
-                                measure_cycles=scale.measure_cycles,
-                            ),
-                            max_cycles=scale.max_cycles,
-                        ),
+                    summary_spec(
+                        (load, scheme.value, seed),
+                        scheme.apply(base_config(num_hosts, seed=seed)),
+                        scale,
+                        UniformRandomUnicast,
+                        load=load,
+                        payload_flits=payload_flits,
+                        warmup_cycles=scale.warmup_cycles,
+                        measure_cycles=scale.measure_cycles,
                     )
                 )
     meta = dict(
@@ -127,19 +116,8 @@ def reduce_unicast_baseline(
     return result
 
 
-def run_unicast_baseline(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    payload_flits: int = 32,
-    schemes: Optional[Sequence[Scheme]] = None,
-    jobs: Optional[int] = 1,
-    progress=None,
-) -> ExperimentResult:
-    """Run E6; rows carry latency and throughput per (load, architecture)."""
-    plan = plan_unicast_baseline(
-        scale, num_hosts, loads, payload_flits, schemes
-    )
-    return reduce_unicast_baseline(
-        plan, execute_plan(plan, jobs=jobs, progress=progress)
-    )
+#: E6; rows carry latency and throughput per (load, architecture)
+run_unicast_baseline = Experiment(
+    "e6", plan_unicast_baseline, reduce_unicast_baseline,
+    chart=("load", "latency", "scheme"),
+)

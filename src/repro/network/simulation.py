@@ -27,6 +27,9 @@ class SimulationResult:
     cycles: int
     completed: bool
     collector: MetricsCollector
+    #: the network the run executed on, for probes that read component
+    #: state after the fact (buffer occupancy, topology distances)
+    network: Network = field(repr=False)
 
     # ------------------------------------------------------------------
     # convenience accessors
@@ -279,6 +282,7 @@ def run_workload(
         cycles=network.sim.now,
         completed=completed,
         collector=network.collector,
+        network=network,
     )
 
 

@@ -156,7 +156,7 @@ class ReferenceCentralBufferSwitch(_FlitArrival, CentralBufferSwitch):
                 self._advance_bypass(port, current, now)
             else:
                 cursor = current
-                stored = self._stored_of_cursor[id(cursor)]
+                stored = cursor.stored
                 link = self.out_links[port]
                 if (
                     link is not None
@@ -169,7 +169,7 @@ class ReferenceCentralBufferSwitch(_FlitArrival, CentralBufferSwitch):
         )
         for port in winners:
             cursor = self._out_current[port]
-            stored = self._stored_of_cursor[id(cursor)]
+            stored = cursor.stored
             link = self.out_links[port]
             assert link is not None
             flit = Flit(cursor.worm, cursor.read)
@@ -180,7 +180,6 @@ class ReferenceCentralBufferSwitch(_FlitArrival, CentralBufferSwitch):
                 self._c_forwarded.inc()
             self.sim.note_progress()
             if cursor.read == stored.total_flits:
-                del self._stored_of_cursor[id(cursor)]
                 self._out_current[port] = None
                 self._egress_busy &= ~(1 << port)
 

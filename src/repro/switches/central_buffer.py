@@ -59,11 +59,12 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.flits.worm import Worm
 from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.routing.base import PortRequest
 from repro.routing.table import SwitchRoutingTable
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switches.arbiter import RoundRobinArbiter
@@ -94,13 +95,18 @@ _ADMIT_WAIT = _IngressState.ADMIT_WAIT
 class _Ingress(Ingress):
     """A worm in an input FIFO: how far it has drained, and where to."""
 
-    __slots__ = ("consumed", "state", "stored", "bypass_worm", "bypass_port")
+    __slots__ = (
+        "consumed", "state", "stored", "requests", "bypass_worm",
+        "bypass_port",
+    )
 
     def __init__(self, worm: Worm) -> None:
         super().__init__(worm)
         self.consumed = 0
         self.state = _IngressState.ARRIVING
         self.stored: Optional[StoredPacket] = None
+        #: the routing decision, parked while a reservation waits
+        self.requests: Sequence[PortRequest] = ()
         self.bypass_worm: Optional[Worm] = None
         self.bypass_port: Optional[int] = None
 
@@ -187,10 +193,6 @@ class CentralBufferSwitch(SwitchBase):
         self._out_current: List[Optional[object]] = [None] * num_ports
         self._write_arbiter = RoundRobinArbiter(num_ports)
         self._read_arbiter = RoundRobinArbiter(num_ports)
-        #: stored packets indexed by branch cursor identity
-        self._stored_of_cursor: dict = {}
-        #: routing decisions parked while a reservation waits
-        self._pending_requests: dict = {}
         # the skeleton's egress masks mirror `_out_queue[p]` non-empty
         # (wanted) and `_out_current[p]` set (busy); a route-pending
         # front worm is in ROUTE_WAIT or ADMIT_WAIT.  One more FIFO-front
@@ -203,10 +205,6 @@ class CentralBufferSwitch(SwitchBase):
         self._w_bw = settings.cb_write_bandwidth
         self._r_bw = settings.cb_read_bandwidth
         self._chunk_flits = settings.chunk_flits
-        #: stored packet feeding each active (non-bypass) output, cached
-        #: at branch activation so the per-cycle scan never consults the
-        #: ``_stored_of_cursor`` registry
-        self._cur_stored: List[Optional[StoredPacket]] = [None] * num_ports
         #: commit runs of bypass flits in one call (see _advance_bypass);
         #: per-flit observers need the one-flit timeline, so off with them
         self._commit = not (tracer.enabled or metrics.enabled)
@@ -254,7 +252,7 @@ class CentralBufferSwitch(SwitchBase):
                 self.pool, port, ingress.worm.size_flits, reserve_all=True
             )
             ingress.state = _IngressState.ADMIT_WAIT
-            self._pending_requests[id(ingress)] = requests
+            ingress.requests = requests
             self._try_admit(port, ingress, now)
             return
         # unicast: single branch
@@ -282,9 +280,9 @@ class CentralBufferSwitch(SwitchBase):
             stored = StoredPacket(
                 self.pool, port, ingress.worm.size_flits, reserve_all=False
             )
-            cursor = stored.add_branch(child, out_port)
-            self._stored_of_cursor[id(cursor)] = stored
-            self._out_queue[out_port].append(cursor)
+            self._out_queue[out_port].append(
+                stored.add_branch(child, out_port)
+            )
             self._egress_wanted |= 1 << out_port
             ingress.stored = stored
             self._stream_to_buffer(port, ingress)
@@ -311,7 +309,7 @@ class CentralBufferSwitch(SwitchBase):
                 self._c_blocked.inc()
             return
         self._stirred = True
-        requests = self._pending_requests.pop(id(ingress))
+        requests = ingress.requests
         if self._obs and len(requests) > 1:
             self._c_replicated.inc(
                 self.pool.chunks_for(ingress.worm.size_flits)
@@ -319,9 +317,9 @@ class CentralBufferSwitch(SwitchBase):
             )
         for request in requests:
             child = ingress.worm.branch(request.destinations, request.descending)
-            cursor = stored.add_branch(child, request.port)
-            self._stored_of_cursor[id(cursor)] = stored
-            self._out_queue[request.port].append(cursor)
+            self._out_queue[request.port].append(
+                stored.add_branch(child, request.port)
+            )
             self._egress_wanted |= 1 << request.port
         self._stream_to_buffer(port, ingress)
         if self.tracer.enabled:
@@ -382,16 +380,13 @@ class CentralBufferSwitch(SwitchBase):
     def _drive_outputs(self, now: int) -> None:
         out_current = self._out_current
         out_links = self.out_links
-        cur_stored = self._cur_stored
         # activate queued branches on idle outputs
         ready = self._egress_wanted & ~self._egress_busy
         if ready:
             out_queue = self._out_queue
             for port in PORTS_OF[ready]:
                 queue = out_queue[port]
-                cursor = queue.popleft()
-                out_current[port] = cursor
-                cur_stored[port] = self._stored_of_cursor[id(cursor)]
+                out_current[port] = queue.popleft()
                 if not queue:
                     self._egress_wanted &= ~(1 << port)
             self._egress_busy |= ready
@@ -403,9 +398,8 @@ class CentralBufferSwitch(SwitchBase):
             if type(current) is _BypassFeed:
                 self._advance_bypass(port, current, now)
             else:
-                stored = cur_stored[port]
+                stored = current.stored  # type: ignore[attr-defined]
                 link = out_links[port]
-                assert stored is not None
                 # inlined Link.can_send (kept in sync with it): credits
                 # only ever grow by draining matured returns, so a
                 # positive counter needs no drain to prove sendability
@@ -426,9 +420,9 @@ class CentralBufferSwitch(SwitchBase):
         progress = 0
         for port in winners:
             cursor = out_current[port]
-            stored = cur_stored[port]
+            stored = cursor.stored  # type: ignore[union-attr]
             link = out_links[port]
-            assert stored is not None and link is not None
+            assert link is not None
             read = cursor.read  # type: ignore[union-attr]
             link.send_granted(now, cursor.worm, read)  # type: ignore[union-attr]
             read += 1
@@ -440,9 +434,7 @@ class CentralBufferSwitch(SwitchBase):
                 stored._release_consumed(now)
             progress += 1
             if read == stored.total_flits:
-                del self._stored_of_cursor[id(cursor)]
                 out_current[port] = None
-                cur_stored[port] = None
                 self._egress_busy &= ~(1 << port)
         if progress:
             self._stirred = True

@@ -193,12 +193,16 @@ class ChunkCharge:
 class BranchCursor:
     """One output branch's read position into a stored packet."""
 
-    __slots__ = ("worm", "out_port", "read")
+    __slots__ = ("worm", "out_port", "read", "stored")
 
-    def __init__(self, worm: Worm, out_port: int) -> None:
+    def __init__(
+        self, worm: Worm, out_port: int, stored: "StoredPacket"
+    ) -> None:
         self.worm = worm
         self.out_port = out_port
         self.read = 0
+        #: the packet this branch reads
+        self.stored = stored
 
     def __repr__(self) -> str:
         return f"BranchCursor(port={self.out_port}, read={self.read})"
@@ -291,7 +295,7 @@ class StoredPacket:
     def add_branch(self, worm: Worm, out_port: int) -> BranchCursor:
         """Register a replicated branch; all branches are added at
         admission, before any read."""
-        cursor = BranchCursor(worm, out_port)
+        cursor = BranchCursor(worm, out_port, self)
         self.branches.append(cursor)
         return cursor
 
@@ -316,6 +320,9 @@ class StoredPacket:
             min_read = min(cursor.read for cursor in branches)
         if min_read >= self.total_flits and self.fully_written:
             target = self.charge.total + self._chunks_released
+            # the last branch is done: drop the cursors, which point back
+            # here — a cycle that only the garbage collector would free
+            self.branches = []
         else:
             target = min_read // self.pool.chunk_flits
         to_release = target - self._chunks_released

@@ -32,29 +32,33 @@ so credits, arrival cycles and every downstream observable match the
 one-flit-per-tick reference bit for bit (see
 ``tests/sim/test_packed_differential.py``).
 
-For the active-set kernel the link carries two *wake hooks*: the
-receiving component registers :meth:`on_arrival` (wired by
-``connect_in``) so a send wakes it at the delivery cycle, and the
-sending component registers :meth:`on_credit` (wired by ``connect_out``).
-The credit wake is *on demand*: a sender that never runs out of credits
-is never woken for one.  Only a sender that :meth:`can_send` or
-:meth:`sendable_span` just refused for lack of a credit is owed a wake —
-at the maturity of the head queued return if one is already travelling
-back, else at the maturity of the next :meth:`return_credit`.  Both
-hooks are optional — a bare link in a unit test works exactly as before.
+For the active-set kernel the link wakes the component at either end:
+the receiving component registers itself with :meth:`wake_on_arrival`
+(wired by ``connect_in``) so a send wakes it at the delivery cycle, and
+the sending component with :meth:`wake_on_credit` (wired by
+``connect_out``).  The link holds the component itself, not a callback,
+so the send and credit paths test its next-cycle wake marker inline and
+skip the wake call when it is already scheduled — the overwhelmingly
+common case in a busy network.  The credit wake is *on demand*: a
+sender that never runs out of credits is never woken for one.  Only a
+sender that :meth:`can_send` or :meth:`sendable_span` just refused for
+lack of a credit is owed a wake — at the maturity of the head queued
+return if one is already travelling back, else at the maturity of the
+next :meth:`return_credit`.  Both wakers are optional — a bare link in a
+unit test works without them.
 
-The component form of the arrival waker (:meth:`wake_on_arrival`) also
-carries the receiver's *rx-pending* bit: every send sets bit ``port`` of
-the component's ``_rx_pending`` mask, and a receiver that drains by mask
-— the switches and NI, see :mod:`repro.switches.ports` — clears
-it when this link's span queue runs empty.  Such a receiver never polls
+The arrival waker also carries the receiver's *rx-pending* bit: every
+send sets bit ``port`` of the component's ``_rx_pending`` mask, and a
+receiver that drains by mask — the switches and NI, see
+:mod:`repro.switches.ports` — clears it when this link's span queue runs
+empty.  Such a receiver never polls
 :attr:`pending_arrival`; it calls :attr:`receive_span` on exactly the
 in-links whose bit is set.  Both are instance attributes, and those
 receivers look ``receive_span`` up on the link instance no earlier than
 their first tick, so a profiler may rebind it (and the send entry
 points) per link before the run starts.
 
-The arrival hook fires once per :meth:`send` and once per
+The arrival wake fires once per :meth:`send` and once per
 :meth:`send_span` — at the span's *first* arrival cycle, not once per
 member flit.  A receiver that drains a span partially therefore owns its
 own re-arm for the remaining members: a switch re-arms while stirred, or
@@ -77,16 +81,13 @@ what the one-flit-per-cycle reference sends.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, List, Optional, Tuple
+from typing import Deque, List, Optional, Tuple
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.flits.flit import Flit
 from repro.flits.packed import SpanQueue
 from repro.flits.worm import Worm
 from repro.sim.component import Component
-
-#: a wake hook receives the absolute cycle the wake is requested for
-WakeHook = Callable[[int], None]
 
 
 class Link:
@@ -134,13 +135,6 @@ class Link:
         #: last cycle with a reserved send slot; a span send at cycle t
         #: reserves slots t .. t+count-1 in one call
         self._last_send_cycle = -1
-        self._arrival_hook: Optional[WakeHook] = None
-        self._credit_hook: Optional[WakeHook] = None
-        # component wakers (the fast form of the hooks above): storing
-        # the component itself lets the send/credit paths test its
-        # next-cycle wake marker inline and skip the wake call entirely
-        # when the target is already scheduled — the overwhelmingly
-        # common case in a busy network
         self._arrival_comp: Optional[Component] = None
         self._credit_comp: Optional[Component] = None
         #: this link's bit in the arrival component's ``_rx_pending`` mask
@@ -149,48 +143,31 @@ class Link:
         self.flits_sent = 0
 
     # ------------------------------------------------------------------
-    # wake hooks (wired once, by whoever owns each end)
+    # wakers (wired once, by whoever owns each end)
     # ------------------------------------------------------------------
-    def on_arrival(self, hook: WakeHook) -> None:
-        """Register the receiver's wake hook; called per send with the
-        arrival cycle, so an idle receiver is ticked exactly when the
-        flit becomes receivable."""
-        if self._arrival_hook is not None or self._arrival_comp is not None:
-            raise ProtocolError(f"link {self.name}: arrival hook already set")
-        self._arrival_hook = hook
-
-    def on_credit(self, hook: WakeHook) -> None:
-        """Register the sender's wake hook; called with the cycle a credit
-        matures, once per refusal for lack of one, so a credit-starved
-        sender can go dormant instead of polling."""
-        if self._credit_hook is not None or self._credit_comp is not None:
-            raise ProtocolError(f"link {self.name}: credit hook already set")
-        self._credit_hook = hook
-
     def wake_on_arrival(self, component: Component, port: int = 0) -> None:
-        """Register the receiving component itself as the arrival waker.
-
-        Equivalent to ``on_arrival(component.wake_at)`` but lets the
-        send paths dedup against the component's next-cycle wake marker
-        without a call; the standard network wiring uses this form.
+        """Register the receiving component: every send wakes it at the
+        arrival cycle, so an idle receiver is ticked exactly when the
+        flit becomes receivable.
 
         ``port`` is the receiver's input port this link feeds: every
         send also sets bit ``port`` of the component's ``_rx_pending``
         mask, so a receiver draining by mask visits only in-links that
         hold flits (it clears the bit when the span queue runs empty).
         """
-        if self._arrival_hook is not None or self._arrival_comp is not None:
-            raise ProtocolError(f"link {self.name}: arrival hook already set")
+        if self._arrival_comp is not None:
+            raise ProtocolError(f"link {self.name}: arrival waker already set")
         self._arrival_comp = component
         self._rx_bit = 1 << port
         if len(self._in_flight):
             component._rx_pending |= self._rx_bit
 
     def wake_on_credit(self, component: Component) -> None:
-        """Register the sending component itself as the credit waker
-        (the fast form of ``on_credit(component.wake_at)``)."""
-        if self._credit_hook is not None or self._credit_comp is not None:
-            raise ProtocolError(f"link {self.name}: credit hook already set")
+        """Register the sending component: woken at the cycle a credit
+        matures, once per refusal for lack of one, so a credit-starved
+        sender can go dormant instead of polling."""
+        if self._credit_comp is not None:
+            raise ProtocolError(f"link {self.name}: credit waker already set")
         self._credit_comp = component
 
     # ------------------------------------------------------------------
@@ -287,8 +264,6 @@ class Link:
             # exactly that cycle (markers never run ahead of the bucket)
             if comp._wake_marker != cycle:
                 comp.wake_at(cycle)
-        elif self._credit_hook is not None:
-            self._credit_hook(cycle)
 
     def _wake_for_credit(self) -> None:
         """The sender was just refused for lack of a credit: wake it when
@@ -386,8 +361,6 @@ class Link:
             comp._rx_pending |= self._rx_bit
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
-        elif self._arrival_hook is not None:
-            self._arrival_hook(arrival)
 
     def send_granted(self, now: int, worm: Worm, index: int) -> None:
         """Transmit flit ``(worm, index)`` after a :meth:`can_send` check.
@@ -410,8 +383,6 @@ class Link:
             comp._rx_pending |= self._rx_bit
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
-        elif self._arrival_hook is not None:
-            self._arrival_hook(arrival)
 
     def send_span(self, now: int, worm: Worm, start: int, count: int) -> None:
         """Transmit ``count`` flits of ``worm`` from ``start`` in one call.
@@ -419,7 +390,7 @@ class Link:
         Wire-identical to ``count`` single sends on consecutive cycles:
         one send slot and one credit per member flit (all reserved now)
         and member ``j`` arriving at ``now + latency + j``.  The arrival
-        hook fires once, at the first arrival cycle; the receiver's own
+        wake fires once, at the first arrival cycle; the receiver's own
         re-arm covers the rest of the span (see the module docstring).
         Requires ``count <= sendable_span(now)``.
         """
@@ -445,8 +416,6 @@ class Link:
             comp._rx_pending |= self._rx_bit
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
-        elif self._arrival_hook is not None:
-            self._arrival_hook(arrival)
 
     # ------------------------------------------------------------------
     # introspection (tests and invariant checks)

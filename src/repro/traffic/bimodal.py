@@ -10,18 +10,18 @@ worm — the effect this workload exposes.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from random import Random
+from typing import TYPE_CHECKING
 
 from repro.core.schemes import MulticastScheme
-from repro.traffic.base import Workload
+from repro.traffic.base import OpenLoopWorkload, uniform_other_host
 from repro.traffic.multicast import _random_destinations
-from repro.traffic.schedules import PoissonArrivals, mean_gap_for_load
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.builder import Network
 
 
-class BimodalTraffic(Workload):
+class BimodalTraffic(OpenLoopWorkload):
     """Mixed unicast/multicast open-loop traffic.
 
     Parameters
@@ -40,6 +40,8 @@ class BimodalTraffic(Workload):
     """
 
     name = "bimodal"
+    rng_stream = "workload.bimodal"
+    DRAIN_FACTOR = 30
 
     def __init__(
         self,
@@ -55,60 +57,21 @@ class BimodalTraffic(Workload):
             raise ValueError("multicast_fraction must be within [0, 1]")
         if payload_flits < 1:
             raise ValueError("payload_flits must be >= 1")
+        super().__init__(warmup_cycles, measure_cycles)
         self.load = load
         self.multicast_fraction = multicast_fraction
         self.degree = degree
         self.payload_flits = payload_flits
         self.scheme = scheme
-        self.warmup_cycles = warmup_cycles
-        self.measure_cycles = measure_cycles
-        self._stop_generation = warmup_cycles + measure_cycles
 
-    def start(self, network: "Network") -> None:
-        header = network.unicast_header_flits()
-        arrivals = PoissonArrivals(
-            mean_gap_for_load(self.load, header + self.payload_flits)
-        )
-        network.collector.set_sample_window(
-            self.warmup_cycles, self._stop_generation
-        )
-        rng = network.sim.rng.stream("workload.bimodal")
-        for host in range(network.num_hosts):
-            self._schedule_next(network, host, arrivals, rng)
-
-    def _schedule_next(self, network, host, arrivals, rng) -> None:
-        when = network.sim.now + arrivals.next_gap(rng)
-        if when >= self._stop_generation:
-            return
-
-        def fire() -> None:
-            if rng.random() < self.multicast_fraction:
-                dest_set = _random_destinations(
-                    rng, network.num_hosts, host, self.degree
-                )
-                network.nodes[host].post_multicast(
-                    dest_set, self.payload_flits, self.scheme
-                )
-            else:
-                destination = rng.randrange(network.num_hosts - 1)
-                if destination >= host:
-                    destination += 1
-                network.nodes[host].post_unicast(
-                    destination, self.payload_flits
-                )
-            self._schedule_next(network, host, arrivals, rng)
-
-        network.sim.schedule_at(when, fire)
-
-    def finished(self, network: "Network") -> bool:
-        return (
-            network.sim.now >= self._stop_generation
-            and network.collector.outstanding_messages == 0
-        )
-
-    def max_cycles_hint(self) -> int:
-        return self._stop_generation * 30 + 500_000
-
-    def time_marks(self, network: "Network") -> Tuple[int, ...]:
-        # finished() flips on sim.now reaching the generation stop
-        return (self._stop_generation,)
+    def _post(self, network: "Network", host: int, rng: Random) -> None:
+        if rng.random() < self.multicast_fraction:
+            dest_set = _random_destinations(
+                rng, network.num_hosts, host, self.degree
+            )
+            network.nodes[host].post_multicast(
+                dest_set, self.payload_flits, self.scheme
+            )
+        else:
+            destination = uniform_other_host(rng, network.num_hosts, host)
+            network.nodes[host].post_unicast(destination, self.payload_flits)

@@ -10,16 +10,16 @@ partitioned input buffers.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Tuple
+from random import Random
+from typing import TYPE_CHECKING
 
-from repro.traffic.base import Workload
-from repro.traffic.schedules import PoissonArrivals, mean_gap_for_load
+from repro.traffic.base import OpenLoopWorkload, uniform_other_host
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.builder import Network
 
 
-class HotspotTraffic(Workload):
+class HotspotTraffic(OpenLoopWorkload):
     """Uniform unicast background with a hot destination.
 
     Parameters
@@ -34,6 +34,8 @@ class HotspotTraffic(Workload):
     """
 
     name = "hotspot"
+    rng_stream = "workload.hotspot"
+    DRAIN_FACTOR = 40
 
     def __init__(
         self,
@@ -48,60 +50,26 @@ class HotspotTraffic(Workload):
             raise ValueError("hotspot_fraction must be within [0, 1]")
         if payload_flits < 1:
             raise ValueError("payload_flits must be >= 1")
+        super().__init__(warmup_cycles, measure_cycles)
         self.load = load
         self.hotspot_fraction = hotspot_fraction
         self.hotspot_host = hotspot_host
         self.payload_flits = payload_flits
-        self.warmup_cycles = warmup_cycles
-        self.measure_cycles = measure_cycles
-        self._stop_generation = warmup_cycles + measure_cycles
 
     def start(self, network: "Network") -> None:
         if not 0 <= self.hotspot_host < network.num_hosts:
             raise ValueError(
                 f"hotspot host {self.hotspot_host} outside the system"
             )
-        header = network.unicast_header_flits()
-        arrivals = PoissonArrivals(
-            mean_gap_for_load(self.load, header + self.payload_flits)
+        super().start(network)
+
+    def _post(self, network: "Network", host: int, rng: Random) -> None:
+        hot = (
+            rng.random() < self.hotspot_fraction
+            and host != self.hotspot_host
         )
-        network.collector.set_sample_window(
-            self.warmup_cycles, self._stop_generation
-        )
-        rng = network.sim.rng.stream("workload.hotspot")
-        for host in range(network.num_hosts):
-            self._schedule_next(network, host, arrivals, rng)
-
-    def _schedule_next(self, network, host, arrivals, rng) -> None:
-        when = network.sim.now + arrivals.next_gap(rng)
-        if when >= self._stop_generation:
-            return
-
-        def fire() -> None:
-            hot = (
-                rng.random() < self.hotspot_fraction
-                and host != self.hotspot_host
-            )
-            if hot:
-                destination = self.hotspot_host
-            else:
-                destination = rng.randrange(network.num_hosts - 1)
-                if destination >= host:
-                    destination += 1
-            network.nodes[host].post_unicast(destination, self.payload_flits)
-            self._schedule_next(network, host, arrivals, rng)
-
-        network.sim.schedule_at(when, fire)
-
-    def finished(self, network: "Network") -> bool:
-        return (
-            network.sim.now >= self._stop_generation
-            and network.collector.outstanding_messages == 0
-        )
-
-    def max_cycles_hint(self) -> int:
-        return self._stop_generation * 40 + 500_000
-
-    def time_marks(self, network: "Network") -> Tuple[int, ...]:
-        # finished() flips on sim.now reaching the generation stop
-        return (self._stop_generation,)
+        if hot:
+            destination = self.hotspot_host
+        else:
+            destination = uniform_other_host(rng, network.num_hosts, host)
+        network.nodes[host].post_unicast(destination, self.payload_flits)

@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
+from random import Random
 from typing import TYPE_CHECKING, Optional, Sequence, Tuple
 
 from repro.core.schemes import MulticastScheme
 from repro.flits.destset import DestinationSet
-from repro.traffic.base import Workload
-from repro.traffic.schedules import PoissonArrivals
+from repro.traffic.base import OpenLoopWorkload, Workload
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.builder import Network
@@ -157,7 +157,7 @@ class MultipleMulticastBurst(Workload):
         return (self.start_cycle + 1,)
 
 
-class RandomMulticastStream(Workload):
+class RandomMulticastStream(OpenLoopWorkload):
     """Open-loop stream of multicasts at a per-host operation rate.
 
     Each host starts multicast operations with Poisson arrivals; used to
@@ -165,6 +165,7 @@ class RandomMulticastStream(Workload):
     """
 
     name = "multicast_stream"
+    rng_stream = "workload.multicast_stream"
 
     def __init__(
         self,
@@ -177,48 +178,19 @@ class RandomMulticastStream(Workload):
     ) -> None:
         if ops_per_host_per_kilocycle <= 0:
             raise ValueError("operation rate must be positive")
+        super().__init__(warmup_cycles, measure_cycles)
         self.rate = ops_per_host_per_kilocycle
         self.degree = degree
         self.payload_flits = payload_flits
         self.scheme = scheme
-        self.warmup_cycles = warmup_cycles
-        self.measure_cycles = measure_cycles
-        self._stop_generation = warmup_cycles + measure_cycles
 
-    def start(self, network: "Network") -> None:
-        network.collector.set_sample_window(
-            self.warmup_cycles, self._stop_generation
+    def _mean_gap(self, network: "Network") -> float:
+        return 1_000.0 / self.rate
+
+    def _post(self, network: "Network", host: int, rng: Random) -> None:
+        dest_set = _random_destinations(
+            rng, network.num_hosts, host, self.degree
         )
-        arrivals = PoissonArrivals(1_000.0 / self.rate)
-        rng = network.sim.rng.stream("workload.multicast_stream")
-        for host in range(network.num_hosts):
-            self._schedule_next(network, host, arrivals, rng)
-
-    def _schedule_next(self, network, host, arrivals, rng) -> None:
-        when = network.sim.now + arrivals.next_gap(rng)
-        if when >= self._stop_generation:
-            return
-
-        def fire() -> None:
-            dest_set = _random_destinations(
-                rng, network.num_hosts, host, self.degree
-            )
-            network.nodes[host].post_multicast(
-                dest_set, self.payload_flits, self.scheme
-            )
-            self._schedule_next(network, host, arrivals, rng)
-
-        network.sim.schedule_at(when, fire)
-
-    def finished(self, network: "Network") -> bool:
-        return (
-            network.sim.now >= self._stop_generation
-            and network.collector.outstanding_messages == 0
+        network.nodes[host].post_multicast(
+            dest_set, self.payload_flits, self.scheme
         )
-
-    def max_cycles_hint(self) -> int:
-        return self._stop_generation * 20 + 500_000
-
-    def time_marks(self, network: "Network") -> Tuple[int, ...]:
-        # finished() flips on sim.now reaching the generation stop
-        return (self._stop_generation,)

@@ -2,25 +2,25 @@
 
 from __future__ import annotations
 
+from random import Random
 from typing import TYPE_CHECKING, Optional, Tuple
 
-from repro.traffic.base import Workload
-from repro.traffic.schedules import PoissonArrivals, mean_gap_for_load
+from repro.traffic.base import OpenLoopWorkload, Workload, uniform_other_host
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.network.builder import Network
 
 
-class UniformRandomUnicast(Workload):
+class UniformRandomUnicast(OpenLoopWorkload):
     """Open-loop uniform random unicast traffic at a given offered load.
 
     Every host generates messages with Poisson arrivals; each message
-    targets a uniformly random other host.  Generation runs for
-    ``warmup_cycles + measure_cycles``; statistics sample only messages
-    created in the measurement window; the run then drains.
+    targets a uniformly random other host.
     """
 
     name = "uniform_unicast"
+    rng_stream = "workload.unicast"
+    DRAIN_SLACK = 200_000
 
     def __init__(
         self,
@@ -31,53 +31,13 @@ class UniformRandomUnicast(Workload):
     ) -> None:
         if payload_flits < 1:
             raise ValueError("payload_flits must be >= 1")
-        if warmup_cycles < 0 or measure_cycles < 1:
-            raise ValueError("invalid warmup/measure window")
+        super().__init__(warmup_cycles, measure_cycles)
         self.load = load
         self.payload_flits = payload_flits
-        self.warmup_cycles = warmup_cycles
-        self.measure_cycles = measure_cycles
-        self._stop_generation = warmup_cycles + measure_cycles
 
-    def start(self, network: "Network") -> None:
-        header = network.unicast_header_flits()
-        arrivals = PoissonArrivals(
-            mean_gap_for_load(self.load, header + self.payload_flits)
-        )
-        network.collector.set_sample_window(
-            self.warmup_cycles, self._stop_generation
-        )
-        rng = network.sim.rng.stream("workload.unicast")
-        for host in range(network.num_hosts):
-            self._schedule_next(network, host, arrivals, rng)
-
-    def _schedule_next(self, network, host, arrivals, rng) -> None:
-        gap = arrivals.next_gap(rng)
-        when = network.sim.now + gap
-        if when >= self._stop_generation:
-            return
-
-        def fire() -> None:
-            destination = rng.randrange(network.num_hosts - 1)
-            if destination >= host:
-                destination += 1
-            network.nodes[host].post_unicast(destination, self.payload_flits)
-            self._schedule_next(network, host, arrivals, rng)
-
-        network.sim.schedule_at(when, fire)
-
-    def finished(self, network: "Network") -> bool:
-        return (
-            network.sim.now >= self._stop_generation
-            and network.collector.outstanding_messages == 0
-        )
-
-    def max_cycles_hint(self) -> int:
-        return self._stop_generation * 20 + 200_000
-
-    def time_marks(self, network: "Network") -> Tuple[int, ...]:
-        # finished() flips on sim.now reaching the generation stop
-        return (self._stop_generation,)
+    def _post(self, network: "Network", host: int, rng: Random) -> None:
+        destination = uniform_other_host(rng, network.num_hosts, host)
+        network.nodes[host].post_unicast(destination, self.payload_flits)
 
 
 class PermutationTraffic(Workload):

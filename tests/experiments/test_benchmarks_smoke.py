@@ -16,6 +16,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.experiments.runner import EXPERIMENTS
+
 BENCHMARKS_DIR = Path(__file__).parent.parent.parent / "benchmarks"
 BENCH_MODULES = sorted(
     path.stem for path in BENCHMARKS_DIR.glob("bench_*.py")
@@ -49,13 +51,10 @@ def _load(module_name: str):
 
 
 def test_every_benchmark_is_covered():
-    """The glob found the full suite (guards against silent renames)."""
-    assert len(BENCH_MODULES) == 16
-    ids = {name.split("_")[1] for name in BENCH_MODULES}
-    assert ids == {
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7",
-        "a1", "a2", "a3", "a4", "a5", "x1", "x2", "x3", "x4",
-    }
+    """One ``bench_<id>_*.py`` per registered experiment, and no bench
+    for an id the registry does not know (guards against silent renames)."""
+    ids = sorted(name.split("_")[1] for name in BENCH_MODULES)
+    assert ids == sorted(EXPERIMENTS)
 
 
 @pytest.mark.parametrize("module_name", BENCH_MODULES)

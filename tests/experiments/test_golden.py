@@ -32,6 +32,22 @@ def _canonical(rows):
     return json.loads(json.dumps(rows))
 
 
+def test_registry_and_snapshots_name_the_same_experiments():
+    assert {path.stem for path in GOLDEN_DIR.glob("*.json")} == set(EXPERIMENTS)
+    for name, experiment in EXPERIMENTS.items():
+        assert experiment.id == name
+
+
+@pytest.mark.parametrize(
+    "name", sorted(name for name in EXPERIMENTS if EXPERIMENTS[name].chart)
+)
+def test_chart_keys_are_row_keys(name):
+    rows = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    for key in EXPERIMENTS[name].chart:
+        if key is not None:  # no series key: one unnamed series
+            assert all(key in row for row in rows), key
+
+
 @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
 def test_quick_scale_rows_match_golden(name, request):
     regenerate = request.config.getoption("--regenerate-golden")

@@ -168,13 +168,22 @@ class Recorder(Component):
         self.ticks.append(now)
 
 
+class WakeLog(Component):
+    """Never attached: records every wake cycle a link asks it for."""
+
+    def __init__(self):
+        super().__init__("log")
+        self.wakes = []
+        self.wake_at = self.wakes.append
+
+
 class TestWakeSemantics:
     def test_arrival_hook_fires_once_at_first_arrival(self):
         link = make_link(latency=2)
-        fired = []
-        link.on_arrival(fired.append)
+        receiver = WakeLog()
+        link.wake_on_arrival(receiver)
         link.send_span(0, make_worm(), 0, 4)
-        assert fired == [2]  # once, at the first member's arrival
+        assert receiver.wakes == [2]  # once, at the first member's arrival
 
     def test_span_credit_return_wakes_match_single_flit_semantics(self):
         # the same four flits, once as a span and once as four single
@@ -184,8 +193,8 @@ class TestWakeSemantics:
         # are reserved up front — but reconverges as returns mature.)
         def run(as_span):
             link = make_link(depth=8, latency=1)
-            credit_wakes = []
-            link.on_credit(credit_wakes.append)
+            sender = WakeLog()
+            link.wake_on_credit(sender)
             worm = make_worm()
             arrivals, credit_trace = [], []
             for now in range(12):
@@ -202,7 +211,7 @@ class TestWakeSemantics:
                 credit_trace.append(link.credits(now))
             # past the send window the reserved-up-front credits have
             # reconverged with the one-per-cycle trajectory
-            return arrivals, credit_trace[4:], credit_wakes
+            return arrivals, credit_trace[4:], sender.wakes
 
         assert run(as_span=True) == run(as_span=False)
 
@@ -245,17 +254,13 @@ class TestWakeSemantics:
         assert returning[3:7] == [1, 2, 3, 4]
         assert link.credits(8) == HostInterface.RX_DEPTH
 
-    def test_waker_and_hook_are_mutually_exclusive(self):
+    def test_each_end_is_wired_once(self):
         link = make_link()
         receiver = Recorder()
         link.wake_on_arrival(receiver)
         with pytest.raises(ProtocolError):
-            link.on_arrival(lambda cycle: None)
-        with pytest.raises(ProtocolError):
             link.wake_on_arrival(receiver)
         link.wake_on_credit(receiver)
-        with pytest.raises(ProtocolError):
-            link.on_credit(lambda cycle: None)
         with pytest.raises(ProtocolError):
             link.wake_on_credit(receiver)
 
@@ -279,25 +284,20 @@ class TestWakeSemantics:
         assert receiver.ticks == [0, 3]
 
 
-def wired(form, depth=1, latency=1, credit_latency=None):
-    """A link whose sender is a :class:`Recorder`, wired as a component
-    (``wake_on_credit``) or as a callback (``on_credit``)."""
+def wired(depth=1, latency=1, credit_latency=None):
+    """A link whose sender is a :class:`Recorder`."""
     sim = Simulator()
     sender = sim.add_component(Recorder("snd"))
     link = make_link(depth, latency, credit_latency)
-    if form == "component":
-        link.wake_on_credit(sender)
-    else:
-        link.on_credit(sender.wake_at)
+    link.wake_on_credit(sender)
     return sim, sender, link
 
 
-@pytest.mark.parametrize("form", ["component", "hook"])
 class TestCreditWakeOnDemand:
     """Credits wake their sender only after it was refused one."""
 
-    def test_no_wake_for_a_sender_that_never_asked(self, form):
-        sim, sender, link = wired(form, depth=4)
+    def test_no_wake_for_a_sender_that_never_asked(self):
+        sim, sender, link = wired(depth=4)
         worm = make_worm()
 
         def traffic():
@@ -311,8 +311,8 @@ class TestCreditWakeOnDemand:
         assert sender.ticks == [0]  # the registration tick only
         assert link.credits(20) == 6  # the returns still matured
 
-    def test_slot_refusal_is_not_a_credit_demand(self, form):
-        sim, sender, link = wired(form, depth=4)
+    def test_slot_refusal_is_not_a_credit_demand(self):
+        sim, sender, link = wired(depth=4)
         sim.schedule(1, lambda: link.send_span(1, make_worm(), 0, 2))
         sim.schedule(2, lambda: (link.can_send(2), link.sendable_span(2)))
         sim.schedule(3, lambda: link.return_credit(3))
@@ -320,10 +320,8 @@ class TestCreditWakeOnDemand:
         assert sender.ticks == [0]
 
     @pytest.mark.parametrize("ask", ["can_send", "sendable_span"])
-    def test_woken_at_maturity_of_a_return_queued_after_it_asked(
-        self, form, ask
-    ):
-        sim, sender, link = wired(form, depth=1, credit_latency=3)
+    def test_woken_at_maturity_of_a_return_queued_after_it_asked(self, ask):
+        sim, sender, link = wired(depth=1, credit_latency=3)
         sim.schedule(1, lambda: link.send_packed(1, make_worm(), 0))
         sim.schedule(2, lambda: getattr(link, ask)(2))  # refused: starved
         sim.schedule(5, lambda: link.return_credit(5))
@@ -332,10 +330,8 @@ class TestCreditWakeOnDemand:
         assert sender.ticks == [0, 8]
 
     @pytest.mark.parametrize("ask", ["can_send", "sendable_span"])
-    def test_woken_at_maturity_of_a_return_queued_before_it_asked(
-        self, form, ask
-    ):
-        sim, sender, link = wired(form, depth=1, credit_latency=3)
+    def test_woken_at_maturity_of_a_return_queued_before_it_asked(self, ask):
+        sim, sender, link = wired(depth=1, credit_latency=3)
         sim.schedule(1, lambda: link.send_packed(1, make_worm(), 0))
         sim.schedule(2, lambda: link.return_credit(2))  # matures at 5
         sim.schedule(3, lambda: link.return_credit(3))
@@ -343,8 +339,8 @@ class TestCreditWakeOnDemand:
         sim.run(20)
         assert sender.ticks == [0, 5]  # the head return, not a later one
 
-    def test_a_granted_request_leaves_no_demand_behind(self, form):
-        sim, sender, link = wired(form, depth=2)
+    def test_a_granted_request_leaves_no_demand_behind(self):
+        sim, sender, link = wired(depth=2)
         sim.schedule(1, lambda: link.can_send(1))
         sim.schedule(2, lambda: link.return_credit(2))
         sim.run(20)

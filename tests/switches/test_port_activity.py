@@ -33,7 +33,7 @@ from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream
 from repro.traffic.unicast import UniformRandomUnicast
 
-from tests.switches.test_link_spans import make_link, make_worm
+from tests.switches.test_link_spans import WakeLog, make_link, make_worm
 
 CB = SwitchArchitecture.CENTRAL_BUFFER
 IB = SwitchArchitecture.INPUT_BUFFER
@@ -191,14 +191,14 @@ class TestLinkProtocol:
         link.send_span(2, worm, 2, 3)
         assert link.receive_span(10) == (worm, 0, 5)
 
-    def test_hook_style_receiver_gets_wakes_and_no_mask(self):
+    def test_receiver_is_woken_once_per_send_call(self):
         link = make_link(latency=2)
-        wakes = []
-        link.on_arrival(wakes.append)
+        receiver = WakeLog()
+        link.wake_on_arrival(receiver)
         worm = make_worm()
         link.send_packed(3, worm, 0)
         link.send_span(4, worm, 1, 2)
-        assert wakes == [5, 6]
+        assert receiver.wakes == [5, 6]
         assert link.pending_arrival(5)
         assert link.receive_span(7) == (worm, 0, 3)
 
