@@ -130,6 +130,12 @@ class SpanQueue:
         assert worm is not None
         return arr[base], worm, arr[base + 1], arr[base + 2]
 
+    def head_arrival(self) -> int:
+        """Landing cycle of the oldest queued flit; the queue must not
+        be empty.  A receiver reads it before :meth:`take` to date what
+        it accepts by when it landed, not by when it looked."""
+        return self._arr[3 * (self._head & self._mask)]
+
     def arrived(self, now: int) -> int:
         """Flits that have landed by ``now`` and were not taken yet."""
         arr = self._arr

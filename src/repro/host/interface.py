@@ -31,6 +31,22 @@ span's last nominal send slot and :meth:`idle` /
 Events and ``run_until`` predicates run before ticks, so a per-flit pop
 (inside the tick at the tail-send cycle ``t_end``) becomes visible to
 them at ``t_end + 1`` — exactly when ``now > _tx_end`` first holds.
+
+Ejection commits the same way.  The NI is a sink: every flit is taken
+and its credit returned on the cycle it lands, so once a span record of
+two or more flits is in the link and continues the worm being
+reassembled, everything about it is decided.  :meth:`_eject_spans` hands
+the record's slots back as one
+:meth:`~repro.switches.link.Link.return_credit_ramp` dated by landing
+cycle, sleeps to the last member's landing and absorbs the record there
+in one piece — so a delivery still fires on the cycle its tail lands.
+(That certainty is also why the ejection link's sender need not wait
+for credits: see "sink" in :mod:`repro.switches.link`.)  Observers see
+the same timeline as for injection: :attr:`flits_ejected` counts a
+member that landed before the current cycle as ejected, absorbed or
+not, and :meth:`idle` sees the worm in reassembly throughout.  As in the
+switches, nothing is committed while tracer or metrics registry is
+enabled.
 """
 
 from __future__ import annotations
@@ -79,6 +95,9 @@ class HostInterface(Component):
         # guarded by the captured flag so the uninstrumented path pays a
         # single boolean test (the REP005 contract)
         self._obs = metrics.enabled
+        #: commit whole span records on ejection (see _eject_spans);
+        #: per-flit observers need the one-flit timeline, so off with them
+        self._commit = not (tracer.enabled or metrics.enabled)
         self._c_injected = metrics.counter("ni.flits_injected")
         self._c_ejected = metrics.counter("ni.flits_ejected")
         self._c_blocked = metrics.counter("ni.blocked_cycles")
@@ -90,10 +109,15 @@ class HostInterface(Component):
         self._tx_end = -1
         self._rx_worm: Optional[Worm] = None
         self._rx_count = 0
+        #: landing cycle of the last member of the committed head record
+        #: of the ejection link: its credits are already on their way
+        #: back and it is absorbed whole at that cycle
+        self._rx_end = -1
         self._on_delivery: Optional[DeliveryCallback] = None
-        #: flits ever injected / ejected (statistics)
+        #: flits ever injected (statistics)
         self.flits_injected = 0
-        self.flits_ejected = 0
+        #: flits absorbed so far; `flits_ejected` is the timeline view
+        self._ejected = 0
 
     # ------------------------------------------------------------------
     # wiring
@@ -116,7 +140,7 @@ class HostInterface(Component):
         if self.in_link is not None:
             raise ProtocolError(f"{self.name}: in link already wired")
         self.in_link = link
-        link.set_credits(self.rx_depth)
+        link.set_credits(self.rx_depth, sink=True)
         link.wake_on_arrival(self)
 
     def on_delivery(self, callback: DeliveryCallback) -> None:
@@ -170,27 +194,48 @@ class HostInterface(Component):
 
     def _eject_spans(self, now: int) -> None:
         # the ejection link sets _rx_pending on every send (see
-        # Link.wake_on_arrival): clear means nothing is in flight
-        if not self._rx_pending:
+        # Link.wake_on_arrival): clear means nothing is in flight.
+        # Before `_rx_end` the head record is committed and not yet due
+        # (a wake for something else — injection, a send merged into the
+        # record — finds nothing to do here)
+        if not self._rx_pending or now < self._rx_end:
             return
         link = self.in_link
         assert link is not None
         queue = link._in_flight
+        # a committed record's credits went back as a ramp
+        credited = now == self._rx_end
         span = link.receive_span(now)
         while span is not None:
             worm, start, count = span
-            link.return_credit(now, count)
+            if credited:
+                credited = False
+            else:
+                link.return_credit(now, count)
             self._absorb_span(worm, start, count, now)
             span = link.receive_span(now) if queue._flits else None
-        if not queue._flits:
+        pending = queue._flits
+        if not pending:
             self._rx_pending = 0
-        elif self._wake_marker != now + 1:
-            # a span fires the arrival hook once, at its first member:
-            # the later members are ours to wake for (already due next
-            # cycle, e.g. by a single send's own hook: ask again then)
-            head = queue.head()
-            assert head is not None
-            self.wake_at(head[0])
+            return
+        # a span fires the arrival hook once, at its first member: the
+        # later members are ours to come back for — all at once when
+        # the head record continues the worm being reassembled
+        if pending >= 2 and self._commit:
+            arrival, worm, start, count = queue.head()  # type: ignore[misc]
+            if (
+                count >= 2
+                and worm is self._rx_worm
+                and start == self._rx_count
+            ):
+                link.return_credit_ramp(arrival, count)
+                self._rx_end = arrival + count - 1
+                self.wake_at(self._rx_end)
+                return
+        if self._wake_marker != now + 1:
+            # (already due next cycle, e.g. by a single send's own
+            # hook: ask again then)
+            self.wake_at(queue.head_arrival())
 
     def _absorb_span(self, worm: Worm, start: int, count: int, now: int) -> None:
         if self._rx_worm is None:
@@ -214,7 +259,7 @@ class HostInterface(Component):
                 f"(expected index {self._rx_count})"
             )
         self._rx_count = start + count
-        self.flits_ejected += count
+        self._ejected += count
         if self._obs:
             self._c_ejected.inc(count)
         self.sim.progress += count  # note_progress(), once per member flit
@@ -267,8 +312,29 @@ class HostInterface(Component):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
+    def _landed_unabsorbed(self) -> int:
+        """Members of a committed record that landed before the current
+        cycle — ejected already on the one-flit-per-cycle timeline, as
+        events and ``run_until`` predicates (which run before ticks)
+        must see it."""
+        if not self._rx_pending or self._sim is None:
+            return 0
+        assert self.in_link is not None
+        return self.in_link._in_flight.arrived(self._sim.now - 1)
+
+    @property
+    def flits_ejected(self) -> int:
+        """Flits ever ejected (statistics)."""
+        return self._ejected + self._landed_unabsorbed()
+
+    @flits_ejected.setter
+    def flits_ejected(self, value: int) -> None:
+        self._ejected = value - self._landed_unabsorbed()
+
     def idle(self) -> bool:
-        """True when nothing is being injected, staged, or reassembled."""
+        """True when nothing is being injected, staged, or reassembled
+        (a committed record continues a worm, so `_rx_worm` covers it
+        until it is absorbed)."""
         return (
             not self._inject
             and self._rx_worm is None

@@ -126,6 +126,55 @@ class Ingress:
         self.header_done_cycle: Optional[int] = None
 
 
+def committed_run(
+    received: int,
+    read: int,
+    size: int,
+    worm: Worm,
+    in_link: Optional[Link],
+    out_link: Link,
+    now: int,
+) -> int:
+    """Flits a reader that owns ``out_link`` may commit at ``now`` in one
+    span: at least 2, or 0 for the single-flit path.
+
+    The reader — a central-buffer bypass feed, an input-buffer branch —
+    has sent ``read`` flits of a ``size``-flit worm of which ``received``
+    have been accepted from ``in_link``, where it arrives as ``worm``.
+    A flit belongs to the run when its send cycle is already determined:
+    it sits in the input buffer, or it is a member of the in-link's head
+    span record that lands no later than its turn (the record continues
+    this worm where the buffer ends, and member ``m`` arrives at
+    ``arrival + m`` for a turn at ``now + waiting + m``); and the
+    out-link's credit window covers it.  The output is this reader's
+    until its tail and it contends for nothing else, so no other event
+    can delay those sends — the run is exactly what the per-flit path
+    would do over the next cycles.  The tail is never a member: it
+    leaves through the single-flit path, which releases the output, pops
+    the input FIFO and exposes the next worm at the cycle they are due.
+    """
+    waiting = received - read
+    run = waiting
+    if in_link is not None:
+        head = in_link._in_flight.head()
+        if (
+            head is not None
+            and head[1] is worm
+            and head[2] == received
+            and head[0] - now <= waiting
+        ):
+            run += head[3]
+    body = size - 1 - read
+    if run > body:
+        run = body
+    if run < 2:
+        return 0
+    window = out_link.sendable_span(now)
+    if run > window:
+        run = window
+    return run if run >= 2 else 0
+
+
 class SwitchBase(Component):
     """Ports, links, worm arrival, routing plumbing and the tick skeleton
     common to both architectures."""
@@ -179,6 +228,9 @@ class SwitchBase(Component):
         # enabled registry was passed in; `_obs` keeps the hot path to a
         # single boolean test)
         self._obs = metrics.enabled
+        #: commit runs of flits in one call (see `committed_run`);
+        #: per-flit observers need the one-flit timeline, so off with them
+        self._commit = not (tracer.enabled or metrics.enabled)
         self._c_forwarded = metrics.counter("switch.flits_forwarded")
         self._c_blocked = metrics.counter("switch.blocked_cycles")
 
@@ -289,22 +341,25 @@ class SwitchBase(Component):
             ]
         for port in PORTS_OF[self._rx_pending]:
             take, queue = rx[port]  # type: ignore[misc]
-            span = take(now)
-            while span is not None:
-                self._accept_span(port, span[0], span[1], span[2], now)
-                span = take(now) if queue._flits else None
-            # flits still in flight keep the bit: the switch comes back
-            # for them through its own re-arm (it was just stirred), the
-            # wake of the committed run they belong to, or the arrival
-            # wake of the send that follows
-            if not queue._flits:
+            while queue._flits:
+                landed = queue.head_arrival()
+                if landed > now:
+                    # flits still in flight keep the bit: the switch
+                    # comes back for them through its own re-arm (it was
+                    # just stirred), the wake of a committed run, or the
+                    # arrival wake of the send that follows
+                    break
+                worm, start, count = take(now)
+                self._accept_span(port, worm, start, count, landed)
+            else:
                 self._rx_pending &= ~(1 << port)
 
     def _accept_span(
-        self, port: int, worm: Worm, start: int, count: int, now: int
+        self, port: int, worm: Worm, start: int, count: int, landed: int
     ) -> None:
-        """``count`` flits of ``worm`` from ``start`` join the worm
-        arriving at ``port``, as if accepted one per call."""
+        """``count`` flits of ``worm`` from ``start``, the first of which
+        landed at cycle ``landed``, join the worm arriving at ``port`` —
+        as if accepted one per call, each on the cycle it landed."""
         inflow = self._inflow[port]
         ingress = inflow[-1] if inflow else None
         if ingress is None or ingress.received == ingress.worm.size_flits:
@@ -324,18 +379,20 @@ class SwitchBase(Component):
             )
         ingress.received = start + count
         self._stirred = True
-        # header completion is stamped at the cycle of the tick that
-        # drains the completing flit — for a span that crosses the header
-        # boundary that is exactly this tick's cycle
-        if start < worm.header_flits <= start + count:
-            ingress.header_done_cycle = now
+        # header completion is stamped at the cycle the completing flit
+        # landed, which is when a switch that ticks every cycle accepts
+        # it — a switch that slept through a committed run drains it
+        # later, and the routing delay must not start late for that
+        header = worm.header_flits
+        if start < header <= start + count:
+            ingress.header_done_cycle = landed + header - 1 - start
             if inflow[0] is ingress:
                 self._route_pending |= 1 << port
             self._header_complete(ingress)
         if self.tracer.enabled:
             for index in range(start, start + count):
                 self.tracer.emit(
-                    now, self.name, "flit_in",
+                    landed + index - start, self.name, "flit_in",
                     port=port, flit=flit_repr(worm, index),
                 )
 

@@ -33,9 +33,10 @@ bandwidth is arbitrated with the single-rotation
 per cycle, so they stay one flit per call.  The bypass path is not: once
 a unicast worm owns an idle output nothing but arrivals and credits can
 delay it.  When at least two of its non-tail flits have send cycles that
-are already determined, :meth:`CentralBufferSwitch._advance_bypass`
-commits them in one :meth:`~repro.switches.link.Link.send_span`, hands
-their FIFO slots back as one future-dated
+are already determined (:func:`~repro.switches.base.committed_run`),
+:meth:`CentralBufferSwitch._advance_bypass` commits them in one
+:meth:`~repro.switches.link.Link.send_span`, hands their FIFO slots back
+as one future-dated
 :meth:`~repro.switches.link.Link.return_credit_ramp` and wakes itself
 when the run ends; a switch whose every worm is inside such a run does
 not re-arm in between (``_inside_runs``).  Runs are committed only while
@@ -68,13 +69,17 @@ from repro.routing.base import PortRequest
 from repro.routing.table import SwitchRoutingTable
 from repro.sim.trace import NULL_TRACER, Tracer
 from repro.switches.arbiter import RoundRobinArbiter
-from repro.switches.base import Ingress, SwitchBase, SwitchSettings
+from repro.switches.base import (
+    Ingress,
+    SwitchBase,
+    SwitchSettings,
+    committed_run,
+)
 from repro.switches.chunks import (
     BranchCursor,
     CentralBufferPool,
     StoredPacket,
 )
-from repro.switches.link import Link
 from repro.switches.ports import PORTS_OF
 
 
@@ -121,49 +126,6 @@ class _BypassFeed:
         self.ingress = ingress
 
 
-def _bypass_run(
-    ingress: _Ingress, in_link: Optional[Link], link: Link, now: int
-) -> int:
-    """Flits of a bypass worm to commit at ``now`` in one span: at least
-    2, or 0 for the single-flit path.
-
-    A flit belongs to the run when its send cycle is already determined:
-    it sits in the input FIFO, or it is a member of the in-link's head
-    span record that lands no later than its turn (the record continues
-    this worm where the FIFO ends, and member ``m`` arrives at
-    ``arrival + m`` for a turn at ``now + waiting + m``); and the
-    out-link's credit window covers it.  The output is this worm's until
-    its tail, and bypass feeds do not contend for buffer bandwidth, so
-    nothing else can delay those sends — the run is exactly what the
-    per-flit path would do over the next cycles.  The tail is never a
-    member: it leaves through the single-flit path, which releases the
-    output, pops the FIFO and exposes the next worm at the cycle they
-    are due.
-    """
-    consumed = ingress.consumed
-    received = ingress.received
-    waiting = received - consumed
-    run = waiting
-    if in_link is not None:
-        head = in_link._in_flight.head()
-        if (
-            head is not None
-            and head[1] is ingress.worm
-            and head[2] == received
-            and head[0] - now <= waiting
-        ):
-            run += head[3]
-    body = ingress.worm.size_flits - 1 - consumed
-    if run > body:
-        run = body
-    if run < 2:
-        return 0
-    window = link.sendable_span(now)
-    if run > window:
-        run = window
-    return run if run >= 2 else 0
-
-
 class CentralBufferSwitch(SwitchBase):
     """SP2-style shared-buffer switch with multidestination support."""
 
@@ -205,9 +167,6 @@ class CentralBufferSwitch(SwitchBase):
         self._w_bw = settings.cb_write_bandwidth
         self._r_bw = settings.cb_read_bandwidth
         self._chunk_flits = settings.chunk_flits
-        #: commit runs of bypass flits in one call (see _advance_bypass);
-        #: per-flit observers need the one-flit timeline, so off with them
-        self._commit = not (tracer.enabled or metrics.enabled)
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -462,7 +421,10 @@ class CentralBufferSwitch(SwitchBase):
         in_link = self.in_links[feed.input_port]
         self._stirred = True
         if self._commit:
-            run = _bypass_run(ingress, in_link, link, now)
+            run = committed_run(
+                ingress.received, consumed, ingress.worm.size_flits,
+                ingress.worm, in_link, link, now,
+            )
             if run:
                 link.send_span(now, worm, consumed, run)
                 ingress.consumed = consumed + run
@@ -487,11 +449,11 @@ class CentralBufferSwitch(SwitchBase):
 
     def _inside_runs(self, now: int) -> bool:
         # sleep rule: no queued or stored egress, every busy output a
-        # bypass feed whose link slot is reserved past `now`, and the fed
-        # worm alone in its FIFO — and no occupied FIFO left unfed.  Each
-        # run's own wake resumes it; anything new arrives through a link
-        # hook, and a second worm behind a fed one ends the sleep (its
-        # header completion must be stamped at its own cycle).
+        # bypass feed whose link slot is reserved past `now`, and no
+        # occupied FIFO whose front worm is not so fed.  Each run's own
+        # wake resumes it; anything new arrives through a link hook, and
+        # a worm queued behind a fed one has its header stamped by
+        # landing cycle whenever the switch next looks.
         if (
             not self._commit
             or self._egress_wanted
@@ -501,14 +463,12 @@ class CentralBufferSwitch(SwitchBase):
             return False
         out_current = self._out_current
         out_links = self.out_links
-        inflows = self._inflow
         fed = 0
         for port in PORTS_OF[self._egress_busy]:
             feed = out_current[port]
             if (
                 type(feed) is not _BypassFeed
                 or out_links[port]._last_send_cycle <= now  # type: ignore[union-attr]
-                or len(inflows[feed.input_port]) != 1
             ):
                 return False
             fed |= 1 << feed.input_port

@@ -17,12 +17,36 @@ faithfully:
   behind it (head-of-line blocking), even ones whose outputs are idle.
 
 Flits arrive as spans and leave as coordinates
-(:meth:`~repro.switches.link.Link.send_granted`), one per output per
-cycle, and every phase iterates the set bits of a port-activity mask
-instead of the port range (see :mod:`repro.switches.ports`).
-:class:`repro.reference.ReferenceInputBufferSwitch` is the per-flit
-``Flit``-object switch the differential suites hold this one
-bit-identical to (``tests/sim/test_packed_differential.py``).
+(:meth:`~repro.switches.link.Link.send_granted`) or as a whole run of
+them (below), and every phase iterates the set bits of a port-activity
+mask instead of the port range (see :mod:`repro.switches.ports`).
+
+**Group commit.**  A branch that owns its output contends for nothing:
+only the arrival of its next flit or a missing credit can delay it, so
+the flits whose send cycles are already determined
+(:func:`~repro.switches.base.committed_run`) may leave in one
+:meth:`~repro.switches.link.Link.send_span`.  What is not a branch's own
+is the buffer slot it reads — that is recycled when the *slowest* branch
+has passed it.  So the branches of a front worm that can send now commit
+one common run together (:meth:`InputBufferSwitch._commit_group`), and
+only when the run's effect on the slowest-branch cursor is determined
+too: some other branch is strictly behind the group, and then the cursor
+does not move at all; or every other branch stays at or ahead of the
+group for the whole run, and then the cursor moves with the group, one
+slot per cycle, handed back upstream as one
+:meth:`~repro.switches.link.Link.return_credit_ramp`.  Anything in
+between moves one flit per call.  A switch whose every output is inside
+such a run does not re-arm (``_inside_runs``); the run's own wake sends
+the tail, which is never a member.  Lock-step (synchronous) branches
+never commit, and nothing does while tracer or metrics registry is
+enabled.  ``buffer_occupancy`` and the link's credit introspection keep
+reporting the one-flit timeline while a run is ahead of it.
+
+Every flit leaves on the cycle a one-flit-per-cycle switch would send
+it; :class:`repro.reference.ReferenceInputBufferSwitch` is that switch,
+and the differential suites hold the two bit-identical
+(``tests/sim/test_packed_differential.py``,
+``tests/switches/test_span_commit.py``).
 
 Worm arrival, the routing-delay wait and ``tick`` with its sleep rule
 are :class:`~repro.switches.base.SwitchBase`'s; this module is what the
@@ -45,6 +69,7 @@ from repro.switches.base import (
     ReplicationMode,
     SwitchBase,
     SwitchSettings,
+    committed_run,
 )
 from repro.switches.ports import PORTS_OF
 
@@ -67,28 +92,20 @@ class _Branch:
 class _Ingress(Ingress):
     """A worm in an input buffer: its branches and the slots they freed."""
 
-    __slots__ = ("freed", "branches")
+    __slots__ = ("freed", "branches", "group_cycle")
 
     def __init__(self, worm: Worm) -> None:
         super().__init__(worm)
+        #: slots handed back upstream; ahead of the slowest branch while
+        #: a committed run's ramp of returns is still playing out
         self.freed = 0
         self.branches: List[_Branch] = []
+        #: last cycle a group commit was attempted (once per tick)
+        self.group_cycle = -1
 
     @property
     def routed(self) -> bool:
         return bool(self.branches)
-
-    @property
-    def drained(self) -> bool:
-        """True when every branch has read the entire worm."""
-        return (
-            self.routed
-            and self.received == self.worm.size_flits
-            and all(b.read == self.worm.size_flits for b in self.branches)
-        )
-
-    def min_read(self) -> int:
-        return min(branch.read for branch in self.branches)
 
 
 class InputBufferSwitch(SwitchBase):
@@ -122,6 +139,9 @@ class InputBufferSwitch(SwitchBase):
         #: hold-and-accumulate output ports, the deadlock-avoidance
         #: arbitration synchronous replication requires (ref [6])
         self._sync_queue: Deque[_Ingress] = deque()
+        self._synchronous = (
+            settings.replication is ReplicationMode.SYNCHRONOUS
+        )
         self._c_replicated = metrics.counter("switch.branches_replicated")
 
     # ------------------------------------------------------------------
@@ -177,10 +197,6 @@ class InputBufferSwitch(SwitchBase):
                 - self.settings.routing_delay,
             )
 
-    @property
-    def _synchronous(self) -> bool:
-        return self.settings.replication is ReplicationMode.SYNCHRONOUS
-
     def _register_branches(self, ingress: _Ingress) -> None:
         """Expose a worm's branches to output-port arbitration."""
         for branch in ingress.branches:
@@ -200,6 +216,7 @@ class InputBufferSwitch(SwitchBase):
                     self._grant_output(port, winner)
         out_links = self.out_links
         synchronous = self._synchronous
+        commit = self._commit
         lockstep_done = set()
         progress = 0
         for port in PORTS_OF[self._egress_busy]:
@@ -217,12 +234,20 @@ class InputBufferSwitch(SwitchBase):
                     self._advance_lockstep(ingress, now)
                 continue
             read = branch.read
-            if read >= ingress.received:
+            # a committed run holds the link's slot (and keeps `read`
+            # ahead of `received`) until its last member's cycle has passed
+            if read >= ingress.received or link._last_send_cycle >= now:
                 continue
             if not link.can_send(now):
                 if self._obs:
                     self._c_blocked.inc()
                 continue
+            if commit and ingress.group_cycle != now:
+                ingress.group_cycle = now
+                moved = self._commit_group(branch.input_port, ingress, now)
+                if moved:
+                    progress += moved
+                    continue
             link.send_granted(now, branch.worm, read)
             read += 1
             branch.read = read
@@ -277,28 +302,164 @@ class InputBufferSwitch(SwitchBase):
                 if self._sync_queue:
                     self._register_branches(self._sync_queue[0])
 
+    def _commit_group(
+        self, input_port: int, ingress: _Ingress, now: int
+    ) -> int:
+        """Commit one common run for every branch of ``ingress`` that can
+        send at ``now``; returns the flits moved (0: take the per-flit
+        path).  See the module docstring for when that is exact."""
+        received = ingress.received
+        worm = ingress.worm
+        size = worm.size_flits
+        in_link = self.in_links[input_port]
+        current = self._current
+        out_links = self.out_links
+        group = []
+        others = []
+        run = low = size
+        for branch in ingress.branches:
+            link = out_links[branch.out_port]
+            read = branch.read
+            if (
+                current[branch.out_port] is branch
+                and read < received
+                and link.can_send(now)  # type: ignore[union-attr]
+            ):
+                reach = committed_run(
+                    received, read, size, worm, in_link, link, now
+                )
+                if not reach:
+                    return 0
+                if reach < run:
+                    run = reach
+                if read < low:
+                    low = read
+                group.append(branch)
+            else:
+                others.append(branch)
+        # the slowest-branch cursor: pinned by a branch strictly behind
+        # the group, or moving with the group if everyone else stays at
+        # or ahead of it for the whole run (which may cap the run)
+        pinned = any(branch.read < low for branch in others)
+        if not pinned:
+            for branch in others:
+                read = branch.read
+                if current[branch.out_port] is branch:
+                    # inside a run of its own it is, on the timeline,
+                    # behind `read` by the slots its link still holds
+                    held = out_links[branch.out_port]._last_send_cycle - now + 1  # type: ignore[union-attr]
+                    if held > 0 and read - held < low:
+                        return 0
+                if read - low < run:
+                    run = read - low
+        if run < 2:
+            return 0
+        for branch in group:
+            out_links[branch.out_port].send_span(  # type: ignore[union-attr]
+                now, branch.worm, branch.read, run
+            )
+            branch.read += run
+        if not pinned:
+            ingress.freed += run
+            if in_link is not None:
+                in_link.return_credit_ramp(now, run)
+        self.wake_at(now + run)
+        return run * len(group)
+
+    def _slowest_read(self, ingress: _Ingress, now: int) -> int:
+        """Flits the slowest branch of ``ingress`` has sent by the end of
+        cycle ``now`` on the one-flit-per-cycle timeline (a branch inside
+        a committed run has `read` ahead of that by the slots its link
+        still holds); the worm's size plus one when every branch has
+        sent it all."""
+        current = self._current
+        out_links = self.out_links
+        size = ingress.worm.size_flits
+        slowest = size + 1
+        for branch in ingress.branches:
+            read = branch.read
+            if read == size:
+                continue
+            if current[branch.out_port] is branch:
+                ahead = out_links[branch.out_port]._last_send_cycle - now  # type: ignore[union-attr]
+                if ahead > 0:
+                    read -= ahead
+            if read < slowest:
+                slowest = read
+        return slowest
+
     def _recycle_slots(self, input_port: int, ingress: _Ingress, now: int) -> None:
         """Free buffer slots the slowest branch has passed; pop when drained."""
-        new_min = ingress.min_read()
-        delta = new_min - ingress.freed
+        slowest = self._slowest_read(ingress, now)
+        size = ingress.worm.size_flits
+        drained = slowest > size
+        if drained:
+            slowest = size
+        delta = slowest - ingress.freed
         if delta > 0:
-            ingress.freed = new_min
+            ingress.freed = slowest
             link = self.in_links[input_port]
             if link is not None:
                 link.return_credit(now, delta)
-        if ingress.drained:
+        if drained:
             if self._inflow[input_port][0] is not ingress:
                 raise ProtocolError(
                     f"{self.name}.in{input_port}: drained a non-head worm"
                 )
             self._pop_front(input_port)
+            # unlink the pair (each branch points back at its ingress)
+            # so it is freed by reference count as the outputs let go,
+            # not left for the cyclic collector to find
+            ingress.branches = []
+
+    def _inside_runs(self, now: int) -> bool:
+        # sleep rule: nothing to route, no output to grant, no lock-step
+        # worm, every busy output's link slot reserved past `now`, and
+        # every occupied input's front worm routed.  Each run's own wake
+        # resumes it with a stirring tail send — which is also what
+        # frees the output a waiting branch is queued for; anything new
+        # arrives through a link hook, and a worm queued behind a front
+        # worm has its header stamped by landing cycle whenever the
+        # switch next looks.
+        if (
+            not self._commit
+            or self._route_pending
+            or self._sync_queue
+            or self._egress_wanted & ~self._egress_busy
+        ):
+            return False
+        out_links = self.out_links
+        for port in PORTS_OF[self._egress_busy]:
+            if out_links[port]._last_send_cycle <= now:  # type: ignore[union-attr]
+                return False
+        inflows = self._inflow
+        for port in PORTS_OF[self._ingress_occupied]:
+            if not inflows[port][0].branches:
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     def buffer_occupancy(self, port: int) -> int:
-        """Flits currently held in an input buffer."""
-        return sum(i.received - i.freed for i in self._inflow[port])
+        """Flits held in an input buffer once the current cycle's ticks
+        are done, on the one-flit-per-cycle timeline."""
+        # flits that landed while the switch slept wait untaken in the
+        # link, and a committed run handed its slots back ahead of the
+        # cycles they are freed in: count both where the per-flit
+        # timeline has them — in the buffer
+        inflow = self._inflow[port]
+        occupancy = sum(i.received - i.freed for i in inflow)
+        now = self.sim.now
+        in_link = self.in_links[port]
+        if in_link is not None:
+            occupancy += in_link._in_flight.arrived(now)
+        if inflow and inflow[0].branches:
+            front = inflow[0]
+            slowest = self._slowest_read(front, now)
+            if slowest < front.freed:
+                occupancy += front.freed - slowest
+        return occupancy
 
     def idle(self) -> bool:
         """True when no worm is anywhere inside the switch."""

@@ -76,10 +76,23 @@ credits that are still travelling back: member ``j`` leaves at
 ``now + j`` and needs its credit only by then.  Returns queued later can
 only widen that window, so a span committed early is always a prefix of
 what the one-flit-per-cycle reference sends.
+
+A *sink* is a receiver that frees every slot on the very cycle its flit
+lands, whatever else is going on — the host NI
+(:meth:`set_credits` with ``sink=True``).  A flit sent at ``t`` then has
+its credit back at ``t + latency + credit_latency``, so a sender moving
+one flit per cycle never has more than ``latency + credit_latency - 1``
+credits outstanding when it asks for the next.  With a depth of at least
+``latency + credit_latency`` no member of any span can therefore lack a
+credit on its cycle, and :meth:`sendable_span` does not cap the span by
+the credits on hand: the returns that will pay for the later members
+are certain, merely not queued yet.  Below that depth the sink does
+throttle, and the finite window above applies unchanged.
 """
 
 from __future__ import annotations
 
+import sys
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
@@ -125,10 +138,15 @@ class Link:
         self._credit_returns: Deque[Tuple[int, int]] = deque()
         #: credits at the sender, net of the returns drained so far.
         #: Transiently negative while a span has borrowed against queued
-        #: returns (:meth:`sendable_span`); every borrowed return matures
-        #: no later than the span's last reserved slot, so any check made
-        #: once the slot is free again sees a non-negative count
+        #: returns (:meth:`sendable_span`) or, toward a sink, against the
+        #: returns its own members will cause; every borrowed return
+        #: matures no later than the span's last reserved slot, so any
+        #: check made once the slot is free again sees a non-negative
+        #: count
         self._credits: Optional[int] = None
+        #: the receiver is a sink deep enough never to throttle a sender
+        #: (see the module docstring): spans are not capped by credits
+        self._unthrottled = False
         #: the sender was refused for lack of a credit while no return
         #: was queued: the next return wakes it
         self._credit_wanted = False
@@ -173,13 +191,20 @@ class Link:
     # ------------------------------------------------------------------
     # receiver side
     # ------------------------------------------------------------------
-    def set_credits(self, depth: int) -> None:
-        """Declare the receiver's buffer depth; must be called exactly once."""
+    def set_credits(self, depth: int, sink: bool = False) -> None:
+        """Declare the receiver's buffer depth; must be called exactly once.
+
+        ``sink`` declares a receiver that returns each credit on the
+        cycle its flit lands, unconditionally (see the module docstring).
+        """
         if self._credits is not None:
             raise ProtocolError(f"link {self.name}: credits already set")
         if depth < 1:
             raise ConfigurationError("credit depth must be at least 1")
         self._credits = depth
+        self._unthrottled = (
+            sink and depth >= self.latency + self.credit_latency
+        )
 
     def receive(self, now: int) -> List[Flit]:
         """Pop every flit that has arrived by cycle ``now``, in order.
@@ -314,7 +339,8 @@ class Link:
         Member ``j`` leaves at ``now + j`` and needs its credit only by
         then: the credits on hand pay for the first members, and each
         queued return extends the window if it matures no later than
-        the member it pays for.
+        the member it pays for.  Toward a sink that never throttles
+        there is no window: every member's credit is certain.
         """
         if self._last_send_cycle >= now:
             return 0
@@ -322,6 +348,8 @@ class Link:
         if window <= 0:
             self._wake_for_credit()
             return 0
+        if self._unthrottled:
+            return sys.maxsize
         for mature, count in self._credit_returns:
             if mature > now + window:
                 break

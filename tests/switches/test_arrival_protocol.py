@@ -90,16 +90,23 @@ class TestArrivalProtocol:
         switch, port, link = rig(architecture, packed)
         worm = make_worm(header=3)
         latency = link.latency
-        link.send_span(0, worm, 0, 2)  # lands at latency, latency + 1
-        switch.tick(latency + 1)
+        link.send_span(0, worm, 0, 1)  # lands at latency
+        switch.tick(latency)
         (ingress,) = switch._inflow[port]
-        assert (ingress.received, ingress.header_done_cycle) == (2, None)
+        assert (ingress.received, ingress.header_done_cycle) == (1, None)
         assert switch._route_pending == 0
-        # flits 2 and 3 are both in the link when the switch next looks:
-        # the header completes inside the batch, at the cycle of that tick
-        link.send_span(latency + 1, worm, 2, 2)
-        seen = 2 * latency + 3
+        # flits 1, 2 and 3 are all in the link when the switch next
+        # looks, a cycle after flit 2 — the middle one — completed the
+        # header by landing.  The reference accepts a flit on the cycle
+        # it lands and stamps the cycle of that tick, so ticked late by
+        # hand it stamps late; production sleeps through committed runs,
+        # so it stamps the landing cycle of the completing flit however
+        # late it looks — the routing delay must not start late for that
+        link.send_span(latency, worm, 1, 3)
+        completed = 2 * latency + 1
+        seen = completed + 1
         switch.tick(seen)
-        assert (ingress.received, ingress.header_done_cycle) == (4, seen)
+        stamp = completed if packed else seen
+        assert (ingress.received, ingress.header_done_cycle) == (4, stamp)
         assert switch._ingress_occupied == 1 << port
         assert switch._route_pending == 1 << port

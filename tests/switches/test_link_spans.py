@@ -230,8 +230,10 @@ class TestWakeSemantics:
 
     def test_span_to_a_host_is_absorbed_member_by_member(self):
         # regression: the arrival hook fires once per span, so the NI
-        # must wake itself for the later members — it used to strand
-        # them until some unrelated wake came along
+        # must come back for the later members itself — it used to
+        # strand them until some unrelated wake came along.  It takes
+        # the head at its landing and commits the rest of the record:
+        # two ticks, and to an observer one member per cycle all the same
         sim = Simulator()
         interface = sim.add_component(HostInterface(1))
         link = Link("eject", latency=2)
@@ -239,20 +241,26 @@ class TestWakeSemantics:
         worm = make_worm(size=4)
         delivered = []
         interface.on_delivery(lambda w, now: delivered.append(now))
+        ticks = []
+        tick = interface.tick
+        interface.tick = lambda now: (ticks.append(now), tick(now))
         sim.schedule(1, lambda: link.send_span(1, worm, 0, 4))
-        ejected, returning = [], []
+        ejected, returning, idle = [], [], []
         for _ in range(9):
             sim.run(1)  # the counters as of the end of cycle sim.now - 1
             ejected.append(interface.flits_ejected)
-            returning.append(link.credits_in_return())
-        # members land at cycles 3, 4, 5, 6 and are absorbed right there
+            returning.append(link.credits_in_return(sim.now - 1))
+            idle.append(interface.idle())
+        # members land at cycles 3, 4, 5, 6 and are ejected right there
         assert ejected == [0, 0, 0, 1, 2, 3, 4, 4, 4]
+        assert idle == [True] * 3 + [False] * 3 + [True] * 3
         assert delivered == [6]
         assert interface._rx_pending == 0
-        # one credit returned per member, at its own arrival cycle
+        # one credit returned per member, dated by its own arrival cycle
         assert [mature for mature, _ in link._credit_returns] == [5, 6, 7, 8]
         assert returning[3:7] == [1, 2, 3, 4]
         assert link.credits(8) == HostInterface.RX_DEPTH
+        assert ticks == [0, 3, 6]  # registration, head, end of the record
 
     def test_each_end_is_wired_once(self):
         link = make_link()
@@ -401,6 +409,30 @@ class TestCreditWindow:
             link.send_span(5, worm, 2, 1)
         assert link._in_flight.head() == (5, worm, 1, 2)
         assert link.credits(5) == 0 and link._last_send_cycle == 5
+
+    def test_a_sink_deep_enough_for_the_round_trip_has_no_window(self):
+        # a sink frees every slot as its flit lands: with a depth that
+        # covers latency + credit latency no member can lack its credit
+        link = Link("eject", latency=2)
+        link.set_credits(4, sink=True)
+        worm = make_worm(size=16)
+        assert link.sendable_span(0) >= 15
+        link.send_span(0, worm, 0, 15)
+        assert link._credits == -11  # borrowed from its own members
+        for member in range(15):
+            link.return_credit(2 + member)  # lands, matures at 4 + member
+            assert link.accounted_credits(2 + member) == 4
+        # slot free again at 15: members 0..11 have paid by then
+        assert link.can_send(15) and link.credits(15) == 1
+
+    def test_a_shallower_sink_keeps_the_finite_window(self):
+        link = Link("eject", latency=2)
+        link.set_credits(3, sink=True)
+        assert link.sendable_span(0) == 3
+        with pytest.raises(ProtocolError):
+            link.send_span(0, make_worm(), 0, 4)
+        # and a receiver that is no sink has one whatever its depth
+        assert make_link(depth=64, latency=2).sendable_span(0) == 64
 
     def test_ramp_is_queue_identical_to_per_cycle_returns(self):
         ramped, stepped = make_link(credit_latency=2), make_link(credit_latency=2)

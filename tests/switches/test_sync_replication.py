@@ -119,6 +119,40 @@ class TestLockstepDelivery:
         )
 
 
+def committed_spans(network):
+    """Every ``send_span`` call the switches of ``network`` make."""
+    calls = []
+    for switch in network.switches:
+        for link in switch.out_links:
+            if link is None:
+                continue
+
+            def logged(now, worm, start, count, _send=link.send_span):
+                calls.append((now, worm, start, count))
+                _send(now, worm, start, count)
+
+            link.send_span = logged
+    return calls
+
+
+class TestNoRunsInLockstep:
+    def test_lockstep_branches_never_commit_a_run(self):
+        # a run is committed when nothing else can delay it; in
+        # lock-step every sibling's credits can, every cycle
+        network = build_network(sync_config())
+        calls = committed_spans(network)
+        schedule_multicast(network, 0, 0, [1, 3, 5, 7], payload=24)
+        run_to_quiescence(network)
+        assert calls == []
+
+    def test_a_unicast_has_nobody_to_keep_in_step_with(self):
+        network = build_network(sync_config())
+        calls = committed_spans(network)
+        schedule_unicast(network, 0, 0, 5, payload=32)
+        run_to_quiescence(network)
+        assert [count for _, _, _, count in calls] == [32]  # tail excluded
+
+
 class TestArbitration:
     def test_concurrent_multicasts_serialize_but_complete(self):
         """The replication token admits one worm's port accumulation at a
