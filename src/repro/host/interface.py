@@ -30,7 +30,9 @@ span's last nominal send slot and :meth:`idle` /
 :attr:`injection_backlog` count the worm as busy through that cycle.
 Events and ``run_until`` predicates run before ticks, so a per-flit pop
 (inside the tick at the tail-send cycle ``t_end``) becomes visible to
-them at ``t_end + 1`` — exactly when ``now > _tx_end`` first holds.
+them at ``t_end + 1`` — exactly when ``now > _tx_end`` first holds; the
+gauge is read by probes, which run after the ticks and see it at
+``t_end`` already.
 
 Ejection commits the same way.  The NI is a sink: every flit is taken
 and its credit returned on the cycle it lands, so once a span record of
@@ -44,9 +46,7 @@ in one piece — so a delivery still fires on the cycle its tail lands.
 for credits: see "sink" in :mod:`repro.switches.link`.)  Observers see
 the same timeline as for injection: :attr:`flits_ejected` counts a
 member that landed before the current cycle as ejected, absorbed or
-not, and :meth:`idle` sees the worm in reassembly throughout.  As in the
-switches, nothing is committed while tracer or metrics registry is
-enabled.
+not, and :meth:`idle` sees the worm in reassembly throughout.
 """
 
 from __future__ import annotations
@@ -95,12 +95,13 @@ class HostInterface(Component):
         # guarded by the captured flag so the uninstrumented path pays a
         # single boolean test (the REP005 contract)
         self._obs = metrics.enabled
-        #: commit whole span records on ejection (see _eject_spans);
-        #: per-flit observers need the one-flit timeline, so off with them
-        self._commit = not (tracer.enabled or metrics.enabled)
         self._c_injected = metrics.counter("ni.flits_injected")
         self._c_ejected = metrics.counter("ni.flits_ejected")
         self._c_blocked = metrics.counter("ni.blocked_cycles")
+        #: cycle of the tick that found injection blocked and went to
+        #: sleep on it, -1 otherwise: every cycle slept since is a
+        #: blocked one still to be counted (see `settle_blocked`)
+        self._blocked_at = -1
         self.out_link: Optional[Link] = None
         self.in_link: Optional[Link] = None
         self._inject: Deque[Worm] = deque()
@@ -162,9 +163,11 @@ class HostInterface(Component):
 
     @property
     def injection_backlog(self) -> int:
-        """Worms queued or with send slots still nominally occupied."""
+        """Worms queued or with send slots still nominally occupied, as
+        a probe sees it: after the current cycle's ticks, so a worm
+        whose tail leaves this cycle is gone."""
         backlog = len(self._inject)
-        if self._sim is not None and self._sim.now <= self._tx_end and (
+        if self._sim is not None and self._sim.now < self._tx_end and (
             self._inject_cursor == 0
         ):
             backlog += 1
@@ -174,6 +177,9 @@ class HostInterface(Component):
     # per-cycle behaviour
     # ------------------------------------------------------------------
     def tick(self, now: int) -> None:
+        if self._blocked_at >= 0:
+            self.settle_blocked(now)
+            self._blocked_at = -1
         self._eject_spans(now)
         sent = self._inject_span(now)
         # the staged span occupies send slots now .. now+sent-1, so the
@@ -183,14 +189,23 @@ class HostInterface(Component):
         # stays empty the extra tick is a no-op and changes nothing)
         if sent:
             self.wake_at(now + sent)
-        elif self._obs and self._inject:
-            # blocked with telemetry on: poll every cycle so
-            # ni.blocked_cycles counts densely — but only cycles past the
-            # staged span's last nominal send slot are *blocked*; during
-            # the span the one-flit-per-cycle reference is still sending
-            if now > self._tx_end:
-                self._c_blocked.inc()
-            self.wake_at(now + 1)
+        elif self._obs and self._inject and now > self._tx_end:
+            # blocked (during a staged span the one-flit-per-cycle
+            # reference is still sending; the wake above comes back at
+            # its end).  The out-link's credit hook ends the sleep
+            self._c_blocked.inc()
+            self._blocked_at = now
+
+    def settle_blocked(self, now: int) -> None:
+        """Count the blocked cycles slept through before cycle ``now``.
+
+        Called by the tick that ends a blocked sleep and by
+        :func:`~repro.network.simulation.run_workload` on its way out,
+        for the NIs still asleep when the counters are read.
+        """
+        if self._obs and self._blocked_at >= 0:
+            self._c_blocked.inc(now - 1 - self._blocked_at)
+            self._blocked_at = now - 1
 
     def _eject_spans(self, now: int) -> None:
         # the ejection link sets _rx_pending on every send (see
@@ -221,7 +236,7 @@ class HostInterface(Component):
         # a span fires the arrival hook once, at its first member: the
         # later members are ours to come back for — all at once when
         # the head record continues the worm being reassembled
-        if pending >= 2 and self._commit:
+        if pending >= 2:
             arrival, worm, start, count = queue.head()  # type: ignore[misc]
             if (
                 count >= 2
@@ -326,10 +341,6 @@ class HostInterface(Component):
     def flits_ejected(self) -> int:
         """Flits ever ejected (statistics)."""
         return self._ejected + self._landed_unabsorbed()
-
-    @flits_ejected.setter
-    def flits_ejected(self, value: int) -> None:
-        self._ejected = value - self._landed_unabsorbed()
 
     def idle(self) -> bool:
         """True when nothing is being injected, staged, or reassembled

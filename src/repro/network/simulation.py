@@ -277,6 +277,14 @@ def run_workload(
         )
     except CycleBudgetExhausted:
         completed = False
+    finally:
+        # the one place counters are brought up to date for reading: a
+        # component asleep while blocked counts those cycles when it
+        # next ticks, and a run may stop — or stall — first
+        if network.metrics.enabled:
+            now = network.sim.now
+            for component in (*network.switches, *network.interfaces):
+                component.settle_blocked(now)
     return SimulationResult(
         config=network.config,
         cycles=network.sim.now,

@@ -1,8 +1,10 @@
 """ASCII link-utilisation heatmaps per switch output port.
 
-Utilisation comes from each link's always-on ``flits_sent`` counter
-divided by the simulated cycle count, so the heatmap is free — no
-instrumentation beyond what the data plane already maintains.  Hot
+Utilisation comes from each link's always-on sent-flit count
+(:meth:`~repro.switches.link.Link.flits_sent_by`, the reader the
+``link.utilisation`` gauge sums too) divided by the simulated cycle
+count, so the heatmap is free — no instrumentation beyond what the data
+plane already maintains.  Hot
 ports show as dense glyphs; a saturated hotspot destination stands out
 as a column of ``@`` against a field of dots.
 """
@@ -12,6 +14,7 @@ from __future__ import annotations
 from typing import Any, Dict, List
 
 from repro.network.builder import Network
+from repro.switches.link import Link
 
 #: glyph ramp from idle to saturated (indexing by utilisation decile)
 SHADES = " .:-=+*#%@"
@@ -30,34 +33,30 @@ def link_heatmap(network: Network, cycles: int) -> Dict[str, Any]:
     for the host NIs' injection links.
     """
     span = max(cycles, 1)
-    switches: List[Dict[str, Any]] = []
-    for switch in network.switches:
-        ports: List[Dict[str, Any]] = []
-        for port, link in enumerate(switch.out_links):
-            if link is None:
-                continue
-            ports.append(
-                {
-                    "port": port,
-                    "link": link.name,
-                    "flits": link.flits_sent,
-                    "util": round(link.flits_sent / span, 4),
-                }
-            )
-        switches.append({"name": switch.name, "ports": ports})
-    hosts: List[Dict[str, Any]] = []
-    for interface in network.interfaces:
-        link = interface.out_link
-        if link is None:
-            continue
-        hosts.append(
-            {
-                "host": interface.host_id,
-                "link": link.name,
-                "flits": link.flits_sent,
-                "util": round(link.flits_sent / span, 4),
-            }
-        )
+
+    def cell(link: Link, **where: int) -> Dict[str, Any]:
+        flits = link.flits_sent_by(cycles - 1)
+        return {
+            **where, "link": link.name, "flits": flits,
+            "util": round(flits / span, 4),
+        }
+
+    switches = [
+        {
+            "name": switch.name,
+            "ports": [
+                cell(link, port=port)
+                for port, link in enumerate(switch.out_links)
+                if link is not None
+            ],
+        }
+        for switch in network.switches
+    ]
+    hosts = [
+        cell(interface.out_link, host=interface.host_id)
+        for interface in network.interfaces
+        if interface.out_link is not None
+    ]
     return {"cycles": cycles, "switches": switches, "hosts": hosts}
 
 

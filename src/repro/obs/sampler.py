@@ -123,11 +123,15 @@ def register_network_gauges(
 
     links = network.links
     sim = network.sim
-    last = {"cycle": sim.now, "flits": sum(l.flits_sent for l in links)}
+
+    def sent_by(now: int) -> int:
+        return sum(link.flits_sent_by(now) for link in links)
+
+    last = {"cycle": sim.now, "flits": sent_by(sim.now)}
 
     def _link_utilisation() -> float:
         now = sim.now
-        total = sum(link.flits_sent for link in links)
+        total = sent_by(now)
         elapsed = now - last["cycle"]
         delta = total - last["flits"]
         last["cycle"] = now

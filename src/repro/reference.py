@@ -258,26 +258,11 @@ class ReferenceInputBufferSwitch(_FlitArrival, InputBufferSwitch):
 class ReferenceHostInterface(HostInterface):
     """The host NI, one ``Flit`` object per tick each way."""
 
-    def tick(self, now: int) -> None:
-        self._eject(now)
-        sent = self._inject_one(now)
-        # active-set re-arm: keep ticking while flits are flowing out.  A
-        # credit-blocked NI sleeps instead — the out-link's credit hook
-        # wakes it exactly when the next credit matures.  Ejection is
-        # purely arrival-driven — the in-link's arrival hook wakes us per
-        # flit — so a half-reassembled worm alone needs no polling.
-        if self._inject and sent:
-            self.wake_at(now + 1)
-        elif self._obs and self._inject:
-            # blocked with telemetry on: poll so blocked_cycles counts
-            # every stalled cycle, exactly as under the dense kernel (the
-            # extra ticks are behaviourally inert — sending still gates
-            # on can_send, which flips on the same cycle the credit hook
-            # would have woken us)
-            self._c_blocked.inc()
-            self.wake_at(now + 1)
+    # ``tick`` is inherited: a "span" here is one flit, so the NI comes
+    # back the cycle after every send, and ejection is purely
+    # arrival-driven — the in-link's arrival hook wakes us per flit
 
-    def _eject(self, now: int) -> None:
+    def _eject_spans(self, now: int) -> None:
         link = self.in_link
         if link is None or not link.pending_arrival(now):
             return
@@ -307,7 +292,7 @@ class ReferenceHostInterface(HostInterface):
                 f"(expected index {self._rx_count})"
             )
         self._rx_count += 1
-        self.flits_ejected += 1
+        self._ejected += 1
         if self._obs:
             self._c_ejected.inc()
         self.sim.note_progress()
@@ -322,13 +307,13 @@ class ReferenceHostInterface(HostInterface):
             if self._on_delivery is not None:
                 self._on_delivery(worm, now)
 
-    def _inject_one(self, now: int) -> bool:
-        """Push the next flit out; True when one was sent."""
+    def _inject_span(self, now: int) -> int:
+        """Push the next flit out; returns the flits sent (0: blocked)."""
         if self.out_link is None or not self._inject:
-            return False
+            return 0
         worm = self._inject[0]
         if not self.out_link.can_send(now):
-            return False
+            return 0
         if self._inject_cursor == 0 and worm.packet.injected_cycle is None:
             worm.packet.injected_cycle = now
             if self.tracer.enabled:
@@ -347,4 +332,4 @@ class ReferenceHostInterface(HostInterface):
         if self._inject_cursor == worm.size_flits:
             self._inject.popleft()
             self._inject_cursor = 0
-        return True
+        return 1

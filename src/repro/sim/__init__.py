@@ -11,12 +11,11 @@ order and therefore deterministic for a given seed.
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Histogram, RateCounter, RunningStats
+from repro.sim.stats import Histogram, RunningStats
 
 __all__ = [
     "Component",
     "Histogram",
-    "RateCounter",
     "RngStreams",
     "RunningStats",
     "Simulator",

@@ -8,7 +8,7 @@ and fixed-width histograms for distributions.
 from __future__ import annotations
 
 import math
-from typing import Iterable, List, Optional, Tuple
+from typing import List, Optional
 
 
 class RunningStats:
@@ -43,11 +43,6 @@ class RunningStats:
         if value > self.max:
             self.max = value
 
-    def extend(self, values: Iterable[float]) -> None:
-        """Fold every sample of ``values`` into the accumulator."""
-        for value in values:
-            self.add(value)
-
     @property
     def variance(self) -> float:
         """Sample variance (n-1 denominator); 0.0 with fewer than 2 samples."""
@@ -59,25 +54,6 @@ class RunningStats:
     def stddev(self) -> float:
         """Sample standard deviation."""
         return math.sqrt(self.variance)
-
-    def merge(self, other: "RunningStats") -> None:
-        """Fold another accumulator into this one (parallel-merge form)."""
-        if other.count == 0:
-            return
-        if self.count == 0:
-            self.count = other.count
-            self.mean = other.mean
-            self._m2 = other._m2
-            self.min = other.min
-            self.max = other.max
-            return
-        total = self.count + other.count
-        delta = other.mean - self.mean
-        self._m2 += other._m2 + delta * delta * self.count * other.count / total
-        self.mean += delta * other.count / total
-        self.count = total
-        self.min = min(self.min, other.min)
-        self.max = max(self.max, other.max)
 
     def __repr__(self) -> str:
         if self.count == 0:
@@ -142,39 +118,6 @@ class Histogram:
             if seen >= target:
                 return (index + 1) * self.bin_width
         return None
-
-    def nonzero_bins(self) -> List[Tuple[float, int]]:
-        """Return ``(bin_upper_edge, count)`` for every non-empty bin."""
-        return [
-            ((i + 1) * self.bin_width, n)
-            for i, n in enumerate(self._bins)
-            if n
-        ]
-
-
-class RateCounter:
-    """Counts events over a known time window to report a rate.
-
-    >>> c = RateCounter()
-    >>> c.add(3)
-    >>> c.rate(elapsed=6)
-    0.5
-    """
-
-    __slots__ = ("count",)
-
-    def __init__(self) -> None:
-        self.count = 0
-
-    def add(self, n: int = 1) -> None:
-        """Record ``n`` events."""
-        self.count += n
-
-    def rate(self, elapsed: float) -> float:
-        """Events per unit time over ``elapsed`` time units."""
-        if elapsed <= 0:
-            return 0.0
-        return self.count / elapsed
 
 
 class TimeWeightedAverage:

@@ -228,11 +228,14 @@ class SwitchBase(Component):
         # enabled registry was passed in; `_obs` keeps the hot path to a
         # single boolean test)
         self._obs = metrics.enabled
-        #: commit runs of flits in one call (see `committed_run`);
-        #: per-flit observers need the one-flit timeline, so off with them
-        self._commit = not (tracer.enabled or metrics.enabled)
         self._c_forwarded = metrics.counter("switch.flits_forwarded")
         self._c_blocked = metrics.counter("switch.blocked_cycles")
+        # the blocked cycles a sleeping switch has yet to count: the
+        # un-stirred tick at `_blocked_at` bumped the counter
+        # `_blocked_rate` times and every cycle slept since would have
+        # repeated it (see `settle_blocked`)
+        self._blocked_rate = 0
+        self._blocked_at = 0
 
     # ------------------------------------------------------------------
     # wiring (done by the network builder)
@@ -271,6 +274,10 @@ class SwitchBase(Component):
     # ------------------------------------------------------------------
     def tick(self, now: int) -> None:
         self._stirred = False
+        if self._blocked_rate:
+            self.settle_blocked(now)
+            self._blocked_rate = 0
+        blocked = self._c_blocked.value
         self._receive(now)
         self._phases(now)
         # Re-arm: a worm anywhere inside the switch — in an input FIFO,
@@ -283,22 +290,36 @@ class SwitchBase(Component):
         # credit (out-link hook), its own routing delay expiring (exact
         # wake computed by `_blocked_wake`), or buffer space freed by its
         # own reads — which are sends, hence stirring.  So an un-stirred
-        # tick may skip the re-arm entirely.  Exception: with metrics
-        # enabled the blocked-cycles counter must increment every blocked
-        # cycle, as it does on the dense kernel, so observed runs keep
-        # polling.
+        # tick may skip the re-arm entirely: every cycle until the next
+        # tick would repeat this one, blocked-cycle counts included,
+        # which is what `settle_blocked` adds when the sleep ends.
         #
         # Committed-sleep: a stirred switch whose every worm is inside a
         # committed run (see `_inside_runs`) has nothing to do before
         # the run's own wake or the next arrival.
         if self._ingress_occupied or self._egress_busy or self._egress_wanted:
-            if self._stirred or self._obs:
+            if self._stirred:
                 if not self._inside_runs(now):
                     self.wake_at(now + 1)
             else:
+                self._blocked_rate = self._c_blocked.value - blocked
+                self._blocked_at = now
                 wake = self._blocked_wake(now)
                 if wake is not None:
                     self.wake_at(wake)
+
+    def settle_blocked(self, now: int) -> None:
+        """Count the blocked cycles slept through before cycle ``now``.
+
+        Called by the tick that ends a blocked sleep and by
+        :func:`~repro.network.simulation.run_workload` on its way out,
+        for the switches still asleep when the counters are read.
+        """
+        if self._obs:
+            self._c_blocked.inc(
+                self._blocked_rate * (now - 1 - self._blocked_at)
+            )
+            self._blocked_at = now - 1
 
     def _phases(self, now: int) -> None:
         """Everything an architecture does in a cycle after the receive:
@@ -390,11 +411,11 @@ class SwitchBase(Component):
                 self._route_pending |= 1 << port
             self._header_complete(ingress)
         if self.tracer.enabled:
-            for index in range(start, start + count):
-                self.tracer.emit(
-                    landed + index - start, self.name, "flit_in",
-                    port=port, flit=flit_repr(worm, index),
-                )
+            # one record per span: member j landed at cycle `landed + j`
+            self.tracer.emit(
+                landed, self.name, "flit_in",
+                port=port, flit=flit_repr(worm, start), count=count,
+            )
 
     def _header_complete(self, ingress: Ingress) -> None:
         """Hook, called once per worm by the accept that completes its

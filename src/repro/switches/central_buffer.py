@@ -39,10 +39,9 @@ are already determined (:func:`~repro.switches.base.committed_run`),
 as one future-dated
 :meth:`~repro.switches.link.Link.return_credit_ramp` and wakes itself
 when the run ends; a switch whose every worm is inside such a run does
-not re-arm in between (``_inside_runs``).  Runs are committed only while
-tracer and metrics registry are both disabled: per-flit observers need
-the one-flit timeline.  ``fifo_occupancy`` and the link's credit
-introspection keep reporting that timeline while a run is ahead of it.
+not re-arm in between (``_inside_runs``).  ``fifo_occupancy`` and the
+link's credit introspection keep reporting the one-flit timeline while a
+run is ahead of it.
 
 Every flit leaves on the cycle a one-flit-per-cycle switch would send
 it; :class:`repro.reference.ReferenceCentralBufferSwitch` is that
@@ -420,19 +419,20 @@ class CentralBufferSwitch(SwitchBase):
         assert worm is not None
         in_link = self.in_links[feed.input_port]
         self._stirred = True
-        if self._commit:
-            run = committed_run(
-                ingress.received, consumed, ingress.worm.size_flits,
-                ingress.worm, in_link, link, now,
-            )
-            if run:
-                link.send_span(now, worm, consumed, run)
-                ingress.consumed = consumed + run
-                if in_link is not None:
-                    in_link.return_credit_ramp(now, run)
-                self.sim.progress += run
-                self.wake_at(now + run)
-                return
+        run = committed_run(
+            ingress.received, consumed, ingress.worm.size_flits,
+            ingress.worm, in_link, link, now,
+        )
+        if run:
+            link.send_span(now, worm, consumed, run)
+            ingress.consumed = consumed + run
+            if in_link is not None:
+                in_link.return_credit_ramp(now, run)
+            if self._obs:
+                self._c_forwarded.inc(run)
+            self.sim.progress += run
+            self.wake_at(now + run)
+            return
         link.send_granted(now, worm, consumed)
         # FIFO-slot consume, inline as in _write_central_buffer
         consumed += 1
@@ -454,12 +454,7 @@ class CentralBufferSwitch(SwitchBase):
         # wake resumes it; anything new arrives through a link hook, and
         # a worm queued behind a fed one has its header stamped by
         # landing cycle whenever the switch next looks.
-        if (
-            not self._commit
-            or self._egress_wanted
-            or self._route_pending
-            or self._cb_feed
-        ):
+        if self._egress_wanted or self._route_pending or self._cb_feed:
             return False
         out_current = self._out_current
         out_links = self.out_links

@@ -38,9 +38,8 @@ slot per cycle, handed back upstream as one
 between moves one flit per call.  A switch whose every output is inside
 such a run does not re-arm (``_inside_runs``); the run's own wake sends
 the tail, which is never a member.  Lock-step (synchronous) branches
-never commit, and nothing does while tracer or metrics registry is
-enabled.  ``buffer_occupancy`` and the link's credit introspection keep
-reporting the one-flit timeline while a run is ahead of it.
+never commit.  ``buffer_occupancy`` and the link's credit introspection
+keep reporting the one-flit timeline while a run is ahead of it.
 
 Every flit leaves on the cycle a one-flit-per-cycle switch would send
 it; :class:`repro.reference.ReferenceInputBufferSwitch` is that switch,
@@ -216,7 +215,6 @@ class InputBufferSwitch(SwitchBase):
                     self._grant_output(port, winner)
         out_links = self.out_links
         synchronous = self._synchronous
-        commit = self._commit
         lockstep_done = set()
         progress = 0
         for port in PORTS_OF[self._egress_busy]:
@@ -242,7 +240,7 @@ class InputBufferSwitch(SwitchBase):
                 if self._obs:
                     self._c_blocked.inc()
                 continue
-            if commit and ingress.group_cycle != now:
+            if ingress.group_cycle != now:
                 ingress.group_cycle = now
                 moved = self._commit_group(branch.input_port, ingress, now)
                 if moved:
@@ -422,8 +420,7 @@ class InputBufferSwitch(SwitchBase):
         # worm has its header stamped by landing cycle whenever the
         # switch next looks.
         if (
-            not self._commit
-            or self._route_pending
+            self._route_pending
             or self._sync_queue
             or self._egress_wanted & ~self._egress_busy
         ):

@@ -157,7 +157,8 @@ class Link:
         self._credit_comp: Optional[Component] = None
         #: this link's bit in the arrival component's ``_rx_pending`` mask
         self._rx_bit = 0
-        #: total flits ever sent (utilisation statistics)
+        #: total flits ever sent, a span counted when it is committed
+        #: (:meth:`flits_sent_by` is the timeline view)
         self.flits_sent = 0
 
     # ------------------------------------------------------------------
@@ -466,6 +467,14 @@ class Link:
             return sum(count for _, count in returns)
         horizon = now + self.credit_latency
         return sum(count for mature, count in returns if mature <= horizon)
+
+    def flits_sent_by(self, now: int) -> int:
+        """Flits sent by the end of cycle ``now`` (the current cycle or
+        a later one) on the one-flit-per-cycle timeline:
+        :attr:`flits_sent` counts a span whole when it is committed, its
+        last member leaves at ``_last_send_cycle``.  What utilisation is
+        computed from."""
+        return self.flits_sent - max(0, self._last_send_cycle - now)
 
     def accounted_credits(self, now: Optional[int] = None) -> Optional[int]:
         """Credits at the sender plus those in flight (either direction).

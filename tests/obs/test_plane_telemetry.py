@@ -1,31 +1,46 @@
-"""Telemetry agrees bit-for-bit across the data planes.
+"""Telemetry is the ground truth's, whatever moved the flits.
 
-The production switches and NI move spans and the per-flit reference
-(``repro.reference``) moves one ``Flit`` per call, so each plane has its
-own copy of the emit sites that sit on a flit move: the ``flit_in``,
-``inject_start`` and ``packet_delivered`` tracer events and the
-``switch.flits_forwarded``, ``switch.blocked_cycles`` and ``ni.*``
-counters.  Every other event and counter comes from a decision method
-the planes share.  With tracer *and* registry enabled the two planes
-must agree on the full event stream and on every counter *value* — the
-dense per-cycle ``blocked_cycles`` counters included (see
-docs/observability.md) — on both architectures and both kernels, over
-workloads that between them reach every plane-specific site: delete any
-one emit or increment from either plane and a case below fails.
+The ground truth is the per-flit reference (``repro.reference``) on the
+dense kernel: one ``Flit`` per call, every component ticked every cycle,
+every blocked cycle counted by the tick that was blocked.  Production
+moves spans, commits runs ahead of time and sleeps while blocked — and
+runs the same way whether or not it is observed — so its telemetry is
+span-aware: one ``flit_in`` record per accepted span carrying a
+``count``, counters bumped by the run, ``blocked_cycles`` settled by
+interval when a sleep ends or the run does, link utilisation read on the
+one-flit-per-cycle timeline.  With tracer *and* registry enabled every
+flavour — production on either kernel, and the reference on the
+active-set kernel, which sleeps through blocked cycles too — must report
+what the ground truth reports: the same events once ``flit_in`` is
+expanded by ``count`` (a trace is cycle-stamped, in emission order: a
+switch that slept through a landing stamps it when it next looks, so
+streams compare sorted), every counter *value*, and the sampled gauge
+series; on both architectures, over workloads that between them reach
+every plane-specific emit and increment, and on a run that stops
+blocked.  Delete any one emit or increment from either plane and a case
+below fails.
 """
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
+from repro.errors import DeadlockSuspected
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_workload
 from repro.obs.registry import MetricsRegistry
+from repro.obs.sampler import CycleSampler, register_network_gauges
 from repro.sim.trace import Tracer
+from repro.switches.base import ReplicationMode
 from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.multicast import RandomMulticastStream
+from repro.traffic.multicast import (
+    MultipleMulticastBurst,
+    RandomMulticastStream,
+)
 from repro.traffic.unicast import UniformRandomUnicast
 
 CB = SwitchArchitecture.CENTRAL_BUFFER
@@ -50,6 +65,14 @@ WORKLOADS = {
     ),
 }
 
+#: (packed, dense kernel) of the flavours held to the ground truth
+FLAVOURS = {
+    "active": (True, False),
+    "dense": (True, True),
+    "reference-active": (False, False),
+}
+GROUND_TRUTH = (False, True)
+
 #: what must be seen (events) / non-zero (counters) in a case, so the
 #: agreement asserted below is never agreement on nothing
 ALWAYS = (
@@ -63,40 +86,132 @@ ALSO = {
     ("hotspot", IB): ("switch.blocked_cycles", "ni.blocked_cycles"),
 }
 
+_FLIT = re.compile(r"Flit\((\d+):(\d+)[HBT]\)")
 
-def telemetry(architecture, workload, packed, dense):
-    """Everything an observed run reports: cycles, summary, the event
-    stream and every counter value."""
-    config = SimulationConfig(
-        num_hosts=16, seed=5, switch_architecture=architecture,
-        packed=packed, dense_kernel=dense,
-    )
+
+def per_flit(record):
+    """The per-flit events one trace record stands for.
+
+    A ``flit_in`` record with ``count`` covers that many flits of one
+    worm landing on consecutive cycles (absent: 1, the reference's
+    form); flits are named by coordinates, the repr's head/body/tail
+    letter being a function of them.  Every other event is itself.
+    """
+    if record.event != "flit_in":
+        yield record.cycle, record.source, record.event, record.details
+        return
+    packet, start = map(int, _FLIT.fullmatch(record.get("flit")).groups())
+    for member in range(record.get("count", 1)):
+        yield (
+            record.cycle + member, record.source, "flit_in",
+            (record.get("port"), packet, start + member),
+        )
+
+
+def telemetry(config, make_workload, prepare=None, **run_kwargs):
+    """Everything an observed run reports: how it ended, the per-flit
+    event list, every counter value and the sampled gauge series."""
     tracer = Tracer(enabled=True)
     registry = MetricsRegistry(enabled=True)
     network = build_network(config, tracer=tracer, metrics=registry)
-    result = run_workload(network, WORKLOADS[workload]())
+    register_network_gauges(network, registry)
+    sampler = CycleSampler(registry, every=7)
+    network.sim.add_component(sampler)
+    if prepare is not None:
+        prepare(network)
+    try:
+        result = run_workload(network, make_workload(), **run_kwargs)
+        outcome = (result.cycles, result.completed, result.summary())
+    except DeadlockSuspected as stall:
+        outcome = (network.sim.now, str(stall))
     assert tracer.dropped_count == 0
-    events = [
-        (r.cycle, r.source, r.event, r.details) for r in tracer.records
-    ]
+    events = sorted(
+        event for record in tracer.records for event in per_flit(record)
+    )
     counters = {
         name: counter.value for name, counter in registry.counters.items()
     }
-    return result.cycles, result.summary(), events, counters
+    return outcome, events, counters, sampler.series
 
 
-@pytest.mark.parametrize("dense", (False, True), ids=("active", "dense"))
-@pytest.mark.parametrize("workload", list(WORKLOADS))
-@pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
-def test_planes_report_the_same(
-    architecture, workload, dense
-):
-    production = telemetry(architecture, workload, packed=True, dense=dense)
-    reference = telemetry(architecture, workload, packed=False, dense=dense)
-    for ours, theirs in zip(production, reference):
-        assert ours == theirs
-    _, _, events, counters = production
+def assert_reports_the_ground_truth(config, make_workload, flavour, **kwargs):
+    packed, dense = FLAVOURS[flavour]
+    ours = telemetry(
+        config.derived(packed=packed, dense_kernel=dense),
+        make_workload, **kwargs,
+    )
+    packed, dense = GROUND_TRUTH
+    truth = telemetry(
+        config.derived(packed=packed, dense_kernel=dense),
+        make_workload, **kwargs,
+    )
+    for reported, true in zip(ours, truth):
+        assert reported == true
+    _, events, counters, series = ours
+    assert len(series) > 10
     seen = {event for _, _, event, _ in events}
     seen.update(name for name, value in counters.items() if value > 0)
+    return seen, counters
+
+
+@pytest.mark.parametrize("flavour", list(FLAVOURS))
+@pytest.mark.parametrize("workload", list(WORKLOADS))
+@pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
+def test_planes_report_the_same(architecture, workload, flavour):
+    config = SimulationConfig(
+        num_hosts=16, seed=5, switch_architecture=architecture
+    )
+    seen, _ = assert_reports_the_ground_truth(
+        config, WORKLOADS[workload], flavour
+    )
     expected = ALWAYS + ALSO.get((workload, architecture), ())
     assert not [name for name in expected if name not in seen]
+
+
+def _a4_burst():
+    """A4's traffic — concurrent degree-6 multicasts, all at once — with
+    messages of several worms each, more than an input buffer holds, so
+    that the NIs back up behind a stalled switch too."""
+    return MultipleMulticastBurst(
+        num_multicasts=8, degree=6, payload_flits=400,
+        scheme=MulticastScheme.HARDWARE,
+    )
+
+
+def _deaf_host(network, host=3):
+    """``host`` stops handing back the slots of its receive FIFO.  The
+    switch in front of it runs out of credits for good; under
+    synchronous replication that one blocked branch stalls its whole
+    worm, which holds the switch's replication token, and the stall
+    spreads upstream until nothing moves — with switches and NIs asleep
+    on credits that never come, blocked cycles still to be counted."""
+    link = network.interfaces[host].in_link
+    link.return_credit = link.return_credit_ramp = lambda now, count=1: None
+
+
+#: how the run that stops blocked stops: out of cycles (data, says
+#: ``run_workload``) or by the stall detector's exception — the counters
+#: are read after either
+STOPS = {
+    "budget": dict(max_cycles=3_000),
+    "stall": dict(stall_limit=1_500),
+}
+
+
+@pytest.mark.parametrize("stop", list(STOPS))
+@pytest.mark.parametrize("flavour", list(FLAVOURS))
+def test_a_run_that_stops_blocked_reports_the_same(flavour, stop):
+    # A4's synchronous-replication stall, made permanent.  An NI of
+    # depth 1 is no sink (see repro.switches.link), so every ejection
+    # link is credit-limited and both blocked counters run throughout
+    config = SimulationConfig(
+        num_hosts=16, seed=5, switch_architecture=IB,
+        replication=ReplicationMode.SYNCHRONOUS, ni_rx_depth=1,
+    )
+    seen, counters = assert_reports_the_ground_truth(
+        config, _a4_burst, flavour, prepare=_deaf_host, **STOPS[stop]
+    )
+    assert not [name for name in ALWAYS if name not in seen]
+    # it did stop blocked: most of the run is switches and NIs waiting
+    assert counters["switch.blocked_cycles"] > 10_000
+    assert counters["ni.blocked_cycles"] > 10_000

@@ -110,6 +110,41 @@ class TestNetworkGauges:
         assert registry.sample_gauges()["cb.occupancy_chunks"] == 0.0
 
 
+class TestSeriesFollowsTheFlitTimeline:
+    """A span is staged whole at its first cycle — ``Link.flits_sent``
+    and the NI's queue move then — but its flits leave one per cycle:
+    the gauges read the timeline (``Link.flits_sent_by``,
+    ``HostInterface.injection_backlog``), so the series is the per-flit
+    reference's, on either kernel.  (Reading the staging-cycle state
+    instead gets 71 of these 84 samples wrong in ``link.utilisation``
+    and 12 in ``ni.injection_backlog``.)"""
+
+    @staticmethod
+    def series(packed, dense):
+        from repro.traffic.unicast import UniformRandomUnicast
+
+        config = SimulationConfig(
+            num_hosts=16, seed=3, packed=packed, dense_kernel=dense
+        )
+        registry = MetricsRegistry()
+        network = build_network(config, metrics=registry)
+        register_network_gauges(network, registry)
+        sampler = CycleSampler(registry, every=7)
+        network.sim.add_component(sampler)
+        run_workload(network, UniformRandomUnicast(
+            load=0.3, payload_flits=24,
+            warmup_cycles=100, measure_cycles=300,
+        ))
+        return sampler.series
+
+    @pytest.mark.parametrize("dense", (False, True), ids=("active", "dense"))
+    def test_production_series_is_the_reference_series(self, dense):
+        series = self.series(packed=True, dense=dense)
+        assert series == self.series(packed=False, dense=True)
+        assert any(values["link.utilisation"] for _, values in series)
+        assert any(values["ni.injection_backlog"] for _, values in series)
+
+
 class TestFastForwardCarryForward:
     """The sampler's probe lane must survive idle-cycle fast-forward.
 

@@ -33,6 +33,8 @@ from repro.traffic.multicast import RandomMulticastStream, SingleMulticast
 from repro.traffic.scenarios import SCENARIOS
 from repro.traffic.unicast import UniformRandomUnicast
 
+from tests.obs.test_plane_telemetry import per_flit
+
 N = 16
 
 #: (label, workload factory) — factories because workloads are stateful
@@ -180,16 +182,18 @@ class TestWholeSystemDifferential:
     def test_traced_run_emits_byte_identical_events(self):
         # tracing exercises the packed plane's flit_repr conversion
         # boundary: the per-flit trace stream — not just the end-of-run
-        # summary — must be byte-identical to the object plane's
+        # summary — must be byte-identical to the object plane's, once
+        # on the timeline: a traced run commits spans like any other, so
+        # a `flit_in` record stands for `count` flits and is written
+        # when the switch next looks (see test_plane_telemetry)
         def traced(packed: bool):
             config = SimulationConfig(num_hosts=N, seed=3, packed=packed)
             tracer = Tracer(enabled=True)
             network = build_network(config, tracer=tracer)
             result = run_workload(network, WORKLOADS[1][1]())
-            events = [
-                (r.cycle, r.source, r.event, r.details)
-                for r in tracer.records
-            ]
+            events = sorted(
+                event for r in tracer.records for event in per_flit(r)
+            )
             return result.cycles, result.summary(), events
 
         assert traced(packed=True) == traced(packed=False)

@@ -478,3 +478,12 @@ class TestCreditWindow:
         assert link.in_flight() == 4  # raw: nothing was taken
         assert link.accounted_credits(2) == 2
         assert link.accounted_credits() == 4
+
+    def test_flits_sent_by_follows_the_members_out_one_per_cycle(self):
+        link = make_link(depth=8)
+        worm = make_worm()
+        link.send_packed(0, worm, 0)
+        link.send_span(2, worm, 1, 4)  # leave at 2, 3, 4, 5
+        assert link.flits_sent == 5  # the span counted whole, at once
+        by_cycle = [link.flits_sent_by(now) for now in range(2, 8)]
+        assert by_cycle == [2, 3, 4, 5, 5, 5]

@@ -8,9 +8,12 @@ mask from first principles after *every cycle* of whole-network runs
 (probes fire after the cycle's ticks) on both architectures, both
 kernels and both planes (the per-flit reference keeps the ingress, egress
 and route-pending masks as its phase gates but polls its in-links, so
-rx-pending is audited on the production plane only), with telemetry on and
-off; the link-level cases pin the rx-pending protocol between
-:class:`Link` and its receiver.
+rx-pending is audited on the production plane only), watched by a
+registry and a tracer or by neither — an observer does not select the
+execution (``test_span_commit.TestObservedIsProduction``), so that axis
+only checks that the emit and count sites are inert; the link-level
+cases pin the rx-pending protocol between :class:`Link` and its
+receiver.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.host.interface import HostInterface
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
+from repro.sim.trace import Tracer
 from repro.switches.base import ReplicationMode
 from repro.switches.central_buffer import CentralBufferSwitch, _IngressState
 from repro.switches.link import Link
@@ -163,7 +167,9 @@ class TestMasksMirrorState:
             dense_kernel=dense, packed=packed, **overrides,
         )
         network = build_network(
-            config, metrics=MetricsRegistry(enabled=telemetry)
+            config,
+            metrics=MetricsRegistry(enabled=telemetry),
+            tracer=Tracer(enabled=telemetry),
         )
         auditor = MaskAuditor(network)
         network.sim.add_probe(auditor)

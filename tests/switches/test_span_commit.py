@@ -28,6 +28,7 @@ from repro.core.schemes import MulticastScheme
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_workload
+from repro.obs.profile.kernel_profiler import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.routing.base import UpPortPolicy
 from repro.sim.trace import Tracer
@@ -39,6 +40,7 @@ from repro.switches.central_buffer import (
 )
 from repro.switches.input_buffer import InputBufferSwitch, _Branch
 from repro.switches.input_buffer import _Ingress as _BufferIngress
+from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream
 from repro.traffic.unicast import UniformRandomUnicast
 
@@ -51,7 +53,7 @@ from tests.switches.test_link_spans import make_link, make_worm
 from tests.switches.test_input_buffer import (
     one_switch_config as one_buffer_switch_config,
 )
-from tests.switches.test_port_activity import IB, SCENARIOS, mask_of
+from tests.switches.test_port_activity import CB, IB, SCENARIOS, mask_of
 
 
 def _ledger_stream():
@@ -78,23 +80,29 @@ def _bypass_run(ingress, in_link, out_link, now):
     )
 
 
-def log_sends(network):
+def log_sends(network, calls=None):
     """Per link, every flit sent as ``(cycle, packet id, index)`` — the
-    nominal send cycle for members of a span — and every span call."""
+    nominal send cycle for members of a span — and every span call;
+    into ``calls``, every send call as ``(link, cycle, packet id, start,
+    count)``, in the order made."""
     flits, spans = {}, {}
+    if calls is None:
+        calls = []
     for link in network.links:
         sent = flits[link.name] = []
-        calls = spans[link.name] = []
+        committed = spans[link.name] = []
 
-        def single(send, _sent=sent):
+        def single(send, _sent=sent, _name=link.name):
             def logged(now, worm, index):
+                calls.append((_name, now, worm.packet.packet_id, index, 1))
                 _sent.append((now, worm.packet.packet_id, index))
                 send(now, worm, index)
 
             return logged
 
         def span(now, worm, start, count, _send=link.send_span,
-                 _sent=sent, _calls=calls):
+                 _sent=sent, _calls=committed, _name=link.name):
+            calls.append((_name, now, worm.packet.packet_id, start, count))
             _calls.append((now, worm, start, count))
             _sent.extend(
                 (now + j, worm.packet.packet_id, start + j)
@@ -348,30 +356,72 @@ class TestWholeSwitch:
         )
         assert to_host == []
 
-    def test_telemetry_on_commits_nothing_and_changes_nothing(self):
-        def result_of(**build_kwargs):
-            network = build_network(
-                SimulationConfig(num_hosts=16, seed=11), **build_kwargs
-            )
-            _, spans = log_sends(network)
-            result = run_workload(network, UniformRandomUnicast(
-                load=0.3, payload_flits=12,
-                warmup_cycles=50, measure_cycles=300,
-            ))
-            committed = sum(
-                len(spans[link.name]) for link in switch_out_links(network)
-            )
-            return (result.cycles, result.summary()), committed
 
-        plain, committed = result_of()
-        assert committed > 0
-        for observers in (
-            {"metrics": MetricsRegistry(enabled=True)},
-            {"tracer": Tracer(enabled=True)},
-        ):
-            observed, committed = result_of(**observers)
-            assert committed == 0
-            assert observed == plain
+class TickLog(KernelProfiler):
+    """The kernel profiler, also keeping which component ticked when."""
+
+    def __init__(self, sim):
+        super().__init__()
+        self.sim = sim
+        self.ticked = []
+
+    def record_tick(self, component):
+        super().record_tick(component)
+        self.ticked.append((self.sim.now, component.name))
+
+
+#: (label, hosts, workload factory): traffic that blocks, replicates and
+#: saturates, so an observer has every reason to be noticed
+OBSERVED = (
+    ("saturating-unicast", 16, lambda: UniformRandomUnicast(
+        load=0.9, payload_flits=16, warmup_cycles=100, measure_cycles=300,
+    )),
+    ("degree-16-stream", 64, _ledger_stream),
+    ("hotspot", 16, lambda: HotspotTraffic(
+        load=0.9, hotspot_fraction=0.8, payload_flits=32,
+        warmup_cycles=200, measure_cycles=400,
+    )),
+)
+
+
+class TestObservedIsProduction:
+    """Telemetry watches the run, it does not select it: with registry
+    *and* tracer enabled every component ticks on the cycles, and every
+    link carries the send calls, of the same network built with
+    neither."""
+
+    @staticmethod
+    def execution(config, make_workload, **observers):
+        network = build_network(config, **observers)
+        calls = []
+        log_sends(network, calls)
+        ticks = TickLog(network.sim)
+        network.sim.attach_profiler(ticks)
+        result = run_workload(network, make_workload())
+        return (
+            (result.cycles, result.summary()),
+            ticks.ticks_by_class, ticks.ticked, calls,
+        )
+
+    @pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
+    @pytest.mark.parametrize("scenario", OBSERVED, ids=lambda s: s[0])
+    def test_same_ticks_and_same_send_calls(self, scenario, architecture):
+        _, num_hosts, make_workload = scenario
+        config = SimulationConfig(
+            num_hosts=num_hosts, seed=11, switch_architecture=architecture
+        )
+        plain = self.execution(config, make_workload)
+        registry = MetricsRegistry(enabled=True)
+        tracer = Tracer(enabled=True)
+        observed = self.execution(
+            config, make_workload, metrics=registry, tracer=tracer
+        )
+        for ours, theirs in zip(observed, plain):
+            assert ours == theirs
+        # and it was watched, and it is the execution that commits runs
+        assert registry.counters["switch.flits_forwarded"].value > 0
+        assert tracer.records
+        assert any(count > 1 for *_, count in observed[3])
 
 
 class TestRunBoundaries:
