@@ -33,7 +33,10 @@ def central_buffer_occupancy_by_level(
         if not isinstance(switch, CentralBufferSwitch):
             raise TypeError("per-level occupancy needs central-buffer switches")
         level = bmin.switch_level(switch_id)
-        sums[level] = sums.get(level, 0.0) + switch.pool.occupancy.average(now)
+        # the run stopped before the ticks of cycle `now`: the pool as of
+        # the end of the cycle before, whatever was committed past it
+        pool = switch.pool.at(now - 1)
+        sums[level] = sums.get(level, 0.0) + pool.occupancy.average(now)
         counts[level] = counts.get(level, 0) + 1
     return {level: sums[level] / counts[level] for level in sorted(sums)}
 

@@ -116,13 +116,13 @@ def register_network_gauges(
         for switch in network.switches
         if hasattr(switch, "pool")
     ]
+    sim = network.sim
     registry.gauge(
         "cb.occupancy_chunks",
-        lambda: float(sum(pool.used_chunks for pool in pools)),
+        lambda: float(sum(pool.at(sim.now).used_chunks for pool in pools)),
     )
 
     links = network.links
-    sim = network.sim
 
     def sent_by(now: int) -> int:
         return sum(link.flits_sent_by(now) for link in links)

@@ -127,49 +127,57 @@ class Ingress:
 
 
 def committed_run(
-    received: int,
-    read: int,
-    size: int,
-    worm: Worm,
-    in_link: Optional[Link],
-    out_link: Link,
+    on_hand: int,
+    body: int,
     now: int,
+    in_link: Optional[Link] = None,
+    worm: Optional[Worm] = None,
+    received: int = 0,
+    *,
+    out_link: Optional[Link] = None,
+    space: int = 0,
 ) -> int:
-    """Flits a reader that owns ``out_link`` may commit at ``now`` in one
-    span: at least 2, or 0 for the single-flit path.
+    """Flits a mover that contends for nothing may commit at ``now`` as
+    one run, one flit per cycle: at least 2, or 0 for the single-flit
+    path.  A run is a *supply* — flits whose turn finds them there — cut
+    to the worm's body and to a *drain window* that is certain to take
+    them.
 
-    The reader — a central-buffer bypass feed, an input-buffer branch —
-    has sent ``read`` flits of a ``size``-flit worm of which ``received``
-    have been accepted from ``in_link``, where it arrives as ``worm``.
-    A flit belongs to the run when its send cycle is already determined:
-    it sits in the input buffer, or it is a member of the in-link's head
-    span record that lands no later than its turn (the record continues
-    this worm where the buffer ends, and member ``m`` arrives at
-    ``arrival + m`` for a turn at ``now + waiting + m``); and the
-    out-link's credit window covers it.  The output is this reader's
-    until its tail and it contends for nothing else, so no other event
-    can delay those sends — the run is exactly what the per-flit path
-    would do over the next cycles.  The tail is never a member: it
-    leaves through the single-flit path, which releases the output, pops
-    the input FIFO and exposes the next worm at the cycle they are due.
+    The supply is the ``on_hand`` flits the mover could take now — in
+    the input buffer for a central-buffer bypass feed or writer and for
+    an input-buffer branch, written and unread for a central-buffer
+    branch cursor, whose dated writes (``StoredPacket.flits_written``)
+    are already counted — plus, given the ``in_link`` the worm arrives
+    on as ``worm`` with ``received`` flits accepted, the members of the
+    link's head span record that land no later than their turn (the
+    record continues the worm where the buffer ends, and member ``m``
+    arrives at ``arrival + m`` for a turn at ``now + on_hand + m``).
+    ``body`` is what the worm has left before its tail, which is never a
+    member: it leaves through the single-flit path, which releases the
+    output, pops the input FIFO, frees the last chunk and exposes the
+    next worm at the cycle they are due.  The window is ``out_link``'s
+    credit window for a mover that sends, or with no ``out_link`` the
+    ``space`` a central-buffer writer already owns.
+
+    The output or the buffer space is the mover's own and it contends
+    for nothing else, so no other event can delay those moves — the run
+    is exactly what the per-flit path would do over the next cycles.
     """
-    waiting = received - read
-    run = waiting
+    run = on_hand
     if in_link is not None:
         head = in_link._in_flight.head()
         if (
             head is not None
             and head[1] is worm
             and head[2] == received
-            and head[0] - now <= waiting
+            and head[0] - now <= on_hand
         ):
             run += head[3]
-    body = size - 1 - read
     if run > body:
         run = body
     if run < 2:
         return 0
-    window = out_link.sendable_span(now)
+    window = space if out_link is None else out_link.sendable_span(now)
     if run > window:
         run = window
     return run if run >= 2 else 0

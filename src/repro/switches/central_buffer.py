@@ -29,19 +29,51 @@ in proportion to the ports that have something to do, and buffer
 bandwidth is arbitrated with the single-rotation
 :meth:`~repro.switches.arbiter.RoundRobinArbiter.grant_batch`.
 
-**Span cut-through.**  Central-buffer reads and writes are arbitrated
-per cycle, so they stay one flit per call.  The bypass path is not: once
-a unicast worm owns an idle output nothing but arrivals and credits can
-delay it.  When at least two of its non-tail flits have send cycles that
-are already determined (:func:`~repro.switches.base.committed_run`),
-:meth:`CentralBufferSwitch._advance_bypass` commits them in one
-:meth:`~repro.switches.link.Link.send_span`, hands their FIFO slots back
-as one future-dated
-:meth:`~repro.switches.link.Link.return_credit_ramp` and wakes itself
-when the run ends; a switch whose every worm is inside such a run does
-not re-arm in between (``_inside_runs``).  ``fifo_occupancy`` and the
-link's credit introspection keep reporting the one-flit timeline while a
-run is ahead of it.
+**Committed runs.**  A mover that contends for nothing can be delayed
+only by the arrival of its next flit or by a missing credit, so the
+flits whose cycles are already determined
+(:func:`~repro.switches.base.committed_run`, the one run computation:
+a supply cut to a drain window) move in one call, the switch wakes
+itself when the run ends, and a switch whose every worm is inside a run
+does not re-arm in between (``_inside_runs``).  The tail is never a
+member: it leaves by the single-flit path, on its own cycle.  Three
+movers here have that shape:
+
+* a *bypass feed* (:meth:`CentralBufferSwitch._advance_bypass`): the
+  flits in the FIFO plus the in-link's dated arrivals, cut to the
+  out-link's credit window — one
+  :meth:`~repro.switches.link.Link.send_span`, the FIFO slots back as
+  one future-dated :meth:`~repro.switches.link.Link.return_credit_ramp`;
+* a *writer* (:meth:`CentralBufferSwitch._write_central_buffer`): the
+  same supply, cut to the write space the stored packet already **owns**
+  — the whole remainder of an admitted multidestination worm (the
+  acceptance rule is the commit condition), the rest of the current
+  chunk of a chunk-by-chunk unicast, whose next ``try_take`` is made by
+  the single-flit path on the cycle it is due.  The write is dated
+  (:meth:`~repro.switches.chunks.StoredPacket.write_run`), the slots go
+  back as one ramp;
+* a *branch cursor* (the read half of
+  :meth:`CentralBufferSwitch._drive_outputs`): once its next flit is
+  written on the timeline, everything written behind it — dated ahead or
+  not — is there by the time the cursor gets to it, so the supply is
+  ``flits_written - read`` cut to the credit window.  Each chunk end
+  inside the run is registered with the cycle it is crossed
+  (:meth:`~repro.switches.chunks.StoredPacket.crossed`); the chunk goes
+  back at the cycle the last branch crosses, queued on the pool while
+  that cycle is ahead, and such a dated release wakes a switch that
+  found the pool short (``_blocked_wake``).
+
+Buffer bandwidth is a timing input only when more ports can ask than the
+cap admits: with ``cb_write_bandwidth`` (``cb_read_bandwidth``) below the
+port count that half commits no run and every flit takes the arbitrated
+path.  Otherwise every asker is granted every cycle, and all that is left
+of the write arbiter is the order in which the inputs of one cycle
+allocate from a nearly empty pool — kept exact by leaving an input that
+is inside a write run on the candidate list (``_write_standing``).
+``fifo_occupancy``, the pool's
+:meth:`~repro.switches.chunks.CentralBufferPool.at` and the link's
+credit introspection keep reporting the one-flit timeline while a run is
+ahead of it.
 
 Every flit leaves on the cycle a one-flit-per-cycle switch would send
 it; :class:`repro.reference.ReferenceCentralBufferSwitch` is that
@@ -166,6 +198,21 @@ class CentralBufferSwitch(SwitchBase):
         self._w_bw = settings.cb_write_bandwidth
         self._r_bw = settings.cb_read_bandwidth
         self._chunk_flits = settings.chunk_flits
+        # bandwidth is a timing input only when more ports can ask than
+        # the cap admits; otherwise every asker is granted every cycle
+        # and runs may be committed through the buffer
+        self._write_runs = settings.cb_write_bandwidth >= num_ports
+        self._read_runs = settings.cb_read_bandwidth >= num_ports
+        # the write arbiter's pointer decides who allocates first when
+        # the pool runs short, and the per-flit switch moves it on the
+        # cycles this one sleeps through: `_write_standing` has a bit per
+        # input that asks again every such cycle (inside a write run, or
+        # refused), as of the write phase of cycle `_write_cycle`
+        self._write_standing = 0
+        self._write_cycle = -1
+        # an admission or a write found the pool short this tick: the
+        # earliest dated release is then a wake source (`_blocked_wake`)
+        self._starved = False
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -177,6 +224,7 @@ class CentralBufferSwitch(SwitchBase):
     # per-cycle behaviour (phase 1, worm arrival, is the skeleton's)
     # ------------------------------------------------------------------
     def _phases(self, now: int) -> None:
+        self._starved = False
         if self._route_pending:
             self._route_and_admit(now)
         if self._cb_feed:
@@ -263,6 +311,7 @@ class CentralBufferSwitch(SwitchBase):
         stored = ingress.stored
         assert stored is not None
         if not stored.try_admit(now):
+            self._starved = True
             if self._obs:
                 self._c_blocked.inc()
             return
@@ -292,22 +341,44 @@ class CentralBufferSwitch(SwitchBase):
     # -- phase 3: move flits from input FIFOs into the central buffer ----
     def _write_central_buffer(self, now: int) -> None:
         inflows = self._inflow
+        arbiter = self._write_arbiter
+        w_bw = self._w_bw
+        standing = self._write_standing
+        if standing and now > self._write_cycle + 1:
+            # slept through cycles in which those inputs asked and were
+            # granted: the same set every cycle, so the pointer settled
+            # after the first
+            arbiter.grant_batch(PORTS_OF[standing], w_bw)
+        self._write_cycle = now
+        # an input inside a write run asks too, every cycle of the run
         candidates = []
         for port in PORTS_OF[self._cb_feed]:
             ingress = inflows[port][0]
-            if ingress.consumed < ingress.received:
+            if (
+                ingress.consumed < ingress.received
+                or ingress.stored.last_write >= now
+            ):
                 candidates.append(port)
         if not candidates:
+            self._write_standing = 0
             return
-        w_bw = self._w_bw
-        winners = self._write_arbiter.grant_batch(candidates, w_bw)
+        winners = arbiter.grant_batch(candidates, w_bw)
         in_links = self.in_links
+        commit = self._write_runs
+        standing = 0
         progress = 0
         for port in winners:
             ingress = inflows[port][0]
             stored = ingress.stored
             assert stored is not None
+            if stored.last_write >= now:
+                # this cycle's flit was written when the run was committed
+                if stored.last_write > now:
+                    standing |= 1 << port
+                continue
             if not stored.ensure_write_space(now):
+                self._starved = True
+                standing |= 1 << port
                 if self._obs:
                     self._c_blocked.inc()
                 # when more inputs competed than the write bandwidth
@@ -316,16 +387,37 @@ class CentralBufferSwitch(SwitchBase):
                 if len(candidates) > w_bw:
                     self._stirred = True
                 continue  # central buffer full: stall this input
+            consumed = ingress.consumed
+            link = in_links[port]
+            if commit:
+                worm = ingress.worm
+                received = ingress.received
+                run = committed_run(
+                    received - consumed, worm.size_flits - 1 - consumed, now,
+                    link, worm, received, space=stored.owned_space(),
+                )
+                if run:
+                    # the space is owned and every asker is granted: only
+                    # arrivals could delay these writes, and theirs are
+                    # dated.  The FIFO slots go back as one ramp
+                    stored.write_run(now, run)
+                    ingress.consumed = consumed + run
+                    if link is not None:
+                        link.return_credit_ramp(now, run)
+                    standing |= 1 << port
+                    progress += run
+                    self.wake_at(now + run)
+                    continue
             stored.write_flit()
             # the FIFO slot is consumed inline: no call per flit
-            consumed = ingress.consumed + 1
+            consumed += 1
             ingress.consumed = consumed
-            link = in_links[port]
             if link is not None:
                 link.return_credit(now)
             if consumed == ingress.worm.size_flits:
                 self._pop_front(port)
             progress += 1
+        self._write_standing = standing
         if progress:
             self._stirred = True
             self.sim.progress += progress
@@ -356,25 +448,32 @@ class CentralBufferSwitch(SwitchBase):
             if type(current) is _BypassFeed:
                 self._advance_bypass(port, current, now)
             else:
-                stored = current.stored  # type: ignore[attr-defined]
                 link = out_links[port]
+                # a committed read run holds the link's slot until its
+                # last member's cycle has passed
+                if link is None or link._last_send_cycle >= now:
+                    continue
+                # readable: the next flit is written by now on the
+                # timeline of a write run that may be ahead of it
+                # (StoredPacket.written_by, inlined)
+                stored = current.stored  # type: ignore[attr-defined]
+                written = stored.flits_written
+                ahead = stored.last_write - now
+                if ahead > 0:
+                    written -= ahead
                 # inlined Link.can_send (kept in sync with it): credits
                 # only ever grow by draining matured returns, so a
                 # positive counter needs no drain to prove sendability
-                if (
-                    link is not None
-                    and current.read < stored.flits_written  # type: ignore[attr-defined]
-                    and link._last_send_cycle < now
-                    and (
-                        link._credits > 0  # type: ignore[operator]
-                        or link.can_send(now)
-                    )
+                if current.read < written and (  # type: ignore[attr-defined]
+                    link._credits > 0  # type: ignore[operator]
+                    or link.can_send(now)
                 ):
                     read_candidates.append(port)
         if not read_candidates:
             return
         winners = self._read_arbiter.grant_batch(read_candidates, self._r_bw)
         chunk = self._chunk_flits
+        commit = self._read_runs
         progress = 0
         for port in winners:
             cursor = out_current[port]
@@ -382,16 +481,35 @@ class CentralBufferSwitch(SwitchBase):
             link = out_links[port]
             assert link is not None
             read = cursor.read  # type: ignore[union-attr]
+            total = stored.total_flits
+            if commit:
+                # everything written, dated ahead or not, is written by
+                # the cycle this cursor gets to it: it reads one flit a
+                # cycle at most and its next one is there now
+                run = committed_run(
+                    stored.flits_written - read, total - 1 - read, now,
+                    out_link=link,
+                )
+                if run:
+                    link.send_span(now, cursor.worm, read, run)  # type: ignore[union-attr]
+                    # each chunk end inside the run, at its own cycle
+                    sent = chunk - read % chunk
+                    while sent <= run:
+                        stored.crossed(read + sent, now + sent - 1, now)
+                        sent += chunk
+                    cursor.read = read + run  # type: ignore[union-attr]
+                    progress += run
+                    self.wake_at(now + run)
+                    continue
             link.send_granted(now, cursor.worm, read)  # type: ignore[union-attr]
             read += 1
             cursor.read = read  # type: ignore[union-attr]
-            # inlined chunk release: the slowest branch's chunk index
-            # can only move when this cursor crosses a chunk boundary or
-            # finishes, so skip the call on every other flit
-            if read == stored.total_flits or not read % chunk:
-                stored._release_consumed(now)
+            # a chunk can only be released when this cursor crosses its
+            # end or finishes, so skip the call on every other flit
+            if read == total or not read % chunk:
+                stored.crossed(read, now, now)
             progress += 1
-            if read == stored.total_flits:
+            if read == total:
                 out_current[port] = None
                 self._egress_busy &= ~(1 << port)
         if progress:
@@ -419,9 +537,10 @@ class CentralBufferSwitch(SwitchBase):
         assert worm is not None
         in_link = self.in_links[feed.input_port]
         self._stirred = True
+        received = ingress.received
         run = committed_run(
-            ingress.received, consumed, ingress.worm.size_flits,
-            ingress.worm, in_link, link, now,
+            received - consumed, ingress.worm.size_flits - 1 - consumed, now,
+            in_link, ingress.worm, received, out_link=link,
         )
         if run:
             link.send_span(now, worm, consumed, run)
@@ -448,26 +567,45 @@ class CentralBufferSwitch(SwitchBase):
             self._egress_busy &= ~(1 << port)
 
     def _inside_runs(self, now: int) -> bool:
-        # sleep rule: no queued or stored egress, every busy output a
-        # bypass feed whose link slot is reserved past `now`, and no
-        # occupied FIFO whose front worm is not so fed.  Each run's own
-        # wake resumes it; anything new arrives through a link hook, and
-        # a worm queued behind a fed one has its header stamped by
-        # landing cycle whenever the switch next looks.
-        if self._egress_wanted or self._route_pending or self._cb_feed:
+        # sleep rule: nothing to route or admit, nothing queued for an
+        # idle output, every busy output's link slot reserved past `now`
+        # (a bypass or a read run), every front worm that feeds the
+        # central buffer inside a write run that covers the next cycle,
+        # and no occupied FIFO whose front worm is neither.  Each run's
+        # own wake resumes it — a branch queued for a busy output is
+        # activated by the stirring tail that frees it; anything new
+        # arrives through a link hook, and a worm queued behind a front
+        # worm has its header stamped by landing cycle whenever the
+        # switch next looks.
+        if self._route_pending or self._egress_wanted & ~self._egress_busy:
             return False
         out_current = self._out_current
         out_links = self.out_links
-        fed = 0
+        covered = self._cb_feed
         for port in PORTS_OF[self._egress_busy]:
-            feed = out_current[port]
-            if (
-                type(feed) is not _BypassFeed
-                or out_links[port]._last_send_cycle <= now  # type: ignore[union-attr]
-            ):
+            if out_links[port]._last_send_cycle <= now:  # type: ignore[union-attr]
                 return False
-            fed |= 1 << feed.input_port
-        return fed == self._ingress_occupied
+            feed = out_current[port]
+            if type(feed) is _BypassFeed:
+                covered |= 1 << feed.input_port
+        if covered != self._ingress_occupied:
+            return False
+        inflows = self._inflow
+        for port in PORTS_OF[self._cb_feed]:
+            if inflows[port][0].stored.last_write <= now:
+                return False
+        return True
+
+    def _blocked_wake(self, now: int) -> Optional[int]:
+        # a dated release is a wake source too: an admission or a write
+        # the pool just refused can succeed the cycle after the earliest
+        # queued release, and no link hook fires for that
+        wake = super()._blocked_wake(now)
+        if self._starved:
+            release = self.pool.next_release()
+            if release is not None and (wake is None or release + 1 < wake):
+                wake = release + 1
+        return wake
 
     # ------------------------------------------------------------------
     # introspection for tests and metrics
@@ -485,10 +623,14 @@ class CentralBufferSwitch(SwitchBase):
         in_link = self.in_links[port]
         if in_link is not None:
             occupancy += in_link._in_flight.arrived(now)
-        if inflow and inflow[0].bypass_port is not None:
-            link = self.out_links[inflow[0].bypass_port]
-            assert link is not None
-            occupancy += max(0, link._last_send_cycle - now)
+        if inflow:
+            front = inflow[0]
+            if front.bypass_port is not None:
+                link = self.out_links[front.bypass_port]
+                assert link is not None
+                occupancy += max(0, link._last_send_cycle - now)
+            elif front.stored is not None:
+                occupancy += max(0, front.stored.last_write - now)
         return occupancy
 
     def idle(self) -> bool:
@@ -497,5 +639,5 @@ class CentralBufferSwitch(SwitchBase):
             all(not q for q in self._inflow)
             and all(not q for q in self._out_queue)
             and all(c is None for c in self._out_current)
-            and self.pool.used_chunks == 0
+            and self.pool.at(self.sim.now).used_chunks == 0
         )

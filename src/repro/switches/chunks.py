@@ -21,13 +21,34 @@ buffer dynamically shared and superior to static input buffers.
 
 A stored multidestination packet is written once; each replicated branch
 holds its own read cursor, and a chunk is freed when the *slowest* branch
-has read past it (reference-counted sharing, as in the paper's design).
+has read past it (reference-counted sharing, as in the paper's design):
+every chunk counts the branches that have crossed its end and keeps the
+latest of their crossing cycles, and goes back to the pool at that cycle.
+
+**The timeline.**  A switch that commits a run of flits ahead of time
+(:mod:`repro.switches.central_buffer`) dates what the run will do here
+instead of doing it cycle by cycle.  A write run advances
+``flits_written`` at once and records the cycle of its last write;
+:meth:`StoredPacket.written_by` is what has been written by a given
+cycle.  A read run registers each chunk end it will cross with the cycle
+of the crossing (:meth:`StoredPacket.crossed`), so a chunk's release may
+carry a date that is still ahead: the pool queues it
+(:meth:`CentralBufferPool.release_at`) and applies queued releases in
+date order before anything that allocates or frees at a later cycle.  A
+release dated *d* is therefore seen by every :meth:`~CentralBufferPool.
+try_take` at a cycle after *d* and by none at *d* or before — a switch
+reads after it writes within a cycle, so that is when the per-flit
+switch's allocations see it too.  :meth:`CentralBufferPool.at` is the one
+reader for everything that looks at the pool from outside: the pool as of
+the end of a cycle, whatever was committed ahead of it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from collections import deque
+from copy import copy
+from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.errors import BufferError_, ConfigurationError
 from repro.flits.worm import Worm
@@ -88,6 +109,9 @@ class CentralBufferPool:
         # counters so per-chunk bookkeeping never sums the quota list
         self._used_chunks = 0
         self.occupancy = TimeWeightedAverage()
+        #: ``(date, charge, chunks)`` releases dated ahead by committed
+        #: read runs, in date order; `_settle` applies them
+        self._releases: Deque[Tuple[int, "ChunkCharge", int]] = deque()
 
     # ------------------------------------------------------------------
     # sizing
@@ -110,6 +134,8 @@ class CentralBufferPool:
         """
         if chunks < 1:
             raise ValueError("chunks must be positive")
+        if self._releases:
+            self._settle(now)
         from_shared = min(self.free_shared, chunks)
         from_quota = chunks - from_shared
         if from_quota > self.free_quota[input_port]:
@@ -126,6 +152,11 @@ class CentralBufferPool:
             raise ValueError("chunks must be non-negative")
         if chunks == 0:
             return
+        if self._releases:
+            self._settle(now)
+        self._give_back(charge, chunks, now)
+
+    def _give_back(self, charge: "ChunkCharge", chunks: int, now: int) -> None:
         if chunks > charge.shared + charge.quota:
             raise BufferError_("central buffer chunk over-release")
         to_quota = min(chunks, charge.quota)
@@ -142,6 +173,58 @@ class CentralBufferPool:
         self.occupancy.update(now, self._used_chunks)
 
     # ------------------------------------------------------------------
+    # the release timeline (committed read runs)
+    # ------------------------------------------------------------------
+    def release_at(self, charge: "ChunkCharge", chunks: int, date: int) -> None:
+        """Queue :meth:`give_back` of ``chunks`` for cycle ``date``, which
+        is still ahead: the last branch crosses the chunk's end inside a
+        run it has committed."""
+        releases = self._releases
+        if releases and releases[-1][0] > date:
+            position = len(releases) - 1
+            while position and releases[position - 1][0] > date:
+                position -= 1
+            releases.insert(position, (date, charge, chunks))
+        else:
+            releases.append((date, charge, chunks))
+
+    def next_release(self) -> Optional[int]:
+        """Date of the earliest queued release, or ``None``: allocation
+        sees it from the cycle after."""
+        return self._releases[0][0] if self._releases else None
+
+    def _settle(self, now: int) -> None:
+        """Apply, in date order, the queued releases dated before ``now``
+        — what an allocation or release at ``now`` must find done."""
+        releases = self._releases
+        while releases and releases[0][0] < now:
+            date, charge, chunks = releases.popleft()
+            self._give_back(charge, chunks, date)
+
+    def at(self, now: int) -> "CentralBufferPool":
+        """The pool as of the end of cycle ``now`` — the current cycle or
+        a later one — on the one-flit-per-cycle timeline: this pool, or
+        while releases dated ``now`` or earlier are still queued a copy
+        with those applied (nothing here changes).  The reader behind
+        ``idle()``, the occupancy gauge and probe, and the tests."""
+        releases = self._releases
+        if not releases or releases[0][0] > now:
+            return self
+        view = copy(self)
+        view.free_quota = list(self.free_quota)
+        view.occupancy = copy(self.occupancy)
+        view._releases = deque()
+        charges: Dict[int, ChunkCharge] = {}
+        for date, charge, chunks in releases:
+            if date > now:
+                break
+            mirror = charges.get(id(charge))
+            if mirror is None:
+                mirror = charges[id(charge)] = copy(charge)
+            view._give_back(mirror, chunks, date)
+        return view
+
+    # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
     @property
@@ -151,7 +234,8 @@ class CentralBufferPool:
 
     @property
     def used_chunks(self) -> int:
-        """Chunks currently held by stored packets."""
+        """Chunks currently held by stored packets (a chunk whose release
+        is queued is held until its date; see :meth:`at`)."""
         return self._used_chunks
 
     def __repr__(self) -> str:
@@ -193,15 +277,18 @@ class ChunkCharge:
 class BranchCursor:
     """One output branch's read position into a stored packet."""
 
-    __slots__ = ("worm", "out_port", "read", "stored")
+    __slots__ = ("worm", "out_port", "read", "stored", "__weakref__")
 
     def __init__(
         self, worm: Worm, out_port: int, stored: "StoredPacket"
     ) -> None:
         self.worm = worm
         self.out_port = out_port
+        #: flits sent, a committed read run counted whole (the branch's
+        #: out-link holds the run's send slots until its last member)
         self.read = 0
-        #: the packet this branch reads
+        #: the packet this branch reads (which does not point back: it
+        #: counts its branches, so the pair is freed by reference count)
         self.stored = stored
 
     def __repr__(self) -> str:
@@ -229,9 +316,20 @@ class StoredPacket:
         self.total_flits = total_flits
         self.reserve_all = reserve_all
         self.charge: Optional[ChunkCharge] = None
+        #: flits written, a committed write run counted whole
         self.flits_written = 0
-        self.branches: List[BranchCursor] = []
+        #: cycle of the last write of the latest committed write run;
+        #: while it is ahead, `written_by` is behind `flits_written`
+        self.last_write = -1
+        #: chunks ever taken from the pool, released ones included
+        self.chunks_taken = 0
+        self._branches = 0
+        #: chunks released or queued for release, in chunk order
         self._chunks_released = 0
+        #: per chunk of a replicated packet, the branches still to cross
+        #: its end and the latest crossing cycle so far (the refcount)
+        self._to_cross: List[int] = []
+        self._crossed_at: List[int] = []
 
     # ------------------------------------------------------------------
     # admission (multidestination)
@@ -248,7 +346,10 @@ class StoredPacket:
             return True
         needed = self.pool.chunks_for(self.total_flits)
         self.charge = self.pool.try_take(self.input_port, needed, now)
-        return self.charge is not None
+        if self.charge is None:
+            return False
+        self.chunks_taken = needed
+        return True
 
     # ------------------------------------------------------------------
     # write side
@@ -266,23 +367,40 @@ class StoredPacket:
             if self.charge is None:
                 raise BufferError_("write before admission")
             return True
-        needed = self.flits_written // self.pool.chunk_flits + 1
-        live = (0 if self.charge is None else self.charge.total)
-        live += self._chunks_released
-        if needed <= live:
+        if self.flits_written < self.chunks_taken * self.pool.chunk_flits:
             return True
         taken = self.pool.try_take(self.input_port, 1, now)
         if taken is None:
             return False
+        self.chunks_taken += 1
         if self.charge is None:
             self.charge = taken
         else:
             self.charge.absorb(taken)
         return True
 
+    def owned_space(self) -> int:
+        """Flits that can be written into the chunks this packet already
+        holds — no allocation, so nothing that could be refused: the
+        whole remainder of an admitted packet, the rest of the current
+        chunk of an incremental one."""
+        return self.chunks_taken * self.pool.chunk_flits - self.flits_written
+
     def write_flit(self) -> None:
         """Commit one flit into the buffer (space must be ensured first)."""
         self.flits_written += 1
+
+    def write_run(self, now: int, count: int) -> None:
+        """Commit ``count`` flits into owned space, one per cycle from
+        ``now``."""
+        self.flits_written += count
+        self.last_write = now + count - 1
+
+    def written_by(self, now: int) -> int:
+        """Flits written once the write phase of cycle ``now`` — the
+        current cycle or a later one — is done."""
+        ahead = self.last_write - now
+        return self.flits_written - ahead if ahead > 0 else self.flits_written
 
     @property
     def fully_written(self) -> bool:
@@ -295,40 +413,48 @@ class StoredPacket:
     def add_branch(self, worm: Worm, out_port: int) -> BranchCursor:
         """Register a replicated branch; all branches are added at
         admission, before any read."""
-        cursor = BranchCursor(worm, out_port, self)
-        self.branches.append(cursor)
-        return cursor
+        self._branches += 1
+        return BranchCursor(worm, out_port, self)
 
     def readable(self, cursor: BranchCursor) -> bool:
         """True when the branch's next flit has already been written."""
         return cursor.read < self.flits_written
 
     def branch_read(self, cursor: BranchCursor, now: int) -> None:
-        """Advance a branch one flit; free chunks the slowest branch passed."""
+        """Advance a branch one flit; free the chunk it leaves if it is
+        the last branch to."""
         if not self.readable(cursor):
             raise BufferError_("branch read past written flits")
-        cursor.read += 1
-        self._release_consumed(now)
+        read = cursor.read = cursor.read + 1
+        if read == self.total_flits or not read % self.pool.chunk_flits:
+            self.crossed(read, now, now)
 
-    def _release_consumed(self, now: int) -> None:
-        if self.charge is None:
-            return
-        branches = self.branches
-        if len(branches) == 1:  # unicast: no generator over one cursor
-            min_read = branches[0].read
+    def crossed(self, read: int, date: int, now: int) -> None:
+        """A branch's cursor reaches ``read`` — the end of a chunk, or of
+        the packet — at cycle ``date``: this cycle, ``now``, or one ahead
+        inside a run the branch has committed.  The chunk goes back to
+        the pool at the cycle the *last* branch crosses its end."""
+        if self._branches > 1:
+            index = (read - 1) // self.pool.chunk_flits
+            to_cross = self._to_cross
+            if not to_cross:
+                chunks = self.pool.chunks_for(self.total_flits)
+                to_cross = self._to_cross = [self._branches] * chunks
+                self._crossed_at = [-1] * chunks
+            crossed_at = self._crossed_at
+            if date > crossed_at[index]:
+                crossed_at[index] = date
+            else:
+                date = crossed_at[index]
+            to_cross[index] -= 1
+            if to_cross[index]:
+                return
+        assert self.charge is not None
+        self._chunks_released += 1
+        if date > now:
+            self.pool.release_at(self.charge, 1, date)
         else:
-            min_read = min(cursor.read for cursor in branches)
-        if min_read >= self.total_flits and self.fully_written:
-            target = self.charge.total + self._chunks_released
-            # the last branch is done: drop the cursors, which point back
-            # here — a cycle that only the garbage collector would free
-            self.branches = []
-        else:
-            target = min_read // self.pool.chunk_flits
-        to_release = target - self._chunks_released
-        if to_release > 0:
-            self.pool.give_back(self.charge, to_release, now)
-            self._chunks_released += to_release
+            self.pool.give_back(self.charge, 1, now)
 
     @property
     def chunks_held(self) -> int:
@@ -338,12 +464,13 @@ class StoredPacket:
     @property
     def finished(self) -> bool:
         """True when every branch has drained the whole packet."""
-        return self.fully_written and all(
-            cursor.read == self.total_flits for cursor in self.branches
+        return (
+            self.fully_written
+            and self._chunks_released == self.chunks_taken
         )
 
     def __repr__(self) -> str:
         return (
             f"StoredPacket(written={self.flits_written}/{self.total_flits}, "
-            f"branches={len(self.branches)}, chunks={self.chunks_held})"
+            f"branches={self._branches}, chunks={self.chunks_held})"
         )

@@ -324,7 +324,8 @@ class InputBufferSwitch(SwitchBase):
                 and link.can_send(now)  # type: ignore[union-attr]
             ):
                 reach = committed_run(
-                    received, read, size, worm, in_link, link, now
+                    received - read, size - 1 - read, now,
+                    in_link, worm, received, out_link=link,
                 )
                 if not reach:
                     return 0

@@ -70,7 +70,10 @@ A receiver that knows it will free one slot per cycle for the next
 ``count`` cycles — a switch that committed a run of bypass flits — hands
 all of them back in one :meth:`return_credit_ramp`, each dated exactly as
 the per-cycle :meth:`return_credit` would date it.  The queue of returns
-is kept in maturity order, and :meth:`sendable_span` counts a queued
+is kept in maturity order, one record per ramp rather than one per
+credit — per-cycle returns that continue a ramp extend its record, so a
+steady stream is a single record however it was queued — and
+:meth:`sendable_span` counts a queued
 return from the cycle it matures, so a sender may commit a span against
 credits that are still travelling back: member ``j`` leaves at
 ``now + j`` and needs its credit only by then.  Returns queued later can
@@ -94,7 +97,7 @@ from __future__ import annotations
 
 import sys
 from collections import deque
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, List, Optional
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.flits.flit import Flit
@@ -134,8 +137,13 @@ class Link:
         #: nothing has arrived.  The production drain: call repeatedly
         #: until ``None``; a span is never split across worms.
         self.receive_span = in_flight.take
-        #: ``(maturity, count)`` credit returns, in maturity order
-        self._credit_returns: Deque[Tuple[int, int]] = deque()
+        #: credit returns in maturity order, one ``[first, count,
+        #: stride]`` record per ramp: ``count`` credits, credit ``j``
+        #: maturing at ``first + j * stride`` (stride 1: a slot a cycle;
+        #: stride 0: ``count`` slots freed at once).  No record reaches
+        #: past the start of the next, so only the head can be partly
+        #: matured — the drain consumes its matured prefix in place
+        self._credit_returns: Deque[List[int]] = deque()
         #: credits at the sender, net of the returns drained so far.
         #: Transiently negative while a span has borrowed against queued
         #: returns (:meth:`sendable_span`) or, toward a sink, against the
@@ -240,11 +248,7 @@ class Link:
         if count < 1:
             raise ValueError("count must be positive")
         mature = now + self.credit_latency
-        returns = self._credit_returns
-        if returns and returns[-1][0] > mature:
-            self._insert_return(mature, count)
-        else:
-            returns.append((mature, count))
+        self._queue_return(mature, count, 1 if count == 1 else 0)
         if self._credit_wanted:
             self._credit_wanted = False
             self._wake_sender(mature)
@@ -260,27 +264,75 @@ class Link:
         if count < 1:
             raise ValueError("count must be positive")
         first = now + self.credit_latency
-        returns = self._credit_returns
-        if returns and returns[-1][0] > first:
-            for mature in range(first, first + count):
-                self._insert_return(mature, 1)
-        else:
-            returns.extend(
-                [(mature, 1) for mature in range(first, first + count)]
-            )
+        self._queue_return(first, count, 1)
         if self._credit_wanted:
             self._credit_wanted = False
             self._wake_sender(first)
 
-    def _insert_return(self, mature: int, count: int) -> None:
-        """Queue a return that matures before one already queued (a ramp
-        reaches past it): the drains and the span window rely on
-        maturity order."""
+    def _queue_return(self, first: int, count: int, stride: int) -> None:
+        """Queue ``count`` returns, the j-th maturing at ``first + j *
+        stride``: onto the newest record when they continue its ramp,
+        else as a record of their own."""
         returns = self._credit_returns
-        position = len(returns)
-        while position and returns[position - 1][0] > mature:
-            position -= 1
-        returns.insert(position, (mature, count))
+        if returns:
+            last = returns[-1]
+            end = last[0] + (last[1] - 1) * last[2]
+            if end > first:
+                self._insert_return(first, count, stride)
+                return
+            if stride and last[2] and end + 1 == first:
+                last[1] += count
+                return
+        returns.append([first, count, stride])
+
+    def _insert_return(self, first: int, count: int, stride: int) -> None:
+        """Queue returns that mature before some already queued (a ramp
+        reaches past them): the drain and the span window rely on
+        maturity order, so the records from there on are re-cut."""
+        returns = self._credit_returns
+        matures = [first + j * stride for j in range(count)]
+        while returns:
+            last = returns[-1]
+            if last[0] + (last[1] - 1) * last[2] <= first:
+                break
+            returns.pop()
+            matures.extend(last[0] + j * last[2] for j in range(last[1]))
+        matures.sort()
+        for mature in matures:
+            if returns:
+                last = returns[-1]
+                end = last[0] + (last[1] - 1) * last[2]
+                if last[2] and end + 1 == mature:
+                    last[1] += 1
+                    continue
+                if end == mature and (last[1] == 1 or not last[2]):
+                    last[1] += 1
+                    last[2] = 0
+                    continue
+            returns.append([mature, 1, 1])
+
+    def _mature(self, now: int) -> int:
+        """Move every return matured by ``now`` into the sender's
+        counter; returns the counter."""
+        credits: int = self._credits  # type: ignore[assignment]
+        returns = self._credit_returns
+        while returns:
+            head = returns[0]
+            first = head[0]
+            if first > now:
+                break
+            count = head[1]
+            due = now - first + 1 if head[2] else count
+            if due >= count:
+                credits += count
+                returns.popleft()
+            else:
+                credits += due
+                head[0] = first + due
+                head[1] = count - due
+                break
+        self._credits = credits
+        return credits
 
     def _wake_sender(self, cycle: int) -> None:
         comp = self._credit_comp
@@ -310,10 +362,8 @@ class Link:
         if credits is None:
             raise ProtocolError(f"link {self.name}: receiver never set credits")
         returns = self._credit_returns
-        if returns:  # skip the drain loop entirely on the idle path
-            while returns and returns[0][0] <= now:
-                credits += returns.popleft()[1]
-            self._credits = credits
+        if returns and returns[0][0] <= now:  # nothing to drain when idle
+            return self._mature(now)
         return credits
 
     def can_send(self, now: int) -> bool:
@@ -326,9 +376,7 @@ class Link:
             raise ProtocolError(f"link {self.name}: receiver never set credits")
         returns = self._credit_returns
         if returns and returns[0][0] <= now:
-            while returns and returns[0][0] <= now:
-                credits += returns.popleft()[1]
-            self._credits = credits
+            credits = self._mature(now)
         if credits > 0:
             return True
         self._wake_for_credit()
@@ -351,8 +399,10 @@ class Link:
             return 0
         if self._unthrottled:
             return sys.maxsize
-        for mature, count in self._credit_returns:
-            if mature > now + window:
+        # a ramp's credit j matures at first + j and pays for member
+        # window + j: all of it qualifies, or none
+        for first, count, _ in self._credit_returns:
+            if first > now + window:
                 break
             window += count
         return window
@@ -373,10 +423,8 @@ class Link:
             raise ProtocolError(f"link {self.name}: receiver never set credits")
         returns = self._credit_returns
         if returns and returns[0][0] <= now:
-            while returns and returns[0][0] <= now:
-                credits += returns.popleft()[1]
+            credits = self._mature(now)
         if credits <= 0:
-            self._credits = credits
             raise ProtocolError(
                 f"link {self.name}: send without credit in cycle {now}"
             )
@@ -462,11 +510,23 @@ class Link:
         receiver's buffer (``maturity - credit_latency``) — the
         one-flit-per-cycle timeline.
         """
-        returns = self._credit_returns
         if now is None:
-            return sum(count for _, count in returns)
+            return sum(count for _, count, _ in self._credit_returns)
         horizon = now + self.credit_latency
-        return sum(count for mature, count in returns if mature <= horizon)
+        total = 0
+        for first, count, stride in self._credit_returns:
+            if first > horizon:
+                break
+            total += min(count, horizon - first + 1) if stride else count
+        return total
+
+    def return_maturities(self) -> List[int]:
+        """Maturity cycle of every queued credit return, in order."""
+        return [
+            first + j * stride
+            for first, count, stride in self._credit_returns
+            for j in range(count)
+        ]
 
     def flits_sent_by(self, now: int) -> int:
         """Flits sent by the end of cycle ``now`` (the current cycle or

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
@@ -10,6 +13,7 @@ from repro.flits.packet import TrafficClass
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.sim.trace import Tracer
+from repro.switches.chunks import BranchCursor, StoredPacket
 
 
 def one_switch_config(**overrides):
@@ -290,3 +294,51 @@ class TestPipelineTiming:
         head_delta = latency(3, 1) - latency(1, 1)
         long_delta = latency(3, 40) - latency(1, 40)
         assert long_delta > head_delta
+
+
+class TestNoGarbage:
+    """Stored packets, their branch cursors, the per-chunk crossing
+    records and the pool's dated releases form no reference cycle: when
+    the switches are idle again every one of them has been freed by
+    reference count alone."""
+
+    def test_packets_and_cursors_die_without_the_cyclic_collector(self):
+        born = []
+
+        def tracking(cls):
+            init = cls.__init__
+
+            def tracked(self, *args, **kwargs):
+                init(self, *args, **kwargs)
+                born.append(weakref.ref(self))
+
+            cls.__init__ = tracked
+            return init
+
+        originals = {cls: tracking(cls) for cls in (StoredPacket, BranchCursor)}
+        gc.collect()
+        gc.disable()
+        try:
+            network = build_network(SimulationConfig(
+                num_hosts=16, sw_send_overhead=0, sw_recv_overhead=0,
+            ))
+            for source in range(0, 16, 3):
+                schedule_multicast(
+                    network, source, source,
+                    [d for d in range(16) if d % 3 != source % 3], payload=64,
+                )
+                # unicasts to one host: all but the first find the
+                # output busy and go through the central buffer
+                schedule_unicast(network, 2 * source, (source + 1) % 16, 9, 40)
+            run_to_quiescence(network)
+            network.sim.run(10)
+            assert all(switch.idle() for switch in network.switches)
+            kinds = {type(ref()) for ref in born}
+            assert len(born) > 40 and kinds == {type(None)}, kinds
+            for switch in network.switches:
+                assert not switch.pool._releases
+                assert switch.pool.free_chunks == switch.pool.capacity_chunks
+        finally:
+            gc.enable()
+            for cls, init in originals.items():
+                cls.__init__ = init

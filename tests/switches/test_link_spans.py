@@ -11,6 +11,7 @@ single-arrival-hook contract documented in ``repro.switches.link``.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import ProtocolError
 from repro.flits.destset import DestinationSet
@@ -257,7 +258,7 @@ class TestWakeSemantics:
         assert delivered == [6]
         assert interface._rx_pending == 0
         # one credit returned per member, dated by its own arrival cycle
-        assert [mature for mature, _ in link._credit_returns] == [5, 6, 7, 8]
+        assert link.return_maturities() == [5, 6, 7, 8]
         assert returning[3:7] == [1, 2, 3, 4]
         assert link.credits(8) == HostInterface.RX_DEPTH
         assert ticks == [0, 3, 6]  # registration, head, end of the record
@@ -440,7 +441,8 @@ class TestCreditWindow:
         for now in range(7, 11):
             stepped.return_credit(now)
         assert ramped._credit_returns == stepped._credit_returns
-        assert [mature for mature, _ in ramped._credit_returns] == [9, 10, 11, 12]
+        assert ramped.return_maturities() == [9, 10, 11, 12]
+        assert len(ramped._credit_returns) == 1  # one record, not four
 
     def test_returns_stay_in_maturity_order(self):
         link = make_link(credit_latency=2)
@@ -448,9 +450,14 @@ class TestCreditWindow:
         link.return_credit(6, 2)  # matures 8: inside the ramp
         link.return_credit_ramp(6, 2)  # matures 8, 9
         link.return_credit(20)
-        matures = [mature for mature, _ in link._credit_returns]
-        assert matures == sorted(matures) == [7, 8, 8, 8, 9, 9, 10, 22]
+        matures = link.return_maturities()
+        assert matures == sorted(matures) == [7, 8, 8, 8, 8, 9, 9, 10, 22]
         assert link.credits_in_return() == 9
+        # and no record reaches past the start of the next one, which is
+        # what lets the drain look at the head record only
+        records = list(link._credit_returns)
+        for (first, count, stride), (later, _, _) in zip(records, records[1:]):
+            assert first + (count - 1) * stride <= later
         # the drain stops at the first immature return, so order matters
         assert link.credits(8) == 8 + 1 + 1 + 2 + 1
 
@@ -487,3 +494,59 @@ class TestCreditWindow:
         assert link.flits_sent == 5  # the span counted whole, at once
         by_cycle = [link.flits_sent_by(now) for now in range(2, 8)]
         assert by_cycle == [2, 3, 4, 5, 5, 5]
+
+
+class TestRampRecords:
+    """``_credit_returns`` holds one record per ramp; everything that
+    reads it must behave as if it held one entry per credit."""
+
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(("single", "lump", "ramp", "dated", "drain")),
+                st.integers(0, 3),
+                st.integers(1, 6),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_records_behave_as_one_entry_per_credit(self, operations):
+        latency = 2
+        link = make_link(depth=4, credit_latency=latency)
+        model = []  # maturity of every queued credit
+        on_hand = 4
+        now = 0
+        for kind, advance, count in operations:
+            now += advance
+            if kind == "single":
+                link.return_credit(now)
+                model.append(now + latency)
+            elif kind == "lump":
+                link.return_credit(now, count)
+                model.extend([now + latency] * count)
+            elif kind == "ramp":
+                link.return_credit_ramp(now, count)
+                model.extend(now + latency + j for j in range(count))
+            elif kind == "dated":  # an NI dates a ramp by landing cycle
+                link.return_credit_ramp(now + count, 3)
+                model.extend(now + count + latency + j for j in range(3))
+            else:
+                on_hand += sum(1 for mature in model if mature <= now)
+                model = [mature for mature in model if mature > now]
+                assert link.credits(now) == on_hand
+            model.sort()
+            assert link.return_maturities() == model
+            assert link.credits_in_return() == len(model)
+            assert link.credits_in_return(now) == sum(
+                1 for mature in model if mature <= now + latency
+            )
+        # the span window, credit by credit: a return extends it if it
+        # matures no later than the member it pays for
+        on_hand += sum(1 for mature in model if mature <= now)
+        window = on_hand
+        for mature in (mature for mature in model if mature > now):
+            if mature > now + window:
+                break
+            window += 1
+        assert link.sendable_span(now) == window

@@ -106,6 +106,35 @@ def switch_truth(switch):
     )
 
 
+def front_truth(switch, cycle):
+    """(route_pending, cb_feed) of a central-buffer switch recomputed
+    from its FIFO-front worms — whose write-run state must be one the
+    per-flit timeline can be read from at the end of ``cycle``."""
+    fronts = [inflow[0] if inflow else None for inflow in switch._inflow]
+    for port, front in enumerate(fronts):
+        stored = None if front is None else front.stored
+        if stored is None or front.state is not _IngressState.STREAM_CB:
+            continue
+        # a FIFO slot is consumed by the write that empties it, and a
+        # run writes ahead only what has landed by its turn, never the
+        # tail, into space the packet holds
+        assert front.consumed == stored.flits_written
+        link = switch.in_links[port]
+        landed = front.received + link._in_flight.arrived(cycle)
+        assert stored.written_by(cycle) <= landed, (cycle, switch.name, port)
+        assert stored.owned_space() >= 0
+        if stored.last_write > cycle:
+            assert stored.flits_written < stored.total_flits
+    states = [None if front is None else front.state for front in fronts]
+    return (
+        mask_of(
+            state in (_IngressState.ROUTE_WAIT, _IngressState.ADMIT_WAIT)
+            for state in states
+        ),
+        mask_of(state is _IngressState.STREAM_CB for state in states),
+    )
+
+
 def rx_truth(in_links):
     return mask_of(
         link is not None and link.in_flight() > 0 for link in in_links
@@ -133,6 +162,10 @@ class MaskAuditor:
                 switch._route_pending,
             )
             assert masks == switch_truth(switch), (cycle, switch.name)
+            if isinstance(switch, CentralBufferSwitch):
+                assert (
+                    switch._route_pending, switch._cb_feed
+                ) == front_truth(switch, cycle), (cycle, switch.name)
             # the link sets the bit at send time and the receiver clears
             # it on the drain that empties the queue, so under the packed
             # receivers "holds flits" and "bit set" coincide exactly

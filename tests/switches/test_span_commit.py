@@ -38,7 +38,14 @@ from repro.switches.central_buffer import (
     _Ingress,
     _IngressState,
 )
+from repro.switches.arbiter import RoundRobinArbiter
+from repro.switches.chunks import (
+    BranchCursor,
+    CentralBufferPool,
+    StoredPacket,
+)
 from repro.switches.input_buffer import InputBufferSwitch, _Branch
+from repro.switches.ports import PORTS_OF
 from repro.switches.input_buffer import _Ingress as _BufferIngress
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream
@@ -53,7 +60,9 @@ from tests.switches.test_link_spans import make_link, make_worm
 from tests.switches.test_input_buffer import (
     one_switch_config as one_buffer_switch_config,
 )
-from tests.switches.test_port_activity import CB, IB, SCENARIOS, mask_of
+from tests.switches.test_port_activity import (
+    CB, IB, SCENARIOS, front_truth,
+)
 
 
 def _ledger_stream():
@@ -68,15 +77,66 @@ def _ledger_stream():
 
 
 LEDGER_STREAM = ("mcast-ib-64", IB, {"num_hosts": 64}, _ledger_stream)
-SCENARIOS = SCENARIOS + (LEDGER_STREAM,)
+LEDGER_STREAM_CB = ("mcast-cb-64", CB, {"num_hosts": 64}, _ledger_stream)
+
+
+def _short_pool(shared_chunks=0):
+    """Config overrides for a central buffer at its legal minimum — one
+    maximum packet of chunks per input — plus ``shared_chunks``, with
+    packets that fill their input's quota: the second worm from an input
+    waits for admission, the second unicast is refused its chunks."""
+    probe = SimulationConfig(num_hosts=16, max_packet_payload_flits=32)
+    quota = -(-probe.max_packet_flits() // probe.chunk_flits)
+    chunks = 2 * probe.arity * quota + shared_chunks
+    return {
+        "max_packet_payload_flits": 32,
+        "central_buffer_flits": chunks * probe.chunk_flits,
+    }
+
+
+#: central-buffer traffic that finds the pool short, or the bandwidth
+SHORT_POOL_HOTSPOT = ("hotspot-short-pool", CB, _short_pool(), lambda: (
+    HotspotTraffic(
+        load=0.7, hotspot_fraction=0.5, payload_flits=32,
+        warmup_cycles=50, measure_cycles=300,
+    )
+))
+SHORT_POOL_STREAM = ("mcast-short-pool", CB, _short_pool(), lambda: (
+    RandomMulticastStream(
+        ops_per_host_per_kilocycle=6.0, degree=6, payload_flits=32,
+        scheme=MulticastScheme.HARDWARE,
+        warmup_cycles=50, measure_cycles=300,
+    )
+))
+#: three shared chunks: the inputs that ask in one cycle cannot all have
+#: one, and who does is the write arbiter's rotation
+THIN_SHARED_HOTSPOT = (
+    "hotspot-thin-shared", CB, _short_pool(shared_chunks=3),
+    SHORT_POOL_HOTSPOT[3],
+)
+NARROW_BUFFER = (
+    "mcast-bandwidth-2", CB,
+    {"cb_write_bandwidth": 2, "cb_read_bandwidth": 2},
+    lambda: RandomMulticastStream(
+        ops_per_host_per_kilocycle=2.0, degree=6, payload_flits=16,
+        scheme=MulticastScheme.HARDWARE,
+        warmup_cycles=50, measure_cycles=300,
+    ),
+)
+# (the sweep draws link and FIFO parameters at random, and a unicast
+# allocating chunk by chunk from a pool this short can genuinely wedge —
+# on either plane — under some of them: the short-pool scenarios run at
+# fixed parameters, below)
+SCENARIOS = SCENARIOS + (LEDGER_STREAM, NARROW_BUFFER)
 
 
 def _bypass_run(ingress, in_link, out_link, now):
     """The run a central-buffer bypass feed would commit: its call into
     the run computation both architectures share."""
     return committed_run(
-        ingress.received, ingress.consumed, ingress.worm.size_flits,
-        ingress.worm, in_link, out_link, now,
+        ingress.received - ingress.consumed,
+        ingress.worm.size_flits - 1 - ingress.consumed, now,
+        in_link, ingress.worm, ingress.received, out_link=out_link,
     )
 
 
@@ -116,15 +176,14 @@ def log_sends(network, calls=None):
     return flits, spans
 
 
-def front_truth(switch):
-    """(route_pending, cb_feed) recomputed from the FIFO-front worms."""
-    fronts = [inflow[0].state if inflow else None for inflow in switch._inflow]
+def pool_row(switch, cycle):
+    """The chunk pool as of the end of ``cycle``: what allocation will
+    find next cycle, and what the occupancy gauge and X3's probe read."""
+    pool = switch.pool.at(cycle)
+    assert pool.used_chunks + pool.free_chunks == pool.capacity_chunks
     return (
-        mask_of(
-            state in (_IngressState.ROUTE_WAIT, _IngressState.ADMIT_WAIT)
-            for state in fronts
-        ),
-        mask_of(state is _IngressState.STREAM_CB for state in fronts),
+        pool.used_chunks, pool.free_shared, tuple(pool.free_quota),
+        pool.occupancy.peak, pool.occupancy.average(cycle + 1),
     )
 
 
@@ -150,6 +209,10 @@ class TimelineProbe:
         self.network = network
         self.next_cycle = 0
         self.rows = []
+        #: sightings of a central-buffer write / read run ahead of the
+        #: cycle being sampled
+        self.write_runs = 0
+        self.read_runs = 0
 
     def sample(self, cycle):
         self.next_cycle = cycle + 1
@@ -158,10 +221,12 @@ class TimelineProbe:
         for switch in network.switches:
             if isinstance(switch, CentralBufferSwitch):
                 assert (switch._route_pending, switch._cb_feed) == front_truth(
-                    switch
+                    switch, cycle
                 ), (cycle, switch.name)
                 depth = switch.settings.input_fifo_depth
                 occupancy = switch.fifo_occupancy
+                row.append(pool_row(switch, cycle))
+                self.count_runs(switch, cycle)
             else:
                 depth = switch.settings.input_buffer_flits
                 occupancy = switch.buffer_occupancy
@@ -180,6 +245,18 @@ class TimelineProbe:
                 assert link.accounted_credits(cycle) == interface.rx_depth
                 row.append((interface.flits_ejected, interface.idle()))
         self.rows.append(row)
+
+
+    def count_runs(self, switch, cycle):
+        for port in PORTS_OF[switch._cb_feed]:
+            if switch._inflow[port][0].stored.last_write > cycle:
+                self.write_runs += 1
+        for port in PORTS_OF[switch._egress_busy]:
+            if (
+                isinstance(switch._out_current[port], BranchCursor)
+                and switch.out_links[port]._last_send_cycle > cycle
+            ):
+                self.read_runs += 1
 
 
 def timeline(config, make_workload):
@@ -205,7 +282,7 @@ def timeline(config, make_workload):
     # a span logs its members when it is committed: order by send cycle
     return (
         observables, {n: sorted(s) for n, s in flits.items()}, probe.rows,
-        committed,
+        committed, (probe.write_runs, probe.read_runs),
     )
 
 
@@ -219,8 +296,8 @@ def assert_same_timeline(config, make_workload, dense):
     assert fast[0] == reference[0]
     assert fast[1] == reference[1]
     assert fast[2] == reference[2]
-    assert not reference[3]
-    return fast[3]
+    assert not reference[3] and reference[4] == (0, 0)
+    return fast[3], fast[4]
 
 
 class TestCommittedRunsAreTheReference:
@@ -256,7 +333,7 @@ class TestCommittedRunsAreTheReference:
         config = SimulationConfig(
             switch_architecture=architecture, seed=1, **overrides
         )
-        committed = assert_same_timeline(config, make_workload, dense)
+        committed, _ = assert_same_timeline(config, make_workload, dense)
         # and it was swept as runs: worms of 64 flits and more leave in a
         # few calls per hop, and siblings that could send together did
         assert sum(call[-1] for call in committed) > 10 * len(committed)
@@ -265,6 +342,77 @@ class TestCommittedRunsAreTheReference:
             for switch, now, worm, _, _ in committed
         }
         assert len(together) < len(committed)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_the_ledger_stream_through_the_central_buffer(self, dense):
+        _, architecture, overrides, make_workload = LEDGER_STREAM_CB
+        config = SimulationConfig(
+            switch_architecture=architecture, seed=1, **overrides
+        )
+        committed, (write_runs, read_runs) = assert_same_timeline(
+            config, make_workload, dense
+        )
+        # written and read as runs: a worm crosses a central buffer in a
+        # few calls each way, not one per flit
+        assert write_runs and read_runs
+        assert sum(call[-1] for call in committed) > 5 * len(committed)
+
+    @pytest.mark.parametrize("dense", [False, True])
+    @pytest.mark.parametrize(
+        "scenario",
+        (SHORT_POOL_HOTSPOT, SHORT_POOL_STREAM, THIN_SHARED_HOTSPOT),
+        ids=lambda scenario: scenario[0],
+    )
+    def test_a_pool_that_runs_short_matches_every_cycle(self, scenario, dense):
+        _, architecture, overrides, make_workload = scenario
+        config = SimulationConfig(
+            num_hosts=16, switch_architecture=architecture, seed=5,
+            **overrides,
+        )
+        refused = count_refusals()
+        with refused:
+            _, (write_runs, read_runs) = assert_same_timeline(
+                config, make_workload, dense
+            )
+        # the pool did refuse — writes for the unicasts, admissions for
+        # the multidestination worms — and runs were committed around it
+        assert refused.count > 50
+        assert write_runs and read_runs
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_contended_bandwidth_commits_no_central_buffer_run(self, dense):
+        _, architecture, overrides, make_workload = NARROW_BUFFER
+        config = SimulationConfig(
+            num_hosts=16, switch_architecture=architecture, seed=5,
+            **overrides,
+        )
+        committed, cb_runs = assert_same_timeline(config, make_workload, dense)
+        # fewer grants than askers: bandwidth is a timing input, every
+        # flit through the buffer takes the arbitrated path (the bypass
+        # feeds, which do not contend for it, still commit)
+        assert cb_runs == (0, 0)
+        assert committed
+
+
+class count_refusals:
+    """Context manager counting the allocations the pools refuse."""
+
+    def __init__(self):
+        self.count = 0
+
+    def __enter__(self):
+        self.try_take = take = CentralBufferPool.try_take
+
+        def counted(pool, input_port, chunks, now):
+            charge = take(pool, input_port, chunks, now)
+            self.count += charge is None
+            return charge
+
+        CentralBufferPool.try_take = counted
+        return self
+
+    def __exit__(self, *exc):
+        CentralBufferPool.try_take = self.try_take
 
 
 def switch_out_links(network):
@@ -384,6 +532,30 @@ OBSERVED = (
 )
 
 
+@contextmanager
+def log_buffer_runs():
+    """Every central-buffer write run ``(now, count)`` and dated release
+    ``(chunks, date)`` committed inside the block, in order."""
+    log = []
+    write_run, release_at = StoredPacket.write_run, CentralBufferPool.release_at
+
+    def logged_write(stored, now, count):
+        log.append(("write_run", now, count))
+        write_run(stored, now, count)
+
+    def logged_release(pool, charge, chunks, date):
+        log.append(("release_at", chunks, date))
+        release_at(pool, charge, chunks, date)
+
+    StoredPacket.write_run = logged_write
+    CentralBufferPool.release_at = logged_release
+    try:
+        yield log
+    finally:
+        StoredPacket.write_run = write_run
+        CentralBufferPool.release_at = release_at
+
+
 class TestObservedIsProduction:
     """Telemetry watches the run, it does not select it: with registry
     *and* tracer enabled every component ticks on the cycles, and every
@@ -397,10 +569,11 @@ class TestObservedIsProduction:
         log_sends(network, calls)
         ticks = TickLog(network.sim)
         network.sim.attach_profiler(ticks)
-        result = run_workload(network, make_workload())
+        with log_buffer_runs() as buffered:
+            result = run_workload(network, make_workload())
         return (
             (result.cycles, result.summary()),
-            ticks.ticks_by_class, ticks.ticked, calls,
+            ticks.ticks_by_class, ticks.ticked, calls, buffered,
         )
 
     @pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
@@ -422,6 +595,11 @@ class TestObservedIsProduction:
         assert registry.counters["switch.flits_forwarded"].value > 0
         assert tracer.records
         assert any(count > 1 for *_, count in observed[3])
+        # central-buffer write runs and dated releases among them
+        kinds = {kind for kind, *_ in observed[4]}
+        assert kinds == (
+            {"write_run", "release_at"} if architecture is CB else set()
+        )
 
 
 class TestRunBoundaries:
@@ -527,9 +705,7 @@ class TestGroupBoundaries:
 
     def returned(self, switch):
         """Maturity cycles of the credits handed back upstream."""
-        returns = switch.in_links[0]._credit_returns
-        assert all(count == 1 for _, count in returns)
-        return [mature for mature, _ in returns]
+        return switch.in_links[0].return_maturities()
 
     def test_equal_reads_both_sendable_is_one_ramp(self):
         switch, ingress, calls = self.rig(reads=(10, 10))
@@ -605,3 +781,317 @@ class TestGroupBoundaries:
         assert calls[1] == [(self.NOW, ingress.worm, 10, 12)]
         assert calls[2] == [(self.NOW, ingress.worm, 18, 12)]
         assert ingress.freed == 22
+
+
+class TestCentralBufferRuns:
+    """The write and read halves of the central-buffer switch on
+    hand-built state: input 0 of a one-switch network streams a worm
+    into the buffer, branch cursors read it on outputs 1 and 2."""
+
+    NOW = 20
+    SIZE = 40
+
+    def rig(self, received=6, reserve_all=True, **overrides):
+        config = one_switch_config(
+            cb_write_bandwidth=16, cb_read_bandwidth=16, **overrides
+        )
+        network = build_network(config)
+        (switch,) = network.switches
+        worm = make_worm(size=self.SIZE)
+        ingress = _Ingress(worm)
+        ingress.received = received
+        ingress.state = _IngressState.STREAM_CB
+        stored = ingress.stored = StoredPacket(
+            switch.pool, 0, self.SIZE, reserve_all=reserve_all
+        )
+        if reserve_all:
+            assert stored.try_admit(self.NOW - 1)
+        switch._inflow[0].append(ingress)
+        switch._ingress_occupied = switch._cb_feed = 1
+        self.flits, spans = log_sends(network)
+        return switch, ingress, stored, spans
+
+    def reader(self, switch, stored, out_port, read=0):
+        cursor = stored.add_branch(make_worm(size=self.SIZE), out_port)
+        cursor.read = read
+        switch._out_current[out_port] = cursor
+        switch._egress_busy |= 1 << out_port
+        return cursor
+
+    def written(self, stored, upto):
+        """Hand the stored packet ``upto`` flits, written in the past."""
+        while stored.flits_written < upto:
+            assert stored.ensure_write_space(self.NOW - 1)
+            stored.write_flit()
+
+    def sent(self, switch, spans, out_port):
+        return [
+            (now, start, count)
+            for now, _, start, count in spans[switch.out_links[out_port].name]
+        ]
+
+    # -- the write half ---------------------------------------------------
+    def test_an_admitted_worm_writes_fifo_flits_and_the_head_record(self):
+        switch, ingress, stored, _ = self.rig(received=3)
+        in_link = switch.in_links[0]
+        in_link.send_span(self.NOW, ingress.worm, 3, 5)  # lands NOW+1 ..
+        switch._write_central_buffer(self.NOW)
+        assert (ingress.consumed, stored.flits_written) == (8, 8)
+        assert stored.last_write == self.NOW + 7
+        # dated: one flit a cycle, one FIFO slot back a cycle
+        assert [
+            stored.written_by(self.NOW + j) for j in (0, 1, 6, 7, 8)
+        ] == [1, 2, 7, 8, 8]
+        assert in_link.return_maturities() == [
+            self.NOW + 1 + j for j in range(8)
+        ]
+        # the slots still to be emptied count as occupied meanwhile
+        ingress.received = 8
+        in_link._in_flight.take(self.NOW + 5)
+        switch.sim.now = self.NOW + 2
+        assert switch.fifo_occupancy(0) == 5
+        assert switch._inside_runs(self.NOW + 2)
+        assert not switch._inside_runs(self.NOW + 7)
+
+    def test_the_tail_is_never_written_by_a_run(self):
+        switch, ingress, stored, _ = self.rig(received=self.SIZE)
+        ingress.consumed = self.SIZE - 5
+        self.written(stored, self.SIZE - 5)
+        switch._write_central_buffer(self.NOW)
+        assert stored.flits_written == self.SIZE - 1
+        # one body flit before the tail is not a run either
+        switch._write_central_buffer(self.NOW + 4)
+        assert (stored.flits_written, stored.last_write) == (
+            self.SIZE, self.NOW + 3
+        )
+        assert not switch._inflow[0] and not switch._cb_feed
+
+    def test_an_incremental_unicast_stops_where_its_chunk_ends(self):
+        switch, ingress, stored, _ = self.rig(received=8, reserve_all=False)
+        switch.in_links[0].send_span(self.NOW - 2, ingress.worm, 8, 8)
+        ingress.consumed = 3
+        self.written(stored, 3)
+        pool = switch.pool
+        assert pool.used_chunks == 1
+        switch._write_central_buffer(self.NOW)
+        # five flits to the end of the chunk it holds, no allocation
+        assert (stored.flits_written, stored.last_write) == (8, self.NOW + 4)
+        assert pool.used_chunks == 1
+        # inside the run the input asks and is granted, and takes nothing
+        for cycle in range(self.NOW + 1, self.NOW + 5):
+            switch._write_central_buffer(cycle)
+            assert pool.used_chunks == 1 and stored.flits_written == 8
+        # the flit that needs the next chunk takes it on its own cycle —
+        # and begins the next run
+        ingress.received = 16
+        switch._write_central_buffer(self.NOW + 5)
+        assert pool.used_chunks == 2
+        assert pool.occupancy.average(self.NOW + 6) == pytest.approx(
+            (6 + 2 * 1) / (self.NOW + 6)
+        )
+        assert (stored.flits_written, stored.last_write) == (
+            16, self.NOW + 12
+        )
+
+    def test_a_refused_chunk_is_asked_for_again_each_cycle(self):
+        switch, ingress, stored, _ = self.rig(received=12, reserve_all=False)
+        ingress.consumed = 8
+        self.written(stored, 8)
+        pool = switch.pool
+        hog = pool.try_take(
+            0, pool.free_shared + pool.free_quota[0], self.NOW - 1
+        )
+        switch._write_central_buffer(self.NOW)
+        assert stored.flits_written == 8 and switch._starved
+        # a release dated NOW + 3 is a wake source: visible from NOW + 4
+        pool.release_at(hog, 1, self.NOW + 3)
+        assert switch._blocked_wake(self.NOW) == self.NOW + 4
+        switch._write_central_buffer(self.NOW + 3)
+        assert stored.flits_written == 8
+        switch._write_central_buffer(self.NOW + 4)
+        assert stored.flits_written == 12  # what it has, as a run
+
+    def feed(self, switch, port, written, on_hand, reserve_all=False):
+        """One more front worm streaming into the buffer, at input
+        ``port``: ``written`` flits written in the past, ``on_hand``
+        more in its FIFO."""
+        ingress = _Ingress(make_worm(size=self.SIZE, packet_id=port))
+        ingress.state = _IngressState.STREAM_CB
+        ingress.stored = StoredPacket(
+            switch.pool, port, self.SIZE, reserve_all
+        )
+        if reserve_all:
+            assert ingress.stored.try_admit(self.NOW - 1)
+        self.written(ingress.stored, written)
+        ingress.consumed = written
+        ingress.received = written + on_hand
+        switch._inflow[port].append(ingress)
+        switch._ingress_occupied |= 1 << port
+        switch._cb_feed |= 1 << port
+        return ingress
+
+    def allocation_race(self, pointer):
+        """Input 3 writes a run of 8 from NOW; input 5 a flit at a time
+        toward the end of its chunk; input 0 sits at the end of its own.
+        Returns a function that lets 0 and 5 both ask for a chunk in one
+        cycle with one shared chunk left, and says who got it: the order
+        the write arbiter's pointer gives them."""
+        switch, _, _, _ = self.rig()
+        switch._inflow[0].clear()
+        switch._ingress_occupied = switch._cb_feed = 0
+        first = self.feed(switch, 0, written=8, on_hand=0)
+        self.feed(switch, 3, written=0, on_hand=8, reserve_all=True)
+        fifth = self.feed(switch, 5, written=6, on_hand=1)
+        reference = RoundRobinArbiter(switch.num_ports)
+        switch._write_arbiter._next = reference._next = pointer
+        pool = switch.pool
+
+        def race(now, asking):
+            first.received += 1
+            fifth.received += 1
+            pool.try_take(9, pool.free_shared - 1, now - 1)
+            charges = {0: first.stored.charge, 5: fifth.stored.charge}
+            before = {port: charges[port].shared for port in charges}
+            switch._write_central_buffer(now)
+            assert pool.free_shared == 0
+            (winner,) = (
+                port for port in charges
+                if charges[port].shared == before[port] + 1
+            )
+            order = reference.grant_up_to(asking, 16)
+            assert order.index(winner) < order.index(5 - winner)
+            return winner
+
+        return switch, fifth, reference, race
+
+    def test_an_input_inside_a_write_run_keeps_its_place_in_the_rotation(
+        self,
+    ):
+        # the per-flit switch grants input 3 on every cycle of its run,
+        # which is what leaves the pointer behind it, before 5
+        switch, fifth, reference, race = self.allocation_race(pointer=4)
+        switch._write_central_buffer(self.NOW)
+        assert switch._inflow[3][0].stored.last_write == self.NOW + 7
+        reference.grant_up_to([3, 5], 16)
+        fifth.received += 1
+        switch._write_central_buffer(self.NOW + 1)
+        reference.grant_up_to([3, 5], 16)
+        assert race(self.NOW + 2, [0, 3, 5]) == 5
+
+    def test_the_write_pointer_moves_through_the_cycles_slept(self):
+        # 5 has nothing more, 3 is inside its run: the switch sleeps to
+        # the run's end, through cycles in which 3 asked alone
+        switch, fifth, reference, race = self.allocation_race(pointer=0)
+        fifth.stored.write_flit()  # (so that its next flit needs a chunk)
+        fifth.consumed += 1
+        fifth.received += 1
+        switch._write_central_buffer(self.NOW)
+        reference.grant_up_to([3, 5], 16)
+        assert switch._write_standing == 1 << 3
+        for _ in range(self.NOW + 1, self.NOW + 8):
+            reference.grant_up_to([3], 16)
+        assert race(self.NOW + 8, [0, 5]) == 5
+
+    # -- the read half ----------------------------------------------------
+    def test_a_reader_behind_a_dated_write_reaches_it_and_no_further(self):
+        switch, ingress, stored, spans = self.rig(received=3)
+        switch.in_links[0].send_span(self.NOW, ingress.worm, 3, 5)
+        cursor = self.reader(switch, stored, 1)
+        switch._write_central_buffer(self.NOW)
+        switch._drive_outputs(self.NOW)
+        # flit j is written at NOW + j and read at NOW + j
+        assert self.sent(switch, spans, 1) == [(self.NOW, 0, 8)]
+        assert cursor.read == stored.flits_written == 8
+        # inside its run the output is left alone
+        switch._drive_outputs(self.NOW + 3)
+        assert self.sent(switch, spans, 1) == [(self.NOW, 0, 8)]
+        assert switch._inside_runs(self.NOW + 3)
+
+    def test_a_reader_not_yet_readable_commits_nothing(self):
+        switch, ingress, stored, spans = self.rig(received=8)
+        self.written(stored, 4)
+        ingress.consumed = 4
+        cursor = self.reader(switch, stored, 1, read=6)
+        switch._write_central_buffer(self.NOW)  # flits 4..7 at NOW..NOW+3
+        assert stored.written_by(self.NOW + 1) == 6
+        for cycle in (self.NOW, self.NOW + 1):
+            switch._drive_outputs(cycle)
+            assert not self.sent(switch, spans, 1) and cursor.read == 6
+        switch._drive_outputs(self.NOW + 2)
+        assert self.sent(switch, spans, 1) == [(self.NOW + 2, 6, 2)]
+
+    def test_a_read_run_stops_at_the_credit_window(self):
+        switch, _, stored, spans = self.rig(received=30)
+        self.written(stored, 30)
+        self.reader(switch, stored, 1)
+        link = switch.out_links[1]
+        link._unthrottled, link._credits = False, 3
+        link.return_credit_ramp(self.NOW + 1, 2)  # mature NOW+2, NOW+3
+        switch._drive_outputs(self.NOW)
+        assert self.sent(switch, spans, 1) == [(self.NOW, 0, 5)]
+        # toward a sink that never throttles: all that is written
+        self.reader(switch, stored, 2)
+        switch._drive_outputs(self.NOW)
+        assert self.sent(switch, spans, 2) == [(self.NOW, 0, 30)]
+
+    def test_a_chunk_goes_back_when_the_last_branch_crosses_its_end(self):
+        switch, _, stored, spans = self.rig(received=30)
+        self.written(stored, 30)
+        pool = switch.pool
+        held = pool.used_chunks
+        # (the slow branch registers its crossing first: the later date
+        # must survive the earlier one that follows)
+        self.reader(switch, stored, 1, read=2)
+        self.reader(switch, stored, 2, read=5)
+        link = switch.out_links[1]
+        link._unthrottled, link._credits = False, 7
+        switch._drive_outputs(self.NOW)
+        # output 2 crosses flit 8 at NOW+2, 16 at NOW+10, 24 at NOW+18;
+        # output 1, behind it, crosses flit 8 at NOW+5 and stops at 9
+        assert self.sent(switch, spans, 2) == [(self.NOW, 5, 25)]
+        assert self.sent(switch, spans, 1) == [(self.NOW, 2, 7)]
+        assert pool.next_release() == self.NOW + 5
+        assert len(pool._releases) == 1  # once, at the later crossing
+        # still held at the end of NOW+4, gone at the end of NOW+5 ...
+        assert pool.at(self.NOW + 4).used_chunks == held
+        assert pool.at(self.NOW + 5).used_chunks == held - 1
+        assert pool.used_chunks == held  # ... and nothing was applied
+        # ... which allocation sees one cycle after and not before
+        spare = pool.free_shared + pool.free_quota[3]
+        assert pool.try_take(3, spare + 1, self.NOW + 5) is None
+        assert pool.try_take(3, spare + 1, self.NOW + 6) is not None
+        assert not pool._releases
+        assert pool.occupancy.peak == held + spare
+        # the slow branch goes on alone: the chunks go back as it passes
+        stored.crossed(16, self.NOW + 30, self.NOW + 12)
+        stored.crossed(24, self.NOW + 38, self.NOW + 12)
+        assert [date for date, _, _ in pool._releases] == [
+            self.NOW + 30, self.NOW + 38
+        ]
+
+    def test_the_last_tail_frees_the_last_chunk_and_leaves_nothing(self):
+        switch, ingress, stored, spans = self.rig(received=self.SIZE)
+        self.written(stored, self.SIZE)
+        switch._inflow[0].clear()
+        switch._ingress_occupied = switch._cb_feed = 0
+        pool = switch.pool
+        fast = self.reader(switch, stored, 1)
+        slow = self.reader(switch, stored, 2)
+        switch._drive_outputs(self.NOW)
+        assert fast.read == slow.read == self.SIZE - 1
+        assert [date for date, _, _ in pool._releases] == [
+            self.NOW + 7 + 8 * j for j in range(4)
+        ]
+        end = self.NOW + self.SIZE - 1
+        for out_port in (1, 2):  # (no NI is ticking to return credits)
+            switch.out_links[out_port]._credits = 1
+        switch._drive_outputs(end)  # both tails, one flit each
+        for out_port in (1, 2):
+            link = switch.out_links[out_port]
+            assert self.flits[link.name][-1] == (end, 0, self.SIZE - 1)
+        assert stored.finished and not pool._releases
+        assert pool.used_chunks == 0 and pool.free_chunks == (
+            pool.capacity_chunks
+        )
+        switch.sim.now = end
+        assert switch.idle()
