@@ -920,10 +920,10 @@ class LinkDrainsBehindGuard(Rule):
 
     The active-set kernel (PR 4) makes idle cycles nearly free, but a
     *woken* component still runs its whole ``tick``.  ``Link.receive()``
-    / ``Link.receive_into()`` / ``Link.receive_span()`` walk the
-    in-flight pipeline and
-    ``Link.credits()`` drains the matured credit returns — per-port,
-    per-cycle work that dominates busy ticks when called unconditionally.
+    / ``Link.receive_into()`` pop the flits that have landed,
+    ``Link.receive_span()`` the oldest span record once its head has,
+    and ``Link.credits()`` drains the matured credit returns — per-port
+    work that dominates busy ticks when called unconditionally.
     Each has a cheap O(1) pre-check: ``pending_arrival(now)`` or the
     receiver's ``_rx_pending`` port mask (set by the link on every send,
     see ``repro.switches.ports``) before a receive, ``can_send(now)``
@@ -951,8 +951,8 @@ class LinkDrainsBehindGuard(Rule):
         "in a tick path"
     )
 
-    #: the drain calls that must be guarded (``receive_span`` is the
-    #: production plane's bulk drain — same walk, same guard)
+    #: the calls that must be guarded (``receive_span`` is the
+    #: production plane's receive — one record per call, same guard)
     DRAINS = frozenset(
         {"receive", "receive_into", "receive_span", "credits"}
     )

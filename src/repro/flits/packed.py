@@ -49,12 +49,21 @@ class SpanQueue:
     ring buffer plus a parallel worm-reference list: flit ``start + j``
     of the record's worm arrives at cycle ``arrival + j``.  Pushes merge
     into the newest record when worm, index and arrival are contiguous,
-    so a steady sender occupies a single record regardless of length;
-    :meth:`take` returns the longest arrived prefix of the oldest record
-    and shrinks it in place.  No per-flit object is ever allocated.
+    so a steady sender occupies a single record regardless of length.
+    A record is scheduled ahead of time — every member's landing cycle
+    is known at the first one — so a receiver has two ways to pop the
+    oldest: :meth:`take_record` hands the *whole* record over once its
+    head has landed (the switches: an arrival is a record, and
+    :attr:`landing` dates the members handed over ahead of their cycle),
+    :meth:`take` only the prefix that has landed (a receiver that acts
+    on each flit the cycle it lands: the per-flit reference drain).  No
+    per-flit object is ever allocated.
     """
 
-    __slots__ = ("_cap", "_mask", "_arr", "_worms", "_head", "_tail", "_flits")
+    __slots__ = (
+        "_cap", "_mask", "_arr", "_worms", "_head", "_tail", "_flits",
+        "landing",
+    )
 
     def __init__(self, capacity: int = 8) -> None:
         cap = 1
@@ -68,6 +77,13 @@ class SpanQueue:
         self._head = 0
         self._tail = 0
         self._flits = 0
+        #: landing cycle of the newest member :meth:`take_record` ever
+        #: handed over.  Records land in order, one flit a cycle, and a
+        #: record is handed over only once its head has landed, so
+        #: everything handed over before it has landed by then: the
+        #: members still flying at ``now`` are exactly the last
+        #: ``landing - now`` of the newest record (see :meth:`flying`)
+        self.landing = -1
 
     def __len__(self) -> int:
         """Total flits queued (not records)."""
@@ -147,6 +163,53 @@ class SpanQueue:
                 break  # records are in arrival order
             landed += min(due, arr[base + 2])
         return landed
+
+    def flying(self, now: int) -> int:
+        """Flits that have not landed by the end of cycle ``now`` (the
+        current cycle or a later one), whether still queued or handed
+        over ahead of their cycle by :meth:`take_record` — what the
+        one-flit-per-cycle timeline has on the wire."""
+        ahead = self.landing - now
+        flying = self._flits - self.arrived(now)
+        return flying + ahead if ahead > 0 else flying
+
+    def take_record(
+        self, now: int, limit: Optional[int] = None
+    ) -> Optional[Tuple[Worm, int, int]]:
+        """Pop the oldest record whole, once its head has landed.
+
+        Returns ``(worm, start, count)`` — member ``j`` lands at
+        ``landing - (count - 1 - j)``, so all but the first may still be
+        ahead of ``now`` — or ``None`` while the head is in flight: a
+        record is never handed over before its first member is there.
+        Capped at ``limit`` flits when given; the rest stays queued, its
+        head the next member, under the same rule.
+        """
+        if self._head == self._tail:
+            return None
+        slot = self._head & self._mask
+        base = 3 * slot
+        arr = self._arr
+        arrival = arr[base]
+        if arrival > now:
+            return None
+        count = arr[base + 2]
+        worm = self._worms[slot]
+        assert worm is not None
+        start = arr[base + 1]
+        if limit is None or limit >= count:
+            self._worms[slot] = None
+            self._head += 1
+        elif limit <= 0:
+            return None
+        else:
+            arr[base] = arrival + limit
+            arr[base + 1] = start + limit
+            arr[base + 2] = count - limit
+            count = limit
+        self._flits -= count
+        self.landing = arrival + count - 1
+        return worm, start, count
 
     def take(
         self, now: int, limit: Optional[int] = None

@@ -220,15 +220,18 @@ class HostInterface(Component):
         queue = link._in_flight
         # a committed record's credits went back as a ramp
         credited = now == self._rx_end
-        span = link.receive_span(now)
-        while span is not None:
+        # a sink acts on each flit the cycle it lands (a delivery fires
+        # on its tail's): of a record it takes what has landed, no more
+        while queue._flits:
+            span = link.receive_span(now, now - queue.head_arrival() + 1)
+            if span is None:
+                break
             worm, start, count = span
             if credited:
                 credited = False
             else:
                 link.return_credit(now, count)
             self._absorb_span(worm, start, count, now)
-            span = link.receive_span(now) if queue._flits else None
         pending = queue._flits
         if not pending:
             self._rx_pending = 0

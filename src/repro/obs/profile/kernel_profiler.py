@@ -129,7 +129,8 @@ class SpanProfiler:
         #: flits per transmit operation (send_span counts the whole
         #: span; per-flit sends land in the 1-bucket)
         self.tx_spans = BucketHistogram("link.tx_span_len", SPAN_BOUNDS)
-        #: flits per receive_span drain
+        #: flits per receive_span call: a record handed over (the NI
+        #: takes the landed part of one)
         self.rx_spans = BucketHistogram("link.rx_span_len", SPAN_BOUNDS)
         #: links currently wrapped
         self.links_attached = 0

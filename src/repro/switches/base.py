@@ -115,15 +115,40 @@ _RxPort = Tuple[Callable[..., object], SpanQueue]
 
 class Ingress:
     """Per-worm arrival state at one input port (flits arrive in order,
-    so ``received`` is a cursor); architectures add their own cursors."""
+    so ``received`` is a cursor); architectures add their own cursors.
 
-    __slots__ = ("worm", "received", "header_done_cycle")
+    A span record is taken whole once its head has landed, so
+    ``received`` may run ahead of what is there: it counts every member
+    taken, and :meth:`landed_by` is the one reader that says how many of
+    them have landed — the mirror of ``StoredPacket.written_by``.  One
+    scalar, ``last_landing``, dates them all.  Members land on
+    consecutive cycles, records in the order they were sent, and a
+    record is taken only once its head has landed — by which cycle every
+    record sent before it has landed whole, those of this worm included.
+    So at any cycle from the take on, the taken members still in flight
+    are exactly the newest record's last ``last_landing - cycle``.
+    """
+
+    __slots__ = ("worm", "received", "last_landing", "header_done_cycle")
 
     def __init__(self, worm: Worm) -> None:
         self.worm = worm
+        #: flits taken off the in-link, landed or not
         self.received = 0
-        #: cycle the header completed; the routing delay runs from here
+        #: cycle the newest taken flit lands
+        self.last_landing = -1
+        #: cycle the header completes — ahead, like the flit that
+        #: completes it, when its record was taken at an earlier member's
+        #: landing; the routing delay runs from here
         self.header_done_cycle: Optional[int] = None
+
+    def landed_by(self, now: int) -> int:
+        """Flits of the worm that have landed by cycle ``now`` — the
+        current cycle or a later one.  No flit is consumed, counted
+        blocked or routed on before the cycle it lands: every mover
+        tests its cursor against this, not against ``received``."""
+        ahead = self.last_landing - now
+        return self.received - ahead if ahead > 0 else self.received
 
 
 def committed_run(
@@ -143,15 +168,21 @@ def committed_run(
     to the worm's body and to a *drain window* that is certain to take
     them.
 
-    The supply is the ``on_hand`` flits the mover could take now — in
-    the input buffer for a central-buffer bypass feed or writer and for
-    an input-buffer branch, written and unread for a central-buffer
-    branch cursor, whose dated writes (``StoredPacket.flits_written``)
-    are already counted — plus, given the ``in_link`` the worm arrives
-    on as ``worm`` with ``received`` flits accepted, the members of the
-    link's head span record that land no later than their turn (the
-    record continues the worm where the buffer ends, and member ``m``
-    arrives at ``arrival + m`` for a turn at ``now + on_hand + m``).
+    The supply is the ``on_hand`` flits between the mover's cursor and
+    what was handed to it, dated ahead or not — taken off the in-link
+    (``Ingress.received``) for a central-buffer bypass feed or writer
+    and for an input-buffer branch, written (``StoredPacket.
+    flits_written``) for a central-buffer branch cursor.  The caller has
+    checked that the mover's *next* flit is there now
+    (``Ingress.landed_by`` / ``StoredPacket.written_by``); the flits
+    behind it were dated one per cycle and the mover takes at most one
+    per cycle, so each is there by its turn.  Plus, given the
+    ``in_link`` the worm arrives on as ``worm`` with ``received`` flits
+    taken, the members of the link's head span record — still in flight,
+    or it would have been taken — that land no later than their turn
+    (the record continues the worm where the taken flits end, and
+    member ``m`` arrives at ``arrival + m`` for a turn at
+    ``now + on_hand + m``).
     ``body`` is what the worm has left before its tail, which is never a
     member: it leaves through the single-flit path, which releases the
     output, pops the input FIFO, frees the last chunk and exposes the
@@ -222,8 +253,9 @@ class SwitchBase(Component):
         # awaits routing or admission; set on header completion and when
         # a pop exposes such a worm, cleared by the routing decision
         self._route_pending = 0
-        # set whenever a tick changes any switch state (flit accepted,
-        # routing decision, grant, write, send); a blocked tick that
+        # set whenever a tick changes what the next cycle can do
+        # (routing decision, grant, write, send — not the taking of a
+        # record, whose consequences are dated); a blocked tick that
         # leaves it False may sleep instead of re-arming — see tick()
         self._stirred = False
         #: per-input ``(receive_span, span queue)`` bindings, captured on
@@ -293,7 +325,7 @@ class SwitchBase(Component):
         # three masks and needs the next cycle too.  A fully idle switch
         # is woken again by its in-links' arrival hooks.
         #
-        # Blocked-sleep: a non-empty switch whose tick changed *nothing*
+        # Blocked-sleep: a non-empty switch whose tick moved *nothing*
         # can only be unblocked by an arrival (in-link hook), a maturing
         # credit (out-link hook), its own routing delay expiring (exact
         # wake computed by `_blocked_wake`), or buffer space freed by its
@@ -302,13 +334,27 @@ class SwitchBase(Component):
         # tick would repeat this one, blocked-cycle counts included,
         # which is what `settle_blocked` adds when the sleep ends.
         #
+        # Taking a record is not a stir.  The phases of this very tick
+        # saw the new supply; what its later members allow a later cycle
+        # to do is dated.  A header they complete starts a routing delay
+        # whose expiry `_blocked_wake` computes.  A mover they feed is
+        # either short of a credit or an output — a hook or a stirring
+        # tail ends that, and its blocked count per cycle is the same
+        # from the cycle its next flit landed on — or it has caught up
+        # with the landings, and then it moved the flit that landed this
+        # cycle in this tick (stirred: re-arm) or is inside a run that
+        # took them all (the run's own wake).  And a record whose head
+        # is still in flight was sent by a call of its own, whose hook
+        # fires at that head.
+        #
         # Committed-sleep: a stirred switch whose every worm is inside a
-        # committed run (see `_inside_runs`) has nothing to do before
-        # the run's own wake or the next arrival.
+        # committed run, or waits for something that comes with a wake
+        # of its own (see `_inside_runs`), has as little to do before
+        # then as an un-stirred one — and whatever it counted blocked
+        # this tick it would count again every cycle until then.
         if self._ingress_occupied or self._egress_busy or self._egress_wanted:
-            if self._stirred:
-                if not self._inside_runs(now):
-                    self.wake_at(now + 1)
+            if self._stirred and not self._inside_runs(now):
+                self.wake_at(now + 1)
             else:
                 self._blocked_rate = self._c_blocked.value - blocked
                 self._blocked_at = now
@@ -352,14 +398,18 @@ class SwitchBase(Component):
         return best
 
     def _inside_runs(self, now: int) -> bool:
-        """True when every worm in the switch is inside a committed run
-        that extends past ``now`` (only an architecture that commits runs
-        can be)."""
+        """True when no worm in the switch can move at ``now + 1`` but by
+        a wake already arranged: each is inside a committed run that
+        extends past ``now`` (the run's own wake), was refused a credit
+        in this tick (the out-link's hook), or has had every flit it was
+        handed (the hook of the send that brings the next).  Only an
+        architecture that commits runs can be."""
         return False
 
     # -- worm arrival: absorb link arrivals into the input FIFOs ---------
     def _receive(self, now: int) -> None:
-        """Drain the in-links as spans, visiting only rx-pending ports."""
+        """Take every span record whose head has landed, whole, visiting
+        only rx-pending ports."""
         if not self._rx_pending:
             return
         rx = self._rx
@@ -373,10 +423,8 @@ class SwitchBase(Component):
             while queue._flits:
                 landed = queue.head_arrival()
                 if landed > now:
-                    # flits still in flight keep the bit: the switch
-                    # comes back for them through its own re-arm (it was
-                    # just stirred), the wake of a committed run, or the
-                    # arrival wake of the send that follows
+                    # a record still in flight keeps the bit: the send
+                    # that queued it wakes the switch at its head
                     break
                 worm, start, count = take(now)
                 self._accept_span(port, worm, start, count, landed)
@@ -387,8 +435,9 @@ class SwitchBase(Component):
         self, port: int, worm: Worm, start: int, count: int, landed: int
     ) -> None:
         """``count`` flits of ``worm`` from ``start``, the first of which
-        landed at cycle ``landed``, join the worm arriving at ``port`` —
-        as if accepted one per call, each on the cycle it landed."""
+        landed at cycle ``landed`` and the rest of which land one per
+        cycle after it, join the worm arriving at ``port`` — as if
+        accepted one per call, each on the cycle it lands."""
         inflow = self._inflow[port]
         ingress = inflow[-1] if inflow else None
         if ingress is None or ingress.received == ingress.worm.size_flits:
@@ -407,11 +456,12 @@ class SwitchBase(Component):
                 f"(expected index {ingress.received} of {ingress.worm!r})"
             )
         ingress.received = start + count
-        self._stirred = True
+        ingress.last_landing = landed + count - 1
         # header completion is stamped at the cycle the completing flit
-        # landed, which is when a switch that ticks every cycle accepts
-        # it — a switch that slept through a committed run drains it
-        # later, and the routing delay must not start late for that
+        # lands, which is when a switch that takes one flit per cycle
+        # accepts it — this one takes it with its record's head, or
+        # later if it slept through a committed run, and the routing
+        # delay must start neither early nor late for that
         header = worm.header_flits
         if start < header <= start + count:
             ingress.header_done_cycle = landed + header - 1 - start

@@ -39,9 +39,11 @@ does not re-arm in between (``_inside_runs``).  The tail is never a
 member: it leaves by the single-flit path, on its own cycle.  Three
 movers here have that shape:
 
-* a *bypass feed* (:meth:`CentralBufferSwitch._advance_bypass`): the
-  flits in the FIFO plus the in-link's dated arrivals, cut to the
-  out-link's credit window — one
+* a *bypass feed* (:meth:`CentralBufferSwitch._advance_bypass`): once
+  its next flit has landed (:meth:`~repro.switches.base.Ingress.
+  landed_by`), the flits taken off the in-link plus the dated arrivals
+  of a head record still in flight, cut to the out-link's credit
+  window — one
   :meth:`~repro.switches.link.Link.send_span`, the FIFO slots back as
   one future-dated :meth:`~repro.switches.link.Link.return_credit_ramp`;
 * a *writer* (:meth:`CentralBufferSwitch._write_central_buffer`): the
@@ -213,6 +215,9 @@ class CentralBufferSwitch(SwitchBase):
         # an admission or a write found the pool short this tick: the
         # earliest dated release is then a wake source (`_blocked_wake`)
         self._starved = False
+        # chunks in use after the last write phase in which a write was
+        # refused: while it stands, no chunk went back for the refused
+        self._pool_mark = -1
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -350,14 +355,16 @@ class CentralBufferSwitch(SwitchBase):
             # after the first
             arbiter.grant_batch(PORTS_OF[standing], w_bw)
         self._write_cycle = now
-        # an input inside a write run asks too, every cycle of the run
+        # an input asks when its next flit has landed (Ingress.landed_by,
+        # inlined) — and, inside a write run, every cycle of the run
         candidates = []
         for port in PORTS_OF[self._cb_feed]:
             ingress = inflows[port][0]
-            if (
-                ingress.consumed < ingress.received
-                or ingress.stored.last_write >= now
-            ):
+            landed = ingress.received
+            ahead = ingress.last_landing - now
+            if ahead > 0:
+                landed -= ahead
+            if ingress.consumed < landed or ingress.stored.last_write >= now:
                 candidates.append(port)
         if not candidates:
             self._write_standing = 0
@@ -367,6 +374,7 @@ class CentralBufferSwitch(SwitchBase):
         commit = self._write_runs
         standing = 0
         progress = 0
+        refused = False
         for port in winners:
             ingress = inflows[port][0]
             stored = ingress.stored
@@ -377,7 +385,7 @@ class CentralBufferSwitch(SwitchBase):
                     standing |= 1 << port
                 continue
             if not stored.ensure_write_space(now):
-                self._starved = True
+                self._starved = refused = True
                 standing |= 1 << port
                 if self._obs:
                     self._c_blocked.inc()
@@ -399,7 +407,9 @@ class CentralBufferSwitch(SwitchBase):
                 if run:
                     # the space is owned and every asker is granted: only
                     # arrivals could delay these writes, and theirs are
-                    # dated.  The FIFO slots go back as one ramp
+                    # dated — the next flit has landed, so the taken ones
+                    # behind it land by their turn.  The FIFO slots go
+                    # back as one ramp
                     stored.write_run(now, run)
                     ingress.consumed = consumed + run
                     if link is not None:
@@ -418,6 +428,8 @@ class CentralBufferSwitch(SwitchBase):
                 self._pop_front(port)
             progress += 1
         self._write_standing = standing
+        if refused:
+            self._pool_mark = self.pool.used_chunks
         if progress:
             self._stirred = True
             self.sim.progress += progress
@@ -523,10 +535,15 @@ class CentralBufferSwitch(SwitchBase):
         link = self.out_links[port]
         if link is None:
             raise ProtocolError(f"{self.name}: bypass to unwired port {port}")
-        consumed = ingress.consumed
         # a committed run holds the link's slot (and keeps `consumed`
-        # ahead of `received`) until its last member's cycle has passed
-        if consumed >= ingress.received or link._last_send_cycle >= now:
+        # ahead of the landings) until its last member's cycle has passed
+        if link._last_send_cycle >= now:
+            return
+        # the next flit must have landed (Ingress.landed_by, inlined)
+        consumed = ingress.consumed
+        received = ingress.received
+        ahead = ingress.last_landing - now
+        if consumed >= (received - ahead if ahead > 0 else received):
             return
         # inlined Link.can_send, as in the read-candidate scan
         if link._credits <= 0 and not link.can_send(  # type: ignore[operator]
@@ -537,7 +554,6 @@ class CentralBufferSwitch(SwitchBase):
         assert worm is not None
         in_link = self.in_links[feed.input_port]
         self._stirred = True
-        received = ingress.received
         run = committed_run(
             received - consumed, ingress.worm.size_flits - 1 - consumed, now,
             in_link, ingress.worm, received, out_link=link,
@@ -567,32 +583,70 @@ class CentralBufferSwitch(SwitchBase):
             self._egress_busy &= ~(1 << port)
 
     def _inside_runs(self, now: int) -> bool:
-        # sleep rule: nothing to route or admit, nothing queued for an
-        # idle output, every busy output's link slot reserved past `now`
-        # (a bypass or a read run), every front worm that feeds the
-        # central buffer inside a write run that covers the next cycle,
-        # and no occupied FIFO whose front worm is neither.  Each run's
-        # own wake resumes it — a branch queued for a busy output is
-        # activated by the stirring tail that frees it; anything new
-        # arrives through a link hook, and a worm queued behind a front
-        # worm has its header stamped by landing cycle whenever the
-        # switch next looks.
-        if self._route_pending or self._egress_wanted & ~self._egress_busy:
+        # sleep rule: nothing queued for an idle output, and every worm
+        # at a FIFO front or on an output unable to move at `now + 1`
+        # but by a wake already arranged —
+        # * inside a run (the link's slot reserved, the write dated,
+        #   past `now`): the run's own wake;
+        # * out of flits — none landed, or written, by `now + 1`: the
+        #   hook of the send that brings the next, or the write's stir;
+        # * refused in this tick — a flit was there and did not move.
+        #   For an output the link refused a credit and wakes it; for a
+        #   writer the pool refused a chunk, no chunk went back since
+        #   (`_pool_mark`), and `_blocked_wake` has the dated releases;
+        # * in its routing delay: `_blocked_wake` has the expiry.
+        # A worm whose delay has run awaits admission and polls (this
+        # tick's reads may have freed its chunks), as does one that
+        # moved a single flit and has the next.  A branch queued for a busy output is activated
+        # by the stirring tail that frees it; anything new arrives
+        # through a link hook, and a worm queued behind a front worm has
+        # its header stamped by landing cycle whenever the switch next
+        # looks.
+        if self._egress_wanted & ~self._egress_busy:
             return False
+        soon = now + 1
+        inflows = self._inflow
+        covered = self._cb_feed | self._route_pending
+        delay = self.settings.routing_delay
+        for port in PORTS_OF[self._route_pending]:
+            if inflows[port][0].header_done_cycle + delay <= now:
+                return False  # awaits admission, or was exposed just now
         out_current = self._out_current
         out_links = self.out_links
-        covered = self._cb_feed
         for port in PORTS_OF[self._egress_busy]:
-            if out_links[port]._last_send_cycle <= now:  # type: ignore[union-attr]
-                return False
             feed = out_current[port]
+            sent = out_links[port]._last_send_cycle  # type: ignore[union-attr]
             if type(feed) is _BypassFeed:
                 covered |= 1 << feed.input_port
+                if sent > now:
+                    continue
+                ingress = feed.ingress
+                cursor = ingress.consumed
+                there = ingress.landed_by(now)
+                coming = ingress.landed_by(soon)
+            elif sent > now:
+                continue
+            elif not self._read_runs:
+                return False  # it may have lost the arbitration instead
+            else:
+                stored = feed.stored  # type: ignore[union-attr]
+                cursor = feed.read  # type: ignore[union-attr]
+                there = stored.written_by(now)
+                coming = stored.written_by(soon)
+            if cursor < coming and (sent == now or cursor >= there):
+                return False
         if covered != self._ingress_occupied:
             return False
-        inflows = self._inflow
+        refused = 0
+        if self._write_runs and self._pool_mark == self.pool.used_chunks:
+            refused = self._write_standing
         for port in PORTS_OF[self._cb_feed]:
-            if inflows[port][0].stored.last_write <= now:
+            ingress = inflows[port][0]
+            if (
+                ingress.stored.last_write <= now
+                and ingress.consumed < ingress.landed_by(soon)
+                and not refused >> port & 1
+            ):
                 return False
         return True
 
@@ -614,12 +668,13 @@ class CentralBufferSwitch(SwitchBase):
         """Flits held in an input FIFO once the current cycle's ticks
         are done, on the one-flit-per-cycle timeline."""
         # during a committed run `consumed` is ahead of the flits that
-        # have left by now, and flits that landed while the switch slept
-        # wait untaken in the link: count both where the per-flit
-        # timeline has them — in the FIFO
+        # have left by now, flits that landed while the switch slept
+        # wait untaken in the link, and the later members of a record
+        # taken at its head are not there yet: count each where the
+        # per-flit timeline has it
         inflow = self._inflow[port]
-        occupancy = sum(i.received - i.consumed for i in inflow)
         now = self.sim.now
+        occupancy = sum(i.landed_by(now) - i.consumed for i in inflow)
         in_link = self.in_links[port]
         if in_link is not None:
             occupancy += in_link._in_flight.arrived(now)

@@ -231,10 +231,16 @@ class InputBufferSwitch(SwitchBase):
                     lockstep_done.add(id(ingress))
                     self._advance_lockstep(ingress, now)
                 continue
-            read = branch.read
             # a committed run holds the link's slot (and keeps `read`
-            # ahead of `received`) until its last member's cycle has passed
-            if read >= ingress.received or link._last_send_cycle >= now:
+            # ahead of the landings) until its last member's cycle has
+            # passed
+            if link._last_send_cycle >= now:
+                continue
+            # the next flit must have landed (Ingress.landed_by, inlined)
+            read = branch.read
+            landed = ingress.received
+            ahead = ingress.last_landing - now
+            if read >= (landed - ahead if ahead > 0 else landed):
                 continue
             if not link.can_send(now):
                 if self._obs:
@@ -276,7 +282,7 @@ class InputBufferSwitch(SwitchBase):
         if any(self._current[b.out_port] is not b for b in branches):
             return  # still accumulating output ports
         index = branches[0].read
-        if index >= ingress.received:
+        if index >= ingress.landed_by(now):
             return
         links = [self.out_links[b.out_port] for b in branches]
         if any(link is None or not link.can_send(now) for link in links):
@@ -306,7 +312,10 @@ class InputBufferSwitch(SwitchBase):
         """Commit one common run for every branch of ``ingress`` that can
         send at ``now``; returns the flits moved (0: take the per-flit
         path).  See the module docstring for when that is exact."""
+        # a branch whose next flit has landed may count every taken
+        # flit behind it: each lands by its turn (`committed_run`)
         received = ingress.received
+        landed = ingress.landed_by(now)
         worm = ingress.worm
         size = worm.size_flits
         in_link = self.in_links[input_port]
@@ -320,7 +329,7 @@ class InputBufferSwitch(SwitchBase):
             read = branch.read
             if (
                 current[branch.out_port] is branch
-                and read < received
+                and read < landed
                 and link.can_send(now)  # type: ignore[union-attr]
             ):
                 reach = committed_run(
@@ -412,27 +421,46 @@ class InputBufferSwitch(SwitchBase):
             ingress.branches = []
 
     def _inside_runs(self, now: int) -> bool:
-        # sleep rule: nothing to route, no output to grant, no lock-step
-        # worm, every busy output's link slot reserved past `now`, and
-        # every occupied input's front worm routed.  Each run's own wake
-        # resumes it with a stirring tail send — which is also what
-        # frees the output a waiting branch is queued for; anything new
+        # sleep rule: no output to grant, no lock-step worm, and every
+        # branch on an output unable to move at `now + 1` but by a wake
+        # already arranged —
+        # * inside a run (the link's slot reserved past `now`): the
+        #   run's own wake, whose stirring tail send is also what frees
+        #   the output a waiting branch is queued for;
+        # * out of flits — none landed by `now + 1`: the hook of the
+        #   send that brings the next;
+        # * refused in this tick — a flit was there and it did not
+        #   send: the link refused a credit, and wakes it
+        # — and every occupied input's front worm routed, or in its
+        # routing delay (`_blocked_wake` has the expiry).  A branch that
+        # moved a single flit and has the next polls.  Anything new
         # arrives through a link hook, and a worm queued behind a front
         # worm has its header stamped by landing cycle whenever the
         # switch next looks.
-        if (
-            self._route_pending
-            or self._sync_queue
-            or self._egress_wanted & ~self._egress_busy
-        ):
+        if self._sync_queue or self._egress_wanted & ~self._egress_busy:
             return False
         out_links = self.out_links
+        current = self._current
+        soon = now + 1
         for port in PORTS_OF[self._egress_busy]:
-            if out_links[port]._last_send_cycle <= now:  # type: ignore[union-attr]
+            sent = out_links[port]._last_send_cycle  # type: ignore[union-attr]
+            if sent > now:
+                continue
+            branch = current[port]
+            ingress = branch.ingress  # type: ignore[union-attr]
+            read = branch.read  # type: ignore[union-attr]
+            if read < ingress.landed_by(soon) and (
+                sent == now or read >= ingress.landed_by(now)
+            ):
                 return False
         inflows = self._inflow
+        delay = self.settings.routing_delay
         for port in PORTS_OF[self._ingress_occupied]:
-            if not inflows[port][0].branches:
+            front = inflows[port][0]
+            if not front.branches and (
+                front.header_done_cycle is None
+                or front.header_done_cycle + delay <= now
+            ):
                 return False
         return True
 
@@ -443,12 +471,13 @@ class InputBufferSwitch(SwitchBase):
         """Flits held in an input buffer once the current cycle's ticks
         are done, on the one-flit-per-cycle timeline."""
         # flits that landed while the switch slept wait untaken in the
-        # link, and a committed run handed its slots back ahead of the
-        # cycles they are freed in: count both where the per-flit
-        # timeline has them — in the buffer
+        # link, the later members of a record taken at its head are not
+        # there yet, and a committed run handed its slots back ahead of
+        # the cycles they are freed in: count each where the per-flit
+        # timeline has it
         inflow = self._inflow[port]
-        occupancy = sum(i.received - i.freed for i in inflow)
         now = self.sim.now
+        occupancy = sum(i.landed_by(now) - i.freed for i in inflow)
         in_link = self.in_links[port]
         if in_link is not None:
             occupancy += in_link._in_flight.arrived(now)

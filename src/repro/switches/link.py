@@ -8,9 +8,9 @@ a worm blocks in place — the essential wormhole behaviour.
 
 The link is passive (not a :class:`~repro.sim.component.Component`): the
 sender asks :meth:`can_send`/:meth:`send` during its tick and the receiver
-drains :meth:`receive`/:meth:`receive_into` during its own, with the
-pipeline queues keyed by arrival cycle.  Because latency is at least one
-cycle, behaviour is independent of which side ticks first.
+takes what the link holds for it during its own, with the pipeline
+queues keyed by arrival cycle.  Because latency is at least one cycle,
+behaviour is independent of which side ticks first.
 
 In-flight flits are stored packed — as int spans in a preallocated
 :class:`~repro.flits.packed.SpanQueue`, never as per-flit objects.  Both
@@ -22,15 +22,32 @@ data planes share this storage:
 * production sends flit *coordinates* (:meth:`send_packed`) or a
   whole contiguous span in one call (:meth:`send_span`, which reserves
   one send slot and one credit per member flit, exactly as the same
-  flits sent one per cycle would) and drains spans with
-  :meth:`receive_span`, which moves up to ``min(credits, pending)``
-  flits per wake as slice arithmetic on the span records.
+  flits sent one per cycle would) and receives *records*:
+  :attr:`receive_span` hands the oldest span record over whole, once
+  its head has landed.
 
 The wire protocol is identical either way: a span sent at cycle *t*
 occupies send slots *t .. t+count-1* and delivers one flit per cycle —
 so credits, arrival cycles and every downstream observable match the
 one-flit-per-tick reference bit for bit (see
 ``tests/sim/test_packed_differential.py``).
+
+**The record contract.**  Sends that continue one another — same worm,
+next index, next cycle — share one record while it is queued, and every
+member's landing cycle is known when the first is sent.  So an arrival
+is a record, not a cycle: :attr:`receive_span` returns ``(worm, start,
+count)`` for the whole oldest record (no credit cap: the sender already
+paid a credit per member) as soon as its *head* has landed, never
+before, and the receiver dates the members itself — member ``j`` lands
+at ``head + j``.  A receiver that must not act on a flit before it is
+there (every receiver) keeps that date: the switches as
+``Ingress.last_landing`` (:mod:`repro.switches.base`), while the NI,
+which acts on each flit the cycle it lands, caps the call at what has
+landed.  Records land in order and a record is only handed over once
+its head is there, so everything handed over earlier has landed by
+then, and the link needs one scalar — the queue's ``landing`` — to keep
+reporting members handed over ahead of their cycle as *flying*
+(:meth:`in_flight`, :meth:`accounted_credits`) until it comes.
 
 For the active-set kernel the link wakes the component at either end:
 the receiving component registers itself with :meth:`wake_on_arrival`
@@ -49,7 +66,7 @@ unit test works without them.
 
 The arrival waker also carries the receiver's *rx-pending* bit: every
 send sets bit ``port`` of the component's ``_rx_pending`` mask, and a
-receiver that drains by mask — the switches and NI, see
+receiver that takes by mask — the switches and NI, see
 :mod:`repro.switches.ports` — clears it when this link's span queue runs
 empty.  Such a receiver never polls
 :attr:`pending_arrival`; it calls :attr:`receive_span` on exactly the
@@ -59,12 +76,13 @@ their first tick, so a profiler may rebind it (and the send entry
 points) per link before the run starts.
 
 The arrival wake fires once per :meth:`send` and once per
-:meth:`send_span` — at the span's *first* arrival cycle, not once per
-member flit.  A receiver that drains a span partially therefore owns its
-own re-arm for the remaining members: a switch re-arms while stirred, or
-is inside a committed bypass run whose own wake takes the rest (see
-:mod:`repro.switches.central_buffer`); the NI wakes itself at the
-head record's arrival.
+:meth:`send_span` — at the send's *first* arrival cycle, not once per
+member flit, and whether or not the send joined a record already
+queued: an arrival is an event once per send.  That is the only wake a
+landing ever causes.  A switch that took a record whole needs no other:
+what the later members make possible is already dated in the switch
+(see ``SwitchBase.tick``).  The NI, which takes only what has landed,
+wakes itself for the rest of the head record.
 
 A receiver that knows it will free one slot per cycle for the next
 ``count`` cycles — a switch that committed a run of bypass flits — hands
@@ -124,19 +142,21 @@ class Link:
             raise ConfigurationError("credit latency must be at least 1 cycle")
         in_flight = SpanQueue()
         self._in_flight = in_flight
-        # receiver-side hot aliases: both drains below are pure wrappers
-        # around the span store, and both run once (or more) per busy
-        # input port per cycle — binding the store's methods directly
-        # saves a Python call on every poll.  Semantics are documented
-        # on SpanQueue.has_arrived / SpanQueue.take.
-        #: True when :meth:`receive_span` would deliver at least one flit
-        #: at the given cycle (the REP007 guard for the drains below).
+        # receiver-side hot aliases: both are pure wrappers around the
+        # span store, and both run once (or more) per busy input port
+        # per wake — binding the store's methods directly saves a Python
+        # call each time.  Semantics are documented on
+        # SpanQueue.has_arrived / SpanQueue.take_record.
+        #: True when :attr:`receive_span` would hand a record over at the
+        #: given cycle (the REP007 guard for the receives below).
         self.pending_arrival = in_flight.has_arrived
-        #: pop the longest arrived span as ``(worm, start, count)`` —
-        #: up to ``min(limit, pending)`` flits of one worm, ``None`` when
-        #: nothing has arrived.  The production drain: call repeatedly
-        #: until ``None``; a span is never split across worms.
-        self.receive_span = in_flight.take
+        #: pop the oldest span record whole as ``(worm, start, count)``
+        #: once its head has landed (at most ``limit`` flits of it when
+        #: given), ``None`` while the head is in flight — see "the
+        #: record contract" in the module docstring.  The production
+        #: receive: call until the head of the queue is still flying; a
+        #: record is never split across worms.
+        self.receive_span = in_flight.take_record
         #: credit returns in maturity order, one ``[first, count,
         #: stride]`` record per ramp: ``count`` credits, credit ``j``
         #: maturing at ``first + j * stride`` (stride 1: a slot a cycle;
@@ -467,8 +487,8 @@ class Link:
         Wire-identical to ``count`` single sends on consecutive cycles:
         one send slot and one credit per member flit (all reserved now)
         and member ``j`` arriving at ``now + latency + j``.  The arrival
-        wake fires once, at the first arrival cycle; the receiver's own
-        re-arm covers the rest of the span (see the module docstring).
+        wake fires once, at the first arrival cycle (see the module
+        docstring).
         Requires ``count <= sendable_span(now)``.
         """
         if count < 1:
@@ -497,9 +517,18 @@ class Link:
     # ------------------------------------------------------------------
     # introspection (tests and invariant checks)
     # ------------------------------------------------------------------
-    def in_flight(self) -> int:
-        """Flits currently traversing the pipeline."""
-        return len(self._in_flight)
+    def in_flight(self, now: Optional[int] = None) -> int:
+        """Flits traversing the pipeline.
+
+        Without ``now``: the flits the receiver has yet to take, landed
+        or not.  Given ``now``: the flits that have not landed by the
+        end of that cycle on the one-flit-per-cycle timeline — a member
+        of a record handed over ahead of its cycle is still flying
+        until it comes.
+        """
+        if now is None:
+            return len(self._in_flight)
+        return self._in_flight.flying(now)
 
     def credits_in_return(self, now: Optional[int] = None) -> int:
         """Credits travelling back to the sender.
@@ -545,19 +574,19 @@ class Link:
         no credit is ever lost or duplicated.
 
         Given ``now`` the count follows the one-flit-per-cycle timeline
-        as of the end of that cycle, whatever was committed ahead of it:
-        a flit that has landed belongs to the receiver even if not yet
-        taken, and a ramped return counts only once its flit has left
-        (:meth:`credits_in_return`).  The sender's counter may be
-        negative while a span has borrowed against queued returns; the
-        sum is unaffected.
+        as of the end of that cycle, whatever was committed or taken
+        ahead of it: a flit that has landed belongs to the receiver even
+        if not yet taken, one that has not is still on the wire even if
+        its record was (:meth:`in_flight`), and a ramped return counts
+        only once its flit has left (:meth:`credits_in_return`).  The
+        sender's counter may be negative while a span has borrowed
+        against queued returns; the sum is unaffected.
         """
         if self._credits is None:
             return None
-        flying = len(self._in_flight)
-        if now is not None:
-            flying -= self._in_flight.arrived(now)
-        return self._credits + flying + self.credits_in_return(now)
+        return (
+            self._credits + self.in_flight(now) + self.credits_in_return(now)
+        )
 
     def __repr__(self) -> str:
         return f"Link({self.name!r}, latency={self.latency})"

@@ -140,3 +140,112 @@ class TestSpanQueue:
         worm = make_worm()
         with pytest.raises(ValueError):
             SpanQueue().push_span(0, worm, 0, 0)
+
+
+class TestRecords:
+    """``take_record`` hands the oldest record over whole once its head
+    has landed; everything that reads the queue must behave as if it
+    held one entry per flit and each flit left it on the cycle it
+    lands."""
+
+    @given(
+        operations=st.lists(
+            st.tuples(
+                st.sampled_from(
+                    ("continue", "gap", "worm", "record", "part", "prefix")
+                ),
+                st.integers(0, 3),
+                st.integers(1, 6),
+            ),
+            max_size=40,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_records_behave_as_one_entry_per_flit(self, operations):
+        queue = SpanQueue(2)
+        worms_ = [make_worm(payload_flits=400, packet_id=0)]
+        queued = []  # (arrival, worm, index) of every flit not taken
+        taken = []  # arrival of every flit taken
+        free = 0  # next free arrival cycle: the wire carries a flit a cycle
+        index = 0  # next flit of the newest worm
+        now = 0
+
+        def head_record():
+            """The maximal run of entries that continue the oldest one:
+            the same worm, the next index, the next cycle."""
+            run = queued[:1]
+            for entry in queued[1:]:
+                arrival, worm, member = run[-1]
+                if entry != (arrival + 1, worm, member + 1):
+                    break
+                run.append(entry)
+            return run
+
+        for kind, advance, count in operations:
+            now += advance
+            if kind in ("continue", "gap", "worm"):
+                # a send continues the newest record, leaves a gap on
+                # the wire, or starts the next worm
+                if kind == "worm":
+                    worms_.append(make_worm(
+                        payload_flits=400, packet_id=len(worms_)
+                    ))
+                    index = 0
+                arrival = max(free, now + 1) + (kind == "gap")
+                queue.push_span(arrival, worms_[-1], index, count)
+                queued.extend(
+                    (arrival + j, worms_[-1], index + j) for j in range(count)
+                )
+                free, index = arrival + count, index + count
+            else:
+                if kind == "record":
+                    span = queue.take_record(now)
+                    expect = head_record()
+                elif kind == "part":
+                    span = queue.take_record(now, count)
+                    expect = head_record()[:count]
+                else:
+                    span = queue.take(now)
+                    expect = [e for e in head_record() if e[0] <= now]
+                if not queued or queued[0][0] > now:
+                    # a record whose head has not landed is not handed over
+                    assert span is None
+                else:
+                    arrival, worm, start = expect[0]
+                    assert span == (worm, start, len(expect))
+                    if kind != "prefix":
+                        assert queue.landing == expect[-1][0]
+                    taken.extend(entry[0] for entry in expect)
+                    del queued[:len(expect)]
+            assert len(queue) == len(queued)
+            assert queue.has_arrived(now) == bool(
+                queued and queued[0][0] <= now
+            )
+            for cycle in (now, now + 1, now + 4):
+                assert queue.arrived(cycle) == sum(
+                    1 for arrival, _, _ in queued if arrival <= cycle
+                )
+                assert queue.flying(cycle) == sum(
+                    1 for arrival, _, _ in queued if arrival > cycle
+                ) + sum(1 for arrival in taken if arrival > cycle)
+
+    def test_a_send_that_continues_a_taken_record_is_a_record_of_its_own(
+        self,
+    ):
+        worm = make_worm(payload_flits=16)
+        queue = SpanQueue()
+        queue.push_span(10, worm, 0, 4)
+        queue.push_span(14, worm, 4, 2)  # merged: still queued
+        assert queue.records == 1
+        assert queue.take_record(9) is None
+        assert queue.take_record(10) == (worm, 0, 6)
+        assert (queue.landing, queue.flying(12)) == (15, 3)
+        queue.push_span(16, worm, 6, 2)  # contiguous, but the record left
+        assert queue.records == 1 and queue.head() == (16, worm, 6, 2)
+        assert queue.take_record(15) is None
+        assert queue.flying(15) == 2
+        assert queue.take_record(16, limit=0) is None
+        assert queue.take_record(16, limit=1) == (worm, 6, 1)
+        # the rest is a record under the same rule: its head lands at 17
+        assert queue.take_record(16) is None
+        assert queue.take_record(17) == (worm, 7, 1)

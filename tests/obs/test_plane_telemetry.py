@@ -5,8 +5,9 @@ dense kernel: one ``Flit`` per call, every component ticked every cycle,
 every blocked cycle counted by the tick that was blocked.  Production
 moves spans, commits runs ahead of time and sleeps while blocked — and
 runs the same way whether or not it is observed — so its telemetry is
-span-aware: one ``flit_in`` record per accepted span carrying a
-``count``, counters bumped by the run, ``blocked_cycles`` settled by
+span-aware: one ``flit_in`` record per span record taken, stamped at
+its head's landing and carrying a ``count``, counters bumped by the
+run, ``blocked_cycles`` settled by
 interval when a sleep ends or the run does, link utilisation read on the
 one-flit-per-cycle timeline.  With tracer *and* registry enabled every
 flavour — production on either kernel, and the reference on the
@@ -42,6 +43,12 @@ from repro.traffic.multicast import (
     RandomMulticastStream,
 )
 from repro.traffic.unicast import UniformRandomUnicast
+
+from tests.switches.test_span_commit import (
+    SHORT_POOL_HOTSPOT,
+    SHORT_POOL_STREAM,
+    log_takes,
+)
 
 CB = SwitchArchitecture.CENTRAL_BUFFER
 IB = SwitchArchitecture.INPUT_BUFFER
@@ -166,6 +173,63 @@ def test_planes_report_the_same(architecture, workload, flavour):
     )
     expected = ALWAYS + ALSO.get((workload, architecture), ())
     assert not [name for name in expected if name not in seen]
+
+
+@pytest.mark.parametrize("flavour", list(FLAVOURS))
+@pytest.mark.parametrize(
+    "scenario", (SHORT_POOL_HOTSPOT, SHORT_POOL_STREAM),
+    ids=lambda scenario: scenario[0],
+)
+def test_a_pool_that_runs_short_reports_the_same(scenario, flavour):
+    # refused writes and admissions are what a central-buffer switch
+    # counts blocked, and a switch refused a chunk sleeps on the pool's
+    # dated releases — stirred or not
+    _, architecture, overrides, make_workload = scenario
+    config = SimulationConfig(
+        num_hosts=16, seed=5, switch_architecture=architecture, **overrides
+    )
+    seen, counters = assert_reports_the_ground_truth(
+        config, make_workload, flavour
+    )
+    assert not [name for name in ALWAYS if name not in seen]
+    assert counters["switch.blocked_cycles"] > 100
+
+
+@pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
+def test_one_flit_in_record_per_record_taken(architecture):
+    tracer = Tracer(enabled=True)
+    network = build_network(
+        SimulationConfig(
+            num_hosts=16, seed=5, switch_architecture=architecture
+        ),
+        tracer=tracer,
+    )
+    takes = log_takes(network)
+    assert run_workload(network, WORKLOADS["hotspot"]()).completed
+    inputs = {
+        link.name: (switch.name, port)
+        for switch in network.switches
+        for port, link in enumerate(switch.in_links) if link is not None
+    }
+    taken = {
+        inputs[name] + (packet, start, count): now
+        for name, now, packet, start, count in takes if name in inputs
+    }
+    stamped = {}
+    for record in tracer.records:
+        if record.event == "flit_in":
+            packet, start = map(
+                int, _FLIT.fullmatch(record.get("flit")).groups()
+            )
+            stamped[
+                record.source, record.get("port"), packet, start,
+                record.get("count"),
+            ] = record.cycle
+    # one record per take, stamped at the head's landing: the cycle it
+    # is taken on, unless the switch slept through that inside a run
+    assert stamped.keys() == taken.keys()
+    assert all(stamped[key] <= taken[key] for key in taken)
+    assert sum(key[-1] for key in taken) > 3 * len(taken)
 
 
 def _a4_burst():

@@ -5,7 +5,10 @@ wire-identical to the same flits sent one per cycle: identical credit
 trajectories, identical arrival cycles, identical wake-hook firings.
 These tests pin the boundary cases — zero credits, credits smaller than
 the pending span, exact fits, spans straddling a worm boundary — and the
-single-arrival-hook contract documented in ``repro.switches.link``.
+record contract documented in ``repro.switches.link``: a record is
+handed over whole once its head has landed, never before, its members
+stay *flying* on the timeline until their cycle, and every send fires
+its own arrival hook.
 """
 
 from __future__ import annotations
@@ -81,14 +84,29 @@ class TestReceiveSpanBoundaries:
 
     def test_members_mature_one_per_cycle(self):
         # a span send is pipelined, not a burst: member j arrives at
-        # latency + j, so an early drain yields only the matured prefix
+        # latency + j.  The record is handed over whole at its head's
+        # landing, dated — the members stay on the wire until their cycle
         link = make_link(latency=2)
         worm = make_worm()
         link.send_span(0, worm, 0, 4)
         assert not link.pending_arrival(1)
-        assert drain(link, 2) == [(worm, 0, 1)]
-        assert drain(link, 3) == [(worm, 1, 1)]
-        assert drain(link, 5) == [(worm, 2, 2)]
+        assert link.receive_span(1) is None  # the head has not landed
+        assert link.in_flight() == 4
+        assert drain(link, 2) == [(worm, 0, 4)]
+        assert link._in_flight.landing == 5
+        assert link.in_flight() == 0  # raw: all four were taken
+        assert [link.in_flight(now) for now in (2, 3, 4, 5, 6)] == [
+            3, 2, 1, 0, 0
+        ]
+        # the per-flit drain over an identical record: the landed prefix
+        link = make_link(latency=2)
+        link.send_span(0, worm, 0, 4)
+        taken = []
+        for now in (2, 3, 5):
+            buf: list = []
+            link.receive_into(now, buf)
+            taken.append([flit.index for flit in buf])
+        assert taken == [[0], [1], [2, 3]]
 
     def test_span_never_straddles_a_worm_boundary(self):
         # tail of one worm and head of the next, sent back to back on
@@ -100,6 +118,47 @@ class TestReceiveSpanBoundaries:
         link.send_span(2, head_worm, 0, 2)  # next worm's head
         spans = drain(link, 10)
         assert spans == [(tail_worm, 6, 2), (head_worm, 0, 2)]
+
+    def test_a_record_is_not_handed_over_before_its_head_lands(self):
+        link = make_link(latency=3)
+        worm = make_worm()
+        link.send_span(0, worm, 0, 4)  # lands at 3, 4, 5, 6
+        for now in (0, 1, 2):
+            assert link.receive_span(now) is None
+            assert link.receive_span(now, 2) is None
+        # partial, then whole: the rest is a record under the same rule
+        assert link.receive_span(3, 2) == (worm, 0, 2)
+        assert link.receive_span(3) is None and link.receive_span(4) is None
+        assert link.receive_span(5) == (worm, 2, 2)
+
+    def test_the_timeline_is_the_same_whoever_took_what_when(self):
+        # one link's receiver takes the record whole at its head, the
+        # other's flit by flit as they land; neither has freed a slot
+        whole, stepped = make_link(depth=6, latency=2), make_link(depth=6, latency=2)
+        worm = make_worm()
+        for link in (whole, stepped):
+            link.send_span(0, worm, 0, 4)  # lands at 2, 3, 4, 5
+            link.send_packed(7, worm, 4)  # lands at 9
+        assert whole.receive_span(2) == (worm, 0, 4)
+        held = 0
+        for now in range(2, 12):
+            buf: list = []
+            held += stepped.receive_into(now, buf)
+            assert whole.in_flight(now) == stepped.in_flight(now)
+            assert whole.accounted_credits(now) == (
+                stepped.accounted_credits(now)
+            ) == 6 - held
+            if now == 9:
+                assert whole.receive_span(9) == (worm, 4, 1)
+        assert held == 5
+        # landed and not taken is the receiver's, as before; taken ahead
+        # is the wire's until its cycle
+        link = make_link(depth=6, latency=2)
+        link.send_span(0, worm, 0, 4)
+        assert (link._in_flight.arrived(3), link.in_flight(3)) == (2, 2)
+        link.receive_span(2)
+        assert (link._in_flight.arrived(3), link.in_flight(3)) == (0, 2)
+        assert link.in_flight() == 0  # raw: nothing left to take
 
     def test_receive_into_materialises_identical_flits(self):
         # object-plane drain over the same in-flight store
@@ -186,6 +245,28 @@ class TestWakeSemantics:
         link.send_span(0, make_worm(), 0, 4)
         assert receiver.wakes == [2]  # once, at the first member's arrival
 
+    def test_every_send_fires_its_own_hook_merged_or_not(self):
+        # an arrival is an event once per send: a send that joins a
+        # record still queued fires at its own first arrival all the
+        # same, and one that continues a record already taken is a
+        # record of its own, which only that hook announces
+        for taken_first in (False, True):
+            link = make_link(latency=1)
+            receiver = WakeLog()
+            link.wake_on_arrival(receiver)
+            worm = make_worm()
+            link.send_span(0, worm, 0, 4)  # lands at 1 .. 4
+            if taken_first:
+                assert link.receive_span(1) == (worm, 0, 4)
+            link.send_packed(4, worm, 4)  # lands at 5: contiguous
+            assert receiver.wakes == [1, 5]
+            if taken_first:
+                assert link.receive_span(4) is None
+                assert link.receive_span(5) == (worm, 4, 1)
+            else:
+                assert link._in_flight.records == 1
+                assert link.receive_span(1) == (worm, 0, 5)
+
     def test_span_credit_return_wakes_match_single_flit_semantics(self):
         # the same four flits, once as a span and once as four single
         # sends on consecutive cycles: arrival cycles and credit-wake
@@ -198,6 +279,7 @@ class TestWakeSemantics:
             link.wake_on_credit(sender)
             worm = make_worm()
             arrivals, credit_trace = [], []
+            landing = {}  # flit index -> the cycle it lands
             for now in range(12):
                 if as_span:
                     if now == 0:
@@ -205,8 +287,13 @@ class TestWakeSemantics:
                 else:
                     if now < 4 and link.can_send(now):
                         link.send_packed(now, worm, now)
+                # the receiver takes records whole and dates the members
                 for _, start, count in drain(link, now):
+                    last = link._in_flight.landing
                     for index in range(start, start + count):
+                        landing[index] = last - (start + count - 1 - index)
+                for index in sorted(landing):
+                    if landing[index] == now:
                         arrivals.append((index, now))
                         link.return_credit(now)
                 credit_trace.append(link.credits(now))
@@ -218,9 +305,8 @@ class TestWakeSemantics:
 
     def test_component_waker_ticks_receiver_at_arrival_cycles(self):
         # wake_on_arrival wires the component itself; a span send must
-        # tick it at the first arrival, and the receiver (which in the
-        # real network re-arms itself while stirred) sees the rest as
-        # already-arrived members — here we just check the hook cycle
+        # tick it at the first arrival, where the receiver takes the
+        # record whole — here we just check the hook cycle
         sim = Simulator()
         receiver = sim.add_component(Recorder())
         link = make_link(latency=3)

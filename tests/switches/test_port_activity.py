@@ -116,11 +116,12 @@ def front_truth(switch, cycle):
         if stored is None or front.state is not _IngressState.STREAM_CB:
             continue
         # a FIFO slot is consumed by the write that empties it, and a
-        # run writes ahead only what has landed by its turn, never the
-        # tail, into space the packet holds
+        # run writes ahead only what has landed by its turn — taken off
+        # the link, ahead of its cycle or not, or still waiting there —
+        # never the tail, into space the packet holds
         assert front.consumed == stored.flits_written
         link = switch.in_links[port]
-        landed = front.received + link._in_flight.arrived(cycle)
+        landed = front.landed_by(cycle) + link._in_flight.arrived(cycle)
         assert stored.written_by(cycle) <= landed, (cycle, switch.name, port)
         assert stored.owned_space() >= 0
         if stored.last_write > cycle:

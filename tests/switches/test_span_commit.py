@@ -11,10 +11,12 @@ flit by a single cycle.  The sweep below runs the scenarios of
 production flavour and on the dense-kernel/object-flit reference and
 compares, per link, the log of every flit sent ``(cycle, packet, index)``
 and, after every cycle, each link's credit accounting, each input
-buffer's occupancy and each NI's ejection state — the introspection must
-keep the reference timeline while a run is ahead of it — plus credit
-conservation and the two FIFO-front masks on the way.  The unit cases
-pin where a run must stop.
+buffer's occupancy, each input port's worms with the flits of each that
+have landed and its header stamp, and each NI's ejection state — the
+introspection must keep the reference timeline while a run, or a record
+taken whole at its head, is ahead of it — plus credit conservation and
+the two FIFO-front masks on the way.  The unit cases pin where a run
+must stop, and on which cycles a switch is awake at all.
 """
 
 from __future__ import annotations
@@ -25,6 +27,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.schemes import MulticastScheme
+from repro.flits.destset import DestinationSet
+from repro.flits.packet import Message, Packet, TrafficClass
+from repro.flits.worm import Worm
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_workload
@@ -32,9 +37,10 @@ from repro.obs.profile.kernel_profiler import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.routing.base import UpPortPolicy
 from repro.sim.trace import Tracer
-from repro.switches.base import committed_run
+from repro.switches.base import ReplicationMode, committed_run
 from repro.switches.central_buffer import (
     CentralBufferSwitch,
+    _BypassFeed,
     _Ingress,
     _IngressState,
 )
@@ -128,6 +134,10 @@ NARROW_BUFFER = (
 # on either plane — under some of them: the short-pool scenarios run at
 # fixed parameters, below)
 SCENARIOS = SCENARIOS + (LEDGER_STREAM, NARROW_BUFFER)
+#: lock-step branches never commit a run, but their records are taken
+#: whole all the same (the sweep samples this one; it also always runs)
+(SYNC_STREAM,) = (s for s in SCENARIOS if s[0] == "mcast-ib-sync")
+assert SYNC_STREAM[2] == {"replication": ReplicationMode.SYNCHRONOUS}
 
 
 def _bypass_run(ingress, in_link, out_link, now):
@@ -200,19 +210,95 @@ def end_of_cycle(sim):
         sim.now -= 1
 
 
+def queued_records(link):
+    """The span records still in ``link``, oldest first, as ``(arrival,
+    worm, start, count)``."""
+    queue = link._in_flight
+    for record in range(queue._head, queue._tail):
+        slot = record & queue._mask
+        arrival, start, count = queue._arr[3 * slot:3 * slot + 3]
+        yield arrival, queue._worms[slot], start, count
+
+
+def receive_row(switch, port, cycle):
+    """The worms at input ``port``, oldest first, as ``[packet id, flits
+    landed, header stamp]`` at the end of ``cycle`` on the
+    one-flit-per-cycle timeline: what a switch that accepts each flit on
+    the cycle it lands has — whether this one took them ahead of their
+    cycle with their record's head, or has yet to (asleep inside a run,
+    they wait in the link)."""
+    rows = []
+    link = switch.in_links[port]
+    if not switch._inflow[port] and (link is None or not link.in_flight()):
+        return rows
+    for ingress in switch._inflow[port]:
+        stamp = ingress.header_done_cycle
+        landed = ingress.landed_by(cycle)
+        assert 1 <= landed <= ingress.received
+        # a header stamped ahead is not complete yet
+        assert (stamp is not None and stamp <= cycle) == (
+            landed >= ingress.worm.header_flits
+        ), (cycle, switch.name, port)
+        rows.append([
+            ingress.worm.packet.packet_id, landed,
+            stamp if landed >= ingress.worm.header_flits else None,
+        ])
+    for arrival, worm, start, count in (
+        () if link is None else queued_records(link)
+    ):
+        landed = min(count, cycle - arrival + 1)
+        if landed <= 0:
+            break
+        if start:
+            row = rows[-1]
+            assert row[:2] == [worm.packet.packet_id, start]
+            row[1] += landed
+        else:
+            row = [worm.packet.packet_id, landed, None]
+            rows.append(row)
+        header = worm.header_flits
+        if start < header <= start + landed:
+            row[2] = arrival + header - 1 - start
+    return rows
+
+
+def assert_cursors_behind_landings(switch, port, landed, cycle):
+    """No mover of the front worm at ``port`` is, on the timeline, past
+    the ``landed`` flits of it (inside a run its cursor is ahead by the
+    members still to go)."""
+    front = switch._inflow[port][0]
+    where = (cycle, switch.name, port)
+    if isinstance(switch, CentralBufferSwitch):
+        cursor = front.consumed
+        if front.stored is not None:
+            cursor = front.stored.written_by(cycle)
+        elif front.bypass_port is not None:
+            link = switch.out_links[front.bypass_port]
+            cursor -= max(0, link._last_send_cycle - cycle)
+        assert cursor <= landed, where
+        return
+    for branch in front.branches:
+        cursor = branch.read
+        if switch._current[branch.out_port] is branch:
+            link = switch.out_links[branch.out_port]
+            cursor -= max(0, link._last_send_cycle - cycle)
+        assert cursor <= landed, where
+
+
 class TimelineProbe:
     """Kernel probe: after each cycle, every link's accounted credits,
-    every input buffer's occupancy and every NI's ejection state on the
-    one-flit-per-cycle timeline."""
+    every input buffer's occupancy and worms, and every NI's ejection
+    state on the one-flit-per-cycle timeline."""
 
     def __init__(self, network):
         self.network = network
         self.next_cycle = 0
         self.rows = []
-        #: sightings of a central-buffer write / read run ahead of the
-        #: cycle being sampled
+        #: sightings of a central-buffer write / read run, and of a worm
+        #: with flits taken off its in-link, ahead of the cycle sampled
         self.write_runs = 0
         self.read_runs = 0
+        self.taken_ahead = 0
 
     def sample(self, cycle):
         self.next_cycle = cycle + 1
@@ -239,6 +325,15 @@ class TimelineProbe:
                         cycle, switch.name, port,
                     )
                 row.append(held)
+                worms = receive_row(switch, port, cycle)
+                row.append(worms)
+                if switch._inflow[port]:
+                    assert_cursors_behind_landings(
+                        switch, port, worms[0][1], cycle
+                    )
+                    self.taken_ahead += (
+                        switch._inflow[port][-1].last_landing > cycle
+                    )
         with end_of_cycle(network.sim):
             for interface in network.interfaces:
                 link = interface.in_link
@@ -282,7 +377,7 @@ def timeline(config, make_workload):
     # a span logs its members when it is committed: order by send cycle
     return (
         observables, {n: sorted(s) for n, s in flits.items()}, probe.rows,
-        committed, (probe.write_runs, probe.read_runs),
+        committed, (probe.write_runs, probe.read_runs), probe.taken_ahead,
     )
 
 
@@ -296,8 +391,8 @@ def assert_same_timeline(config, make_workload, dense):
     assert fast[0] == reference[0]
     assert fast[1] == reference[1]
     assert fast[2] == reference[2]
-    assert not reference[3] and reference[4] == (0, 0)
-    return fast[3], fast[4]
+    assert not reference[3] and reference[4:] == ((0, 0), 0)
+    return fast[3], fast[4], fast[5]
 
 
 class TestCommittedRunsAreTheReference:
@@ -333,7 +428,11 @@ class TestCommittedRunsAreTheReference:
         config = SimulationConfig(
             switch_architecture=architecture, seed=1, **overrides
         )
-        committed, _ = assert_same_timeline(config, make_workload, dense)
+        committed, _, taken_ahead = assert_same_timeline(
+            config, make_workload, dense
+        )
+        # the rows were read with records taken ahead of their members
+        assert taken_ahead
         # and it was swept as runs: worms of 64 flits and more leave in a
         # few calls per hop, and siblings that could send together did
         assert sum(call[-1] for call in committed) > 10 * len(committed)
@@ -349,12 +448,13 @@ class TestCommittedRunsAreTheReference:
         config = SimulationConfig(
             switch_architecture=architecture, seed=1, **overrides
         )
-        committed, (write_runs, read_runs) = assert_same_timeline(
-            config, make_workload, dense
+        committed, (write_runs, read_runs), taken_ahead = (
+            assert_same_timeline(config, make_workload, dense)
         )
         # written and read as runs: a worm crosses a central buffer in a
-        # few calls each way, not one per flit
-        assert write_runs and read_runs
+        # few calls each way, not one per flit — and taken off the links
+        # as records, ahead of their members
+        assert write_runs and read_runs and taken_ahead
         assert sum(call[-1] for call in committed) > 5 * len(committed)
 
     @pytest.mark.parametrize("dense", [False, True])
@@ -371,13 +471,13 @@ class TestCommittedRunsAreTheReference:
         )
         refused = count_refusals()
         with refused:
-            _, (write_runs, read_runs) = assert_same_timeline(
+            _, (write_runs, read_runs), taken_ahead = assert_same_timeline(
                 config, make_workload, dense
             )
         # the pool did refuse — writes for the unicasts, admissions for
         # the multidestination worms — and runs were committed around it
         assert refused.count > 50
-        assert write_runs and read_runs
+        assert write_runs and read_runs and taken_ahead
 
     @pytest.mark.parametrize("dense", [False, True])
     def test_contended_bandwidth_commits_no_central_buffer_run(self, dense):
@@ -386,12 +486,24 @@ class TestCommittedRunsAreTheReference:
             num_hosts=16, switch_architecture=architecture, seed=5,
             **overrides,
         )
-        committed, cb_runs = assert_same_timeline(config, make_workload, dense)
+        committed, cb_runs, taken_ahead = assert_same_timeline(
+            config, make_workload, dense
+        )
         # fewer grants than askers: bandwidth is a timing input, every
         # flit through the buffer takes the arbitrated path (the bypass
         # feeds, which do not contend for it, still commit)
         assert cb_runs == (0, 0)
-        assert committed
+        assert committed and taken_ahead
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_lock_step_branches_match_every_cycle(self, dense):
+        _, architecture, overrides, make_workload = SYNC_STREAM
+        config = SimulationConfig(
+            num_hosts=16, switch_architecture=architecture, seed=5,
+            **overrides,
+        )
+        _, _, taken_ahead = assert_same_timeline(config, make_workload, dense)
+        assert taken_ahead
 
 
 class count_refusals:
@@ -556,24 +668,44 @@ def log_buffer_runs():
         CentralBufferPool.release_at = release_at
 
 
+def log_takes(network):
+    """Every record handed over by a link as ``(link, cycle, packet id,
+    start, count)``, in the order taken."""
+    takes = []
+    for link in network.links:
+        def logged(now, limit=None, _take=link.receive_span,
+                   _name=link.name):
+            span = _take(now, limit)
+            if span is not None:
+                worm, start, count = span
+                takes.append(
+                    (_name, now, worm.packet.packet_id, start, count)
+                )
+            return span
+
+        link.receive_span = logged
+    return takes
+
+
 class TestObservedIsProduction:
     """Telemetry watches the run, it does not select it: with registry
     *and* tracer enabled every component ticks on the cycles, and every
-    link carries the send calls, of the same network built with
-    neither."""
+    link carries the send calls and hands over the records, of the same
+    network built with neither."""
 
     @staticmethod
     def execution(config, make_workload, **observers):
         network = build_network(config, **observers)
         calls = []
         log_sends(network, calls)
+        takes = log_takes(network)
         ticks = TickLog(network.sim)
         network.sim.attach_profiler(ticks)
         with log_buffer_runs() as buffered:
             result = run_workload(network, make_workload())
         return (
             (result.cycles, result.summary()),
-            ticks.ticks_by_class, ticks.ticked, calls, buffered,
+            ticks.ticks_by_class, ticks.ticked, calls, buffered, takes,
         )
 
     @pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
@@ -595,11 +727,109 @@ class TestObservedIsProduction:
         assert registry.counters["switch.flits_forwarded"].value > 0
         assert tracer.records
         assert any(count > 1 for *_, count in observed[3])
+        # ... and takes records whole: fewer takes than send calls would
+        # be one per record (sends merge), several per record one per
+        # landing
+        assert len(observed[5]) < 1.5 * len(observed[3])
         # central-buffer write runs and dated releases among them
         kinds = {kind for kind, *_ in observed[4]}
         assert kinds == (
             {"write_run", "release_at"} if architecture is CB else set()
         )
+
+
+class TestSleepRule:
+    """The cycles a switch is awake on, exactly: an arrival is an event
+    once per send, taking a record is not a stir, and what its later
+    members allow is dated."""
+
+    @staticmethod
+    def ticked(network):
+        (switch,) = network.switches
+        ticks = []
+        tick = switch.tick
+        switch.tick = lambda now: (ticks.append(now), tick(now))
+        return switch, ticks
+
+    def test_one_unicast_through_an_idle_central_buffer_switch(self):
+        config = one_switch_config()
+        assert (config.link_latency, config.routing_delay) == (1, 2)
+        assert config.input_fifo_depth == 8
+        network = build_network(config)
+        _, ticks = self.ticked(network)
+        schedule_unicast(network, 5, 0, 7, 24)  # 25 flits
+        run_to_quiescence(network)
+        # the NI sends what the FIFO's credits admit, 8 flits at cycle 6
+        # and again as each bypass run hands the slots back
+        assert ticks == [
+            0,   # registration
+            7,   # the header lands, with its record: sleep to the expiry
+            9,   # routing delay over: bypass, a run of 8 (cycles 9-16)
+            15,  # the NI's second span (its own hook); inside the run
+            17,  # run over: the next 8
+            23, 25,  # and again
+            31,  # the tail lands, alone
+            33,  # run over: the tail leaves
+        ]
+
+    def test_one_unicast_through_an_idle_input_buffer_switch(self):
+        config = one_buffer_switch_config()
+        assert (config.link_latency, config.routing_delay) == (1, 2)
+        network = build_network(config)
+        _, ticks = self.ticked(network)
+        schedule_unicast(network, 5, 0, 7, 24)
+        run_to_quiescence(network)
+        # the buffer holds the worm and the NI sends it as one record:
+        # header landing, routing expiry (a run of 24), run end (tail)
+        assert ticks == [0, 7, 9, 33]
+
+    @pytest.mark.parametrize("config", (
+        one_switch_config(input_fifo_depth=16), one_buffer_switch_config(),
+    ), ids=("cb", "ib"))
+    def test_a_record_behind_a_credit_blocked_worm_costs_one_tick(
+        self, config
+    ):
+        network = build_network(config)
+        switch, ticks = self.ticked(network)
+        out_link = switch.out_links[7]
+        out_link._unthrottled, out_link._credits = False, 0
+        schedule_unicast(network, 5, 0, 7, 3)   # 4 flits, as one record
+        schedule_unicast(network, 20, 0, 7, 7)  # 8 flits, as one record
+        network.sim.run(60)
+        # the front worm is routed and refused a credit that never
+        # comes; the record behind it lands over cycles 22-29 and is
+        # taken at 22
+        assert ticks == [0, 7, 9, 22]
+        front, behind = switch._inflow[0]
+        assert (behind.received, behind.last_landing) == (8, 29)
+        assert out_link._credit_wanted and not out_link.flits_sent
+
+
+    @pytest.mark.parametrize("config", (
+        one_switch_config(), one_buffer_switch_config(),
+    ), ids=("cb", "ib"))
+    def test_taking_a_record_is_not_a_stir(self, config):
+        # a header of three flits whose first two arrive alone: nothing
+        # is dated yet and nothing can move, so the switch must not look
+        # again before the send that completes the header (a switch
+        # stirred by the accept would: a front worm still arriving is
+        # none of the things `_inside_runs` lets it sleep on)
+        network = build_network(config)
+        switch, ticks = self.ticked(network)
+        destinations = DestinationSet.single(config.num_hosts, 5)
+        message = Message(0, 0, destinations, 5, TrafficClass.UNICAST, 0)
+        worm = Worm.root(Packet(0, message, destinations, 3, 5))
+        link = switch.in_links[0]
+        network.interfaces[5].on_delivery(lambda worm, now: None)
+        sim = network.sim
+        sim.schedule_at(5, lambda: link.send_span(5, worm, 0, 2))
+        sim.schedule_at(10, lambda: link.send_span(10, worm, 2, 6))
+        sim.run(40)
+        # lands 6-7 and 11-16; flit 2 completes the header at 11, the
+        # routing delay runs to 13, the run of 7 (0-6) ends at 20 (CB: a
+        # FIFO of 8 already holds it all) and the tail leaves
+        assert ticks == [0, 6, 11, 13, 20]
+        assert switch.idle()
 
 
 class TestRunBoundaries:
@@ -670,6 +900,132 @@ class TestRunBoundaries:
         )
         assert _bypass_run(ingress, in_link, out_link, self.NOW) == 0
 
+    def test_flits_taken_ahead_count_and_the_record_behind_them_too(self):
+        # flits 0..5 were taken with their record's head, the last of
+        # them lands at NOW+3 (so 0..2 have landed); the send that
+        # continues them is a record of its own, its head at NOW+4
+        worm, ingress, in_link, out_link = self.rig(received=6)
+        ingress.last_landing = self.NOW + 3
+        assert ingress.landed_by(self.NOW) == 3
+        in_link.send_span(self.NOW + 3, worm, 6, 2)  # lands NOW+4, NOW+5
+        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 8
+        # a mover that has caught up with the landings has no run — it
+        # does not get this far, see TestDatedReceive — and one flit
+        # behind them it has them all
+        ingress.consumed = 2
+        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 6
+
+
+class TestDatedReceive:
+    """No flit moves, and nobody is counted blocked on it, before the
+    cycle it lands: every mover tests its cursor against
+    ``landed_by(now)``, whatever ``received`` says.  (A mover looked at
+    once per cycle never gets ahead of the landings by itself; these
+    cases put it there by hand.)"""
+
+    NOW = 20
+
+    def taken_ahead(self, ingress, received, landed):
+        """``received`` flits taken, ``landed`` of them by ``NOW``."""
+        ingress.received = received
+        ingress.last_landing = self.NOW + received - landed
+        assert ingress.landed_by(self.NOW) == landed
+        assert ingress.landed_by(self.NOW + 1) == landed + 1
+
+    def test_a_central_buffer_writer_waits_for_the_landing(self):
+        rig = TestCentralBufferRuns()
+        switch, ingress, stored, _ = rig.rig(received=8)
+        rig.written(stored, 3)
+        ingress.consumed = 3
+        self.taken_ahead(ingress, received=8, landed=3)
+        switch._write_central_buffer(self.NOW)
+        assert (ingress.consumed, stored.flits_written) == (3, 3)
+        assert not switch._write_standing and not switch._stirred
+        switch.sim.now = self.NOW
+        assert switch.fifo_occupancy(0) == 0
+        # the cycle flit 3 lands, the four taken behind it follow it
+        switch._write_central_buffer(self.NOW + 1)
+        assert (stored.flits_written, stored.last_write) == (
+            8, self.NOW + 5
+        )
+
+    def bypass_rig(self):
+        network = build_network(one_switch_config())
+        (switch,) = network.switches
+        worm = make_worm(size=12)
+        ingress = _Ingress(worm)
+        ingress.state = _IngressState.STREAM_BYPASS
+        ingress.bypass_worm, ingress.bypass_port = worm, 7
+        switch._inflow[0].append(ingress)
+        switch._ingress_occupied = 1
+        feed = switch._out_current[7] = _BypassFeed(0, ingress)
+        switch._egress_busy = 1 << 7
+        _, spans = log_sends(network)
+        return switch, ingress, feed, spans[switch.out_links[7].name]
+
+    def test_a_bypass_feed_waits_for_the_landing(self):
+        switch, ingress, feed, sent = self.bypass_rig()
+        ingress.consumed = 3
+        self.taken_ahead(ingress, received=8, landed=3)
+        switch._advance_bypass(7, feed, self.NOW)
+        assert not sent and ingress.consumed == 3 and not switch._stirred
+        # out of flits for now, but not for the next cycle: it polls
+        switch._stirred = True
+        assert not switch._inside_runs(self.NOW)
+        switch._advance_bypass(7, feed, self.NOW + 1)
+        assert [call[2:] for call in sent] == [(3, 5)]
+        assert switch._inside_runs(self.NOW + 1)
+
+    def branch_rig(self, reads, **observers):
+        """``TestGroupBoundaries.rig``: a front worm at input 0 with one
+        branch per output from 1 up; the span calls per output."""
+        switch, ingress, calls = TestGroupBoundaries().rig(
+            reads, **observers
+        )
+        return switch, ingress, calls[1:len(reads) + 1]
+
+    def test_an_input_buffer_branch_waits_and_is_not_counted_blocked(self):
+        registry = MetricsRegistry(enabled=True)
+        switch, ingress, (sent,) = self.branch_rig((10,), metrics=registry)
+        self.taken_ahead(ingress, received=30, landed=10)
+        link = switch.out_links[1]
+        link._unthrottled, link._credits = False, 0
+        blocked = registry.counters["switch.blocked_cycles"]
+        switch._drive_outputs(self.NOW)
+        assert not sent and blocked.value == 0
+        assert not link._credit_wanted  # nor was the link even asked
+        # out of flits for now, but not for the next cycle: it polls
+        assert not switch._inside_runs(self.NOW)
+        # with its flit there it is short of a credit, and counted —
+        # and sleeps on the link's wake
+        switch._drive_outputs(self.NOW + 1)
+        assert not sent and blocked.value == 1 and link._credit_wanted
+        assert switch._inside_runs(self.NOW + 1)
+        link._credits = 40
+        switch._drive_outputs(self.NOW + 2)
+        assert [call[2:] for call in sent] == [(10, 20)]
+
+    def test_a_group_leaves_out_the_branch_that_has_caught_up(self):
+        switch, ingress, (behind, ahead) = self.branch_rig((10, 12))
+        self.taken_ahead(ingress, received=30, landed=12)
+        assert switch._commit_group(0, ingress, self.NOW) == 2
+        # the branch at 12 has no flit yet: it stays, and caps the run
+        assert [call[2:] for call in behind] == [(10, 2)] and not ahead
+
+    def test_lock_step_branches_wait_for_the_landing(self):
+        switch, ingress, (first, second) = self.branch_rig((10, 10))
+        self.taken_ahead(ingress, received=30, landed=10)
+        flits = []
+        for link in switch.out_links[1:3]:
+            link.send_packed = (
+                lambda now, worm, index, _name=link.name:
+                flits.append((_name, now, index))
+            )
+        switch._advance_lockstep(ingress, self.NOW)
+        assert not flits and not switch._stirred
+        switch._advance_lockstep(ingress, self.NOW + 1)
+        assert [flit[1:] for flit in flits] == [(self.NOW + 1, 10)] * 2
+
 
 class TestGroupBoundaries:
     """``InputBufferSwitch._commit_group`` on a hand-built front worm:
@@ -679,8 +1035,8 @@ class TestGroupBoundaries:
     NOW = 20
     SIZE = 40
 
-    def rig(self, reads, received=30):
-        network = build_network(one_buffer_switch_config())
+    def rig(self, reads, received=30, **observers):
+        network = build_network(one_buffer_switch_config(), **observers)
         (switch,) = network.switches
         assert isinstance(switch, InputBufferSwitch)
         worm = make_worm(size=self.SIZE)
@@ -688,11 +1044,13 @@ class TestGroupBoundaries:
         ingress.received = received
         ingress.freed = min(reads)
         switch._inflow[0].append(ingress)
+        switch._ingress_occupied = 1
         for out_port, read in enumerate(reads, start=1):
             branch = _Branch(worm, out_port, 0, ingress)
             branch.read = read
             ingress.branches.append(branch)
             switch._current[out_port] = branch
+            switch._egress_busy |= 1 << out_port
         _, spans = log_sends(network)
         calls = [
             spans[link.name] if link is not None else []
@@ -851,6 +1209,11 @@ class TestCentralBufferRuns:
         switch.sim.now = self.NOW + 2
         assert switch.fifo_occupancy(0) == 5
         assert switch._inside_runs(self.NOW + 2)
+        # past the run the writer waits for the send that brings flit 8,
+        # and polls as soon as that has landed
+        assert switch._inside_runs(self.NOW + 7)
+        ingress.received, ingress.last_landing = 10, self.NOW + 9
+        assert switch._inside_runs(self.NOW + 6)
         assert not switch._inside_runs(self.NOW + 7)
 
     def test_the_tail_is_never_written_by_a_run(self):
