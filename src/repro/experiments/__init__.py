@@ -24,12 +24,17 @@ X3     extension: central-buffer occupancy by level    extensions
 X4     extension: scheme generality across topologies  cross_topology
 =====  ==============================================  =====================
 
-Each experiment is two functions and one record (see
-:mod:`repro.experiments.parallel`): ``plan_*`` declares the grid of
-independent :class:`~repro.experiments.parallel.RunSpec`\\ s, a pure
-``reduce_*`` folds per-run values into table rows in declared grid order,
-and an :class:`~repro.experiments.common.Experiment` record binds the
-two to the experiment's id under its ``run_*`` name.  Calling the record,
+Each experiment is one :class:`~repro.experiments.common.Experiment`
+record under its ``run_*`` name.  Thirteen are full grids and are
+*declared*: :func:`~repro.experiments.common.sweep` takes the plan's
+parameters and defaults, the ordered axes, the
+:class:`~repro.experiments.parallel.RunSpec` of one grid point and the
+folds over a point's per-seed results, and owns the axes x seeds
+product, the spec keys, the seed fold and the table pivot.  Three are not
+grids of that shape and keep a hand-written ``plan_*``/``reduce_*`` pair:
+A3 (one wide row per size, half of it closed-form header sizes), X3
+(each run returns a per-level map, and the levels become the rows) and E7
+(one calibration run).  Calling a record,
 ``run_*(scale, jobs=N, progress=..., **plan_params)``, plans, executes
 and reduces: ``scale`` is a :class:`~repro.experiments.common.Scale`
 (``QUICK`` for benches/CI, ``PAPER`` for full-size runs), ``jobs=N`` fans

@@ -30,7 +30,10 @@ from repro.experiments.common import (
     Scheme,
     base_config,
     mean,
+    op_latency,
     summary_spec,
+    sweep,
+    unicast_latency,
 )
 from repro.experiments.parallel import ExecutionPlan, Key
 from repro.flits.destset import DestinationSet
@@ -45,73 +48,44 @@ from repro.traffic.unicast import UniformRandomUnicast
 # ----------------------------------------------------------------------
 # A1: central-buffer bandwidth
 # ----------------------------------------------------------------------
-def plan_cb_bandwidth_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    bandwidths: Sequence[int] = (1, 2, 4, 8),
-    num_multicasts: int = 8,
-    degree: int = 8,
-    payload_flits: int = 64,
-) -> ExecutionPlan:
-    """Declare A1's (bandwidth x seed) grid."""
-    seeds = scale.seeds()
-    specs = []
-    for bandwidth in bandwidths:
-        for seed in seeds:
-            specs.append(
-                summary_spec(
-                    (bandwidth, seed),
-                    base_config(
-                        num_hosts,
-                        seed=seed,
-                        cb_write_bandwidth=bandwidth,
-                        cb_read_bandwidth=bandwidth,
-                    ),
-                    scale,
-                    MultipleMulticastBurst,
-                    num_multicasts=num_multicasts,
-                    degree=degree,
-                    payload_flits=payload_flits,
-                    scheme=Scheme.CB_HW.multicast_scheme,
-                )
-            )
-    meta = dict(
-        num_hosts=num_hosts,
-        bandwidths=tuple(bandwidths),
-        num_multicasts=num_multicasts,
-        degree=degree,
-        seeds=seeds,
+def _a1_spec(p, key, bandwidth, seed):
+    return summary_spec(
+        key,
+        base_config(
+            p.num_hosts,
+            seed=seed,
+            cb_write_bandwidth=bandwidth,
+            cb_read_bandwidth=bandwidth,
+        ),
+        p.scale,
+        MultipleMulticastBurst,
+        num_multicasts=p.num_multicasts,
+        degree=p.degree,
+        payload_flits=p.payload_flits,
+        scheme=Scheme.CB_HW.multicast_scheme,
     )
-    return ExecutionPlan("a1", specs, meta)
-
-
-def reduce_cb_bandwidth_ablation(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into A1's table, in declared grid order."""
-    meta = plan.meta
-    table = Table(
-        f"A1: central-buffer bandwidth (N={meta['num_hosts']}, "
-        f"m={meta['num_multicasts']}, d={meta['degree']}) "
-        "— mean last-arrival latency [cycles]",
-        ["flits/cycle", "cb-hw"],
-    )
-    result = ExperimentResult("a1_cb_bandwidth", table)
-    for bandwidth in meta["bandwidths"]:
-        latency = mean(
-            [
-                results[(bandwidth, seed)].op_last_latency.mean
-                for seed in meta["seeds"]
-            ]
-        )
-        table.add_row(bandwidth, latency)
-        result.rows.append({"bandwidth": bandwidth, "latency": latency})
-    return result
 
 
 #: A1: E1's workload under reduced central-buffer port bandwidth
-run_cb_bandwidth_ablation = Experiment(
-    "a1", plan_cb_bandwidth_ablation, reduce_cb_bandwidth_ablation,
+run_cb_bandwidth_ablation = sweep(
+    "a1",
+    "a1_cb_bandwidth",
+    defaults=dict(
+        num_hosts=64,
+        bandwidths=(1, 2, 4, 8),
+        num_multicasts=8,
+        degree=8,
+        payload_flits=64,
+    ),
+    axes=lambda p: [("bandwidth", p.bandwidths)],
+    spec=_a1_spec,
+    measures={"latency": op_latency},
+    title=lambda p: (
+        f"A1: central-buffer bandwidth (N={p.num_hosts}, "
+        f"m={p.num_multicasts}, d={p.degree}) "
+        "— mean last-arrival latency [cycles]"
+    ),
+    columns=lambda p: ["flits/cycle", "cb-hw"],
     chart=("bandwidth", "latency", None),
 )
 
@@ -119,73 +93,36 @@ run_cb_bandwidth_ablation = Experiment(
 # ----------------------------------------------------------------------
 # A2: LCA routing mode
 # ----------------------------------------------------------------------
-def plan_routing_mode_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    degrees: Sequence[int] = (4, 8, 16, 32),
-    payload_flits: int = 64,
-) -> ExecutionPlan:
-    """Declare A2's (degree x mode x seed) grid."""
-    modes = list(MulticastRoutingMode)
-    seeds = scale.seeds()
-    specs = []
-    for degree in degrees:
-        for mode in modes:
-            for seed in seeds:
-                specs.append(
-                    summary_spec(
-                        (degree, mode.value, seed),
-                        base_config(num_hosts, seed=seed, multicast_mode=mode),
-                        scale,
-                        SingleMulticast,
-                        source=seed % num_hosts,
-                        degree=degree,
-                        payload_flits=payload_flits,
-                        scheme=Scheme.CB_HW.multicast_scheme,
-                    )
-                )
-    meta = dict(
-        num_hosts=num_hosts,
-        degrees=tuple(degrees),
-        modes=modes,
-        seeds=seeds,
+def _a2_spec(p, key, degree, mode, seed):
+    return summary_spec(
+        key,
+        base_config(p.num_hosts, seed=seed, multicast_mode=mode),
+        p.scale,
+        SingleMulticast,
+        source=seed % p.num_hosts,
+        degree=degree,
+        payload_flits=p.payload_flits,
+        scheme=Scheme.CB_HW.multicast_scheme,
     )
-    return ExecutionPlan("a2", specs, meta)
-
-
-def reduce_routing_mode_ablation(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into A2's table, in declared grid order."""
-    meta = plan.meta
-    modes = meta["modes"]
-    table = Table(
-        f"A2: multicast routing mode (N={meta['num_hosts']}) — "
-        "mean last-arrival latency [cycles]",
-        ["degree"] + [mode.value for mode in modes],
-    )
-    result = ExperimentResult("a2_routing_mode", table)
-    for degree in meta["degrees"]:
-        cells = [degree]
-        for mode in modes:
-            latency = mean(
-                [
-                    results[(degree, mode.value, seed)].op_last_latency.mean
-                    for seed in meta["seeds"]
-                ]
-            )
-            cells.append(latency)
-            result.rows.append(
-                {"degree": degree, "mode": mode.value, "latency": latency}
-            )
-        table.add_row(*cells)
-    return result
 
 
 #: A2: turnaround vs. branch-on-up LCA routing on E2's workload
-run_routing_mode_ablation = Experiment(
-    "a2", plan_routing_mode_ablation, reduce_routing_mode_ablation,
+run_routing_mode_ablation = sweep(
+    "a2",
+    "a2_routing_mode",
+    defaults=dict(num_hosts=64, degrees=(4, 8, 16, 32), payload_flits=64),
+    axes=lambda p: [("degree", p.degrees), ("mode", MulticastRoutingMode)],
+    spec=_a2_spec,
+    measures={"latency": op_latency},
+    title=lambda p: (
+        f"A2: multicast routing mode (N={p.num_hosts}) — "
+        "mean last-arrival latency [cycles]"
+    ),
+    columns=lambda p: ["degree"] + [m.value for m in MulticastRoutingMode],
 )
+#: the names the performance ledger imports
+plan_routing_mode_ablation = run_routing_mode_ablation.plan
+reduce_routing_mode_ablation = run_routing_mode_ablation.reduce
 
 
 # ----------------------------------------------------------------------
@@ -290,92 +227,54 @@ run_encoding_ablation = Experiment(
 # ----------------------------------------------------------------------
 # A4: replication discipline
 # ----------------------------------------------------------------------
-def plan_replication_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 16,
-    concurrency: Sequence[int] = (2, 4, 8, 16),
-    degree: int = 6,
-    payload_flits: int = 48,
-) -> ExecutionPlan:
-    """Declare A4's (m x mode x seed) grid.
-
-    Both modes run on the input-buffer switch (synchronous replication
-    needs the per-switch arbitration of ref [6], which the IB design
-    hosts naturally).  Under concurrent multicasts, lock-step forwarding
-    lets any blocked branch stall its whole worm, and the single-worm-
-    at-a-time port arbitration serializes replication at each switch —
-    the performance argument for the paper's asynchronous choice.
-    """
-    modes = list(ReplicationMode)
-    seeds = scale.seeds()
-    specs = []
-    for m in concurrency:
-        for mode in modes:
-            for seed in seeds:
-                specs.append(
-                    summary_spec(
-                        (m, mode.value, seed),
-                        base_config(
-                            num_hosts,
-                            seed=seed,
-                            switch_architecture=(
-                                SwitchArchitecture.INPUT_BUFFER
-                            ),
-                            replication=mode,
-                        ),
-                        scale,
-                        MultipleMulticastBurst,
-                        num_multicasts=m,
-                        degree=degree,
-                        payload_flits=payload_flits,
-                        scheme=Scheme.IB_HW.multicast_scheme,
-                    )
-                )
-    meta = dict(
-        num_hosts=num_hosts,
-        concurrency=tuple(concurrency),
-        degree=degree,
-        modes=modes,
-        seeds=seeds,
+def _a4_spec(p, key, m, mode, seed):
+    return summary_spec(
+        key,
+        base_config(
+            p.num_hosts,
+            seed=seed,
+            switch_architecture=SwitchArchitecture.INPUT_BUFFER,
+            replication=mode,
+        ),
+        p.scale,
+        MultipleMulticastBurst,
+        num_multicasts=m,
+        degree=p.degree,
+        payload_flits=p.payload_flits,
+        scheme=Scheme.IB_HW.multicast_scheme,
     )
-    return ExecutionPlan("a4", specs, meta)
 
 
-def reduce_replication_ablation(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into A4's table, in declared grid order."""
-    meta = plan.meta
-    modes = meta["modes"]
-    table = Table(
+#: A4: asynchronous vs. synchronous replication (paper §3).  Both modes
+#: run on the input-buffer switch (synchronous replication needs the
+#: per-switch arbitration of ref [6], which the IB design hosts
+#: naturally).  Under concurrent multicasts, lock-step forwarding lets
+#: any blocked branch stall its whole worm, and the single-worm-at-a-time
+#: port arbitration serializes replication at each switch — the
+#: performance argument for the paper's asynchronous choice.
+run_replication_ablation = sweep(
+    "a4",
+    "a4_replication",
+    defaults=dict(
+        num_hosts=16,
+        concurrency=(2, 4, 8, 16),
+        degree=6,
+        payload_flits=48,
+    ),
+    axes=lambda p: [("m", p.concurrency), ("replication", ReplicationMode)],
+    spec=_a4_spec,
+    measures={"latency": op_latency},
+    title=lambda p: (
         f"A4: replication discipline on the IB switch "
-        f"(N={meta['num_hosts']}, d={meta['degree']}) "
-        "— mean last-arrival latency [cycles]",
-        ["m"] + [mode.value for mode in modes],
-    )
-    result = ExperimentResult("a4_replication", table)
-    for m in meta["concurrency"]:
-        cells = [m]
-        for mode in modes:
-            latency = mean(
-                [
-                    results[(m, mode.value, seed)].op_last_latency.mean
-                    for seed in meta["seeds"]
-                ]
-            )
-            cells.append(latency)
-            result.rows.append(
-                {"m": m, "replication": mode.value, "latency": latency}
-            )
-        table.add_row(*cells)
-    return result
-
-
-#: A4: asynchronous vs. synchronous replication (paper §3)
-run_replication_ablation = Experiment(
-    "a4", plan_replication_ablation, reduce_replication_ablation,
+        f"(N={p.num_hosts}, d={p.degree}) "
+        "— mean last-arrival latency [cycles]"
+    ),
+    columns=lambda p: ["m"] + [mode.value for mode in ReplicationMode],
     chart=("m", "latency", "replication"),
 )
+#: the names the performance ledger imports
+plan_replication_ablation = run_replication_ablation.plan
+reduce_replication_ablation = run_replication_ablation.reduce
 
 
 # ----------------------------------------------------------------------
@@ -390,80 +289,42 @@ EQUAL_STORAGE_VARIANTS = (
 )
 
 
-def plan_equal_storage_ablation(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    loads: Sequence[float] = (0.3, 0.45, 0.6),
-    payload_flits: int = 32,
-) -> ExecutionPlan:
-    """Declare A5's (load x variant x seed) grid.
-
-    Compares three switches with identical behaviourally relevant totals:
-    the central-buffer switch (2048 shared flits), the input-buffer
-    switch at its minimal legal size (one max packet per input), and the
-    input-buffer switch given the same 2048 flits of storage as the
-    central buffer (256 flits per input, ~1.9 packets each).  If sharing
-    is what matters — the claim of refs [36, 37] the paper builds on —
-    the equal-storage IB switch must still trail the CB switch.
-    """
-    seeds = scale.seeds()
-    specs = []
-    for load in loads:
-        for name, scheme, buffer_flits in EQUAL_STORAGE_VARIANTS:
-            for seed in seeds:
-                config = scheme.apply(base_config(num_hosts, seed=seed))
-                if buffer_flits is not None:
-                    config = config.derived(input_buffer_flits=buffer_flits)
-                specs.append(
-                    summary_spec(
-                        (load, name, seed),
-                        config,
-                        scale,
-                        UniformRandomUnicast,
-                        load=load,
-                        payload_flits=payload_flits,
-                        warmup_cycles=scale.warmup_cycles,
-                        measure_cycles=scale.measure_cycles,
-                    )
-                )
-    meta = dict(
-        num_hosts=num_hosts,
-        loads=tuple(loads),
-        seeds=seeds,
+def _a5_spec(p, key, load, variant, seed):
+    _, scheme, buffer_flits = variant
+    config = scheme.apply(base_config(p.num_hosts, seed=seed))
+    if buffer_flits is not None:
+        config = config.derived(input_buffer_flits=buffer_flits)
+    return summary_spec(
+        key,
+        config,
+        p.scale,
+        UniformRandomUnicast,
+        load=load,
+        payload_flits=p.payload_flits,
+        warmup_cycles=p.scale.warmup_cycles,
+        measure_cycles=p.scale.measure_cycles,
     )
-    return ExecutionPlan("a5", specs, meta)
 
 
-def reduce_equal_storage_ablation(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into A5's table, in declared grid order."""
-    meta = plan.meta
-    table = Table(
-        f"A5: equal-storage comparison (N={meta['num_hosts']}) — "
-        "unicast latency [cycles]",
-        ["load"] + [name for name, _, _ in EQUAL_STORAGE_VARIANTS],
-    )
-    result = ExperimentResult("a5_equal_storage", table)
-    for load in meta["loads"]:
-        cells = [load]
-        for name, _, _ in EQUAL_STORAGE_VARIANTS:
-            latencies = []
-            for seed in meta["seeds"]:
-                summary = results[(load, name, seed)]
-                if summary.unicast_latency.count:
-                    latencies.append(summary.unicast_latency.mean)
-            latency = mean(latencies)
-            cells.append(latency)
-            result.rows.append(
-                {"load": load, "variant": name, "latency": latency}
-            )
-        table.add_row(*cells)
-    return result
-
-
-#: A5: is the central buffer's win just more silicon?
-run_equal_storage_ablation = Experiment(
-    "a5", plan_equal_storage_ablation, reduce_equal_storage_ablation,
+#: A5: is the central buffer's win just more silicon?  Compares three
+#: switches with identical behaviourally relevant totals: the
+#: central-buffer switch (2048 shared flits), the input-buffer switch at
+#: its minimal legal size (one max packet per input), and the
+#: input-buffer switch given the same 2048 flits of storage as the
+#: central buffer (256 flits per input, ~1.9 packets each).  If sharing
+#: is what matters — the claim of refs [36, 37] the paper builds on —
+#: the equal-storage IB switch must still trail the CB switch.
+run_equal_storage_ablation = sweep(
+    "a5",
+    "a5_equal_storage",
+    defaults=dict(num_hosts=64, loads=(0.3, 0.45, 0.6), payload_flits=32),
+    axes=lambda p: [("load", p.loads), ("variant", EQUAL_STORAGE_VARIANTS)],
+    spec=_a5_spec,
+    measures={"latency": unicast_latency},
+    title=lambda p: (
+        f"A5: equal-storage comparison (N={p.num_hosts}) — "
+        "unicast latency [cycles]"
+    ),
+    columns=lambda p: ["load"] + [v[0] for v in EQUAL_STORAGE_VARIANTS],
     chart=("load", "latency", "variant"),
 )

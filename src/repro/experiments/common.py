@@ -3,8 +3,20 @@
 from __future__ import annotations
 
 import enum
+import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple, Type
+from types import SimpleNamespace
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Type,
+)
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
 from repro.experiments.parallel import (
@@ -32,16 +44,12 @@ class Scheme(enum.Enum):
 
     def apply(self, config: SimulationConfig) -> SimulationConfig:
         """The simulation config realising this scheme."""
-        if self is Scheme.CB_HW:
-            return config.derived(
-                switch_architecture=SwitchArchitecture.CENTRAL_BUFFER
-            )
-        if self is Scheme.IB_HW:
-            return config.derived(
-                switch_architecture=SwitchArchitecture.INPUT_BUFFER
-            )
         return config.derived(
-            switch_architecture=SwitchArchitecture.CENTRAL_BUFFER
+            switch_architecture=(
+                SwitchArchitecture.INPUT_BUFFER
+                if self is Scheme.IB_HW
+                else SwitchArchitecture.CENTRAL_BUFFER
+            )
         )
 
     @property
@@ -228,3 +236,100 @@ def summary_spec(
             max_cycles=scale.max_cycles,
         ),
     )
+
+
+def op_latency(p: SimpleNamespace, runs: Sequence[RunSummary]) -> float:
+    """Seed mean of the per-operation last-arrival latency."""
+    return mean([run.op_last_latency.mean for run in runs])
+
+
+def unicast_latency(p: SimpleNamespace, runs: Sequence[RunSummary]) -> float:
+    """Seed mean of the unicast delivery latency, over the seeds whose
+    measurement window saw a delivery."""
+    return mean(
+        [
+            run.unicast_latency.mean
+            for run in runs
+            if run.unicast_latency.count
+        ]
+    )
+
+
+def _label(value: object) -> object:
+    """An axis value as spec keys, rows and table cells show it."""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, tuple):
+        return value[0]
+    return value
+
+
+def sweep(
+    id: str,
+    name: str,
+    defaults: Mapping[str, object],
+    axes: Callable[[SimpleNamespace], Iterable[Tuple[str, Iterable]]],
+    spec: Callable[..., RunSpec],
+    measures: Mapping[str, Callable[[SimpleNamespace, list], object]],
+    title: Callable[[SimpleNamespace], str],
+    columns: Callable[[SimpleNamespace], Sequence[str]],
+    lead: int = 1,
+    chart: Optional[Tuple[str, str, Optional[str]]] = None,
+) -> Experiment:
+    """The :class:`Experiment` of a full grid: axes x seeds, one fold.
+
+    ``defaults`` names the plan's parameters; every callback receives
+    them bound (plus ``scale``) as ``p``.  ``axes(p)`` lists the grid's
+    ``(row key, values)`` dimensions, outermost first, and
+    ``spec(p, key, *point, seed)`` builds the run of one grid point
+    and seed under the key the factory hands it: the point's labels
+    (an enum's ``.value``, a variant tuple's first element, anything
+    else itself) followed by the seed.  Reduction walks the same grid in
+    the same order: each ``measures[row key](p, runs)`` folds one point's
+    per-seed results, a row is the point's labels plus its measures, and
+    a table line is one combination of the first ``lead`` axes with the
+    measures of the remaining points side by side under ``columns(p)``.
+    """
+
+    def plan(scale: Scale = QUICK, **params: object) -> ExecutionPlan:
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise TypeError(
+                f"{id}: unexpected parameter(s) {', '.join(unknown)} "
+                f"(known: {', '.join(defaults)})"
+            )
+        p = SimpleNamespace(scale=scale, **{**defaults, **params})
+        keys, values = zip(*((key, tuple(vals)) for key, vals in axes(p)))
+        labels = [[_label(value) for value in vals] for vals in values]
+        seeds = scale.seeds()
+        # the two products advance in step: a grid point and its labels
+        specs = [
+            spec(p, (*point_labels, seed), *point, seed)
+            for point, point_labels in zip(
+                itertools.product(*values), itertools.product(*labels)
+            )
+            for seed in seeds
+        ]
+        return ExecutionPlan(id, specs, dict(p=p, keys=keys, labels=labels))
+
+    def reduce(
+        plan: ExecutionPlan, results: Dict[Key, object]
+    ) -> ExperimentResult:
+        p, keys, labels = (plan.meta[part] for part in ("p", "keys", "labels"))
+        seeds = p.scale.seeds()
+        table = Table(title(p), columns(p))
+        result = ExperimentResult(name, table)
+        for head in itertools.product(*labels[:lead]):
+            cells = list(head)
+            for tail in itertools.product(*labels[lead:]):
+                point = head + tail
+                runs = [results[(*point, seed)] for seed in seeds]
+                row = dict(zip(keys, point))
+                for measure, fold in measures.items():
+                    row[measure] = fold(p, runs)
+                    cells.append(row[measure])
+                result.rows.append(row)
+            table.add_row(*cells)
+        return result
+
+    return Experiment(id, plan, reduce, chart)

@@ -11,20 +11,13 @@ the fat-tree.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
-
 from repro.experiments.common import (
-    QUICK,
-    Experiment,
-    ExperimentResult,
-    Scale,
     Scheme,
     base_config,
-    mean,
+    op_latency,
     summary_spec,
+    sweep,
 )
-from repro.experiments.parallel import ExecutionPlan, Key
-from repro.metrics.report import Table
 from repro.network.config import TopologyKind
 from repro.traffic.multicast import SingleMulticast
 
@@ -39,87 +32,39 @@ def _config_for(topology: TopologyKind, num_hosts: int, seed: int):
     return config
 
 
-def plan_cross_topology(
-    scale: Scale = QUICK,
-    num_hosts: int = 16,
-    degrees: Sequence[int] = (4, 8, 12),
-) -> ExecutionPlan:
-    """Declare X4's (degree x topology x scheme x seed) grid."""
-    topologies = list(TopologyKind)
-    schemes = [Scheme.CB_HW, Scheme.SW]
-    seeds = scale.seeds()
-    usable = tuple(degree for degree in degrees if degree < num_hosts)
-    specs = []
-    for degree in usable:
-        for topology in topologies:
-            for scheme in schemes:
-                for seed in seeds:
-                    specs.append(
-                        summary_spec(
-                            (degree, topology.value, scheme.value, seed),
-                            scheme.apply(
-                                _config_for(topology, num_hosts, seed)
-                            ),
-                            scale,
-                            SingleMulticast,
-                            source=seed % num_hosts,
-                            degree=degree,
-                            payload_flits=32,
-                            scheme=scheme.multicast_scheme,
-                        )
-                    )
-    meta = dict(
-        num_hosts=num_hosts,
-        degrees=usable,
-        topologies=topologies,
-        schemes=schemes,
-        seeds=seeds,
+def _spec(p, key, degree, topology, scheme, seed):
+    return summary_spec(
+        key,
+        scheme.apply(_config_for(topology, p.num_hosts, seed)),
+        p.scale,
+        SingleMulticast,
+        source=seed % p.num_hosts,
+        degree=degree,
+        payload_flits=32,
+        scheme=scheme.multicast_scheme,
     )
-    return ExecutionPlan("x4", specs, meta)
-
-
-def reduce_cross_topology(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into X4's table, in declared grid order."""
-    meta = plan.meta
-    topologies = meta["topologies"]
-    columns = ["degree"]
-    for topology in topologies:
-        columns.append(f"hw@{topology.value}")
-        columns.append(f"sw@{topology.value}")
-    table = Table(
-        f"X4: multicast latency across topology families "
-        f"(N={meta['num_hosts']}) [cycles]",
-        columns,
-    )
-    result = ExperimentResult("x4_cross_topology", table)
-    for degree in meta["degrees"]:
-        cells = [degree]
-        for topology in topologies:
-            for scheme in meta["schemes"]:
-                latency = mean(
-                    [
-                        results[
-                            (degree, topology.value, scheme.value, seed)
-                        ].op_last_latency.mean
-                        for seed in meta["seeds"]
-                    ]
-                )
-                cells.append(latency)
-                result.rows.append(
-                    {
-                        "degree": degree,
-                        "topology": topology.value,
-                        "scheme": scheme.value,
-                        "latency": latency,
-                    }
-                )
-        table.add_row(*cells)
-    return result
 
 
 #: X4: HW vs SW multicast latency on BMIN, UMIN and irregular
-run_cross_topology = Experiment(
-    "x4", plan_cross_topology, reduce_cross_topology,
+run_cross_topology = sweep(
+    "x4",
+    "x4_cross_topology",
+    defaults=dict(num_hosts=16, degrees=(4, 8, 12)),
+    axes=lambda p: [
+        ("degree", [d for d in p.degrees if d < p.num_hosts]),
+        ("topology", TopologyKind),
+        ("scheme", (Scheme.CB_HW, Scheme.SW)),
+    ],
+    spec=_spec,
+    measures={"latency": op_latency},
+    title=lambda p: (
+        f"X4: multicast latency across topology families "
+        f"(N={p.num_hosts}) [cycles]"
+    ),
+    columns=lambda p: ["degree"] + [
+        f"{kind}@{t.value}" for t in TopologyKind for kind in ("hw", "sw")
+    ],
 )
+#: the names the performance ledger and ``test_parallel.py`` import
+plan_cross_topology = run_cross_topology.plan
+reduce_cross_topology = run_cross_topology.reduce

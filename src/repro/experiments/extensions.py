@@ -15,7 +15,7 @@ X3 — central-buffer occupancy by switch level under bimodal traffic,
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict
 
 from repro.collectives.barrier import (
     BarrierEngine,
@@ -32,6 +32,8 @@ from repro.experiments.common import (
     base_config,
     mean,
     summary_spec,
+    sweep,
+    unicast_latency,
 )
 from repro.experiments.parallel import ExecutionPlan, Key, RunSpec
 from repro.metrics.probe import central_buffer_occupancy_by_level
@@ -91,150 +93,81 @@ def _run_barrier(
     return {"latency": operation.last_latency, "skew": operation.skew}
 
 
-def plan_barrier_scaling(
-    scale: Scale = QUICK,
-    sizes: Sequence[int] = (16, 64, 256),
-) -> ExecutionPlan:
-    """Declare X1's (size x release x seed) grid."""
-    seeds = scale.seeds()
-    specs = []
-    for num_hosts in sizes:
-        for release in ReleaseScheme:
-            for seed in seeds:
-                specs.append(
-                    RunSpec(
-                        key=(num_hosts, release.value, seed),
-                        fn=_run_barrier,
-                        kwargs=dict(
-                            num_hosts=num_hosts,
-                            seed=seed,
-                            release=release,
-                            max_cycles=scale.max_cycles,
-                        ),
-                    )
-                )
-    meta = dict(sizes=tuple(sizes), seeds=seeds)
-    return ExecutionPlan("x1", specs, meta)
-
-
-def reduce_barrier_scaling(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run barrier measurements into X1's table."""
-    meta = plan.meta
-    table = Table(
-        "X1: barrier synchronization — latency and release skew [cycles]",
-        ["N", "lat@hw-release", "skew@hw-release",
-         "lat@sw-release", "skew@sw-release"],
+def _x1_spec(p, key, num_hosts, release, seed):
+    return RunSpec(
+        key=key,
+        fn=_run_barrier,
+        kwargs=dict(
+            num_hosts=num_hosts,
+            seed=seed,
+            release=release,
+            max_cycles=p.scale.max_cycles,
+        ),
     )
-    result = ExperimentResult("x1_barrier", table)
-    for num_hosts in meta["sizes"]:
-        measured = {}
-        for release in ReleaseScheme:
-            runs = [
-                results[(num_hosts, release.value, seed)]
-                for seed in meta["seeds"]
-            ]
-            latency = mean([run["latency"] for run in runs])
-            skew = mean([run["skew"] for run in runs])
-            measured[release] = (latency, skew)
-            result.rows.append(
-                {
-                    "num_hosts": num_hosts,
-                    "release": release.value,
-                    "latency": latency,
-                    "skew": skew,
-                }
-            )
-        hw = measured[ReleaseScheme.HARDWARE_MULTICAST]
-        sw = measured[ReleaseScheme.SOFTWARE_BROADCAST]
-        table.add_row(num_hosts, hw[0], hw[1], sw[0], sw[1])
-    return result
 
 
 #: X1: full-system barrier latency/skew vs. N for both releases
-run_barrier_scaling = Experiment(
-    "x1", plan_barrier_scaling, reduce_barrier_scaling,
+run_barrier_scaling = sweep(
+    "x1",
+    "x1_barrier",
+    defaults=dict(sizes=(16, 64, 256)),
+    axes=lambda p: [("num_hosts", p.sizes), ("release", ReleaseScheme)],
+    spec=_x1_spec,
+    measures={
+        "latency": lambda p, runs: mean([run["latency"] for run in runs]),
+        "skew": lambda p, runs: mean([run["skew"] for run in runs]),
+    },
+    title=lambda p: (
+        "X1: barrier synchronization — latency and release skew [cycles]"
+    ),
+    columns=lambda p: [
+        "N", "lat@hw-release", "skew@hw-release",
+        "lat@sw-release", "skew@sw-release",
+    ],
 )
+#: the names the performance ledger imports
+plan_barrier_scaling = run_barrier_scaling.plan
+reduce_barrier_scaling = run_barrier_scaling.reduce
 
 
 # ----------------------------------------------------------------------
 # X2: hot-spot traffic
 # ----------------------------------------------------------------------
-def plan_hotspot(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    load: float = 0.3,
-    fractions: Sequence[float] = (0.0, 0.02, 0.05, 0.10),
-    payload_flits: int = 32,
-) -> ExecutionPlan:
-    """Declare X2's (fraction x scheme x seed) grid."""
-    schemes = [Scheme.CB_HW, Scheme.IB_HW]
-    seeds = scale.seeds()
-    specs = []
-    for fraction in fractions:
-        for scheme in schemes:
-            for seed in seeds:
-                specs.append(
-                    summary_spec(
-                        (fraction, scheme.value, seed),
-                        scheme.apply(base_config(num_hosts, seed=seed)),
-                        scale,
-                        HotspotTraffic,
-                        load=load,
-                        hotspot_fraction=fraction,
-                        hotspot_host=0,
-                        payload_flits=payload_flits,
-                        warmup_cycles=scale.warmup_cycles,
-                        measure_cycles=scale.measure_cycles,
-                    )
-                )
-    meta = dict(
-        num_hosts=num_hosts,
-        load=load,
-        fractions=tuple(fractions),
-        schemes=schemes,
-        seeds=seeds,
+def _x2_spec(p, key, fraction, scheme, seed):
+    return summary_spec(
+        key,
+        scheme.apply(base_config(p.num_hosts, seed=seed)),
+        p.scale,
+        HotspotTraffic,
+        load=p.load,
+        hotspot_fraction=fraction,
+        hotspot_host=0,
+        payload_flits=p.payload_flits,
+        warmup_cycles=p.scale.warmup_cycles,
+        measure_cycles=p.scale.measure_cycles,
     )
-    return ExecutionPlan("x2", specs, meta)
 
 
-def reduce_hotspot(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into X2's table, in declared grid order."""
-    meta = plan.meta
-    schemes = meta["schemes"]
-    table = Table(
-        f"X2: hot-spot traffic (N={meta['num_hosts']}, "
-        f"load={meta['load']}) — unicast latency [cycles]",
-        ["hot fraction"] + [scheme.value for scheme in schemes],
-    )
-    result = ExperimentResult("x2_hotspot", table)
-    for fraction in meta["fractions"]:
-        cells = [fraction]
-        for scheme in schemes:
-            latencies = []
-            for seed in meta["seeds"]:
-                summary = results[(fraction, scheme.value, seed)]
-                if summary.unicast_latency.count:
-                    latencies.append(summary.unicast_latency.mean)
-            latency = mean(latencies)
-            cells.append(latency)
-            result.rows.append(
-                {
-                    "fraction": fraction,
-                    "scheme": scheme.value,
-                    "latency": latency,
-                }
-            )
-        table.add_row(*cells)
-    return result
-
+_X2_SCHEMES = (Scheme.CB_HW, Scheme.IB_HW)
 
 #: X2: hot-spot unicast — latency vs. hot fraction, CB vs. IB
-run_hotspot = Experiment(
-    "x2", plan_hotspot, reduce_hotspot,
+run_hotspot = sweep(
+    "x2",
+    "x2_hotspot",
+    defaults=dict(
+        num_hosts=64,
+        load=0.3,
+        fractions=(0.0, 0.02, 0.05, 0.10),
+        payload_flits=32,
+    ),
+    axes=lambda p: [("fraction", p.fractions), ("scheme", _X2_SCHEMES)],
+    spec=_x2_spec,
+    measures={"latency": unicast_latency},
+    title=lambda p: (
+        f"X2: hot-spot traffic (N={p.num_hosts}, "
+        f"load={p.load}) — unicast latency [cycles]"
+    ),
+    columns=lambda p: ["hot fraction"] + [s.value for s in _X2_SCHEMES],
     chart=("fraction", "latency", "scheme"),
 )
 

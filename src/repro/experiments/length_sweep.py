@@ -8,111 +8,73 @@ so the absolute hardware advantage *widens* with message length.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
 from repro.experiments.common import (
-    QUICK,
-    Experiment,
-    ExperimentResult,
-    Scale,
     Scheme,
     base_config,
-    mean,
+    op_latency,
     summary_spec,
+    sweep,
 )
-from repro.experiments.parallel import ExecutionPlan, Key
-from repro.metrics.report import Table
 from repro.traffic.multicast import SingleMulticast
 
 DEFAULT_LENGTHS = (16, 32, 64, 128, 256)
 
 
-def plan_length_sweep(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    lengths: Sequence[int] = DEFAULT_LENGTHS,
-    degree: int = 8,
-    schemes: Optional[Sequence[Scheme]] = None,
-) -> ExecutionPlan:
-    """Declare E3's (length x scheme x seed) grid of independent runs."""
-    schemes = list(schemes) if schemes is not None else list(Scheme)
-    seeds = scale.seeds()
-    specs = []
-    for length in lengths:
-        for scheme in schemes:
-            for seed in seeds:
-                specs.append(
-                    summary_spec(
-                        (length, scheme.value, seed),
-                        scheme.apply(
-                            base_config(
-                                num_hosts,
-                                seed=seed,
-                                max_packet_payload_flits=max(128, length),
-                                central_buffer_flits=_buffer_for(
-                                    num_hosts, length
-                                ),
-                            )
-                        ),
-                        scale,
-                        SingleMulticast,
-                        source=seed % num_hosts,
-                        degree=degree,
-                        payload_flits=length,
-                        scheme=scheme.multicast_scheme,
-                    )
-                )
-    meta = dict(
-        num_hosts=num_hosts,
-        lengths=tuple(lengths),
-        degree=degree,
-        schemes=schemes,
-        seeds=seeds,
-    )
-    return ExecutionPlan("e3", specs, meta)
+def _buffer_for(num_hosts: int, length: int) -> int:
+    """A central buffer large enough for the per-input quota at this
+    message length — one worst-case packet, in whole chunks, for each of
+    the switch's ``2 * arity`` ports — grown beyond the 4 KB default only
+    when needed."""
+    config = base_config(num_hosts, max_packet_payload_flits=max(128, length))
+    chunks = -(-config.max_packet_flits() // config.chunk_flits)
+    return max(2048, 2 * config.arity * chunks * config.chunk_flits)
 
 
-def reduce_length_sweep(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into E3's table, in declared grid order."""
-    meta = plan.meta
-    schemes = meta["schemes"]
-    table = Table(
-        f"E3: single multicast latency vs. message length "
-        f"(N={meta['num_hosts']}, d={meta['degree']}) [cycles]",
-        ["payload_flits"] + [scheme.value for scheme in schemes],
+def _spec(p, key, sized_length, scheme, seed):
+    length, buffer_flits = sized_length
+    return summary_spec(
+        key,
+        scheme.apply(
+            base_config(
+                p.num_hosts,
+                seed=seed,
+                max_packet_payload_flits=max(128, length),
+                central_buffer_flits=buffer_flits,
+            )
+        ),
+        p.scale,
+        SingleMulticast,
+        source=seed % p.num_hosts,
+        degree=p.degree,
+        payload_flits=length,
+        scheme=scheme.multicast_scheme,
     )
-    result = ExperimentResult("e3_length_sweep", table)
-    for length in meta["lengths"]:
-        cells = [length]
-        for scheme in schemes:
-            latency = mean(
-                [
-                    results[(length, scheme.value, seed)].op_last_latency.mean
-                    for seed in meta["seeds"]
-                ]
-            )
-            cells.append(latency)
-            result.rows.append(
-                {"length": length, "scheme": scheme.value, "latency": latency}
-            )
-        table.add_row(*cells)
-    return result
 
 
 #: E3: per-(length, scheme) last-arrival latencies
-run_length_sweep = Experiment(
-    "e3", plan_length_sweep, reduce_length_sweep,
+run_length_sweep = sweep(
+    "e3",
+    "e3_length_sweep",
+    defaults=dict(
+        num_hosts=64,
+        lengths=DEFAULT_LENGTHS,
+        degree=8,
+        schemes=tuple(Scheme),
+    ),
+    # each length carries the buffer its packets need, sized once
+    axes=lambda p: [
+        ("length", [(n, _buffer_for(p.num_hosts, n)) for n in p.lengths]),
+        ("scheme", p.schemes),
+    ],
+    spec=_spec,
+    measures={"latency": op_latency},
+    title=lambda p: (
+        f"E3: single multicast latency vs. message length "
+        f"(N={p.num_hosts}, d={p.degree}) [cycles]"
+    ),
+    columns=lambda p: ["payload_flits"] + [s.value for s in p.schemes],
     chart=("length", "latency", "scheme"),
 )
-
-
-def _buffer_for(num_hosts: int, length: int) -> int:
-    """A central buffer large enough for the per-input quota at this
-    message length (grown beyond the 4 KB default only when needed)."""
-    header_worst = 1 + -(-num_hosts // 16)
-    packet = header_worst + max(128, length)
-    chunks = -(-packet // 8)
-    needed = 8 * chunks * 8
-    return max(2048, needed)
+#: the names the performance ledger imports
+plan_length_sweep = run_length_sweep.plan
+reduce_length_sweep = run_length_sweep.reduce

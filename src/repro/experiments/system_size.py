@@ -8,20 +8,13 @@ the *destination count*, so the gap widens sharply with system size.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
 from repro.experiments.common import (
-    QUICK,
-    Experiment,
-    ExperimentResult,
-    Scale,
     Scheme,
     base_config,
-    mean,
+    op_latency,
     summary_spec,
+    sweep,
 )
-from repro.experiments.parallel import ExecutionPlan, Key
-from repro.metrics.report import Table
 from repro.traffic.multicast import SingleMulticast
 
 DEFAULT_SIZES = (16, 64, 256)
@@ -33,80 +26,40 @@ WORKLOADS = (
 )
 
 
-def plan_system_size(
-    scale: Scale = QUICK,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    payload_flits: int = 64,
-    schemes: Optional[Sequence[Scheme]] = None,
-) -> ExecutionPlan:
-    """Declare E5's (size x workload x scheme x seed) grid."""
-    schemes = list(schemes) if schemes is not None else list(Scheme)
-    seeds = scale.seeds()
-    specs = []
-    for num_hosts in sizes:
-        for label, degree_fn in WORKLOADS:
-            degree = degree_fn(num_hosts)
-            for scheme in schemes:
-                for seed in seeds:
-                    specs.append(
-                        summary_spec(
-                            (num_hosts, label, scheme.value, seed),
-                            scheme.apply(base_config(num_hosts, seed=seed)),
-                            scale,
-                            SingleMulticast,
-                            source=seed % num_hosts,
-                            degree=degree,
-                            payload_flits=payload_flits,
-                            scheme=scheme.multicast_scheme,
-                        )
-                    )
-    meta = dict(
-        sizes=tuple(sizes),
-        payload_flits=payload_flits,
-        schemes=schemes,
-        seeds=seeds,
+def _spec(p, key, num_hosts, workload, scheme, seed):
+    _, degree_fn = workload
+    return summary_spec(
+        key,
+        scheme.apply(base_config(num_hosts, seed=seed)),
+        p.scale,
+        SingleMulticast,
+        source=seed % num_hosts,
+        degree=degree_fn(num_hosts),
+        payload_flits=p.payload_flits,
+        scheme=scheme.multicast_scheme,
     )
-    return ExecutionPlan("e5", specs, meta)
-
-
-def reduce_system_size(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into E5's table, in declared grid order."""
-    meta = plan.meta
-    schemes = meta["schemes"]
-    columns = ["N", "workload"]
-    columns.extend(scheme.value for scheme in schemes)
-    table = Table(
-        f"E5: multicast latency vs. system size "
-        f"({meta['payload_flits']}-flit payload) [cycles]",
-        columns,
-    )
-    result = ExperimentResult("e5_system_size", table)
-    for num_hosts in meta["sizes"]:
-        for label, _ in WORKLOADS:
-            cells = [num_hosts, label]
-            for scheme in schemes:
-                latency = mean(
-                    [
-                        results[
-                            (num_hosts, label, scheme.value, seed)
-                        ].op_last_latency.mean
-                        for seed in meta["seeds"]
-                    ]
-                )
-                cells.append(latency)
-                result.rows.append(
-                    {
-                        "num_hosts": num_hosts,
-                        "workload": label,
-                        "scheme": scheme.value,
-                        "latency": latency,
-                    }
-                )
-            table.add_row(*cells)
-    return result
 
 
 #: E5: broadcast and N/4-degree multicast at each system size
-run_system_size = Experiment("e5", plan_system_size, reduce_system_size)
+run_system_size = sweep(
+    "e5",
+    "e5_system_size",
+    defaults=dict(
+        sizes=DEFAULT_SIZES,
+        payload_flits=64,
+        schemes=tuple(Scheme),
+    ),
+    axes=lambda p: [
+        ("num_hosts", p.sizes),
+        ("workload", WORKLOADS),
+        ("scheme", p.schemes),
+    ],
+    spec=_spec,
+    measures={"latency": op_latency},
+    title=lambda p: (
+        f"E5: multicast latency vs. system size "
+        f"({p.payload_flits}-flit payload) [cycles]"
+    ),
+    columns=lambda p: ["N", "workload"] + [s.value for s in p.schemes],
+    lead=2,
+)

@@ -10,114 +10,63 @@ is worth the trouble.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
-
 from repro.experiments.common import (
-    QUICK,
-    Experiment,
-    ExperimentResult,
-    Scale,
     Scheme,
     base_config,
     mean,
     summary_spec,
+    sweep,
+    unicast_latency,
 )
-from repro.experiments.parallel import ExecutionPlan, Key
 from repro.flits.packet import TrafficClass
-from repro.metrics.report import Table
 from repro.traffic.unicast import UniformRandomUnicast
 
 DEFAULT_LOADS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
 
 
-def plan_unicast_baseline(
-    scale: Scale = QUICK,
-    num_hosts: int = 64,
-    loads: Sequence[float] = DEFAULT_LOADS,
-    payload_flits: int = 32,
-    schemes: Optional[Sequence[Scheme]] = None,
-) -> ExecutionPlan:
-    """Declare E6's (load x scheme x seed) grid of independent runs."""
-    schemes = (
-        list(schemes)
-        if schemes is not None
-        else [Scheme.CB_HW, Scheme.IB_HW]
+def _spec(p, key, load, scheme, seed):
+    return summary_spec(
+        key,
+        scheme.apply(base_config(p.num_hosts, seed=seed)),
+        p.scale,
+        UniformRandomUnicast,
+        load=load,
+        payload_flits=p.payload_flits,
+        warmup_cycles=p.scale.warmup_cycles,
+        measure_cycles=p.scale.measure_cycles,
     )
-    seeds = scale.seeds()
-    specs = []
-    for load in loads:
-        for scheme in schemes:
-            for seed in seeds:
-                specs.append(
-                    summary_spec(
-                        (load, scheme.value, seed),
-                        scheme.apply(base_config(num_hosts, seed=seed)),
-                        scale,
-                        UniformRandomUnicast,
-                        load=load,
-                        payload_flits=payload_flits,
-                        warmup_cycles=scale.warmup_cycles,
-                        measure_cycles=scale.measure_cycles,
-                    )
-                )
-    meta = dict(
-        num_hosts=num_hosts,
-        loads=tuple(loads),
-        payload_flits=payload_flits,
-        schemes=schemes,
-        seeds=seeds,
-        measure_cycles=scale.measure_cycles,
-    )
-    return ExecutionPlan("e6", specs, meta)
 
 
-def reduce_unicast_baseline(
-    plan: ExecutionPlan, results: Dict[Key, object]
-) -> ExperimentResult:
-    """Fold per-run summaries into E6's table, in declared grid order."""
-    meta = plan.meta
-    schemes = meta["schemes"]
-    columns = ["load"]
-    for scheme in schemes:
-        columns.append(f"lat@{scheme.value}")
-        columns.append(f"thr@{scheme.value}")
-    table = Table(
-        f"E6: uniform unicast (N={meta['num_hosts']}, "
-        f"{meta['payload_flits']}-flit payload)"
-        " — latency [cycles] and accepted throughput [flits/cycle/host]",
-        columns,
+def _throughput(p, runs):
+    """Seed mean of the accepted unicast throughput over the window."""
+    return mean(
+        [
+            run.throughput(TrafficClass.UNICAST, p.scale.measure_cycles)
+            for run in runs
+        ]
     )
-    result = ExperimentResult("e6_unicast_baseline", table)
-    for load in meta["loads"]:
-        cells = [load]
-        for scheme in schemes:
-            latencies, throughputs = [], []
-            for seed in meta["seeds"]:
-                summary = results[(load, scheme.value, seed)]
-                if summary.unicast_latency.count:
-                    latencies.append(summary.unicast_latency.mean)
-                throughputs.append(
-                    summary.throughput(
-                        TrafficClass.UNICAST, meta["measure_cycles"]
-                    )
-                )
-            latency = mean(latencies)
-            throughput = mean(throughputs)
-            cells.extend([latency, throughput])
-            result.rows.append(
-                {
-                    "load": load,
-                    "scheme": scheme.value,
-                    "latency": latency,
-                    "throughput": throughput,
-                }
-            )
-        table.add_row(*cells)
-    return result
 
 
 #: E6; rows carry latency and throughput per (load, architecture)
-run_unicast_baseline = Experiment(
-    "e6", plan_unicast_baseline, reduce_unicast_baseline,
+run_unicast_baseline = sweep(
+    "e6",
+    "e6_unicast_baseline",
+    defaults=dict(
+        num_hosts=64,
+        loads=DEFAULT_LOADS,
+        payload_flits=32,
+        schemes=(Scheme.CB_HW, Scheme.IB_HW),
+    ),
+    axes=lambda p: [("load", p.loads), ("scheme", p.schemes)],
+    spec=_spec,
+    measures={"latency": unicast_latency, "throughput": _throughput},
+    title=lambda p: (
+        f"E6: uniform unicast (N={p.num_hosts}, "
+        f"{p.payload_flits}-flit payload)"
+        " — latency [cycles] and accepted throughput [flits/cycle/host]"
+    ),
+    columns=lambda p: ["load"] + [
+        f"{kind}@{s.value}" for s in p.schemes for kind in ("lat", "thr")
+    ],
     chart=("load", "latency", "scheme"),
 )

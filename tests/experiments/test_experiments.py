@@ -7,8 +7,11 @@ assertions live in ``benchmarks/``.
 
 from __future__ import annotations
 
+import enum
+
 import pytest
 
+from repro.core.schemes import SwitchArchitecture
 from repro.experiments.ablations import (
     run_cb_bandwidth_ablation,
     run_encoding_ablation,
@@ -23,10 +26,12 @@ from repro.experiments.common import (
     Scheme,
     base_config,
     mean,
+    sweep,
 )
 from repro.experiments.degree_sweep import run_degree_sweep
 from repro.experiments.length_sweep import run_length_sweep
 from repro.experiments.multiple_multicast import run_multiple_multicast
+from repro.experiments.parallel import RunSpec
 from repro.experiments.parameters import run_parameters
 from repro.experiments.runner import EXPERIMENTS, main
 from repro.experiments.system_size import run_system_size
@@ -39,6 +44,8 @@ MICRO = Scale(
     measure_cycles=400,
     max_cycles=60_000,
 )
+#: MICRO with two seeds, for the factory's seed-order check
+MICRO_TWICE = Scale("micro-twice", 2, 50, 400, 60_000)
 
 
 class TestCommon:
@@ -55,6 +62,10 @@ class TestCommon:
         cb = Scheme.CB_HW.apply(config)
         ib = Scheme.IB_HW.apply(config)
         assert cb.switch_architecture != ib.switch_architecture
+        # software multicast runs on the central-buffer switch
+        assert Scheme.SW.apply(config).switch_architecture is (
+            SwitchArchitecture.CENTRAL_BUFFER
+        )
         assert Scheme.SW.multicast_scheme.value == "software"
 
     def test_mean(self):
@@ -73,6 +84,69 @@ class TestCommon:
         assert result.series("k", "v", s="a") == [(1, 10), (2, 20)]
         assert result.value("v", k=1, s="b") == 30
         assert result.value("v", s="a") is None  # ambiguous
+
+
+class Colour(enum.Enum):
+    RED = "red"
+    BLUE = "blue"
+
+
+def test_sweep_walks_the_declared_grid_once_to_plan_and_once_to_fold():
+    """What no golden isolates: grid order, labels, ``lead`` and the
+    interleaving of measures — on a stub spec and fake results."""
+    variants = (("small", 1), ("large", 9))
+    experiment = sweep(
+        "t1",
+        "t1_stub",
+        defaults=dict(sizes=(2, 1)),
+        axes=lambda p: [
+            ("size", p.sizes), ("variant", variants), ("colour", Colour),
+        ],
+        spec=lambda p, key, size, variant, colour, seed: RunSpec(
+            key, dict, dict(size=size, variant=variant, colour=colour)
+        ),
+        measures={
+            "runs": lambda p, runs: tuple(runs),
+            "total": lambda p, runs: sum(runs) * p.scale.repeats,
+        },
+        title=lambda p: f"stub {p.sizes}",
+        columns=lambda p: [
+            "size", "variant", "runs@red", "total@red", "runs@blue",
+            "total@blue",
+        ],
+        lead=2,
+    )
+    plan = experiment.plan(MICRO_TWICE)
+    first, second = MICRO_TWICE.seeds()
+    assert [spec.key for spec in plan.specs] == [
+        (size, variant, colour, seed)
+        for size in (2, 1)
+        for variant in ("small", "large")
+        for colour in ("red", "blue")
+        for seed in (first, second)
+    ]
+    # the spec function sees the axis values themselves, not their labels
+    assert plan.specs[0].kwargs == dict(
+        size=2, variant=("small", 1), colour=Colour.RED
+    )
+
+    # a run's fake result is its position in the plan, fed back reversed
+    fake = {spec.key: index for index, spec in enumerate(plan.specs)}
+    result = experiment.reduce(plan, dict(reversed(list(fake.items()))))
+    assert result.experiment == "t1_stub"
+    assert result.rows[:3] == [
+        dict(size=2, variant="small", colour="red", runs=(0, 1), total=2),
+        dict(size=2, variant="small", colour="blue", runs=(2, 3), total=10),
+        dict(size=2, variant="large", colour="red", runs=(4, 5), total=18),
+    ]
+    assert len(result.rows) == 8
+    assert result.table.title == "stub (2, 1)"
+    assert result.table.rows == [
+        ["2", "small", "(0, 1)", "2", "(2, 3)", "10"],
+        ["2", "large", "(4, 5)", "18", "(6, 7)", "26"],
+        ["1", "small", "(8, 9)", "34", "(10, 11)", "42"],
+        ["1", "large", "(12, 13)", "50", "(14, 15)", "58"],
+    ]
 
 
 class TestExperimentStructure:

@@ -11,7 +11,6 @@ from __future__ import annotations
 import pytest
 
 from repro.experiments.common import QUICK
-from repro.experiments.degree_sweep import run_degree_sweep
 from repro.experiments.runner import EXPERIMENTS
 from repro.obs import runtime as obs_runtime
 from repro.obs.sinks import SCHEMA_RUN, iter_jsonl, validate_file
@@ -48,5 +47,7 @@ def test_recording_brackets_every_spec_and_leaves_rows_alone(name, tmp_path):
 
 
 def test_unknown_parameter_is_the_plan_functions_type_error():
-    with pytest.raises(TypeError, match="degres"):
-        run_degree_sweep(QUICK, degres=(2,))
+    # declared or hand-written, every plan names the keyword it rejects
+    for experiment in EXPERIMENTS.values():
+        with pytest.raises(TypeError, match="degres"):
+            experiment(QUICK, degres=(2,))

@@ -28,11 +28,7 @@ from repro.experiments.cross_topology import (
 )
 from repro.experiments.degree_sweep import run_degree_sweep
 from repro.experiments.extensions import run_barrier_scaling
-from repro.experiments.multiple_multicast import (
-    plan_multiple_multicast,
-    reduce_multiple_multicast,
-    run_multiple_multicast,
-)
+from repro.experiments.multiple_multicast import run_multiple_multicast
 from repro.experiments.parallel import (
     ExecutionPlan,
     RunOutcome,
@@ -187,12 +183,12 @@ class TestOrderIndependentReduction:
 
     @classmethod
     def setup_class(cls):
-        cls.plan = plan_multiple_multicast(
+        cls.plan = run_multiple_multicast.plan(
             scale=SMALL, num_hosts=16, concurrency=(1, 2), degree=3,
             payload_flits=16, schemes=[Scheme.CB_HW, Scheme.SW],
         )
         cls.outcomes = run_outcomes(cls.plan, jobs=1)
-        cls.baseline = reduce_multiple_multicast(
+        cls.baseline = run_multiple_multicast.reduce(
             cls.plan,
             dict(
                 sorted(
@@ -208,7 +204,7 @@ class TestOrderIndependentReduction:
         """Any permutation — and any superset ordering — of the outcomes
         reduces to the same rows and table as the sorted order."""
         shuffled = data.draw(st.permutations(self.outcomes))
-        result = reduce_multiple_multicast(self.plan, resolve(shuffled))
+        result = run_multiple_multicast.reduce(self.plan, resolve(shuffled))
         assert result.rows == self.baseline.rows
         assert result.render() == self.baseline.render()
 
