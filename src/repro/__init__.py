@@ -18,6 +18,15 @@ Quickstart
 >>> result = run_simulation(cfg, workload)
 >>> result.op_last_latency.count
 2
+
+A campaign of many runs calls ``result.network.close()`` once it has
+read what it needs from each: the result stays readable, the network
+refuses to run again, and dropping it frees every object by reference
+count instead of leaving them to the cyclic collector.
+
+>>> result.network.close()
+>>> result.op_last_latency.count
+2
 """
 
 from repro._version import __version__

@@ -212,7 +212,9 @@ def simulate_summary(
     """
     workload = workload_cls(**workload_kwargs)
     result = run_simulation(config, workload, max_cycles=max_cycles)
-    return result.to_summary()
+    summary = result.to_summary()
+    result.network.close()
+    return summary
 
 
 def summary_spec(

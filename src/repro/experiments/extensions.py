@@ -90,6 +90,7 @@ def _run_barrier(
             f"{num_hosts}-host barrier still open after {run.cycles} cycles"
         )
     operation = workload.operation
+    run.network.close()
     return {"latency": operation.last_latency, "skew": operation.skew}
 
 
@@ -182,7 +183,9 @@ def _run_occupancy(
     run = run_simulation(
         config, BimodalTraffic(**workload_kwargs), max_cycles=max_cycles
     )
-    return central_buffer_occupancy_by_level(run.network)
+    occupancy = central_buffer_occupancy_by_level(run.network)
+    run.network.close()
+    return occupancy
 
 
 def plan_buffer_occupancy(

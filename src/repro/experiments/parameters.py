@@ -43,6 +43,7 @@ def _run_calibration(num_hosts: int, max_cycles: int) -> Dict[str, float]:
         header_flits=network.unicast_header_flits(),
         send_overhead=config.sw_send_overhead,
     )
+    network.close()
     return {"simulated": op.last_latency, "model": model}
 
 

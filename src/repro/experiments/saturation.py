@@ -84,6 +84,7 @@ def probe_load(
     latency = (
         result.unicast_latency.mean if result.unicast_latency.count else 0.0
     )
+    result.network.close()
     return SaturationProbe(
         load=load,
         accepted=accepted,

@@ -44,20 +44,19 @@ def binomial_schedule(
     >>> binomial_schedule(0, [1, 2, 3, 4, 5, 6, 7])
     {0: [4, 2, 1], 4: [6, 5], 2: [3], 6: [7]}
     """
-    members = [source] + sorted(destinations)
     children: Dict[int, List[int]] = {}
-
-    def fold(group: List[int]) -> None:
-        # group[0] already holds the message and owns delivering to the rest
-        while len(group) > 1:
-            mid = (len(group) + 1) // 2
-            upper = group[mid:]
-            children.setdefault(group[0], []).append(upper[0])
-            fold(upper)
-            group = group[:mid]
-
-    fold(members)
+    _fold([source] + sorted(destinations), children)
     return children
+
+
+def _fold(group: List[int], children: Dict[int, List[int]]) -> None:
+    # group[0] already holds the message and owns delivering to the rest
+    while len(group) > 1:
+        mid = (len(group) + 1) // 2
+        upper = group[mid:]
+        children.setdefault(group[0], []).append(upper[0])
+        _fold(upper, children)
+        group = group[:mid]
 
 
 class SoftwareMulticastEngine:

@@ -25,7 +25,7 @@ from repro.switches.central_buffer import CentralBufferSwitch
 from repro.switches.input_buffer import InputBufferSwitch
 from repro.switches.link import Link
 from repro.topology.bmin import BidirectionalMin
-from repro.topology.graph import NodeKind, Topology
+from repro.topology.graph import Topology
 from repro.topology.irregular import IrregularNetwork
 from repro.topology.umin import UnidirectionalMin
 
@@ -68,9 +68,38 @@ class Network:
             and all(sw.idle() for sw in self.switches)
         )
 
+    def close(self) -> None:
+        """Declare the network finished, so that dropping it frees every
+        object by reference count and leaves the cyclic collector
+        nothing.
+
+        Clears exactly the back-references that make the graph cyclic:
+        the simulator's component list (each component points at its
+        simulator) and the events still on its calendar after a run cut
+        short (their closures point at nodes), every link's arrival and
+        credit waker (each component points at its links), and every
+        delivery callback (NI to node, node to a collective engine that
+        lists the nodes).  Everything a caller reads after a run — the
+        result, the collector, switches and their buffer pools, link
+        counters, the topology — stays readable; the network itself
+        refuses to run again (:class:`~repro.errors.SimulationError`).
+        Whoever drops the last reference to a finished run calls this
+        first; calling it twice is a no-op.
+        """
+        sim = self.sim
+        sim._closed = True
+        sim._components.clear()
+        sim._calendar.clear()
+        for link in self.links:
+            link._arrival_comp = link._credit_comp = None
+        for node in self.nodes:
+            node.interface._on_delivery = None
+            node._delivery_listeners.clear()
+
 
 def _build_topology(config: SimulationConfig):
-    """Topology object, link graph and routing tables of ``config``."""
+    """Topology object, link graph, routing tables and wiring plan of
+    ``config``."""
     return _cached_topology(
         config.topology,
         config.num_hosts,
@@ -91,30 +120,34 @@ def _cached_topology(
     topology_seed: int,
 ):
     """Build once per process per structure: a campaign builds the same
-    few topologies hundreds of times, and the result — the graph and the
-    routing tables — is read-only after construction, so every network
-    of one structure shares it."""
+    few topologies hundreds of times, and the result — the graph, the
+    routing tables and the wiring plan (every link's name and ends, see
+    :meth:`Topology.wiring_plan`) — is read-only after construction, so
+    every network of one structure shares it."""
     if kind is TopologyKind.BMIN:
-        bmin = BidirectionalMin.for_hosts(num_hosts, arity)
-        return bmin, bmin.topology, tables_for_bmin(bmin)
-    if kind is TopologyKind.UMIN:
+        built = BidirectionalMin.for_hosts(num_hosts, arity)
+        tables = tables_for_bmin(built)
+    elif kind is TopologyKind.UMIN:
         levels = 1
         size = arity
         while size < num_hosts:
             size *= arity
             levels += 1
-        umin = UnidirectionalMin(arity, levels)
-        return umin, umin.topology, tables_for_umin(umin)
-    if kind is TopologyKind.IRREGULAR:
-        irregular = IrregularNetwork(
+        built = UnidirectionalMin(arity, levels)
+        tables = tables_for_umin(built)
+    elif kind is TopologyKind.IRREGULAR:
+        built = IrregularNetwork(
             num_switches=irregular_switches,
             hosts_per_switch=num_hosts // irregular_switches,
             ports_per_switch=2 * arity,
             extra_links=irregular_extra_links,
             seed=topology_seed,
         )
-        return irregular, irregular.topology, tables_for_irregular(irregular)
-    raise ConfigurationError(f"unknown topology kind {kind!r}")
+        tables = tables_for_irregular(built)
+    else:
+        raise ConfigurationError(f"unknown topology kind {kind!r}")
+    topology = built.topology
+    return built, topology, tables, topology.wiring_plan()
 
 
 def _switch_class(architecture: SwitchArchitecture):
@@ -139,7 +172,7 @@ def build_network(
     config.validate()
     tracer = tracer if tracer is not None else NULL_TRACER
     metrics = metrics if metrics is not None else NULL_REGISTRY
-    topology_object, topology, tables = _build_topology(config)
+    topology_object, topology, tables, wiring = _build_topology(config)
     sim = Simulator(seed=config.seed, dense=config.dense_kernel)
     encoding = config.build_encoding()
     collector = MetricsCollector(config.num_hosts)
@@ -179,19 +212,18 @@ def build_network(
         interfaces.append(interface)
 
     links: List[Link] = []
-    for spec in topology.links:
-        link = Link(
-            name=f"{spec.src}->{spec.dst}", latency=config.link_latency
-        )
+    latency = config.link_latency
+    for name, from_host, src, src_port, to_host, dst, dst_port in wiring:
+        link = Link(name, latency)
         links.append(link)
-        if spec.src.kind == NodeKind.HOST:
-            interfaces[spec.src.node].connect_out(link)
+        if from_host:
+            interfaces[src].connect_out(link)
         else:
-            switches[spec.src.node].connect_out(spec.src.port, link)
-        if spec.dst.kind == NodeKind.HOST:
-            interfaces[spec.dst.node].connect_in(link)
+            switches[src].connect_out(src_port, link)
+        if to_host:
+            interfaces[dst].connect_in(link)
         else:
-            switches[spec.dst.node].connect_in(spec.dst.port, link)
+            switches[dst].connect_in(dst_port, link)
 
     nodes = allocate_nodes(
         sim=sim,

@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from random import Random
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Union
 
 from repro.flits.destset import DestinationSet
 from repro.flits.worm import Worm
@@ -69,7 +69,7 @@ UpSelector = Callable[[Sequence[int], Worm], int]
 
 def make_up_selector(
     policy: UpPortPolicy,
-    rng: Optional[Random] = None,
+    rng: Union[Random, Callable[[], Random], None] = None,
     credit_view: Optional[Callable[[int], int]] = None,
 ) -> UpSelector:
     """Build an up-port selector implementing ``policy``.
@@ -79,7 +79,10 @@ def make_up_selector(
     policy:
         Selection policy.
     rng:
-        Required for :attr:`UpPortPolicy.RANDOM`.
+        Required for :attr:`UpPortPolicy.RANDOM`: the generator to draw
+        from, or a zero-argument callable that makes it.  The callable
+        runs at the selector's first draw, so a selector that is never
+        asked to choose — a switch without up-ports — costs no generator.
     credit_view:
         ``port -> available send credits``; required for
         :attr:`UpPortPolicy.ADAPTIVE`.
@@ -96,8 +99,13 @@ def make_up_selector(
         if rng is None:
             raise ValueError("RANDOM up-port policy needs an rng")
 
+        stream = rng if isinstance(rng, Random) else None
+
         def random_choice(candidates: Sequence[int], worm: Worm) -> int:
-            return candidates[rng.randrange(len(candidates))]
+            nonlocal stream
+            if stream is None:
+                stream = rng()  # type: ignore[operator]
+            return candidates[stream.randrange(len(candidates))]
 
         return random_choice
 

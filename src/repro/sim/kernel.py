@@ -126,6 +126,9 @@ class Simulator:
         #: optional kernel profiler (see :meth:`attach_profiler`); every
         #: call site is behind a ``prof is not None`` test
         self._prof: Optional[ProfilerHook] = None
+        #: set by ``Network.close()``, which also empties the component
+        #: list: :meth:`run` and :meth:`run_until` then refuse
+        self._closed = False
 
     # ------------------------------------------------------------------
     # registration
@@ -421,6 +424,8 @@ class Simulator:
         """
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
+        if self._closed:
+            raise SimulationError("the network of this simulator is closed")
         if self.dense:
             for _ in range(cycles):
                 self.step()
@@ -465,6 +470,8 @@ class Simulator:
             detection until ``stall_limit`` idle cycles after it fires.
             Skipped idle gaps count exactly as if they had been stepped.
         """
+        if self._closed:
+            raise SimulationError("the network of this simulator is closed")
         executed = 0
         last_progress = self.progress
         stalled = 0

@@ -14,6 +14,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Deque, List, Optional, Tuple, Type
 
 from repro.errors import ConfigurationError, ProtocolError
@@ -212,6 +213,21 @@ def committed_run(
     if run > window:
         run = window
     return run if run >= 2 else 0
+
+
+def _up_port_credits(
+    out_links: List[Optional[Link]], sim: Simulator, port: int
+) -> int:
+    """Credits the adaptive up-port policy sees on ``port``: what the
+    sender holds at the start of this cycle on the one-flit-per-cycle
+    timeline.  A committed span took the credits of its later members up
+    front (the link's own counter may even be negative meanwhile), so
+    the slots it still holds from this cycle on are added back."""
+    link = out_links[port]
+    if link is None:
+        return -1
+    now = sim.now
+    return link.credits(now) + max(0, link._last_send_cycle - now + 1)
 
 
 class SwitchBase(Component):
@@ -494,25 +510,17 @@ class SwitchBase(Component):
     # ------------------------------------------------------------------
     def attach(self, sim: Simulator) -> None:
         super().attach(sim)
-        rng = sim.rng.stream(f"switch.{self.name}.uproute")
+        # the RANDOM policy's stream is made at its first draw: streams
+        # are keyed by name, so creation order cannot change a value,
+        # and a switch that never picks an up-port — the top stage, any
+        # DETERMINISTIC or ADAPTIVE network — never seeds a generator.
+        # Neither argument holds the switch itself, so the selector is
+        # no reference cycle
         self._up_selector = make_up_selector(
             self.settings.up_port_policy,
-            rng=rng,
-            credit_view=self._up_port_credits,
+            rng=partial(sim.rng.stream, f"switch.{self.name}.uproute"),
+            credit_view=partial(_up_port_credits, self.out_links, sim),
         )
-
-    def _up_port_credits(self, port: int) -> int:
-        """Credits the adaptive up-port policy sees on ``port``: what
-        the sender holds at the start of this cycle on the
-        one-flit-per-cycle timeline.  A committed span took the credits
-        of its later members up front (the link's own counter may even
-        be negative meanwhile), so the slots it still holds from this
-        cycle on are added back."""
-        link = self.out_links[port]
-        if link is None:
-            return -1
-        now = self.sim.now
-        return link.credits(now) + max(0, link._last_send_cycle - now + 1)
 
     def compute_requests(self, worm: Worm) -> List[PortRequest]:
         """Decode a worm's header into output-port branch requests."""

@@ -69,9 +69,9 @@ send sets bit ``port`` of the component's ``_rx_pending`` mask, and a
 receiver that takes by mask — the switches and NI, see
 :mod:`repro.switches.ports` — clears it when this link's span queue runs
 empty.  Such a receiver never polls
-:attr:`pending_arrival`; it calls :attr:`receive_span` on exactly the
-in-links whose bit is set.  Both are instance attributes, and those
-receivers look ``receive_span`` up on the link instance no earlier than
+:meth:`pending_arrival`; it calls :attr:`receive_span` on exactly the
+in-links whose bit is set.  ``receive_span`` is an instance attribute,
+and those receivers look it up on the link instance no earlier than
 their first tick, so a profiler may rebind it (and the send entry
 points) per link before the run starts.
 
@@ -142,14 +142,10 @@ class Link:
             raise ConfigurationError("credit latency must be at least 1 cycle")
         in_flight = SpanQueue()
         self._in_flight = in_flight
-        # receiver-side hot aliases: both are pure wrappers around the
-        # span store, and both run once (or more) per busy input port
-        # per wake — binding the store's methods directly saves a Python
-        # call each time.  Semantics are documented on
-        # SpanQueue.has_arrived / SpanQueue.take_record.
-        #: True when :attr:`receive_span` would hand a record over at the
-        #: given cycle (the REP007 guard for the receives below).
-        self.pending_arrival = in_flight.has_arrived
+        # receiver-side hot alias: a pure wrapper around the span store
+        # that runs once (or more) per busy input port per wake —
+        # binding the store's method directly saves a Python call each
+        # time.  Semantics are documented on SpanQueue.take_record.
         #: pop the oldest span record whole as ``(worm, start, count)``
         #: once its head has landed (at most ``limit`` flits of it when
         #: given), ``None`` while the head is in flight — see "the
@@ -206,7 +202,7 @@ class Link:
             raise ProtocolError(f"link {self.name}: arrival waker already set")
         self._arrival_comp = component
         self._rx_bit = 1 << port
-        if len(self._in_flight):
+        if self._in_flight._flits:
             component._rx_pending |= self._rx_bit
 
     def wake_on_credit(self, component: Component) -> None:
@@ -234,6 +230,15 @@ class Link:
         self._unthrottled = (
             sink and depth >= self.latency + self.credit_latency
         )
+
+    def pending_arrival(self, now: int) -> bool:
+        """True when :attr:`receive_span` would hand a record over at
+        cycle ``now`` (the REP007 guard for the receives below).  Only
+        pollers ask — the per-flit reference and bare links in tests;
+        production drains by the ``_rx_pending`` mask — so, unlike
+        :attr:`receive_span`, this is no per-instance alias: a link
+        that is never polled does not pay for one."""
+        return self._in_flight.has_arrived(now)
 
     def receive(self, now: int) -> List[Flit]:
         """Pop every flit that has arrived by cycle ``now``, in order.

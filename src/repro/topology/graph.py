@@ -63,6 +63,11 @@ class LinkSpec:
     dst: Endpoint
 
 
+#: one link of :meth:`Topology.wiring_plan`: ``(name, src_is_host, src,
+#: src_port, dst_is_host, dst, dst_port)``
+WiringStep = Tuple[str, bool, int, int, bool, int, int]
+
+
 class Topology:
     """Hosts, switches and unidirectional links.
 
@@ -165,6 +170,23 @@ class Topology:
             link = self.link_from(Endpoint.switch(switch_id, port))
             peers.append(link.dst if link else None)
         return peers
+
+    def wiring_plan(self) -> Tuple[WiringStep, ...]:
+        """Everything the network builder needs per link, as plain
+        immutable tuples in :attr:`links` order — the link's name and
+        both ends with the host/switch test already made.  A function of
+        the structure alone, so the builder computes it once per
+        structure, next to the routing tables, and every network of that
+        structure is wired from the same plan."""
+        host = NodeKind.HOST
+        return tuple(
+            (
+                f"{spec.src}->{spec.dst}",
+                spec.src.kind == host, spec.src.node, spec.src.port,
+                spec.dst.kind == host, spec.dst.node, spec.dst.port,
+            )
+            for spec in self._links
+        )
 
     def iter_switch_links(self) -> Iterator[LinkSpec]:
         """Yield only switch-to-switch links."""

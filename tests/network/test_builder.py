@@ -20,6 +20,7 @@ from repro.sim.component import Component
 from repro.switches.base import SwitchBase
 from repro.switches.central_buffer import CentralBufferSwitch
 from repro.switches.input_buffer import InputBufferSwitch
+from repro.topology.graph import NodeKind
 from repro.traffic.unicast import UniformRandomUnicast
 
 
@@ -194,3 +195,79 @@ class TestTopologyMemo:
                 SimulationConfig(**self.IRREGULAR, topology_seed=seed)
             )
         assert builder._cached_topology.cache_info().currsize == bound
+
+
+STRUCTURES = {
+    "bmin-16": dict(num_hosts=16),
+    "bmin-64": dict(num_hosts=64),
+    "bmin-256": dict(num_hosts=256),
+    "umin-64": dict(num_hosts=64, topology=TopologyKind.UMIN),
+    "irregular": dict(
+        num_hosts=16, topology=TopologyKind.IRREGULAR, irregular_switches=8,
+    ),
+}
+
+
+class TestWiringPlan:
+    """Link names and ends are computed once per structure; a network
+    wired from the plan is the one a walk over the link graph wires."""
+
+    @pytest.mark.parametrize("packed", [True, False])
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    def test_built_links_are_what_the_link_graph_says(self, structure, packed):
+        config = SimulationConfig(
+            **STRUCTURES[structure], link_latency=2, packed=packed
+        )
+        network = build_network(config)
+        specs = network.topology.links
+        assert len(network.links) == len(specs) > config.num_hosts
+
+        def end(endpoint):
+            if endpoint.kind == NodeKind.HOST:
+                return network.interfaces[endpoint.node]
+            return network.switches[endpoint.node]
+
+        for link, spec in zip(network.links, specs):
+            sender, receiver = end(spec.src), end(spec.dst)
+            assert link.name == f"{spec.src}->{spec.dst}"
+            assert link.latency == link.credit_latency == 2
+            assert link._credit_comp is sender
+            assert link._arrival_comp is receiver
+            if spec.dst.kind == NodeKind.HOST:
+                assert receiver.in_link is link
+                assert link._rx_bit == 1
+                assert link.credits(0) == config.ni_rx_depth
+                # a sink, and deep enough never to throttle
+                assert link._unthrottled == (config.ni_rx_depth >= 4)
+            else:
+                assert receiver.in_links[spec.dst.port] is link
+                assert link._rx_bit == 1 << spec.dst.port
+                assert link.credits(0) == receiver.input_credit_depth(
+                    spec.dst.port
+                )
+                assert not link._unthrottled
+            if spec.src.kind == NodeKind.HOST:
+                assert sender.out_link is link
+            else:
+                assert sender.out_links[spec.src.port] is link
+
+    @pytest.mark.parametrize("structure", sorted(STRUCTURES))
+    def test_one_immutable_plan_per_structure(self, structure):
+        first = builder._build_topology(
+            SimulationConfig(**STRUCTURES[structure], seed=1)
+        )
+        second = builder._build_topology(
+            SimulationConfig(
+                **STRUCTURES[structure], seed=2, packed=False,
+                switch_architecture=SwitchArchitecture.INPUT_BUFFER,
+            )
+        )
+        assert second[3] is first[3]
+        topology, plan = first[1], first[3]
+        assert plan == topology.wiring_plan()
+        assert type(plan) is tuple and len(plan) == len(topology.links)
+        for step in plan:
+            assert type(step) is tuple
+            assert [type(field) for field in step] == [
+                str, bool, int, int, bool, int, int
+            ]

@@ -57,6 +57,22 @@ class TestRandom:
             b([4, 5, 6], w) for _ in range(20)
         ]
 
+    def test_a_generator_factory_runs_at_the_first_draw_and_only_then(self):
+        made = []
+
+        def factory():
+            made.append(Random(1))
+            return made[-1]
+
+        lazy = make_up_selector(UpPortPolicy.RANDOM, rng=factory)
+        assert made == []
+        eager = make_up_selector(UpPortPolicy.RANDOM, rng=Random(1))
+        w = worm()
+        assert [lazy([4, 5, 6], w) for _ in range(20)] == [
+            eager([4, 5, 6], w) for _ in range(20)
+        ]
+        assert len(made) == 1
+
 
 class TestAdaptive:
     def test_requires_credit_view(self):
