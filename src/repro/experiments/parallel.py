@@ -13,7 +13,8 @@ state.  This module gives that structure a name:
   picks its two inputs: the result store (or none) and the *executor*
   that runs the specs the store cannot answer.  This module holds the
   default executor, :func:`local_executor` (this process for
-  ``jobs=1``, else a ``multiprocessing`` pool); the farm
+  ``jobs=1``, else the process's one kept ``multiprocessing`` pool,
+  each job carrying its spec and telemetry options); the farm
   (:mod:`repro.farm`) is the other;
 * the experiment's *reduce* step folds the per-run values into table
   rows by looking results up **by key** in its own declared grid order —
@@ -48,6 +49,9 @@ from typing import (
     Sequence,
     Tuple,
 )
+
+from repro.obs import runtime as obs_runtime
+from repro.obs.runtime import ObsOptions
 
 #: a spec's identity inside its plan: a tuple of primitives, unique and
 #: sortable so outcomes can be ordered without reference to wall time
@@ -222,34 +226,64 @@ def _plain_outcomes(
     return memoized_outcomes(plan, None, jobs=jobs, progress=progress)
 
 
+def _execute_job(job: Tuple[RunSpec, Optional[ObsOptions]]) -> RunOutcome:
+    """Run one spec in a pool worker under the telemetry options it
+    was submitted with, then restore the worker's own."""
+    spec, options = job
+    previous = obs_runtime.configured()
+    obs_runtime.configure(options)
+    try:
+        return _execute_spec(spec)
+    finally:
+        obs_runtime.configure(previous)
+
+
 @contextmanager
 def local_executor(
     jobs: Optional[int], leaders: Sequence[RunSpec]
 ) -> Iterator[Iterable[RunOutcome]]:
     """The default executor of the plan loop: a pool, or this process.
 
-    Up to ``jobs`` pool processes (``None`` uses :func:`default_jobs`;
-    never more than there are leaders) yield outcomes as they complete;
-    one worker needs no pool and runs the leaders in order right here.
-    So does a sandbox where the pool cannot be *built* (no semaphores),
-    which computes the same values.  Only construction falls back: an
-    error raised by a running spec, ``OSError`` included, propagates.
-    """
-    jobs = default_jobs() if jobs is None else max(1, int(jobs))
-    workers = min(jobs, len(leaders))
-    pool = None
-    if workers > 1:
-        from repro.farm.transport import BackendUnavailable, create_pool
+    ``jobs`` (``None`` uses :func:`default_jobs`) workers of the
+    process's one kept pool (:mod:`repro.farm.transport`) yield outcomes
+    as they complete; the pool is reused by every later plan of the
+    same ``jobs``, and torn down if the plan loop raises before draining
+    it (a spec, the journal or a progress callback raised, or an
+    interrupt), so nothing of an abandoned plan runs on into the next.
+    A worker sees this process's code and module state as of the pool's
+    start plus its job — the spec and the telemetry options configured
+    at submission.
 
+    One worker, or one leader, needs no pool: the leaders run in order
+    right here.  So do they in a sandbox where the pool cannot be
+    *built* (no semaphores), which computes the same values.  Only
+    construction falls back: an error raised by a running spec,
+    ``OSError`` included, propagates.
+    """
+    from repro.farm.transport import (
+        BackendUnavailable,
+        _kept_pool,
+        _retire_kept_pool,
+    )
+
+    jobs = default_jobs() if jobs is None else max(1, int(jobs))
+    pool = None
+    if jobs > 1 and len(leaders) > 1:
         try:
-            pool = create_pool(workers)
+            pool = _kept_pool(jobs)
         except BackendUnavailable:
             pass
     if pool is None:
         yield map(_execute_spec, leaders)
         return
-    with pool:
-        yield pool.imap_unordered(_execute_spec, leaders, chunksize=1)
+    options = obs_runtime.configured()
+    try:
+        yield pool.imap_unordered(
+            _execute_job, [(spec, options) for spec in leaders], chunksize=1
+        )
+    except BaseException:
+        _retire_kept_pool()
+        raise
 
 
 def resolve(outcomes: List[RunOutcome]) -> Dict[Key, Any]:

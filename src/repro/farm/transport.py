@@ -25,11 +25,19 @@ Mechanics:
 * :func:`create_pool` is the one constructor of multiprocessing pools
   (the ``LocalPoolBackend`` path), raising
   :class:`BackendUnavailable` in sandboxes that forbid the semaphores
-  multiprocessing needs.
+  multiprocessing needs;
+* the default executor's pool (:func:`_kept_pool`) is kept for the life
+  of the process in one private slot: started by the first plan that
+  needs it, reused by every later plan of the same size, and retired —
+  terminated and joined — before any other pool is forked, when a plan
+  abandons it, and at interpreter exit.  So there is at most one live
+  local pool per process, and nothing forks beside a pool's handler
+  threads.
 """
 
 from __future__ import annotations
 
+import atexit
 import os
 import select
 import subprocess
@@ -158,16 +166,52 @@ def reap(
 def create_pool(processes: int) -> Any:
     """The one constructor of local multiprocessing pools.
 
-    Raises :class:`BackendUnavailable` where pools cannot exist (some
-    sandboxes forbid the required semaphores), so callers can fall back
-    to the serial backend, mirroring the execution engine's own
-    pool-to-serial fallback.
+    Retires the kept pool first, so a pool is never forked beside
+    another one's handler threads.  Raises :class:`BackendUnavailable`
+    where pools cannot exist (some sandboxes forbid the required
+    semaphores), so callers can fall back to the serial backend,
+    mirroring the execution engine's own pool-to-serial fallback.
     """
     import multiprocessing
 
+    _retire_kept_pool()
     try:
         return multiprocessing.Pool(processes=processes)
     except (OSError, ImportError) as error:
         raise BackendUnavailable(
             f"multiprocessing pool unavailable: {error}"
         ) from error
+
+
+#: the default executor's pool and its size, or ``None`` (module docs)
+_kept: Optional[Tuple[int, Any]] = None
+
+
+def _kept_pool(processes: int) -> Any:
+    """The process's one kept pool of ``processes`` workers.
+
+    Reused when the size matches; otherwise the old pool is retired and
+    a new one forked (raising :class:`BackendUnavailable` like
+    :func:`create_pool`).  Its workers see this process's code and
+    module state as of that fork.
+    """
+    global _kept
+    if _kept is None or _kept[0] != processes:
+        pool = create_pool(processes)
+        # exit handlers run last-in first-out: registered after
+        # multiprocessing's, this closes the pool before that one kills
+        # its workers and leaves it "running" for Pool.__del__ to warn
+        atexit.unregister(_retire_kept_pool)
+        atexit.register(_retire_kept_pool)
+        _kept = (processes, pool)
+    return _kept[1]
+
+
+def _retire_kept_pool() -> None:
+    """Terminate and join the kept pool, if there is one."""
+    global _kept
+    if _kept is not None:
+        pool = _kept[1]
+        _kept = None
+        pool.terminate()
+        pool.join()

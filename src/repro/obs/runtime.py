@@ -1,15 +1,18 @@
 """Process-global observability options for experiment runs.
 
 Experiment grids execute their simulations inside module-level worker
-functions, often in forked pool processes, so instrumentation cannot be
+functions, often in pool processes, so instrumentation cannot be
 threaded through every experiment signature.  Instead the CLI (or a
 test) *configures* observability once in the parent process;
 :func:`repro.network.simulation.run_simulation` consults
 :func:`configured` and, when options are active, routes through the
-instrumented harness.  Forked workers inherit the configuration (the
-pool in :mod:`repro.experiments.parallel` uses the default ``fork``
-start method on Linux); on platforms without fork the serial fallback
-path still instruments every run.
+instrumented harness.  A pool worker does not rely on what it was
+started with: the default executor (:mod:`repro.experiments.parallel`)
+keeps its pool across plans, so each job carries the options that were
+:func:`configured` when its plan was submitted, and the worker applies
+them for the duration of the spec and then restores its own.  That holds
+whatever the start method; the serial path reads this process's options
+directly.
 
 Nothing is configured by default, so the ordinary
 build-and-run path is untouched — same objects, same RNG draws, same

@@ -12,15 +12,28 @@ rows and rendered table of the serial path.  Three layers enforce it:
 * a hypothesis property: reduction is order-independent by construction,
   so feeding outcomes to reduce in any shuffled order yields the same
   result.
+
+The default executor keeps one pool per process; the last classes pin
+its lifetime by worker pids and cache counts, the job contract (a
+worker runs under the telemetry options its plan was submitted with,
+whatever it inherited at fork) and a clean interpreter exit.
 """
 
 from __future__ import annotations
+
+import os
+import subprocess
+import sys
+import textwrap
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.common import Scale, Scheme
+from repro.core.schemes import MulticastScheme
+from repro.experiments.common import Scale, Scheme, simulate_summary
 from repro.experiments.cross_topology import (
     plan_cross_topology,
     reduce_cross_topology,
@@ -34,6 +47,7 @@ from repro.experiments.parallel import (
     RunOutcome,
     RunSpec,
     StderrProgress,
+    _execute_job,
     default_jobs,
     execute_plan,
     resolve,
@@ -41,6 +55,12 @@ from repro.experiments.parallel import (
     stderr_progress,
     summarize_timing,
 )
+from repro.farm import transport
+from repro.network.builder import _cached_topology, build_network
+from repro.network.config import SimulationConfig
+from repro.obs import runtime as obs_runtime
+from repro.obs.sinks import SCHEMA_RUN, iter_jsonl
+from repro.traffic.multicast import SingleMulticast
 
 #: QUICK-shaped but smaller, so equivalence runs stay test-suite friendly
 SMALL = Scale(
@@ -58,6 +78,18 @@ def _double(x):
 
 def _boom():
     raise RuntimeError("worker exploded")
+
+
+def _sleepy_pid(tag):
+    """Long enough that a plan of several spreads over every worker."""
+    time.sleep(0.02)
+    return tag, os.getpid()
+
+
+def _topology_misses(tag):
+    build_network(SimulationConfig(num_hosts=16)).close()
+    time.sleep(0.02)
+    return os.getpid(), _cached_topology.cache_info().misses
 
 
 class TestPlanMachinery:
@@ -320,3 +352,255 @@ class TestCrossTopologyPlanShape:
         results = execute_plan(plan, jobs=1)
         result = reduce_cross_topology(plan, results)
         assert {row["degree"] for row in result.rows} == {4}
+
+
+def _pid_plan(name, count=8):
+    return ExecutionPlan(
+        name,
+        [
+            RunSpec(key=(tag,), fn=_sleepy_pid, kwargs={"tag": tag})
+            for tag in range(count)
+        ],
+    )
+
+
+def _pids(name, jobs):
+    """The worker pids a plan of sleepy specs ran on, values checked."""
+    results = execute_plan(_pid_plan(name), jobs=jobs)
+    assert {key: tag for key, (tag, _) in results.items()} == {
+        (tag,): tag for tag in range(8)
+    }
+    return {pid for _, pid in results.values()}
+
+
+def _alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+def _pool_members():
+    import multiprocessing
+
+    return {child.pid for child in multiprocessing.active_children()}
+
+
+@pytest.fixture
+def fresh_pool():
+    """Each case starts the process's pool itself and leaves none."""
+    transport._retire_kept_pool()
+    yield
+    transport._retire_kept_pool()
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestOnePoolPerProcess:
+    """Plans of one ``jobs`` share the process's pool; anything that
+    abandons a plan, or another size, retires it."""
+
+    def test_plans_of_one_size_run_on_one_live_pool(self):
+        first = _pids("first", jobs=2)
+        second = _pids("second", jobs=2)
+        assert len(first | second) <= 2
+        assert first | second <= _pool_members()
+        assert os.getpid() not in first | second
+
+    def test_another_size_replaces_the_pool(self):
+        old = _pids("two", jobs=2)
+        new = _pids("three", jobs=3)
+        assert not new & old
+        assert not any(_alive(pid) for pid in old)
+        assert new <= _pool_members()
+        assert os.getpid() not in new
+
+    def test_a_plan_with_fewer_leaders_keeps_it(self):
+        _pids("wide", jobs=3)
+        members = _pool_members()
+        narrow = execute_plan(_pid_plan("narrow", count=2), jobs=3)
+        assert {pid for _, pid in narrow.values()} <= members
+        assert all(_alive(pid) for pid in members)
+
+    def test_any_other_pool_retires_it_first(self):
+        kept = _pids("kept", jobs=2)
+        other = transport.create_pool(2)
+        try:
+            assert not any(_alive(pid) for pid in kept)
+        finally:
+            other.terminate()
+            other.join()
+
+    def test_a_raising_spec_retires_the_pool(self):
+        before = _pids("before", jobs=2)
+        specs = _pid_plan("boom", count=5).specs
+        specs.append(RunSpec(key=("bad",), fn=_boom))
+        with pytest.raises(RuntimeError, match="worker exploded"):
+            execute_plan(ExecutionPlan("boom", specs), jobs=2)
+        after = _pids("after", jobs=2)
+        assert not after & before
+        assert not any(_alive(pid) for pid in before)
+        assert os.getpid() not in after
+
+    def test_a_raising_progress_callback_retires_the_pool(self):
+        before = _pids("before", jobs=2)
+
+        def progress(outcome, done, total):
+            if done == 2:
+                raise KeyError("progress callback")
+
+        with pytest.raises(KeyError, match="progress callback"):
+            execute_plan(_pid_plan("noisy"), jobs=2, progress=progress)
+        after = _pids("after", jobs=2)
+        assert not after & before
+        assert not any(_alive(pid) for pid in before)
+
+    def test_a_one_leader_plan_runs_in_process(self):
+        pool = _pids("pool", jobs=2)
+        alone = execute_plan(_pid_plan("alone", count=1), jobs=2)
+        assert alone == {(0,): (0, os.getpid())}
+        assert all(_alive(pid) for pid in pool)  # and left the pool be
+
+    def test_the_topology_cache_stays_warm_across_plans(self):
+        def plan(name):
+            return ExecutionPlan(
+                name,
+                [
+                    RunSpec(key=(tag,), fn=_topology_misses,
+                            kwargs={"tag": tag})
+                    for tag in range(8)
+                ],
+            )
+
+        misses = {}
+        for pid, count in execute_plan(plan("first"), jobs=2).values():
+            misses[pid] = max(misses.get(pid, 0), count)
+        second = execute_plan(plan("second"), jobs=2).values()
+        assert all(misses.get(pid) == count for pid, count in second)
+
+
+def _summary_plan(name):
+    return ExecutionPlan(
+        name,
+        [
+            RunSpec(
+                key=(seed,),
+                fn=simulate_summary,
+                kwargs=dict(
+                    config=SimulationConfig(num_hosts=16, seed=seed),
+                    workload_cls=SingleMulticast,
+                    workload_kwargs=dict(
+                        source=seed, degree=4, payload_flits=16,
+                        scheme=MulticastScheme.HARDWARE,
+                    ),
+                    max_cycles=20_000,
+                ),
+            )
+            for seed in range(4)
+        ],
+    )
+
+
+def _run_starts(path):
+    return [
+        record
+        for _, record in iter_jsonl(str(path))
+        if record["schema"] == SCHEMA_RUN and record["event"] == "start"
+    ]
+
+
+@pytest.mark.usefixtures("fresh_pool")
+class TestTelemetryTravelsWithTheJob:
+    """A job is ``(spec, options)``: the options configured when its plan
+    was submitted, not whatever the worker inherited at fork."""
+
+    def test_a_pool_started_quiet_records_a_plan_submitted_recording(
+        self, tmp_path
+    ):
+        _pids("quiet", jobs=2)
+        members = _pool_members()
+        path = tmp_path / "m.jsonl"
+        with obs_runtime.enabled(metrics_out=str(path)):
+            execute_plan(_summary_plan("recorded"), jobs=2)
+        starts = _run_starts(path)
+        assert sorted(start["seed"] for start in starts) == [0, 1, 2, 3]
+        tags = {int(start["run"].split("-")[0]) for start in starts}
+        assert tags <= members
+        assert os.getpid() not in tags
+
+    def test_a_pool_started_recording_is_quiet_for_a_plan_submitted_quiet(
+        self, tmp_path
+    ):
+        path = tmp_path / "m.jsonl"
+        with obs_runtime.enabled(metrics_out=str(path)):
+            execute_plan(_summary_plan("recorded"), jobs=2)
+        written = path.read_bytes()
+        assert len(_run_starts(path)) == 4
+        execute_plan(_summary_plan("quiet"), jobs=2)
+        assert path.read_bytes() == written
+
+    def test_a_job_restores_the_workers_own_options(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        spec = _summary_plan("one").specs[0]
+        options = obs_runtime.ObsOptions(metrics_out=str(path))
+        outcome = _execute_job((spec, options))
+        assert outcome.key == spec.key
+        assert obs_runtime.configured() is None
+        assert len(_run_starts(path)) == 1
+
+
+#: two plans on the kept pool, a farm campaign (whose own pool retires
+#: it), then a plan that leaves a kept pool alive at interpreter exit
+_POOLS_THEN_EXIT = textwrap.dedent(
+    """
+    from repro.experiments.parallel import ExecutionPlan, RunSpec, execute_plan
+    from repro.farm import runtime as farm_runtime
+
+    plan = ExecutionPlan(
+        "exit",
+        [RunSpec(key=(i,), fn=dict, kwargs={"x": i}) for i in range(6)],
+    )
+    expected = {(i,): {"x": i} for i in range(6)}
+    assert execute_plan(plan, jobs=2) == expected
+    assert execute_plan(plan, jobs=2) == expected
+    farm_runtime.configure(farm_runtime.open_farm("local"))
+    try:
+        assert execute_plan(plan, jobs=2) == expected
+    finally:
+        farm_runtime.reset()
+    assert execute_plan(plan, jobs=2) == expected
+    """
+)
+
+
+class TestCleanExit:
+    """Warnings as errors: no unclosed pool at exit, no fork beside a
+    live pool's threads (3.12 warns about that)."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["-c", _POOLS_THEN_EXIT],
+            [
+                "-m", "repro.experiments.runner", "--experiment", "a3",
+                "--scale", "quick", "--jobs", "2",
+            ],
+        ],
+        ids=["plans-farm-plan", "runner-a3"],
+    )
+    def test_exits_zero_with_nothing_on_stderr(self, argv):
+        src = Path(__file__).resolve().parents[2] / "src"
+        completed = subprocess.run(
+            [
+                sys.executable,
+                "-W", "error::ResourceWarning",
+                "-W", "error::DeprecationWarning",
+                *argv,
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert completed.stderr == ""
