@@ -21,7 +21,7 @@ DESTINATIONS = [5, 6, 11, 12]
 
 def main() -> None:
     config = SimulationConfig(num_hosts=16, seed=1, self_check=True)
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     network = build_network(config, tracer=tracer)
 
     dest_set = DestinationSet.from_ids(16, DESTINATIONS)

@@ -1,12 +1,12 @@
 """reprolint: AST-based static checks for the simulator's invariants.
 
 The reproduction's headline guarantees — bit-identical golden snapshots
-across ``--jobs`` levels, picklable experiment grids, zero-overhead
-telemetry — are *behavioural* contracts that a stray ``random.random()``
-or an unguarded metrics call silently violates until a golden test
+across ``--jobs`` levels, picklable experiment grids, journal-only store
+writes — are *behavioural* contracts that a stray ``random.random()``
+or a lambda in a run spec silently violates until a golden test
 happens to catch it.  This package moves those contracts to lint time:
 
-* :mod:`repro.analysis.rules` — the twelve rules (REP001-REP014, two
+* :mod:`repro.analysis.rules` — the ten rules (REP001-REP014, four
   codes retired) and the pluggable registry new rules hook into;
 * :mod:`repro.analysis.engine` — file walking and suppression
   partitioning;

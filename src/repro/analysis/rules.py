@@ -1,5 +1,5 @@
-"""The reprolint rule registry and its twelve invariant rules (codes
-REP001-REP014; two are retired and never reused).
+"""The reprolint rule registry and its ten invariant rules (codes
+REP001-REP014; four are retired and never reused).
 
 Each rule guards one contract the reproduction's results depend on but
 that nothing else enforces at rest (see ``docs/static-analysis.md``):
@@ -9,10 +9,8 @@ REP001   all randomness flows through :mod:`repro.sim.rng`
 REP002   wall-clock reads stay out of simulation code
 REP003   no ordering-sensitive iteration over unordered collections
 REP004   pool-submitted callables are module-level (picklable)
-REP005   metric calls stay behind a captured ``metrics.enabled`` guard
 REP006   records handed to JSONL sink writers carry a ``schema`` tag
 REP007   tick-path link drains stay behind a cheap emptiness guard
-REP009   tracer/profiler emits stay behind an enabled/attached guard
 REP010   dormancy-state mutations register a kernel wake
 REP012   literal sink records match their registered schema fields
 REP013   result-store file I/O flows through the journal module only
@@ -39,7 +37,6 @@ import inspect
 import re
 from abc import ABC, abstractmethod
 from typing import (
-    Callable,
     Dict,
     Iterator,
     List,
@@ -55,7 +52,7 @@ from repro.analysis.project import FunctionInfo, ProjectIndex
 from repro.analysis.source import SourceModule
 
 #: packages whose modules run inside the cycle loop; determinism rules
-#: (REP002/REP003/REP005) apply here
+#: (REP002/REP003) apply here
 KERNEL_PACKAGES: Tuple[str, ...] = (
     "repro.sim",
     "repro.switches",
@@ -80,10 +77,6 @@ RNG_HOME = "repro.sim.rng"
 #: the link implementation itself is exempt from REP007 (its methods
 #: *are* the drain primitives the rule protects)
 LINK_HOME = "repro.switches.link"
-
-#: the tracer implementation itself is exempt from REP009 (its ``emit``
-#: *is* the guarded primitive the rule protects)
-TRACE_HOME = "repro.sim.trace"
 
 #: the result-store package and its single file-I/O module (REP013):
 #: every byte the store persists flows through the journal, keeping the
@@ -200,80 +193,6 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
             )
         )
     return catalog
-
-
-def _mentions_guard(test: ast.expr) -> bool:
-    """True when ``test`` references an observability guard positively.
-
-    A guard reference is a name or attribute whose identifier contains
-    ``obs`` or is exactly ``enabled`` (the ``self._obs = metrics.enabled``
-    convention).  References under a ``not`` are *negative* — the guarded
-    branch is the one where metrics are off — and do not count.
-    """
-    negated: Set[int] = set()
-    for node in ast.walk(test):
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
-            for inner in ast.walk(node.operand):
-                negated.add(id(inner))
-    for node in ast.walk(test):
-        identifier = None
-        if isinstance(node, ast.Attribute):
-            identifier = node.attr
-        elif isinstance(node, ast.Name):
-            identifier = node.id
-        if identifier is None:
-            continue
-        if ("obs" in identifier or identifier == "enabled") and (
-            id(node) not in negated
-        ):
-            return True
-    return False
-
-
-def _mentions_guard_negatively(test: ast.expr) -> bool:
-    """True for tests like ``not self._obs`` (early-return guards)."""
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        return _mentions_guard(test.operand)
-    return False
-
-
-def _behind_guard(
-    module: SourceModule,
-    node: ast.AST,
-    positive: Callable[[ast.expr], bool],
-    negative: Callable[[ast.expr], bool],
-) -> bool:
-    """True when ``node`` only runs with a telemetry guard on.
-
-    Either an enclosing ``if``/``while`` holds it in its body under a
-    test that satisfies ``positive``, or an enclosing function exits
-    early — ``if <negative test>: return/raise/continue`` at its top
-    level — before the statement that contains it.
-    """
-    previous: ast.AST = node
-    for ancestor in module.parent_chain(node):
-        if isinstance(ancestor, (ast.If, ast.While)):
-            in_body = any(
-                previous is statement for statement in ancestor.body
-            )
-            if in_body and positive(ancestor.test):
-                return True
-        elif isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            for statement in ancestor.body:
-                if statement is previous:
-                    break
-                if (
-                    isinstance(statement, ast.If)
-                    and negative(statement.test)
-                    and statement.body
-                    and isinstance(
-                        statement.body[-1],
-                        (ast.Return, ast.Raise, ast.Continue),
-                    )
-                ):
-                    return True
-        previous = ancestor
-    return False
 
 
 def _in_packages(module_name: str, packages: Sequence[str]) -> bool:
@@ -808,52 +727,6 @@ def _dict_values(node: ast.expr) -> List[ast.expr]:
 
 
 @register
-class MetricsBehindGuard(Rule):
-    """REP005 — instrument calls stay behind the captured enabled flag.
-
-    The telemetry layer's zero-overhead contract (PR 2) is that an
-    uninstrumented simulation pays *one boolean test* per call site:
-    components capture ``self._obs = metrics.enabled`` at construction
-    and guard every ``.inc()`` / ``.observe()`` with it.  An unguarded
-    call site still executes the (no-op) instrument call on the hot
-    path — death by a thousand attribute lookups — and, worse, an
-    enabled-registry call outside the guard can drift from the
-    captured flag.  The rule flags ``.inc(...)`` / ``.observe(...)``
-    calls in kernel-path packages that are neither inside an ``if``
-    whose test mentions an ``_obs``/``enabled`` guard nor after a
-    ``if not <guard>: return`` early exit.
-    """
-
-    code = "REP005"
-    summary = "metrics .inc()/.observe() outside a metrics.enabled guard"
-    hint = (
-        "capture `self._obs = metrics.enabled` at construction and "
-        "wrap the call in `if self._obs:`"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.in_package(*KERNEL_PACKAGES):
-            return
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("inc", "observe")
-            ):
-                continue
-            if _behind_guard(
-                module, node, _mentions_guard, _mentions_guard_negatively
-            ):
-                continue
-            yield self.finding(
-                module,
-                node,
-                f".{node.func.attr}() call not behind a captured "
-                "metrics.enabled guard",
-            )
-
-
-@register
 class SinkRecordsCarrySchema(Rule):
     """REP006 — every JSONL sink record is stamped with its schema.
 
@@ -1064,116 +937,6 @@ class LinkDrainsBehindGuard(Rule):
             ):
                 return True
         return False
-
-
-def _mentions_trace_guard(test: ast.expr) -> bool:
-    """True when ``test`` positively references a tracing/profiling guard.
-
-    Accepts everything :func:`_mentions_guard` accepts (the
-    ``metrics.enabled`` convention covers ``self.tracer.enabled`` too),
-    plus identifiers containing ``prof`` (the kernel's captured
-    ``prof = self._prof`` local) — but ``<prof> is None`` compares are
-    *negative*: that branch is the one where no profiler is attached.
-    """
-    if isinstance(test, ast.Compare) and len(test.ops) == 1:
-        comparator = test.comparators[0]
-        is_none = (
-            isinstance(comparator, ast.Constant)
-            and comparator.value is None
-        )
-        if is_none and isinstance(test.ops[0], ast.Is):
-            return False
-    if _mentions_guard(test):
-        return True
-    for node in ast.walk(test):
-        identifier = None
-        if isinstance(node, ast.Attribute):
-            identifier = node.attr
-        elif isinstance(node, ast.Name):
-            identifier = node.id
-        if identifier is not None and "prof" in identifier:
-            return True
-    return False
-
-
-def _mentions_trace_guard_negatively(test: ast.expr) -> bool:
-    """``not <guard>`` or ``<guard> is None`` early-exit tests."""
-    if isinstance(test, ast.UnaryOp) and isinstance(test.op, ast.Not):
-        return _mentions_trace_guard(test.operand)
-    if isinstance(test, ast.Compare) and len(test.ops) == 1:
-        comparator = test.comparators[0]
-        if (
-            isinstance(test.ops[0], ast.Is)
-            and isinstance(comparator, ast.Constant)
-            and comparator.value is None
-        ):
-            return _mentions_trace_guard(test.left) or _mentions_guard(
-                test.left
-            )
-    return False
-
-
-@register
-class TraceEmitsBehindGuard(Rule):
-    """REP009 — tracer/profiler emits stay behind an enabled guard.
-
-    The profiling subsystem extends the zero-overhead contract (REP005)
-    to event emission: an unprofiled simulation pays one boolean test
-    per emit site, never a method call.  ``tracer.emit(...)`` builds its
-    keyword dict and tuple-sorts the details *before* the disabled
-    tracer returns, so an unguarded emit in a kernel path costs real
-    allocations on every hot cycle even when tracing is off; likewise
-    the kernel's profiler hooks (``record_tick`` / ``record_step`` /
-    ``record_fast_forward``) must only be reached when a profiler is
-    attached.  The rule flags such calls in kernel-path packages that
-    are neither inside an ``if`` whose test mentions a
-    tracing/profiling guard (``.enabled``, ``_obs``, a captured
-    ``prof`` local tested ``is not None``) nor after a
-    ``if not <guard>: return`` / ``if <prof> is None: return`` early
-    exit.  The tracer implementation itself is exempt.
-    """
-
-    code = "REP009"
-    summary = (
-        "tracer .emit()/profiler record_*() outside an enabled/attached "
-        "guard"
-    )
-    hint = (
-        "wrap the call in `if self.tracer.enabled:` (or test the "
-        "captured profiler local `is not None`) so the unprofiled hot "
-        "path pays one boolean test"
-    )
-
-    #: profiler-hook calls that must be guarded alongside ``emit``
-    EMITS = frozenset(
-        {"emit", "record_tick", "record_step", "record_fast_forward"}
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.in_package(*KERNEL_PACKAGES):
-            return
-        if module.module_name == TRACE_HOME:
-            return
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.EMITS
-            ):
-                continue
-            if _behind_guard(
-                module,
-                node,
-                _mentions_trace_guard,
-                _mentions_trace_guard_negatively,
-            ):
-                continue
-            yield self.finding(
-                module,
-                node,
-                f".{node.func.attr}() call not behind a tracer-enabled "
-                "or profiler-attached guard",
-            )
 
 
 @register

@@ -495,8 +495,3 @@ class StderrProgress:
             jobs=default_jobs() if jobs is None else max(1, int(jobs)),
             wall_seconds=time.perf_counter() - self._started,
         )
-
-
-def stderr_progress(name: str) -> StderrProgress:
-    """Back-compat factory for :class:`StderrProgress`."""
-    return StderrProgress(name)

@@ -26,9 +26,9 @@ from typing import Dict
 from repro import experiments
 from repro.experiments.common import PAPER, QUICK, Experiment
 from repro.experiments.parallel import (
+    StderrProgress,
     Stopwatch,
     default_jobs,
-    stderr_progress,
 )
 from repro.farm import runtime as farm_runtime
 from repro.obs import runtime as obs_runtime
@@ -158,15 +158,15 @@ def main(argv=None) -> int:
             "--sample-every needs --metrics-out, --trace-out or "
             "--profile-out"
         )
+    options = None
     if recording:
-        obs_runtime.configure(
-            ObsOptions(
-                metrics_out=args.metrics_out,
-                trace_out=args.trace_out,
-                sample_every=max(0, args.sample_every),
-                profile_out=args.profile_out,
-            )
+        options = ObsOptions(
+            metrics_out=args.metrics_out,
+            trace_out=args.trace_out,
+            sample_every=max(0, args.sample_every),
+            profile_out=args.profile_out,
         )
+        obs_runtime.configure(options)
 
     if args.no_store and (args.store_dir or args.store_refresh):
         parser.error(
@@ -205,7 +205,7 @@ def main(argv=None) -> int:
     overall = Stopwatch()
     try:
         for name in names:
-            progress = stderr_progress(name) if args.progress else None
+            progress = StderrProgress(name) if args.progress else None
             experiment = EXPERIMENTS[name]
             watch = Stopwatch()
             result = experiment(scale, jobs=jobs, progress=progress)
@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         store_runtime.reset()
         farm_runtime.reset()
 
-    if recording:
+    if options is not None:
         anchor = args.metrics_out or args.trace_out or args.profile_out
         manifest_path = str(Path(anchor).with_suffix(".manifest.json"))
         RunManifest.collect(
@@ -253,9 +253,10 @@ def main(argv=None) -> int:
             jobs=jobs,
             experiments=names,
             scale=scale.name,
-            metrics_out=args.metrics_out,
-            trace_out=args.trace_out,
-            sample_every=args.sample_every,
+            metrics_out=options.metrics_out,
+            trace_out=options.trace_out,
+            profile_out=options.profile_out,
+            sample_every=options.effective_sample_every,
         ).write(manifest_path)
         print(f"[run manifest: {manifest_path}]", file=sys.stderr)
     return 0

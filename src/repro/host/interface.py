@@ -57,9 +57,9 @@ from typing import Callable, Deque, Optional
 from repro.errors import ProtocolError
 from repro.flits.packed import flit_repr
 from repro.flits.worm import Worm
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.sim.component import Component
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 from repro.switches.link import Link
 
 DeliveryCallback = Callable[[Worm, int], None]
@@ -81,9 +81,9 @@ class HostInterface(Component):
     def __init__(
         self,
         host_id: int,
-        tracer: Tracer = NULL_TRACER,
+        tracer: Optional[Tracer] = None,
         rx_depth: int = RX_DEPTH,
-        metrics: MetricsRegistry = NULL_REGISTRY,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(f"ni{host_id}")
         if rx_depth < 1:
@@ -91,16 +91,19 @@ class HostInterface(Component):
         self.host_id = host_id
         self.rx_depth = rx_depth
         self.tracer = tracer
-        # network-wide NI totals, shared by name across all interfaces;
-        # guarded by the captured flag so the uninstrumented path pays a
-        # single boolean test (the REP005 contract)
-        self._obs = metrics.enabled
-        self._c_injected = metrics.counter("ni.flits_injected")
-        self._c_ejected = metrics.counter("ni.flits_ejected")
-        self._c_blocked = metrics.counter("ni.blocked_cycles")
+        # network-wide NI totals, shared by name across all interfaces
+        # and registered only when a registry is given: the
+        # uninstrumented path pays one boolean test per site, and a site
+        # that skips it raises
+        self._obs = metrics is not None
+        if metrics is not None:
+            self._c_injected = metrics.counter("ni.flits_injected")
+            self._c_ejected = metrics.counter("ni.flits_ejected")
+            self._c_blocked = metrics.counter("ni.blocked_cycles")
         #: cycle of the tick that found injection blocked and went to
-        #: sleep on it, -1 otherwise: every cycle slept since is a
-        #: blocked one still to be counted (see `settle_blocked`)
+        #: sleep on it, -1 otherwise (always, unobserved): every cycle
+        #: slept since is a blocked one still to be counted (see
+        #: `settle_blocked`)
         self._blocked_at = -1
         self.out_link: Optional[Link] = None
         self.in_link: Optional[Link] = None
@@ -203,7 +206,7 @@ class HostInterface(Component):
         :func:`~repro.network.simulation.run_workload` on its way out,
         for the NIs still asleep when the counters are read.
         """
-        if self._obs and self._blocked_at >= 0:
+        if self._blocked_at >= 0:
             self._c_blocked.inc(now - 1 - self._blocked_at)
             self._blocked_at = now - 1
 
@@ -283,7 +286,7 @@ class HostInterface(Component):
         self.sim.progress += count  # note_progress(), once per member flit
         if self._rx_count == worm.size_flits:
             self._rx_worm = None
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     now, self.name, "packet_delivered",
                     packet=worm.packet.packet_id,
@@ -306,7 +309,7 @@ class HostInterface(Component):
             count = window
         if cursor == 0 and worm.packet.injected_cycle is None:
             worm.packet.injected_cycle = now
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     now, self.name, "inject_start",
                     packet=worm.packet.packet_id,

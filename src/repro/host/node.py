@@ -22,7 +22,7 @@ from repro.flits.worm import Worm
 from repro.host.interface import HostInterface
 from repro.host.software_multicast import SoftwareMulticastEngine
 from repro.metrics.collectors import MetricsCollector, Operation
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.sim.kernel import Simulator
 
 #: bucket upper edges (cycles) of the delivery-latency histogram
@@ -65,7 +65,7 @@ class HostNode:
         collector: MetricsCollector,
         params: HostParams,
         sw_engine: SoftwareMulticastEngine,
-        metrics: MetricsRegistry = NULL_REGISTRY,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         params.validate()
         self.host_id = host_id
@@ -78,14 +78,15 @@ class HostNode:
         self.sw_engine = sw_engine
         self._cpu_ready = 0
         self._delivery_listeners = []
-        # observability: shared process-wide counters (no-ops unless an
-        # enabled registry was passed in)
-        self._obs = metrics.enabled
-        self._c_injected = metrics.counter("host.messages_injected")
-        self._c_delivered = metrics.counter("host.messages_delivered")
-        self._h_latency = metrics.histogram(
-            "host.delivery_latency_cycles", LATENCY_BUCKETS
-        )
+        # observability: instruments shared by name across the network,
+        # registered only when a registry is given
+        self._obs = metrics is not None
+        if metrics is not None:
+            self._c_injected = metrics.counter("host.messages_injected")
+            self._c_delivered = metrics.counter("host.messages_delivered")
+            self._h_latency = metrics.histogram(
+                "host.delivery_latency_cycles", LATENCY_BUCKETS
+            )
         interface.on_delivery(self._on_packet_delivered)
 
     # ------------------------------------------------------------------
@@ -245,7 +246,7 @@ def allocate_nodes(
     encoding: HeaderEncoding,
     collector: MetricsCollector,
     params: HostParams,
-    metrics: MetricsRegistry = NULL_REGISTRY,
+    metrics: Optional[MetricsRegistry] = None,
 ) -> List[HostNode]:
     """Build one node per interface, sharing a software multicast engine."""
     engine = SoftwareMulticastEngine()

@@ -14,12 +14,12 @@ from repro.host.interface import HostInterface
 from repro.host.node import HostNode, allocate_nodes
 from repro.metrics.collectors import MetricsCollector
 from repro.network.config import SimulationConfig, TopologyKind
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.routing.reachability import tables_for_bmin, tables_for_umin
 from repro.routing.table import SwitchRoutingTable
 from repro.routing.updown import tables_for_irregular
 from repro.sim.kernel import Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 from repro.switches.base import SwitchBase
 from repro.switches.central_buffer import CentralBufferSwitch
 from repro.switches.input_buffer import InputBufferSwitch
@@ -47,7 +47,7 @@ class Network:
     collector: MetricsCollector
     encoding: HeaderEncoding
     links: List[Link] = field(default_factory=list)
-    metrics: MetricsRegistry = NULL_REGISTRY
+    metrics: Optional[MetricsRegistry] = None
 
     @property
     def num_hosts(self) -> int:
@@ -166,12 +166,10 @@ def build_network(
     """Build every component of the configured system and wire it up.
 
     ``metrics`` is an observability registry shared by every switch and
-    host; the default ``NULL_REGISTRY`` makes every instrumentation site
-    a no-op (see :mod:`repro.obs`).
+    host, and ``tracer`` a trace capture they all emit to; without them
+    no component registers an instrument or emits (see :mod:`repro.obs`).
     """
     config.validate()
-    tracer = tracer if tracer is not None else NULL_TRACER
-    metrics = metrics if metrics is not None else NULL_REGISTRY
     topology_object, topology, tables, wiring = _build_topology(config)
     sim = Simulator(seed=config.seed, dense=config.dense_kernel)
     encoding = config.build_encoding()

@@ -23,10 +23,10 @@ STALL_LIMIT = 50_000
 class SimulationResult:
     """Everything an experiment needs from one finished run."""
 
-    config: SimulationConfig
+    #: the cycle the run stopped at — stored, so a network that runs
+    #: again after the result was taken does not move it
     cycles: int
     completed: bool
-    collector: MetricsCollector
     #: the network the run executed on, for probes that read component
     #: state after the fact (buffer occupancy, topology distances)
     network: Network = field(repr=False)
@@ -34,6 +34,16 @@ class SimulationResult:
     # ------------------------------------------------------------------
     # convenience accessors
     # ------------------------------------------------------------------
+    @property
+    def config(self) -> SimulationConfig:
+        """The configuration the network was built from."""
+        return self.network.config
+
+    @property
+    def collector(self) -> MetricsCollector:
+        """The network's live metrics collector."""
+        return self.network.collector
+
     @property
     def unicast_latency(self) -> RunningStats:
         """Per-delivery latency of background unicast messages."""
@@ -281,16 +291,12 @@ def run_workload(
         # the one place counters are brought up to date for reading: a
         # component asleep while blocked counts those cycles when it
         # next ticks, and a run may stop — or stall — first
-        if network.metrics.enabled:
+        if network.metrics is not None:
             now = network.sim.now
             for component in (*network.switches, *network.interfaces):
                 component.settle_blocked(now)
     return SimulationResult(
-        config=network.config,
-        cycles=network.sim.now,
-        completed=completed,
-        collector=network.collector,
-        network=network,
+        cycles=network.sim.now, completed=completed, network=network
     )
 
 

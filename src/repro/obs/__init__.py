@@ -3,8 +3,8 @@
 The layer has four pieces, all off by default:
 
 * :mod:`repro.obs.registry` — counters, gauges and fixed-bucket
-  histograms registered by name; ``NULL_REGISTRY`` makes every
-  instrumentation site free when observability is disabled.
+  histograms registered by name; a component built without a registry
+  registers nothing and skips every instrumentation site.
 * :mod:`repro.obs.sampler` — a simulation component snapshotting
   selected gauges every N cycles into a time series.
 * :mod:`repro.obs.sinks` — schema-versioned JSONL writers for metrics
@@ -23,7 +23,6 @@ from repro.obs.registry import (
     Counter,
     Gauge,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 from repro.obs.runtime import DEFAULT_SAMPLE_EVERY, ObsOptions
 from repro.obs.sinks import (
@@ -47,7 +46,6 @@ __all__ = [
     "JsonlWriter",
     "MetricsRegistry",
     "MetricsSink",
-    "NULL_REGISTRY",
     "ObsOptions",
     "RunManifest",
     "config_sha256",

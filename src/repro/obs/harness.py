@@ -3,8 +3,8 @@
 When :mod:`repro.obs.runtime` is configured, every simulation built
 through :func:`repro.network.simulation.run_simulation` comes through
 here instead of the plain build-and-run path: the network is built with
-an enabled :class:`~repro.obs.registry.MetricsRegistry` (so switches and
-hosts register their counters) and a streaming tracer, the standard
+a :class:`~repro.obs.registry.MetricsRegistry` (so switches and hosts
+register their counters) and a streaming tracer, the standard
 network gauges are registered, a :class:`~repro.obs.sampler.CycleSampler`
 is attached, and the run is bracketed by ``repro.run/1`` start/end lines
 carrying the config fingerprint and the final counter snapshot.
@@ -46,7 +46,7 @@ def run_instrumented(
 
     run_id = runtime.next_run_id()
     fingerprint = describe(config)
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
 
     # every writer opened here is closed on the way out, whether the
     # run finishes, stalls, or the config never builds a network

@@ -122,16 +122,12 @@ class PacketLife:
 class WormLifecycleTracer(Tracer):
     """Digests lifecycle events into per-packet phase records.
 
-    Always enabled (a disabled lifecycle tracer would simply not be
-    constructed); retains no raw records of its own unless ``keep``
-    is set — digestion happens inline in :meth:`emit`.
+    Retains no raw records of its own — digestion happens inline in
+    :meth:`emit`; chain an ``inner`` tracer to keep them.
     """
 
-    def __init__(
-        self, inner: Optional[Tracer] = None, keep: bool = False
-    ) -> None:
-        super().__init__(enabled=True)
-        self._keep = keep
+    def __init__(self, inner: Optional[Tracer] = None) -> None:
+        super().__init__()
         #: chained tracer receiving every event verbatim (or ``None``)
         self.inner = inner
         #: per-packet digests, keyed by globally-unique packet id
@@ -157,8 +153,6 @@ class WormLifecycleTracer(Tracer):
     ) -> None:
         if self.inner is not None:
             self.inner.emit(cycle, source, event, **details)
-        if self._keep:
-            super().emit(cycle, source, event, **details)
         packet_id = details.get("packet")
         if packet_id is None:
             self.ignored_events += 1

@@ -145,7 +145,7 @@ def run_profiled(
 ) -> ProfileReport:
     """Run ``workload`` on ``config`` with every instrument attached."""
     instruments = Instruments()
-    registry = MetricsRegistry(enabled=True)
+    registry = MetricsRegistry()
     network = build_network(
         config, tracer=instruments.lifecycle, metrics=registry
     )

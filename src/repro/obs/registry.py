@@ -5,13 +5,12 @@ name*; registering the same counter name twice returns the same object,
 so e.g. every switch in a network can fold into one shared
 ``switch.flits_forwarded`` total without coordination.
 
-The registry follows the same opt-in contract as
-:class:`repro.sim.trace.Tracer`: instrumentation is **off by default**.
-A disabled registry (``NULL_REGISTRY``) hands out shared no-op
-instruments and records nothing, and hot paths additionally guard their
-increments behind a single boolean (``metrics.enabled``) captured at
-construction time, so the uninstrumented simulation pays nothing per
-flit.
+Instrumentation is **off by default**, and off means absent: a
+component built without a registry (``metrics=None``) registers no
+instrument at all, and its hot paths guard each call behind one boolean
+captured at construction (``self._obs = metrics is not None``).  An
+unguarded call then raises ``AttributeError`` in every unobserved run
+instead of silently costing a no-op call per flit.
 """
 
 from __future__ import annotations
@@ -102,49 +101,10 @@ class BucketHistogram:
         return f"BucketHistogram({self.name!r}, count={self.count})"
 
 
-class _NullCounter:
-    """Shared no-op counter handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "null"
-    value = 0
-
-    def inc(self, n: int = 1) -> None:
-        pass
-
-
-class _NullHistogram:
-    """Shared no-op histogram handed out by a disabled registry."""
-
-    __slots__ = ()
-    name = "null"
-    count = 0
-
-    def observe(self, value: float) -> None:
-        pass
-
-    def snapshot(self) -> Dict[str, object]:
-        return {"bounds": [], "counts": [], "count": 0, "total": 0.0}
-
-
-_NULL_COUNTER = _NullCounter()
-_NULL_HISTOGRAM = _NullHistogram()
-
-
 class MetricsRegistry:
-    """Get-or-create registry of named instruments.
+    """Get-or-create registry of named instruments."""
 
-    Parameters
-    ----------
-    enabled:
-        When false, every factory method returns a shared no-op
-        instrument and nothing is recorded.  Components capture this
-        flag once (``self._obs = metrics.enabled``) and guard their hot
-        paths with it.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._counters: Dict[str, Counter] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, BucketHistogram] = {}
@@ -154,8 +114,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     def counter(self, name: str) -> Counter:
         """The counter named ``name``, created on first use."""
-        if not self.enabled:
-            return _NULL_COUNTER  # type: ignore[return-value]
         counter = self._counters.get(name)
         if counter is None:
             counter = self._counters[name] = Counter(name)
@@ -163,8 +121,6 @@ class MetricsRegistry:
 
     def gauge(self, name: str, fn: Callable[[], float]) -> Gauge:
         """Register the callback-backed gauge ``name`` (unique)."""
-        if not self.enabled:
-            return Gauge(name, fn)  # inert: never stored, never sampled
         if name in self._gauges:
             raise ValueError(f"gauge {name!r} already registered")
         gauge = self._gauges[name] = Gauge(name, fn)
@@ -175,8 +131,6 @@ class MetricsRegistry:
     ) -> BucketHistogram:
         """The histogram named ``name``, created with ``bounds`` on
         first use; later registrations must agree on the bounds."""
-        if not self.enabled:
-            return _NULL_HISTOGRAM  # type: ignore[return-value]
         histogram = self._histograms.get(name)
         if histogram is None:
             histogram = self._histograms[name] = BucketHistogram(name, bounds)
@@ -228,11 +182,7 @@ class MetricsRegistry:
 
     def __repr__(self) -> str:
         return (
-            f"MetricsRegistry(enabled={self.enabled}, "
-            f"counters={len(self._counters)}, gauges={len(self._gauges)}, "
+            f"MetricsRegistry(counters={len(self._counters)}, "
+            f"gauges={len(self._gauges)}, "
             f"histograms={len(self._histograms)})"
         )
-
-
-NULL_REGISTRY = MetricsRegistry(enabled=False)
-"""Shared disabled registry for components created without one."""

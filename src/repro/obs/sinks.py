@@ -145,21 +145,12 @@ class JsonlTracer(Tracer):
     """A :class:`~repro.sim.trace.Tracer` that streams to a JSONL file.
 
     Unlike the in-memory tracer this is not memory-bound: records go
-    straight to disk and (by default) are **not** retained in the ring
-    buffer.  Pass ``keep_records=True`` to also retain them for the
-    in-process ``select``/``counts`` API, subject to ``limit``.
+    straight to disk and are **not** retained in the ring buffer.
     """
 
-    def __init__(
-        self,
-        path: str,
-        run: str = "",
-        keep_records: bool = False,
-        limit: int = 1_000_000,
-    ) -> None:
-        super().__init__(enabled=True, limit=limit)
+    def __init__(self, path: str, run: str = "") -> None:
+        super().__init__()
         self.run = run
-        self.keep_records = keep_records
         self._writer = JsonlWriter(path)
 
     @property
@@ -168,9 +159,7 @@ class JsonlTracer(Tracer):
         return self._writer.lines_written
 
     def emit(self, cycle: int, source: str, event: str, **details: Any) -> None:
-        """Stream one event; optionally also retain it in memory."""
-        if not self.enabled:
-            return
+        """Stream one event."""
         self._writer.write(
             {
                 "schema": SCHEMA_TRACE,
@@ -181,8 +170,6 @@ class JsonlTracer(Tracer):
                 "details": details,
             }
         )
-        if self.keep_records:
-            super().emit(cycle, source, event, **details)
 
     def close(self) -> None:
         """Flush and close the underlying file."""

@@ -73,7 +73,7 @@ class _FlitArrival(SwitchBase):
             if inflow[0] is ingress:
                 self._route_pending |= 1 << port
             self._header_complete(ingress)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 now, self.name, "flit_in", port=port, flit=repr(flit)
             )
@@ -299,7 +299,7 @@ class ReferenceHostInterface(HostInterface):
         if flit.is_tail:
             worm = self._rx_worm
             self._rx_worm = None
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     now, self.name, "packet_delivered",
                     packet=worm.packet.packet_id,
@@ -316,7 +316,7 @@ class ReferenceHostInterface(HostInterface):
             return 0
         if self._inject_cursor == 0 and worm.packet.injected_cycle is None:
             worm.packet.injected_cycle = now
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     now, self.name, "inject_start",
                     packet=worm.packet.packet_id,

@@ -1,9 +1,10 @@
 """Optional event tracing for debugging simulations.
 
-Tracing is off by default and costs one attribute check per call site when
-disabled.  Enable it to capture a structured log of flit movements, buffer
-operations and message lifecycles, which the tests use to assert detailed
-pipeline behaviour.
+Tracing is off by default, and off means absent: a component built
+without a tracer holds ``None`` and tests ``tracer is not None`` at each
+call site.  Pass a :class:`Tracer` to capture a structured log of flit
+movements, buffer operations and message lifecycles, which the tests use
+to assert detailed pipeline behaviour.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` entries when enabled.
+    """Collects :class:`TraceRecord` entries.
 
     The tracer is a *ring buffer*: it retains at most ``limit`` records,
     and once full each new :meth:`emit` silently evicts the oldest
@@ -43,23 +44,18 @@ class Tracer:
 
     Parameters
     ----------
-    enabled:
-        When false (default), :meth:`emit` is a no-op.
     limit:
         Maximum records to retain; older records are dropped first.
     """
 
-    def __init__(self, enabled: bool = False, limit: int = 1_000_000) -> None:
-        self.enabled = enabled
+    def __init__(self, limit: int = 1_000_000) -> None:
         self.limit = limit
         self._records: Deque[TraceRecord] = deque(maxlen=limit)
         #: records evicted so far to honour ``limit`` (see class docs)
         self.dropped_count = 0
 
     def emit(self, cycle: int, source: str, event: str, **details: Any) -> None:
-        """Record one event if tracing is enabled."""
-        if not self.enabled:
-            return
+        """Record one event."""
         records = self._records
         if len(records) == records.maxlen:
             self.dropped_count += 1  # the append below evicts the oldest
@@ -99,7 +95,3 @@ class Tracer:
         for record in self._records:
             result[record.event] = result.get(record.event, 0) + 1
         return result
-
-
-NULL_TRACER = Tracer(enabled=False)
-"""Shared disabled tracer for components created without one."""

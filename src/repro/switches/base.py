@@ -20,7 +20,7 @@ from typing import Any, Callable, Deque, List, Optional, Tuple, Type
 from repro.errors import ConfigurationError, ProtocolError
 from repro.flits.packed import SpanQueue, flit_repr
 from repro.flits.worm import Worm
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.routing.base import (
     MulticastRoutingMode,
     PortRequest,
@@ -30,7 +30,7 @@ from repro.routing.base import (
 from repro.routing.table import SwitchRoutingTable
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 from repro.switches.link import Link
 from repro.switches.ports import PORTS_OF
 
@@ -243,8 +243,8 @@ class SwitchBase(Component):
         table: SwitchRoutingTable,
         num_ports: int,
         settings: SwitchSettings,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_REGISTRY,
+        tracer: Optional[Tracer] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(name)
         settings.validate()
@@ -280,12 +280,13 @@ class SwitchBase(Component):
         #: instance before the first tick — ``SpanProfiler``, the
         #: ledger's ``SimProbe`` — is the one called
         self._rx: Optional[List[Optional[_RxPort]]] = None
-        # observability: shared process-wide counters (no-ops unless an
-        # enabled registry was passed in; `_obs` keeps the hot path to a
-        # single boolean test)
-        self._obs = metrics.enabled
-        self._c_forwarded = metrics.counter("switch.flits_forwarded")
-        self._c_blocked = metrics.counter("switch.blocked_cycles")
+        # observability: counters shared by name across the network,
+        # registered only when a registry is given; `_obs` keeps the hot
+        # path to a single boolean test, and an unguarded call raises
+        self._obs = metrics is not None
+        if metrics is not None:
+            self._c_forwarded = metrics.counter("switch.flits_forwarded")
+            self._c_blocked = metrics.counter("switch.blocked_cycles")
         # the blocked cycles a sleeping switch has yet to count: the
         # un-stirred tick at `_blocked_at` bumped the counter
         # `_blocked_rate` times and every cycle slept since would have
@@ -333,7 +334,8 @@ class SwitchBase(Component):
         if self._blocked_rate:
             self.settle_blocked(now)
             self._blocked_rate = 0
-        blocked = self._c_blocked.value
+        if self._obs:
+            blocked = self._c_blocked.value
         self._receive(now)
         self._phases(now)
         # Re-arm: a worm anywhere inside the switch — in an input FIFO,
@@ -372,8 +374,9 @@ class SwitchBase(Component):
             if self._stirred and not self._inside_runs(now):
                 self.wake_at(now + 1)
             else:
-                self._blocked_rate = self._c_blocked.value - blocked
-                self._blocked_at = now
+                if self._obs:
+                    self._blocked_rate = self._c_blocked.value - blocked
+                    self._blocked_at = now
                 wake = self._blocked_wake(now)
                 if wake is not None:
                     self.wake_at(wake)
@@ -383,13 +386,11 @@ class SwitchBase(Component):
 
         Called by the tick that ends a blocked sleep and by
         :func:`~repro.network.simulation.run_workload` on its way out,
-        for the switches still asleep when the counters are read.
+        for the switches still asleep when the counters are read — both
+        only in an observed run (`_blocked_rate` stays 0 in any other).
         """
-        if self._obs:
-            self._c_blocked.inc(
-                self._blocked_rate * (now - 1 - self._blocked_at)
-            )
-            self._blocked_at = now - 1
+        self._c_blocked.inc(self._blocked_rate * (now - 1 - self._blocked_at))
+        self._blocked_at = now - 1
 
     def _phases(self, now: int) -> None:
         """Everything an architecture does in a cycle after the receive:
@@ -484,7 +485,7 @@ class SwitchBase(Component):
             if inflow[0] is ingress:
                 self._route_pending |= 1 << port
             self._header_complete(ingress)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             # one record per span: member j landed at cycle `landed + j`
             self.tracer.emit(
                 landed, self.name, "flit_in",

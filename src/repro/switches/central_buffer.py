@@ -97,10 +97,10 @@ from typing import Deque, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.flits.worm import Worm
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.routing.base import PortRequest
 from repro.routing.table import SwitchRoutingTable
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 from repro.switches.arbiter import RoundRobinArbiter
 from repro.switches.base import (
     Ingress,
@@ -170,8 +170,8 @@ class CentralBufferSwitch(SwitchBase):
         table: SwitchRoutingTable,
         num_ports: int,
         settings: SwitchSettings,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_REGISTRY,
+        tracer: Optional[Tracer] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(name, table, num_ports, settings, tracer, metrics)
         quota_pool = CentralBufferPool(
@@ -195,7 +195,8 @@ class CentralBufferSwitch(SwitchBase):
         # of `_inflow[p]` streams into the central buffer.  A front worm
         # with neither bit is still arriving or pulled by a bypass feed
         self._cb_feed = 0
-        self._c_replicated = metrics.counter("switch.chunks_replicated")
+        if metrics is not None:
+            self._c_replicated = metrics.counter("switch.chunks_replicated")
         # hot-path constants and caches
         self._w_bw = settings.cb_write_bandwidth
         self._r_bw = settings.cb_read_bandwidth
@@ -280,7 +281,7 @@ class CentralBufferSwitch(SwitchBase):
             self._route_pending &= ~(1 << port)
             self._out_current[out_port] = _BypassFeed(port, ingress)
             self._egress_busy |= 1 << out_port
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     now, self.name, "bypass", inp=port, out=out_port,
                     packet=ingress.worm.packet.packet_id,
@@ -297,7 +298,7 @@ class CentralBufferSwitch(SwitchBase):
             self._egress_wanted |= 1 << out_port
             ingress.stored = stored
             self._stream_to_buffer(port, ingress)
-            if self.tracer.enabled:
+            if self.tracer is not None:
                 self.tracer.emit(
                     now, self.name, "queue_cb", inp=port, out=out_port,
                     packet=ingress.worm.packet.packet_id,
@@ -334,7 +335,7 @@ class CentralBufferSwitch(SwitchBase):
             )
             self._egress_wanted |= 1 << request.port
         self._stream_to_buffer(port, ingress)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 now, self.name, "admit_multidest",
                 inp=port, branches=len(requests),

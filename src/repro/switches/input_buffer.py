@@ -59,9 +59,9 @@ from typing import Deque, Dict, List, Optional
 
 from repro.errors import ProtocolError
 from repro.flits.worm import Worm
-from repro.obs.registry import MetricsRegistry, NULL_REGISTRY
+from repro.obs.registry import MetricsRegistry
 from repro.routing.table import SwitchRoutingTable
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 from repro.switches.arbiter import RoundRobinArbiter
 from repro.switches.base import (
     Ingress,
@@ -118,8 +118,8 @@ class InputBufferSwitch(SwitchBase):
         table: SwitchRoutingTable,
         num_ports: int,
         settings: SwitchSettings,
-        tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_REGISTRY,
+        tracer: Optional[Tracer] = None,
+        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(name, table, num_ports, settings, tracer, metrics)
         # the skeleton's egress masks mirror `_waiting[p]` non-empty
@@ -141,7 +141,8 @@ class InputBufferSwitch(SwitchBase):
         self._synchronous = (
             settings.replication is ReplicationMode.SYNCHRONOUS
         )
-        self._c_replicated = metrics.counter("switch.branches_replicated")
+        if metrics is not None:
+            self._c_replicated = metrics.counter("switch.branches_replicated")
 
     # ------------------------------------------------------------------
     # SwitchBase contract
@@ -187,7 +188,7 @@ class InputBufferSwitch(SwitchBase):
                 self._register_branches(ingress)
         else:
             self._register_branches(ingress)
-        if self.tracer.enabled:
+        if self.tracer is not None:
             self.tracer.emit(
                 now, self.name, "route",
                 inp=port, branches=len(ingress.branches),

@@ -308,80 +308,6 @@ class TestREP004PoolPicklability:
         assert codes(result) == ["REP004"]
 
 
-class TestREP005MetricsGuard:
-    def test_unguarded_inc_flagged(self, lint):
-        result = lint(
-            "repro/switches/bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    self._c_forwarded.inc()
-            """,
-        )
-        assert codes(result) == ["REP005"]
-
-    def test_if_guard_accepted(self, lint):
-        result = lint(
-            "repro/switches/good.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    if self._obs:
-                        self._c_forwarded.inc()
-            """,
-        )
-        assert codes(result) == []
-
-    def test_compound_guard_accepted(self, lint):
-        result = lint(
-            "repro/switches/good.py",
-            """
-            class Switch:
-                def tick(self, now, branches):
-                    if self._obs and len(branches) > 1:
-                        self._c_replicated.inc(len(branches) - 1)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_early_return_guard_accepted(self, lint):
-        result = lint(
-            "repro/host/good.py",
-            """
-            class Host:
-                def deliver(self, packet):
-                    if not self._obs:
-                        return
-                    self._c_delivered.inc()
-                    self._h_latency.observe(1.0)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_inverted_guard_is_not_a_guard(self, lint):
-        result = lint(
-            "repro/switches/bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    if not self._obs:
-                        self._c_forwarded.inc()
-            """,
-        )
-        assert codes(result) == ["REP005"]
-
-    def test_rule_scoped_to_kernel_packages(self, lint):
-        result = lint(
-            "repro/metrics/ok.py",
-            """
-            class Collector:
-                def fold(self):
-                    self.counter.inc()
-            """,
-        )
-        assert codes(result) == []
-
-
 class TestREP006SchemaStamp:
     def test_schemaless_record_flagged(self, lint):
         result = lint(
@@ -646,120 +572,6 @@ class TestSuppressions:
             "REP002",
             "REP003",
         ]
-
-
-class TestREP009TraceGuard:
-    def test_unguarded_emit_flagged(self, lint):
-        result = lint(
-            "repro/switches/bad.py",
-            """
-            class Switch:
-                def route(self, now, worm):
-                    self.tracer.emit(now, self.name, "route", packet=1)
-            """,
-        )
-        assert codes(result) == ["REP009"]
-
-    def test_enabled_guard_accepted(self, lint):
-        result = lint(
-            "repro/switches/good.py",
-            """
-            class Switch:
-                def route(self, now, worm):
-                    if self.tracer.enabled:
-                        self.tracer.emit(now, self.name, "route", packet=1)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_profiler_hook_behind_is_not_none_accepted(self, lint):
-        result = lint(
-            "repro/sim/good.py",
-            """
-            class Kernel:
-                def step(self):
-                    prof = self._prof
-                    if prof is not None:
-                        prof.record_step(self.now, 0, 0)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_profiler_hook_unguarded_flagged(self, lint):
-        result = lint(
-            "repro/sim/bad.py",
-            """
-            class Kernel:
-                def step(self):
-                    prof = self._prof
-                    prof.record_tick(self)
-                    prof.record_fast_forward(self.now, 5)
-            """,
-        )
-        assert codes(result) == ["REP009", "REP009"]
-
-    def test_is_none_branch_is_not_a_guard(self, lint):
-        result = lint(
-            "repro/sim/bad.py",
-            """
-            class Kernel:
-                def step(self):
-                    prof = self._prof
-                    if prof is None:
-                        prof.record_step(self.now, 0, 0)
-            """,
-        )
-        assert codes(result) == ["REP009"]
-
-    def test_early_exit_guard_accepted(self, lint):
-        result = lint(
-            "repro/host/good.py",
-            """
-            class Interface:
-                def deliver(self, now, worm):
-                    if not self.tracer.enabled:
-                        return
-                    self.tracer.emit(now, self.name, "packet_delivered",
-                                     packet=worm.packet_id)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_prof_is_none_early_exit_accepted(self, lint):
-        result = lint(
-            "repro/sim/good.py",
-            """
-            class Kernel:
-                def jump(self, cycle):
-                    prof = self._prof
-                    if prof is None:
-                        return
-                    prof.record_fast_forward(self.now, cycle - self.now)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_trace_home_is_exempt(self, lint):
-        result = lint(
-            "repro/sim/trace.py",
-            """
-            class Tracer:
-                def relay(self, cycle, source, event):
-                    self.inner.emit(cycle, source, event)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_rule_scoped_to_kernel_packages(self, lint):
-        result = lint(
-            "repro/obs/ok.py",
-            """
-            class Digest:
-                def forward(self, cycle, source, event):
-                    self.inner.emit(cycle, source, event)
-            """,
-        )
-        assert codes(result) == []
 
 
 class TestREP013StoreJournalOnly:

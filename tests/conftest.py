@@ -6,6 +6,7 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
 from repro.flits.destset import DestinationSet
@@ -29,6 +30,13 @@ def pytest_addoption(parser):
         default=False,
         help="rewrite tests/experiments/golden/*.json from current results",
     )
+
+
+#: ``--hypothesis-profile=sweep``: the every-cycle timeline sweep of
+#: tests/switches/test_span_commit.py searches at random, this many
+#: examples, instead of replaying the fixed draw tier-1 runs (CI gives
+#: the search a step of its own)
+settings.register_profile("sweep", max_examples=100)
 
 
 def poll_until(predicate, timeout=60.0, interval=0.01, message="condition"):

@@ -8,6 +8,7 @@ assertions live in ``benchmarks/``.
 from __future__ import annotations
 
 import enum
+import json
 
 import pytest
 
@@ -36,6 +37,7 @@ from repro.experiments.parameters import run_parameters
 from repro.experiments.runner import EXPERIMENTS, main
 from repro.experiments.system_size import run_system_size
 from repro.experiments.unicast_baseline import run_unicast_baseline
+from repro.obs import runtime as obs_runtime
 
 MICRO = Scale(
     name="micro",
@@ -244,7 +246,14 @@ class TestRunner:
             ["--experiment", "e7", "--scale", "quick",
              "--profile-out", str(digest)]
         ) == 0
-        assert (tmp_path / "p.manifest.json").exists()
+        manifest = json.loads((tmp_path / "p.manifest.json").read_text())
+        # it records the recording it anchors on, and the sampling
+        # period the runs used rather than the flag's 0
+        assert manifest["extras"]["profile_out"] == str(digest)
+        assert (
+            manifest["extras"]["sample_every"]
+            == obs_runtime.DEFAULT_SAMPLE_EVERY
+        )
 
     def test_cli_requires_selection(self):
         with pytest.raises(SystemExit):

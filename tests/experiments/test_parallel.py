@@ -52,7 +52,6 @@ from repro.experiments.parallel import (
     execute_plan,
     resolve,
     run_outcomes,
-    stderr_progress,
     summarize_timing,
 )
 from repro.farm import transport
@@ -147,7 +146,7 @@ class TestPlanMachinery:
         plan = ExecutionPlan(
             "cli", [RunSpec(key=("a", 1), fn=_double, kwargs={"x": 1})]
         )
-        execute_plan(plan, jobs=1, progress=stderr_progress("cli"))
+        execute_plan(plan, jobs=1, progress=StderrProgress("cli"))
         err = capsys.readouterr().err
         assert "[cli 1/1] a/1" in err
 
@@ -339,8 +338,7 @@ class TestStderrProgress:
         assert "[acc 3/3]" in err
 
     def test_factory_returns_accumulating_instance(self):
-        progress = stderr_progress("compat")
-        assert isinstance(progress, StderrProgress)
+        progress = StderrProgress("compat")
         assert progress.outcomes == []
 
 

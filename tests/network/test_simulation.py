@@ -105,3 +105,19 @@ class TestRunSimulation:
             == result.collector.classes[TrafficClass.MULTICAST].latency.count
         )
         assert result.op_average_latency.count == 1
+
+    def test_a_result_reads_its_network_but_keeps_its_cycle(self):
+        network = build_network(SimulationConfig(num_hosts=16))
+
+        def multicast(start_cycle):
+            return SingleMulticast(
+                source=0, degree=4, payload_flits=16,
+                scheme=MulticastScheme.HARDWARE, start_cycle=start_cycle,
+            )
+
+        first = run_workload(network, multicast(0))
+        assert first.config is network.config
+        assert first.collector is network.collector
+        cycles = first.cycles
+        second = run_workload(network, multicast(cycles))
+        assert second.cycles > cycles == first.cycles

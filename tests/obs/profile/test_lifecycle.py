@@ -110,23 +110,17 @@ class TestFinaliseAndSummary:
 
 class TestChaining:
     def test_inner_tracer_receives_every_event_verbatim(self):
-        inner = Tracer(enabled=True)
+        inner = Tracer()
         tracer = WormLifecycleTracer(inner=inner)
         _unicast_journey(tracer)
         tracer.emit(1, "sw.0", "credit_return")
         assert len(inner.records) == 5
         assert inner.records[0].event == "inject_start"
 
-    def test_keep_retains_records_in_the_ring_buffer(self):
-        tracer = WormLifecycleTracer(keep=True)
-        _unicast_journey(tracer)
-        assert len(tracer.records) == 4
-
     def test_default_retains_nothing(self):
         tracer = WormLifecycleTracer()
         _unicast_journey(tracer)
         assert len(tracer.records) == 0
-        assert tracer.enabled  # still a live tracer for emit call sites
 
 
 class TestPacketLife:

@@ -118,8 +118,8 @@ def per_flit(record):
 def telemetry(config, make_workload, prepare=None, **run_kwargs):
     """Everything an observed run reports: how it ended, the per-flit
     event list, every counter value and the sampled gauge series."""
-    tracer = Tracer(enabled=True)
-    registry = MetricsRegistry(enabled=True)
+    tracer = Tracer()
+    registry = MetricsRegistry()
     network = build_network(config, tracer=tracer, metrics=registry)
     register_network_gauges(network, registry)
     sampler = CycleSampler(registry, every=7)
@@ -197,7 +197,7 @@ def test_a_pool_that_runs_short_reports_the_same(scenario, flavour):
 
 @pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
 def test_one_flit_in_record_per_record_taken(architecture):
-    tracer = Tracer(enabled=True)
+    tracer = Tracer()
     network = build_network(
         SimulationConfig(
             num_hosts=16, seed=5, switch_architecture=architecture

@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges, histograms, null behaviour."""
+"""Metrics registry: counters, gauges, histograms."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from repro.obs.registry import (
     BucketHistogram,
     Counter,
     MetricsRegistry,
-    NULL_REGISTRY,
 )
 
 
@@ -87,22 +86,3 @@ class TestMetricsRegistry:
         assert snap["counters"] == {"c": 1}
         assert snap["gauges"] == {"g": 0.5}
         assert snap["histograms"]["h"]["count"] == 1
-
-
-class TestNullRegistry:
-    def test_disabled_and_inert(self):
-        assert NULL_REGISTRY.enabled is False
-        c = NULL_REGISTRY.counter("anything")
-        c.inc()
-        c.inc(100)
-        h = NULL_REGISTRY.histogram("h", (1, 2))
-        h.observe(5)
-        assert NULL_REGISTRY.snapshot() == {
-            "counters": {}, "gauges": {}, "histograms": {}
-        }
-
-    def test_null_handles_are_shared_singletons(self):
-        assert NULL_REGISTRY.counter("a") is NULL_REGISTRY.counter("b")
-        assert NULL_REGISTRY.histogram("a", (1,)) is NULL_REGISTRY.histogram(
-            "b", (2,)
-        )

@@ -80,17 +80,6 @@ class TestJsonlTracer:
         }
         assert validate_file(str(path)) == (2, [])
 
-    def test_keep_records_also_fills_ring_buffer(self, tmp_path):
-        tracer = JsonlTracer(
-            str(tmp_path / "t.jsonl"), keep_records=True, limit=2
-        )
-        for i in range(4):
-            tracer.emit(i, "a", "e", i=i)
-        tracer.close()
-        assert tracer.lines_written == 4  # the stream is complete
-        assert [r.get("i") for r in tracer.records] == [2, 3]
-        assert tracer.dropped_count == 2
-
 
 class TestValidation:
     def test_unknown_schema_rejected(self):

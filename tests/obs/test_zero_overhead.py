@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import pytest
+
 from repro.core.schemes import MulticastScheme
 from repro.experiments.common import QUICK
 from repro.experiments.runner import EXPERIMENTS
@@ -20,7 +22,6 @@ from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation
 from repro.obs import runtime
-from repro.obs.registry import NULL_REGISTRY
 from repro.traffic.multicast import SingleMulticast
 
 GOLDEN_DIR = Path(__file__).parent.parent / "experiments" / "golden"
@@ -79,10 +80,14 @@ class TestSimulationIsUnchanged:
 class TestDisabledPathIsNull:
     def test_default_build_uses_shared_null_registry(self):
         network = build_network(SimulationConfig(num_hosts=16))
-        assert network.metrics is NULL_REGISTRY
+        assert network.metrics is None
         for switch in network.switches:
-            assert switch.metrics is NULL_REGISTRY
-            assert switch._obs is False
-        # null counters record nothing even if poked
-        network.switches[0]._c_forwarded.inc()
-        assert NULL_REGISTRY.snapshot()["counters"] == {}
+            assert switch.metrics is None
+            assert switch.tracer is None
+        for component in (
+            *network.switches, *network.interfaces, *network.nodes
+        ):
+            assert component._obs is False
+        # off is absent: an instrument call that skips its guard raises
+        with pytest.raises(AttributeError):
+            network.switches[0]._c_forwarded.inc()

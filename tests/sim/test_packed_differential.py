@@ -188,7 +188,7 @@ class TestWholeSystemDifferential:
         # when the switch next looks (see test_plane_telemetry)
         def traced(packed: bool):
             config = SimulationConfig(num_hosts=N, seed=3, packed=packed)
-            tracer = Tracer(enabled=True)
+            tracer = Tracer()
             network = build_network(config, tracer=tracer)
             result = run_workload(network, WORKLOADS[1][1]())
             events = sorted(

@@ -2,17 +2,12 @@
 
 from __future__ import annotations
 
-from repro.sim.trace import NULL_TRACER, Tracer
+from repro.sim.trace import Tracer
 
 
 class TestTracer:
-    def test_disabled_records_nothing(self):
-        t = Tracer(enabled=False)
-        t.emit(0, "src", "event", value=1)
-        assert t.records == []
-
     def test_enabled_records(self):
-        t = Tracer(enabled=True)
+        t = Tracer()
         t.emit(3, "sw0", "flit_in", port=2)
         (record,) = t.records
         assert record.cycle == 3
@@ -21,7 +16,7 @@ class TestTracer:
         assert record.get("missing", "x") == "x"
 
     def test_select_filters(self):
-        t = Tracer(enabled=True)
+        t = Tracer()
         t.emit(0, "a", "x", k=1)
         t.emit(1, "b", "x", k=2)
         t.emit(2, "a", "y", k=3)
@@ -31,20 +26,20 @@ class TestTracer:
         assert len(list(t.select(where=lambda r: r.get("k") > 1))) == 2
 
     def test_counts(self):
-        t = Tracer(enabled=True)
+        t = Tracer()
         t.emit(0, "a", "x")
         t.emit(0, "a", "x")
         t.emit(0, "a", "y")
         assert t.counts() == {"x": 2, "y": 1}
 
     def test_limit_drops_oldest(self):
-        t = Tracer(enabled=True, limit=3)
+        t = Tracer(limit=3)
         for i in range(5):
             t.emit(i, "a", "e", i=i)
         assert [r.get("i") for r in t.records] == [2, 3, 4]
 
     def test_dropped_count_tracks_evictions(self):
-        t = Tracer(enabled=True, limit=3)
+        t = Tracer(limit=3)
         for i in range(3):
             t.emit(i, "a", "e", i=i)
         assert t.dropped_count == 0  # exactly at the limit: nothing lost
@@ -57,7 +52,7 @@ class TestTracer:
 
     def test_records_of_a_full_ring_index_and_slice_oldest_first(self):
         # the ring is a deque inside; callers still get a list
-        t = Tracer(enabled=True, limit=4)
+        t = Tracer(limit=4)
         for i in range(9):
             t.emit(i, "a", "e", i=i)
         records = t.records
@@ -65,25 +60,16 @@ class TestTracer:
         assert [r.get("i") for r in records[1:3]] == [6, 7]
         assert [r.get("i") for r in t.select(event="e")] == [5, 6, 7, 8]
 
-    def test_dropped_count_ignores_disabled_emits(self):
-        t = Tracer(enabled=False, limit=1)
-        for i in range(5):
-            t.emit(i, "a", "e")
-        assert t.dropped_count == 0
-
     def test_clear(self):
-        t = Tracer(enabled=True)
+        t = Tracer()
         t.emit(0, "a", "x")
         t.clear()
         assert t.records == []
 
     def test_clear_resets_dropped_count(self):
-        t = Tracer(enabled=True, limit=1)
+        t = Tracer(limit=1)
         t.emit(0, "a", "x")
         t.emit(1, "a", "x")
         assert t.dropped_count == 1
         t.clear()
         assert t.dropped_count == 0
-
-    def test_null_tracer_is_disabled(self):
-        assert NULL_TRACER.enabled is False

@@ -32,7 +32,7 @@ def one_switch_config(**overrides):
 
 
 def build(config, trace=False):
-    tracer = Tracer(enabled=trace)
+    tracer = Tracer() if trace else None
     network = build_network(config, tracer=tracer)
     return network, tracer
 

@@ -202,8 +202,8 @@ class TestMasksMirrorState:
         )
         network = build_network(
             config,
-            metrics=MetricsRegistry(enabled=telemetry),
-            tracer=Tracer(enabled=telemetry),
+            metrics=MetricsRegistry() if telemetry else None,
+            tracer=Tracer() if telemetry else None,
         )
         auditor = MaskAuditor(network)
         network.sim.add_probe(auditor)
