@@ -6,7 +6,7 @@ writes — are *behavioural* contracts that a stray ``random.random()``
 or a lambda in a run spec silently violates until a golden test
 happens to catch it.  This package moves those contracts to lint time:
 
-* :mod:`repro.analysis.rules` — the ten rules (REP001-REP014, four
+* :mod:`repro.analysis.rules` — the six rules (REP001-REP014, eight
   codes retired) and the pluggable registry new rules hook into;
 * :mod:`repro.analysis.engine` — file walking and suppression
   partitioning;

@@ -46,10 +46,6 @@ from repro.analysis.source import SourceModule
 
 FuncNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
-#: raised internally when a constant expression cannot be evaluated
-class _NotConstant(Exception):
-    pass
-
 
 @dataclass
 class FunctionInfo:
@@ -60,10 +56,6 @@ class FunctionInfo:
     name: str
     node: FuncNode
     cls: Optional[str] = None  #: owning class qualname, if a method
-
-    @property
-    def line(self) -> int:
-        return self.node.lineno
 
 
 @dataclass
@@ -86,8 +78,6 @@ class ModuleInfo:
     is_package: bool
     #: names bound by imports (absolute and relative) -> dotted targets
     bindings: Dict[str, str] = field(default_factory=dict)
-    #: top-level ``NAME = <expr>`` assignment nodes (for constants)
-    const_nodes: Dict[str, ast.expr] = field(default_factory=dict)
 
     @property
     def name(self) -> str:
@@ -118,11 +108,8 @@ class ProjectIndex:
         self.methods_by_name: Dict[str, Tuple[str, ...]] = {}
         #: caller qualname -> resolved call sites, in AST order
         self.calls: Dict[str, Tuple[CallSite, ...]] = {}
-        #: module name -> sorted names of project modules it imports
-        self.module_imports: Dict[str, Tuple[str, ...]] = {}
         self._subclasses: Dict[str, Set[str]] = {}
         self._mro_cache: Dict[str, Tuple[str, ...]] = {}
-        self._const_cache: Dict[Tuple[str, str], object] = {}
         self._reach_cache: Dict[
             Tuple[str, ...], Dict[str, Tuple[str, ...]]
         ] = {}
@@ -142,8 +129,6 @@ class ProjectIndex:
                 continue  # first (sorted) spelling of a module wins
             index._add_module(source)
         index._resolve_bases()
-        for info in index.modules.values():
-            index._link_module_imports(info)
         names: Dict[str, List[str]] = {}
         for class_info in index.classes.values():
             for method in class_info.methods.values():
@@ -192,14 +177,6 @@ class ProjectIndex:
                 )
             elif isinstance(statement, ast.ClassDef):
                 self._add_class(info, statement)
-            elif isinstance(statement, ast.Assign) and len(
-                statement.targets
-            ) == 1 and isinstance(statement.targets[0], ast.Name):
-                info.const_nodes[statement.targets[0].id] = statement.value
-            elif isinstance(statement, ast.AnnAssign) and isinstance(
-                statement.target, ast.Name
-            ) and statement.value is not None:
-                info.const_nodes[statement.target.id] = statement.value
 
     def _add_class(self, info: ModuleInfo, node: ast.ClassDef) -> None:
         qualname = f"{info.name}.{node.name}"
@@ -262,19 +239,6 @@ class ProjectIndex:
                     )
             class_info.bases = tuple(bases)
 
-    def _link_module_imports(self, info: ModuleInfo) -> None:
-        imported: Set[str] = set()
-        for target in info.bindings.values():
-            dotted = target
-            while dotted:
-                if dotted in self.modules and dotted != info.name:
-                    imported.add(dotted)
-                    break
-                if "." not in dotted:
-                    break
-                dotted = dotted.rsplit(".", 1)[0]
-        self.module_imports[info.name] = tuple(sorted(imported))
-
     # ------------------------------------------------------------------
     # name resolution
     # ------------------------------------------------------------------
@@ -322,65 +286,10 @@ class ProjectIndex:
                 head = info.bindings[head]
             else:
                 local = f"{module}.{head}"
-                if (
-                    local in self.functions
-                    or local in self.classes
-                    or head in info.const_nodes
-                ):
+                if local in self.functions or local in self.classes:
                     head = local
         dotted = ".".join([head, *reversed(parts)]) if parts else head
         return self.canonicalize(dotted)
-
-    def constant(self, module: str, name: str) -> object:
-        """Statically evaluated top-level constant, or ``None``.
-
-        Handles literals plus Name/Attribute references to other
-        constants (within the module or through imports) — enough to
-        read registries like ``SCHEMA_FIELDS`` whose keys are named
-        schema constants.
-        """
-        key = (module, name)
-        if key in self._const_cache:
-            return self._const_cache[key]
-        self._const_cache[key] = None  # cycle guard
-        info = self.modules.get(module)
-        if info is None or name not in info.const_nodes:
-            return None
-        try:
-            value = self._eval_const(module, info.const_nodes[name])
-        except _NotConstant:
-            value = None
-        self._const_cache[key] = value
-        return value
-
-    def _eval_const(self, module: str, node: ast.expr) -> object:
-        if isinstance(node, ast.Constant):
-            return node.value
-        if isinstance(node, (ast.Tuple, ast.List)):
-            return tuple(
-                self._eval_const(module, item) for item in node.elts
-            )
-        if isinstance(node, ast.Dict):
-            result: Dict[object, object] = {}
-            for key_node, value_node in zip(node.keys, node.values):
-                if key_node is None:
-                    raise _NotConstant()
-                result[self._eval_const(module, key_node)] = (
-                    self._eval_const(module, value_node)
-                )
-            return result
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            canonical = self.resolve_expr(module, node)
-            if canonical is None:
-                raise _NotConstant()
-            owner, _, symbol = canonical.rpartition(".")
-            if not owner:
-                raise _NotConstant()
-            value = self.constant(owner, symbol)
-            if value is None:
-                raise _NotConstant()
-            return value
-        raise _NotConstant()
 
     # ------------------------------------------------------------------
     # class hierarchy
@@ -569,56 +478,6 @@ class ProjectIndex:
                         frontier.append(target)
         self._reach_cache[key] = chains
         return chains
-
-    # ------------------------------------------------------------------
-    # class-view closures (used by the parity/lost-wake rules)
-    # ------------------------------------------------------------------
-    def method_closure(
-        self, cls_qualname: str, start: str
-    ) -> Tuple[str, ...]:
-        """Definitions reachable from ``cls.start()`` through ``self``.
-
-        Unlike the global call graph, resolution here is *view-aware*:
-        every ``self.m()`` resolves in ``cls``'s own MRO (no descendant
-        overrides), and ``super().m()`` resolves past the def's owning
-        class in that same MRO — i.e. what actually runs on an instance
-        of exactly ``cls``.
-        """
-        start_def = self.find_method(cls_qualname, start)
-        if start_def is None:
-            return ()
-        seen: Set[str] = {start_def}
-        frontier = deque([start_def])
-        while frontier:
-            fn = self.functions[frontier.popleft()]
-            for node in ast.walk(fn.node):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                ):
-                    continue
-                receiver = node.func.value
-                target: Optional[str] = None
-                if isinstance(receiver, ast.Name) and receiver.id in (
-                    "self",
-                    "cls",
-                ):
-                    target = self.find_method(
-                        cls_qualname, node.func.attr
-                    )
-                elif (
-                    isinstance(receiver, ast.Call)
-                    and isinstance(receiver.func, ast.Name)
-                    and receiver.func.id == "super"
-                    and fn.cls is not None
-                ):
-                    target = self.find_method_after(
-                        cls_qualname, fn.cls, node.func.attr
-                    )
-                if target is not None and target not in seen:
-                    seen.add(target)
-                    frontier.append(target)
-        return tuple(sorted(seen))
 
 
 def repro_roots(paths: Iterable[Path]) -> List[Path]:

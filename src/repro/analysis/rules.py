@@ -1,5 +1,5 @@
-"""The reprolint rule registry and its ten invariant rules (codes
-REP001-REP014; four are retired and never reused).
+"""The reprolint rule registry and its six invariant rules (codes
+REP001-REP014; eight are retired and never reused).
 
 Each rule guards one contract the reproduction's results depend on but
 that nothing else enforces at rest (see ``docs/static-analysis.md``):
@@ -9,10 +9,6 @@ REP001   all randomness flows through :mod:`repro.sim.rng`
 REP002   wall-clock reads stay out of simulation code
 REP003   no ordering-sensitive iteration over unordered collections
 REP004   pool-submitted callables are module-level (picklable)
-REP006   records handed to JSONL sink writers carry a ``schema`` tag
-REP007   tick-path link drains stay behind a cheap emptiness guard
-REP010   dormancy-state mutations register a kernel wake
-REP012   literal sink records match their registered schema fields
 REP013   result-store file I/O flows through the journal module only
 REP014   farm process/pipe machinery stays in the transport module
 =======  ==========================================================
@@ -24,8 +20,7 @@ Rules come in two layers: the *syntactic* layer sees one module at a
 time through ``check``; the *semantic* layer additionally implements
 ``check_project`` over the whole-program
 :class:`~repro.analysis.project.ProjectIndex` (REP001/REP002 use it for
-kernel-reachability chains; REP007, REP010 and REP012 are purely
-cross-module).
+kernel-reachability chains).
 Register new rules with the :func:`register` decorator; the engine and
 CLI discover them through :func:`all_rules`.
 """
@@ -34,7 +29,6 @@ from __future__ import annotations
 
 import ast
 import inspect
-import re
 from abc import ABC, abstractmethod
 from typing import (
     Dict,
@@ -48,7 +42,7 @@ from typing import (
 )
 
 from repro.analysis.findings import Finding
-from repro.analysis.project import FunctionInfo, ProjectIndex
+from repro.analysis.project import ProjectIndex
 from repro.analysis.source import SourceModule
 
 #: packages whose modules run inside the cycle loop; determinism rules
@@ -74,8 +68,8 @@ WALLCLOCK_ALLOWED: Tuple[str, ...] = (
 #: the one module allowed to touch python's ``random`` machinery (REP001)
 RNG_HOME = "repro.sim.rng"
 
-#: the link implementation itself is exempt from REP007 (its methods
-#: *are* the drain primitives the rule protects)
+#: the link module: each of its methods is a kernel entry point for the
+#: reachability layer of REP001/REP002
 LINK_HOME = "repro.switches.link"
 
 #: the result-store package and its single file-I/O module (REP013):
@@ -724,508 +718,6 @@ def _dict_values(node: ast.expr) -> List[ast.expr]:
     ):
         return [keyword.value for keyword in node.keywords]
     return []
-
-
-@register
-class SinkRecordsCarrySchema(Rule):
-    """REP006 — every JSONL sink record is stamped with its schema.
-
-    The observability artifacts are consumed out-of-band (``python -m
-    repro inspect``, the CI smoke job, months-later analysis), so every
-    line must be self-describing: a ``schema`` tag names the record
-    layout and its version (``repro.metrics/1`` style).  The rule flags
-    dict literals handed to a sink ``.write(...)`` call that spell out
-    their keys but omit ``"schema"`` — a record that would validate as
-    "unknown schema" the moment it is read back.
-    """
-
-    code = "REP006"
-    summary = "JSONL sink record written without a schema tag"
-    hint = (
-        'include `"schema": <SCHEMA_CONSTANT>` (see repro.obs.sinks) '
-        "in every record handed to a sink writer"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "write"
-                and len(node.args) == 1
-                and isinstance(node.args[0], ast.Dict)
-            ):
-                continue
-            record = node.args[0]
-            has_spread = any(key is None for key in record.keys)
-            keys = {
-                key.value
-                for key in record.keys
-                if isinstance(key, ast.Constant)
-                and isinstance(key.value, str)
-            }
-            if "schema" in keys or has_spread:
-                continue
-            yield self.finding(
-                module,
-                node,
-                "record written to a JSONL sink without a 'schema' key",
-            )
-
-
-def _mentions_any(test: ast.expr, names: Sequence[str]) -> bool:
-    """True when ``test`` references any of ``names`` (even under ``not``:
-    ``if not link.pending_arrival(now): continue`` *is* the guard)."""
-    for node in ast.walk(test):
-        identifier = None
-        if isinstance(node, ast.Attribute):
-            identifier = node.attr
-        elif isinstance(node, ast.Name):
-            identifier = node.id
-        if identifier in names:
-            return True
-    return False
-
-
-@register
-class LinkDrainsBehindGuard(Rule):
-    """REP007 — tick-path link drains stay behind a cheap emptiness guard.
-
-    The active-set kernel (PR 4) makes idle cycles nearly free, but a
-    *woken* component still runs its whole ``tick``.  ``Link.receive()``
-    / ``Link.receive_into()`` pop the flits that have landed,
-    ``Link.receive_span()`` the oldest span record once its head has,
-    and ``Link.credits()`` drains the matured credit returns — per-port
-    work that dominates busy ticks when called unconditionally.
-    Each has a cheap O(1) pre-check: ``pending_arrival(now)`` or the
-    receiver's ``_rx_pending`` port mask (set by the link on every send,
-    see ``repro.switches.ports``) before a receive, ``can_send(now)``
-    (which short-circuits the credit drain) before transmit-side credit
-    inspection, or ``credits_in_return()`` emptiness.  The rule flags
-    receive/credits calls on the ``tick`` closure of any class in a
-    kernel package — ``self.<method>()`` calls resolved in that class's
-    own MRO, so a ``tick`` inherited from a base class still polices the
-    phases a subclass overrides — that are
-    neither inside an ``if``/``while`` whose test mentions one of the
-    guards, nor inside a ``for`` whose iterable mentions the rx-pending
-    mask (iterating the mask's set bits visits only links that hold
-    flits), nor after a preceding ``if <guard-test>: continue/return``
-    in an enclosing body.  The link implementation itself is exempt.
-    """
-
-    code = "REP007"
-    summary = (
-        "tick-path link receive()/receive_into()/receive_span()/"
-        "credits() without a cheap guard"
-    )
-    hint = (
-        "test link.pending_arrival(now) or the _rx_pending mask / "
-        "link.can_send(now) / link.credits_in_return() before draining "
-        "in a tick path"
-    )
-
-    #: the calls that must be guarded (``receive_span`` is the
-    #: production plane's receive — one record per call, same guard)
-    DRAINS = frozenset(
-        {"receive", "receive_into", "receive_span", "credits"}
-    )
-    #: identifiers any of which makes an enclosing/preceding test a guard
-    GUARDS = (
-        "pending_arrival", "_rx_pending", "can_send", "credits_in_return"
-    )
-    #: the mask whose set bits name the in-links worth draining: a loop
-    #: over it guards the receives inside it (not a credits() drain)
-    RX_MASK = ("_rx_pending",)
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        checked: Set[str] = set()
-        for cls_qualname in sorted(project.classes):
-            if not self._policed(project.classes[cls_qualname].module):
-                continue
-            for qualname in project.method_closure(cls_qualname, "tick"):
-                if qualname in checked:
-                    continue
-                checked.add(qualname)
-                fn = project.functions[qualname]
-                if self._policed(fn.module):
-                    yield from self._check_method(
-                        project.modules[fn.module].source, fn.node
-                    )
-
-    @staticmethod
-    def _policed(module_name: str) -> bool:
-        return module_name != LINK_HOME and _in_packages(
-            module_name, KERNEL_PACKAGES
-        )
-
-    def _check_method(
-        self, module: SourceModule, method: ast.AST
-    ) -> Iterator[Finding]:
-        for node in ast.walk(method):
-            if not (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.DRAINS
-                # self.credits(...) etc. is a method of the class under
-                # scrutiny, not a link drain
-                and not (
-                    isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                )
-            ):
-                continue
-            if not self._is_guarded(module, node, method):
-                yield self.finding(
-                    module,
-                    node,
-                    f"link .{node.func.attr}() in a tick path without a "
-                    "cheap emptiness guard",
-                )
-
-    def _is_guarded(
-        self, module: SourceModule, node: ast.AST, method: ast.AST
-    ) -> bool:
-        previous: ast.AST = node
-        for ancestor in module.parent_chain(node):
-            if isinstance(ancestor, (ast.If, ast.While)) and any(
-                previous is statement for statement in ancestor.body
-            ):
-                if _mentions_any(ancestor.test, self.GUARDS):
-                    return True
-            if (
-                isinstance(ancestor, ast.For)
-                and node.func.attr != "credits"  # type: ignore[attr-defined]
-                and any(previous is statement for statement in ancestor.body)
-                and _mentions_any(ancestor.iter, self.RX_MASK)
-            ):
-                return True
-            # scan only the statement list actually containing `previous`
-            # (a guard inside a sibling branch protects nothing)
-            for attr in ("body", "orelse", "finalbody"):
-                body = getattr(ancestor, attr, None)
-                if isinstance(body, list) and any(
-                    previous is statement for statement in body
-                ):
-                    if self._preceding_guard(body, previous):
-                        return True
-                    break
-            if ancestor is method:
-                break
-            previous = ancestor
-        return False
-
-    def _preceding_guard(
-        self, body: List[ast.stmt], upto: ast.AST
-    ) -> bool:
-        """A ``if <guard>: continue/return/raise`` before ``upto``."""
-        for statement in body:
-            if statement is upto:
-                return False
-            if (
-                isinstance(statement, ast.If)
-                and _mentions_any(statement.test, self.GUARDS)
-                and statement.body
-                and isinstance(
-                    statement.body[-1],
-                    (ast.Return, ast.Raise, ast.Continue, ast.Break),
-                )
-            ):
-                return True
-        return False
-
-
-@register
-class LostWakeMutations(Rule):
-    """REP010 — dormancy-state mutations register a kernel wake.
-
-    Under the active-set kernel a component only runs when something
-    scheduled it; handing it work without a wake leaves that work
-    stranded until an unrelated event happens to tick the component —
-    the exact dormancy-bug class the link wake hooks were introduced to
-    fix, and invisible to tests that happen to keep the network busy.
-    For every :class:`~repro.sim.component.Component` subclass in a
-    kernel package, the rule examines each method that is *not* on the
-    tick/``__init__``/``attach`` closure of the class or of one of its
-    subclasses (those run with a wake already guaranteed; a skeleton
-    class's helper may be reached only through the phases its
-    subclasses plug in): if the method's own ``self``-call closure mutates
-    dormancy-relevant state — a container mutation or assignment to a
-    ``self`` attribute whose name mentions queue/credit/blocked/
-    pending/backlog/inflow/waiting/inject/fifo/buffer — it must also
-    register a wake (``wake_at``/``wake_now``/``wake``/``schedule`` or
-    a link ``wake_on_arrival``/``wake_on_credit`` hook).
-    """
-
-    code = "REP010"
-    summary = (
-        "dormancy-relevant state mutated with no wake registration"
-    )
-    hint = (
-        "call self.wake_now()/self.wake_at(...) after handing a "
-        "dormant component work (or register a link wake hook)"
-    )
-
-    #: the component base every kernel actor derives from
-    COMPONENT_BASE = "repro.sim.component.Component"
-    #: methods whose closures run with a wake already guaranteed
-    EXEMPT_ROOTS = ("tick", "__init__", "attach")
-    #: container mutations that hand a component work
-    MUTATORS = frozenset(
-        {"append", "appendleft", "extend", "add", "insert", "push"}
-    )
-    #: wake-registration calls that discharge the obligation
-    WAKES = frozenset(
-        {"wake_at", "wake_now", "wake", "schedule",
-         "wake_on_arrival", "wake_on_credit"}
-    )
-    #: attribute names that look like dormancy-relevant state
-    STATE_RE = re.compile(
-        r"queue|credit|blocked|pending|backlog|inflow|waiting|inject"
-        r"|fifo|buffer"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        for cls_qualname in project.descendants(self.COMPONENT_BASE):
-            info = project.classes.get(cls_qualname)
-            if info is None or not _in_packages(
-                info.module, KERNEL_PACKAGES
-            ):
-                continue
-            module_info = project.modules.get(info.module)
-            if module_info is None:
-                continue
-            exempt: Set[str] = set()
-            for view in (cls_qualname, *project.descendants(cls_qualname)):
-                for root in self.EXEMPT_ROOTS:
-                    exempt.update(project.method_closure(view, root))
-            for name in sorted(info.methods):
-                method = info.methods[name]
-                if name.startswith("__") or name in self.EXEMPT_ROOTS:
-                    continue
-                if method.qualname in exempt:
-                    continue
-                if self._is_property(method):
-                    continue
-                closure = project.method_closure(cls_qualname, name)
-                mutated = self._mutated_state(project, closure)
-                if not mutated:
-                    continue
-                if self._registers_wake(project, closure):
-                    continue
-                yield self.finding(
-                    module_info.source,
-                    method.node,
-                    f"{info.name}.{name}() mutates dormancy-relevant "
-                    f"state ({', '.join(sorted(mutated))}) but never "
-                    "registers a wake",
-                )
-
-    @staticmethod
-    def _is_property(method: FunctionInfo) -> bool:
-        for decorator in method.node.decorator_list:
-            if isinstance(decorator, ast.Name) and decorator.id in (
-                "property", "cached_property"
-            ):
-                return True
-            if isinstance(decorator, ast.Attribute) and decorator.attr in (
-                "setter", "getter", "deleter"
-            ):
-                return True
-        return False
-
-    def _mutated_state(
-        self, project: ProjectIndex, closure: Sequence[str]
-    ) -> Set[str]:
-        mutated: Set[str] = set()
-        for qualname in closure:
-            fn = project.functions[qualname]
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.MUTATORS
-                ):
-                    attr = self._self_attr(node.func.value)
-                    if attr is not None and self.STATE_RE.search(attr):
-                        mutated.add(attr)
-                elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                    targets = (
-                        node.targets
-                        if isinstance(node, ast.Assign)
-                        else [node.target]
-                    )
-                    for target in targets:
-                        attr = self._self_attr(target)
-                        if attr is not None and self.STATE_RE.search(
-                            attr
-                        ):
-                            mutated.add(attr)
-        return mutated
-
-    @staticmethod
-    def _self_attr(node: ast.expr) -> Optional[str]:
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-        ):
-            return node.attr
-        return None
-
-    def _registers_wake(
-        self, project: ProjectIndex, closure: Sequence[str]
-    ) -> bool:
-        for qualname in closure:
-            fn = project.functions[qualname]
-            for node in ast.walk(fn.node):
-                if (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in self.WAKES
-                ):
-                    return True
-        return False
-
-
-@register
-class SchemaFieldDrift(Rule):
-    """REP012 — literal sink records match their registered schemas.
-
-    REP006 guarantees every JSONL record carries *a* schema tag; this
-    rule checks the tag and the fields against the registry the readers
-    validate with (``SCHEMA_FIELDS`` in :mod:`repro.obs.sinks`).  A
-    record written with a tag nothing registered, or without a field
-    its schema requires, round-trips to a validation error months later
-    when the artifact is finally read — the drift is only catchable at
-    the write site.  The rule statically evaluates ``SCHEMA_FIELDS``
-    through the project index, then checks every dict literal handed to
-    a sink ``.write(...)``: the ``schema`` value (a string literal or a
-    constant resolvable through imports) must be registered, and the
-    literal's keys must cover the schema's required fields (records
-    built with ``**spread`` are only tag-checked).
-    """
-
-    code = "REP012"
-    summary = "sink record drifts from its registered schema fields"
-    hint = (
-        "match the record to SCHEMA_FIELDS in repro.obs.sinks (or "
-        "register the new schema there first)"
-    )
-
-    #: where the schema registry lives
-    SINKS_MODULE = "repro.obs.sinks"
-    REGISTRY_NAME = "SCHEMA_FIELDS"
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        registry = self._registry(project)
-        if registry is None:
-            return
-        for module_name in sorted(project.modules):
-            source = project.modules[module_name].source
-            for node in ast.walk(source.tree):
-                if not (
-                    isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "write"
-                    and len(node.args) == 1
-                    and isinstance(node.args[0], ast.Dict)
-                ):
-                    continue
-                yield from self._check_record(
-                    project, module_name, source, node.args[0],
-                    registry,
-                )
-
-    def _registry(
-        self, project: ProjectIndex
-    ) -> Optional[Dict[str, Tuple[str, ...]]]:
-        raw = project.constant(self.SINKS_MODULE, self.REGISTRY_NAME)
-        if not isinstance(raw, dict):
-            return None
-        registry: Dict[str, Tuple[str, ...]] = {}
-        for tag, fields in raw.items():
-            if not isinstance(tag, str) or not isinstance(
-                fields, tuple
-            ):
-                return None
-            registry[tag] = tuple(str(name) for name in fields)
-        return registry
-
-    def _check_record(
-        self,
-        project: ProjectIndex,
-        module_name: str,
-        source: SourceModule,
-        record: ast.Dict,
-        registry: Dict[str, Tuple[str, ...]],
-    ) -> Iterator[Finding]:
-        has_spread = any(key is None for key in record.keys)
-        keys: Set[str] = set()
-        schema_node: Optional[ast.expr] = None
-        for key, value in zip(record.keys, record.values):
-            if isinstance(key, ast.Constant) and isinstance(
-                key.value, str
-            ):
-                keys.add(key.value)
-                if key.value == "schema":
-                    schema_node = value
-        if schema_node is None:
-            return  # REP006's department
-        tag = self._schema_tag(project, module_name, schema_node)
-        if tag is None:
-            return  # dynamic tag: nothing checkable statically
-        if tag not in registry:
-            yield self.finding(
-                source,
-                record,
-                f"record schema tag {tag!r} is not registered in "
-                f"{self.SINKS_MODULE}.{self.REGISTRY_NAME}",
-            )
-            return
-        if has_spread:
-            return  # spread may supply the required fields
-        missing = [
-            name for name in registry[tag] if name not in keys
-        ]
-        if missing:
-            yield self.finding(
-                source,
-                record,
-                f"record with schema {tag!r} is missing required "
-                f"field(s) {', '.join(missing)}",
-            )
-
-    @staticmethod
-    def _schema_tag(
-        project: ProjectIndex, module_name: str, node: ast.expr
-    ) -> Optional[str]:
-        if isinstance(node, ast.Constant):
-            return node.value if isinstance(node.value, str) else None
-        if isinstance(node, (ast.Name, ast.Attribute)):
-            canonical = project.resolve_expr(module_name, node)
-            if canonical is None:
-                return None
-            owner, _, symbol = canonical.rpartition(".")
-            if not owner:
-                return None
-            value = project.constant(owner, symbol)
-            return value if isinstance(value, str) else None
-        return None
 
 
 @register

@@ -52,28 +52,15 @@ SCHEMA_LIFECYCLE = "repro.lifecycle/1"
 SCHEMA_STORE_SEGMENT = "repro.store.segment/1"
 SCHEMA_STORE_ENTRY = "repro.store.entry/1"
 
-KNOWN_SCHEMAS = (
-    SCHEMA_RUN,
-    SCHEMA_METRICS,
-    SCHEMA_TRACE,
-    SCHEMA_MANIFEST,
-    SCHEMA_PROFILE,
-    SCHEMA_LIFECYCLE,
-    SCHEMA_STORE_SEGMENT,
-    SCHEMA_STORE_ENTRY,
-)
-
 #: section names a ``repro.profile/1`` record may carry
 PROFILE_SECTIONS = (
     "run", "kernel", "spans", "phases", "heatmap", "counters"
 )
 
-#: required top-level fields per schema tag.  This is the single
-#: registry both enforcement layers read: :func:`validate_record`
-#: checks presence at read-back, and reprolint rule REP012 checks the
-#: literal records at every write site statically (it evaluates this
-#: mapping through the project index, so keep keys as the ``SCHEMA_*``
-#: constants and values as tuples of string literals).
+#: the registered schema tags and the top-level fields each requires.
+#: Both ends of a JSONL file check it through :func:`validate_record`:
+#: :meth:`JsonlWriter.write` refuses a record that fails it, and
+#: :func:`validate_file` reports a line read back that fails it.
 SCHEMA_FIELDS: Dict[str, Tuple[str, ...]] = {
     SCHEMA_RUN: ("run", "event"),
     SCHEMA_METRICS: ("run", "cycle", "values"),
@@ -102,7 +89,15 @@ class JsonlWriter:
         self.lines_written = 0
 
     def write(self, obj: Dict[str, Any]) -> None:
-        """Emit one record as one line."""
+        """Emit one record as one line.
+
+        Raises :class:`ValueError`, writing nothing, when the record
+        fails :func:`validate_record`, so every file a writer produces
+        reads back valid.
+        """
+        problem = validate_record(obj)
+        if problem is not None:
+            raise ValueError(f"{self.path}: {problem}")
         self._file.write(_dumps(obj) + "\n")
         self.lines_written += 1
 
@@ -197,11 +192,9 @@ def validate_record(obj: Any) -> Optional[str]:
     if not isinstance(obj, dict):
         return "record is not a JSON object"
     schema = obj.get("schema")
-    if schema not in KNOWN_SCHEMAS:
+    if schema not in SCHEMA_FIELDS:
         return f"unknown schema {schema!r}"
-    missing = [
-        name for name in SCHEMA_FIELDS.get(schema, ()) if name not in obj
-    ]
+    missing = [name for name in SCHEMA_FIELDS[schema] if name not in obj]
     if missing:
         return (
             f"record is missing required field(s) "

@@ -233,7 +233,7 @@ class Link:
 
     def pending_arrival(self, now: int) -> bool:
         """True when :attr:`receive_span` would hand a record over at
-        cycle ``now`` (the REP007 guard for the receives below).  Only
+        cycle ``now`` (the emptiness test before a receive).  Only
         pollers ask — the per-flit reference and bare links in tests;
         production drains by the ``_rx_pending`` mask — so, unlike
         :attr:`receive_span`, this is no per-instance alias: a link
@@ -243,30 +243,18 @@ class Link:
     def receive(self, now: int) -> List[Flit]:
         """Pop every flit that has arrived by cycle ``now``, in order.
 
-        Allocates a fresh list per call; :meth:`receive_into` appends
-        to the caller's buffer instead.
-        """
-        out: List[Flit] = []
-        self.receive_into(now, out)
-        return out
-
-    def receive_into(self, now: int, buf: List[Flit]) -> int:
-        """Append every flit arrived by ``now`` to ``buf``; return count.
-
         The per-flit drain: materialises one :class:`Flit` per
         arrived member of the packed span records.
         """
         in_flight = self._in_flight
-        count = 0
+        out: List[Flit] = []
         while True:
             span = in_flight.take(now)
             if span is None:
-                break
+                return out
             worm, start, taken = span
             for index in range(start, start + taken):
-                buf.append(Flit(worm, index))
-            count += taken
-        return count
+                out.append(Flit(worm, index))
 
     def return_credit(self, now: int, count: int = 1) -> None:
         """Receiver freed ``count`` buffer slots; sender sees them later."""

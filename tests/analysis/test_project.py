@@ -151,22 +151,6 @@ class TestCallGraph:
         assert "repro.switches.base.Base.hook" in chains
         assert "repro.switches.sub.Sub.hook" in chains
 
-    def test_method_closure_is_view_aware(self, tmp_path):
-        """Per-class closures resolve self-calls in that class's own
-        MRO — the base view never sees the subclass override, and the
-        subclass view replaces (not augments) the base hook."""
-        project = build_index(tmp_path, self.TREE)
-        base_view = project.method_closure(
-            "repro.switches.base.Base", "entry"
-        )
-        assert "repro.switches.base.Base.hook" in base_view
-        assert "repro.switches.sub.Sub.hook" not in base_view
-        sub_view = project.method_closure(
-            "repro.switches.sub.Sub", "entry"
-        )
-        assert "repro.switches.sub.Sub.hook" in sub_view
-        assert "repro.switches.base.Base.hook" not in sub_view
-
     def test_diamond_resolves_in_python_order(self, tmp_path):
         """A mixin sharing a base with its sibling (the shape of
         ``repro.reference``): the sibling's override must win over the
@@ -191,10 +175,6 @@ class TestCallGraph:
             "repro.switches.sub.Sub",
             "repro.switches.base.Base",
         )
-        view = project.method_closure("repro.reference.Leaf", "entry")
-        assert "repro.reference.Mixin.entry" in view
-        assert "repro.switches.sub.Sub.hook" in view
-        assert "repro.switches.base.Base.hook" not in view
 
     def test_class_call_reaches_init(self, tmp_path):
         project = build_index(
@@ -218,45 +198,6 @@ class TestCallGraph:
         assert project.descendants("repro.switches.base.Base") == (
             "repro.switches.sub.Sub",
         )
-
-
-class TestConstants:
-    def test_dict_of_named_constants(self, tmp_path):
-        project = build_index(
-            tmp_path,
-            {
-                "repro/obs/reg.py": """
-                    TAG = "repro.x/1"
-                    FIELDS = {TAG: ("run", "event")}
-                    """,
-            },
-        )
-        assert project.constant("repro.obs.reg", "FIELDS") == {
-            "repro.x/1": ("run", "event")
-        }
-
-    def test_imported_constant_resolves(self, tmp_path):
-        project = build_index(
-            tmp_path,
-            {
-                "repro/obs/reg.py": 'TAG = "repro.x/1"\n',
-                "repro/obs/use.py": """
-                    from repro.obs.reg import TAG
-
-                    ALIAS = TAG
-                    """,
-            },
-        )
-        assert (
-            project.constant("repro.obs.use", "ALIAS") == "repro.x/1"
-        )
-
-    def test_non_constant_is_none(self, tmp_path):
-        project = build_index(
-            tmp_path,
-            {"repro/obs/reg.py": "VALUE = compute()\n"},
-        )
-        assert project.constant("repro.obs.reg", "VALUE") is None
 
 
 class TestReproRoots:

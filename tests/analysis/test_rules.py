@@ -308,229 +308,6 @@ class TestREP004PoolPicklability:
         assert codes(result) == ["REP004"]
 
 
-class TestREP006SchemaStamp:
-    def test_schemaless_record_flagged(self, lint):
-        result = lint(
-            "repro/obs/bad.py",
-            """
-            def emit(sink, run):
-                sink.write({"run": run, "cycle": 0})
-            """,
-        )
-        assert codes(result) == ["REP006"]
-
-    def test_stamped_record_accepted(self, lint):
-        result = lint(
-            "repro/obs/good.py",
-            """
-            SCHEMA = "repro.metrics/1"
-
-            def emit(sink, run):
-                sink.write({"schema": SCHEMA, "run": run})
-            """,
-        )
-        assert codes(result) == []
-
-    def test_spread_record_not_flagged(self, lint):
-        result = lint(
-            "repro/obs/ok.py",
-            """
-            def emit(sink, fields):
-                sink.write({**fields})
-            """,
-        )
-        assert codes(result) == []
-
-
-class TestREP007LinkDrainGuard:
-    def test_unguarded_receive_in_tick_flagged(self, lint):
-        result = lint(
-            "repro/switches/bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    for link in self.in_links:
-                        for flit in link.receive(now):
-                            self.accept(flit)
-            """,
-        )
-        assert codes(result) == ["REP007"]
-
-    def test_unguarded_drain_in_tick_helper_flagged(self, lint):
-        result = lint(
-            "repro/switches/bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    self._receive(now)
-
-                def _receive(self, now):
-                    for link in self.in_links:
-                        buf = []
-                        link.receive_into(now, buf)
-            """,
-        )
-        assert codes(result) == ["REP007"]
-
-    def test_continue_guard_accepted(self, lint):
-        result = lint(
-            "repro/switches/good.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    self._receive(now)
-
-                def _receive(self, now):
-                    for link in self.in_links:
-                        if link is None or not link.pending_arrival(now):
-                            continue
-                        buf = []
-                        link.receive_into(now, buf)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_enclosing_if_guard_accepted(self, lint):
-        result = lint(
-            "repro/host/good.py",
-            """
-            class Interface:
-                def tick(self, now):
-                    if self.out_link.can_send(now):
-                        credits = self.out_link.credits(now)
-                        self.drain(credits)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_guard_in_sibling_branch_does_not_count(self, lint):
-        result = lint(
-            "repro/switches/bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    if self.fast:
-                        if not self.link.pending_arrival(now):
-                            return
-                        self.link.receive(now)
-                    else:
-                        self.link.receive(now)
-            """,
-        )
-        assert codes(result) == ["REP007"]
-
-    def test_method_not_reachable_from_tick_exempt(self, lint):
-        result = lint(
-            "repro/switches/ok.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    pass
-
-                def debug_credits(self, port):
-                    return self.out_links[port].credits(self.sim.now)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_link_module_is_exempt(self, lint):
-        result = lint(
-            "repro/switches/link.py",
-            """
-            class Link:
-                def tick(self, now):
-                    return self.credits(now)
-
-                def credits(self, now):
-                    return self._sub.credits(now)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_unguarded_receive_span_in_packed_tick_flagged(self, lint):
-        # the mask is a guard only where it is actually consulted
-        result = lint(
-            "repro/host/packed_bad.py",
-            """
-            class Interface:
-                def tick(self, now):
-                    span = self.in_link.receive_span(now)
-                    while span is not None:
-                        self.absorb(span)
-                        span = self.in_link.receive_span(now)
-            """,
-        )
-        assert codes(result) == ["REP007", "REP007"]
-
-    def test_rx_pending_mask_early_return_accepted(self, lint):
-        result = lint(
-            "repro/host/packed_good.py",
-            """
-            class Interface:
-                def tick(self, now):
-                    self._eject(now)
-
-                def _eject(self, now):
-                    if not self._rx_pending:
-                        return
-                    span = self.in_link.receive_span(now)
-                    while span is not None:
-                        self.absorb(span)
-                        span = self.in_link.receive_span(now)
-            """,
-        )
-        assert codes(result) == []
-
-    def test_iteration_over_rx_pending_mask_accepted(self, lint):
-        result = lint(
-            "repro/switches/packed_good.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    for port in PORTS_OF[self._rx_pending]:
-                        take = self.in_links[port].receive_span
-                        span = take(now)
-                        self.accept(port, self.in_links[port].receive_span(now))
-            """,
-        )
-        assert codes(result) == []
-
-    def test_iteration_over_another_mask_is_no_guard(self, lint):
-        result = lint(
-            "repro/switches/packed_bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    for port in PORTS_OF[self._ingress_occupied]:
-                        self.accept(port, self.in_links[port].receive_span(now))
-            """,
-        )
-        assert codes(result) == ["REP007"]
-
-    def test_mask_does_not_excuse_the_credits_half(self, lint):
-        result = lint(
-            "repro/switches/packed_bad.py",
-            """
-            class Switch:
-                def tick(self, now):
-                    for port in PORTS_OF[self._rx_pending]:
-                        self.window[port] = self.out_links[port].credits(now)
-            """,
-        )
-        assert codes(result) == ["REP007"]
-
-    def test_outside_kernel_packages_exempt(self, lint):
-        result = lint(
-            "repro/experiments/probe.py",
-            """
-            class Probe:
-                def tick(self, now):
-                    return self.link.receive(now)
-            """,
-        )
-        assert codes(result) == []
-
-
 class TestSuppressions:
     def test_matching_code_suppresses(self, lint):
         result = lint(

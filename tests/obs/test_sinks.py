@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
+import repro.obs.sinks as sinks
 from repro.obs.sinks import (
     JsonlTracer,
     JsonlWriter,
     MetricsSink,
+    SCHEMA_LIFECYCLE,
     SCHEMA_METRICS,
     SCHEMA_RUN,
     SCHEMA_TRACE,
@@ -17,24 +21,31 @@ from repro.obs.sinks import (
 )
 
 
+def run_record(run, event, **fields):
+    return {"schema": SCHEMA_RUN, "run": run, "event": event, **fields}
+
+
 class TestJsonlWriter:
     def test_appends_one_line_per_record(self, tmp_path):
         path = tmp_path / "out.jsonl"
+        records = [
+            run_record("a", "start"),
+            run_record("a", "end", cycles=[1, 2]),
+            run_record("b", "start"),
+        ]
         with JsonlWriter(str(path)) as writer:
-            writer.write({"a": 1})
-            writer.write({"b": [1, 2]})
+            writer.write(records[0])
+            writer.write(records[1])
             assert writer.lines_written == 2
         with JsonlWriter(str(path)) as writer:  # append, not truncate
-            writer.write({"c": 3})
+            writer.write(records[2])
         lines = path.read_text().strip().splitlines()
-        assert [json.loads(line) for line in lines] == [
-            {"a": 1}, {"b": [1, 2]}, {"c": 3}
-        ]
+        assert [json.loads(line) for line in lines] == records
 
     def test_non_json_values_fall_back_to_repr(self, tmp_path):
         path = tmp_path / "out.jsonl"
         with JsonlWriter(str(path)) as writer:
-            writer.write({"obj": object()})
+            writer.write(run_record("a", "start", obj=object()))
         (line,) = path.read_text().strip().splitlines()
         assert "object object" in json.loads(line)["obj"]
 
@@ -79,6 +90,38 @@ class TestJsonlTracer:
             "source": "sw0", "event": "flit_in", "details": {"port": 2},
         }
         assert validate_file(str(path)) == (2, [])
+
+
+class TestWriteValidates:
+    """A writer refuses a record that would not read back valid, and
+    leaves the file as it was."""
+
+    def test_unregistered_schema_through_write_point(
+        self, tmp_path, monkeypatch
+    ):
+        path = tmp_path / "m.jsonl"
+        sink = MetricsSink(str(path))
+        sink.write_point("r1", 100, {"g": 1.5})
+        before = (path.read_bytes(), sink.lines_written)
+        monkeypatch.setattr(sinks, "SCHEMA_METRICS", "repro.bogus/1")
+        with pytest.raises(ValueError, match="unknown schema"):
+            sink.write_point("r1", 200, {"g": 2.5})
+        sink.close()
+        assert (path.read_bytes(), sink.lines_written) == before
+        assert validate_file(str(path)) == (1, [])
+
+    def test_missing_field_through_emit(self, tmp_path, monkeypatch):
+        path = tmp_path / "t.jsonl"
+        tracer = JsonlTracer(str(path), run="r9")
+        tracer.emit(5, "sw0", "flit_in", port=2)
+        before = (path.read_bytes(), tracer.lines_written)
+        # a trace record stamped with the lifecycle tag has no "packet"
+        monkeypatch.setattr(sinks, "SCHEMA_TRACE", SCHEMA_LIFECYCLE)
+        with pytest.raises(ValueError, match="missing required field"):
+            tracer.emit(6, "sw0", "flit_in", port=3)
+        tracer.close()
+        assert (path.read_bytes(), tracer.lines_written) == before
+        assert validate_file(str(path)) == (1, [])
 
 
 class TestValidation:

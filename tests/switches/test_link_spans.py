@@ -103,9 +103,7 @@ class TestReceiveSpanBoundaries:
         link.send_span(0, worm, 0, 4)
         taken = []
         for now in (2, 3, 5):
-            buf: list = []
-            link.receive_into(now, buf)
-            taken.append([flit.index for flit in buf])
+            taken.append([flit.index for flit in link.receive(now)])
         assert taken == [[0], [1], [2, 3]]
 
     def test_span_never_straddles_a_worm_boundary(self):
@@ -142,8 +140,7 @@ class TestReceiveSpanBoundaries:
         assert whole.receive_span(2) == (worm, 0, 4)
         held = 0
         for now in range(2, 12):
-            buf: list = []
-            held += stepped.receive_into(now, buf)
+            held += len(stepped.receive(now))
             assert whole.in_flight(now) == stepped.in_flight(now)
             assert whole.accounted_credits(now) == (
                 stepped.accounted_credits(now)
@@ -160,14 +157,14 @@ class TestReceiveSpanBoundaries:
         assert (link._in_flight.arrived(3), link.in_flight(3)) == (0, 2)
         assert link.in_flight() == 0  # raw: nothing left to take
 
-    def test_receive_into_materialises_identical_flits(self):
+    def test_receive_materialises_identical_flits(self):
         # object-plane drain over the same in-flight store
         link = make_link()
         worm = make_worm()
         link.send_span(0, worm, 2, 3)
-        buf: list = []
-        assert link.receive_into(10, buf) == 3
-        assert buf == [Flit(worm, 2), Flit(worm, 3), Flit(worm, 4)]
+        assert link.receive(10) == [
+            Flit(worm, 2), Flit(worm, 3), Flit(worm, 4)
+        ]
 
 
 class TestSendSpanReservations:
