@@ -11,21 +11,19 @@ Run:  python examples/barrier_and_reduce.py
 """
 
 from repro import MulticastScheme, SimulationConfig
-from repro.collectives import BarrierEngine, ReductionEngine, ReleaseScheme
+from repro.collectives import ReleaseScheme, TreeCollectiveEngine
 from repro.metrics.report import Table
 from repro.network.builder import build_network
 
 
 def run_barrier(num_hosts, release_scheme, seed=3):
     network = build_network(SimulationConfig(num_hosts=num_hosts, seed=seed))
-    engine = BarrierEngine(network.nodes)
-    operation = engine.create(
-        list(range(num_hosts)), release_scheme=release_scheme
-    )
+    engine = TreeCollectiveEngine(network.nodes)
+    operation = engine.barrier(list(range(num_hosts)), release=release_scheme)
 
     def enter_all():
         for host in range(num_hosts):
-            engine.enter(operation, host)
+            engine.contribute(operation, host)
 
     network.sim.schedule_at(0, enter_all)
     network.sim.run_until(
@@ -36,12 +34,12 @@ def run_barrier(num_hosts, release_scheme, seed=3):
 
 def run_allreduce(num_hosts, result_scheme, seed=3):
     network = build_network(SimulationConfig(num_hosts=num_hosts, seed=seed))
-    engine = ReductionEngine(network.nodes)
-    operation = engine.create(
+    engine = TreeCollectiveEngine(network.nodes)
+    operation = engine.allreduce(
         list(range(num_hosts)),
         combine=lambda a, b: a + b,
         payload_flits=8,
-        result_scheme=result_scheme,
+        release=result_scheme,
     )
 
     def contribute_all():

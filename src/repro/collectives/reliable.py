@@ -108,7 +108,6 @@ class ReliableMulticastEngine:
         self.timeout_cycles = timeout_cycles
         self.max_rounds = max_rounds
         self._operations: Dict[int, ReliableMulticastOperation] = {}
-        self._next_id = 0
         self._rng = self.nodes[0].sim.rng.stream("reliable_multicast.loss")
         for node in self.nodes:
             node.add_delivery_listener(self._on_delivery)
@@ -124,17 +123,12 @@ class ReliableMulticastEngine:
     ) -> ReliableMulticastOperation:
         """Start one reliable multicast from ``source`` now."""
         operation = ReliableMulticastOperation(
-            self._next_id, source, destinations, payload_flits
+            len(self._operations), source, destinations, payload_flits
         )
         self._operations[operation.op_id] = operation
-        self._next_id += 1
         operation.started_cycle = self.nodes[source].sim.now
         self._transmit(operation)
         return operation
-
-    def operation(self, op_id: int) -> Optional[ReliableMulticastOperation]:
-        """Look up an operation."""
-        return self._operations.get(op_id)
 
     # ------------------------------------------------------------------
     # protocol machinery

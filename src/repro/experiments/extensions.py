@@ -18,9 +18,9 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.collectives.barrier import (
-    BarrierEngine,
-    BarrierOperation,
     ReleaseScheme,
+    TreeCollective,
+    TreeCollectiveEngine,
 )
 from repro.errors import CycleBudgetExhausted
 from repro.experiments.common import (
@@ -53,20 +53,20 @@ class FullBarrier(Workload):
 
     name = "barrier"
     #: the barrier being measured, created by :meth:`start`
-    operation: BarrierOperation
+    operation: TreeCollective
 
     def __init__(self, release: ReleaseScheme) -> None:
         self.release = release
 
     def start(self, network: Network) -> None:
-        engine = BarrierEngine(network.nodes)
+        engine = TreeCollectiveEngine(network.nodes)
         hosts = range(network.num_hosts)
-        operation = engine.create(list(hosts), release_scheme=self.release)
+        operation = engine.barrier(list(hosts), release=self.release)
         self.operation = operation
 
         def enter_all() -> None:
             for host in hosts:
-                engine.enter(operation, host)
+                engine.contribute(operation, host)
 
         network.sim.schedule_at(0, enter_all)
 

@@ -83,12 +83,8 @@ class Stopwatch:
         self._started = time.perf_counter()
 
     def elapsed(self) -> float:
-        """Seconds since construction (or the last :meth:`restart`)."""
+        """Seconds since construction."""
         return time.perf_counter() - self._started
-
-    def restart(self) -> None:
-        """Reset the timer to zero."""
-        self._started = time.perf_counter()
 
 
 @dataclass(frozen=True)

@@ -123,10 +123,6 @@ class SpanQueue:
         self._tail += 1
         self._flits += count
 
-    def push(self, arrival: int, worm: Worm, index: int) -> None:
-        """Queue a single flit (merged into the newest span if contiguous)."""
-        self.push_span(arrival, worm, index, 1)
-
     def has_arrived(self, now: int) -> bool:
         """True when :meth:`take` would return a span at cycle ``now``."""
         return (

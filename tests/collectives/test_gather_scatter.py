@@ -4,99 +4,79 @@ from __future__ import annotations
 
 import pytest
 
-from repro.collectives.gather import (
-    GatherEngine,
-    ScatterEngine,
-    ScatterStrategy,
-)
+from repro.collectives.scatter import ScatterEngine, ScatterStrategy
 from repro.core.schemes import MulticastScheme
 from repro.errors import ConfigurationError, ProtocolError
-from repro.network.builder import build_network
-from repro.network.config import SimulationConfig
-
-
-def rig(num_hosts=16, seed=1):
-    network = build_network(SimulationConfig(num_hosts=num_hosts, seed=seed))
-    return network
+from tests.collectives.test_barrier import rig, run_collective
 
 
 def run_gather(network, engine, operation, hosts):
-    network.sim.schedule_at(
-        0, lambda: [engine.contribute(operation, h) for h in hosts]
-    )
-    network.sim.run_until(
-        lambda: operation.complete, max_cycles=300_000, stall_limit=30_000
-    )
-    return operation
+    return run_collective(network, engine, operation, {h: 0 for h in hosts})
 
 
 class TestGather:
     def test_pure_gather_ends_at_root(self):
-        network = rig()
-        engine = GatherEngine(network.nodes)
-        operation = engine.create(list(range(16)), block_flits=8)
+        network, engine = rig()
+        operation = engine.gather(list(range(16)), block_flits=8)
         run_gather(network, engine, operation, range(16))
-        assert operation.gathered_cycle == operation.completed_cycle
+        assert operation.gathered_cycle == operation.completed_cycle == 308
         # the root holds every block
-        assert operation.blocks_held[operation.root] == 16
+        assert operation.result == operation.held[operation.root] == 16
 
     def test_block_conservation_along_tree(self):
-        network = rig()
-        engine = GatherEngine(network.nodes)
-        operation = engine.create(list(range(16)), block_flits=4)
-        run_gather(network, engine, operation, range(16))
+        network, engine = rig()
+        operation = engine.gather(list(range(16)), block_flits=4)
+        # every parent contributes after its children have sent up
+        cycles = {h: 100 * (16 - h) for h in range(16)}
+        run_collective(network, engine, operation, cycles)
         # each internal node held exactly its subtree's blocks
         for host in operation.participants:
-            assert operation.blocks_held[host] == operation.subtree_size(host)
+            assert operation.held[host] == len(operation.subtree(host))
 
     def test_subset_participants(self):
-        network = rig()
-        engine = GatherEngine(network.nodes)
+        network, engine = rig()
         participants = [3, 6, 9, 12]
-        operation = engine.create(participants, block_flits=8)
+        operation = engine.gather(participants, block_flits=8)
         run_gather(network, engine, operation, participants)
-        assert operation.blocks_held[3] == 4
+        assert operation.held[3] == 4
 
     def test_allgather_hardware_beats_software(self):
         def latency(scheme):
-            network = rig(seed=5)
-            engine = GatherEngine(network.nodes)
-            operation = engine.create(
-                list(range(16)), block_flits=8, broadcast_result=scheme
+            network, engine = rig()
+            operation = engine.gather(
+                list(range(16)), block_flits=8, release=scheme
             )
             run_gather(network, engine, operation, range(16))
+            assert operation.gathered_cycle == 308  # pinned, as below
             return operation.last_latency
 
-        assert latency(MulticastScheme.HARDWARE) < latency(
-            MulticastScheme.SOFTWARE
-        )
+        # pinned: 8-flit blocks, 16 hosts, every host contributing at cycle 0
+        assert latency(MulticastScheme.HARDWARE) == 490
+        assert latency(MulticastScheme.SOFTWARE) == 1128
 
     def test_allgather_reaches_everyone(self):
-        network = rig()
-        engine = GatherEngine(network.nodes)
-        operation = engine.create(
+        network, engine = rig()
+        operation = engine.gather(
             list(range(16)), block_flits=8,
-            broadcast_result=MulticastScheme.HARDWARE,
+            release=MulticastScheme.HARDWARE,
         )
         run_gather(network, engine, operation, range(16))
-        assert set(operation.result_cycles) == set(range(16))
+        assert set(operation.release_cycles) == set(range(16))
 
     def test_bigger_blocks_cost_more(self):
         def latency(block):
-            network = rig(seed=6)
-            engine = GatherEngine(network.nodes)
-            operation = engine.create(list(range(16)), block_flits=block)
+            network, engine = rig(seed=6)
+            operation = engine.gather(list(range(16)), block_flits=block)
             run_gather(network, engine, operation, range(16))
             return operation.last_latency
 
         assert latency(32) > latency(4)
 
     def test_errors(self):
-        network = rig()
-        engine = GatherEngine(network.nodes)
+        network, engine = rig()
         with pytest.raises(ConfigurationError):
-            engine.create([5])
-        operation = engine.create([1, 2, 3])
+            engine.gather([5])
+        operation = engine.gather([1, 2, 3])
         with pytest.raises(ProtocolError):
             engine.contribute(operation, 9)
         engine.contribute(operation, 1)
@@ -115,7 +95,7 @@ class TestScatter:
 
     @pytest.mark.parametrize("strategy", list(ScatterStrategy))
     def test_every_host_gets_its_block(self, strategy):
-        network = rig()
+        network, _ = rig()
         engine = ScatterEngine(network.nodes)
         operation = engine.create(
             0, list(range(16)), block_flits=8, strategy=strategy
@@ -127,7 +107,7 @@ class TestScatter:
         """Delegation halves the root's serialized start-ups; with enough
         participants the tree wins despite moving more total bytes."""
         def latency(strategy):
-            network = rig(seed=7, num_hosts=64)
+            network, _ = rig(seed=7, num_hosts=64)
             engine = ScatterEngine(network.nodes)
             operation = engine.create(
                 0, list(range(64)), block_flits=4, strategy=strategy
@@ -139,13 +119,13 @@ class TestScatter:
         )
 
     def test_non_root_root_rejected(self):
-        network = rig()
+        network, _ = rig()
         engine = ScatterEngine(network.nodes)
         with pytest.raises(ConfigurationError):
             engine.create(9, [1, 2, 3])
 
     def test_subtree_partition(self):
-        network = rig()
+        network, _ = rig()
         engine = ScatterEngine(network.nodes)
         operation = engine.create(0, list(range(16)))
         collected = []

@@ -5,48 +5,35 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.collectives.reduction import ReductionEngine
 from repro.core.schemes import MulticastScheme
 from repro.errors import ConfigurationError, ProtocolError
-from repro.network.builder import build_network
-from repro.network.config import SimulationConfig
-
-
-def rig(num_hosts=16, seed=1):
-    config = SimulationConfig(num_hosts=num_hosts, seed=seed)
-    network = build_network(config)
-    return network, ReductionEngine(network.nodes)
+from tests.collectives.test_barrier import rig, run_collective
 
 
 def run_reduction(network, engine, operation, values, cycles=None):
     cycles = cycles or {host: 0 for host in values}
-    for host, value in values.items():
-        network.sim.schedule_at(
-            cycles[host],
-            lambda h=host, v=value: engine.contribute(operation, h, v),
-        )
-    network.sim.run_until(
-        lambda: operation.complete, max_cycles=200_000, stall_limit=30_000
-    )
-    return operation
+    return run_collective(network, engine, operation, cycles, values)
 
 
 class TestReductionCorrectness:
     @pytest.mark.parametrize("scheme", list(MulticastScheme))
     def test_sum_over_all_hosts(self, scheme):
         network, engine = rig()
-        operation = engine.create(
-            list(range(16)), combine=lambda a, b: a + b,
-            result_scheme=scheme,
+        operation = engine.allreduce(
+            list(range(16)), combine=lambda a, b: a + b, release=scheme
         )
-        values = {h: 3 * h + 1 for h in range(16)}
+        values = {h: h + 1 for h in range(16)}
         run_reduction(network, engine, operation, values)
-        assert operation.result == sum(values.values())
-        assert set(operation.result_cycles) == set(range(16))
+        assert operation.result == sum(values.values()) == 136
+        assert set(operation.release_cycles) == set(range(16))
+        # pinned: 4-flit legs, 16 hosts, every host contributing at cycle 0
+        hardware = scheme is MulticastScheme.HARDWARE
+        assert operation.last_latency == (262 if hardware else 528)
+        assert network.collector.messages_created == (16 if hardware else 30)
 
     def test_max_reduction(self):
         network, engine = rig()
-        operation = engine.create(list(range(16)), combine=max)
+        operation = engine.allreduce(list(range(16)), combine=max)
         values = {h: (7 * h) % 13 for h in range(16)}
         run_reduction(network, engine, operation, values)
         assert operation.result == max(values.values())
@@ -54,14 +41,14 @@ class TestReductionCorrectness:
     def test_subset_participants(self):
         network, engine = rig()
         participants = [1, 4, 9, 14]
-        operation = engine.create(participants)
+        operation = engine.allreduce(participants)
         values = {h: h for h in participants}
         run_reduction(network, engine, operation, values)
         assert operation.result == sum(participants)
 
     def test_staggered_contributions(self):
         network, engine = rig()
-        operation = engine.create(list(range(16)))
+        operation = engine.allreduce(list(range(16)))
         values = {h: 1 for h in range(16)}
         cycles = {h: 100 * h for h in range(16)}
         run_reduction(network, engine, operation, values, cycles)
@@ -76,7 +63,7 @@ class TestReductionCorrectness:
     @settings(max_examples=10, deadline=None)
     def test_arbitrary_values_sum_exactly(self, values):
         network, engine = rig(seed=11)
-        operation = engine.create(list(range(16)))
+        operation = engine.allreduce(list(range(16)))
         run_reduction(
             network, engine, operation,
             {h: values[h] for h in range(16)},
@@ -87,29 +74,29 @@ class TestReductionCorrectness:
 class TestReductionErrors:
     def test_double_contribution_rejected(self):
         network, engine = rig()
-        operation = engine.create([1, 2, 3])
+        operation = engine.allreduce([1, 2, 3])
         engine.contribute(operation, 1, 5)
         with pytest.raises(ProtocolError):
             engine.contribute(operation, 1, 6)
 
     def test_non_participant_rejected(self):
         network, engine = rig()
-        operation = engine.create([1, 2, 3])
+        operation = engine.allreduce([1, 2, 3])
         with pytest.raises(ProtocolError):
             engine.contribute(operation, 9, 5)
 
     def test_too_few_participants(self):
         network, engine = rig()
         with pytest.raises(ConfigurationError):
-            engine.create([5])
+            engine.allreduce([5])
 
 
 class TestReductionTiming:
     def test_hardware_result_broadcast_faster(self):
         def measure(scheme):
             network, engine = rig(num_hosts=64, seed=4)
-            operation = engine.create(
-                list(range(64)), result_scheme=scheme, payload_flits=8
+            operation = engine.allreduce(
+                list(range(64)), release=scheme, payload_flits=8
             )
             run_reduction(
                 network, engine, operation, {h: h for h in range(64)}
@@ -123,7 +110,7 @@ class TestReductionTiming:
     def test_payload_length_serializes(self):
         def measure(payload):
             network, engine = rig()
-            operation = engine.create(
+            operation = engine.allreduce(
                 list(range(16)), payload_flits=payload
             )
             run_reduction(

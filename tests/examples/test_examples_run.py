@@ -17,13 +17,13 @@ import pytest
 ROOT = pathlib.Path(__file__).resolve().parents[2]
 EXAMPLES = ROOT / "examples"
 
-FAST = ["quickstart.py", "worm_anatomy.py", "irregular_cluster.py"]
-SLOW = [
-    "mpi_collectives.py",
-    "dsm_invalidation.py",
+FAST = [
+    "quickstart.py",
+    "worm_anatomy.py",
+    "irregular_cluster.py",
     "barrier_and_reduce.py",
-    "capacity_planning.py",
 ]
+SLOW = ["mpi_collectives.py", "dsm_invalidation.py", "capacity_planning.py"]
 
 
 class TestExamplesExist:
