@@ -176,7 +176,7 @@ def main(argv=None) -> int:
           "--workload idle-256")
     print("Profiling:         python -m repro profile --arch cb "
           "--export-trace trace.json")
-    print("Benchmarks:        pytest benchmarks/ --benchmark-only")
+    print("Paper claims:      pytest tests/experiments/test_golden.py")
     print("Examples:          python examples/quickstart.py")
     return 0
 

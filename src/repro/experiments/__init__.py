@@ -37,7 +37,7 @@ A3 (one wide row per size, half of it closed-form header sizes), X3
 (one calibration run).  Calling a record,
 ``run_*(scale, jobs=N, progress=..., **plan_params)``, plans, executes
 and reduces: ``scale`` is a :class:`~repro.experiments.common.Scale`
-(``QUICK`` for benches/CI, ``PAPER`` for full-size runs), ``jobs=N`` fans
+(``QUICK`` for the goldens/CI, ``PAPER`` for full-size runs), ``jobs=N`` fans
 the grid out over N worker processes with output bit-identical to the
 serial path, and the result is an
 :class:`~repro.experiments.common.ExperimentResult` with structured rows

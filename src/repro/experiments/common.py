@@ -64,7 +64,7 @@ class Scheme(enum.Enum):
 class Scale:
     """How big an experiment run is.
 
-    ``QUICK`` keeps benches and CI fast (small repeats, short windows);
+    ``QUICK`` keeps the goldens and CI fast (small repeats, short windows);
     ``PAPER`` runs the full sweeps the tables in EXPERIMENTS.md report.
     """
 
@@ -103,21 +103,6 @@ class ExperimentResult:
     experiment: str
     table: Table
     rows: List[Dict[str, object]] = field(default_factory=list)
-
-    def series(self, key: str, value: str, **filters: object) -> List[tuple]:
-        """(key, value) pairs of rows matching all ``filters``."""
-        out = []
-        for row in self.rows:
-            if all(row.get(k) == v for k, v in filters.items()):
-                out.append((row[key], row[value]))
-        return out
-
-    def value(self, value: str, **filters: object) -> Optional[object]:
-        """The single matching row's value, or ``None``."""
-        matches = self.series(value, value, **filters)
-        if len(matches) != 1:
-            return None
-        return matches[0][1]
 
     def render(self) -> str:
         """The printable table."""
@@ -163,7 +148,7 @@ class Experiment:
     plan function, which owns the parameter names and defaults.
     """
 
-    #: the id the runner, the goldens and the benches know it by
+    #: the id the runner, the goldens and the claims know it by
     id: str
     plan: Callable[..., ExecutionPlan]
     reduce: Callable[[ExecutionPlan, Dict[Key, object]], ExperimentResult]

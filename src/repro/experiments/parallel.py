@@ -184,9 +184,9 @@ def run_outcomes(
     (partition against the store, emit hits, then journal, emit and fan
     out each executed leader); this function only resolves its inputs.
     *The store*: the ``store`` argument, else the process-wide session
-    of :mod:`repro.store.runtime` (``--store-dir``/``REPRO_STORE_DIR``,
-    whose tallies are updated here), else none — every spec executes
-    and nothing is journaled.  *The executor*: the active farm session
+    of :mod:`repro.store.runtime` (``--store-dir``/``REPRO_STORE_DIR``),
+    else none — every spec executes and nothing is journaled.  *The
+    executor*: the active farm session
     (:mod:`repro.farm.runtime`, ``--farm``/``--shards``), else
     :func:`local_executor` with ``jobs`` workers.  Whatever the
     combination, the returned values are bit-identical — the reduce
@@ -203,12 +203,7 @@ def run_outcomes(
         store, refresh = session.store, session.refresh
     farm = farm_runtime.active_farm()
     run = memoized_outcomes if farm is None else farm.run
-    outcomes = run(
-        plan, store, jobs=jobs, progress=progress, refresh=refresh
-    )
-    if session is not None:
-        session.record(outcomes)
-    return outcomes
+    return run(plan, store, jobs=jobs, progress=progress, refresh=refresh)
 
 
 def _plain_outcomes(

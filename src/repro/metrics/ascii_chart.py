@@ -1,6 +1,6 @@
 """Plain-text charts for experiment output.
 
-The benchmark harness prints tables; for latency-vs-load style series a
+The experiment runner prints tables; for latency-vs-load style series a
 small ASCII chart makes the knee visible at a glance without any
 plotting dependency.
 """

@@ -1,6 +1,6 @@
-"""Plain-text tables for experiment and benchmark output.
+"""Plain-text tables for experiment output.
 
-The benchmark harness prints the same rows the paper's figures plot;
+The experiment runner prints the same rows the paper's figures plot;
 these helpers keep that output aligned and CSV-exportable without any
 plotting dependency.
 """

@@ -10,7 +10,7 @@ The layer has four pieces, all off by default:
 * :mod:`repro.obs.sinks` — schema-versioned JSONL writers for metrics
   and trace streams, plus validation helpers.
 * :mod:`repro.obs.manifest` — the provenance record (git SHA, python,
-  wall-time, peak RSS) written beside runs and benchmarks.
+  wall-time, peak RSS) written beside runs.
 
 :mod:`repro.obs.runtime` holds the process-global switch the CLI flips;
 :mod:`repro.obs.harness` (imported lazily — it depends on

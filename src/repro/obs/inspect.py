@@ -1,17 +1,15 @@
 """``python -m repro inspect``: summarise manifests and JSONL files.
 
 Reads any mix of run manifests (``*.manifest.json``), metrics JSONL,
-trace JSONL, profiling-digest JSONL and ``BENCH_<experiment>.json``
-benchmark archives and prints a human-readable summary: per-run gauge
-statistics, an ASCII chart of central-buffer occupancy over time (via
-:mod:`repro.metrics.ascii_chart`), trace event counts, kernel/phase
-profiling sections with a link-utilisation heatmap, worm lifecycle
-digests, manifest provenance, and — for benchmark archives — the
-result-store section (hits, coalesced runs, bytes, segment count)
-recorded when the run memoized through ``REPRO_STORE_DIR``.  With
-``--check`` it validates every line against the schemas in
-:mod:`repro.obs.sinks` and exits non-zero on any invalid record — the
-CI smoke job runs exactly that.
+trace JSONL and profiling-digest JSONL and prints a human-readable
+summary: per-run gauge statistics, an ASCII chart of central-buffer
+occupancy over time (via :mod:`repro.metrics.ascii_chart`), trace event
+counts, kernel/phase profiling sections with a link-utilisation
+heatmap, worm lifecycle digests and manifest provenance.  A JSONL file
+is streamed line by line, never read whole.  With ``--check`` it
+validates every line against the schemas in :mod:`repro.obs.sinks` and
+exits non-zero on any invalid record — the CI smoke job runs exactly
+that.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from repro.metrics.report import Table
 from repro.obs.manifest import RunManifest
 from repro.obs.sinks import (
     SCHEMA_LIFECYCLE,
-    SCHEMA_MANIFEST,
     SCHEMA_METRICS,
     SCHEMA_PROFILE,
     SCHEMA_RUN,
@@ -41,62 +38,14 @@ CHART_GAUGE = "cb.occupancy_chunks"
 
 
 def _is_manifest_file(path: str) -> bool:
-    """True when the file is one JSON object tagged as a manifest."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return False
-    return isinstance(data, dict) and data.get("schema") == SCHEMA_MANIFEST
+    """True when the file opens as a :meth:`RunManifest.write` file.
 
-
-def _load_bench_file(path: str) -> Optional[Dict[str, Any]]:
-    """The parsed ``BENCH_<experiment>.json`` archive written by
-    ``benchmarks/_benchlib`` (``experiment`` + ``rows`` keys), or
-    ``None`` if the file is not one."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
-        return None
-    if not isinstance(data, dict):
-        return None
-    if "experiment" in data and "rows" in data:
-        return data
-    return None
-
-
-def _summarise_bench(path: str, data: Dict[str, Any]) -> str:
-    """Render a benchmark artifact: headline, rows, store section."""
-    lines = [f"{path}: benchmark artifact"]
-    if data.get("experiment"):
-        title = data.get("title") or ""
-        lines.append(
-            f"  experiment {data['experiment']}"
-            + (f": {title}" if title else "")
-        )
-    rows = data.get("rows") or []
-    if isinstance(rows, list):
-        lines.append(f"  {len(rows)} row(s)")
-    manifest = data.get("manifest")
-    if isinstance(manifest, dict):
-        lines.append(
-            f"  recorded {manifest.get('created_at', '?')} at git "
-            f"{str(manifest.get('git_sha', '?'))[:12]}"
-        )
-    store = data.get("store")
-    if isinstance(store, dict):
-        table = Table("result store", ["field", "value"])
-        for key in (
-            "hits", "coalesced", "executed", "saved_seconds",
-            "entries", "segments", "bytes",
-        ):
-            if key in store:
-                table.add_row(key.replace("_", " "), store[key])
-        lines.append(
-            "\n".join("  " + row for row in table.render().split("\n"))
-        )
-    else:
-        lines.append("  no store section (ran without a result store)")
-    return "\n".join(lines)
+    A manifest is one indented JSON object, so its first line is a lone
+    ``{``; a JSONL file's first line is a whole record.  Reading one
+    line keeps a large trace file from being loaded before it streams.
+    """
+    with open(path, encoding="utf-8") as handle:
+        return handle.readline().strip() == "{"
 
 
 def _summarise_manifest(path: str) -> str:
@@ -335,18 +284,6 @@ def _check(paths: List[str]) -> int:
     """Validate every file; print a verdict per file; 0 iff all valid."""
     failures = 0
     for path in paths:
-        bench = _load_bench_file(path)
-        if bench is not None:
-            manifest = bench.get("manifest")
-            if isinstance(manifest, dict) and manifest.get(
-                "schema"
-            ) not in (None, SCHEMA_MANIFEST):
-                print(f"{path}: INVALID bench artifact (bad manifest "
-                      f"schema {manifest.get('schema')!r})")
-                failures += 1
-            else:
-                print(f"{path}: OK (bench artifact)")
-            continue
         if _is_manifest_file(path):
             try:
                 RunManifest.load(path)
@@ -397,10 +334,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.check:
         return _check(args.paths)
     for path in args.paths:
-        bench = _load_bench_file(path)
-        if bench is not None:
-            print(_summarise_bench(path, bench))
-        elif _is_manifest_file(path):
+        if _is_manifest_file(path):
             print(_summarise_manifest(path))
         else:
             print(_summarise_jsonl(path, chart=not args.no_chart))

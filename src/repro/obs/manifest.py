@@ -3,9 +3,8 @@
 A manifest answers "what exactly produced this output?" months later:
 the package version, python and platform, the git commit, wall-time and
 peak memory of the producing process, plus free-form ``extras`` (the
-experiment list, CLI flags, per-run config hashes).  Benchmarks embed
-one in their ``BENCH_*.json`` output and the experiment runner writes
-one beside ``--metrics-out``/``--trace-out`` files.
+experiment list, CLI flags, per-run config hashes).  The experiment
+runner writes one beside ``--metrics-out``/``--trace-out`` files.
 """
 
 from __future__ import annotations

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
-from repro.experiments.parallel import RunOutcome
 from repro.store.backend import JournalStore
 
 #: environment variable naming the store directory for CLI entry points
@@ -28,48 +27,11 @@ ENV_STORE_DIR = "REPRO_STORE_DIR"
 
 
 class StoreSession:
-    """One configured store plus the session's refresh policy.
-
-    The session also tallies what the store did across every plan it
-    executed (hits, coalesced duplicates, executed runs, execution
-    seconds avoided), so artifact writers — ``benchmarks/_benchlib``,
-    the bench runner — can embed a store section without threading
-    progress callbacks through every experiment.
-    """
+    """One configured store plus the session's refresh policy."""
 
     def __init__(self, store: Any, refresh: bool = False) -> None:
         self.store = store
         self.refresh = refresh
-        self.hits = 0
-        self.coalesced = 0
-        self.executed = 0
-        self.saved_seconds = 0.0
-
-    def record(self, outcomes: List[RunOutcome]) -> None:
-        """Fold a plan's outcomes into the session tallies.
-
-        ``run_outcomes`` calls this once per plan it ran against this
-        session's store, whichever executor ran the leaders.
-        """
-        for outcome in outcomes:
-            if outcome.source == "hit":
-                self.hits += 1
-            elif outcome.source == "coalesced":
-                self.coalesced += 1
-            else:
-                self.executed += 1
-            self.saved_seconds += outcome.saved_seconds
-
-    def stats(self) -> Dict[str, Any]:
-        """Store stats plus this session's hit/coalesce tallies."""
-        stats = dict(self.store.stats())
-        stats.update(
-            hits=self.hits,
-            coalesced=self.coalesced,
-            executed=self.executed,
-            saved_seconds=round(self.saved_seconds, 3),
-        )
-        return stats
 
     def close(self) -> None:
         """Close the underlying store (idempotent)."""

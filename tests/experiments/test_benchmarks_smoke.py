@@ -1,70 +1,49 @@
-"""Benchmark smoke test: every bench module must import and assert green.
+"""Every paper claim holds on its committed golden snapshot.
 
-The ``benchmarks/`` suite is normally run by hand (it needs
-``pytest-benchmark``), which means it can silently rot as the library
-evolves.  This module imports every ``benchmarks/bench_*.py``, runs its
-``test_*`` assertion functions once at BENCH scale through a stub
-``benchmark`` fixture, and fails the main suite if any benchmark's
-import, run, or shape assertion breaks.
+The experiments' paper claims once lived in one benchmark module each,
+``bench_<id>_<topic>``, which re-simulated the experiment at a scale of
+its own.  The claims now live in ``claims.py``, and ``test_golden.py``
+runs each one on the quick-scale rows it has just computed.  This module
+keeps one test id per former benchmark and runs the claim on the rows
+the snapshot file holds, so a snapshot that breaks its claim fails by
+name, with no simulation.
 """
 
 from __future__ import annotations
 
-import importlib.util
-import sys
-from pathlib import Path
+import json
 
 import pytest
 
-from repro.experiments.runner import EXPERIMENTS
+from tests.experiments.claims import CLAIMS
+from tests.experiments.test_golden import GOLDEN_DIR
 
-BENCHMARKS_DIR = Path(__file__).parent.parent.parent / "benchmarks"
-BENCH_MODULES = sorted(
-    path.stem for path in BENCHMARKS_DIR.glob("bench_*.py")
-)
-
-
-class StubBenchmark:
-    """Replaces pytest-benchmark's fixture: run once, no timing stats."""
-
-    def __call__(self, fn, *args, **kwargs):
-        return fn(*args, **kwargs)
-
-    def pedantic(self, fn, args=(), kwargs=None, rounds=1, iterations=1):
-        return fn(*args, **(kwargs or {}))
-
-
-def _load(module_name: str):
-    """Import one bench module with benchmarks/ on sys.path (for
-    ``_benchlib``), without requiring an installed package."""
-    if str(BENCHMARKS_DIR) not in sys.path:
-        sys.path.insert(0, str(BENCHMARKS_DIR))
-    if module_name in sys.modules:
-        return sys.modules[module_name]
-    spec = importlib.util.spec_from_file_location(
-        module_name, BENCHMARKS_DIR / f"{module_name}.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[module_name] = module
-    spec.loader.exec_module(module)
-    return module
+BENCHMARKS = {
+    "bench_a1_cb_bandwidth": "a1",
+    "bench_a2_routing_mode": "a2",
+    "bench_a3_encoding": "a3",
+    "bench_a4_replication": "a4",
+    "bench_a5_equal_storage": "a5",
+    "bench_e1_multiple_multicast": "e1",
+    "bench_e2_degree_sweep": "e2",
+    "bench_e3_length_sweep": "e3",
+    "bench_e4_bimodal": "e4",
+    "bench_e5_system_size": "e5",
+    "bench_e6_unicast_baseline": "e6",
+    "bench_e7_parameters": "e7",
+    "bench_x1_barrier": "x1",
+    "bench_x2_hotspot": "x2",
+    "bench_x3_occupancy": "x3",
+    "bench_x4_cross_topology": "x4",
+}
 
 
-def test_every_benchmark_is_covered():
-    """One ``bench_<id>_*.py`` per registered experiment, and no bench
-    for an id the registry does not know (guards against silent renames)."""
-    ids = sorted(name.split("_")[1] for name in BENCH_MODULES)
-    assert ids == sorted(EXPERIMENTS)
+def test_one_benchmark_id_per_claim():
+    assert sorted(BENCHMARKS.values()) == sorted(CLAIMS)
 
 
-@pytest.mark.parametrize("module_name", BENCH_MODULES)
+@pytest.mark.parametrize("module_name", sorted(BENCHMARKS))
 def test_benchmark_assertions_hold(module_name):
-    module = _load(module_name)
-    test_fns = [
-        getattr(module, name)
-        for name in sorted(dir(module))
-        if name.startswith("test_") and callable(getattr(module, name))
-    ]
-    assert test_fns, f"{module_name} defines no test_* assertion function"
-    for fn in test_fns:
-        fn(StubBenchmark())
+    name = BENCHMARKS[module_name]
+    rows = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    CLAIMS[name](rows)

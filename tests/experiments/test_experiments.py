@@ -1,8 +1,8 @@
 """Experiment harness: structure and shape at micro scale.
 
 These smoke-test the experiment functions themselves (row structure,
-table rendering, scheme coverage) with tiny sweeps; the full shape
-assertions live in ``benchmarks/``.
+table rendering, scheme coverage) with tiny sweeps; the paper's claims
+are checked on the golden rows (``claims.py``, ``test_golden.py``).
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from repro.experiments.bimodal import run_bimodal
 from repro.experiments.common import (
     PAPER,
     QUICK,
-    ExperimentResult,
     Scale,
     Scheme,
     base_config,
@@ -38,6 +37,7 @@ from repro.experiments.runner import EXPERIMENTS, main
 from repro.experiments.system_size import run_system_size
 from repro.experiments.unicast_baseline import run_unicast_baseline
 from repro.obs import runtime as obs_runtime
+from tests.experiments.claims import one
 
 MICRO = Scale(
     name="micro",
@@ -73,19 +73,6 @@ class TestCommon:
     def test_mean(self):
         assert mean([]) == 0.0
         assert mean([2.0, 4.0]) == 3.0
-
-    def test_result_series_and_value(self):
-        from repro.metrics.report import Table
-
-        result = ExperimentResult("x", Table("t", ["a"]))
-        result.rows = [
-            {"k": 1, "v": 10, "s": "a"},
-            {"k": 2, "v": 20, "s": "a"},
-            {"k": 1, "v": 30, "s": "b"},
-        ]
-        assert result.series("k", "v", s="a") == [(1, 10), (2, 20)]
-        assert result.value("v", k=1, s="b") == 30
-        assert result.value("v", s="a") is None  # ambiguous
 
 
 class Colour(enum.Enum):
@@ -196,9 +183,9 @@ class TestExperimentStructure:
 
     def test_e7_calibration_exact(self):
         result = run_parameters(scale=MICRO, num_hosts=16)
-        simulated = result.value("value", parameter="zero_load_simulated")
-        model = result.value("value", parameter="zero_load_model")
-        assert simulated == model
+        simulated = one(result.rows, parameter="zero_load_simulated")
+        model = one(result.rows, parameter="zero_load_model")
+        assert simulated["value"] == model["value"]
 
     def test_a1_rows(self):
         result = run_cb_bandwidth_ablation(

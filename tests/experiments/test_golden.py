@@ -6,6 +6,11 @@ Each experiment's quick-scale ``rows`` are checked in as JSON under
 (``test_parallel.py``), so these must match *exactly* — any diff is a
 numeric change some PR made, intentionally or not.
 
+Before the rows are compared (or, with ``--regenerate-golden``,
+written), each experiment's paper claim (``claims.py``) runs on them, so
+the shape assertions check exactly the rows the snapshots pin and a
+snapshot that breaks a claim cannot be written.
+
 ``golden/spec_keys.json`` pins the other half of the contract: the
 content address (:func:`repro.store.spec_key`) of every spec of every
 plan at QUICK and PAPER, in plan order.  A changed digest means a warm
@@ -31,6 +36,7 @@ import pytest
 from repro.experiments.common import PAPER, QUICK
 from repro.experiments.runner import EXPERIMENTS
 from repro.store import spec_key
+from tests.experiments.claims import CLAIMS, one
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 SPEC_KEYS = GOLDEN_DIR / "spec_keys.json"
@@ -64,6 +70,7 @@ def test_quick_scale_rows_match_golden(name, request):
     path = GOLDEN_DIR / f"{name}.json"
     result = EXPERIMENTS[name](QUICK, jobs=1)
     rows = _canonical(result.rows)
+    CLAIMS[name](rows)
 
     if regenerate:
         GOLDEN_DIR.mkdir(exist_ok=True)
@@ -80,6 +87,21 @@ def test_quick_scale_rows_match_golden(name, request):
         "change is intended, rerun with --regenerate-golden and commit "
         "the diff"
     )
+
+
+@pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+def test_no_claim_passes_vacuously(name):
+    """One claim per experiment; a claim given no rows raises, and a row
+    lookup raises unless exactly one row matches."""
+    assert CLAIMS.keys() == EXPERIMENTS.keys()
+    with pytest.raises(LookupError):
+        CLAIMS[name]([])
+    rows = json.loads((GOLDEN_DIR / f"{name}.json").read_text())
+    column = next(iter(rows[0]))
+    with pytest.raises(LookupError, match="^0 rows"):
+        one(rows, **{column: "no such point"})
+    with pytest.raises(LookupError, match=f"^{len(rows)} rows"):
+        one(rows)
 
 
 def _planned_spec_keys():

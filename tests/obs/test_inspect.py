@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import pathlib
 
 from repro.obs.inspect import main as inspect_main
 from repro.obs.manifest import RunManifest
@@ -64,6 +65,27 @@ class TestSummarise:
         out = capsys.readouterr().out
         assert "run manifest" in out
         assert "git SHA" in out
+
+    def test_jsonl_is_streamed_not_read_whole(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A ``--trace-out`` file can be large: telling it from a manifest
+        reads its first line, and summary and check then stream it."""
+        path = tmp_path / "m.jsonl"
+        _write_metrics(path)
+        read_text = pathlib.Path.read_text
+
+        def refuse_jsonl(self, *args, **kwargs):
+            if self == path:
+                raise AssertionError(f"{self} was read whole")
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(pathlib.Path, "read_text", refuse_jsonl)
+        assert inspect_main([str(path)]) == 0
+        assert inspect_main(["--check", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "1 run(s), 3 metric sample(s)" in out
+        assert "OK (5 line(s))" in out
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         assert inspect_main([str(tmp_path / "nope.jsonl")]) == 2
