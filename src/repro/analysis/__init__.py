@@ -12,6 +12,10 @@ happens to catch it.  This package moves those contracts to lint time:
   partitioning;
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` gate.
 
+Every rule checks one file at a time.  Whether a run actually reaches
+a draw or a clock read is a property of executions, which the goldens
+and the differential sweeps check by running them.
+
 See ``docs/static-analysis.md`` for the rule catalogue, the
 suppression workflow, and how to add a rule.
 """

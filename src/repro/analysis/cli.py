@@ -4,7 +4,7 @@ Exit codes follow the convention of the other gates in CI: ``0`` when
 the tree is clean (inline-suppressed findings do not count), ``1``
 when new findings exist, ``2`` for usage errors.
 
-``--format json`` emits a single ``repro.lint/1`` object on stdout; its
+``--format json`` emits a single ``repro.lint/2`` object on stdout; its
 layout is pinned by :data:`LINT_JSON_SCHEMA` (a JSON Schema the test
 suite validates real output against) and documented in
 ``docs/static-analysis.md``.  ``--format github`` emits one GitHub
@@ -25,12 +25,12 @@ from repro.analysis.engine import LintResult, lint_paths
 from repro.analysis.rules import all_rules, rule_catalog
 
 #: schema tag stamped on ``--format json`` output
-LINT_SCHEMA = "repro.lint/1"
+LINT_SCHEMA = "repro.lint/2"
 
 #: JSON Schema (draft-07) for ``--format json`` output
 LINT_JSON_SCHEMA: Dict[str, Any] = {
     "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "repro.lint/1",
+    "title": "repro.lint/2",
     "type": "object",
     "required": [
         "schema",
@@ -61,7 +61,6 @@ LINT_JSON_SCHEMA: Dict[str, Any] = {
                     "col",
                     "message",
                     "hint",
-                    "chain",
                 ],
                 "properties": {
                     "code": {"type": "string", "pattern": "^REP[0-9]{3}$"},
@@ -70,10 +69,6 @@ LINT_JSON_SCHEMA: Dict[str, Any] = {
                     "col": {"type": "integer", "minimum": 0},
                     "message": {"type": "string"},
                     "hint": {"type": "string"},
-                    "chain": {
-                        "type": "array",
-                        "items": {"type": "string"},
-                    },
                 },
             },
         },

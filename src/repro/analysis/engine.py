@@ -9,13 +9,8 @@ findings two ways:
   comment on the finding's line waives it;
 * **new** — everything else; these fail the gate.
 
-After the per-module pass the engine builds one
-:class:`~repro.analysis.project.ProjectIndex` over the *whole*
-``repro`` tree containing the linted files — parsing any modules the
-lint selection skipped, so cross-module rules stay sound when only a
-few paths are linted — and runs every rule's ``check_project`` hook
-over it.  Semantic findings are reported only for files in the lint
-selection, and flow through the same suppression partitioning.
+Every rule sees one file at a time, so linting a path parses that path
+and nothing else.
 
 Files that do not parse surface as ``REP000`` findings (not
 suppressible — a file the linter cannot read is a file the invariants
@@ -27,10 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence
 
-from repro.analysis.findings import Finding, Suppression, scan_suppressions
-from repro.analysis.project import ProjectIndex, repro_roots
+from repro.analysis.findings import Finding, scan_suppressions
 from repro.analysis.rules import Rule, all_rules
 from repro.analysis.source import SourceModule
 
@@ -107,18 +101,6 @@ def lint_paths(
     root = root if root is not None else Path.cwd()
     result = LintResult()
 
-    parsed: List[SourceModule] = []
-    suppressions_by_path: Dict[str, Dict[int, Suppression]] = {}
-
-    def partition(finding: Finding) -> None:
-        waiver = suppressions_by_path.get(finding.path, {}).get(
-            finding.line
-        )
-        if waiver is not None and finding.code in waiver.codes:
-            result.suppressed.append(finding)
-        else:
-            result.new.append(finding)
-
     for file_path in iter_python_files(paths):
         display = _display_path(file_path, root)
         try:
@@ -139,59 +121,16 @@ def lint_paths(
             result.checked_files += 1
             continue
         result.checked_files += 1
-        parsed.append(module)
-        suppressions_by_path[module.display_path] = scan_suppressions(
-            module.text
-        )
-
+        suppressions = scan_suppressions(module.text)
         for rule in active_rules:
             for finding in rule.check(module):
-                partition(finding)
-
-    project = _build_project(parsed, root)
-    if project is not None:
-        linted = {module.display_path for module in parsed}
-        for rule in active_rules:
-            for finding in rule.check_project(project):
-                if finding.path in linted:
-                    partition(finding)
+                waiver = suppressions.get(finding.line)
+                if waiver is not None and finding.code in waiver.codes:
+                    result.suppressed.append(finding)
+                else:
+                    result.new.append(finding)
 
     result.new.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     result.suppressed.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return result
 
-
-def _build_project(
-    parsed: Sequence[SourceModule], root: Optional[Path]
-) -> Optional[ProjectIndex]:
-    """Index the full ``repro`` tree(s) the linted files belong to.
-
-    Modules outside the lint selection are parsed here (and silently
-    skipped if unparseable — their own lint runs report ``REP000``), so
-    cross-module rules see the whole program even when only a few files
-    are being linted.
-    """
-    sources = [
-        module
-        for module in parsed
-        if module.module_name.startswith("repro")
-    ]
-    if not sources:
-        return None
-    have = {module.path.resolve() for module in sources}
-    for package_root in repro_roots(module.path for module in sources):
-        for file_path in iter_python_files([package_root]):
-            resolved = file_path.resolve()
-            if resolved in have:
-                continue
-            have.add(resolved)
-            display = _display_path(file_path, root)
-            try:
-                extra = SourceModule.parse(
-                    file_path, display_path=display
-                )
-            except (SyntaxError, ValueError, OSError):
-                continue
-            if extra.module_name.startswith("repro"):
-                sources.append(extra)
-    return ProjectIndex.build(sources)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Set, Tuple
+from typing import Dict, Set
 
 #: matches ``# reprolint: ignore[REP001]`` and
 #: ``# reprolint: ignore[REP001,REP003] reason text``
@@ -37,8 +37,6 @@ class Finding:
     message: str
     hint: str
     line_text: str = ""
-    #: call chain for reachability findings (entry point first)
-    chain: Tuple[str, ...] = ()
 
     def render(self) -> str:
         """One-line text format: ``path:line:col: CODE message``."""
@@ -56,7 +54,6 @@ class Finding:
             "col": self.col,
             "message": self.message,
             "hint": self.hint,
-            "chain": list(self.chain),
         }
 
 

@@ -16,11 +16,9 @@ REP014   farm process/pipe machinery stays in the transport module
 A rule is a class with a ``code``, a one-line ``summary``, a ``hint``
 shown next to each finding, a docstring explaining the invariant, and a
 ``check`` generator over one :class:`~repro.analysis.source.SourceModule`.
-Rules come in two layers: the *syntactic* layer sees one module at a
-time through ``check``; the *semantic* layer additionally implements
-``check_project`` over the whole-program
-:class:`~repro.analysis.project.ProjectIndex` (REP001/REP002 use it for
-kernel-reachability chains).
+Every rule sees one file at a time: a property of *executions* (a draw
+or clock read a run actually reaches) is checked by running the goldens
+and the differential sweeps, not by a call graph.
 Register new rules with the :func:`register` decorator; the engine and
 CLI discover them through :func:`all_rules`.
 """
@@ -30,19 +28,9 @@ from __future__ import annotations
 import ast
 import inspect
 from abc import ABC, abstractmethod
-from typing import (
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Type,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple, Type
 
 from repro.analysis.findings import Finding
-from repro.analysis.project import ProjectIndex
 from repro.analysis.source import SourceModule
 
 #: packages whose modules run inside the cycle loop; determinism rules
@@ -67,10 +55,6 @@ WALLCLOCK_ALLOWED: Tuple[str, ...] = (
 
 #: the one module allowed to touch python's ``random`` machinery (REP001)
 RNG_HOME = "repro.sim.rng"
-
-#: the link module: each of its methods is a kernel entry point for the
-#: reachability layer of REP001/REP002
-LINK_HOME = "repro.switches.link"
 
 #: the result-store package and its single file-I/O module (REP013):
 #: every byte the store persists flows through the journal, keeping the
@@ -98,23 +82,8 @@ class Rule(ABC):
     def check(self, module: SourceModule) -> Iterator[Finding]:
         """Yield a :class:`Finding` per violation in ``module``."""
 
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        """Yield cross-module findings over the whole-program index.
-
-        The engine calls this once per run, after the per-module pass,
-        with an index covering the *entire* ``repro`` tree (even when
-        only a few paths are linted).  The default is no semantic layer.
-        """
-        return iter(())
-
     def finding(
-        self,
-        module: SourceModule,
-        node: ast.AST,
-        message: str,
-        chain: Tuple[str, ...] = (),
+        self, module: SourceModule, node: ast.AST, message: str
     ) -> Finding:
         """Build a finding anchored at ``node``."""
         line = getattr(node, "lineno", 1)
@@ -127,7 +96,6 @@ class Rule(ABC):
             message=message,
             hint=self.hint,
             line_text=module.line_text(line),
-            chain=chain,
         )
 
 
@@ -189,99 +157,8 @@ def rule_catalog() -> List[Tuple[str, str, str]]:
     return catalog
 
 
-def _in_packages(module_name: str, packages: Sequence[str]) -> bool:
-    """Dotted-module membership test (module or any submodule)."""
-    for package in packages:
-        if module_name == package or module_name.startswith(
-            package + "."
-        ):
-            return True
-    return False
-
-
-def _kernel_entries(project: ProjectIndex) -> List[str]:
-    """Kernel-path entry points for reachability rules.
-
-    The simulator's run loop (``Simulator.run``/``run_until``/``step``),
-    every ``tick`` method on a kernel-package class (components only
-    execute through ticks), and every method of the link module (the
-    object and packed span transports components drain) — anything a
-    simulated cycle can execute starts at one of these.
-    """
-    entries: List[str] = []
-    for qualname in sorted(project.functions):
-        fn = project.functions[qualname]
-        if fn.cls is None:
-            continue
-        if fn.module == "repro.sim.kernel" and fn.name in (
-            "run", "run_until", "step"
-        ):
-            entries.append(qualname)
-        elif fn.name == "tick" and _in_packages(
-            fn.module, KERNEL_PACKAGES
-        ):
-            entries.append(qualname)
-        elif fn.module == LINK_HOME and not fn.name.startswith("__"):
-            entries.append(qualname)
-    return entries
-
-
-def _chain_display(chain: Sequence[str]) -> str:
-    """Render a call chain compactly (``repro.`` prefixes dropped)."""
-    def short(name: str) -> str:
-        return name[6:] if name.startswith("repro.") else name
-
-    return " -> ".join(short(name) for name in chain)
-
-
-class _KernelReachabilityMixin:
-    """Shared transitive layer for REP001/REP002.
-
-    Walks every function reachable from the kernel entry points and
-    reports banned *sink* calls with the full call chain.  Unlike the
-    syntactic layer, the traversal ignores the per-module allowlists
-    (``repro.sim.rng``, ``repro.obs`` ...): an allowlisted module may
-    use its primitive, but the kernel must never *reach* it.
-    """
-
-    def sink(
-        self, module: SourceModule, node: ast.Call
-    ) -> Optional[str]:
-        """Describe ``node`` if it is a banned sink, else ``None``."""
-        raise NotImplementedError
-
-    def check_project(
-        self, project: ProjectIndex
-    ) -> Iterator[Finding]:
-        assert isinstance(self, Rule)
-        chains = project.reachable_from(_kernel_entries(project))
-        for qualname in sorted(chains):
-            fn = project.functions[qualname]
-            info = project.modules.get(fn.module)
-            if info is None:
-                continue
-            source = info.source
-            for node in ast.walk(fn.node):
-                if not isinstance(node, ast.Call):
-                    continue
-                described = self.sink(source, node)
-                if described is None:
-                    continue
-                chain = chains[qualname] + (
-                    project.resolve_expr(fn.module, node.func)
-                    or "<dynamic>",
-                )
-                yield self.finding(
-                    source,
-                    node,
-                    f"{described} is reachable from kernel entry "
-                    f"point {chain[0]}: {_chain_display(chain)}",
-                    chain=chain,
-                )
-
-
 @register
-class NoUnseededRandomness(_KernelReachabilityMixin, Rule):
+class NoUnseededRandomness(Rule):
     """REP001 — all stochastic behaviour flows through ``repro.sim.rng``.
 
     The parallel execution engine's jobs=N == jobs=1 guarantee and the
@@ -293,12 +170,6 @@ class NoUnseededRandomness(_KernelReachabilityMixin, Rule):
     ``random.Random(explicit_seed)`` is allowed: it is deterministic and
     is how config-seeded builders (e.g. the irregular topology
     generator) stay reproducible without a simulator handy.
-
-    Semantic layer: the same banned calls are additionally reported —
-    with the full call chain — in *any* function reachable from a kernel
-    entry point (``Simulator.run*``, component ``tick`` hooks, the link
-    span paths), including inside :mod:`repro.sim.rng` itself, where the
-    syntactic layer does not look.
     """
 
     code = "REP001"
@@ -370,7 +241,7 @@ class NoUnseededRandomness(_KernelReachabilityMixin, Rule):
 
 
 @register
-class NoWallClockInSimulation(_KernelReachabilityMixin, Rule):
+class NoWallClockInSimulation(Rule):
     """REP002 — simulated time and wall time never mix.
 
     Simulation results must be a pure function of config and seed.  A
@@ -383,12 +254,6 @@ class NoWallClockInSimulation(_KernelReachabilityMixin, Rule):
     packages (``sim/``, ``switches/``, ``network/``, ``flits/``,
     ``routing/``, ``host/``, ``traffic/``), where a wall-clock read
     would additionally perturb cycle accounting.
-
-    Semantic layer: wall-clock calls are additionally reported — with
-    the full call chain — in any function reachable from a kernel entry
-    point, *including* inside the allowlisted ``repro.obs`` /
-    ``repro.experiments.parallel`` modules: those may time the process
-    around a run, but the cycle loop must never reach them.
     """
 
     code = "REP002"

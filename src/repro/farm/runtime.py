@@ -6,9 +6,9 @@ Mirrors :mod:`repro.store.runtime`: CLI entry points call
 :func:`repro.experiments.parallel.run_outcomes` consults
 :func:`active_farm` to choose who executes a plan's leaders.
 Experiments themselves never know whether their plans ran on a pool, a
-fleet, or serially — ``run_outcomes`` resolves the result store and
-records its session tallies the same way for all three, so flipping
-``--farm`` on changes scheduling and nothing else.
+fleet, or serially — ``run_outcomes`` resolves the result store the
+same way for all three, so flipping ``--farm`` on changes scheduling
+and nothing else.
 
 Backend resolution degrades the way the execution engine always has:
 ``local`` falls back to serial where multiprocessing pools cannot
@@ -58,8 +58,7 @@ def _backend_candidates(kind: str) -> List[Callable[[], WorkerBackend]]:
 class FarmSession:
     """One configured farm: backend kind, shard count, steal policy.
 
-    The session keeps campaign tallies (campaigns driven, steals,
-    requeues, worker deaths survived) and the last
+    The session keeps the last
     :class:`~repro.farm.campaign.CampaignResult`, so entry points can
     render per-worker timing and write the merged campaign manifest
     without threading the result through every experiment.
@@ -80,10 +79,6 @@ class FarmSession:
         self.shards = shards
         self.steal_policy = steal_policy
         self.backend_factory = backend_factory
-        self.campaigns = 0
-        self.steals = 0
-        self.requeues = 0
-        self.worker_failures = 0
         self.last_result: Optional[CampaignResult] = None
 
     def run(
@@ -125,12 +120,6 @@ class FarmSession:
                 if index == len(candidates) - 1:
                     raise
         assert result is not None
-        self.campaigns += 1
-        self.steals += result.steals
-        self.requeues += result.requeues
-        self.worker_failures += sum(
-            1 for report in result.workers if report.failure
-        )
         self.last_result = result
         return result.outcomes
 

@@ -32,43 +32,12 @@ def lint_snippet(
     return lint_paths([target], rules=rules, root=tmp_path)
 
 
-def lint_tree(
-    tmp_path: Path,
-    files: dict,
-    select: Optional[Sequence[str]] = None,
-) -> LintResult:
-    """Write a multi-file fixture tree and lint all of it.
-
-    ``files`` maps ``repro/...``-shaped relative paths to sources; the
-    engine indexes the whole tree, so this is the entry point for the
-    cross-module (semantic) rule tests.
-    """
-    targets = []
-    for rel_path, source in files.items():
-        target = tmp_path / rel_path
-        target.parent.mkdir(parents=True, exist_ok=True)
-        target.write_text(textwrap.dedent(source), encoding="utf-8")
-        targets.append(target)
-    rules = all_rules(select) if select is not None else None
-    return lint_paths(targets, rules=rules, root=tmp_path)
-
-
 @pytest.fixture
 def lint(tmp_path):
     """Partial application of :func:`lint_snippet` over ``tmp_path``."""
 
     def _lint(rel_path, source, select=None):
         return lint_snippet(tmp_path, rel_path, source, select=select)
-
-    return _lint
-
-
-@pytest.fixture
-def lint_files(tmp_path):
-    """Partial application of :func:`lint_tree` over ``tmp_path``."""
-
-    def _lint(files, select=None):
-        return lint_tree(tmp_path, files, select=select)
 
     return _lint
 
