@@ -32,11 +32,22 @@ def pytest_addoption(parser):
     )
 
 
-#: ``--hypothesis-profile=sweep``: the every-cycle timeline sweep of
-#: tests/switches/test_span_commit.py searches at random, this many
-#: examples, instead of replaying the fixed draw tier-1 runs (CI gives
-#: the search a step of its own)
+#: ``--hypothesis-profile=sweep``: the five whole-network sweeps of the
+#: differential harness (``tests.differential.sweep``) search at random,
+#: this many examples each, instead of replaying the fixed draw tier-1
+#: runs (CI gives the search a step of its own)
 settings.register_profile("sweep", max_examples=100)
+
+pytest.register_assert_rewrite("tests.differential")
+
+
+@pytest.fixture(scope="session")
+def runs():
+    """The differential harness' run cache: each (measure, scenario,
+    configuration) simulated once per session (tests/differential.py)."""
+    from tests.differential import RunCache
+
+    return RunCache()
 
 
 def poll_until(predicate, timeout=60.0, interval=0.01, message="condition"):

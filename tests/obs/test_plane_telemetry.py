@@ -24,61 +24,25 @@ below fails.
 
 from __future__ import annotations
 
-import re
-
 import pytest
 
-from repro.core.schemes import MulticastScheme, SwitchArchitecture
-from repro.errors import DeadlockSuspected
 from repro.network.builder import build_network
-from repro.network.config import SimulationConfig
 from repro.network.simulation import run_workload
-from repro.obs.registry import MetricsRegistry
-from repro.obs.sampler import CycleSampler, register_network_gauges
 from repro.sim.trace import Tracer
-from repro.switches.base import ReplicationMode
-from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.multicast import (
-    MultipleMulticastBurst,
-    RandomMulticastStream,
-)
-from repro.traffic.unicast import UniformRandomUnicast
 
-from tests.switches.test_span_commit import (
-    SHORT_POOL_HOTSPOT,
-    SHORT_POOL_STREAM,
+from tests.differential import (
+    CB,
+    IB,
+    ROW,
+    flavour,
+    flit_of,
     log_takes,
+    telemetry,
 )
 
-CB = SwitchArchitecture.CENTRAL_BUFFER
-IB = SwitchArchitecture.INPUT_BUFFER
-
-#: workload factories (workloads are stateful: one instance per run)
-WORKLOADS = {
-    "saturating-unicast": lambda: UniformRandomUnicast(
-        load=0.9, payload_flits=16,
-        warmup_cycles=100, measure_cycles=300,
-    ),
-    "multicast-stream": lambda: RandomMulticastStream(
-        ops_per_host_per_kilocycle=2.0, degree=8, payload_flits=48,
-        scheme=MulticastScheme.HARDWARE,
-        warmup_cycles=100, measure_cycles=400,
-    ),
-    # contention at this load produces head-of-line waiting at the NIs
-    # and blocked outputs and full buffers in the switches
-    "hotspot": lambda: HotspotTraffic(
-        load=0.9, hotspot_fraction=0.8, payload_flits=32,
-        warmup_cycles=200, measure_cycles=400,
-    ),
-}
-
-#: (packed, dense kernel) of the flavours held to the ground truth
-FLAVOURS = {
-    "active": (True, False),
-    "dense": (True, True),
-    "reference-active": (False, False),
-}
-GROUND_TRUTH = (False, True)
+#: the flavours held to the ground truth, and their test ids
+HELD = ("production", "dense", "reference-active")
+IDS = ("active", "dense", "reference-active")
 
 #: what must be seen (events) / non-zero (counters) in a case, so the
 #: agreement asserted below is never agreement on nothing
@@ -93,64 +57,16 @@ ALSO = {
     ("hotspot", IB): ("switch.blocked_cycles", "ni.blocked_cycles"),
 }
 
-_FLIT = re.compile(r"Flit\((\d+):(\d+)[HBT]\)")
 
-
-def per_flit(record):
-    """The per-flit events one trace record stands for.
-
-    A ``flit_in`` record with ``count`` covers that many flits of one
-    worm landing on consecutive cycles (absent: 1, the reference's
-    form); flits are named by coordinates, the repr's head/body/tail
-    letter being a function of them.  Every other event is itself.
-    """
-    if record.event != "flit_in":
-        yield record.cycle, record.source, record.event, record.details
-        return
-    packet, start = map(int, _FLIT.fullmatch(record.get("flit")).groups())
-    for member in range(record.get("count", 1)):
-        yield (
-            record.cycle + member, record.source, "flit_in",
-            (record.get("port"), packet, start + member),
-        )
-
-
-def telemetry(config, make_workload, prepare=None, **run_kwargs):
-    """Everything an observed run reports: how it ended, the per-flit
-    event list, every counter value and the sampled gauge series."""
-    tracer = Tracer()
-    registry = MetricsRegistry()
-    network = build_network(config, tracer=tracer, metrics=registry)
-    register_network_gauges(network, registry)
-    sampler = CycleSampler(registry, every=7)
-    network.sim.add_component(sampler)
-    if prepare is not None:
-        prepare(network)
-    try:
-        result = run_workload(network, make_workload(), **run_kwargs)
-        outcome = (result.cycles, result.completed, result.summary())
-    except DeadlockSuspected as stall:
-        outcome = (network.sim.now, str(stall))
-    assert tracer.dropped_count == 0
-    events = sorted(
-        event for record in tracer.records for event in per_flit(record)
-    )
-    counters = {
-        name: counter.value for name, counter in registry.counters.items()
-    }
-    return outcome, events, counters, sampler.series
-
-
-def assert_reports_the_ground_truth(config, make_workload, flavour, **kwargs):
-    packed, dense = FLAVOURS[flavour]
-    ours = telemetry(
-        config.derived(packed=packed, dense_kernel=dense),
-        make_workload, **kwargs,
-    )
-    packed, dense = GROUND_TRUTH
-    truth = telemetry(
-        config.derived(packed=packed, dense_kernel=dense),
-        make_workload, **kwargs,
+def assert_reports_the_ground_truth(runs, scenario, config, held,
+                                    expected=ALWAYS, **options):
+    """The ``held`` flavour's telemetry against the ground truth's, which
+    every flavour of :data:`HELD` reads; every name ``expected`` seen.
+    Returns the counters."""
+    ours = runs.run(telemetry, scenario, flavour(config, held), **options)
+    truth = runs.run(
+        telemetry, scenario, flavour(config, "ground-truth"), len(HELD),
+        **options,
     )
     for reported, true in zip(ours, truth):
         assert reported == true
@@ -158,54 +74,45 @@ def assert_reports_the_ground_truth(config, make_workload, flavour, **kwargs):
     assert len(series) > 10
     seen = {event for _, _, event, _ in events}
     seen.update(name for name, value in counters.items() if value > 0)
-    return seen, counters
-
-
-@pytest.mark.parametrize("flavour", list(FLAVOURS))
-@pytest.mark.parametrize("workload", list(WORKLOADS))
-@pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
-def test_planes_report_the_same(architecture, workload, flavour):
-    config = SimulationConfig(
-        num_hosts=16, seed=5, switch_architecture=architecture
-    )
-    seen, _ = assert_reports_the_ground_truth(
-        config, WORKLOADS[workload], flavour
-    )
-    expected = ALWAYS + ALSO.get((workload, architecture), ())
     assert not [name for name in expected if name not in seen]
+    return counters
 
 
-@pytest.mark.parametrize("flavour", list(FLAVOURS))
+@pytest.mark.parametrize("held", HELD, ids=IDS)
 @pytest.mark.parametrize(
-    "scenario", (SHORT_POOL_HOTSPOT, SHORT_POOL_STREAM),
-    ids=lambda scenario: scenario[0],
+    "label", ("saturating-unicast", "multicast-stream", "hotspot")
 )
-def test_a_pool_that_runs_short_reports_the_same(scenario, flavour):
+@pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
+def test_planes_report_the_same(runs, architecture, label, held):
+    scenario = ROW[label]
+    assert_reports_the_ground_truth(
+        runs, scenario, scenario.config(architecture, seed=5), held,
+        ALWAYS + ALSO.get((label, architecture), ()),
+    )
+
+
+@pytest.mark.parametrize("held", HELD, ids=IDS)
+@pytest.mark.parametrize("label", ("hotspot-short-pool", "mcast-short-pool"))
+def test_a_pool_that_runs_short_reports_the_same(runs, label, held):
     # refused writes and admissions are what a central-buffer switch
     # counts blocked, and a switch refused a chunk sleeps on the pool's
     # dated releases — stirred or not
-    _, architecture, overrides, make_workload = scenario
-    config = SimulationConfig(
-        num_hosts=16, seed=5, switch_architecture=architecture, **overrides
+    scenario = ROW[label]
+    counters = assert_reports_the_ground_truth(
+        runs, scenario, scenario.config(seed=5), held
     )
-    seen, counters = assert_reports_the_ground_truth(
-        config, make_workload, flavour
-    )
-    assert not [name for name in ALWAYS if name not in seen]
     assert counters["switch.blocked_cycles"] > 100
 
 
 @pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
 def test_one_flit_in_record_per_record_taken(architecture):
     tracer = Tracer()
+    scenario = ROW["hotspot"]
     network = build_network(
-        SimulationConfig(
-            num_hosts=16, seed=5, switch_architecture=architecture
-        ),
-        tracer=tracer,
+        scenario.config(architecture, seed=5), tracer=tracer
     )
     takes = log_takes(network)
-    assert run_workload(network, WORKLOADS["hotspot"]()).completed
+    assert run_workload(network, scenario.make_workload()).completed
     inputs = {
         link.name: (switch.name, port)
         for switch in network.switches
@@ -215,31 +122,16 @@ def test_one_flit_in_record_per_record_taken(architecture):
         inputs[name] + (packet, start, count): now
         for name, now, packet, start, count in takes if name in inputs
     }
-    stamped = {}
-    for record in tracer.records:
-        if record.event == "flit_in":
-            packet, start = map(
-                int, _FLIT.fullmatch(record.get("flit")).groups()
-            )
-            stamped[
-                record.source, record.get("port"), packet, start,
-                record.get("count"),
-            ] = record.cycle
+    stamped = {
+        (record.source, record.get("port")) + flit_of(record)
+        + (record.get("count"),): record.cycle
+        for record in tracer.records if record.event == "flit_in"
+    }
     # one record per take, stamped at the head's landing: the cycle it
     # is taken on, unless the switch slept through that inside a run
     assert stamped.keys() == taken.keys()
     assert all(stamped[key] <= taken[key] for key in taken)
     assert sum(key[-1] for key in taken) > 3 * len(taken)
-
-
-def _a4_burst():
-    """A4's traffic — concurrent degree-6 multicasts, all at once — with
-    messages of several worms each, more than an input buffer holds, so
-    that the NIs back up behind a stalled switch too."""
-    return MultipleMulticastBurst(
-        num_multicasts=8, degree=6, payload_flits=400,
-        scheme=MulticastScheme.HARDWARE,
-    )
 
 
 def _deaf_host(network, host=3):
@@ -263,19 +155,15 @@ STOPS = {
 
 
 @pytest.mark.parametrize("stop", list(STOPS))
-@pytest.mark.parametrize("flavour", list(FLAVOURS))
-def test_a_run_that_stops_blocked_reports_the_same(flavour, stop):
-    # A4's synchronous-replication stall, made permanent.  An NI of
-    # depth 1 is no sink (see repro.switches.link), so every ejection
-    # link is credit-limited and both blocked counters run throughout
-    config = SimulationConfig(
-        num_hosts=16, seed=5, switch_architecture=IB,
-        replication=ReplicationMode.SYNCHRONOUS, ni_rx_depth=1,
+@pytest.mark.parametrize("held", HELD, ids=IDS)
+def test_a_run_that_stops_blocked_reports_the_same(runs, held, stop):
+    # A4's synchronous-replication stall, made permanent: with an NI of
+    # depth 1 both blocked counters run throughout
+    scenario = ROW["a4-lock-step"]
+    counters = assert_reports_the_ground_truth(
+        runs, scenario, scenario.config(seed=5), held,
+        prepare=_deaf_host, **STOPS[stop]
     )
-    seen, counters = assert_reports_the_ground_truth(
-        config, _a4_burst, flavour, prepare=_deaf_host, **STOPS[stop]
-    )
-    assert not [name for name in ALWAYS if name not in seen]
     # it did stop blocked: most of the run is switches and NIs waiting
     assert counters["switch.blocked_cycles"] > 10_000
     assert counters["ni.blocked_cycles"] > 10_000

@@ -10,10 +10,11 @@ two directions:
   cycle with a pending wake, calendar event, or time mark, and that
   stall detection trips at the exact cycle (and with the exact message)
   the dense kernel would produce; and
-* hypothesis-driven whole-system runs — random workloads on both switch
-  architectures, both routing modes, and random seeds — asserting the
-  two kernels agree on cycle counts, metric summaries, per-host flit
-  counts, and the kernel progress counter.
+* hypothesis-driven whole-system runs — the workload rows of
+  ``tests/differential.py`` on both switch architectures, both routing
+  modes, and random seeds — asserting the two kernels agree on cycle
+  counts, metric summaries, per-host flit counts, and the kernel
+  progress counter.
 """
 
 from __future__ import annotations
@@ -21,17 +22,21 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.schemes import MulticastScheme, SwitchArchitecture
+from repro.core.schemes import SwitchArchitecture
 from repro.errors import SimulationError
-from repro.network.builder import build_network
-from repro.network.config import SimulationConfig
-from repro.network.simulation import run_workload
 from repro.routing.base import MulticastRoutingMode
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
-from repro.switches.base import ReplicationMode
-from repro.traffic.multicast import RandomMulticastStream, SingleMulticast
-from repro.traffic.unicast import UniformRandomUnicast
+
+from tests.differential import (
+    IB,
+    ROW,
+    SQUARE_EXAMPLES,
+    SQUARE_ROWS,
+    SYNCHRONOUS,
+    assert_observables_agree,
+    sweep,
+)
 
 
 class Recorder(Component):
@@ -143,85 +148,36 @@ class TestStallDetectionParity:
         assert cycle == 10_000 + 50 + 1  # event cycle + stall_limit + step
 
 
-N = 16
-
-#: (label, workload factory) — factories because workloads are stateful
-#: and each kernel flavour needs a fresh instance
-WORKLOADS = (
-    ("low-load-unicast", lambda: UniformRandomUnicast(
-        load=0.01, payload_flits=8,
-        warmup_cycles=100, measure_cycles=600,
-    )),
-    ("hot-unicast", lambda: UniformRandomUnicast(
-        load=0.6, payload_flits=8,
-        warmup_cycles=100, measure_cycles=400,
-    )),
-    ("hw-multicast", lambda: SingleMulticast(
-        source=3, degree=9, payload_flits=24,
-        scheme=MulticastScheme.HARDWARE,
-    )),
-    ("sw-multicast", lambda: SingleMulticast(
-        source=1, degree=6, payload_flits=16,
-        scheme=MulticastScheme.SOFTWARE,
-    )),
-    ("mcast-stream", lambda: RandomMulticastStream(
-        ops_per_host_per_kilocycle=0.5, degree=5, payload_flits=16,
-        scheme=MulticastScheme.HARDWARE,
-        warmup_cycles=100, measure_cycles=500,
-    )),
-)
-
-
-def observables(config: SimulationConfig, make_workload):
-    """Every observable of one run: cycles, summary, per-host flit
-    counts, and the kernel's progress counter."""
-    network = build_network(config)
-    result = run_workload(network, make_workload())
-    return (
-        result.cycles,
-        result.summary(),
-        tuple(ni.flits_ejected for ni in network.interfaces),
-        network.sim.progress,
-    )
-
-
-def assert_kernels_agree(config: SimulationConfig, make_workload):
-    dense = observables(config.derived(dense_kernel=True), make_workload)
-    active = observables(config.derived(dense_kernel=False), make_workload)
-    assert dense == active
-
-
 class TestWholeSystemDifferential:
     @given(
         architecture=st.sampled_from(list(SwitchArchitecture)),
         mode=st.sampled_from(list(MulticastRoutingMode)),
         seed=st.integers(0, 2**16),
-        workload=st.sampled_from(WORKLOADS),
+        scenario=st.sampled_from(SQUARE_ROWS),
     )
-    @settings(max_examples=12, deadline=None)
+    @sweep(12, SQUARE_ROWS, **SQUARE_EXAMPLES)
     def test_active_set_matches_dense(
-        self, architecture, mode, seed, workload
+        self, runs, architecture, mode, seed, scenario
     ):
-        _, make_workload = workload
-        config = SimulationConfig(
-            num_hosts=N,
-            switch_architecture=architecture,
-            multicast_mode=mode,
-            seed=seed,
+        config = scenario.config(architecture, multicast_mode=mode, seed=seed)
+        assert_observables_agree(
+            runs, scenario, config, "production", "dense"
         )
-        assert_kernels_agree(config, make_workload)
 
-    def test_synchronous_replication_matches_dense(self):
+    def test_synchronous_replication_matches_dense(self, runs):
         # SYNCHRONOUS is only modelled on the input-buffer switch, so it
         # cannot ride the hypothesis sweep above
-        config = SimulationConfig(
-            num_hosts=N,
-            switch_architecture=SwitchArchitecture.INPUT_BUFFER,
-            replication=ReplicationMode.SYNCHRONOUS,
-            seed=5,
+        scenario = ROW["hw-multicast"]
+        config = scenario.config(IB, seed=5, **SYNCHRONOUS)
+        # the production run is test_packed_differential.py's too
+        assert_observables_agree(
+            runs, scenario, config, "production", "dense", shared=2
         )
-        assert_kernels_agree(config, WORKLOADS[2][1])
 
-    def test_self_check_run_matches_dense(self):
-        config = SimulationConfig(num_hosts=N, self_check=True, seed=9)
-        assert_kernels_agree(config, WORKLOADS[4][1])
+    def test_self_check_run_matches_dense(self, runs):
+        scenario = ROW["slow-mcast-stream"]
+        config = scenario.config(self_check=True, seed=9)
+        # the production run is test_packed_differential.py's too
+        assert_observables_agree(
+            runs, scenario, config, "production", "dense", shared=2
+        )

@@ -6,13 +6,13 @@ the input-buffer switch does the same for the branches of a front worm
 (``repro.switches.input_buffer``), the NI for a span record on its
 ejection link (``repro.host.interface``), and credits wake their sender
 only on demand (``repro.switches.link``).  None of it may move a single
-flit by a single cycle.  The sweep below runs the scenarios of
-``test_port_activity``, and the ledger's multicast stream, on the
-production flavour and on the dense-kernel/object-flit reference and
-compares, per link, the log of every flit sent ``(cycle, packet, index)``
-and, after every cycle, each link's credit accounting, each input
-buffer's occupancy, each input port's worms with the flits of each that
-have landed and its header stamp, and each NI's ejection state — the
+flit by a single cycle.  The sweep below runs the timeline rows of
+``tests/differential.py`` on the production flavour and on the
+dense-kernel/object-flit reference and compares (``timeline``), per
+link, the log of every flit sent ``(cycle, packet, index)`` and, after
+every cycle, each link's credit accounting, each input buffer's
+occupancy, each input port's worms with the flits of each that have
+landed and its header stamp, and each NI's ejection state — the
 introspection must keep the reference timeline while a run, or a record
 taken whole at its head, is ahead of it — plus credit conservation and
 the two FIFO-front masks on the way.  The unit cases pin where a run
@@ -24,9 +24,8 @@ from __future__ import annotations
 from contextlib import contextmanager
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, strategies as st
 
-from repro.core.schemes import MulticastScheme
 from repro.flits.destset import DestinationSet
 from repro.flits.packet import Message, Packet, TrafficClass
 from repro.flits.worm import Worm
@@ -37,26 +36,28 @@ from repro.obs.profile.kernel_profiler import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.routing.base import UpPortPolicy
 from repro.sim.trace import Tracer
-from repro.switches.base import ReplicationMode, committed_run
+from repro.switches.base import committed_run
 from repro.switches.central_buffer import (
-    CentralBufferSwitch,
     _BypassFeed,
     _Ingress,
     _IngressState,
 )
 from repro.switches.arbiter import RoundRobinArbiter
-from repro.switches.chunks import (
-    BranchCursor,
-    CentralBufferPool,
-    StoredPacket,
-)
+from repro.switches.chunks import CentralBufferPool, StoredPacket
 from repro.switches.input_buffer import InputBufferSwitch, _Branch
-from repro.switches.ports import PORTS_OF
 from repro.switches.input_buffer import _Ingress as _BufferIngress
-from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.multicast import RandomMulticastStream
-from repro.traffic.unicast import UniformRandomUnicast
 
+from tests.differential import (
+    CB,
+    IB,
+    ROW,
+    TIMELINE_ROWS,
+    flavour,
+    log_sends,
+    log_takes,
+    sweep,
+    timeline,
+)
 from tests.switches.test_central_buffer import (
     one_switch_config,
     run_to_quiescence,
@@ -66,78 +67,6 @@ from tests.switches.test_link_spans import make_link, make_worm
 from tests.switches.test_input_buffer import (
     one_switch_config as one_buffer_switch_config,
 )
-from tests.switches.test_port_activity import (
-    CB, IB, SCENARIOS, front_truth,
-)
-
-
-def _ledger_stream():
-    """The ledger's ``mcast-ib-64`` traffic, cut short: degree-16 worms
-    of 64 flits at a rate that saturates the ejection links, so branches
-    queue for busy outputs while their siblings run ahead."""
-    return RandomMulticastStream(
-        ops_per_host_per_kilocycle=1.0, degree=16, payload_flits=64,
-        scheme=MulticastScheme.HARDWARE,
-        warmup_cycles=100, measure_cycles=400,
-    )
-
-
-LEDGER_STREAM = ("mcast-ib-64", IB, {"num_hosts": 64}, _ledger_stream)
-LEDGER_STREAM_CB = ("mcast-cb-64", CB, {"num_hosts": 64}, _ledger_stream)
-
-
-def _short_pool(shared_chunks=0):
-    """Config overrides for a central buffer at its legal minimum — one
-    maximum packet of chunks per input — plus ``shared_chunks``, with
-    packets that fill their input's quota: the second worm from an input
-    waits for admission, the second unicast is refused its chunks."""
-    probe = SimulationConfig(num_hosts=16, max_packet_payload_flits=32)
-    quota = -(-probe.max_packet_flits() // probe.chunk_flits)
-    chunks = 2 * probe.arity * quota + shared_chunks
-    return {
-        "max_packet_payload_flits": 32,
-        "central_buffer_flits": chunks * probe.chunk_flits,
-    }
-
-
-#: central-buffer traffic that finds the pool short, or the bandwidth
-SHORT_POOL_HOTSPOT = ("hotspot-short-pool", CB, _short_pool(), lambda: (
-    HotspotTraffic(
-        load=0.7, hotspot_fraction=0.5, payload_flits=32,
-        warmup_cycles=50, measure_cycles=300,
-    )
-))
-SHORT_POOL_STREAM = ("mcast-short-pool", CB, _short_pool(), lambda: (
-    RandomMulticastStream(
-        ops_per_host_per_kilocycle=6.0, degree=6, payload_flits=32,
-        scheme=MulticastScheme.HARDWARE,
-        warmup_cycles=50, measure_cycles=300,
-    )
-))
-#: three shared chunks: the inputs that ask in one cycle cannot all have
-#: one, and who does is the write arbiter's rotation
-THIN_SHARED_HOTSPOT = (
-    "hotspot-thin-shared", CB, _short_pool(shared_chunks=3),
-    SHORT_POOL_HOTSPOT[3],
-)
-NARROW_BUFFER = (
-    "mcast-bandwidth-2", CB,
-    {"cb_write_bandwidth": 2, "cb_read_bandwidth": 2},
-    lambda: RandomMulticastStream(
-        ops_per_host_per_kilocycle=2.0, degree=6, payload_flits=16,
-        scheme=MulticastScheme.HARDWARE,
-        warmup_cycles=50, measure_cycles=300,
-    ),
-)
-# (the sweep draws link and FIFO parameters at random, and a unicast
-# allocating chunk by chunk from a pool this short can genuinely wedge —
-# on either plane — under some of them: the short-pool scenarios run at
-# fixed parameters, below)
-SCENARIOS = SCENARIOS + (LEDGER_STREAM, NARROW_BUFFER)
-#: lock-step branches never commit a run, but their records are taken
-#: whole all the same (the sweep samples this one; it also always runs)
-(SYNC_STREAM,) = (s for s in SCENARIOS if s[0] == "mcast-ib-sync")
-assert SYNC_STREAM[2] == {"replication": ReplicationMode.SYNCHRONOUS}
 
 
 def _bypass_run(ingress, in_link, out_link, now):
@@ -150,279 +79,29 @@ def _bypass_run(ingress, in_link, out_link, now):
     )
 
 
-def log_sends(network, calls=None):
-    """Per link, every flit sent as ``(cycle, packet id, index)`` — the
-    nominal send cycle for members of a span — and every span call;
-    into ``calls``, every send call as ``(link, cycle, packet id, start,
-    count)``, in the order made."""
-    flits, spans = {}, {}
-    if calls is None:
-        calls = []
-    for link in network.links:
-        sent = flits[link.name] = []
-        committed = spans[link.name] = []
-
-        def single(send, _sent=sent, _name=link.name):
-            def logged(now, worm, index):
-                calls.append((_name, now, worm.packet.packet_id, index, 1))
-                _sent.append((now, worm.packet.packet_id, index))
-                send(now, worm, index)
-
-            return logged
-
-        def span(now, worm, start, count, _send=link.send_span,
-                 _sent=sent, _calls=committed, _name=link.name):
-            calls.append((_name, now, worm.packet.packet_id, start, count))
-            _calls.append((now, worm, start, count))
-            _sent.extend(
-                (now + j, worm.packet.packet_id, start + j)
-                for j in range(count)
-            )
-            _send(now, worm, start, count)
-
-        link.send_packed = single(link.send_packed)
-        link.send_granted = single(link.send_granted)
-        link.send_span = span
-    return flits, spans
-
-
-def pool_row(switch, cycle):
-    """The chunk pool as of the end of ``cycle``: what allocation will
-    find next cycle, and what the occupancy gauge and X3's probe read."""
-    pool = switch.pool.at(cycle)
-    assert pool.used_chunks + pool.free_chunks == pool.capacity_chunks
-    return (
-        pool.used_chunks, pool.free_shared, tuple(pool.free_quota),
-        pool.occupancy.peak, pool.occupancy.average(cycle + 1),
+def assert_same_timeline(runs, scenario, dense, consumers=1, **params):
+    """Production on the ``dense`` or the active kernel against the
+    ground truth, which ``consumers`` comparisons read, on the row at
+    ``params``; returns both timelines."""
+    config = scenario.config(**params)
+    fast = runs.run(
+        timeline, scenario,
+        flavour(config, "dense" if dense else "production"),
     )
-
-
-@contextmanager
-def end_of_cycle(sim):
-    """NI introspection is what calendar events and ``run_until``
-    predicates see, and those run before the ticks: the state as of the
-    end of cycle ``sim.now - 1``.  A probe runs after the ticks, so it
-    reads the end of *its* cycle from the start of the next."""
-    sim.now += 1
-    try:
-        yield
-    finally:
-        sim.now -= 1
-
-
-def queued_records(link):
-    """The span records still in ``link``, oldest first, as ``(arrival,
-    worm, start, count)``."""
-    queue = link._in_flight
-    for record in range(queue._head, queue._tail):
-        slot = record & queue._mask
-        arrival, start, count = queue._arr[3 * slot:3 * slot + 3]
-        yield arrival, queue._worms[slot], start, count
-
-
-def receive_row(switch, port, cycle):
-    """The worms at input ``port``, oldest first, as ``[packet id, flits
-    landed, header stamp]`` at the end of ``cycle`` on the
-    one-flit-per-cycle timeline: what a switch that accepts each flit on
-    the cycle it lands has — whether this one took them ahead of their
-    cycle with their record's head, or has yet to (asleep inside a run,
-    they wait in the link)."""
-    rows = []
-    link = switch.in_links[port]
-    if not switch._inflow[port] and (link is None or not link.in_flight()):
-        return rows
-    for ingress in switch._inflow[port]:
-        stamp = ingress.header_done_cycle
-        landed = ingress.landed_by(cycle)
-        assert 1 <= landed <= ingress.received
-        # a header stamped ahead is not complete yet
-        assert (stamp is not None and stamp <= cycle) == (
-            landed >= ingress.worm.header_flits
-        ), (cycle, switch.name, port)
-        rows.append([
-            ingress.worm.packet.packet_id, landed,
-            stamp if landed >= ingress.worm.header_flits else None,
-        ])
-    for arrival, worm, start, count in (
-        () if link is None else queued_records(link)
-    ):
-        landed = min(count, cycle - arrival + 1)
-        if landed <= 0:
-            break
-        if start:
-            row = rows[-1]
-            assert row[:2] == [worm.packet.packet_id, start]
-            row[1] += landed
-        else:
-            row = [worm.packet.packet_id, landed, None]
-            rows.append(row)
-        header = worm.header_flits
-        if start < header <= start + landed:
-            row[2] = arrival + header - 1 - start
-    return rows
-
-
-def assert_cursors_behind_landings(switch, port, landed, cycle):
-    """No mover of the front worm at ``port`` is, on the timeline, past
-    the ``landed`` flits of it (inside a run its cursor is ahead by the
-    members still to go)."""
-    front = switch._inflow[port][0]
-    where = (cycle, switch.name, port)
-    if isinstance(switch, CentralBufferSwitch):
-        cursor = front.consumed
-        if front.stored is not None:
-            cursor = front.stored.written_by(cycle)
-        elif front.bypass_port is not None:
-            link = switch.out_links[front.bypass_port]
-            cursor -= max(0, link._last_send_cycle - cycle)
-        assert cursor <= landed, where
-        return
-    for branch in front.branches:
-        cursor = branch.read
-        if switch._current[branch.out_port] is branch:
-            link = switch.out_links[branch.out_port]
-            cursor -= max(0, link._last_send_cycle - cycle)
-        assert cursor <= landed, where
-
-
-class TimelineProbe:
-    """Kernel probe: after each cycle, every link's accounted credits,
-    every input buffer's occupancy and worms, and every NI's ejection
-    state on the one-flit-per-cycle timeline."""
-
-    def __init__(self, network):
-        self.network = network
-        self.next_cycle = 0
-        self.rows = []
-        #: sightings of a central-buffer write / read run, and of a worm
-        #: with flits taken off its in-link, ahead of the cycle sampled
-        self.write_runs = 0
-        self.read_runs = 0
-        self.taken_ahead = 0
-
-    def sample(self, cycle):
-        self.next_cycle = cycle + 1
-        network = self.network
-        row = [link.accounted_credits(cycle) for link in network.links]
-        for switch in network.switches:
-            if isinstance(switch, CentralBufferSwitch):
-                assert (switch._route_pending, switch._cb_feed) == front_truth(
-                    switch, cycle
-                ), (cycle, switch.name)
-                depth = switch.settings.input_fifo_depth
-                occupancy = switch.fifo_occupancy
-                row.append(pool_row(switch, cycle))
-                self.count_runs(switch, cycle)
-            else:
-                depth = switch.settings.input_buffer_flits
-                occupancy = switch.buffer_occupancy
-            for port, link in enumerate(switch.in_links):
-                held = occupancy(port)
-                assert 0 <= held <= depth, (cycle, switch.name, port)
-                if link is not None:
-                    # credit conservation, with a run ahead or not
-                    assert link.accounted_credits(cycle) + held == depth, (
-                        cycle, switch.name, port,
-                    )
-                row.append(held)
-                worms = receive_row(switch, port, cycle)
-                row.append(worms)
-                if switch._inflow[port]:
-                    assert_cursors_behind_landings(
-                        switch, port, worms[0][1], cycle
-                    )
-                    self.taken_ahead += (
-                        switch._inflow[port][-1].last_landing > cycle
-                    )
-        with end_of_cycle(network.sim):
-            for interface in network.interfaces:
-                link = interface.in_link
-                assert link.accounted_credits(cycle) == interface.rx_depth
-                row.append((interface.flits_ejected, interface.idle()))
-        self.rows.append(row)
-
-
-    def count_runs(self, switch, cycle):
-        for port in PORTS_OF[switch._cb_feed]:
-            if switch._inflow[port][0].stored.last_write > cycle:
-                self.write_runs += 1
-        for port in PORTS_OF[switch._egress_busy]:
-            if (
-                isinstance(switch._out_current[port], BranchCursor)
-                and switch.out_links[port]._last_send_cycle > cycle
-            ):
-                self.read_runs += 1
-
-
-def timeline(config, make_workload):
-    network = build_network(config)
-    flits, spans = log_sends(network)
-    probe = TimelineProbe(network)
-    network.sim.add_probe(probe)
-    result = run_workload(network, make_workload())
-    assert result.completed
-    observables = (
-        result.cycles,
-        result.summary(),
-        tuple(ni.flits_ejected for ni in network.interfaces),
-        network.sim.progress,
+    reference = runs.run(
+        timeline, scenario, flavour(config, "ground-truth"), consumers
     )
-    committed = [
-        (switch.name,) + call
-        for switch in network.switches
-        for link in switch.out_links
-        if link is not None
-        for call in spans[link.name]
-    ]
-    # a span logs its members when it is committed: order by send cycle
-    return (
-        observables, {n: sorted(s) for n, s in flits.items()}, probe.rows,
-        committed, (probe.write_runs, probe.read_runs), probe.taken_ahead,
-    )
-
-
-def assert_same_timeline(config, make_workload, dense):
-    fast = timeline(
-        config.derived(packed=True, dense_kernel=dense), make_workload
-    )
-    reference = timeline(
-        config.derived(packed=False, dense_kernel=True), make_workload
-    )
-    assert fast[0] == reference[0]
-    assert fast[1] == reference[1]
-    assert fast[2] == reference[2]
-    assert not reference[3] and reference[4:] == ((0, 0), 0)
-    return fast[3], fast[4], fast[5]
-
-
-#: the every-cycle sweep's settings: tier-1 replays one fixed draw;
-#: ``--hypothesis-profile=sweep`` (tests/conftest.py) searches afresh
-SWEEP = (
-    settings(deadline=None)
-    if settings.get_current_profile_name() == "sweep"
-    else settings(max_examples=20, derandomize=True, deadline=None)
-)
-
-
-def every_scenario(test):
-    """One explicit row per scenario, kernels and parameters varied: a
-    fixed draw follows the test's source and hypothesis' version, these
-    rows do not, so every scenario and both kernels always run."""
-    for index, scenario in enumerate(SCENARIOS):
-        test = example(
-            scenario=scenario, seed=index, dense=bool(index % 2),
-            link_latency=1 + index % 3,
-            fifo_depth=(2, 4, 8, 16)[index % 4],
-            routing_delay=index % 6,
-            ni_rx_depth=(1, 2, 4, 8)[index % 4],
-            policy=list(UpPortPolicy)[index % 3],
-        )(test)
-    return test
+    assert fast.observables == reference.observables
+    assert fast.sends == reference.sends
+    assert fast.rows == reference.rows
+    assert not reference.committed
+    assert (reference.cb_runs, reference.taken_ahead) == ((0, 0), 0)
+    return fast, reference
 
 
 class TestCommittedRunsAreTheReference:
     @given(
-        scenario=st.sampled_from(SCENARIOS),
+        scenario=st.sampled_from(TIMELINE_ROWS),
         seed=st.integers(0, 2 ** 16),
         dense=st.booleans(),
         link_latency=st.integers(1, 3),
@@ -431,36 +110,33 @@ class TestCommittedRunsAreTheReference:
         ni_rx_depth=st.sampled_from([1, 2, 4, 8]),
         policy=st.sampled_from(list(UpPortPolicy)),
     )
-    @every_scenario
-    @SWEEP
+    @sweep(
+        20, TIMELINE_ROWS, seed=range(len(TIMELINE_ROWS)), dense=(False, True),
+        link_latency=(1, 2, 3), fifo_depth=(2, 4, 8, 16),
+        routing_delay=range(6), ni_rx_depth=(1, 2, 4, 8),
+        policy=list(UpPortPolicy),
+    )
     def test_send_logs_credits_and_occupancy_match_every_cycle(
-        self, scenario, seed, dense, link_latency, fifo_depth,
+        self, runs, scenario, seed, dense, link_latency, fifo_depth,
         routing_delay, ni_rx_depth, policy,
     ):
-        _, architecture, overrides, make_workload = scenario
-        config = SimulationConfig(**{
-            "num_hosts": 16, "switch_architecture": architecture,
-            "seed": seed, "link_latency": link_latency,
-            "input_fifo_depth": fifo_depth, "routing_delay": routing_delay,
-            "ni_rx_depth": ni_rx_depth, "up_port_policy": policy,
-            **overrides,
-        })
-        assert_same_timeline(config, make_workload, dense)
+        assert_same_timeline(
+            runs, scenario, dense, seed=seed, link_latency=link_latency,
+            input_fifo_depth=fifo_depth, routing_delay=routing_delay,
+            ni_rx_depth=ni_rx_depth, up_port_policy=policy,
+        )
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_the_ledger_stream_matches_every_cycle(self, dense):
+    def test_the_ledger_stream_matches_every_cycle(self, runs, dense):
         # the sweep above samples its scenarios; this one always runs
-        _, architecture, overrides, make_workload = LEDGER_STREAM
-        config = SimulationConfig(
-            switch_architecture=architecture, seed=1, **overrides
-        )
-        committed, _, taken_ahead = assert_same_timeline(
-            config, make_workload, dense
+        fast, _ = assert_same_timeline(
+            runs, ROW["mcast-ib-64"], dense, consumers=2, seed=1
         )
         # the rows were read with records taken ahead of their members
-        assert taken_ahead
+        assert fast.taken_ahead
         # and it was swept as runs: worms of 64 flits and more leave in a
         # few calls per hop, and siblings that could send together did
+        committed = fast.committed
         assert sum(call[-1] for call in committed) > 10 * len(committed)
         together = {
             (switch, now, worm.packet.packet_id)
@@ -469,88 +145,55 @@ class TestCommittedRunsAreTheReference:
         assert len(together) < len(committed)
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_the_ledger_stream_through_the_central_buffer(self, dense):
-        _, architecture, overrides, make_workload = LEDGER_STREAM_CB
-        config = SimulationConfig(
-            switch_architecture=architecture, seed=1, **overrides
-        )
-        committed, (write_runs, read_runs), taken_ahead = (
-            assert_same_timeline(config, make_workload, dense)
+    def test_the_ledger_stream_through_the_central_buffer(self, runs, dense):
+        fast, _ = assert_same_timeline(
+            runs, ROW["mcast-cb-64"], dense, consumers=2, seed=1
         )
         # written and read as runs: a worm crosses a central buffer in a
         # few calls each way, not one per flit — and taken off the links
         # as records, ahead of their members
-        assert write_runs and read_runs and taken_ahead
+        write_runs, read_runs = fast.cb_runs
+        assert write_runs and read_runs and fast.taken_ahead
+        committed = fast.committed
         assert sum(call[-1] for call in committed) > 5 * len(committed)
 
     @pytest.mark.parametrize("dense", [False, True])
     @pytest.mark.parametrize(
-        "scenario",
-        (SHORT_POOL_HOTSPOT, SHORT_POOL_STREAM, THIN_SHARED_HOTSPOT),
-        ids=lambda scenario: scenario[0],
+        "label", ("hotspot-short-pool", "mcast-short-pool", "hotspot-thin-shared")
     )
-    def test_a_pool_that_runs_short_matches_every_cycle(self, scenario, dense):
-        _, architecture, overrides, make_workload = scenario
-        config = SimulationConfig(
-            num_hosts=16, switch_architecture=architecture, seed=5,
-            **overrides,
+    def test_a_pool_that_runs_short_matches_every_cycle(
+        self, runs, label, dense
+    ):
+        fast, reference = assert_same_timeline(
+            runs, ROW[label], dense, consumers=2, seed=5
         )
-        refused = count_refusals()
-        with refused:
-            _, (write_runs, read_runs), taken_ahead = assert_same_timeline(
-                config, make_workload, dense
-            )
         # the pool did refuse — writes for the unicasts, admissions for
         # the multidestination worms — and runs were committed around it
-        assert refused.count > 50
-        assert write_runs and read_runs and taken_ahead
+        assert fast.refused + reference.refused > 50
+        write_runs, read_runs = fast.cb_runs
+        assert write_runs and read_runs and fast.taken_ahead
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_contended_bandwidth_commits_no_central_buffer_run(self, dense):
-        _, architecture, overrides, make_workload = NARROW_BUFFER
-        config = SimulationConfig(
-            num_hosts=16, switch_architecture=architecture, seed=5,
-            **overrides,
-        )
-        committed, cb_runs, taken_ahead = assert_same_timeline(
-            config, make_workload, dense
+    def test_contended_bandwidth_commits_no_central_buffer_run(
+        self, runs, dense
+    ):
+        fast, _ = assert_same_timeline(
+            runs, ROW["mcast-bandwidth-2"], dense, consumers=2, seed=5
         )
         # fewer grants than askers: bandwidth is a timing input, every
         # flit through the buffer takes the arbitrated path (the bypass
         # feeds, which do not contend for it, still commit)
-        assert cb_runs == (0, 0)
-        assert committed and taken_ahead
+        assert fast.cb_runs == (0, 0)
+        assert fast.committed and fast.taken_ahead
 
     @pytest.mark.parametrize("dense", [False, True])
-    def test_lock_step_branches_match_every_cycle(self, dense):
-        _, architecture, overrides, make_workload = SYNC_STREAM
-        config = SimulationConfig(
-            num_hosts=16, switch_architecture=architecture, seed=5,
-            **overrides,
+    def test_lock_step_branches_match_every_cycle(self, runs, dense):
+        # lock-step branches never commit a run, but their records are
+        # taken whole all the same (the sweep samples this row too)
+        fast, _ = assert_same_timeline(
+            runs, ROW["mcast-ib-sync"], dense, consumers=2, seed=5
         )
-        _, _, taken_ahead = assert_same_timeline(config, make_workload, dense)
-        assert taken_ahead
-
-
-class count_refusals:
-    """Context manager counting the allocations the pools refuse."""
-
-    def __init__(self):
-        self.count = 0
-
-    def __enter__(self):
-        self.try_take = take = CentralBufferPool.try_take
-
-        def counted(pool, input_port, chunks, now):
-            charge = take(pool, input_port, chunks, now)
-            self.count += charge is None
-            return charge
-
-        CentralBufferPool.try_take = counted
-        return self
-
-    def __exit__(self, *exc):
-        CentralBufferPool.try_take = self.try_take
+        assert fast.taken_ahead
 
 
 def switch_out_links(network):
@@ -656,20 +299,6 @@ class TickLog(KernelProfiler):
         self.ticked.append((self.sim.now, component.name))
 
 
-#: (label, hosts, workload factory): traffic that blocks, replicates and
-#: saturates, so an observer has every reason to be noticed
-OBSERVED = (
-    ("saturating-unicast", 16, lambda: UniformRandomUnicast(
-        load=0.9, payload_flits=16, warmup_cycles=100, measure_cycles=300,
-    )),
-    ("degree-16-stream", 64, _ledger_stream),
-    ("hotspot", 16, lambda: HotspotTraffic(
-        load=0.9, hotspot_fraction=0.8, payload_flits=32,
-        warmup_cycles=200, measure_cycles=400,
-    )),
-)
-
-
 @contextmanager
 def log_buffer_runs():
     """Every central-buffer write run ``(now, count)`` and dated release
@@ -694,25 +323,6 @@ def log_buffer_runs():
         CentralBufferPool.release_at = release_at
 
 
-def log_takes(network):
-    """Every record handed over by a link as ``(link, cycle, packet id,
-    start, count)``, in the order taken."""
-    takes = []
-    for link in network.links:
-        def logged(now, limit=None, _take=link.receive_span,
-                   _name=link.name):
-            span = _take(now, limit)
-            if span is not None:
-                worm, start, count = span
-                takes.append(
-                    (_name, now, worm.packet.packet_id, start, count)
-                )
-            return span
-
-        link.receive_span = logged
-    return takes
-
-
 class TestObservedIsProduction:
     """Telemetry watches the run, it does not select it: with registry
     *and* tracer enabled every component ticks on the cycles, and every
@@ -735,17 +345,17 @@ class TestObservedIsProduction:
         )
 
     @pytest.mark.parametrize("architecture", (CB, IB), ids=("cb", "ib"))
-    @pytest.mark.parametrize("scenario", OBSERVED, ids=lambda s: s[0])
-    def test_same_ticks_and_same_send_calls(self, scenario, architecture):
-        _, num_hosts, make_workload = scenario
-        config = SimulationConfig(
-            num_hosts=num_hosts, seed=11, switch_architecture=architecture
-        )
-        plain = self.execution(config, make_workload)
+    @pytest.mark.parametrize(
+        "label", ("saturating-unicast", "degree-16-stream", "hotspot")
+    )
+    def test_same_ticks_and_same_send_calls(self, label, architecture):
+        scenario = ROW[label]
+        config = scenario.config(architecture, seed=11)
+        plain = self.execution(config, scenario.make_workload)
         registry = MetricsRegistry()
         tracer = Tracer()
         observed = self.execution(
-            config, make_workload, metrics=registry, tracer=tracer
+            config, scenario.make_workload, metrics=registry, tracer=tracer
         )
         for ours, theirs in zip(observed, plain):
             assert ours == theirs
