@@ -1,13 +1,14 @@
 """reprolint: AST-based static checks for the simulator's invariants.
 
 The reproduction's headline guarantees — bit-identical golden snapshots
-across ``--jobs`` levels, picklable experiment grids, journal-only store
-writes — are *behavioural* contracts that a stray ``random.random()``
+across ``--jobs`` levels, picklable experiment grids — are
+*behavioural* contracts that a stray ``random.random()``
 or a lambda in a run spec silently violates until a golden test
 happens to catch it.  This package moves those contracts to lint time:
 
-* :mod:`repro.analysis.rules` — the six rules (REP001-REP014, eight
-  codes retired) and the pluggable registry new rules hook into;
+* :mod:`repro.analysis.rules` — the four rules (REP001-REP004; codes
+  REP005-REP014 retired) and the pluggable registry new rules hook
+  into;
 * :mod:`repro.analysis.engine` — file walking and suppression
   partitioning;
 * :mod:`repro.analysis.cli` — the ``python -m repro lint`` gate.

@@ -1,5 +1,5 @@
-"""The reprolint rule registry and its six invariant rules (codes
-REP001-REP014; eight are retired and never reused).
+"""The reprolint rule registry and its four invariant rules (codes
+REP001-REP004; REP005-REP014 are retired and never reused).
 
 Each rule guards one contract the reproduction's results depend on but
 that nothing else enforces at rest (see ``docs/static-analysis.md``):
@@ -9,8 +9,6 @@ REP001   all randomness flows through :mod:`repro.sim.rng`
 REP002   wall-clock reads stay out of simulation code
 REP003   no ordering-sensitive iteration over unordered collections
 REP004   pool-submitted callables are module-level (picklable)
-REP013   result-store file I/O flows through the journal module only
-REP014   farm process/pipe machinery stays in the transport module
 =======  ==========================================================
 
 A rule is a class with a ``code``, a one-line ``summary``, a ``hint``
@@ -55,20 +53,6 @@ WALLCLOCK_ALLOWED: Tuple[str, ...] = (
 
 #: the one module allowed to touch python's ``random`` machinery (REP001)
 RNG_HOME = "repro.sim.rng"
-
-#: the result-store package and its single file-I/O module (REP013):
-#: every byte the store persists flows through the journal, keeping the
-#: crash-safety story (O_EXCL segment claims, torn-tail recovery)
-#: auditable in one place
-STORE_PACKAGE = "repro.store"
-JOURNAL_HOME = "repro.store.journal"
-
-#: the run-farm package and its single process/pipe module (REP014):
-#: every subprocess spawn, pool construction and raw byte moved on the
-#: farm's behalf flows through the transport, keeping the worker
-#: failure model (EOF, torn frames, closed pipes) auditable in one place
-FARM_PACKAGE = "repro.farm"
-TRANSPORT_HOME = "repro.farm.transport"
 
 
 class Rule(ABC):
@@ -583,141 +567,3 @@ def _dict_values(node: ast.expr) -> List[ast.expr]:
     ):
         return [keyword.value for keyword in node.keywords]
     return []
-
-
-@register
-class StoreFilesViaJournal(Rule):
-    """REP013 — result-store file I/O flows through the journal only.
-
-    The store's crash-safety guarantees — one writer per segment
-    (``O_CREAT | O_EXCL`` claims), newline-terminated records, torn
-    final lines recovered not reported, gc that rewrites before it
-    removes — all live in :mod:`repro.store.journal`.  A direct
-    ``open()`` or ``Path`` write anywhere else under ``repro.store``
-    would bypass those rules silently: the file would *work* until the
-    first crashed campaign or concurrent farm shard corrupted it.  The
-    rule flags direct file calls (``open``, ``io.open``, ``os.open``,
-    ``os.fdopen``) and file-mutating method calls (``.write_text``,
-    ``.write_bytes``, ``.unlink``, ``.rename``, ``.replace``) in every
-    ``repro.store`` module except the journal itself.
-    """
-
-    code = "REP013"
-    summary = "result-store file I/O outside repro.store.journal"
-    hint = (
-        "persist through repro.store.journal (claim_segment, "
-        "JournalWriter, scan_segment, write_export) so crash "
-        "recovery stays correct"
-    )
-
-    #: call targets that open file handles directly
-    BANNED_CALLS: Tuple[str, ...] = (
-        "open", "io.open", "os.open", "os.fdopen"
-    )
-    #: attribute calls that create, overwrite or remove files
-    BANNED_METHODS: Tuple[str, ...] = (
-        "write_text", "write_bytes", "unlink", "rename", "replace"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.in_package(STORE_PACKAGE):
-            return
-        if module.in_package(JOURNAL_HOME):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = module.imports.resolve(node.func)
-            if resolved in self.BANNED_CALLS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"direct file call {resolved}() in "
-                    f"{module.module_name}; store bytes flow through "
-                    f"{JOURNAL_HOME}",
-                )
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.BANNED_METHODS
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f".{node.func.attr}(...) file write in "
-                    f"{module.module_name}; store bytes flow through "
-                    f"{JOURNAL_HOME}",
-                )
-
-
-@register
-class FarmBytesViaTransport(Rule):
-    """REP014 — farm process/pipe machinery stays in the transport.
-
-    The farm's fault-tolerance guarantees — unbuffered pipes so
-    ``select`` is truthful, EOF and torn frames mapped to dead workers,
-    polite reaping, pool construction with a serial fallback — all live
-    in :mod:`repro.farm.transport`.  A direct ``subprocess.Popen``,
-    ``multiprocessing.Pool`` or ``open()`` anywhere else under
-    ``repro.farm`` would create a worker or a byte stream the failure
-    model never audits: the campaign would *work* until the first
-    SIGKILLed worker or torn frame hit the unhandled path.  The rule
-    flags process-spawning calls (``subprocess.*``, ``os.fork``,
-    ``os.popen``, ``os.system``, ``multiprocessing.*``), direct
-    ``select`` calls, direct file calls and file-mutating method calls
-    in every ``repro.farm`` module except the transport itself —
-    mirroring how REP013 confines store file I/O to the journal.
-    """
-
-    code = "REP014"
-    summary = "farm process/pipe machinery outside repro.farm.transport"
-    hint = (
-        "spawn and talk to workers through repro.farm.transport "
-        "(spawn_worker, write_frame, read_frame, wait_readable, "
-        "create_pool, reap) so the worker failure model stays complete"
-    )
-
-    #: call targets that spawn processes, open pipes or files directly
-    BANNED_CALLS: Tuple[str, ...] = (
-        "open", "io.open", "os.open", "os.fdopen",
-        "os.fork", "os.popen", "os.system",
-        "subprocess.Popen", "subprocess.run", "subprocess.call",
-        "subprocess.check_call", "subprocess.check_output",
-        "multiprocessing.Pool", "multiprocessing.Process",
-        "multiprocessing.get_context",
-        "select.select", "select.poll",
-    )
-    #: attribute calls that create, overwrite or remove files
-    BANNED_METHODS: Tuple[str, ...] = (
-        "write_text", "write_bytes", "unlink", "rename", "replace"
-    )
-
-    def check(self, module: SourceModule) -> Iterator[Finding]:
-        if not module.in_package(FARM_PACKAGE):
-            return
-        if module.in_package(TRANSPORT_HOME):
-            return
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            resolved = module.imports.resolve(node.func)
-            if resolved in self.BANNED_CALLS:
-                yield self.finding(
-                    module,
-                    node,
-                    f"direct process/pipe call {resolved}() in "
-                    f"{module.module_name}; farm bytes and workers "
-                    f"flow through {TRANSPORT_HOME}",
-                )
-                continue
-            if (
-                isinstance(node.func, ast.Attribute)
-                and node.func.attr in self.BANNED_METHODS
-            ):
-                yield self.finding(
-                    module,
-                    node,
-                    f".{node.func.attr}(...) file write in "
-                    f"{module.module_name}; farm bytes and workers "
-                    f"flow through {TRANSPORT_HOME}",
-                )

@@ -249,12 +249,15 @@ def local_executor(
     right here.  So do they in a sandbox where the pool cannot be
     *built* (no semaphores), which computes the same values.  Only
     construction falls back: an error raised by a running spec,
-    ``OSError`` included, propagates.
+    ``OSError`` included, propagates, and a worker that dies raises
+    :class:`~repro.farm.transport.WorkerLost` naming the unfinished
+    specs.
     """
     from repro.farm.transport import (
         BackendUnavailable,
         _kept_pool,
         _retire_kept_pool,
+        pool_results,
     )
 
     jobs = default_jobs() if jobs is None else max(1, int(jobs))
@@ -269,8 +272,15 @@ def local_executor(
         return
     options = obs_runtime.configured()
     try:
-        yield pool.imap_unordered(
-            _execute_job, [(spec, options) for spec in leaders], chunksize=1
+        yield pool_results(
+            pool,
+            pool.imap_unordered(
+                _execute_job,
+                [(spec, options) for spec in leaders],
+                chunksize=1,
+            ),
+            [spec.key for spec in leaders],
+            lambda outcome: outcome.key,
         )
     except BaseException:
         _retire_kept_pool()

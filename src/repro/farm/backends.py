@@ -202,7 +202,13 @@ class LocalPoolBackend(WorkerBackend):
     def collect(self) -> CollectEvent:
         if not self._outstanding:
             raise FarmError("pool backend: collect with nothing dispatched")
-        worker = self._finished.get()
+        # a dead worker raises WorkerLost; the campaign's close() retires
+        # the pool
+        worker = transport.pool_wait(
+            self._pool,
+            lambda timeout: self._finished.get(timeout=timeout),
+            lambda: [spec.key for spec, _ in self._outstanding.values()],
+        )
         spec, handle = self._outstanding.pop(worker)
         value, wall = handle.get()  # worker errors re-raise here
         return CompletedJob(
@@ -214,8 +220,7 @@ class LocalPoolBackend(WorkerBackend):
 
     def close(self) -> None:
         if self._pool is not None:
-            self._pool.terminate()
-            self._pool.join()
+            transport.retire_pool(self._pool)
             self._pool = None
         self._outstanding.clear()
         self._finished = SimpleQueue()

@@ -1,13 +1,9 @@
 """The farm's only process-spawning and byte-moving module.
 
 Everything that crosses a process boundary on behalf of the farm flows
-through here — reprolint rule REP014 forbids direct file opens,
-``subprocess`` calls and ``multiprocessing`` constructors anywhere else
-under ``repro.farm``, mirroring how REP013 confines result-store file
-I/O to :mod:`repro.store.journal`.  Keeping the boundary in one module
-keeps the failure model auditable: every way a worker can die or a
-frame can tear is handled in the functions below, and the rest of the
-farm reasons only in terms of frames, completions and failures.
+through here, so every way a worker can die or a frame can tear is
+handled in the functions below, and the rest of the farm reasons only
+in terms of frames, completions and failures.
 
 Mechanics:
 
@@ -25,7 +21,11 @@ Mechanics:
 * :func:`create_pool` is the one constructor of multiprocessing pools
   (the ``LocalPoolBackend`` path), raising
   :class:`BackendUnavailable` in sandboxes that forbid the semaphores
-  multiprocessing needs;
+  multiprocessing needs.  It notes the pool's worker pids, and
+  :func:`pool_wait` fails closed on them: a pool replaces a worker that
+  died but never the job it held, so a wait that times out checks the
+  pids and raises :class:`WorkerLost` naming the unfinished specs
+  instead of blocking forever;
 * the default executor's pool (:func:`_kept_pool`) is kept for the life
   of the process in one private slot: started by the first plan that
   needs it, reused by every later plan of the same size, and retired —
@@ -39,10 +39,12 @@ from __future__ import annotations
 
 import atexit
 import os
+import queue
 import select
 import subprocess
 import sys
-from typing import IO, Any, Dict, List, Optional, Sequence, Tuple
+import weakref
+from typing import IO, Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ReproError
 from repro.farm.protocol import decode_frame, encode_frame
@@ -51,8 +53,16 @@ from repro.farm.protocol import decode_frame, encode_frame
 WORKER_MODULE = "repro.farm.worker"
 
 
+#: seconds a pool wait blocks between checks of the pool's workers
+POOL_POLL_SECONDS = 0.5
+
+
 class BackendUnavailable(ReproError):
     """The requested backend cannot start in this environment."""
+
+
+class WorkerLost(ReproError):
+    """A local pool worker died; the specs it held will never finish."""
 
 
 def _repro_root() -> str:
@@ -175,12 +185,79 @@ def create_pool(processes: int) -> Any:
     import multiprocessing
 
     _retire_kept_pool()
+    before = {child.pid for child in multiprocessing.active_children()}
     try:
-        return multiprocessing.Pool(processes=processes)
+        pool = multiprocessing.Pool(processes=processes)
     except (OSError, ImportError) as error:
         raise BackendUnavailable(
             f"multiprocessing pool unavailable: {error}"
         ) from error
+    _worker_pids[pool] = frozenset(
+        child.pid
+        for child in multiprocessing.active_children()
+        if child.pid not in before
+    )
+    return pool
+
+
+#: the workers each live pool of :func:`create_pool` started with
+_worker_pids: "weakref.WeakKeyDictionary[Any, frozenset]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def pool_wait(
+    pool: Any, get: Callable[[float], Any], unfinished: Callable[[], List[Any]]
+) -> Any:
+    """``get(timeout)`` from ``pool`` until it answers; fail closed.
+
+    ``get`` is a timed blocking read (``IMapIterator.next``,
+    ``SimpleQueue.get``).  Each time it times out, the pool's workers
+    are checked; once one has died, :class:`WorkerLost` names it and the
+    keys ``unfinished()`` returns, at most one per worker.  The caller
+    retires the pool.
+    """
+    import multiprocessing
+
+    while True:
+        try:
+            return get(POOL_POLL_SECONDS)
+        except (multiprocessing.TimeoutError, queue.Empty):
+            lost = _lost_workers(pool)
+            if lost:
+                jobs = len(_worker_pids[pool])
+                keys = ", ".join(map(repr, unfinished()[:jobs]))
+                raise WorkerLost(
+                    f"local pool worker(s) {lost} died; unfinished "
+                    f"spec(s): {keys}"
+                ) from None
+
+
+def _lost_workers(pool: Any) -> List[int]:
+    """Pids of ``pool``'s workers that have exited (a pool of
+    :func:`create_pool` never retires a healthy one)."""
+    import multiprocessing
+
+    alive = {child.pid for child in multiprocessing.active_children()}
+    return sorted(pid for pid in _worker_pids.get(pool, ()) if pid not in alive)
+
+
+def pool_results(
+    pool: Any, results: Any, keys: Sequence[Any], key_of: Callable[[Any], Any]
+) -> Iterator[Any]:
+    """The items of ``pool``'s ``imap``-family ``results``, failing
+    closed (:func:`pool_wait`) if a worker dies; ``keys`` are the
+    submitted jobs' keys in submission order, ``key_of`` an item's."""
+    # jobs start in submission order, so the first unfinished keys hold
+    # every job in flight
+    pending = dict.fromkeys(keys)
+    while pending:
+        try:
+            item = pool_wait(pool, results.next, lambda: list(pending))
+        except StopIteration:
+            return
+        del pending[key_of(item)]
+        yield item
 
 
 #: the default executor's pool and its size, or ``None`` (module docs)
@@ -190,12 +267,15 @@ _kept: Optional[Tuple[int, Any]] = None
 def _kept_pool(processes: int) -> Any:
     """The process's one kept pool of ``processes`` workers.
 
-    Reused when the size matches; otherwise the old pool is retired and
-    a new one forked (raising :class:`BackendUnavailable` like
+    Reused when the size matches and no worker of it has died;
+    otherwise the old pool is retired and a new one forked (raising :class:`BackendUnavailable` like
     :func:`create_pool`).  Its workers see this process's code and
     module state as of that fork.
     """
     global _kept
+    if _kept is not None and _lost_workers(_kept[1]):
+        # the pool replaced the worker, but a wait would miss its pid
+        _retire_kept_pool()
     if _kept is None or _kept[0] != processes:
         pool = create_pool(processes)
         # exit handlers run last-in first-out: registered after
@@ -213,5 +293,21 @@ def _retire_kept_pool() -> None:
     if _kept is not None:
         pool = _kept[1]
         _kept = None
-        pool.terminate()
-        pool.join()
+        retire_pool(pool)
+
+
+def retire_pool(pool: Any) -> None:
+    """Terminate and join ``pool``.
+
+    An idle worker waits for its next job holding the job queue's read
+    lock, and ``terminate()`` takes that lock before it stops anything:
+    a worker killed while idle would hang it.  So once a worker is lost
+    the lock is handed back on its behalf (a live holder is about to
+    be sent its stop sentinel and cannot tell).
+    """
+    if _lost_workers(pool):
+        lock = pool._inqueue._rlock
+        lock.acquire(timeout=0.1)
+        lock.release()
+    pool.terminate()
+    pool.join()

@@ -14,8 +14,8 @@ Layers, bottom up:
 :mod:`repro.store.codec`
     bit-exact JSON encoding of run values (``RunSummary`` et al.);
 :mod:`repro.store.journal`
-    the only file-I/O module (reprolint REP013): append-only JSONL
-    segments with crash recovery;
+    the only file-I/O module: append-only JSONL segments with crash
+    recovery;
 :mod:`repro.store.backend`
     :class:`MemoryStore` for tests, :class:`JournalStore` on disk,
     plus verify/gc/export maintenance;

@@ -1,9 +1,7 @@
 """The journal: the only module that touches result-store files.
 
-Everything the store persists flows through here — reprolint rule
-REP013 forbids direct ``open()``/file writes anywhere else under
-``repro.store``, so the crash-safety story stays auditable in one
-place:
+Everything the store persists flows through here, so the crash-safety
+story stays in one place:
 
 * a store directory holds ``segments/seg-NNNNN.jsonl`` files, each an
   **append-only** JSONL stream.  A writer session *claims* a fresh

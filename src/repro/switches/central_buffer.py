@@ -669,16 +669,13 @@ class CentralBufferSwitch(SwitchBase):
         """Flits held in an input FIFO once the current cycle's ticks
         are done, on the one-flit-per-cycle timeline."""
         # during a committed run `consumed` is ahead of the flits that
-        # have left by now, flits that landed while the switch slept
-        # wait untaken in the link, and the later members of a record
-        # taken at its head are not there yet: count each where the
-        # per-flit timeline has it
+        # have left by now, and the later members of a record taken at
+        # its head are not there yet: count each where the per-flit
+        # timeline has it.  Nothing waits untaken in the link: a record's
+        # head landing wakes the switch, whose tick takes it whole
         inflow = self._inflow[port]
         now = self.sim.now
         occupancy = sum(i.landed_by(now) - i.consumed for i in inflow)
-        in_link = self.in_links[port]
-        if in_link is not None:
-            occupancy += in_link._in_flight.arrived(now)
         if inflow:
             front = inflow[0]
             if front.bypass_port is not None:

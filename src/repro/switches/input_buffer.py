@@ -471,17 +471,14 @@ class InputBufferSwitch(SwitchBase):
     def buffer_occupancy(self, port: int) -> int:
         """Flits held in an input buffer once the current cycle's ticks
         are done, on the one-flit-per-cycle timeline."""
-        # flits that landed while the switch slept wait untaken in the
-        # link, the later members of a record taken at its head are not
-        # there yet, and a committed run handed its slots back ahead of
-        # the cycles they are freed in: count each where the per-flit
-        # timeline has it
+        # the later members of a record taken at its head are not there
+        # yet, and a committed run handed its slots back ahead of the
+        # cycles they are freed in: count each where the per-flit
+        # timeline has it.  Nothing waits untaken in the link: a record's
+        # head landing wakes the switch, whose tick takes it whole
         inflow = self._inflow[port]
         now = self.sim.now
         occupancy = sum(i.landed_by(now) - i.freed for i in inflow)
-        in_link = self.in_links[port]
-        if in_link is not None:
-            occupancy += in_link._in_flight.arrived(now)
         if inflow and inflow[0].branches:
             front = inflow[0]
             slowest = self._slowest_read(front, now)

@@ -83,10 +83,8 @@ class TestExitCodes:
         assert main(["--list-rules"]) == 0
         out = capsys.readouterr().out
         listed = [line[:6] for line in out.splitlines() if line[:3] == "REP"]
-        # codes 5-12 are retired; codes are never renumbered
-        assert listed == [
-            "REP001", "REP002", "REP003", "REP004", "REP013", "REP014"
-        ]
+        # codes 5-14 are retired; codes are never renumbered
+        assert listed == ["REP001", "REP002", "REP003", "REP004"]
 
 
 class TestJsonFormat:

@@ -349,198 +349,3 @@ class TestSuppressions:
             "REP002",
             "REP003",
         ]
-
-
-class TestREP013StoreJournalOnly:
-    def test_direct_open_in_store_module_flagged(self, lint):
-        result = lint(
-            "repro/store/bad.py",
-            """
-            def slurp(path):
-                with open(path, encoding="utf-8") as handle:
-                    return handle.read()
-            """,
-        )
-        assert codes(result) == ["REP013"]
-        assert "open()" in result.new[0].message
-
-    def test_aliased_os_open_resolved_and_flagged(self, lint):
-        result = lint(
-            "repro/store/bad.py",
-            """
-            import os as system
-
-            def claim(path):
-                return system.open(path, 0)
-            """,
-        )
-        assert codes(result) == ["REP013"]
-
-    def test_path_write_text_flagged(self, lint):
-        result = lint(
-            "repro/store/bad.py",
-            """
-            def stamp(path):
-                path.write_text("{}", encoding="utf-8")
-            """,
-        )
-        assert codes(result) == ["REP013"]
-        assert "write_text" in result.new[0].message
-
-    def test_unlink_and_rename_flagged(self, lint):
-        result = lint(
-            "repro/store/bad.py",
-            """
-            def rotate(old, new):
-                new.unlink()
-                old.rename(new)
-            """,
-        )
-        assert codes(result) == ["REP013", "REP013"]
-
-    def test_journal_home_is_exempt(self, lint):
-        result = lint(
-            "repro/store/journal.py",
-            """
-            import os
-
-            def claim(path):
-                return os.open(path, os.O_CREAT | os.O_EXCL)
-
-            def persist(path, text):
-                path.write_text(text, encoding="utf-8")
-            """,
-        )
-        assert codes(result) == []
-
-    def test_non_store_modules_unaffected(self, lint):
-        result = lint(
-            "repro/obs/ok.py",
-            """
-            def archive(path, text):
-                path.write_text(text, encoding="utf-8")
-                with open(path, encoding="utf-8") as handle:
-                    return handle.read()
-            """,
-        )
-        assert codes(result) == []
-
-    def test_non_file_calls_in_store_not_flagged(self, lint):
-        result = lint(
-            "repro/store/ok.py",
-            """
-            def tidy(record):
-                return {k: v for k, v in sorted(record.items())}
-            """,
-        )
-        assert codes(result) == []
-
-
-class TestREP014FarmTransportOnly:
-    def test_direct_popen_in_farm_module_flagged(self, lint):
-        result = lint(
-            "repro/farm/bad.py",
-            """
-            import subprocess
-
-            def launch(cmd):
-                return subprocess.Popen(cmd, stdin=subprocess.PIPE)
-            """,
-        )
-        assert codes(result) == ["REP014"]
-        assert "subprocess.Popen()" in result.new[0].message
-
-    def test_aliased_subprocess_run_resolved_and_flagged(self, lint):
-        result = lint(
-            "repro/farm/bad.py",
-            """
-            import subprocess as sp
-
-            def shell(cmd):
-                return sp.run(cmd, capture_output=True)
-            """,
-        )
-        assert codes(result) == ["REP014"]
-
-    def test_multiprocessing_pool_flagged(self, lint):
-        result = lint(
-            "repro/farm/bad.py",
-            """
-            import multiprocessing
-
-            def fleet(n):
-                return multiprocessing.Pool(processes=n)
-            """,
-        )
-        assert codes(result) == ["REP014"]
-
-    def test_direct_open_and_select_flagged(self, lint):
-        result = lint(
-            "repro/farm/bad.py",
-            """
-            import select
-
-            def wait(path, streams):
-                with open(path, "rb") as handle:
-                    handle.read()
-                return select.select(streams, [], [])
-            """,
-        )
-        assert codes(result) == ["REP014", "REP014"]
-
-    def test_path_write_text_flagged(self, lint):
-        result = lint(
-            "repro/farm/bad.py",
-            """
-            def stamp(path):
-                path.write_text("{}", encoding="utf-8")
-            """,
-        )
-        assert codes(result) == ["REP014"]
-        assert "write_text" in result.new[0].message
-
-    def test_transport_home_is_exempt(self, lint):
-        result = lint(
-            "repro/farm/transport.py",
-            """
-            import select
-            import subprocess
-
-            def spawn(cmd):
-                return subprocess.Popen(cmd, bufsize=0)
-
-            def wait(streams):
-                return select.select(streams, [], [])
-            """,
-        )
-        assert codes(result) == []
-
-    def test_non_farm_modules_unaffected(self, lint):
-        result = lint(
-            "repro/obs/ok.py",
-            """
-            import subprocess
-
-            def sha():
-                return subprocess.run(["git", "rev-parse", "HEAD"])
-            """,
-        )
-        assert codes(result) == []
-
-    def test_frame_and_scheduler_logic_not_flagged(self, lint):
-        result = lint(
-            "repro/farm/ok.py",
-            """
-            import json
-
-            def encode(frame):
-                return (json.dumps(frame, sort_keys=True) + "\\n").encode()
-
-            def deal(specs, shards):
-                dealt = [[] for _ in range(shards)]
-                for index, spec in enumerate(specs):
-                    dealt[index % shards].append(spec)
-                return dealt
-            """,
-        )
-        assert codes(result) == []

@@ -33,3 +33,16 @@ class Detonation(RuntimeError):
 def boom(x=0):
     """Always raises — the worker-error propagation path."""
     raise Detonation(f"worker exploded on {x}")
+
+
+def die_once(x=0, marker=""):
+    """SIGKILL the worker process the first time ``marker`` is absent
+    (creating it), then behave like :func:`square` — a worker lost
+    mid-job whose rerun succeeds."""
+    import os
+    import signal
+
+    if marker and not os.path.exists(marker):
+        open(marker, "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
+    return square(x)

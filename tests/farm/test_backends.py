@@ -8,6 +8,9 @@ its bit-identity and fault-tolerance guarantees on.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import pytest
 
 from repro.experiments.parallel import (
@@ -25,6 +28,7 @@ from repro.farm.backends import (
     WorkerFailure,
 )
 from repro.farm.campaign import run_campaign
+from repro.farm import transport
 from repro.farm.runtime import FarmSession
 from repro.farm.transport import BackendUnavailable
 from repro.store.backend import MemoryStore
@@ -72,6 +76,30 @@ class TestSerialBackend:
 
 
 class TestFleetBackend:
+    def test_frames_already_waiting_are_each_collected(self):
+        # the hello frame and the result both sit in the pipe before the
+        # first collect: a buffered stream would read them at once and
+        # leave select() blind to the result, hanging the collect (first
+        # in the class, so a bounded wait names that before a campaign
+        # below hangs on it)
+        backend = SubprocessFleetBackend()
+        backend.start(1)
+        collected = []
+        try:
+            backend.dispatch(0, spec(3))
+            stream = backend._procs[0].stdout
+            assert transport.wait_readable([stream], timeout=30)
+            time.sleep(0.5)  # the result follows the hello at once
+            collector = threading.Thread(
+                target=lambda: collected.append(backend.collect()),
+                daemon=True,
+            )
+            collector.start()
+            collector.join(timeout=30)
+        finally:
+            backend.close()
+        assert [job.value for job in collected] == [{"x": 3, "squared": 9}]
+
     def test_values_and_manifests_roundtrip(self):
         result = run_campaign(plan(6), SubprocessFleetBackend(), shards=2)
         assert resolve(result.outcomes) == REFERENCE

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import time
+
 from repro.core.schemes import MulticastScheme, SwitchArchitecture
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation
@@ -63,3 +66,26 @@ class TestDeterminism:
             )
 
         assert fingerprint(burst(5)) == fingerprint(burst(5))
+
+
+class TestWallClockIsInert:
+    def test_runs_ignore_the_wall_clock(self, monkeypatch):
+        # results are a function of config and seed: with every clock of
+        # the time module jumping an hour per read, a run is unchanged
+        expected = [fingerprint(bimodal_run(5, arch)) for arch in
+                    SwitchArchitecture]
+        hours = itertools.count(1)
+        for name, hour in (
+            ("time", 3600.0), ("monotonic", 3600.0),
+            ("perf_counter", 3600.0), ("process_time", 3600.0),
+            ("time_ns", 3600 * 10**9), ("monotonic_ns", 3600 * 10**9),
+            ("perf_counter_ns", 3600 * 10**9),
+            ("process_time_ns", 3600 * 10**9),
+        ):
+            real = getattr(time, name)
+            monkeypatch.setattr(
+                time, name,
+                lambda real=real, hour=hour: real() + hour * next(hours),
+            )
+        assert [fingerprint(bimodal_run(5, arch)) for arch in
+                SwitchArchitecture] == expected

@@ -111,6 +111,22 @@ class TestCrashRecovery:
         assert report.torn_tails == 1
         assert report.entries == 2
 
+    def test_the_next_session_never_appends_to_a_torn_tail(self, tmp_path):
+        # a writer claims a fresh segment: appending to the torn one would
+        # glue its first record onto the cut line and lose it
+        with JournalStore(tmp_path / "store") as store:
+            store.put(_entry("k1", 1))
+        segment = list_segments(tmp_path / "store")[-1]
+        with open(segment, "a", encoding="utf-8") as handle:
+            handle.write('{"schema": "repro.store.entry/1", "k')
+        with JournalStore(tmp_path / "store") as store:
+            store.put(_entry("k2", 2))
+        with JournalStore(tmp_path / "store") as store:
+            assert store.get("k2") is not None
+            report = store.verify()
+        assert report.ok
+        assert report.torn_tails == 1
+
     def test_mid_file_corruption_is_reported(self, tmp_path):
         with JournalStore(tmp_path / "store") as store:
             store.put(_entry("k1", 1))
