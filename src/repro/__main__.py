@@ -14,9 +14,6 @@ Subcommands:
     Summarise observability artifacts (run manifests, metrics/trace
     JSONL) produced by the runner's ``--metrics-out``/``--trace-out``
     flags; see :mod:`repro.obs.inspect`.
-``lint [PATHS...]``
-    Run the reprolint static-analysis gate over the tree; see
-    :mod:`repro.analysis` and ``docs/static-analysis.md``.
 ``profile [--scenario NAME] [--arch cb|ib|both] [--export-trace FILE]``
     Run one named scenario with the profiling subsystem attached and
     report kernel attribution, worm phase latencies and link
@@ -43,7 +40,6 @@ usage: python -m repro [COMMAND] [OPTIONS]
 commands:
   demo     run the headline three-scheme multicast comparison (default)
   inspect  summarise observability JSONL/manifest artifacts
-  lint     run the reprolint static-analysis gate
   profile  profile one scenario (kernel, worm phases, Chrome trace)
   store    inspect/maintain the result store (stats, verify, gc, ...)
 
@@ -99,10 +95,6 @@ def main(argv=None) -> int:
             from repro.obs.inspect import main as inspect_main
 
             return inspect_main(rest)
-        if command == "lint":
-            from repro.analysis.cli import main as lint_main
-
-            return lint_main(rest)
         if command == "profile":
             from repro.obs.profile.runner import main as profile_main
 
@@ -171,7 +163,6 @@ def main(argv=None) -> int:
     print("Telemetry:         python -m repro.experiments.runner "
           "--experiment e1 --metrics-out m.jsonl")
     print("                   python -m repro inspect m.jsonl")
-    print("Static analysis:   python -m repro lint")
     print("Performance:       python3 benchmarks/ledger/run.py "
           "--workload idle-256")
     print("Profiling:         python -m repro profile --arch cb "

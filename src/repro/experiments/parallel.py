@@ -66,27 +66,6 @@ def default_jobs() -> int:
     return os.cpu_count() or 1
 
 
-class Stopwatch:
-    """Monotonic wall-clock timer for process accounting.
-
-    This module and :mod:`repro.obs` are the only places allowed to
-    read the wall clock (enforced by reprolint rule REP002): everything
-    that wants to report elapsed *process* time — the CLI runner, the
-    benchmarks — measures through a :class:`Stopwatch` instead of
-    calling :func:`time.time` directly, keeping wall-clock reads out of
-    code that could ever leak them into simulation results.
-    """
-
-    __slots__ = ("_started",)
-
-    def __init__(self) -> None:
-        self._started = time.perf_counter()
-
-    def elapsed(self) -> float:
-        """Seconds since construction."""
-        return time.perf_counter() - self._started
-
-
 @dataclass(frozen=True)
 class RunSpec:
     """One independent simulation run of an experiment grid.

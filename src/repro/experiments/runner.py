@@ -20,16 +20,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from pathlib import Path
 from typing import Dict
 
 from repro import experiments
 from repro.experiments.common import PAPER, QUICK, Experiment
-from repro.experiments.parallel import (
-    StderrProgress,
-    Stopwatch,
-    default_jobs,
-)
+from repro.experiments.parallel import StderrProgress, default_jobs
 from repro.farm import runtime as farm_runtime
 from repro.obs import runtime as obs_runtime
 from repro.obs.manifest import RunManifest
@@ -202,14 +199,14 @@ def main(argv=None) -> int:
             farm_runtime.open_farm(args.farm, shards=lanes)
         )
 
-    overall = Stopwatch()
+    campaign_started = time.perf_counter()
     try:
         for name in names:
             progress = StderrProgress(name) if args.progress else None
             experiment = EXPERIMENTS[name]
-            watch = Stopwatch()
+            started = time.perf_counter()
             result = experiment(scale, jobs=jobs, progress=progress)
-            elapsed = watch.elapsed()
+            elapsed = time.perf_counter() - started
             print(result.render())
             if args.farm is not None:
                 detail = f"farm={args.farm}, shards={lanes}"
@@ -249,7 +246,7 @@ def main(argv=None) -> int:
         anchor = args.metrics_out or args.trace_out or args.profile_out
         manifest_path = str(Path(anchor).with_suffix(".manifest.json"))
         RunManifest.collect(
-            wall_seconds=round(overall.elapsed(), 3),
+            wall_seconds=round(time.perf_counter() - campaign_started, 3),
             jobs=jobs,
             experiments=names,
             scale=scale.name,

@@ -39,6 +39,7 @@ Backends:
 
 from __future__ import annotations
 
+import time
 from abc import ABC, abstractmethod
 from collections import deque
 from dataclasses import dataclass
@@ -46,7 +47,7 @@ from queue import SimpleQueue
 from typing import Any, Deque, Dict, Optional, Union
 
 from repro.errors import ReproError
-from repro.experiments.parallel import RunSpec, Stopwatch
+from repro.experiments.parallel import RunSpec
 from repro.farm import transport
 from repro.farm.protocol import (
     FRAME_ERROR,
@@ -146,13 +147,13 @@ class SerialBackend(WorkerBackend):
         if not self._queue:
             raise FarmError("serial backend: collect with nothing dispatched")
         worker, spec = self._queue.popleft()
-        watch = Stopwatch()
+        started = time.perf_counter()
         value = spec.execute()  # errors propagate, as on the serial path
         return CompletedJob(
             worker=worker,
             spec=spec,
             value=value,
-            wall_seconds=watch.elapsed(),
+            wall_seconds=time.perf_counter() - started,
         )
 
     def close(self) -> None:
@@ -160,10 +161,10 @@ class SerialBackend(WorkerBackend):
 
 
 def _pool_execute(spec: RunSpec) -> tuple:
-    """Module-level pool worker (picklable, REP004)."""
-    watch = Stopwatch()
+    """Pool worker: module-level, so it pickles by reference."""
+    started = time.perf_counter()
     value = spec.execute()
-    return value, watch.elapsed()
+    return value, time.perf_counter() - started
 
 
 class LocalPoolBackend(WorkerBackend):

@@ -235,11 +235,27 @@ def pool_wait(
 
 def _lost_workers(pool: Any) -> List[int]:
     """Pids of ``pool``'s workers that have exited (a pool of
-    :func:`create_pool` never retires a healthy one)."""
+    :func:`create_pool` never retires a healthy one).
+
+    ``active_children()`` alone still lists a worker that the pool's
+    handler thread is reaping at that moment, so a pid that no longer
+    exists counts as exited too.
+    """
     import multiprocessing
 
     alive = {child.pid for child in multiprocessing.active_children()}
-    return sorted(pid for pid in _worker_pids.get(pool, ()) if pid not in alive)
+    return sorted(
+        pid for pid in _worker_pids.get(pool, ())
+        if pid not in alive or not _pid_exists(pid)
+    )
+
+
+def _pid_exists(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
 
 
 def pool_results(
@@ -301,13 +317,26 @@ def retire_pool(pool: Any) -> None:
 
     An idle worker waits for its next job holding the job queue's read
     lock, and ``terminate()`` takes that lock before it stops anything:
-    a worker killed while idle would hang it.  So once a worker is lost
-    the lock is handed back on its behalf (a live holder is about to
-    be sent its stop sentinel and cannot tell).
+    a worker killed while idle would hang it, as would one killed while
+    it held the result queue's write lock.  Which worker holds a lock
+    cannot be seen, and handing one back from under a live worker lets
+    two of them use the queue at once.  So once a worker is lost the
+    pool stops replacing workers and every worker is killed; a lock
+    that is then still held after a second (the pool's task thread
+    holds the write lock only for one short send) was held by a dead
+    worker, and is handed back.
     """
     if _lost_workers(pool):
-        lock = pool._inqueue._rlock
-        lock.acquire(timeout=0.1)
-        lock.release()
+        from multiprocessing.pool import TERMINATE
+
+        pool._worker_handler._state = TERMINATE
+        pool._change_notifier.put(None)
+        pool._worker_handler.join()
+        for worker in pool._pool:
+            worker.kill()
+            worker.join()
+        for lock in (pool._inqueue._rlock, pool._outqueue._wlock):
+            lock.acquire(timeout=1.0)
+            lock.release()
     pool.terminate()
     pool.join()

@@ -28,11 +28,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import time
 import traceback
 from dataclasses import dataclass
 from typing import IO, Any, Dict, Optional
 
-from repro.experiments.parallel import RunSpec, Stopwatch
+from repro.experiments.parallel import RunSpec
 from repro.farm import transport
 from repro.farm.protocol import (
     FRAME_ERROR,
@@ -141,7 +142,7 @@ def serve(
                 )
         except ProtocolError:
             return EXIT_PROTOCOL
-        watch = Stopwatch()
+        started = time.perf_counter()
         try:
             value = spec.execute()
         except BaseException as error:  # ships to the parent, re-raised
@@ -163,7 +164,7 @@ def serve(
             FRAME_RESULT,
             seq=seq,
             value=pack(value),
-            wall_seconds=watch.elapsed(),
+            wall_seconds=time.perf_counter() - started,
         )
         if fault is not None and fault.matches(name, executed):
             return _inject(fault, out_stream, answer)

@@ -27,10 +27,9 @@ from repro.obs.sinks import SCHEMA_MANIFEST
 def utc_now_iso() -> str:
     """The current UTC time as an ISO-8601 string.
 
-    The observability layer is the only place allowed to read the wall
-    clock (reprolint REP002); code that needs a timestamp — the result
-    store's journal headers, gc age cutoffs — calls this instead of
-    :mod:`time` directly.
+    Timestamps label artifacts and never enter a result: code that
+    needs one — the result store's journal headers, gc age cutoffs —
+    calls this, and no simulation reads it.
     """
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 

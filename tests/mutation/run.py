@@ -2,12 +2,9 @@
 
 Each row is applied to its own copy of the tree (``git ls-files``, so
 new files count), where tier-1 runs with ``pytest -x`` under an
-address-space limit and a wall timeout.  ``tests/analysis`` is left out
-(its repository gate fails on every lint-flagged mutant: the linter's
-kill, not a behavioural one), and so is ``tests/mutation`` (its
-staleness check fails on every mutant).  A row records the first
-failing test id (``null``: it survived; ``"timeout"``: tier-1 hung),
-the lint codes reported on the mutant (``null`` without a linter) and
+address-space limit and a wall timeout.  ``tests/mutation`` is left out
+(its staleness check fails on every mutant).  A row records the first
+failing test id (``null``: it survived; ``"timeout"``: tier-1 hung) and
 the runtime.  See docs/testing.md, "Kill matrix".
 
     python tests/mutation/run.py [--jobs 2]   # every row; rewrites the matrix
@@ -47,7 +44,7 @@ MEM_MB = 4096
 
 TIER1 = [
     "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-    "--ignore=tests/analysis", "--ignore=tests/mutation",
+    "--ignore=tests/mutation",
 ]
 
 
@@ -89,19 +86,6 @@ def first_failure(output: str) -> Optional[str]:
     return None
 
 
-def lint_codes(tree: Path, env: Dict[str, str]) -> Optional[List[str]]:
-    """Sorted distinct lint codes on ``tree``; ``None`` without a linter."""
-    done = subprocess.run(
-        [sys.executable, "-m", "repro", "lint", "--format", "json"],
-        cwd=tree, env=env, capture_output=True, text=True,
-    )
-    try:
-        report = json.loads(done.stdout)
-    except ValueError:
-        return None
-    return sorted({finding["code"] for finding in report["findings"]})
-
-
 def run_row(row: Optional[Row]) -> Dict[str, Any]:
     with tempfile.TemporaryDirectory(prefix="mutant-") as scratch:
         tree = Path(scratch)
@@ -128,7 +112,6 @@ def run_row(row: Optional[Row]) -> Dict[str, Any]:
             "file": row.file if row else None,
             "breaks": row.breaks if row else None,
             "killed_by": killed_by,
-            "lint": lint_codes(tree, env),
             "seconds": seconds,
         }
 
@@ -161,7 +144,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     def run(row: Row) -> Dict[str, Any]:
         result = run_row(row)
         print(f"{row.name}: {result['killed_by'] or 'SURVIVED'} "
-              f"lint={result['lint']} ({result['seconds']}s)", flush=True)
+              f"({result['seconds']}s)", flush=True)
         return result
 
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:

@@ -22,6 +22,16 @@ class Row(NamedTuple):
     breaks: str
 
 
+#: the guarantees most rows break
+DETERMINISM = (
+    "DESIGN.md §7 Determinism: identical seeds give identical event "
+    "streams and statistics"
+)
+PICKLES = (
+    "RunSpec docstring: fn must be a module-level function (so it "
+    "pickles by reference)"
+)
+
 ROWS: Tuple[Row, ...] = (
     # -- defects earlier changes ran by hand (CHANGES.md) ---------------
     Row(
@@ -82,14 +92,14 @@ ROWS: Tuple[Row, ...] = (
         "DESIGN.md §7: no flit is consumed before the cycle it lands "
         "(CHANGES.md PR 31, first survivor)",
     ),
-    # -- defects the lint rules were written against ---------------------
+    # -- determinism (DESIGN.md §7) and picklability (RunSpec) ----------
     Row(
         "hotspot-draws-from-global-random",
         "src/repro/traffic/hotspot.py",
         "        hot = (\n            rng.random() < self.hotspot_fraction\n",
         "        import random\n\n"
         "        hot = (\n            random.random() < self.hotspot_fraction\n",
-        "REP001 docstring: every random draw is derived from the config seed",
+        DETERMINISM,
     ),
     Row(
         "multicast-destinations-from-global-random",
@@ -97,7 +107,7 @@ ROWS: Tuple[Row, ...] = (
         "    return DestinationSet.from_ids(universe, rng.sample(others, degree))\n",
         "    import random\n\n"
         "    return DestinationSet.from_ids(universe, random.sample(others, degree))\n",
-        "REP001 docstring: every random draw is derived from the config seed",
+        DETERMINISM,
     ),
     Row(
         "run-until-gives-up-on-a-wall-clock-budget",
@@ -110,8 +120,7 @@ ROWS: Tuple[Row, ...] = (
         "        deadline = time.monotonic() + 30.0\n"
         "        while not predicate():\n"
         "            if executed >= max_cycles or time.monotonic() > deadline:\n",
-        "REP002 docstring: simulation results are a pure function of "
-        "config and seed, never of host timing",
+        DETERMINISM,
     ),
     Row(
         "workload-seeded-from-the-clock",
@@ -119,7 +128,7 @@ ROWS: Tuple[Row, ...] = (
         '        rng = network.sim.rng.stream("workload.multiple_multicast")\n',
         "        import random\n        import time\n\n"
         "        rng = random.Random(time.time_ns())\n",
-        "REP002 docstring: no wall-clock read leaks host timing into results",
+        DETERMINISM,
     ),
     Row(
         "kernel-ticks-due-components-in-set-order",
@@ -136,21 +145,21 @@ ROWS: Tuple[Row, ...] = (
         "                else:\n"
         "                    for component in {components[index] for index in due}:\n"
         "                        component.tick(now)\n",
-        "REP003 docstring: kernel paths never iterate in hash order",
+        DETERMINISM,
     ),
     Row(
         "software-multicast-tree-in-set-order",
         "src/repro/host/software_multicast.py",
         "    _fold([source] + sorted(destinations), children)\n",
         "    _fold([source] + list(set(destinations)), children)\n",
-        "REP003 docstring: replication order never follows hash order",
+        DETERMINISM,
     ),
     Row(
         "summary-spec-built-from-a-lambda",
         "src/repro/experiments/common.py",
         "        fn=simulate_summary,\n",
         "        fn=lambda **kwargs: simulate_summary(**kwargs),\n",
-        "REP004 docstring: everything submitted to the worker pool pickles",
+        PICKLES,
     ),
     Row(
         "calibration-spec-built-from-a-closure",
@@ -165,8 +174,47 @@ ROWS: Tuple[Row, ...] = (
         "        RunSpec(\n"
         '            key=("calibration",),\n'
         "            fn=calibrate,\n",
-        "REP004 docstring: everything submitted to the worker pool pickles",
+        PICKLES,
     ),
+    Row(
+        "up-port-choice-from-global-random",
+        "src/repro/routing/base.py",
+        "            return candidates[stream.randrange(len(candidates))]\n",
+        "            import random\n\n"
+        "            return candidates[random.randrange(len(candidates))]\n",
+        DETERMINISM,
+    ),
+    Row(
+        "reliable-loss-drawn-from-the-clock",
+        "src/repro/collectives/reliable.py",
+        "            if self._rng.random() < self.drop_probability:\n",
+        "            import time\n\n"
+        "            if time.perf_counter_ns() % 1000 < (\n"
+        "                1000 * self.drop_probability\n"
+        "            ):\n",
+        DETERMINISM,
+    ),
+    Row(
+        "arbiter-grants-in-set-order",
+        "src/repro/switches/arbiter.py",
+        "        for offset in range(self.num_requesters):\n"
+        "            index = (self._next + offset) % self.num_requesters\n"
+        "            if index in candidates:\n"
+        "                self._next = (index + 1) % self.num_requesters\n"
+        "                return index\n",
+        "        for index in candidates:\n"
+        "            self._next = (index + 1) % self.num_requesters\n"
+        "            return index\n",
+        DETERMINISM,
+    ),
+    Row(
+        "demo-spec-built-from-a-lambda",
+        "src/repro/__main__.py",
+        "                fn=_run_demo_case,\n",
+        "                fn=lambda **kwargs: _run_demo_case(**kwargs),\n",
+        PICKLES,
+    ),
+    # -- store and farm crash safety --------------------------------------
     Row(
         "store-appends-to-the-first-segment",
         "src/repro/store/backend.py",
@@ -174,8 +222,8 @@ ROWS: Tuple[Row, ...] = (
         "        first = journal.list_segments(self.directory)[0]\n"
         '        with open(first, "a", encoding="utf-8") as handle:\n'
         "            handle.write(journal.record_line(stamped.to_record()))\n",
-        "REP013 docstring: a writer appends only to the segment it "
-        "claimed, so no torn tail is ever appended to",
+        "store/journal.py docstring: a writer session appends only to the "
+        "segment it claimed, so no torn tail is ever appended to",
     ),
     Row(
         "gc-removes-segments-before-rewriting",
@@ -188,8 +236,8 @@ ROWS: Tuple[Row, ...] = (
         "        old_segments = []\n"
         "        report.segments_removed = len(journal.list_segments(self.directory))\n"
         "        segment = journal.claim_segment(self.directory)\n",
-        "REP013 docstring: gc rewrites before it removes, so a crash "
-        "mid-gc loses nothing",
+        "store/journal.py docstring: gc rewrites before it removes, so a "
+        "crash mid-gc loses nothing",
     ),
     Row(
         "fleet-worker-spawned-with-buffered-pipes",
@@ -205,7 +253,8 @@ ROWS: Tuple[Row, ...] = (
         "                stdout=subprocess.PIPE,\n"
         "                env=dict(os.environ, **(self._extra_env or {})),\n"
         "            )\n",
-        "REP014 docstring: fleet pipes are unbuffered, so select is truthful",
+        "farm/transport.py docstring: fleet pipes are unbuffered, so "
+        "select is truthful",
     ),
     Row(
         "local-backend-builds-its-own-pool",
@@ -213,7 +262,7 @@ ROWS: Tuple[Row, ...] = (
         "        self._pool = transport.create_pool(workers)\n",
         "        import multiprocessing\n\n"
         "        self._pool = multiprocessing.Pool(workers)\n",
-        "REP014 docstring: a SIGKILLed pool worker fails the campaign "
-        "instead of hanging it",
+        "farm/transport.py docstring: a wait on a pool whose worker died "
+        "raises WorkerLost instead of blocking forever",
     ),
 )
