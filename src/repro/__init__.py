@@ -50,7 +50,6 @@ from repro.traffic.multicast import (
     SingleMulticast,
 )
 from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.trace import TraceRecord, TraceWorkload
 from repro.traffic.unicast import PermutationTraffic, UniformRandomUnicast
 
 __all__ = [
@@ -73,8 +72,6 @@ __all__ = [
     "SingleMulticast",
     "SwitchArchitecture",
     "TopologyKind",
-    "TraceRecord",
-    "TraceWorkload",
     "TrafficClass",
     "UniformRandomUnicast",
     "UpPortPolicy",

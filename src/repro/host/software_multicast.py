@@ -42,7 +42,7 @@ def binomial_schedule(
     delegates it to that half's first member.
 
     >>> binomial_schedule(0, [1, 2, 3, 4, 5, 6, 7])
-    {0: [4, 2, 1], 4: [6, 5], 2: [3], 6: [7]}
+    {0: [4, 2, 1], 4: [6, 5], 6: [7], 2: [3]}
     """
     children: Dict[int, List[int]] = {}
     _fold([source] + sorted(destinations), children)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional
 from repro.errors import ProtocolError
 from repro.flits.destset import DestinationSet
 from repro.flits.packet import Message, Packet, TrafficClass
-from repro.sim.stats import Histogram, RunningStats
+from repro.sim.stats import RunningStats
 
 
 class ClassStats:
@@ -32,14 +32,12 @@ class ClassStats:
 
     def __init__(self) -> None:
         self.latency = RunningStats()
-        self.latency_histogram = Histogram(bin_width=8.0)
         self.deliveries = 0
         self.payload_flits = 0
 
     def record(self, latency: float, payload_flits: int) -> None:
         """Record one in-window delivery."""
         self.latency.add(latency)
-        self.latency_histogram.add(latency)
         self.deliveries += 1
         self.payload_flits += payload_flits
 
@@ -98,17 +96,6 @@ class Operation:
             return None
         total = sum(self.arrival_cycles.values())
         return total / len(self.arrival_cycles) - self.created_cycle
-
-    @property
-    def arrival_skew(self) -> Optional[int]:
-        """Spread between the first and last arrival.
-
-        A hardware worm's branches arrive nearly together; a software
-        multicast's phases stagger arrivals — this is the fairness
-        dimension barrier-style uses care about."""
-        if self.completed_cycle is None:
-            return None
-        return self.completed_cycle - min(self.arrival_cycles.values())
 
 
 class _MessageProgress:
@@ -267,11 +254,3 @@ class MetricsCollector:
                                 key=lambda o: o.op_id)
             if op.completed_cycle is not None
         ]
-
-    def throughput_flits_per_cycle(
-        self, traffic_class: TrafficClass, elapsed_cycles: int
-    ) -> float:
-        """Delivered payload flits per cycle for one class (network-wide)."""
-        if elapsed_cycles <= 0:
-            return 0.0
-        return self.classes[traffic_class].payload_flits / elapsed_cycles

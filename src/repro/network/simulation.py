@@ -50,11 +50,6 @@ class SimulationResult:
         return self.collector.classes[TrafficClass.UNICAST].latency
 
     @property
-    def multicast_message_latency(self) -> RunningStats:
-        """Per-delivery latency of hardware multicast messages."""
-        return self.collector.classes[TrafficClass.MULTICAST].latency
-
-    @property
     def op_last_latency(self) -> RunningStats:
         """Last-arrival latency over completed multicast operations."""
         return self.collector.op_last_latency
@@ -123,62 +118,6 @@ class SimulationResult:
             extras=dict(extras),
         )
 
-    def report(self) -> str:
-        """A human-readable multi-section run report.
-
-        Includes the run header, per-class delivery statistics with
-        latency percentiles, and collective-operation statistics.
-        """
-        from repro.metrics.report import Table
-
-        lines = [
-            f"simulation report — N={self.config.num_hosts}, "
-            f"{self.config.switch_architecture.value} switches, "
-            f"{self.cycles} cycles, "
-            f"{'completed' if self.completed else 'BUDGET EXHAUSTED'}",
-        ]
-        classes = Table(
-            "per-class deliveries",
-            ["class", "deliveries", "mean", "p50", "p95", "max",
-             "payload flits"],
-        )
-        for traffic_class, stats in sorted(
-            self.collector.classes.items(), key=lambda kv: kv[0].value
-        ):
-            if not stats.deliveries:
-                continue
-            classes.add_row(
-                traffic_class.value,
-                stats.deliveries,
-                round(stats.latency.mean, 1),
-                stats.latency_histogram.percentile(0.50),
-                stats.latency_histogram.percentile(0.95),
-                stats.latency.max,
-                stats.payload_flits,
-            )
-        lines.append(classes.render())
-        if self.op_last_latency.count:
-            ops = Table(
-                "multicast operations",
-                ["metric", "count", "mean", "min", "max"],
-            )
-            ops.add_row(
-                "last-arrival latency",
-                self.op_last_latency.count,
-                round(self.op_last_latency.mean, 1),
-                self.op_last_latency.min,
-                self.op_last_latency.max,
-            )
-            ops.add_row(
-                "mean-arrival latency",
-                self.op_average_latency.count,
-                round(self.op_average_latency.mean, 1),
-                round(self.op_average_latency.min, 1),
-                round(self.op_average_latency.max, 1),
-            )
-            lines.append(ops.render())
-        return "\n\n".join(lines)
-
 
 @dataclass(frozen=True)
 class StatsSummary:
@@ -232,11 +171,6 @@ class RunSummary:
     def unicast_latency(self) -> StatsSummary:
         """Per-delivery latency of background unicast messages."""
         return self.latency(TrafficClass.UNICAST)
-
-    @property
-    def multicast_message_latency(self) -> StatsSummary:
-        """Per-delivery latency of hardware multicast messages."""
-        return self.latency(TrafficClass.MULTICAST)
 
     def delivered_flits(
         self, traffic_class: Union[TrafficClass, str]

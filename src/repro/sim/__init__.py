@@ -11,11 +11,10 @@ order and therefore deterministic for a given seed.
 from repro.sim.component import Component
 from repro.sim.kernel import Simulator
 from repro.sim.rng import RngStreams
-from repro.sim.stats import Histogram, RunningStats
+from repro.sim.stats import RunningStats
 
 __all__ = [
     "Component",
-    "Histogram",
     "RngStreams",
     "RunningStats",
     "Simulator",

@@ -1,14 +1,12 @@
 """Streaming statistics accumulators used by the metric collectors.
 
 These avoid storing every sample: simulations record millions of flit and
-message events, so collectors use Welford's online algorithm for moments
-and fixed-width histograms for distributions.
+message events, so collectors use Welford's online algorithm for moments.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
 
 
 class RunningStats:
@@ -62,62 +60,6 @@ class RunningStats:
             f"RunningStats(n={self.count}, mean={self.mean:.3f}, "
             f"sd={self.stddev:.3f}, min={self.min:.3f}, max={self.max:.3f})"
         )
-
-
-class Histogram:
-    """Fixed-bin-width histogram with overflow bin.
-
-    Parameters
-    ----------
-    bin_width:
-        Width of each bin; samples land in ``int(value // bin_width)``.
-    max_bins:
-        Samples beyond ``bin_width * max_bins`` accumulate in an overflow
-        count rather than growing the bin list without bound.
-    """
-
-    def __init__(self, bin_width: float = 1.0, max_bins: int = 10_000) -> None:
-        if bin_width <= 0:
-            raise ValueError("bin_width must be positive")
-        if max_bins <= 0:
-            raise ValueError("max_bins must be positive")
-        self.bin_width = bin_width
-        self.max_bins = max_bins
-        self._bins: List[int] = []
-        self.overflow = 0
-        self.count = 0
-
-    def add(self, value: float) -> None:
-        """Record one sample."""
-        self.count += 1
-        index = int(value // self.bin_width)
-        if index < 0:
-            index = 0
-        if index >= self.max_bins:
-            self.overflow += 1
-            return
-        if index >= len(self._bins):
-            self._bins.extend([0] * (index + 1 - len(self._bins)))
-        self._bins[index] += 1
-
-    def percentile(self, q: float) -> Optional[float]:
-        """Return the approximate ``q``-quantile (0 <= q <= 1).
-
-        Returns the upper edge of the bin containing the quantile, or
-        ``None`` if the histogram is empty or the quantile falls in the
-        overflow bin.
-        """
-        if not 0.0 <= q <= 1.0:
-            raise ValueError("q must be within [0, 1]")
-        if self.count == 0:
-            return None
-        target = q * self.count
-        seen = 0
-        for index, n in enumerate(self._bins):
-            seen += n
-            if seen >= target:
-                return (index + 1) * self.bin_width
-        return None
 
 
 class TimeWeightedAverage:

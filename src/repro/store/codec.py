@@ -101,12 +101,3 @@ def decode_value(obj: Any) -> Any:
                 return tuple(decode_value(item) for item in payload)
         raise CodecError(f"unrecognised store encoding {obj!r}")
     raise CodecError(f"unrecognised store encoding {obj!r}")
-
-
-def encodable(value: Any) -> bool:
-    """True when ``value`` round-trips through the codec."""
-    try:
-        encode_value(value)
-    except CodecError:
-        return False
-    return True

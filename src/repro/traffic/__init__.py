@@ -10,7 +10,6 @@ from repro.traffic.multicast import (
 )
 from repro.traffic.bimodal import BimodalTraffic
 from repro.traffic.hotspot import HotspotTraffic
-from repro.traffic.trace import TraceRecord, TraceWorkload
 
 __all__ = [
     "BimodalTraffic",
@@ -20,8 +19,6 @@ __all__ = [
     "PoissonArrivals",
     "RandomMulticastStream",
     "SingleMulticast",
-    "TraceRecord",
-    "TraceWorkload",
     "UniformRandomUnicast",
     "Workload",
 ]

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.collectives.barrier import ReleaseScheme, TreeCollectiveEngine
-from repro.collectives.scatter import ScatterEngine
 from repro.errors import ConfigurationError, ProtocolError
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
@@ -127,9 +126,8 @@ class TestBarrierProtocolErrors:
         lambda network, engine: engine.barrier([1, 1, 2]),
         lambda network, engine: engine.allreduce([1, 1, 2]),
         lambda network, engine: engine.gather([1, 1, 2]),
-        lambda network, engine: ScatterEngine(network.nodes).create(1, [1, 1, 2]),
     ],
-    ids=["barrier", "allreduce", "gather", "scatter"],
+    ids=["barrier", "allreduce", "gather"],
 )
 def test_duplicate_participants(create):
     """A repeated participant would be its own parent in the tree and

@@ -1,10 +1,9 @@
-"""Gather, all-gather and scatter protocols."""
+"""Gather and all-gather protocols."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.collectives.scatter import ScatterEngine, ScatterStrategy
 from repro.core.schemes import MulticastScheme
 from repro.errors import ConfigurationError, ProtocolError
 from tests.collectives.test_barrier import rig, run_collective
@@ -83,52 +82,3 @@ class TestGather:
         with pytest.raises(ProtocolError):
             engine.contribute(operation, 1)
 
-
-class TestScatter:
-    def run_scatter(self, network, engine, operation):
-        network.sim.schedule_at(0, lambda: engine.start(operation))
-        network.sim.run_until(
-            lambda: operation.complete, max_cycles=300_000,
-            stall_limit=30_000,
-        )
-        return operation
-
-    @pytest.mark.parametrize("strategy", list(ScatterStrategy))
-    def test_every_host_gets_its_block(self, strategy):
-        network, _ = rig()
-        engine = ScatterEngine(network.nodes)
-        operation = engine.create(
-            0, list(range(16)), block_flits=8, strategy=strategy
-        )
-        self.run_scatter(network, engine, operation)
-        assert set(operation.block_cycles) == set(range(16))
-
-    def test_tree_beats_direct_for_many_blocks(self):
-        """Delegation halves the root's serialized start-ups; with enough
-        participants the tree wins despite moving more total bytes."""
-        def latency(strategy):
-            network, _ = rig(seed=7, num_hosts=64)
-            engine = ScatterEngine(network.nodes)
-            operation = engine.create(
-                0, list(range(64)), block_flits=4, strategy=strategy
-            )
-            return self.run_scatter(network, engine, operation).last_latency
-
-        assert latency(ScatterStrategy.TREE) < latency(
-            ScatterStrategy.DIRECT
-        )
-
-    def test_non_root_root_rejected(self):
-        network, _ = rig()
-        engine = ScatterEngine(network.nodes)
-        with pytest.raises(ConfigurationError):
-            engine.create(9, [1, 2, 3])
-
-    def test_subtree_partition(self):
-        network, _ = rig()
-        engine = ScatterEngine(network.nodes)
-        operation = engine.create(0, list(range(16)))
-        collected = []
-        for child in operation.children.get(0, []):
-            collected.extend(operation.subtree(child))
-        assert sorted(collected + [0]) == list(range(16))

@@ -178,49 +178,3 @@ class TestOperations:
         op = self.make_op(collector)
         assert op.last_latency is None
         assert op.average_latency is None
-
-
-class TestThroughput:
-    def test_flits_per_cycle(self):
-        collector = MetricsCollector(16)
-        for i, dest in enumerate((1, 2, 3, 4)):
-            message = make_message(collector, 0, [dest], payload=10)
-            collector.register_message(message, 1)
-            collector.packet_delivered(packet_of(message), dest, 50 + i)
-        assert collector.throughput_flits_per_cycle(
-            TrafficClass.UNICAST, elapsed_cycles=100
-        ) == pytest.approx(0.4)
-
-    def test_zero_elapsed(self):
-        collector = MetricsCollector(16)
-        assert collector.throughput_flits_per_cycle(
-            TrafficClass.UNICAST, 0
-        ) == 0.0
-
-
-class TestArrivalSkew:
-    def test_incomplete_is_none(self):
-        collector = MetricsCollector(16)
-        op = collector.register_operation(
-            0, DestinationSet.from_ids(16, [1, 2]), 8, "hardware", 0
-        )
-        assert op.arrival_skew is None
-
-    def test_skew_is_arrival_spread(self):
-        collector = MetricsCollector(16)
-        op = collector.register_operation(
-            0, DestinationSet.from_ids(16, [1, 2, 3]), 8, "hardware", 0
-        )
-        op.record_arrival(1, 50)
-        op.record_arrival(2, 70)
-        op.record_arrival(3, 90)
-        assert op.arrival_skew == 40
-
-    def test_simultaneous_arrivals_zero_skew(self):
-        collector = MetricsCollector(16)
-        op = collector.register_operation(
-            0, DestinationSet.from_ids(16, [1, 2]), 8, "hardware", 0
-        )
-        op.record_arrival(1, 60)
-        op.record_arrival(2, 60)
-        assert op.arrival_skew == 0

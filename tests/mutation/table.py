@@ -185,13 +185,13 @@ ROWS: Tuple[Row, ...] = (
         DETERMINISM,
     ),
     Row(
-        "reliable-loss-drawn-from-the-clock",
-        "src/repro/collectives/reliable.py",
-        "            if self._rng.random() < self.drop_probability:\n",
-        "            import time\n\n"
-        "            if time.perf_counter_ns() % 1000 < (\n"
-        "                1000 * self.drop_probability\n"
-        "            ):\n",
+        "bimodal-coin-drawn-from-the-clock",
+        "src/repro/traffic/bimodal.py",
+        "        if rng.random() < self.multicast_fraction:\n",
+        "        import time\n\n"
+        "        if time.perf_counter_ns() % 1000 < (\n"
+        "            1000 * self.multicast_fraction\n"
+        "        ):\n",
         DETERMINISM,
     ),
     Row(

@@ -1,12 +1,9 @@
-"""Run reports and configuration fingerprints."""
+"""Configuration fingerprints."""
 
 from __future__ import annotations
 
-from repro.core.schemes import MulticastScheme, SwitchArchitecture
+from repro.core.schemes import SwitchArchitecture
 from repro.network.config import SimulationConfig, describe
-from repro.network.simulation import run_simulation
-from repro.traffic.bimodal import BimodalTraffic
-from repro.traffic.multicast import SingleMulticast
 
 
 class TestDescribe:
@@ -33,59 +30,3 @@ class TestDescribe:
 
     def test_identical_configs_identical_fingerprints(self):
         assert describe(SimulationConfig()) == describe(SimulationConfig())
-
-
-class TestReport:
-    def run_mixed(self):
-        return run_simulation(
-            SimulationConfig(num_hosts=16, seed=2),
-            BimodalTraffic(
-                load=0.2, multicast_fraction=0.3, degree=4,
-                payload_flits=16, scheme=MulticastScheme.HARDWARE,
-                warmup_cycles=50, measure_cycles=800,
-            ),
-            max_cycles=120_000,
-        )
-
-    def test_report_sections(self):
-        report = self.run_mixed().report()
-        assert "simulation report" in report
-        assert "per-class deliveries" in report
-        assert "multicast operations" in report
-        assert "unicast" in report
-        assert "completed" in report
-
-    def test_report_without_operations(self):
-        result = run_simulation(
-            SimulationConfig(num_hosts=16),
-            BimodalTraffic(
-                load=0.15, multicast_fraction=0.0, payload_flits=16,
-                scheme=MulticastScheme.HARDWARE,
-                warmup_cycles=50, measure_cycles=500,
-            ),
-            max_cycles=60_000,
-        )
-        report = result.report()
-        assert "multicast operations" not in report
-
-    def test_exhausted_budget_flagged(self):
-        result = run_simulation(
-            SimulationConfig(num_hosts=16),
-            SingleMulticast(
-                source=0, degree=4, payload_flits=16,
-                scheme=MulticastScheme.HARDWARE, start_cycle=10_000,
-            ),
-            max_cycles=50,
-        )
-        assert "BUDGET EXHAUSTED" in result.report()
-
-    def test_percentiles_ordered(self):
-        result = self.run_mixed()
-        stats = result.collector.classes
-        for class_stats in stats.values():
-            if class_stats.deliveries < 2:
-                continue
-            p50 = class_stats.latency_histogram.percentile(0.5)
-            p95 = class_stats.latency_histogram.percentile(0.95)
-            assert p50 is not None and p95 is not None
-            assert p50 <= p95

@@ -100,10 +100,9 @@ class TestRunSimulation:
                 scheme=MulticastScheme.HARDWARE,
             ),
         )
-        assert (
-            result.multicast_message_latency.count
-            == result.collector.classes[TrafficClass.MULTICAST].latency.count
-        )
+        classes = result.collector.classes
+        assert result.unicast_latency is classes[TrafficClass.UNICAST].latency
+        assert result.op_last_latency is result.collector.op_last_latency
         assert result.op_average_latency.count == 1
 
     def test_a_result_reads_its_network_but_keeps_its_cycle(self):

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 import platform
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +17,21 @@ from repro.obs.manifest import (
     peak_rss_bytes,
 )
 from repro.obs.sinks import SCHEMA_MANIFEST
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _expected_sha():
+    """HEAD of the checkout these tests run in; ``"unknown"`` in a tree
+    with no ``.git`` (an exported copy)."""
+    if not (ROOT / ".git").exists():
+        return "unknown"
+    sha = subprocess.run(
+        ["git", "rev-parse", "HEAD"], cwd=ROOT, check=True,
+        capture_output=True, text=True,
+    ).stdout.strip()
+    assert len(sha) == 40 and all(c in "0123456789abcdef" for c in sha)
+    return sha
 
 
 class TestCollect:
@@ -28,8 +45,7 @@ class TestCollect:
         assert manifest.jobs == 4
         assert manifest.extras == {"experiments": ["e1"]}
         assert manifest.created_at.endswith("Z")
-        # this test runs inside the repository checkout
-        assert len(manifest.git_sha) == 40
+        assert manifest.git_sha == _expected_sha()
 
     def test_git_sha_is_hex_or_unknown(self):
         sha = git_sha()

@@ -7,7 +7,7 @@ import statistics
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.sim.stats import Histogram, RunningStats, TimeWeightedAverage
+from repro.sim.stats import RunningStats, TimeWeightedAverage
 
 finite_floats = st.floats(
     min_value=-1e9, max_value=1e9, allow_nan=False, allow_infinity=False
@@ -39,40 +39,6 @@ class TestRunningStats:
         )
         assert s.min == min(values)
         assert s.max == max(values)
-
-
-class TestHistogram:
-    def test_binning(self):
-        h = Histogram(bin_width=10)
-        for v in (0, 5, 9.99, 10, 25):
-            h.add(v)
-        # three samples in [0, 10), one in [10, 20), one in [20, 30):
-        # a quantile reads as the upper edge of the bin it falls in
-        assert h.percentile(0.6) == 10.0
-        assert h.percentile(0.8) == 20.0
-        assert h.percentile(1.0) == 30.0
-
-    def test_overflow(self):
-        h = Histogram(bin_width=1, max_bins=10)
-        h.add(100)
-        assert h.overflow == 1
-        assert h.count == 1
-
-    def test_percentile(self):
-        h = Histogram(bin_width=1)
-        for v in range(100):
-            h.add(v)
-        assert h.percentile(0.5) == pytest.approx(50, abs=1)
-        assert h.percentile(1.0) == pytest.approx(100, abs=1)
-
-    def test_percentile_empty_is_none(self):
-        assert Histogram().percentile(0.5) is None
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            Histogram(bin_width=0)
-        with pytest.raises(ValueError):
-            Histogram().percentile(1.5)
 
 
 class TestTimeWeightedAverage:

@@ -11,7 +11,6 @@ from repro.network.simulation import RunSummary, StatsSummary
 from repro.store.codec import (
     CodecError,
     decode_value,
-    encodable,
     encode_value,
 )
 
@@ -103,9 +102,3 @@ class TestRejections:
     def test_untagged_multikey_dict_raises_on_decode(self):
         with pytest.raises(CodecError):
             decode_value({"a": 1, "b": 2})
-
-    def test_encodable_predicate(self):
-        assert encodable(_summary())
-        assert encodable({"a": [1, (2, 3)]})
-        assert not encodable(object())
-        assert not encodable({("k",): 1})
