@@ -9,7 +9,8 @@ Subcommands:
     :mod:`repro.experiments.parallel` plan machinery as the full
     experiment suite: ``--jobs 3`` fans them out over worker
     processes, ``--jobs 1`` runs them serially; the table is identical
-    either way.
+    either way.  The demo opens no result store, so it journals
+    nothing even with ``REPRO_STORE_DIR`` set.
 ``inspect FILE...``
     Summarise observability artifacts (run manifests, metrics/trace
     JSONL) produced by the runner's ``--metrics-out``/``--trace-out``
@@ -143,15 +144,7 @@ def main(argv=None) -> int:
             for label, architecture, scheme in DEMO_CASES
         ],
     )
-    from repro.store import runtime as store_runtime
-
-    store_dir = store_runtime.store_dir_from_env()
-    if store_dir is not None:
-        store_runtime.configure(store_runtime.open_session(store_dir))
-    try:
-        results = execute_plan(plan, jobs=args.jobs)
-    finally:
-        store_runtime.reset()
+    results = execute_plan(plan, jobs=args.jobs)
     for label, _, _ in DEMO_CASES:
         case = results[(label,)]
         table.add_row(label, case["last"], round(case["average"], 1))

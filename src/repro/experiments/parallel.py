@@ -9,13 +9,11 @@ state.  This module gives that structure a name:
   and a unique sortable ``key``;
 * :func:`execute_plan` runs the specs and returns ``{key: value}``.
   There is one way a plan runs — the partition → execute → journal →
-  merge loop in :mod:`repro.store.memo` — and :func:`run_outcomes`
-  picks its two inputs: the result store (or none) and the *executor*
-  that runs the specs the store cannot answer.  This module holds the
-  default executor, :func:`local_executor` (this process for
-  ``jobs=1``, else the process's one kept ``multiprocessing`` pool,
-  each job carrying its spec and telemetry options); the farm
-  (:mod:`repro.farm`) is the other;
+  merge loop in :mod:`repro.store.memo` — with the result store (or
+  none) that :func:`run_outcomes` resolves, and one *executor* for the
+  specs the store cannot answer: :func:`local_executor` (this process
+  for ``jobs=1``, else the process's one kept ``multiprocessing``
+  pool, each job carrying its spec and telemetry options);
 * the experiment's *reduce* step folds the per-run values into table
   rows by looking results up **by key** in its own declared grid order —
   never by iterating the result mapping — so the output is identical no
@@ -105,10 +103,7 @@ class RunOutcome:
     ``"coalesced"`` (a duplicate spec fanned out from another spec's
     execution in the same plan).  ``saved_seconds`` is the execution
     time a hit or coalesced outcome avoided, as journaled/measured for
-    the run that did execute.  ``worker`` names the farm worker that
-    executed (or whose execution resolved) the run — empty under the
-    default executor and for store hits, where no farm worker is
-    involved.
+    the run that did execute.
     """
 
     key: Key
@@ -116,7 +111,6 @@ class RunOutcome:
     wall_seconds: float
     source: str = SOURCE_EXECUTED
     saved_seconds: float = 0.0
-    worker: str = ""
 
 
 @dataclass
@@ -161,18 +155,14 @@ def run_outcomes(
 
     Every plan runs through the one loop in :mod:`repro.store.memo`
     (partition against the store, emit hits, then journal, emit and fan
-    out each executed leader); this function only resolves its inputs.
-    *The store*: the ``store`` argument, else the process-wide session
-    of :mod:`repro.store.runtime` (``--store-dir``/``REPRO_STORE_DIR``),
-    else none — every spec executes and nothing is journaled.  *The
-    executor*: the active farm session
-    (:mod:`repro.farm.runtime`, ``--farm``/``--shards``), else
-    :func:`local_executor` with ``jobs`` workers.  Whatever the
-    combination, the returned values are bit-identical — the reduce
-    step cannot tell a warm campaign from a cold one, or a fleet from a
-    loop.
+    out each executed leader) on :func:`local_executor` with ``jobs``
+    workers; this function only resolves the store: the ``store``
+    argument, else the process-wide session of
+    :mod:`repro.store.runtime` (``--store-dir``/``REPRO_STORE_DIR``),
+    else none — every spec executes and nothing is journaled.  The
+    returned values are bit-identical either way — the reduce step
+    cannot tell a warm campaign from a cold one, or a pool from a loop.
     """
-    from repro.farm import runtime as farm_runtime
     from repro.store import runtime as store_runtime
     from repro.store.memo import memoized_outcomes
 
@@ -180,9 +170,9 @@ def run_outcomes(
     refresh = False
     if session is not None:
         store, refresh = session.store, session.refresh
-    farm = farm_runtime.active_farm()
-    run = memoized_outcomes if farm is None else farm.run
-    return run(plan, store, jobs=jobs, progress=progress, refresh=refresh)
+    return memoized_outcomes(
+        plan, store, jobs=jobs, progress=progress, refresh=refresh
+    )
 
 
 def _plain_outcomes(
@@ -190,7 +180,7 @@ def _plain_outcomes(
     jobs: Optional[int] = None,
     progress: Optional[ProgressFn] = None,
 ) -> List[RunOutcome]:
-    """The plan loop with no store and no farm, whatever is configured."""
+    """The plan loop with no store, whatever is configured."""
     from repro.store.memo import memoized_outcomes
 
     return memoized_outcomes(plan, None, jobs=jobs, progress=progress)
@@ -316,9 +306,6 @@ class TimingSummary:
     executed: int = 0
     #: execution time avoided by hits and coalesced runs
     saved_seconds: float = 0.0
-    #: per-farm-worker ``(label, executed runs, work seconds)``, busiest
-    #: first; empty unless the plan ran on a farm backend
-    workers: Tuple[Tuple[str, int, float], ...] = ()
 
     @property
     def utilisation(self) -> float:
@@ -345,12 +332,6 @@ class TimingSummary:
                 f"executed; ~{self.saved_seconds:.2f}s of execution "
                 "avoided"
             )
-        if self.workers:
-            spread = ", ".join(
-                f"{label} {runs} run(s)/{seconds:.2f}s"
-                for label, runs, seconds in self.workers
-            )
-            lines.append(f"farm workers: {spread}")
         if self.stragglers:
             worst = ", ".join(
                 f"{label} ({seconds:.2f}s)"
@@ -378,21 +359,6 @@ def summarize_timing(
         1 for o in outcomes if o.source == SOURCE_COALESCED
     )
     saved = sum(o.saved_seconds for o in outcomes)
-    per_worker: Dict[str, List[float]] = {}
-    for outcome in ran:
-        if outcome.worker:
-            per_worker.setdefault(outcome.worker, []).append(
-                outcome.wall_seconds
-            )
-    workers = tuple(
-        sorted(
-            (
-                (label, len(times), sum(times))
-                for label, times in per_worker.items()
-            ),
-            key=lambda entry: (-entry[2], entry[0]),
-        )
-    )
     times = sorted(outcome.wall_seconds for outcome in ran)
     if not times:
         return TimingSummary(
@@ -400,7 +366,7 @@ def summarize_timing(
             wall_seconds=wall_seconds, mean_seconds=0.0,
             median_seconds=0.0, max_seconds=0.0, stragglers=(),
             hits=hits, coalesced=coalesced, executed=0,
-            saved_seconds=saved, workers=workers,
+            saved_seconds=saved,
         )
     half = len(times) // 2
     median = (
@@ -432,7 +398,6 @@ def summarize_timing(
         coalesced=coalesced,
         executed=len(times),
         saved_seconds=saved,
-        workers=workers,
     )
 
 
@@ -457,8 +422,6 @@ class StderrProgress:
             detail = (
                 f"coalesced, ~{outcome.saved_seconds:.2f}s saved"
             )
-        elif outcome.worker:
-            detail = f"{outcome.wall_seconds:.2f}s on {outcome.worker}"
         else:
             detail = f"{outcome.wall_seconds:.2f}s"
         print(

@@ -27,7 +27,6 @@ from typing import Dict
 from repro import experiments
 from repro.experiments.common import PAPER, QUICK, Experiment
 from repro.experiments.parallel import StderrProgress, default_jobs
-from repro.farm import runtime as farm_runtime
 from repro.obs import runtime as obs_runtime
 from repro.obs.manifest import RunManifest
 from repro.obs.runtime import ObsOptions
@@ -121,26 +120,6 @@ def main(argv=None) -> int:
         help="re-execute every spec and journal fresh results, "
         "shadowing stale entries",
     )
-    farm_group = parser.add_argument_group(
-        "run farm (tables are bit-identical on any backend)"
-    )
-    farm_group.add_argument(
-        "--farm",
-        choices=farm_runtime.FARM_KINDS,
-        help="execute each experiment grid as a sharded campaign: "
-        "'local' (multiprocessing workers), 'fleet' (independent "
-        "worker subprocesses), 'serial' (one in-process worker)",
-    )
-    farm_group.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help="worker/shard count for --farm (default: the --jobs "
-        "value, capped at the grid size)",
-    )
-    farm_group.add_argument(
-        "--farm-manifest", metavar="FILE",
-        help="write the last campaign's merged manifest (per-worker "
-        "provenance included) as JSON",
-    )
     args = parser.parse_args(argv)
 
     scale = QUICK if args.scale == "quick" else PAPER
@@ -188,17 +167,6 @@ def main(argv=None) -> int:
             )
         )
 
-    if args.farm is None and (
-        args.shards is not None or args.farm_manifest
-    ):
-        parser.error("--shards/--farm-manifest need --farm")
-    # parallel lanes each plan gets: pool processes, or farm shards
-    lanes = jobs if args.shards is None else max(1, args.shards)
-    if args.farm is not None:
-        farm_runtime.configure(
-            farm_runtime.open_farm(args.farm, shards=lanes)
-        )
-
     campaign_started = time.perf_counter()
     try:
         for name in names:
@@ -208,39 +176,21 @@ def main(argv=None) -> int:
             result = experiment(scale, jobs=jobs, progress=progress)
             elapsed = time.perf_counter() - started
             print(result.render())
-            if args.farm is not None:
-                detail = f"farm={args.farm}, shards={lanes}"
-            else:
-                detail = f"jobs={jobs}"
             print(
                 f"[{name} finished in {elapsed:.1f}s at scale={scale.name}, "
-                f"{detail}]"
+                f"jobs={jobs}]"
             )
             if progress is not None and progress.outcomes:
-                print(progress.summary(lanes).render(), file=sys.stderr)
+                print(progress.summary(jobs).render(), file=sys.stderr)
             if args.chart and experiment.chart:
                 print()
                 print(result.chart(*experiment.chart))
             if args.csv:
                 print(result.table.to_csv())
             print()
-        farm = farm_runtime.active_farm()
-        if (
-            args.farm_manifest
-            and farm is not None
-            and farm.last_result is not None
-        ):
-            farm.last_result.manifest(
-                experiments=names, scale=scale.name
-            ).write(args.farm_manifest)
-            print(
-                f"[campaign manifest: {args.farm_manifest}]",
-                file=sys.stderr,
-            )
     finally:
         obs_runtime.reset()
         store_runtime.reset()
-        farm_runtime.reset()
 
     if options is not None:
         anchor = args.metrics_out or args.trace_out or args.profile_out

@@ -1,9 +1,12 @@
-"""The distributed run farm: sharded, resumable campaign execution.
+"""The run farm: sharded, resumable campaign execution, as a library.
 
 A *campaign* is one :class:`~repro.experiments.parallel.ExecutionPlan`
 executed across a fleet of workers instead of a flat multiprocessing
-pool.  The farm layers four ideas on top of PR 1's location-independent
-``RunSpec`` grids and PR 9's content-addressed result store:
+pool.  No experiment and no CLI runs on it (experiments run on
+:func:`~repro.experiments.parallel.local_executor`); the performance
+ledger's ``dispatch-noop`` workload times it.  The farm layers four
+ideas on top of location-independent ``RunSpec`` grids and the
+content-addressed result store:
 
 *pluggable backends* (:mod:`repro.farm.backends`)
     ``SerialBackend`` (in-process, the always-available reference),
@@ -31,9 +34,9 @@ The invariant that makes all of this safe is inherited from the
 execution engine: reduction folds outcomes **by key in declared grid
 order**, never in completion order, so any backend x any shard count x
 any steal schedule is bit-identical to serial execution.
-``tests/farm/`` proves it differentially (all 16 experiments), by
-hypothesis property (random plans, shard counts, adversarial steal
-schedules) and under fault injection.  See ``docs/run-farm.md``.
+``tests/farm/`` proves it by hypothesis property (random plans, shard
+counts, adversarial steal schedules) and under fault injection.  See
+``docs/run-farm.md`` for what only the farm survives.
 """
 
 from repro.farm.backends import (
@@ -51,19 +54,11 @@ from repro.farm.campaign import (
     run_campaign,
 )
 from repro.farm.scheduler import ShardScheduler, shard_specs
-from repro.farm.runtime import (
-    FarmSession,
-    active_farm,
-    configure,
-    open_farm,
-    reset,
-)
 
 __all__ = [
     "CampaignResult",
     "CompletedJob",
     "FarmError",
-    "FarmSession",
     "FarmWorkerError",
     "LocalPoolBackend",
     "SerialBackend",
@@ -71,10 +66,6 @@ __all__ = [
     "SubprocessFleetBackend",
     "WorkerBackend",
     "WorkerFailure",
-    "active_farm",
-    "configure",
-    "open_farm",
-    "reset",
     "run_campaign",
     "shard_specs",
 ]

@@ -28,7 +28,7 @@ Backends:
     one pool process per worker, specs submitted with ``apply_async``
     and completions awaited on a queue its callbacks feed.  Raises
     :class:`~repro.farm.transport.BackendUnavailable` from ``start``
-    where pools cannot exist, so the session can fall back to serial.
+    where pools cannot exist, so a caller can fall back to serial.
 :class:`SubprocessFleetBackend`
     N independent ``python -m repro.farm.worker`` processes speaking
     the newline-framed JSON protocol over unbuffered pipes — the

@@ -18,8 +18,7 @@ declared grid order downstream, and journaling happens only in this
 shard count x steal schedule x failure pattern yields the same merged
 table, and a campaign resumed after a crash completes bit-identically
 from its journaled prefix.  ``tests/farm/`` holds the proof: the
-differential harness, the hypothesis scheduling properties, and the
-fault-injection suite.
+hypothesis scheduling properties and the fault-injection suite.
 """
 
 from __future__ import annotations
@@ -150,8 +149,7 @@ def run_campaign(
     Raises :class:`FarmError` when every worker has died with work
     remaining, and :class:`~repro.farm.transport.BackendUnavailable`
     (from ``backend.start``, before any outcome is emitted) when the
-    backend cannot run here at all — the runtime layer catches the
-    latter to fall back to a simpler backend.
+    backend cannot run here at all.
     """
     if shards < 1:
         raise ValueError(f"need at least one shard, got {shards}")
@@ -239,5 +237,4 @@ def _drive(
             key=event.spec.key,
             value=event.value,
             wall_seconds=event.wall_seconds,
-            worker=report.label,
         )

@@ -6,7 +6,7 @@ memo layer (:mod:`repro.store.memo`) needs.  :class:`JournalStore`
 additionally owns the operational surface the ``python -m repro
 store`` CLI exposes: :meth:`verify` (full journal re-scan),
 :meth:`gc` (compaction by age/size), and :meth:`export`/
-:meth:`import_file` (farm-shard exchange).
+:meth:`import_file` (moving results between machines).
 
 On-disk layout (all file traffic via :mod:`repro.store.journal`)::
 

@@ -6,8 +6,8 @@ story stays in one place:
 * a store directory holds ``segments/seg-NNNNN.jsonl`` files, each an
   **append-only** JSONL stream.  A writer session *claims* a fresh
   segment with ``O_CREAT | O_EXCL`` (no two processes ever share one),
-  so concurrent campaigns — or farm shards writing into one shared
-  directory — can never interleave partial lines;
+  so concurrent campaigns writing into one shared directory can never
+  interleave partial lines;
 * records are written one line at a time through a line-buffered
   handle.  A killed process leaves at worst one torn final line;
 * :func:`scan_segment` implements recovery: a file whose last line is

@@ -19,8 +19,9 @@ partitioned three ways:
 
 The loop's one parameter is the executor — *how* leaders get executed:
 :func:`~repro.experiments.parallel.local_executor` (this process, or an
-``imap_unordered`` pool) or the farm's scheduler over a ``WorkerBackend``
-(:mod:`repro.farm.campaign`).  "No store" is ``store=None``: every spec
+``imap_unordered`` pool), the one experiments run on, or the run-farm
+library's scheduler over a ``WorkerBackend`` (:mod:`repro.farm.campaign`,
+which only the performance ledger drives).  "No store" is ``store=None``: every spec
 is a leader and nothing is hashed, looked up or journaled.
 
 Specs whose kwargs cannot be canonicalised (:class:`SpecHashError`) or
@@ -159,7 +160,6 @@ def fanout_duplicates(
             wall_seconds=0.0,
             source=SOURCE_COALESCED,
             saved_seconds=outcome.wall_seconds,
-            worker=outcome.worker,
         )
         for duplicate in part.duplicates.get(outcome.key, ())
     ]

@@ -551,8 +551,10 @@ class TestTelemetryTravelsWithTheJob:
 #: it), then a plan that leaves a kept pool alive at interpreter exit
 _POOLS_THEN_EXIT = textwrap.dedent(
     """
-    from repro.experiments.parallel import ExecutionPlan, RunSpec, execute_plan
-    from repro.farm import runtime as farm_runtime
+    from repro.experiments.parallel import (
+        ExecutionPlan, RunSpec, execute_plan, resolve,
+    )
+    from repro.farm import LocalPoolBackend, run_campaign
 
     plan = ExecutionPlan(
         "exit",
@@ -561,11 +563,8 @@ _POOLS_THEN_EXIT = textwrap.dedent(
     expected = {(i,): {"x": i} for i in range(6)}
     assert execute_plan(plan, jobs=2) == expected
     assert execute_plan(plan, jobs=2) == expected
-    farm_runtime.configure(farm_runtime.open_farm("local"))
-    try:
-        assert execute_plan(plan, jobs=2) == expected
-    finally:
-        farm_runtime.reset()
+    campaign = run_campaign(plan, LocalPoolBackend(), 2)
+    assert resolve(campaign.outcomes) == expected
     assert execute_plan(plan, jobs=2) == expected
     """
 )

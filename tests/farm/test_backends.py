@@ -13,12 +13,7 @@ import time
 
 import pytest
 
-from repro.experiments.parallel import (
-    ExecutionPlan,
-    RunSpec,
-    resolve,
-    run_outcomes,
-)
+from repro.experiments.parallel import ExecutionPlan, RunSpec, resolve
 from repro.farm.backends import (
     CompletedJob,
     FarmError,
@@ -29,9 +24,6 @@ from repro.farm.backends import (
 )
 from repro.farm.campaign import run_campaign
 from repro.farm import transport
-from repro.farm.runtime import FarmSession
-from repro.farm.transport import BackendUnavailable
-from repro.store.backend import MemoryStore
 
 from tests.farm import _workers
 
@@ -106,7 +98,6 @@ class TestFleetBackend:
         assert set(result.worker_manifests) == {"w0", "w1"}
         for manifest in result.worker_manifests.values():
             assert manifest["extras"]["farm_worker"] in ("w0", "w1")
-        assert [o.worker in ("w0", "w1") for o in result.outcomes]
 
     def test_worker_exception_reraised_as_original_type(self):
         bad = ExecutionPlan(
@@ -141,8 +132,8 @@ class TestFleetBackend:
 
 class TestLocalPoolBackend:
     def test_session_matches_serial_reference(self):
-        outcomes = FarmSession(kind="local", shards=2).run(plan(6))
-        assert resolve(outcomes) == REFERENCE
+        result = run_campaign(plan(6), LocalPoolBackend(), shards=2)
+        assert resolve(result.outcomes) == REFERENCE
 
     def test_collect_answers_each_dispatch_once(self):
         backend = LocalPoolBackend()
@@ -175,107 +166,6 @@ class TestLocalPoolBackend:
                 backend.collect()
         finally:
             backend.close()
-
-
-class TestBackendFallback:
-    def test_unavailable_backend_falls_back_to_serial(self):
-        calls = []
-
-        class Unavailable(SerialBackend):
-            def start(self, workers):
-                calls.append("tried")
-                raise BackendUnavailable("no processes here")
-
-        session = FarmSession(kind="fleet", shards=2)
-        session.kind = "fleet"
-        # candidate list is [fleet, serial]; force the first to fail
-        session.backend_factory = None
-        import repro.farm.runtime as farm_runtime
-
-        original = farm_runtime._backend_candidates
-        farm_runtime._backend_candidates = lambda kind: [
-            Unavailable,
-            SerialBackend,
-        ]
-        # one spec is already journaled: the retry must not emit its
-        # hit a second time, so the backend starts before any emission
-        store = MemoryStore()
-        run_campaign(plan(1), SerialBackend(), 1, store=store)
-        done = []
-        try:
-            outcomes = session.run(
-                plan(4),
-                store,
-                progress=lambda outcome, count, total: done.append(count),
-            )
-        finally:
-            farm_runtime._backend_candidates = original
-        assert calls == ["tried"]
-        assert done == [1, 2, 3, 4]
-        assert store.puts == 4
-        assert resolve(outcomes) == {
-            key: value
-            for key, value in REFERENCE.items()
-            if key[1] < 4
-        }
-
-    def test_sole_candidate_unavailable_raises(self):
-        class Unavailable(SerialBackend):
-            def start(self, workers):
-                raise BackendUnavailable("nope")
-
-        session = FarmSession(backend_factory=Unavailable)
-        with pytest.raises(BackendUnavailable):
-            session.run(plan(2))
-
-
-class TestRunOutcomesIntegration:
-    def test_active_farm_session_hooks_run_outcomes(self):
-        from repro.farm import runtime as farm_runtime
-
-        farm_runtime.configure(
-            FarmSession(backend_factory=SerialBackend, shards=3)
-        )
-        try:
-            outcomes = run_outcomes(plan(6))
-        finally:
-            farm_runtime.reset()
-        assert resolve(outcomes) == REFERENCE
-        assert all(o.worker.startswith("w") for o in outcomes)
-
-    def test_shards_default_to_the_callers_jobs(self):
-        from repro.farm import runtime as farm_runtime
-
-        session = FarmSession(backend_factory=SerialBackend)
-        farm_runtime.configure(session)
-        try:
-            outcomes = run_outcomes(plan(6), jobs=3)
-        finally:
-            farm_runtime.reset()
-        assert resolve(outcomes) == REFERENCE
-        assert session.last_result.shards == 3
-        assert {o.worker for o in outcomes} == {"w0", "w1", "w2"}
-
-    def test_runner_reports_the_shard_count_it_used(
-        self, tmp_path, capsys
-    ):
-        import json
-
-        from repro.experiments.runner import main
-
-        manifest = tmp_path / "farm.json"
-        argv = ["--experiment", "a3", "--scale", "quick"]
-        argv += ["--farm", "serial", "--jobs", "3"]
-        assert main(argv + ["--farm-manifest", str(manifest)]) == 0
-        assert "farm=serial, shards=3]" in capsys.readouterr().out
-        extras = json.loads(manifest.read_text())["extras"]
-        assert extras["farm_shards"] == 3
-        assert sorted(extras["farm_workers"]) == ["w0", "w1", "w2"]
-
-    def test_no_session_leaves_plain_path_untouched(self):
-        outcomes = run_outcomes(plan(6), jobs=1)
-        assert resolve(outcomes) == REFERENCE
-        assert all(o.worker == "" for o in outcomes)
 
 
 class TestWorkerFailureShape:

@@ -16,7 +16,12 @@ from repro.experiments.parallel import (
     resolve,
     run_outcomes,
 )
-from repro.farm.runtime import FarmSession
+from repro.farm import (
+    LocalPoolBackend,
+    SerialBackend,
+    SubprocessFleetBackend,
+    run_campaign,
+)
 from repro.store.backend import MemoryStore
 from repro.store.memo import memoized_outcomes, partition_plan
 
@@ -227,15 +232,22 @@ class TestProgress:
         ]
 
 
+def _campaign(backend, plan, store, progress=None, refresh=False):
+    """The farm's executor over a fresh ``backend``, two shards."""
+    return run_campaign(
+        plan, backend(), 2, store=store, refresh=refresh, progress=progress
+    ).outcomes
+
+
 #: every way into the plan loop, as ``run(plan, store, progress=,
 #: refresh=)``: the default executor serial and pooled, and the farm's
 #: executor over each backend
 EXECUTORS = {
     "jobs=1": partial(memoized_outcomes, jobs=1),
     "jobs=2": partial(memoized_outcomes, jobs=2),
-    "farm-serial": FarmSession("serial", shards=2).run,
-    "farm-local": FarmSession("local", shards=2).run,
-    "farm-fleet": FarmSession("fleet", shards=2).run,
+    "farm-serial": partial(_campaign, SerialBackend),
+    "farm-local": partial(_campaign, LocalPoolBackend),
+    "farm-fleet": partial(_campaign, SubprocessFleetBackend),
 }
 
 

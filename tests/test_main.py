@@ -28,10 +28,17 @@ class TestMainDispatch:
         assert "usage: python -m repro" in err
 
 
-def test_the_demo_table_is_the_same_on_a_pool(capsys):
+def test_the_demo_table_is_the_same_on_a_pool(
+    capsys, monkeypatch, tmp_path
+):
     """The demo's three cases are a plan: on workers each spec must
-    pickle (a module-level ``fn``) and give the serial table."""
+    pickle (a module-level ``fn``) and give the serial table.  The demo
+    opens no result store, so ``REPRO_STORE_DIR`` stays empty."""
+    store_dir = tmp_path / "store"
+    store_dir.mkdir()
+    monkeypatch.setenv("REPRO_STORE_DIR", str(store_dir))
     assert repro_main(["--jobs", "1"]) == 0
     serial = capsys.readouterr().out
     assert repro_main(["--jobs", "2"]) == 0
     assert capsys.readouterr().out == serial
+    assert list(store_dir.iterdir()) == []
