@@ -2,8 +2,8 @@
 
 One :class:`~repro.flits.flit.Flit` instance per link per cycle is
 allocation churn that dominates a saturated run (see
-``docs/performance.md``), so the data plane moves flit *coordinates*,
-not flit objects:
+``docs/performance.md``, "The span contract on links"), so the data
+plane moves flit *coordinates*, not flit objects:
 
 * a flit is ``(worm, index)``; a contiguous run of flits of one worm is
   a *span* ``(worm, start, count)`` whose members arrive on consecutive

@@ -3,7 +3,7 @@
 The active-set kernel (see :mod:`repro.sim.kernel`) only ticks a
 component on cycles the component — or a peer, through a link wake
 hook — asked for.  The wake contract for component authors is
-documented in ``docs/performance.md``; in short:
+documented in ``docs/performance.md``, "The wake contract"; in short:
 
 * registration schedules one initial wake, so every component ticks at
   least once and can inspect pre-run state (e.g. worms enqueued before

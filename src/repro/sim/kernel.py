@@ -16,7 +16,8 @@ cycles exactly as if they had been stepped one by one, so results,
 error cycles and messages are bit-identical to the dense reference
 kernel (``Simulator(dense=True)``), which still ticks every component
 every cycle and exists for differential testing (see
-``tests/sim/test_active_set.py`` and ``docs/performance.md``).
+``tests/sim/test_active_set.py`` and ``docs/performance.md``,
+"Fast-forward and stall parity").
 """
 
 from __future__ import annotations
