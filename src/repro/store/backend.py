@@ -17,16 +17,19 @@ On-disk layout (all file traffic via :mod:`repro.store.journal`)::
 Each segment starts with a ``repro.store.segment/1`` header carrying
 the store schema version and a :class:`~repro.obs.manifest.RunManifest`
 provenance dict, followed by ``repro.store.entry/1`` records.  The
-index is rebuilt from the segments on open — the newest entry for a
+open index maps each live key to its exact journaled line and parses
+that line into a :class:`StoreEntry` per lookup; on open it is rebuilt
+by streaming the segments one line at a time.  The newest entry for a
 key wins, which is also what makes ``--store-refresh`` an append
 (newer results shadow stale ones) rather than an in-place mutation.
 """
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.errors import ReproError
 from repro.obs.manifest import RunManifest, parse_iso, utc_now_iso
@@ -182,7 +185,8 @@ class JournalStore:
         elif not self.directory.is_dir():
             raise StoreError(f"no store at {self.directory}")
         self._writer: Optional[journal.JournalWriter] = None
-        self._index: Dict[str, StoreEntry] = {}
+        #: key -> the exact journaled line of its newest entry
+        self._index: Dict[str, str] = {}
         self._session_created_at = ""
         self._session_git_sha = ""
         self._load()
@@ -191,23 +195,27 @@ class JournalStore:
     # the memo-layer interface
     # ------------------------------------------------------------------
     def get(self, key: str) -> Optional[StoreEntry]:
-        """The newest journaled entry for ``key`` (microseconds)."""
-        return self._index.get(key)
+        """The newest journaled entry for ``key``, parsed from its line."""
+        line = self._index.get(key)
+        if line is None:
+            return None
+        return StoreEntry.from_record(json.loads(line))
 
     def put(self, entry: StoreEntry) -> None:
-        """Journal one entry (session provenance stamped here)."""
+        """Journal one entry (session provenance stamped here).
+
+        The index takes the line only once the write has returned, so a
+        failed append (a full disk) raises and leaves the index as it was;
+        :meth:`journal.JournalWriter.write` has cut the line's bytes back
+        off the file by then, so the journal is as it was too.
+        """
         writer = self._ensure_writer()
-        stamped = StoreEntry(
-            key=entry.key,
-            fn=entry.fn,
-            result_version=entry.result_version,
-            value=entry.value,
-            wall_seconds=entry.wall_seconds,
-            created_at=entry.created_at or self._session_created_at,
-            git_sha=entry.git_sha or self._session_git_sha,
-        )
-        writer.write(stamped.to_record())
-        self._index[stamped.key] = stamped
+        record = entry.to_record()
+        record["created_at"] = entry.created_at or self._session_created_at
+        record["git_sha"] = entry.git_sha or self._session_git_sha
+        line = journal.record_line(record)
+        writer.write(line)
+        self._index[entry.key] = line
 
     def stats(self) -> Dict[str, Any]:
         """Index size and on-disk footprint."""
@@ -238,51 +246,49 @@ class JournalStore:
     def verify(self) -> VerifyReport:
         """Re-scan every segment and cross-check the recovery rules."""
         report = VerifyReport()
-        live: Dict[str, StoreEntry] = {}
-        for scan in journal.scan_store(self.directory):
+        live: Set[str] = set()
+        for path in journal.list_segments(self.directory):
+            scan = journal.SegmentScan(path)
+            problems: List[str] = []
+            saw_header = False
+            records = 0
+            for position, _, record, current in _segment_records(scan):
+                records += 1
+                problem = validate_record(record)
+                if problem is not None:
+                    problems.append(
+                        f"{path.name}: record {position + 1}: {problem}"
+                    )
+                    continue
+                schema = record["schema"]
+                if schema == SCHEMA_STORE_SEGMENT:
+                    if position != 0:
+                        problems.append(
+                            f"{path.name}: segment header not first in "
+                            "file"
+                        )
+                    saw_header = True
+                    continue
+                if schema != SCHEMA_STORE_ENTRY:
+                    problems.append(
+                        f"{path.name}: record {position + 1}: "
+                        f"unexpected schema {schema!r}"
+                    )
+                    continue
+                if not current:
+                    report.stale_schema += 1
+                    continue
+                live.add(record["key"])
             report.segments += 1
             report.bytes += scan.bytes
             if scan.torn_tail:
                 report.torn_tails += 1
-            for line, reason in scan.errors:
-                report.errors.append(
-                    f"{scan.path.name}:{line}: {reason}"
-                )
-            segment_schema = STORE_SCHEMA_VERSION
-            saw_header = False
-            for position, record in enumerate(scan.records):
-                problem = validate_record(record)
-                if problem is not None:
-                    report.errors.append(
-                        f"{scan.path.name}: record {position + 1}: "
-                        f"{problem}"
-                    )
-                    continue
-                schema = record.get("schema")
-                if schema == SCHEMA_STORE_SEGMENT:
-                    if position != 0:
-                        report.errors.append(
-                            f"{scan.path.name}: segment header not "
-                            "first in file"
-                        )
-                    segment_schema = record["store_schema"]
-                    saw_header = True
-                    continue
-                if schema != SCHEMA_STORE_ENTRY:
-                    report.errors.append(
-                        f"{scan.path.name}: record {position + 1}: "
-                        f"unexpected schema {schema!r}"
-                    )
-                    continue
-                if segment_schema != STORE_SCHEMA_VERSION:
-                    report.stale_schema += 1
-                    continue
-                entry = StoreEntry.from_record(record)
-                live[entry.key] = entry
-            if scan.records and not saw_header:
-                report.errors.append(
-                    f"{scan.path.name}: missing segment header"
-                )
+            report.errors.extend(
+                f"{path.name}:{line}: {reason}" for line, reason in scan.errors
+            )
+            report.errors.extend(problems)
+            if records and not saw_header:
+                report.errors.append(f"{path.name}: missing segment header")
         report.entries = len(live)
         if len(live) != len(self._index):
             report.errors.append(
@@ -302,57 +308,52 @@ class JournalStore:
         Entries are dropped when older than ``max_age_days``, when the
         store would exceed ``max_bytes`` (oldest evicted first), or
         when journaled under an older store schema (their keys can
-        never hit again).  Survivors are rewritten into one freshly
-        claimed segment before the old segments are removed, so a
-        crash mid-gc never loses live data.
+        never hit again).  Survivors' lines are rewritten into one
+        freshly claimed segment before the old segments are removed, so
+        a crash mid-gc never loses live data.
         """
         report = GcReport()
         old_segments = journal.list_segments(self.directory)
         report.bytes_before = sum(
             path.stat().st_size for path in old_segments
         )
-        survivors: List[Tuple[float, StoreEntry]] = []
+        #: ``(created, key, line)`` of every entry that stays
+        survivors: List[Tuple[float, str, str]] = []
         cutoff: Optional[float] = None
         if max_age_days is not None:
             now = parse_iso(utc_now_iso())
             assert now is not None
             cutoff = now - max_age_days * 86400.0
-        for entry in self._index.values():
-            created = parse_iso(entry.created_at)
+        for key, line in self._index.items():
+            created = parse_iso(self.get(key).created_at)
             if cutoff is not None and (
                 created is None or created < cutoff
             ):
                 report.dropped_age += 1
                 continue
-            survivors.append((created or 0.0, entry))
+            survivors.append((created or 0.0, key, line))
         # Stale-schema entries never make it into the in-memory index
         # (the loader skips them), so compaction drops them by
-        # construction; count them off the raw scan for the report.
-        for scan in journal.scan_store(self.directory):
-            segment_schema = STORE_SCHEMA_VERSION
-            for record in scan.records:
-                schema = record.get("schema")
-                if schema == SCHEMA_STORE_SEGMENT and isinstance(
-                    record.get("store_schema"), int
-                ):
-                    segment_schema = record["store_schema"]
-                elif (
-                    schema == SCHEMA_STORE_ENTRY
-                    and segment_schema != STORE_SCHEMA_VERSION
-                ):
-                    report.dropped_stale += 1
-        survivors.sort(key=lambda pair: pair[0])
+        # construction; count them off a scan for the report.
+        for path in old_segments:
+            report.dropped_stale += sum(
+                not current and record.get("schema") == SCHEMA_STORE_ENTRY
+                for _, _, record, current in _segment_records(
+                    journal.SegmentScan(path)
+                )
+            )
+        survivors.sort(key=lambda survivor: survivor[0])
         if max_bytes is not None:
             # evict oldest-first until the newest survivors fit
-            kept: List[Tuple[float, StoreEntry]] = []
+            kept: List[Tuple[float, str, str]] = []
             total = 0
-            for created, entry in reversed(survivors):
-                size = len(journal.record_line(entry.to_record()))
+            for survivor in reversed(survivors):
+                size = len(survivor[2])
                 if total + size > max_bytes:
                     report.dropped_size += 1
                     continue
                 total += size
-                kept.append((created, entry))
+                kept.append(survivor)
             survivors = list(reversed(kept))
         report.kept = len(survivors)
         if dry_run:
@@ -361,9 +362,9 @@ class JournalStore:
         self.close()
         segment = journal.claim_segment(self.directory)
         with journal.JournalWriter(segment) as writer:
-            writer.write(self._segment_header())
-            for _, entry in survivors:
-                writer.write(entry.to_record())
+            writer.write(journal.record_line(self._segment_header()))
+            for _, _, line in survivors:
+                writer.write(line)
         for path in old_segments:
             journal.remove_segment(path)
             report.segments_removed += 1
@@ -371,16 +372,14 @@ class JournalStore:
         report.bytes_after = sum(
             path.stat().st_size for path in remaining
         )
-        self._index = {entry.key: entry for _, entry in survivors}
+        self._index = {key: line for _, key, line in survivors}
         return report
 
     def export(self, path: Path) -> int:
         """Write every live entry (plus a header) to one JSONL file."""
-        records = [self._segment_header()]
-        records.extend(
-            entry.to_record() for entry in self._index.values()
-        )
-        return journal.write_export(Path(path), records) - 1
+        lines = [journal.record_line(self._segment_header())]
+        lines.extend(self._index.values())
+        return journal.write_export(Path(path), lines) - 1
 
     def import_file(self, path: Path) -> int:
         """Merge entries exported by another shard into this store."""
@@ -409,33 +408,40 @@ class JournalStore:
     # internals
     # ------------------------------------------------------------------
     def _load(self) -> None:
-        """Rebuild the index from the segments (newest entry wins)."""
-        for scan in journal.scan_store(self.directory):
-            segment_schema = STORE_SCHEMA_VERSION
-            for record in scan.records:
-                schema = record.get("schema")
-                if schema == SCHEMA_STORE_SEGMENT:
-                    raw = record.get("store_schema")
-                    segment_schema = raw if isinstance(raw, int) else -1
-                    continue
-                if schema != SCHEMA_STORE_ENTRY:
-                    continue
-                if segment_schema != STORE_SCHEMA_VERSION:
-                    continue  # stale layout: keys can never match
-                if validate_record(record) is not None:
-                    continue  # verify() reports it; lookups skip it
-                entry = StoreEntry.from_record(record)
-                self._index[entry.key] = entry
+        """Rebuild the index from the segments, one line at a time
+        (newest entry wins; a line's parse is dropped once checked)."""
+        for path in journal.list_segments(self.directory):
+            for _, line, record, current in _segment_records(
+                journal.SegmentScan(path)
+            ):
+                if (
+                    current
+                    and record.get("schema") == SCHEMA_STORE_ENTRY
+                    # verify() reports a malformed entry; lookups skip it
+                    and validate_record(record) is None
+                ):
+                    self._index[record["key"]] = line
 
     def _ensure_writer(self) -> journal.JournalWriter:
-        """Claim this session's segment on first write."""
+        """Claim this session's segment on first write.
+
+        The writer is kept only once its header is written: entries never
+        land in a segment whose header write failed.
+        """
         if self._writer is None:
             manifest = RunManifest.collect(store="journal-session")
             self._session_created_at = manifest.created_at
             self._session_git_sha = manifest.git_sha
             segment = journal.claim_segment(self.directory)
-            self._writer = journal.JournalWriter(segment)
-            self._writer.write(self._segment_header(manifest))
+            writer = journal.JournalWriter(segment)
+            try:
+                writer.write(
+                    journal.record_line(self._segment_header(manifest))
+                )
+            except BaseException:
+                writer.close()
+                raise
+            self._writer = writer
         return self._writer
 
     def _segment_header(
@@ -453,3 +459,21 @@ class JournalStore:
             "created_at": manifest.created_at,
             "manifest": manifest.to_dict(),
         }
+
+
+def _segment_records(
+    scan: journal.SegmentScan,
+) -> Iterator[Tuple[int, str, Dict[str, Any], bool]]:
+    """Stream one segment as ``(position, line, record, current)``.
+
+    ``current`` is the stale-schema rule, written once: a record is
+    current while the last segment header before it names this code's
+    store schema (a header whose ``store_schema`` is no integer never
+    does).  Entries that are not current can never hit again.
+    """
+    current = True
+    for position, (line, record) in enumerate(journal.segment_lines(scan)):
+        if record.get("schema") == SCHEMA_STORE_SEGMENT:
+            raw = record.get("store_schema")
+            current = isinstance(raw, int) and raw == STORE_SCHEMA_VERSION
+        yield position, line, record, current

@@ -25,11 +25,14 @@ Canonicalisation rules (:func:`canonicalize`):
   raises :class:`SpecHashError`, and the memo layer treats the spec as
   *uncacheable* (always executed, never journaled).
 
-The fingerprint is the canonical structure dumped as sorted-key JSON;
-the key is its SHA-256.  Nothing here depends on ``PYTHONHASHSEED``,
-process identity, or wall time — ``tests/store/test_hashing.py``
-enforces dict-order invariance, cross-process stability, and
-sensitivity to every field.
+The fingerprint is the canonical structure dumped by the store's one
+canonical JSON encoder (:data:`repro.store.journal.canonical_json`,
+which also writes journal lines); the key is its SHA-256.  Nothing
+here depends on ``PYTHONHASHSEED``, process identity, or wall time —
+``tests/store/test_hashing.py`` enforces dict-order invariance,
+cross-process stability, and sensitivity to every field, and
+``tests/store/test_canonical_encoder.py`` holds the shared encoder to
+the ``json.dumps`` text keys were hashed from before it.
 """
 
 from __future__ import annotations
@@ -37,11 +40,11 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-import json
 from typing import Any, Mapping
 
 from repro.errors import ReproError
 from repro.experiments.parallel import RunSpec
+from repro.store.journal import canonical_json
 
 #: bump when the journal record layout or hash derivation changes; the
 #: version participates in every key, so old stores simply stop hitting
@@ -85,7 +88,7 @@ def canonicalize(value: Any) -> Any:
             [canonicalize(key), canonicalize(item)]
             for key, item in value.items()
         ]
-        pairs.sort(key=lambda pair: _dumps(pair[0]))
+        pairs.sort(key=lambda pair: canonical_json(pair[0]))
         return {"$map": pairs}
     if isinstance(value, tuple):
         return {"$tuple": [canonicalize(item) for item in value]}
@@ -93,7 +96,7 @@ def canonicalize(value: Any) -> Any:
         return {"$list": [canonicalize(item) for item in value]}
     if isinstance(value, (set, frozenset)):
         items = sorted(
-            (canonicalize(item) for item in value), key=_dumps
+            (canonicalize(item) for item in value), key=canonical_json
         )
         return {"$set": items}
     if isinstance(value, type):
@@ -106,11 +109,6 @@ def canonicalize(value: Any) -> Any:
     )
 
 
-def _dumps(obj: Any) -> str:
-    """Canonical JSON text: sorted keys, no whitespace."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
 def spec_fingerprint(spec: RunSpec) -> str:
     """The canonical JSON text a spec's key is hashed from.
 
@@ -118,7 +116,7 @@ def spec_fingerprint(spec: RunSpec) -> str:
     points that describe the same simulation must share a fingerprint
     for duplicate-spec coalescing and cross-experiment dedup to work.
     """
-    return _dumps(
+    return canonical_json(
         {
             "store_schema": STORE_SCHEMA_VERSION,
             "fn": _qualref(spec.fn),

@@ -218,12 +218,32 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "store-appends-to-the-first-segment",
         "src/repro/store/backend.py",
-        "        writer.write(stamped.to_record())\n",
+        "        writer.write(line)\n"
+        "        self._index[entry.key] = line\n",
         "        first = journal.list_segments(self.directory)[0]\n"
         '        with open(first, "a", encoding="utf-8") as handle:\n'
-        "            handle.write(journal.record_line(stamped.to_record()))\n",
+        "            handle.write(line)\n"
+        "        self._index[entry.key] = line\n",
         "store/journal.py docstring: a writer session appends only to the "
         "segment it claimed, so no torn tail is ever appended to",
+    ),
+    Row(
+        "store-indexes-before-it-writes",
+        "src/repro/store/backend.py",
+        "        writer.write(line)\n"
+        "        self._index[entry.key] = line\n",
+        "        self._index[entry.key] = line\n"
+        "        writer.write(line)\n",
+        "JournalStore.put docstring: the index takes a line only once its "
+        "write has returned, so a failed append (a full disk) fails closed",
+    ),
+    Row(
+        "journal-keeps-a-partly-written-line",
+        "src/repro/store/journal.py",
+        "            self._file.truncate(self._end)\n",
+        "            pass\n",
+        "store/journal.py docstring: a write that fails part-way is cut "
+        "back off the file, so a failed line never reaches the journal",
     ),
     Row(
         "gc-removes-segments-before-rewriting",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 
 import pytest
@@ -15,6 +16,7 @@ from repro.store.backend import (
     StoreError,
 )
 from repro.store.hashing import STORE_SCHEMA_VERSION
+from repro.store import journal
 from repro.store.journal import list_segments
 
 
@@ -28,6 +30,41 @@ def _entry(key: str, payload: int, **overrides) -> StoreEntry:
     )
     defaults.update(overrides)
     return StoreEntry(**defaults)
+
+
+class _FillingDisk:
+    """Opens journal files for writing whose raw writes stop with
+    ``ENOSPC`` after ``room`` more bytes (``None``: no limit), the way a
+    full disk does: the write that reaches the limit lands part of its
+    bytes and reports how many, and the next one fails."""
+
+    def __init__(self) -> None:
+        self.room = None
+        self.landed = 0
+
+    def open(self, path, mode="r", **kwargs):
+        handle = open(path, mode, **kwargs)
+        return handle if mode.startswith("r") else _FillingFile(self, handle)
+
+
+class _FillingFile:
+    def __init__(self, disk: _FillingDisk, raw) -> None:
+        self._disk = disk
+        self._raw = raw
+
+    def write(self, data) -> int:
+        room = self._disk.room
+        if room is None:
+            return self._raw.write(data)
+        if room == 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        landed = self._raw.write(bytes(data[:room]))
+        self._disk.room -= landed
+        self._disk.landed += landed
+        return landed
+
+    def __getattr__(self, name):
+        return getattr(self._raw, name)
 
 
 def _segment_lines(store_dir) -> list:
@@ -126,6 +163,58 @@ class TestCrashRecovery:
             report = store.verify()
         assert report.ok
         assert report.torn_tails == 1
+
+    def test_a_failed_append_fails_closed(self, tmp_path, monkeypatch):
+        # the disk fills up part-way through a line: the error reaches the
+        # caller, the index never takes the line, the bytes that did land
+        # are cut back off, and neither the next put nor the close brings
+        # the failed line back
+        disk = _FillingDisk()
+        monkeypatch.setattr(journal, "open", disk.open, raising=False)
+        with JournalStore(tmp_path / "store") as store:
+            store.put(_entry("k1", 1))
+            segment = list_segments(tmp_path / "store")[-1]
+            before = segment.read_bytes()
+            disk.room = 10
+            with pytest.raises(OSError) as raised:
+                store.put(_entry("k2", 2))
+            assert raised.value.errno == errno.ENOSPC
+            assert disk.landed == 10
+            assert segment.read_bytes() == before
+            assert store.get("k2") is None
+            assert store.stats()["entries"] == 1
+            disk.room = None
+            store.put(_entry("k3", 3))
+            assert store.verify().ok
+        with JournalStore(tmp_path / "store") as store:
+            report = store.verify()
+            assert store.get("k2") is None
+            assert store.get("k1") is not None
+            assert store.get("k3") is not None
+        assert report.ok, report.render()
+        assert report.torn_tails == 0
+        assert report.entries == 2
+
+    def test_a_failed_segment_header_is_not_written_under(
+        self, tmp_path, monkeypatch
+    ):
+        # the disk is full when the session claims its segment: the put
+        # fails, and the next put opens a segment of its own instead of
+        # journaling entries behind a header that was never written
+        disk = _FillingDisk()
+        monkeypatch.setattr(journal, "open", disk.open, raising=False)
+        disk.room = 0
+        with JournalStore(tmp_path / "store") as store:
+            with pytest.raises(OSError):
+                store.put(_entry("k1", 1))
+            disk.room = None
+            store.put(_entry("k2", 2))
+        with JournalStore(tmp_path / "store") as store:
+            report = store.verify()
+            assert store.get("k1") is None
+            assert store.get("k2") is not None
+        assert report.ok, report.render()
+        assert report.entries == 1
 
     def test_mid_file_corruption_is_reported(self, tmp_path):
         with JournalStore(tmp_path / "store") as store:
