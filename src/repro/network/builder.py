@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Union
@@ -77,9 +78,12 @@ class Network:
         the simulator's component list (each component points at its
         simulator) and the events still on its calendar after a run cut
         short (their closures point at nodes), every link's arrival and
-        credit waker (each component points at its links), and every
+        credit waker (each component points at its links), every
         delivery callback (NI to node, node to a collective engine that
-        lists the nodes).  Everything a caller reads after a run — the
+        lists the nodes), and the worms a switch still holds for the
+        dated release of a tail it sent in a run (an input-buffer worm
+        and its branches point at each other until it is popped): those
+        releases are settled.  Everything a caller reads after a run — the
         result, the collector, switches and their buffer pools, link
         counters, the topology — stays readable; the network itself
         refuses to run again (:class:`~repro.errors.SimulationError`).
@@ -95,6 +99,8 @@ class Network:
         for node in self.nodes:
             node.interface._on_delivery = None
             node._delivery_listeners.clear()
+        for switch in self.switches:
+            switch._settle_releases(sys.maxsize)
 
 
 def _build_topology(config: SimulationConfig):

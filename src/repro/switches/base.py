@@ -12,6 +12,7 @@ own cursors and :class:`SwitchBase` with its :meth:`~SwitchBase._phases`.
 from __future__ import annotations
 
 import enum
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 from functools import partial
@@ -128,9 +129,16 @@ class Ingress:
     record sent before it has landed whole, those of this worm included.
     So at any cycle from the take on, the taken members still in flight
     are exactly the newest record's last ``last_landing - cycle``.
+
+    The other end is dated too: a worm whose tail a committed run carries
+    leaves at the run's last cycle, ``leaves``, and stays at the front of
+    its FIFO until the switch's next tick settles that release.
+    :meth:`gone_by` is the reader that sees it gone from then on.
     """
 
-    __slots__ = ("worm", "received", "last_landing", "header_done_cycle")
+    __slots__ = (
+        "worm", "received", "last_landing", "header_done_cycle", "leaves",
+    )
 
     def __init__(self, worm: Worm) -> None:
         self.worm = worm
@@ -142,6 +150,8 @@ class Ingress:
         #: completes it, when its record was taken at an earlier member's
         #: landing; the routing delay runs from here
         self.header_done_cycle: Optional[int] = None
+        #: cycle the tail leaves, dated by the committed run carrying it
+        self.leaves: Optional[int] = None
 
     def landed_by(self, now: int) -> int:
         """Flits of the worm that have landed by cycle ``now`` — the
@@ -150,6 +160,14 @@ class Ingress:
         tests its cursor against this, not against ``received``."""
         ahead = self.last_landing - now
         return self.received - ahead if ahead > 0 else self.received
+
+    def gone_by(self, now: int) -> bool:
+        """True once the worm has left the switch by the end of cycle
+        ``now`` on the one-flit-per-cycle timeline, though a run that
+        carried its tail leaves it at the front of its FIFO until the
+        next tick.  What every view of an input FIFO from outside the
+        tick reads (``idle``, the differential rows)."""
+        return self.leaves is not None and self.leaves <= now
 
 
 def committed_run(
@@ -166,8 +184,8 @@ def committed_run(
     """Flits a mover that contends for nothing may commit at ``now`` as
     one run, one flit per cycle: at least 2, or 0 for the single-flit
     path.  A run is a *supply* — flits whose turn finds them there — cut
-    to the worm's body and to a *drain window* that is certain to take
-    them.
+    to what is left of the worm and to a *drain window* that is certain
+    to take them.
 
     The supply is the ``on_hand`` flits between the mover's cursor and
     what was handed to it, dated ahead or not — taken off the in-link
@@ -184,12 +202,15 @@ def committed_run(
     (the record continues the worm where the taken flits end, and
     member ``m`` arrives at ``arrival + m`` for a turn at
     ``now + on_hand + m``).
-    ``body`` is what the worm has left before its tail, which is never a
-    member: it leaves through the single-flit path, which releases the
-    output, pops the input FIFO, frees the last chunk and exposes the
-    next worm at the cycle they are due.  The window is ``out_link``'s
-    credit window for a mover that sends, or with no ``out_link`` the
-    ``space`` a central-buffer writer already owns.
+    ``body`` is what the worm has left, up to and including its tail.
+    A run that carries the tail ends the worm's pass at its last cycle
+    ``t_end``: its slots go back on the run's credit ramp and its last
+    chunk on the pool's timeline, and freeing the output, popping the
+    input FIFO and exposing the worm behind it is a *dated release*
+    (``SwitchBase._release_at``), settled by the first tick after
+    ``t_end``.  The window is
+    ``out_link``'s credit window for a mover that sends, or with no
+    ``out_link`` the ``space`` a central-buffer writer already owns.
 
     The output or the buffer space is the mover's own and it contends
     for nothing else, so no other event can delay those moves — the run
@@ -287,6 +308,14 @@ class SwitchBase(Component):
         if metrics is not None:
             self._c_forwarded = metrics.counter("switch.flits_forwarded")
             self._c_blocked = metrics.counter("switch.blocked_cycles")
+        #: releases dated by committed runs that carry a worm's tail, in
+        #: date order, as ``(date, outputs, inputs)``: the output ports
+        #: the tail frees and the input ports whose front worm it
+        #: empties, as bit masks.  Settled by the first tick after
+        #: ``date`` (`_settle_releases`); the masks and structures keep
+        #: them until then, the timeline readers do not
+        #: (`Ingress.gone_by`, `_freed_by`)
+        self._releases: List[Tuple[int, int, int]] = []
         # the blocked cycles a sleeping switch has yet to count: the
         # un-stirred tick at `_blocked_at` bumped the counter
         # `_blocked_rate` times and every cycle slept since would have
@@ -334,6 +363,9 @@ class SwitchBase(Component):
         if self._blocked_rate:
             self.settle_blocked(now)
             self._blocked_rate = 0
+        releases = self._releases
+        if releases and releases[0][0] < now:
+            self._settle_releases(now)
         if self._obs:
             blocked = self._c_blocked.value
         self._receive(now)
@@ -345,12 +377,13 @@ class SwitchBase(Component):
         #
         # Blocked-sleep: a non-empty switch whose tick moved *nothing*
         # can only be unblocked by an arrival (in-link hook), a maturing
-        # credit (out-link hook), its own routing delay expiring (exact
-        # wake computed by `_blocked_wake`), or buffer space freed by its
-        # own reads — which are sends, hence stirring.  So an un-stirred
-        # tick may skip the re-arm entirely: every cycle until the next
-        # tick would repeat this one, blocked-cycle counts included,
-        # which is what `settle_blocked` adds when the sleep ends.
+        # credit (out-link hook), its own routing delay expiring or a
+        # dated release that something waits on (exact wakes computed by
+        # `_blocked_wake`), or buffer space freed by its own reads —
+        # which are sends, hence stirring.  So an un-stirred tick may
+        # skip the re-arm entirely: every cycle until the next tick
+        # would repeat this one, blocked-cycle counts included, which is
+        # what `settle_blocked` adds when the sleep ends.
         #
         # Taking a record is not a stir.  The phases of this very tick
         # saw the new supply; what its later members allow a later cycle
@@ -398,12 +431,17 @@ class SwitchBase(Component):
         raise NotImplementedError
 
     def _blocked_wake(self, now: int) -> Optional[int]:
-        """Earliest routing-delay expiry among the route-pending worms.
+        """Earliest routing-delay expiry among the route-pending worms,
+        or the cycle after a dated release that something waits on.
 
-        The only *time*-driven transition a sleeping switch could miss:
+        The *time*-driven transitions a sleeping switch could miss:
         every other unblocking event fires a link wake hook.  A pending
         worm whose delay has already run is waiting for something else
-        (admission), which only a stirring event can change.
+        (admission), which only a stirring event can change.  A release
+        is waited on by a branch queued for the output it frees or a
+        worm behind the one it pops, which act on the cycle after it;
+        one nobody waits on is settled whenever the switch next ticks,
+        and every tick until then asks again.
         """
         delay = self.settings.routing_delay
         best: Optional[int] = None
@@ -412,6 +450,16 @@ class SwitchBase(Component):
             cycle = inflows[port][0].header_done_cycle + delay
             if cycle > now and (best is None or cycle < best):
                 best = cycle
+        wanted = self._egress_wanted
+        for date, outputs, inputs in self._releases:
+            waited = outputs & wanted
+            for port in PORTS_OF[inputs]:
+                if len(inflows[port]) > 1:
+                    waited = 1
+            if waited:
+                if best is None or date + 1 < best:
+                    best = date + 1
+                break
         return best
 
     def _inside_runs(self, now: int) -> bool:
@@ -505,6 +553,48 @@ class SwitchBase(Component):
             self._ingress_occupied &= ~(1 << port)
         elif inflow[0].header_done_cycle is not None:
             self._route_pending |= 1 << port
+
+    def _free_output(self, port: int) -> None:
+        """The branch or feed on output ``port`` has sent its tail."""
+        raise NotImplementedError
+
+    # -- dated releases: the tails that committed runs carry --------------
+    def _release_at(self, date: int, outputs: int, inputs: int) -> None:
+        """A committed run sends a tail at cycle ``date``, still ahead:
+        free the ``outputs`` and pop the front worm of the ``inputs``
+        (bit masks) then, as the single-flit path does on the tail's
+        cycle."""
+        inflows = self._inflow
+        for port in PORTS_OF[inputs]:
+            inflows[port][0].leaves = date
+        insort(self._releases, (date, outputs, inputs))
+
+    def _settle_releases(self, now: int) -> None:
+        """Apply, in date order, the releases dated before ``now`` —
+        what the per-flit switch did at the end of each tail's tick,
+        and what this tick's decisions must find done."""
+        releases = self._releases
+        due = 0
+        for date, outputs, inputs in releases:
+            if date >= now:
+                break
+            due += 1
+            for port in PORTS_OF[outputs]:
+                self._free_output(port)
+            for port in PORTS_OF[inputs]:
+                self._pop_front(port)
+        del releases[:due]
+
+    def _freed_by(self, now: int) -> int:
+        """Output ports, as a bit mask, that a dated release frees by the
+        end of cycle ``now``: free on the one-flit-per-cycle timeline,
+        busy in the structures until the next tick."""
+        freed = 0
+        for date, outputs, _ in self._releases:
+            if date > now:
+                break
+            freed |= outputs
+        return freed
 
     # ------------------------------------------------------------------
     # routing

@@ -35,9 +35,13 @@ flits whose cycles are already determined
 (:func:`~repro.switches.base.committed_run`, the one run computation:
 a supply cut to a drain window) move in one call, the switch wakes
 itself when the run ends, and a switch whose every worm is inside a run
-does not re-arm in between (``_inside_runs``).  The tail is never a
-member: it leaves by the single-flit path, on its own cycle.  Three
-movers here have that shape:
+does not re-arm in between (``_inside_runs``).  The tail is a member
+like any other flit.  What its departure does — the output freed, the
+input FIFO popped, the last chunk freed — is a dated release
+(:meth:`~repro.switches.base.SwitchBase._release_at`) settled by the
+first tick after the run's last cycle, and the switch wakes for it only
+while a branch or a worm waits on it.  Three movers here have that
+shape:
 
 * a *bypass feed* (:meth:`CentralBufferSwitch._advance_bypass`): once
   its next flit has landed (:meth:`~repro.switches.base.Ingress.
@@ -53,17 +57,20 @@ movers here have that shape:
   chunk of a chunk-by-chunk unicast, whose next ``try_take`` is made by
   the single-flit path on the cycle it is due.  The write is dated
   (:meth:`~repro.switches.chunks.StoredPacket.write_run`), the slots go
-  back as one ramp;
+  back as one ramp.  An input inside a write run asks the write arbiter
+  every cycle up to its last write, and the pointer is moved through
+  the cycles the switch sleeps (``_write_until``);
 * a *branch cursor* (the read half of
   :meth:`CentralBufferSwitch._drive_outputs`): once its next flit is
   written on the timeline, everything written behind it — dated ahead or
   not — is there by the time the cursor gets to it, so the supply is
   ``flits_written - read`` cut to the credit window.  Each chunk end
   inside the run is registered with the cycle it is crossed
-  (:meth:`~repro.switches.chunks.StoredPacket.crossed`); the chunk goes
-  back at the cycle the last branch crosses, queued on the pool while
-  that cycle is ahead, and such a dated release wakes a switch that
-  found the pool short (``_blocked_wake``).
+  (:meth:`~repro.switches.chunks.StoredPacket.crossed`), the tail's
+  last chunk included; the chunk goes back at the cycle the last branch
+  crosses, queued on the pool while that cycle is ahead, and such a
+  dated release wakes a switch that found the pool short
+  (``_blocked_wake``).
 
 Buffer bandwidth is a timing input only when more ports can ask than the
 cap admits: with ``cb_write_bandwidth`` (``cb_read_bandwidth``) below the
@@ -93,7 +100,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from typing import Deque, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.errors import ProtocolError
 from repro.flits.worm import Worm
@@ -213,6 +220,11 @@ class CentralBufferSwitch(SwitchBase):
         # refused), as of the write phase of cycle `_write_cycle`
         self._write_standing = 0
         self._write_cycle = -1
+        # per input inside a write run that carries its worm's tail, the
+        # cycle of that last write: the switch may sleep past it, and
+        # the input asks no more after it (every other run ends with a
+        # wake of its own)
+        self._write_until: Dict[int, int] = {}
         # an admission or a write found the pool short this tick: the
         # earliest dated release is then a wake source (`_blocked_wake`)
         self._starved = False
@@ -350,11 +362,24 @@ class CentralBufferSwitch(SwitchBase):
         arbiter = self._write_arbiter
         w_bw = self._w_bw
         standing = self._write_standing
+        until = self._write_until
         if standing and now > self._write_cycle + 1:
             # slept through cycles in which those inputs asked and were
             # granted: the same set every cycle, so the pointer settled
-            # after the first
+            # after the first — and again after each cycle an input whose
+            # run wrote its tail stopped asking
             arbiter.grant_batch(PORTS_OF[standing], w_bw)
+            for end in sorted(set(until.values())):
+                if end >= now - 1:
+                    break
+                for port, last in until.items():
+                    if last == end:
+                        standing &= ~(1 << port)
+                if standing:
+                    arbiter.grant_batch(PORTS_OF[standing], w_bw)
+        if until:
+            for port in [port for port, last in until.items() if last < now]:
+                del until[port]
         self._write_cycle = now
         # an input asks when its next flit has landed (Ingress.landed_by,
         # inlined) — and, inside a write run, every cycle of the run
@@ -402,7 +427,7 @@ class CentralBufferSwitch(SwitchBase):
                 worm = ingress.worm
                 received = ingress.received
                 run = committed_run(
-                    received - consumed, worm.size_flits - 1 - consumed, now,
+                    received - consumed, worm.size_flits - consumed, now,
                     link, worm, received, space=stored.owned_space(),
                 )
                 if run:
@@ -412,12 +437,17 @@ class CentralBufferSwitch(SwitchBase):
                     # behind it land by their turn.  The FIFO slots go
                     # back as one ramp
                     stored.write_run(now, run)
-                    ingress.consumed = consumed + run
+                    consumed += run
+                    ingress.consumed = consumed
                     if link is not None:
                         link.return_credit_ramp(now, run)
                     standing |= 1 << port
                     progress += run
-                    self.wake_at(now + run)
+                    if consumed == worm.size_flits:
+                        self._write_until[port] = now + run - 1
+                        self._release_at(now + run - 1, 0, 1 << port)
+                    else:
+                        self.wake_at(now + run)
                     continue
             stored.write_flit()
             # the FIFO slot is consumed inline: no call per flit
@@ -438,6 +468,10 @@ class CentralBufferSwitch(SwitchBase):
     def _pop_front(self, port: int) -> None:
         self._cb_feed &= ~(1 << port)
         super()._pop_front(port)
+
+    def _free_output(self, port: int) -> None:
+        self._out_current[port] = None
+        self._egress_busy &= ~(1 << port)
 
     # -- phase 4: drive the output ports ---------------------------------
     def _drive_outputs(self, now: int) -> None:
@@ -500,19 +534,26 @@ class CentralBufferSwitch(SwitchBase):
                 # the cycle this cursor gets to it: it reads one flit a
                 # cycle at most and its next one is there now
                 run = committed_run(
-                    stored.flits_written - read, total - 1 - read, now,
+                    stored.flits_written - read, total - read, now,
                     out_link=link,
                 )
                 if run:
                     link.send_span(now, cursor.worm, read, run)  # type: ignore[union-attr]
-                    # each chunk end inside the run, at its own cycle
+                    # each chunk end inside the run, and the packet's end,
+                    # at its own cycle
+                    end = read + run
                     sent = chunk - read % chunk
-                    while sent <= run:
+                    while sent < run:
                         stored.crossed(read + sent, now + sent - 1, now)
                         sent += chunk
-                    cursor.read = read + run  # type: ignore[union-attr]
+                    if sent == run or end == total:
+                        stored.crossed(end, now + run - 1, now)
+                    cursor.read = end  # type: ignore[union-attr]
                     progress += run
-                    self.wake_at(now + run)
+                    if end == total:
+                        self._release_at(now + run - 1, 1 << port, 0)
+                    else:
+                        self.wake_at(now + run)
                     continue
             link.send_granted(now, cursor.worm, read)  # type: ignore[union-attr]
             read += 1
@@ -523,8 +564,7 @@ class CentralBufferSwitch(SwitchBase):
                 stored.crossed(read, now, now)
             progress += 1
             if read == total:
-                out_current[port] = None
-                self._egress_busy &= ~(1 << port)
+                self._free_output(port)
         if progress:
             self._stirred = True
             self.sim.progress += progress
@@ -555,19 +595,26 @@ class CentralBufferSwitch(SwitchBase):
         assert worm is not None
         in_link = self.in_links[feed.input_port]
         self._stirred = True
+        size = ingress.worm.size_flits
         run = committed_run(
-            received - consumed, ingress.worm.size_flits - 1 - consumed, now,
+            received - consumed, size - consumed, now,
             in_link, ingress.worm, received, out_link=link,
         )
         if run:
             link.send_span(now, worm, consumed, run)
-            ingress.consumed = consumed + run
+            consumed += run
+            ingress.consumed = consumed
             if in_link is not None:
                 in_link.return_credit_ramp(now, run)
             if self._obs:
                 self._c_forwarded.inc(run)
             self.sim.progress += run
-            self.wake_at(now + run)
+            if consumed == size:
+                self._release_at(
+                    now + run - 1, 1 << port, 1 << feed.input_port
+                )
+            else:
+                self.wake_at(now + run)
             return
         link.send_granted(now, worm, consumed)
         # FIFO-slot consume, inline as in _write_central_buffer
@@ -578,10 +625,9 @@ class CentralBufferSwitch(SwitchBase):
         if self._obs:
             self._c_forwarded.inc()
         self.sim.progress += 1
-        if consumed == ingress.worm.size_flits:
+        if consumed == size:
             self._pop_front(feed.input_port)
-            self._out_current[port] = None
-            self._egress_busy &= ~(1 << port)
+            self._free_output(port)
 
     def _inside_runs(self, now: int) -> bool:
         # sleep rule: nothing queued for an idle output, and every worm
@@ -598,11 +644,13 @@ class CentralBufferSwitch(SwitchBase):
         # * in its routing delay: `_blocked_wake` has the expiry.
         # A worm whose delay has run awaits admission and polls (this
         # tick's reads may have freed its chunks), as does one that
-        # moved a single flit and has the next.  A branch queued for a busy output is activated
-        # by the stirring tail that frees it; anything new arrives
-        # through a link hook, and a worm queued behind a front worm has
-        # its header stamped by landing cycle whenever the switch next
-        # looks.
+        # moved a single flit and has the next.  A branch queued for a
+        # busy output is activated by the stirring tail that frees it,
+        # or the wake of the dated release a run's tail made
+        # (`_blocked_wake`), which also exposes a worm queued behind a
+        # front worm; anything new arrives through a link hook, and such
+        # a worm has its header stamped by landing cycle whenever the
+        # switch next looks.
         if self._egress_wanted & ~self._egress_busy:
             return False
         soon = now + 1
@@ -687,10 +735,16 @@ class CentralBufferSwitch(SwitchBase):
         return occupancy
 
     def idle(self) -> bool:
-        """True when no worm is anywhere inside the switch."""
+        """True when no worm is anywhere inside the switch, on the
+        one-flit-per-cycle timeline."""
+        now = self.sim.now
+        freed = self._freed_by(now)
         return (
-            all(not q for q in self._inflow)
+            all(all(i.gone_by(now) for i in q) for q in self._inflow)
             and all(not q for q in self._out_queue)
-            and all(c is None for c in self._out_current)
-            and self.pool.at(self.sim.now).used_chunks == 0
+            and all(
+                c is None or freed >> port & 1
+                for port, c in enumerate(self._out_current)
+            )
+            and self.pool.at(now).used_chunks == 0
         )

@@ -31,8 +31,9 @@ instead of doing it cycle by cycle.  A write run advances
 ``flits_written`` at once and records the cycle of its last write;
 :meth:`StoredPacket.written_by` is what has been written by a given
 cycle.  A read run registers each chunk end it will cross with the cycle
-of the crossing (:meth:`StoredPacket.crossed`), so a chunk's release may
-carry a date that is still ahead: the pool queues it
+of the crossing (:meth:`StoredPacket.crossed`), and the packet's end too
+when it carries the tail, so a chunk's release — the last chunk's at the
+tail's cycle — may carry a date that is still ahead: the pool queues it
 (:meth:`CentralBufferPool.release_at`) and applies queued releases in
 date order before anything that allocates or frees at a later cycle.  A
 release dated *d* is therefore seen by every :meth:`~CentralBufferPool.

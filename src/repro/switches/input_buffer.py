@@ -36,10 +36,15 @@ group for the whole run, and then the cursor moves with the group, one
 slot per cycle, handed back upstream as one
 :meth:`~repro.switches.link.Link.return_credit_ramp`.  Anything in
 between moves one flit per call.  A switch whose every output is inside
-such a run does not re-arm (``_inside_runs``); the run's own wake sends
-the tail, which is never a member.  Lock-step (synchronous) branches
-never commit.  ``buffer_occupancy`` and the link's credit introspection
-keep reporting the one-flit timeline while a run is ahead of it.
+such a run does not re-arm (``_inside_runs``).  The tail is a member:
+a branch whose run carries it frees its output at the run's last
+cycle, and a group run that moves the slowest-branch cursor to the end
+of the worm also pops it from its input buffer then — a dated release
+(:meth:`~repro.switches.base.SwitchBase._release_at`), settled by the
+first tick after it, which the switch wakes for only while a branch or
+a worm waits on it.  Lock-step (synchronous) branches never commit.
+``buffer_occupancy`` and the link's credit introspection keep reporting
+the one-flit timeline while a run is ahead of it.
 
 Every flit leaves on the cycle a one-flit-per-cycle switch would send
 it; :class:`repro.reference.ReferenceInputBufferSwitch` is that switch,
@@ -259,8 +264,7 @@ class InputBufferSwitch(SwitchBase):
             progress += 1
             self._recycle_slots(branch.input_port, ingress, now)
             if read == branch.worm.size_flits:
-                current[port] = None
-                self._egress_busy &= ~(1 << port)
+                self._free_output(port)
         if progress:
             self._stirred = True
             self.sim.progress += progress
@@ -300,8 +304,7 @@ class InputBufferSwitch(SwitchBase):
         self._recycle_slots(branches[0].input_port, ingress, now)
         if branches[0].read == ingress.worm.size_flits:
             for branch in branches:
-                self._current[branch.out_port] = None
-                self._egress_busy &= ~(1 << branch.out_port)
+                self._free_output(branch.out_port)
             if self._sync_queue and self._sync_queue[0] is ingress:
                 self._sync_queue.popleft()
                 if self._sync_queue:
@@ -334,7 +337,7 @@ class InputBufferSwitch(SwitchBase):
                 and link.can_send(now)  # type: ignore[union-attr]
             ):
                 reach = committed_run(
-                    received - read, size - 1 - read, now,
+                    received - read, size - read, now,
                     in_link, worm, received, out_link=link,
                 )
                 if not reach:
@@ -363,32 +366,44 @@ class InputBufferSwitch(SwitchBase):
                     run = read - low
         if run < 2:
             return 0
+        # the members that send their tail free their outputs at the
+        # run's last cycle; the worm leaves its buffer then if the
+        # slowest-branch cursor gets there with them
+        finished = 0
+        moving = False
         for branch in group:
             out_links[branch.out_port].send_span(  # type: ignore[union-attr]
                 now, branch.worm, branch.read, run
             )
             branch.read += run
+            if branch.read == size:
+                finished |= 1 << branch.out_port
+            else:
+                moving = True
+        drained = 0
         if not pinned:
             ingress.freed += run
             if in_link is not None:
                 in_link.return_credit_ramp(now, run)
-        self.wake_at(now + run)
+            if low + run == size:
+                drained = 1 << input_port
+        if finished:
+            self._release_at(now + run - 1, finished, drained)
+        if moving:
+            self.wake_at(now + run)
         return run * len(group)
 
     def _slowest_read(self, ingress: _Ingress, now: int) -> int:
         """Flits the slowest branch of ``ingress`` has sent by the end of
         cycle ``now`` on the one-flit-per-cycle timeline (a branch inside
-        a committed run has `read` ahead of that by the slots its link
-        still holds); the worm's size plus one when every branch has
-        sent it all."""
+        a committed run, its tail included, has `read` ahead of that by
+        the slots its link still holds); the worm's size once every
+        branch has sent it all."""
         current = self._current
         out_links = self.out_links
-        size = ingress.worm.size_flits
-        slowest = size + 1
+        slowest = ingress.worm.size_flits
         for branch in ingress.branches:
             read = branch.read
-            if read == size:
-                continue
             if current[branch.out_port] is branch:
                 ahead = out_links[branch.out_port]._last_send_cycle - now  # type: ignore[union-attr]
                 if ahead > 0:
@@ -400,10 +415,7 @@ class InputBufferSwitch(SwitchBase):
     def _recycle_slots(self, input_port: int, ingress: _Ingress, now: int) -> None:
         """Free buffer slots the slowest branch has passed; pop when drained."""
         slowest = self._slowest_read(ingress, now)
-        size = ingress.worm.size_flits
-        drained = slowest > size
-        if drained:
-            slowest = size
+        drained = slowest == ingress.worm.size_flits
         delta = slowest - ingress.freed
         if delta > 0:
             ingress.freed = slowest
@@ -416,18 +428,26 @@ class InputBufferSwitch(SwitchBase):
                     f"{self.name}.in{input_port}: drained a non-head worm"
                 )
             self._pop_front(input_port)
-            # unlink the pair (each branch points back at its ingress)
-            # so it is freed by reference count as the outputs let go,
-            # not left for the cyclic collector to find
-            ingress.branches = []
+
+    def _pop_front(self, port: int) -> None:
+        # unlink the pair (each branch points back at its ingress) so it
+        # is freed by reference count as the outputs let go, not left
+        # for the cyclic collector to find
+        self._inflow[port][0].branches = []
+        super()._pop_front(port)
+
+    def _free_output(self, port: int) -> None:
+        self._current[port] = None
+        self._egress_busy &= ~(1 << port)
 
     def _inside_runs(self, now: int) -> bool:
         # sleep rule: no output to grant, no lock-step worm, and every
         # branch on an output unable to move at `now + 1` but by a wake
         # already arranged —
         # * inside a run (the link's slot reserved past `now`): the
-        #   run's own wake, whose stirring tail send is also what frees
-        #   the output a waiting branch is queued for;
+        #   run's own wake, or for a run that carries the tail the wake
+        #   of its dated release while a branch waits for the output it
+        #   frees or a worm behind the one it empties (`_blocked_wake`);
         # * out of flits — none landed by `now + 1`: the hook of the
         #   send that brings the next;
         # * refused in this tick — a flit was there and it did not
@@ -487,9 +507,15 @@ class InputBufferSwitch(SwitchBase):
         return occupancy
 
     def idle(self) -> bool:
-        """True when no worm is anywhere inside the switch."""
+        """True when no worm is anywhere inside the switch, on the
+        one-flit-per-cycle timeline."""
+        now = self.sim.now
+        freed = self._freed_by(now)
         return (
-            all(not q for q in self._inflow)
+            all(all(i.gone_by(now) for i in q) for q in self._inflow)
             and all(not w for w in self._waiting)
-            and all(c is None for c in self._current)
+            and all(
+                c is None or freed >> port & 1
+                for port, c in enumerate(self._current)
+            )
         )

@@ -22,7 +22,11 @@ set bits:
     or grant that empties the queue.
 ``_egress_busy``
     output ``p`` has a current branch or bypass feed.  Set on bypass
-    grant / branch activation, cleared on tail send.
+    grant / branch activation, cleared on a single-flit tail send, or
+    for a tail that left in a run by the next tick's settling of its
+    dated release (:meth:`~repro.switches.base.SwitchBase.
+    _settle_releases`): the structures and masks keep such a worm until
+    then, the timeline readers do not.
 ``_route_pending``
     the worm at the *front* of ``_inflow[p]`` has a complete header and
     awaits routing (central buffer: or admission).  Set when a front

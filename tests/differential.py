@@ -436,7 +436,8 @@ def switch_truth(switch):
 def front_truth(switch, cycle):
     """(route_pending, cb_feed) of a central-buffer switch recomputed
     from its FIFO-front worms — whose write-run state must be one the
-    per-flit timeline can be read from at the end of ``cycle``."""
+    per-flit timeline can be read from at the end of ``cycle``, unless
+    the worm has left by then (``Ingress.gone_by``)."""
     fronts = [inflow[0] if inflow else None for inflow in switch._inflow]
     for port, front in enumerate(fronts):
         stored = None if front is None else front.stored
@@ -445,14 +446,17 @@ def front_truth(switch, cycle):
         # a FIFO slot is consumed by the write that empties it, and a
         # run writes ahead only what has landed by its turn — taken off
         # the link, ahead of its cycle or not, or still waiting there —
-        # never the tail, into space the packet holds
+        # into space the packet holds; the worm leaves the FIFO with
+        # the write of its tail
         assert front.consumed == stored.flits_written
+        if stored.fully_written:
+            assert front.leaves == stored.last_write, (cycle, switch.name)
+        if front.gone_by(cycle):
+            continue
         link = switch.in_links[port]
         landed = front.landed_by(cycle) + link._in_flight.arrived(cycle)
         assert stored.written_by(cycle) <= landed, (cycle, switch.name, port)
         assert stored.owned_space() >= 0
-        if stored.last_write > cycle:
-            assert stored.flits_written < stored.total_flits
     states = [None if front is None else front.state for front in fronts]
     return (
         mask_of(
@@ -502,7 +506,13 @@ class MaskAuditor:
                     cycle, switch.name,
                 )
             if switch.idle():
-                assert masks == (0, 0, 0, 0)
+                # all that is left is what the dated releases of runs
+                # that carried a tail settle at the next tick
+                popped = 0
+                for date, _, inputs in switch._releases:
+                    if date <= cycle:
+                        popped |= inputs
+                assert masks == (popped, 0, switch._freed_by(cycle), 0)
         if self.audit_rx:
             for interface in self.network.interfaces:
                 assert interface._rx_pending == rx_truth(
@@ -576,6 +586,8 @@ def receive_row(switch, port, cycle):
     if not switch._inflow[port] and (link is None or not link.in_flight()):
         return rows
     for ingress in switch._inflow[port]:
+        if ingress.gone_by(cycle):
+            continue  # its tail left in a run: it is settled next tick
         stamp = ingress.header_done_cycle
         landed = ingress.landed_by(cycle)
         assert 1 <= landed <= ingress.received
@@ -674,7 +686,8 @@ class TimelineProbe:
                 row.append(held)
                 worms = receive_row(switch, port, cycle)
                 row.append(worms)
-                if switch._inflow[port]:
+                inflow = switch._inflow[port]
+                if inflow and not inflow[0].gone_by(cycle):
                     assert_cursors_behind_landings(
                         switch, port, worms[0][1], cycle
                     )

@@ -31,9 +31,12 @@ def assert_fully_restored(network) -> None:
     for switch in network.switches:
         assert switch.idle(), f"{switch.name} not idle"
         if isinstance(switch, CentralBufferSwitch):
-            assert switch.pool.free_chunks == switch.pool.capacity_chunks, (
-                f"{switch.name}: chunk leak "
-                f"({switch.pool.used_chunks} chunks held)"
+            # the pool as the one-flit timeline has it: the last chunk a
+            # run's tail frees is dated, and goes back on the pool's next
+            # allocation
+            pool = switch.pool.at(network.sim.now)
+            assert pool.free_chunks == pool.capacity_chunks, (
+                f"{switch.name}: chunk leak ({pool.used_chunks} chunks held)"
             )
             for port in range(switch.num_ports):
                 assert switch.fifo_occupancy(port) == 0

@@ -92,6 +92,39 @@ ROWS: Tuple[Row, ...] = (
         "DESIGN.md §7: no flit is consumed before the cycle it lands "
         "(CHANGES.md PR 31, first survivor)",
     ),
+    # -- the dated release of a tail carried by a run (docs/performance.md,
+    # "The span contract on links") ---------------------------------------
+    Row(
+        "tail-release-settled-at-its-own-cycle",
+        "src/repro/switches/base.py",
+        "        if releases and releases[0][0] < now:\n"
+        "            self._settle_releases(now)\n",
+        "        if releases and releases[0][0] <= now:\n"
+        "            self._settle_releases(now + 1)\n",
+        "a tail's departure frees its output and pops its FIFO for the "
+        "decisions of the next cycle, not its own (SwitchBase."
+        "_settle_releases)",
+    ),
+    Row(
+        "tail-release-wakes-nobody",
+        "src/repro/switches/base.py",
+        "                if best is None or date + 1 < best:\n"
+        "                    best = date + 1\n",
+        "                pass\n",
+        "a branch queued for the output a dated release frees, or a worm "
+        "behind the one it pops, acts the cycle after (SwitchBase."
+        "_blocked_wake)",
+    ),
+    Row(
+        "last-chunk-freed-at-the-commit-cycle",
+        "src/repro/switches/chunks.py",
+        "        if date > now:\n"
+        "            self.pool.release_at(self.charge, 1, date)\n",
+        "        if date > now and read < self.total_flits:\n"
+        "            self.pool.release_at(self.charge, 1, date)\n",
+        "DESIGN.md §7: a chunk is freed when the last branch has read it, "
+        "the last chunk at its tail's cycle (StoredPacket.crossed)",
+    ),
     # -- determinism (DESIGN.md §7) and picklability (RunSpec) ----------
     Row(
         "hotspot-draws-from-global-random",

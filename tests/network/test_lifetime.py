@@ -120,6 +120,27 @@ class TestNothingLeftForTheCollector:
             assert sim() is None
             assert gc.collect() == 0
 
+    @pytest.mark.parametrize("architecture", list(SwitchArchitecture))
+    def test_a_release_still_pending_is_no_garbage_either(self, architecture):
+        # a worm whose tail left in a committed run stays at the front of
+        # its FIFO until its switch next ticks — which at the end of a
+        # run is never — and an input-buffer worm and its branches point
+        # at each other
+        config = SimulationConfig(
+            num_hosts=64, switch_architecture=architecture, seed=3
+        )
+        with collector_off():
+            result = run_simulation(config, SHAPES["multicast"]())
+            network = result.network
+            assert network.quiescent()
+            assert any(switch._releases for switch in network.switches)
+            sim = weakref.ref(network.sim)
+            network.close()
+            assert not any(switch._releases for switch in network.switches)
+            del result, network
+            assert sim() is None
+            assert gc.collect() == 0
+
     def test_software_multicast_schedules_are_no_garbage_either(self):
         workload = RandomMulticastStream(
             ops_per_host_per_kilocycle=1.0, degree=8, payload_flits=32,

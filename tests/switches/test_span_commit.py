@@ -74,7 +74,7 @@ def _bypass_run(ingress, in_link, out_link, now):
     the run computation both architectures share."""
     return committed_run(
         ingress.received - ingress.consumed,
-        ingress.worm.size_flits - 1 - ingress.consumed, now,
+        ingress.worm.size_flits - ingress.consumed, now,
         in_link, ingress.worm, ingress.received, out_link=out_link,
     )
 
@@ -205,10 +205,10 @@ def switch_out_links(network):
     ]
 
 
-def one_switch_run(payloads=(16, 40)):
+def one_switch_run(payloads=(16, 40), **overrides):
     """Unicasts through one 8-port switch; returns (network, span calls
     made by the switch, flits it sent per out-link)."""
-    network = build_network(one_switch_config())
+    network = build_network(one_switch_config(**overrides))
     flits, spans = log_sends(network)
     for source, payload in enumerate(payloads):
         schedule_unicast(network, 3 * source, source, 7 - source, payload)
@@ -239,15 +239,18 @@ def span_counts(config, posts):
 
 
 class TestWholeSwitch:
-    def test_bypass_flits_leave_in_runs_and_the_tail_alone(self):
+    def test_bypass_flits_leave_in_runs_the_tail_included(self):
         network, calls, flits = one_switch_run()
         assert calls and all(count >= 2 for _, _, _, count in calls)
-        for _, worm, start, count in calls:
-            assert start + count <= worm.size_flits - 1  # tail excluded
         # far fewer send calls than flits: that is the point
         assert 3 * len(calls) < sum(len(sent) for sent in flits.values())
         (switch,) = network.switches
         assert switch.idle()
+        # the NI fills a FIFO of 8 per span, so a tail of 17 or 41 flits
+        # lands alone and leaves alone; from a FIFO that holds the whole
+        # worm it leaves in the worm's one run
+        _, calls, _ = one_switch_run(input_fifo_depth=64)
+        assert sorted(call[2:] for call in calls) == [(0, 17), (0, 41)]
 
     def test_runs_stop_at_the_credit_window(self):
         posts = ((0, 0, 7, 16), (3, 1, 6, 40))
@@ -270,14 +273,12 @@ class TestWholeSwitch:
         _, to_host = span_counts(config, posts)
         assert max(to_host) == config.ni_rx_depth
 
-    def test_an_input_buffer_branch_sends_a_worm_minus_its_tail_in_one_call(
-        self,
-    ):
+    def test_an_input_buffer_branch_sends_a_whole_worm_in_one_call(self):
         # the input buffer holds a whole worm and the NI injects it as one
         # span, so toward a host that never throttles nothing stops a run
         posts = ((0, 0, 7, 16), (3, 1, 6, 40))  # 17 and 41 flits
         _, to_host = span_counts(one_buffer_switch_config(), posts)
-        assert sorted(to_host) == [16, 40]
+        assert sorted(to_host) == [17, 41]
         # an NI too shallow for the credit round trip does throttle:
         # its window of one is the single-flit path
         _, to_host = span_counts(
@@ -416,8 +417,11 @@ class TestSleepRule:
         schedule_unicast(network, 5, 0, 7, 24)
         run_to_quiescence(network)
         # the buffer holds the worm and the NI sends it as one record:
-        # header landing, routing expiry (a run of 24), run end (tail)
-        assert ticks == [0, 7, 9, 33]
+        # header landing, routing expiry (a run of all 25, the tail
+        # included) — and nothing waits on the release at 34
+        assert ticks == [0, 7, 9]
+        (switch,) = network.switches
+        assert switch.idle() and switch._releases
 
     @pytest.mark.parametrize("config", (
         one_switch_config(input_fifo_depth=16), one_buffer_switch_config(),
@@ -462,10 +466,112 @@ class TestSleepRule:
         sim.schedule_at(10, lambda: link.send_span(10, worm, 2, 6))
         sim.run(40)
         # lands 6-7 and 11-16; flit 2 completes the header at 11, the
-        # routing delay runs to 13, the run of 7 (0-6) ends at 20 (CB: a
-        # FIFO of 8 already holds it all) and the tail leaves
-        assert ticks == [0, 6, 11, 13, 20]
+        # routing delay runs to 13, and the run of all 8 (CB: a FIFO of 8
+        # already holds it all) carries the tail at 20; nothing waits on
+        # its release
+        assert ticks == [0, 6, 11, 13]
         assert switch.idle()
+
+
+WHOLE_WORM = {
+    "cb": one_switch_config(input_fifo_depth=64),
+    "ib": one_buffer_switch_config(),
+}
+
+
+class TestDatedRelease:
+    """A run that carries a tail ends the worm's pass at its last cycle:
+    the output it frees and the FIFO it pops are free, on the timeline,
+    from then on, and in the structures from the switch's next tick,
+    which comes at ``t_end + 1`` only if something waits on them.  Both
+    one-switch configurations hold a whole worm in an input FIFO, so the
+    NI's one record leaves in one run (17 flits, ``t_end`` = 20)."""
+
+    T_END = 20
+
+    @staticmethod
+    def both_planes(config, posts):
+        """Ticks and per-out-link send logs of production, and the send
+        logs of the per-flit reference, for the unicast ``posts``."""
+        logs = []
+        for name in ("production", "ground-truth"):
+            network = build_network(flavour(config, name))
+            flits, _ = log_sends(network)
+            _, ticks = TestSleepRule.ticked(network)
+            for post in posts:
+                schedule_unicast(network, *post)
+            run_to_quiescence(network)
+            links = switch_out_links(network)
+            logs.append((ticks, {link.name: flits[link.name] for link in links}))
+        (ticks, sent), (_, reference) = logs
+        assert sent == reference
+        return ticks, {name: log for name, log in sent.items() if log}
+
+    @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
+    def test_a_branch_queued_for_the_output_takes_it_the_cycle_after(
+        self, label
+    ):
+        # host 1's worm is routed at 7 to the output host 0's run holds
+        ticks, sent = self.both_planes(
+            WHOLE_WORM[label], ((0, 0, 7, 16), (3, 1, 7, 16))
+        )
+        (log,) = sent.values()
+        assert log[16] == (self.T_END, 0, 16)
+        assert log[17] == (self.T_END + 1, 1, 0)
+        assert self.T_END + 1 in ticks
+
+    @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
+    def test_a_worm_behind_in_the_fifo_is_routed_the_cycle_after(self, label):
+        # host 0's second worm lands behind its first, its header done
+        # and its routing delay run by the time the first has left
+        ticks, sent = self.both_planes(
+            WHOLE_WORM[label], ((0, 0, 7, 16), (0, 0, 6, 16))
+        )
+        first, second = (sent[name] for name in sorted(sent, reverse=True))
+        assert first[-1] == (self.T_END, 0, 16)
+        assert second[0] == (self.T_END + 1, 1, 0)
+        # woken for the release, not for the record (landed at 19)
+        assert ticks == [0, 2, 4, 19, self.T_END + 1]
+
+    @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
+    def test_nothing_waiting_means_no_tick_for_the_release(self, label):
+        config = WHOLE_WORM[label]
+        network = build_network(config)
+        switch, ticks = TestSleepRule.ticked(network)
+        rows = []
+
+        class Probe:
+            next_cycle = 0
+
+            @staticmethod
+            def sample(cycle):
+                Probe.next_cycle = cycle + 1
+                occupancy = (
+                    switch.buffer_occupancy if label == "ib"
+                    else switch.fifo_occupancy
+                )(0)
+                rows.append((
+                    cycle, occupancy, switch.idle(), network.quiescent(),
+                    len(switch._releases),
+                ))
+
+        network.sim.add_probe(Probe)
+        schedule_unicast(network, 0, 0, 7, 16)
+        run_to_quiescence(network)
+        network.sim.run(10)
+        # header, routing expiry and its run of 17: nothing after
+        assert ticks == [0, 2, 4]
+        # the tail leaves at T_END: from then the switch is idle — the
+        # network once it has been delivered — with the release pending
+        by_cycle = {row[0]: row[1:] for row in rows}
+        assert by_cycle[self.T_END - 1] == (1, False, False, 1)
+        assert by_cycle[self.T_END] == (0, True, False, 1)
+        assert by_cycle[self.T_END + 3] == (0, True, True, 1)
+        assert max(by_cycle) > self.T_END + 8
+        # the next tick settles it, whenever that is
+        switch.tick(network.sim.now)
+        assert not switch._releases and not switch._inflow[0]
+        assert switch._egress_busy == switch._ingress_occupied == 0
 
 
 class TestRunBoundaries:
@@ -505,21 +611,24 @@ class TestRunBoundaries:
         in_link.send_span(self.NOW, worm, 4, 5)  # flit 3 is missing
         assert _bypass_run(ingress, in_link, out_link, self.NOW) == 3
 
-    def test_tail_is_never_a_member(self):
+    def test_the_tail_is_a_member(self):
         worm, ingress, in_link, out_link = self.rig(
             size=6, received=6
         )
-        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 5
-        # look-ahead must not reach it either
+        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 6
+        # look-ahead reaches it too, and nothing past it
         worm, ingress, in_link, out_link = self.rig(size=6)
         in_link.send_span(self.NOW, worm, 3, 3)
-        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 5
+        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 6
 
-    def test_one_body_flit_before_the_tail_is_not_a_run(self):
+    def test_the_tail_alone_is_not_a_run(self):
         _, ingress, in_link, out_link = self.rig(
-            size=6, received=6, consumed=4
+            size=6, received=6, consumed=5
         )
         assert _bypass_run(ingress, in_link, out_link, self.NOW) == 0
+        # one body flit before it is
+        ingress.consumed = 4
+        assert _bypass_run(ingress, in_link, out_link, self.NOW) == 2
 
     def test_run_stops_at_the_credit_window(self):
         _, ingress, in_link, out_link = self.rig(
@@ -852,18 +961,23 @@ class TestCentralBufferRuns:
         assert switch._inside_runs(self.NOW + 6)
         assert not switch._inside_runs(self.NOW + 7)
 
-    def test_the_tail_is_never_written_by_a_run(self):
+    def test_a_run_writes_the_tail_and_dates_the_pop(self):
         switch, ingress, stored, _ = self.rig(received=self.SIZE)
         ingress.consumed = self.SIZE - 5
         self.written(stored, self.SIZE - 5)
         switch._write_central_buffer(self.NOW)
-        assert stored.flits_written == self.SIZE - 1
-        # one body flit before the tail is not a run either
-        switch._write_central_buffer(self.NOW + 4)
-        assert (stored.flits_written, stored.last_write) == (
-            self.SIZE, self.NOW + 3
-        )
+        end = self.NOW + 4
+        assert (stored.flits_written, stored.last_write) == (self.SIZE, end)
+        # the worm leaves its FIFO with the tail's write, on the timeline
+        # at once and in the structures at the next tick
+        assert ingress.leaves == end
+        assert not ingress.gone_by(end - 1) and ingress.gone_by(end)
+        assert switch._releases == [(end, 0, 1)]
+        switch._settle_releases(end)
+        assert switch._inflow[0] and switch._cb_feed
+        switch._settle_releases(end + 1)
         assert not switch._inflow[0] and not switch._cb_feed
+        assert not switch._releases
 
     def test_an_incremental_unicast_stops_where_its_chunk_ends(self):
         switch, ingress, stored, _ = self.rig(received=8, reserve_all=False)
@@ -991,6 +1105,38 @@ class TestCentralBufferRuns:
             reference.grant_up_to([3], 16)
         assert race(self.NOW + 8, [0, 5]) == 5
 
+    def test_an_input_whose_run_ends_with_its_tail_stops_asking(self):
+        # 3's run writes its tail at NOW + 7 and 6's runs to NOW + 23:
+        # the switch sleeps through cycles in which 3 and 6 asked, then
+        # 6 alone, and the pointer must have followed both sets
+        switch, _, _, _ = self.rig()
+        switch._inflow[0].clear()
+        switch._ingress_occupied = switch._cb_feed = 0
+        first = self.feed(switch, 0, written=8, on_hand=0)
+        third = self.feed(switch, 3, written=32, on_hand=8, reserve_all=True)
+        fifth = self.feed(switch, 5, written=7, on_hand=1)
+        self.feed(switch, 6, written=0, on_hand=24, reserve_all=True)
+        reference = RoundRobinArbiter(switch.num_ports)
+        switch._write_arbiter._next = reference._next = 4
+        switch._write_central_buffer(self.NOW)
+        reference.grant_up_to([3, 5, 6], 16)
+        assert third.leaves == self.NOW + 7
+        for cycle in range(self.NOW + 1, self.NOW + 12):
+            reference.grant_up_to([3, 6] if cycle <= self.NOW + 7 else [6], 16)
+        race = self.NOW + 12
+        switch._settle_releases(race)
+        assert not switch._inflow[3]
+        # 0 and 5 both need a chunk, and one shared chunk is left
+        first.received += 1
+        fifth.received += 1
+        pool = switch.pool
+        pool.try_take(9, pool.free_shared - 1, race - 1)
+        shared = first.stored.charge.shared
+        switch._write_central_buffer(race)
+        assert pool.free_shared == 0
+        assert reference.grant_up_to([0, 5, 6], 16)[0] == 0
+        assert first.stored.charge.shared == shared + 1
+
     # -- the read half ----------------------------------------------------
     def test_a_reader_behind_a_dated_write_reaches_it_and_no_further(self):
         switch, ingress, stored, spans = self.rig(received=3)
@@ -1077,20 +1223,27 @@ class TestCentralBufferRuns:
         fast = self.reader(switch, stored, 1)
         slow = self.reader(switch, stored, 2)
         switch._drive_outputs(self.NOW)
-        assert fast.read == slow.read == self.SIZE - 1
-        assert [date for date, _, _ in pool._releases] == [
-            self.NOW + 7 + 8 * j for j in range(4)
-        ]
+        # both read it all in one run each, the tails included
+        assert fast.read == slow.read == self.SIZE
         end = self.NOW + self.SIZE - 1
-        for out_port in (1, 2):  # (no NI is ticking to return credits)
-            switch.out_links[out_port]._credits = 1
-        switch._drive_outputs(end)  # both tails, one flit each
         for out_port in (1, 2):
             link = switch.out_links[out_port]
             assert self.flits[link.name][-1] == (end, 0, self.SIZE - 1)
-        assert stored.finished and not pool._releases
-        assert pool.used_chunks == 0 and pool.free_chunks == (
-            pool.capacity_chunks
-        )
+        # every chunk goes back at its last crossing, the last at the
+        # tails' cycle; the outputs are free from then on too
+        assert [date for date, _, _ in pool._releases] == [
+            self.NOW + 7 + 8 * j for j in range(5)
+        ]
+        assert switch._releases == [(end, 1 << 1, 0), (end, 1 << 2, 0)]
+        assert stored.finished
+        switch.sim.now = end - 1
+        assert not switch.idle()
         switch.sim.now = end
         assert switch.idle()
+        assert pool.at(end).used_chunks == 0
+        # the next tick settles both: nothing is left anywhere
+        switch._settle_releases(end + 1)
+        assert switch._out_current[1] is switch._out_current[2] is None
+        assert not switch._egress_busy
+        assert pool.try_take(0, 1, end + 1) is not None
+        assert not pool._releases

@@ -150,7 +150,7 @@ class TestNoRunsInLockstep:
         calls = committed_spans(network)
         schedule_unicast(network, 0, 0, 5, payload=32)
         run_to_quiescence(network)
-        assert [count for _, _, _, count in calls] == [32]  # tail excluded
+        assert [count for _, _, _, count in calls] == [33]  # tail included
 
 
 class TestArbitration:
