@@ -22,7 +22,7 @@ reference's ``repr(flit)``.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from repro.flits.worm import Worm
 
@@ -141,6 +141,17 @@ class SpanQueue:
         worm = self._worms[slot]
         assert worm is not None
         return arr[base], worm, arr[base + 1], arr[base + 2]
+
+    def spans(self) -> Iterator[Tuple[int, Worm, int, int]]:
+        """Every queued record, oldest first, as ``(arrival, worm,
+        start, count)``."""
+        arr = self._arr
+        for record in range(self._head, self._tail):
+            slot = record & self._mask
+            base = 3 * slot
+            worm = self._worms[slot]
+            assert worm is not None
+            yield arr[base], worm, arr[base + 1], arr[base + 2]
 
     def head_arrival(self) -> int:
         """Landing cycle of the oldest queued flit; the queue must not

@@ -299,10 +299,10 @@ class HostInterface(Component):
         link = self.out_link
         if link is None or not self._inject:
             return 0
-        window = link.sendable_span(now)
+        worm = self._inject[0]
+        window = link.sendable_span(now, worm)
         if window <= 0:
             return 0
-        worm = self._inject[0]
         cursor = self._inject_cursor
         count = worm.size_flits - cursor
         if count > window:

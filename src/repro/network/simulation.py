@@ -225,10 +225,15 @@ def run_workload(
         # the one place counters are brought up to date for reading: a
         # component asleep while blocked counts those cycles when it
         # next ticks, and a run may stop — or stall — first
+        now = network.sim.now
         if network.metrics is not None:
-            now = network.sim.now
             for component in (*network.switches, *network.interfaces):
                 component.settle_blocked(now)
+        # and the releases a switch's next tick would settle first: the
+        # worms whose tails left in a run before the stop go now, not
+        # whenever the network is closed or next runs
+        for switch in network.switches:
+            switch._settle_releases(now)
     return SimulationResult(
         cycles=network.sim.now, completed=completed, network=network
     )

@@ -179,6 +179,7 @@ def committed_run(
     received: int = 0,
     *,
     out_link: Optional[Link] = None,
+    sent: Optional[Worm] = None,
     space: int = 0,
 ) -> int:
     """Flits a mover that contends for nothing may commit at ``now`` as
@@ -209,8 +210,10 @@ def committed_run(
     input FIFO and exposing the worm behind it is a *dated release*
     (``SwitchBase._release_at``), settled by the first tick after
     ``t_end``.  The window is
-    ``out_link``'s credit window for a mover that sends, or with no
-    ``out_link`` the ``space`` a central-buffer writer already owns.
+    ``out_link``'s credit window for a mover that sends ``sent`` on it
+    (none toward a sink or a drain of ``sent`` that the window covers:
+    see :mod:`repro.switches.link`), or with no ``out_link`` the
+    ``space`` a central-buffer writer already owns.
 
     The output or the buffer space is the mover's own and it contends
     for nothing else, so no other event can delay those moves — the run
@@ -230,7 +233,7 @@ def committed_run(
         run = body
     if run < 2:
         return 0
-    window = space if out_link is None else out_link.sendable_span(now)
+    window = space if out_link is None else out_link.sendable_span(now, sent)
     if run > window:
         run = window
     return run if run >= 2 else 0

@@ -49,7 +49,9 @@ shape:
   of a head record still in flight, cut to the out-link's credit
   window — one
   :meth:`~repro.switches.link.Link.send_span`, the FIFO slots back as
-  one future-dated :meth:`~repro.switches.link.Link.return_credit_ramp`;
+  one future-dated :meth:`~repro.switches.link.Link.return_credit_ramp`.
+  Toward a host NI that never throttles nothing refuses the feed, so it
+  is a *drain* of its input FIFO (below);
 * a *writer* (:meth:`CentralBufferSwitch._write_central_buffer`): the
   same supply, cut to the write space the stored packet already **owns**
   — the whole remainder of an admitted multidestination worm (the
@@ -59,7 +61,8 @@ shape:
   (:meth:`~repro.switches.chunks.StoredPacket.write_run`), the slots go
   back as one ramp.  An input inside a write run asks the write arbiter
   every cycle up to its last write, and the pointer is moved through
-  the cycles the switch sleeps (``_write_until``);
+  the cycles the switch sleeps (``_write_until``).  The writer of an
+  admitted worm, granted every cycle, is a drain (below);
 * a *branch cursor* (the read half of
   :meth:`CentralBufferSwitch._drive_outputs`): once its next flit is
   written on the timeline, everything written behind it — dated ahead or
@@ -71,6 +74,17 @@ shape:
   crosses, queued on the pool while that cycle is ahead, and such a
   dated release wakes a switch that found the pool short
   (``_blocked_wake``).
+
+**Drains.**  A mover that takes each flit of its worm on the cycle it
+lands, or the cycle after the one before if later, through to the
+tail, declares itself the worm's drain on its in-link at its first move
+(``_declare_drain``, :meth:`~repro.switches.link.Link.drain`): the link
+then dates the FIFO-slot return of every flit of the worm sent from
+there on, the mover returns only the slots below ``_Ingress.prepaid``,
+and the sender is not held to the FIFO's window for the rest of the
+worm (the rule is the :mod:`repro.switches.link` docstring's).  A
+chunk-by-chunk unicast writer, whose next chunk may be refused, is none,
+nor is any writer while the write bandwidth is contended.
 
 Buffer bandwidth is a timing input only when more ports can ask than the
 cap admits: with ``cb_write_bandwidth`` (``cb_read_bandwidth``) below the
@@ -120,6 +134,7 @@ from repro.switches.chunks import (
     CentralBufferPool,
     StoredPacket,
 )
+from repro.switches.link import Link
 from repro.switches.ports import PORTS_OF
 
 
@@ -142,12 +157,16 @@ class _Ingress(Ingress):
 
     __slots__ = (
         "consumed", "state", "stored", "requests", "bypass_worm",
-        "bypass_port",
+        "bypass_port", "prepaid",
     )
 
     def __init__(self, worm: Worm) -> None:
         super().__init__(worm)
         self.consumed = 0
+        #: the first flit whose FIFO slot the in-link dated the return
+        #: of itself (this switch drains the worm, see `_declare_drain`):
+        #: the mover returns the slots below it only
+        self.prepaid = worm.size_flits
         self.state = _IngressState.ARRIVING
         self.stored: Optional[StoredPacket] = None
         #: the routing decision, parked while a reservation waits
@@ -426,6 +445,11 @@ class CentralBufferSwitch(SwitchBase):
             if commit:
                 worm = ingress.worm
                 received = ingress.received
+                if not consumed and stored.reserve_all and link is not None:
+                    # admitted, and every asker is granted: from this
+                    # first write on the writer takes each flit as it
+                    # lands, through to the tail
+                    self._declare_drain(ingress, link, now)
                 run = committed_run(
                     received - consumed, worm.size_flits - consumed, now,
                     link, worm, received, space=stored.owned_space(),
@@ -435,12 +459,13 @@ class CentralBufferSwitch(SwitchBase):
                     # arrivals could delay these writes, and theirs are
                     # dated — the next flit has landed, so the taken ones
                     # behind it land by their turn.  The FIFO slots go
-                    # back as one ramp
+                    # back as one ramp, but for those the link dated
                     stored.write_run(now, run)
+                    owed = ingress.prepaid - consumed
+                    if link is not None and owed > 0:
+                        link.return_credit_ramp(now, min(run, owed))
                     consumed += run
                     ingress.consumed = consumed
-                    if link is not None:
-                        link.return_credit_ramp(now, run)
                     standing |= 1 << port
                     progress += run
                     if consumed == worm.size_flits:
@@ -451,10 +476,10 @@ class CentralBufferSwitch(SwitchBase):
                     continue
             stored.write_flit()
             # the FIFO slot is consumed inline: no call per flit
+            if link is not None and consumed < ingress.prepaid:
+                link.return_credit(now)
             consumed += 1
             ingress.consumed = consumed
-            if link is not None:
-                link.return_credit(now)
             if consumed == ingress.worm.size_flits:
                 self._pop_front(port)
             progress += 1
@@ -536,6 +561,7 @@ class CentralBufferSwitch(SwitchBase):
                 run = committed_run(
                     stored.flits_written - read, total - read, now,
                     out_link=link,
+                    sent=cursor.worm,  # type: ignore[union-attr]
                 )
                 if run:
                     link.send_span(now, cursor.worm, read, run)  # type: ignore[union-attr]
@@ -596,16 +622,22 @@ class CentralBufferSwitch(SwitchBase):
         in_link = self.in_links[feed.input_port]
         self._stirred = True
         size = ingress.worm.size_flits
+        if not consumed and link._unthrottled and in_link is not None:
+            # toward a sink that never throttles nothing refuses this
+            # feed: from this first send on it forwards each flit as it
+            # lands, through to the tail
+            self._declare_drain(ingress, in_link, now)
         run = committed_run(
             received - consumed, size - consumed, now,
-            in_link, ingress.worm, received, out_link=link,
+            in_link, ingress.worm, received, out_link=link, sent=worm,
         )
         if run:
             link.send_span(now, worm, consumed, run)
+            owed = ingress.prepaid - consumed
+            if in_link is not None and owed > 0:
+                in_link.return_credit_ramp(now, min(run, owed))
             consumed += run
             ingress.consumed = consumed
-            if in_link is not None:
-                in_link.return_credit_ramp(now, run)
             if self._obs:
                 self._c_forwarded.inc(run)
             self.sim.progress += run
@@ -618,16 +650,32 @@ class CentralBufferSwitch(SwitchBase):
             return
         link.send_granted(now, worm, consumed)
         # FIFO-slot consume, inline as in _write_central_buffer
+        if in_link is not None and consumed < ingress.prepaid:
+            in_link.return_credit(now)
         consumed += 1
         ingress.consumed = consumed
-        if in_link is not None:
-            in_link.return_credit(now)
         if self._obs:
             self._c_forwarded.inc()
         self.sim.progress += 1
         if consumed == size:
             self._pop_front(feed.input_port)
             self._free_output(port)
+
+    @staticmethod
+    def _declare_drain(ingress: _Ingress, in_link: Link, now: int) -> None:
+        """The mover of ``ingress`` moves its first flit at ``now`` and
+        from then on each flit on the cycle it lands, or on the cycle
+        after the one before if later: declare it the drain of the worm
+        on ``in_link`` (see :mod:`repro.switches.link`).  The flits taken
+        so far are moved by cycle ``max(last_landing, now + received -
+        1)``; the link returns the index from which it dates the FIFO
+        slots' returns itself."""
+        received = ingress.received
+        if received < ingress.worm.size_flits:  # else nothing is to come
+            ingress.prepaid = in_link.drain(
+                ingress.worm, received,
+                max(ingress.last_landing, now + received - 1) + 1,
+            )
 
     def _inside_runs(self, now: int) -> bool:
         # sleep rule: nothing queued for an idle output, and every worm

@@ -98,17 +98,37 @@ credits that are still travelling back: member ``j`` leaves at
 only widen that window, so a span committed early is always a prefix of
 what the one-flit-per-cycle reference sends.
 
-A *sink* is a receiver that frees every slot on the very cycle its flit
-lands, whatever else is going on — the host NI
-(:meth:`set_credits` with ``sink=True``).  A flit sent at ``t`` then has
-its credit back at ``t + latency + credit_latency``, so a sender moving
-one flit per cycle never has more than ``latency + credit_latency - 1``
-credits outstanding when it asks for the next.  With a depth of at least
-``latency + credit_latency`` no member of any span can therefore lack a
-credit on its cycle, and :meth:`sendable_span` does not cap the span by
-the credits on hand: the returns that will pay for the later members
-are certain, merely not queued yet.  Below that depth the sink does
-throttle, and the finite window above applies unchanged.
+A *drain* is a receiver that has committed to consume a worm one flit
+per cycle through to its tail: each flit on the cycle it lands, or on
+the cycle after the one before it if that is later, whatever else is
+going on.  Toward a drain the credit return of every flit is dated the
+moment the flit is sent, so the link dates it itself.  Two receivers
+declare one for a worm on their in-link (:meth:`drain`), on their first
+move of it: the central-buffer writer of an admitted multidestination
+worm, whose space the acceptance rule owns to the tail and which every
+cycle's write arbitration grants, and a central-buffer bypass feed
+whose out-link is an unthrottled sink (below).  From then on each send
+of that worm — span or single flit — queues its members' returns as one
+ramp from ``max(now + latency, next) + credit_latency``, ``next`` being
+the cycle after the flit before is consumed, and the receiver returns
+none of them itself (the central buffer's ``_Ingress.prepaid``); the
+tail's send ends the drain.  The member sent at ``now + j`` then has
+its credit back at ``now + j + lag``, with ``lag = max(latency, next -
+now) + credit_latency``, and pays for the member ``lag`` places behind
+it.  So when the credits on hand plus the queued returns that mature in
+time cover the first ``lag`` members, every later member's credit is
+certain, and :meth:`sendable_span` given that worm does not cap the
+span at all.  When they do not — a FIFO shallower than the lag — the
+window is the finite one above, returns dated or not.
+
+The host NI is the drain's static case, a *sink*: it frees every slot
+on the very cycle its flit lands, for every worm (:meth:`set_credits`
+with ``sink=True``), so ``next`` never runs ahead of the landing and
+the lag is ``latency + credit_latency``.  It returns its credits
+itself, and a depth of at least that lag is all the rule needs:
+:meth:`sendable_span` never caps a span toward such a sink, for any
+worm.  Below that depth the sink does throttle, and the finite window
+above applies unchanged.
 """
 
 from __future__ import annotations
@@ -158,9 +178,9 @@ class Link:
         #: maturing at ``first + j * stride`` (stride 1: a slot a cycle;
         #: stride 0: ``count`` slots freed at once).  No record reaches
         #: past the start of the next, so only the head can be partly
-        #: matured — the drain consumes its matured prefix in place
+        #: matured — maturing consumes its matured prefix in place
         self._credit_returns: Deque[List[int]] = deque()
-        #: credits at the sender, net of the returns drained so far.
+        #: credits at the sender, net of the returns matured so far.
         #: Transiently negative while a span has borrowed against queued
         #: returns (:meth:`sendable_span`) or, toward a sink, against the
         #: returns its own members will cause; every borrowed return
@@ -171,6 +191,11 @@ class Link:
         #: the receiver is a sink deep enough never to throttle a sender
         #: (see the module docstring): spans are not capped by credits
         self._unthrottled = False
+        #: the worm the receiver drains (see the module docstring), whose
+        #: sends date their own credit returns, and the cycle after the
+        #: receiver consumes the last of its flits sent so far
+        self._drain: Optional[Worm] = None
+        self._drain_next = 0
         #: the sender was refused for lack of a credit while no return
         #: was queued: the next return wakes it
         self._credit_wanted = False
@@ -230,6 +255,25 @@ class Link:
         self._unthrottled = (
             sink and depth >= self.latency + self.credit_latency
         )
+
+    def drain(self, worm: Worm, taken: int, after: int) -> int:
+        """Declare the receiver a drain for ``worm`` (see the module
+        docstring).  It has been handed the first ``taken`` flits of the
+        worm and consumes the last of them on cycle ``after - 1``; the
+        records of the worm still queued here stay its own to return,
+        and every flit sent from now on has its return dated by the
+        link.  Returns the index of the first such flit —
+        ``worm.size_flits``, and no drain, when the tail is already
+        sent."""
+        for arrival, queued, start, count in self._in_flight.spans():
+            if queued is not worm:
+                break
+            after = max(arrival, after) + count
+            taken = start + count
+        if taken < worm.size_flits:
+            self._drain = worm
+            self._drain_next = after
+        return taken
 
     def pending_arrival(self, now: int) -> bool:
         """True when :attr:`receive_span` would hand a record over at
@@ -300,7 +344,7 @@ class Link:
 
     def _insert_return(self, first: int, count: int, stride: int) -> None:
         """Queue returns that mature before some already queued (a ramp
-        reaches past them): the drain and the span window rely on
+        reaches past them): maturing and the span window rely on
         maturity order, so the records from there on are re-cut."""
         returns = self._credit_returns
         matures = [first + j * stride for j in range(count)]
@@ -323,6 +367,18 @@ class Link:
                     last[2] = 0
                     continue
             returns.append([mature, 1, 1])
+
+    def _prepay(self, now: int, worm: Worm, start: int, count: int) -> None:
+        """Queue the returns of ``count`` flits of the drain worm sent
+        from ``now``: consumed one a cycle from the later of the first's
+        landing and the cycle after the flit before it."""
+        first = now + self.latency
+        if first < self._drain_next:
+            first = self._drain_next
+        self._drain_next = first + count
+        if start + count == worm.size_flits:
+            self._drain = None
+        self._queue_return(first + self.credit_latency, count, 1)
 
     def _mature(self, now: int) -> int:
         """Move every return matured by ``now`` into the sender's
@@ -375,7 +431,7 @@ class Link:
         if credits is None:
             raise ProtocolError(f"link {self.name}: receiver never set credits")
         returns = self._credit_returns
-        if returns and returns[0][0] <= now:  # nothing to drain when idle
+        if returns and returns[0][0] <= now:  # nothing to mature when idle
             return self._mature(now)
         return credits
 
@@ -395,14 +451,18 @@ class Link:
         self._wake_for_credit()
         return False
 
-    def sendable_span(self, now: int) -> int:
-        """Largest span :meth:`send_span` would accept at cycle ``now``.
+    def sendable_span(self, now: int, worm: Optional[Worm] = None) -> int:
+        """Largest span of ``worm`` :meth:`send_span` would accept at
+        cycle ``now``.
 
         Member ``j`` leaves at ``now + j`` and needs its credit only by
         then: the credits on hand pay for the first members, and each
         queued return extends the window if it matures no later than
         the member it pays for.  Toward a sink that never throttles
-        there is no window: every member's credit is certain.
+        there is no window: every member's credit is certain — and
+        toward a drain of ``worm`` neither, once the window covers the
+        lag of the returns the members date themselves (see the module
+        docstring).
         """
         if self._last_send_cycle >= now:
             return 0
@@ -418,6 +478,12 @@ class Link:
             if first > now + window:
                 break
             window += count
+        if worm is self._drain and worm is not None:
+            lag = self._drain_next - now
+            if lag < self.latency:
+                lag = self.latency
+            if window >= lag + self.credit_latency:
+                return sys.maxsize
         return window
 
     def send(self, now: int, flit: Flit) -> None:
@@ -446,6 +512,8 @@ class Link:
         arrival = now + self.latency
         self._in_flight.push_span(arrival, worm, index, 1)
         self.flits_sent += 1
+        if worm is self._drain:
+            self._prepay(now, worm, index, 1)
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
@@ -457,8 +525,8 @@ class Link:
 
         The switches test :meth:`can_send` while collecting grant
         candidates and send to each winner in the same cycle; since
-        ``can_send`` already drained matured credit returns and nothing
-        else can touch this link's credits within the tick, re-draining
+        ``can_send`` already matured the credit returns due and nothing
+        else can touch this link's credits within the tick, maturing again
         here would be pure overhead.  Caller contract: ``can_send(now)``
         returned True earlier in this same cycle and no other send has
         happened since — exactly what the scan-then-grant phases ensure.
@@ -468,6 +536,8 @@ class Link:
         arrival = now + self.latency
         self._in_flight.push_span(arrival, worm, index, 1)
         self.flits_sent += 1
+        if worm is self._drain:
+            self._prepay(now, worm, index, 1)
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
@@ -482,7 +552,7 @@ class Link:
         and member ``j`` arriving at ``now + latency + j``.  The arrival
         wake fires once, at the first arrival cycle (see the module
         docstring).
-        Requires ``count <= sendable_span(now)``.
+        Requires ``count <= sendable_span(now, worm)``.
         """
         if count < 1:
             raise ValueError("span count must be positive")
@@ -490,7 +560,7 @@ class Link:
             raise ProtocolError(
                 f"link {self.name}: second send in cycle {now}"
             )
-        window = self.sendable_span(now)
+        window = self.sendable_span(now, worm)
         if window < count:
             raise ProtocolError(
                 f"link {self.name}: span of {count} flits exceeds the "
@@ -501,6 +571,8 @@ class Link:
         arrival = now + self.latency
         self._in_flight.push_span(arrival, worm, start, count)
         self.flits_sent += count
+        if worm is self._drain:
+            self._prepay(now, worm, start, count)
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit

@@ -165,6 +165,13 @@ SQUARE_ROWS = (
 )
 SCENARIOS = TIMELINE_ROWS + SHORT_POOL_ROWS + SQUARE_ROWS + (
     Scenario("mcast-cb-64", CB, {"num_hosts": 64}, LEDGER_STREAM),
+    # the central buffer's drains where the credit round trip outlasts
+    # the input FIFO (2, grown to 4 for the header): declared, and never
+    # wider than the FIFO's window
+    Scenario(
+        "mcast-cb-lagged", CB, {"input_fifo_depth": 2, "link_latency": 3},
+        _stream(2.0, 6, 16, 50, 300),
+    ),
     Scenario("degree-16-stream", None, {"num_hosts": 64}, LEDGER_STREAM),
     # traffic that blocks, replicates and saturates, on either
     # architecture: what telemetry is held to the ground truth on, and
@@ -564,16 +571,6 @@ def end_of_cycle(sim):
         sim.now -= 1
 
 
-def queued_records(link):
-    """The span records still in ``link``, oldest first, as ``(arrival,
-    worm, start, count)``."""
-    queue = link._in_flight
-    for record in range(queue._head, queue._tail):
-        slot = record & queue._mask
-        arrival, start, count = queue._arr[3 * slot:3 * slot + 3]
-        yield arrival, queue._worms[slot], start, count
-
-
 def receive_row(switch, port, cycle):
     """The worms at input ``port``, oldest first, as ``[packet id, flits
     landed, header stamp]`` at the end of ``cycle`` on the
@@ -600,7 +597,7 @@ def receive_row(switch, port, cycle):
             stamp if landed >= ingress.worm.header_flits else None,
         ])
     for arrival, worm, start, count in (
-        () if link is None else queued_records(link)
+        () if link is None else link._in_flight.spans()
     ):
         landed = min(count, cycle - arrival + 1)
         if landed <= 0:

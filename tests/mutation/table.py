@@ -125,6 +125,48 @@ ROWS: Tuple[Row, ...] = (
         "DESIGN.md §7: a chunk is freed when the last branch has read it, "
         "the last chunk at its tail's cycle (StoredPacket.crossed)",
     ),
+    # -- the drain: a receiver that takes each flit of a worm as it lands
+    # dates the credit returns of its later flits (the Link docstring) --
+    Row(
+        "drain-lag-without-credit-latency",
+        "src/repro/switches/link.py",
+        "            if window >= lag + self.credit_latency:\n",
+        "            if window >= lag:\n",
+        "a span toward a drain is uncapped only once the window covers the "
+        "lag of its own members' returns, credit latency included "
+        "(Link.sendable_span)",
+    ),
+    Row(
+        "drain-declared-by-a-unicast-writer",
+        "src/repro/switches/central_buffer.py",
+        "                if not consumed and stored.reserve_all"
+        " and link is not None:\n",
+        "                if not consumed and link is not None:\n",
+        "only a writer whose space is owned to the tail is a drain: a "
+        "chunk-by-chunk unicast writer can be refused a chunk "
+        "(CentralBufferSwitch._write_central_buffer)",
+    ),
+    Row(
+        "prepaid-slots-returned-again-by-the-writer",
+        "src/repro/switches/central_buffer.py",
+        "                    if link is not None and owed > 0:\n"
+        "                        link.return_credit_ramp(now, min(run, owed))\n",
+        "                    if link is not None:\n"
+        "                        link.return_credit_ramp(now, run)\n",
+        "credit conservation: a FIFO slot whose return the in-link dated is "
+        "not returned by the writer as well (_Ingress.prepaid)",
+    ),
+    Row(
+        "drain-kept-past-its-tail",
+        "src/repro/switches/link.py",
+        "        if start + count == worm.size_flits:\n"
+        "            self._drain = None\n",
+        "        if start + count > worm.size_flits:\n"
+        "            self._drain = None\n",
+        "the tail's send ends the drain: the next worm on the link gets "
+        "the finite window, and no link holds a worm past its run "
+        "(Link._prepay)",
+    ),
     # -- determinism (DESIGN.md §7) and picklability (RunSpec) ----------
     Row(
         "hotspot-draws-from-global-random",

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import gc
 import sys
+import types
 import weakref
 from contextlib import contextmanager
 
@@ -21,6 +22,7 @@ from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation, run_workload
 from repro.routing.base import UpPortPolicy
+from repro.switches.base import Ingress
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream
 from repro.traffic.unicast import UniformRandomUnicast
@@ -123,21 +125,26 @@ class TestNothingLeftForTheCollector:
     @pytest.mark.parametrize("architecture", list(SwitchArchitecture))
     def test_a_release_still_pending_is_no_garbage_either(self, architecture):
         # a worm whose tail left in a committed run stays at the front of
-        # its FIFO until its switch next ticks — which at the end of a
-        # run is never — and an input-buffer worm and its branches point
-        # at each other
+        # its FIFO until its switch next ticks — which, for a network
+        # driven by the kernel alone rather than `run_workload`, is never
+        # at the end of a run — and an input-buffer worm and its
+        # branches point at each other
         config = SimulationConfig(
             num_hosts=64, switch_architecture=architecture, seed=3
         )
         with collector_off():
-            result = run_simulation(config, SHAPES["multicast"]())
-            network = result.network
+            network = build_network(config)
+            workload = SHAPES["multicast"]()
+            workload.start(network)
+            network.sim.run_until(
+                lambda: workload.finished(network), max_cycles=10_000
+            )
             assert network.quiescent()
             assert any(switch._releases for switch in network.switches)
             sim = weakref.ref(network.sim)
             network.close()
             assert not any(switch._releases for switch in network.switches)
-            del result, network
+            del network, workload
             assert sim() is None
             assert gc.collect() == 0
 
@@ -152,6 +159,44 @@ class TestNothingLeftForTheCollector:
                 SimulationConfig(num_hosts=16), workload, close=True
             )
             assert collected == 0
+
+
+class TestFinished:
+    """What a finished run leaves reachable from its network before
+    anyone closes it."""
+
+    @pytest.mark.parametrize("architecture", list(SwitchArchitecture))
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_no_worm_is_left_in_a_switch(self, shape, architecture):
+        # the releases of the tails that left in runs before the stop are
+        # settled on the way out, as the next tick would: no input FIFO
+        # holds a worm, and no link still drains one
+        config = SimulationConfig(
+            num_hosts=64, switch_architecture=architecture, seed=3
+        )
+        result = run_simulation(config, SHAPES[shape]())
+        network = result.network
+        assert result.completed and network.quiescent()
+        assert reachable(network, Ingress) == 0
+        assert not any(switch._releases for switch in network.switches)
+        assert all(link._drain is None for link in network.links)
+
+
+def reachable(root, kind):
+    """Instances of ``kind`` reachable from ``root`` through instance
+    state — not through a class, a module or a function's globals."""
+    opaque = (type, types.ModuleType, types.FunctionType)
+    seen = {id(root)}
+    stack = [root]
+    found = 0
+    while stack:
+        obj = stack.pop()
+        found += isinstance(obj, kind)
+        for ref in gc.get_referents(obj):
+            if id(ref) not in seen and not isinstance(ref, opaque):
+                seen.add(id(ref))
+                stack.append(ref)
+    return found
 
 
 class TestClosed:

@@ -21,6 +21,7 @@ must stop, and on which cycles a switch is awake at all.
 
 from __future__ import annotations
 
+import sys
 from contextlib import contextmanager
 
 import pytest
@@ -46,12 +47,14 @@ from repro.switches.arbiter import RoundRobinArbiter
 from repro.switches.chunks import CentralBufferPool, StoredPacket
 from repro.switches.input_buffer import InputBufferSwitch, _Branch
 from repro.switches.input_buffer import _Ingress as _BufferIngress
+from repro.switches.link import Link
 
 from tests.differential import (
     CB,
     IB,
     ROW,
     TIMELINE_ROWS,
+    TimelineProbe,
     flavour,
     log_sends,
     log_takes,
@@ -61,6 +64,7 @@ from tests.differential import (
 from tests.switches.test_central_buffer import (
     one_switch_config,
     run_to_quiescence,
+    schedule_multicast,
     schedule_unicast,
 )
 from tests.switches.test_link_spans import make_link, make_worm
@@ -253,9 +257,10 @@ class TestWholeSwitch:
         assert sorted(call[2:] for call in calls) == [(0, 17), (0, 41)]
 
     def test_runs_stop_at_the_credit_window(self):
-        posts = ((0, 0, 7, 16), (3, 1, 6, 40))
+        posts = ((0, 0, 7, 16), (3, 1, 6, 40))  # 17 and 41 flits
         # toward a switch the window is its input FIFO — credits on hand
-        # plus the returns already travelling back — never more
+        # plus the returns already travelling back — never more: what
+        # moves a unicast there is no drain
         config = SimulationConfig(
             num_hosts=16, sw_send_overhead=0, sw_recv_overhead=0
         )
@@ -263,12 +268,15 @@ class TestWholeSwitch:
         assert max(between) == config.input_fifo_depth
         # a host's NI hands each credit back as the flit lands: a depth
         # that covers the credit round trip never throttles (the sink
-        # rule), so a run is whatever the input FIFO supplies
+        # rule), so a bypass feed toward it is a drain of its own input
+        # FIFO, and the NI sends what the FIFO's 8 credits leave of the
+        # worm in one span, which the feed forwards in one run
         config = one_switch_config()
         assert config.ni_rx_depth >= 2 * config.link_latency
         _, to_host = span_counts(config, posts)
-        assert max(to_host) == config.input_fifo_depth > config.ni_rx_depth
-        # a shallower NI does throttle: the window is its depth, never more
+        assert sorted(to_host) == [8, 8, 9, 33]
+        # a shallower NI does throttle: the window is its depth, never
+        # more, and the feed is no drain
         config = one_switch_config(link_latency=2, ni_rx_depth=3)
         _, to_host = span_counts(config, posts)
         assert max(to_host) == config.ni_rx_depth
@@ -396,17 +404,16 @@ class TestSleepRule:
         _, ticks = self.ticked(network)
         schedule_unicast(network, 5, 0, 7, 24)  # 25 flits
         run_to_quiescence(network)
-        # the NI sends what the FIFO's credits admit, 8 flits at cycle 6
-        # and again as each bypass run hands the slots back
+        # the NI sends what the FIFO's credits admit, 8 flits at cycle 6;
+        # the bypass feed toward the NI is a drain, so the NI's next span
+        # is the other 17 flits at once
         assert ticks == [
             0,   # registration
             7,   # the header lands, with its record: sleep to the expiry
             9,   # routing delay over: bypass, a run of 8 (cycles 9-16)
             15,  # the NI's second span (its own hook); inside the run
-            17,  # run over: the next 8
-            23, 25,  # and again
-            31,  # the tail lands, alone
-            33,  # run over: the tail leaves
+            17,  # run over: the other 17, the tail at 33 — and nothing
+                 # waits on its release
         ]
 
     def test_one_unicast_through_an_idle_input_buffer_switch(self):
@@ -1247,3 +1254,194 @@ class TestCentralBufferRuns:
         assert not switch._egress_busy
         assert pool.try_take(0, 1, end + 1) is not None
         assert not pool._releases
+
+
+@contextmanager
+def log_drains():
+    """Every drain declared inside the block, as ``(link, packet id,
+    first flit whose return the link dates)``."""
+    log = []
+    declare = Link.drain
+
+    def logged(link, worm, taken, after):
+        first = declare(link, worm, taken, after)
+        log.append((link.name, worm.packet.packet_id, first))
+        return first
+
+    Link.drain = logged
+    try:
+        yield log
+    finally:
+        Link.drain = declare
+
+
+def drained_run(config, posts):
+    """``posts`` — ``(schedule, cycle, source, destination(s), payload)``
+    — on production and on the per-flit reference, whose every link
+    must carry the same flits on the same cycles and whose every
+    cycle's credits and occupancy must agree (``TimelineProbe``).
+    Returns production's span calls per link, as ``(cycle, packet,
+    start, count)``, the drains it declared, and the lowest credit
+    counter any sender held at the end of a cycle."""
+    planes = []
+    for name in ("production", "ground-truth"):
+        network = build_network(flavour(config, name))
+        flits, spans = log_sends(network)
+        probe = TimelineProbe(network)
+        network.sim.add_probe(probe)
+        lowest = LowestCredit(network)
+        network.sim.add_probe(lowest)
+        for schedule, *post in posts:
+            schedule(network, *post)
+        with log_drains() as drains:
+            run_to_quiescence(network)
+        planes.append((flits, probe.rows, spans, drains, lowest.credits))
+    (flits, rows, spans, drains, lowest), reference = planes
+    assert (flits, rows) == reference[:2]
+    assert not reference[3]  # the reference declares no drain
+    calls = {
+        name: [(now, worm.packet.packet_id, start, count)
+               for now, worm, start, count in made]
+        for name, made in spans.items() if made
+    }
+    return calls, drains, lowest
+
+
+class LowestCredit:
+    """Kernel probe: the lowest credit counter any sender held at the
+    end of a cycle (0 if none went below)."""
+
+    def __init__(self, network):
+        self.links = network.links
+        self.credits = 0
+        self.next_cycle = 0
+
+    def sample(self, cycle):
+        self.next_cycle = cycle + 1
+        self.credits = min(
+            self.credits, *(link._credits for link in self.links)
+        )
+
+
+#: the one-switch system (16 ports, 8 to hosts) with buffer bandwidth
+#: for every port's ask each cycle
+UNCONTENDED = one_switch_config(cb_write_bandwidth=16, cb_read_bandwidth=16)
+
+
+class TestDrain:
+    """A receiver that takes each flit of a worm as it lands through to
+    its tail dates the credit returns of its later flits, and its sender
+    is not held to the FIFO's window for that worm (``Link.drain``): the
+    central-buffer writer of an admitted multidestination worm, and a
+    bypass feed toward a host that never throttles.  Every case is held
+    to the per-flit reference, which declares none."""
+
+    def test_an_admitted_worm_crosses_each_hop_in_two_records(self):
+        # degree 16 across 64 hosts, alone: at each hop the sender has
+        # the FIFO's 8 credits, and once the worm is admitted — or, at a
+        # leaf switch where it is a unicast, bypasses toward its host —
+        # the other 61 flits in one span
+        config = SimulationConfig(
+            num_hosts=64, sw_send_overhead=0, sw_recv_overhead=0
+        )
+        calls, drains, lowest = drained_run(
+            config, [(schedule_multicast, 5, 0, range(1, 64, 4), 64)]
+        )
+        # three hops up to the turnaround, 4 down from it, 16 into the
+        # leaf switches and 16 to the hosts
+        assert len(calls) == 3 + 4 + 16 + 16
+        for made in calls.values():
+            assert [call[2:] for call in made] == [(0, 8), (8, 61)]
+        # declared on every link into a switch, by its first mover
+        into_switches = {name for name in calls if "->sw" in name}
+        assert {link for link, _, _ in drains} == into_switches
+        assert len(drains) == len(into_switches)
+        assert {first for _, _, first in drains} == {8}
+        # and credits balanced every cycle while senders had borrowed
+        assert lowest < 0
+
+    def test_no_drain_where_the_write_bandwidth_is_contended(self):
+        # 16 ports share 8 writes a cycle: no writer is granted every
+        # cycle, so the NI is held to the FIFO's window
+        config = one_switch_config()
+        assert config.cb_write_bandwidth < 16
+        calls, drains, _ = drained_run(
+            config, [(schedule_multicast, 5, 0, (2, 3, 4), 48)]
+        )
+        assert not drains
+        assert max(count for *_, count in calls["host0->sw0.p0"]) == 8
+
+    def test_no_drain_for_a_unicast_written_chunk_by_chunk(self):
+        # two unicasts for host 7 at once: one bypasses toward it (a
+        # drain), the other is written into the buffer a chunk at a time
+        # — a chunk may be refused, so that writer is none
+        calls, drains, _ = drained_run(UNCONTENDED, [
+            (schedule_unicast, 5, 0, 7, 40), (schedule_unicast, 5, 1, 7, 40),
+        ])
+        (drained,) = {packet for _, packet, _ in drains}
+        other = 1 - drained
+        source = f"host{other}->sw0.p{other}"
+        assert max(count for *_, count in calls[source]) == 8
+
+    def test_no_drain_window_where_the_lag_exceeds_the_credits(self):
+        # the smallest FIFO, on links of latency 3: it is grown to hold a
+        # header and 2 more flits, 4, and a return comes back 6 cycles
+        # after its flit at best, so the credits never cover the lag —
+        # drains are declared, and every span into a switch stays within
+        # the FIFO's window
+        config = UNCONTENDED.derived(input_fifo_depth=2, link_latency=3)
+        depth = config.effective_input_fifo_depth()
+        assert depth < 2 * config.link_latency
+        calls, drains, _ = drained_run(
+            config, [(schedule_multicast, 5, 0, (2, 3, 4), 48)]
+        )
+        assert drains
+        into_switch = [
+            count for name, made in calls.items() if "->sw" in name
+            for *_, count in made
+        ]
+        assert max(into_switch) == depth
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_a_lagged_stream_matches_every_cycle(self, runs, dense):
+        fast, _ = assert_same_timeline(
+            runs, ROW["mcast-cb-lagged"], dense, consumers=2, seed=3
+        )
+        write_runs, read_runs = fast.cb_runs
+        assert write_runs and read_runs
+
+    def test_the_drain_ends_at_its_tail(self):
+        # a worm of 20 on a bare link: 8 flits, taken at 1 and consumed
+        # one a cycle from there; the receiver drains the rest
+        link = make_link(depth=8)
+        worm, behind = make_worm(size=20), make_worm(size=20, packet_id=1)
+        link.send_span(0, worm, 0, 8)
+        assert link.receive_span(1) == (worm, 0, 8)
+        link.return_credit_ramp(1, 8)  # matures 2 .. 9
+        assert link.drain(worm, 8, 9) == 8
+        # at 8 seven credits are back and the eighth comes at 9, which
+        # covers a lag of 2: the rest of the worm, but no other worm
+        assert link.sendable_span(8, worm) == sys.maxsize
+        assert link.sendable_span(8, behind) == link.sendable_span(8) == 8
+        link.send_span(8, worm, 8, 12)
+        # flit 8 lands at 9, is consumed then and its slot returns at 10
+        assert link.return_maturities()[-12:] == list(range(10, 22))
+        assert link._drain is None
+        link.send_span(20, behind, 0, 1)
+        assert link.sendable_span(21, behind) < sys.maxsize
+
+    def test_a_drain_counts_the_records_still_on_the_link(self):
+        # flits 4..7 were sent before the receiver declared itself: their
+        # slots are the receiver's to return, and they land 7 .. 10
+        link = make_link(depth=8)
+        worm = make_worm(size=20)
+        link.send_span(0, worm, 0, 4)
+        link.send_span(6, worm, 4, 4)
+        assert link.receive_span(1) == (worm, 0, 4)
+        assert link.drain(worm, 4, 5) == 8
+        assert link._drain_next == 11
+        # with the tail already on the link there is nothing to drain
+        other = make_worm(size=8, packet_id=1)
+        link = make_link(depth=8)
+        link.send_span(0, other, 0, 8)
+        assert link.drain(other, 0, 1) == 8 and link._drain is None
