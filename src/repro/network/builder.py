@@ -83,9 +83,10 @@ class Network:
         lists the nodes), and the worms a switch still holds for the
         dated release of a tail it sent in a run (an input-buffer worm
         and its branches point at each other until it is popped): those
-        releases are settled.  Everything a caller reads after a run — the
-        result, the collector, switches and their buffer pools, link
-        counters, the topology — stays readable; the network itself
+        releases are settled, and with them the chunk takes and releases
+        a pool dated before the stop.  Everything a caller reads after a
+        run — the result, the collector, switches and their buffer pools,
+        link counters, the topology — stays readable; the network itself
         refuses to run again (:class:`~repro.errors.SimulationError`).
         Whoever drops the last reference to a finished run calls this
         first; calling it twice is a no-op.
@@ -100,6 +101,7 @@ class Network:
             node.interface._on_delivery = None
             node._delivery_listeners.clear()
         for switch in self.switches:
+            switch.settle(sim.now)
             switch._settle_releases(sys.maxsize)
 
 

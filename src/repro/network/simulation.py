@@ -229,11 +229,12 @@ def run_workload(
         if network.metrics is not None:
             for component in (*network.switches, *network.interfaces):
                 component.settle_blocked(now)
-        # and the releases a switch's next tick would settle first: the
-        # worms whose tails left in a run before the stop go now, not
-        # whenever the network is closed or next runs
+        # and what a switch's next tick would settle first: the worms
+        # whose tails left in a run before the stop go now, not whenever
+        # the network is closed or next runs, and so do the chunk takes
+        # and releases dated before it
         for switch in network.switches:
-            switch._settle_releases(now)
+            switch.settle(now)
     return SimulationResult(
         cycles=network.sim.now, completed=completed, network=network
     )

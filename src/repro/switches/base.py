@@ -572,6 +572,14 @@ class SwitchBase(Component):
             inflows[port][0].leaves = date
         insort(self._releases, (date, outputs, inputs))
 
+    def settle(self, now: int) -> None:
+        """Apply what a tick at ``now`` would find done first: the dated
+        releases before it, and an architecture's own dated state.  What
+        :func:`~repro.network.simulation.run_workload` does on its way
+        out and ``Network.close()`` on closing, so a stopped run leaves
+        nothing dated before the stop pending."""
+        self._settle_releases(now)
+
     def _settle_releases(self, now: int) -> None:
         """Apply, in date order, the releases dated before ``now`` —
         what the per-flit switch did at the end of each tail's tick,

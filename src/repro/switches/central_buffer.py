@@ -53,16 +53,24 @@ shape:
   Toward a host NI that never throttles nothing refuses the feed, so it
   is a *drain* of its input FIFO (below);
 * a *writer* (:meth:`CentralBufferSwitch._write_central_buffer`): the
-  same supply, cut to the write space the stored packet already **owns**
-  — the whole remainder of an admitted multidestination worm (the
-  acceptance rule is the commit condition), the rest of the current
-  chunk of a chunk-by-chunk unicast, whose next ``try_take`` is made by
-  the single-flit path on the cycle it is due.  The write is dated
-  (:meth:`~repro.switches.chunks.StoredPacket.write_run`), the slots go
-  back as one ramp.  An input inside a write run asks the write arbiter
-  every cycle up to its last write, and the pointer is moved through
-  the cycles the switch sleeps (``_write_until``).  The writer of an
-  admitted worm, granted every cycle, is a drain (below);
+  same supply, cut to the write space of the stored packet
+  (:meth:`~repro.switches.chunks.StoredPacket.write_space`) — the whole
+  remainder of an admitted multidestination worm (the acceptance rule
+  is the commit condition); the remainder of a *covered* unicast, one
+  whose input's free quota held every chunk it still needed at its
+  first write (:meth:`~repro.switches.chunks.StoredPacket.cover`), whose
+  later chunks no one else can take; else the rest of the current chunk
+  of a unicast, whose next ``try_take`` is made by the single-flit path
+  on the cycle it is due.  The write is dated
+  (:meth:`~repro.switches.chunks.StoredPacket.write_run`), and so is the
+  take of each chunk a covered run opens — where a dated take is
+  applied, and why a run stops short of a cycle another input's take
+  holds, is the :mod:`repro.switches.chunks` timeline.  The slots go
+  back as one ramp.
+  An input inside a write run asks the write arbiter every cycle up to
+  its last write, and the pointer is moved through the cycles the
+  switch sleeps (``_write_until``).  The writer of an admitted or a
+  covered worm, granted every cycle, is a drain (below);
 * a *branch cursor* (the read half of
   :meth:`CentralBufferSwitch._drive_outputs`): once its next flit is
   written on the timeline, everything written behind it — dated ahead or
@@ -82,9 +90,11 @@ tail, declares itself the worm's drain on its in-link at its first move
 then dates the FIFO-slot return of every flit of the worm sent from
 there on, the mover returns only the slots below ``_Ingress.prepaid``,
 and the sender is not held to the FIFO's window for the rest of the
-worm (the rule is the :mod:`repro.switches.link` docstring's).  A
-chunk-by-chunk unicast writer, whose next chunk may be refused, is none,
-nor is any writer while the write bandwidth is contended.
+worm (the rule is the :mod:`repro.switches.link` docstring's).  The
+writer of an admitted worm and of a covered unicast declares one, as
+does a bypass feed toward a host; a unicast writer its quota does not
+cover, whose next chunk may be refused, is none, nor is any writer while
+the write bandwidth is contended.
 
 Buffer bandwidth is a timing input only when more ports can ask than the
 cap admits: with ``cb_write_bandwidth`` (``cb_read_bandwidth``) below the
@@ -247,8 +257,9 @@ class CentralBufferSwitch(SwitchBase):
         # an admission or a write found the pool short this tick: the
         # earliest dated release is then a wake source (`_blocked_wake`)
         self._starved = False
-        # chunks in use after the last write phase in which a write was
-        # refused: while it stands, no chunk went back for the refused
+        # chunks given back by the end of the last write phase in which a
+        # write was refused: while it stands, no chunk went back for the
+        # refused
         self._pool_mark = -1
 
     # ------------------------------------------------------------------
@@ -417,6 +428,7 @@ class CentralBufferSwitch(SwitchBase):
         winners = arbiter.grant_batch(candidates, w_bw)
         in_links = self.in_links
         commit = self._write_runs
+        pool = self.pool
         standing = 0
         progress = 0
         refused = False
@@ -425,7 +437,10 @@ class CentralBufferSwitch(SwitchBase):
             stored = ingress.stored
             assert stored is not None
             if stored.last_write >= now:
-                # this cycle's flit was written when the run was committed
+                # this cycle's flit was written when the run was committed,
+                # and a chunk it opens is taken here, at this input's turn
+                if pool._takes:
+                    pool.take_due(stored.charge, now)
                 if stored.last_write > now:
                     standing |= 1 << port
                 continue
@@ -445,19 +460,24 @@ class CentralBufferSwitch(SwitchBase):
             if commit:
                 worm = ingress.worm
                 received = ingress.received
-                if not consumed and stored.reserve_all and link is not None:
-                    # admitted, and every asker is granted: from this
-                    # first write on the writer takes each flit as it
-                    # lands, through to the tail
+                if (
+                    not consumed
+                    and (stored.reserve_all or stored.cover())
+                    and link is not None
+                ):
+                    # admitted, or covered by its own input's quota, and
+                    # every asker is granted: from this first write on
+                    # the writer takes each flit as it lands, through to
+                    # the tail
                     self._declare_drain(ingress, link, now)
                 run = committed_run(
                     received - consumed, worm.size_flits - consumed, now,
-                    link, worm, received, space=stored.owned_space(),
+                    link, worm, received, space=stored.write_space(now),
                 )
                 if run:
-                    # the space is owned and every asker is granted: only
-                    # arrivals could delay these writes, and theirs are
-                    # dated — the next flit has landed, so the taken ones
+                    # the space is owned, or its takes certain, and every
+                    # asker is granted: only arrivals could delay these
+                    # writes, and theirs are dated — the next flit has landed, so the taken ones
                     # behind it land by their turn.  The FIFO slots go
                     # back as one ramp, but for those the link dated
                     stored.write_run(now, run)
@@ -485,7 +505,7 @@ class CentralBufferSwitch(SwitchBase):
             progress += 1
         self._write_standing = standing
         if refused:
-            self._pool_mark = self.pool.used_chunks
+            self._pool_mark = pool.chunks_returned
         if progress:
             self._stirred = True
             self.sim.progress += progress
@@ -735,7 +755,7 @@ class CentralBufferSwitch(SwitchBase):
         if covered != self._ingress_occupied:
             return False
         refused = 0
-        if self._write_runs and self._pool_mark == self.pool.used_chunks:
+        if self._write_runs and self._pool_mark == self.pool.chunks_returned:
             refused = self._write_standing
         for port in PORTS_OF[self._cb_feed]:
             ingress = inflows[port][0]
@@ -746,6 +766,12 @@ class CentralBufferSwitch(SwitchBase):
             ):
                 return False
         return True
+
+    def settle(self, now: int) -> None:
+        super().settle(now)
+        # and the pool's dated takes and releases (chunks.py, "The
+        # timeline"), which hold charges only
+        self.pool._settle(now)
 
     def _blocked_wake(self, now: int) -> Optional[int]:
         # a dated release is a wake source too: an admission or a write

@@ -30,18 +30,36 @@ latest of their crossing cycles, and goes back to the pool at that cycle.
 instead of doing it cycle by cycle.  A write run advances
 ``flits_written`` at once and records the cycle of its last write;
 :meth:`StoredPacket.written_by` is what has been written by a given
-cycle.  A read run registers each chunk end it will cross with the cycle
-of the crossing (:meth:`StoredPacket.crossed`), and the packet's end too
-when it carries the tail, so a chunk's release — the last chunk's at the
+cycle.  A write run of a *covered* unicast — one whose input's free
+quota held every chunk it still needed at its first write
+(:meth:`StoredPacket.cover`) — crosses chunk boundaries, and each chunk
+it opens is a take dated at the cycle of the boundary's write
+(:meth:`CentralBufferPool.take_at`): shared region first, else this
+input's quota, as :meth:`~CentralBufferPool.try_take` would, and it
+cannot be refused, for nothing but this packet draws on that quota
+while it is the front of its input.  A read run registers each chunk
+end it will cross with the cycle of the crossing
+(:meth:`StoredPacket.crossed`), and the packet's end too when it
+carries the tail, so a chunk's release — the last chunk's at the
 tail's cycle — may carry a date that is still ahead: the pool queues it
-(:meth:`CentralBufferPool.release_at`) and applies queued releases in
-date order before anything that allocates or frees at a later cycle.  A
-release dated *d* is therefore seen by every :meth:`~CentralBufferPool.
-try_take` at a cycle after *d* and by none at *d* or before — a switch
-reads after it writes within a cycle, so that is when the per-flit
-switch's allocations see it too.  :meth:`CentralBufferPool.at` is the one
-reader for everything that looks at the pool from outside: the pool as of
-the end of a cycle, whatever was committed ahead of it.
+(:meth:`CentralBufferPool.release_at`).
+
+A dated take is applied where the per-flit switch takes the chunk: in
+the write phase of its own cycle, at its input's turn in the write
+arbiter's order (:meth:`CentralBufferPool.take_due`), when the switch
+ticks then; else before anything that allocates or frees at a later
+cycle.  Queued takes and releases are applied there in date order, a
+take before a release of the same date, for a switch writes before it
+reads within a cycle.  A release dated *d* is therefore seen by every
+:meth:`~CentralBufferPool.try_take` at a cycle after *d* and by none at
+*d* or before, which is when the per-flit switch's allocations see it
+too.  The pool holds at most one dated take per cycle (the writer cuts
+a run short of a boundary whose cycle another input's take holds): two
+applied after the cycle would follow the queue, not the arbiter.
+:meth:`CentralBufferPool.at` is the one reader for everything that
+looks at the pool from outside: the pool as of the end of a cycle, the
+takes and releases dated up to it applied, whatever was committed
+ahead of it.
 """
 
 from __future__ import annotations
@@ -49,7 +67,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from copy import copy
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, MutableSequence, Optional, Tuple
 
 from repro.errors import BufferError_, ConfigurationError
 from repro.flits.worm import Worm
@@ -111,8 +129,17 @@ class CentralBufferPool:
         self._used_chunks = 0
         self.occupancy = TimeWeightedAverage()
         #: ``(date, charge, chunks)`` releases dated ahead by committed
-        #: read runs, in date order; `_settle` applies them
+        #: read runs, and ``(date, charge)`` one-chunk takes dated ahead
+        #: by committed write runs, each in date order; `_settle` applies
+        #: them.  A take queues the packet's charge, which points at
+        #: nothing: the packet points at the pool.  The takes are a list:
+        #: at most a few are queued, and an empty deque holds a block of
+        #: 64 slots in every pool of every network
         self._releases: Deque[Tuple[int, "ChunkCharge", int]] = deque()
+        self._takes: List[Tuple[int, "ChunkCharge"]] = []
+        #: chunks ever given back: a count that only grows, so a take
+        #: and a release between two looks cannot cancel out in it
+        self.chunks_returned = 0
 
     # ------------------------------------------------------------------
     # sizing
@@ -135,7 +162,7 @@ class CentralBufferPool:
         """
         if chunks < 1:
             raise ValueError("chunks must be positive")
-        if self._releases:
+        if self._releases or self._takes:
             self._settle(now)
         from_shared = min(self.free_shared, chunks)
         from_quota = chunks - from_shared
@@ -153,7 +180,7 @@ class CentralBufferPool:
             raise ValueError("chunks must be non-negative")
         if chunks == 0:
             return
-        if self._releases:
+        if self._releases or self._takes:
             self._settle(now)
         self._give_back(charge, chunks, now)
 
@@ -167,6 +194,7 @@ class CentralBufferPool:
         self.free_quota[charge.input_port] += to_quota
         self.free_shared += to_shared
         self._used_chunks -= chunks
+        self.chunks_returned += chunks
         if self._used_chunks < 0 or (
             self.free_quota[charge.input_port] > self.quota_chunks
         ):
@@ -174,20 +202,40 @@ class CentralBufferPool:
         self.occupancy.update(now, self._used_chunks)
 
     # ------------------------------------------------------------------
-    # the release timeline (committed read runs)
+    # the timeline (committed write and read runs)
     # ------------------------------------------------------------------
+    def take_at(self, charge: "ChunkCharge", date: int) -> None:
+        """Queue a one-chunk take for ``charge`` at cycle ``date``, which
+        is still ahead and held by no other take: a covered writer opens
+        the chunk inside a run it has committed."""
+        _insert(self._takes, (date, charge))
+
+    def take_due(self, charge: Optional["ChunkCharge"], now: int) -> None:
+        """Apply the take of ``charge`` dated ``now``, if one is queued:
+        the write phase of cycle ``now`` at its input's turn, where the
+        per-flit switch takes the chunk."""
+        self._settle(now)
+        takes = self._takes
+        if takes and takes[0][0] == now and takes[0][1] is charge:
+            self._take(takes.pop(0)[1], now)
+
+    def _take(self, charge: "ChunkCharge", date: int) -> None:
+        if self.free_shared:
+            self.free_shared -= 1
+            charge.shared += 1
+        elif self.free_quota[charge.input_port]:
+            self.free_quota[charge.input_port] -= 1
+            charge.quota += 1
+        else:
+            raise BufferError_("dated chunk take refused: quota not covered")
+        self._used_chunks += 1
+        self.occupancy.update(date, self._used_chunks)
+
     def release_at(self, charge: "ChunkCharge", chunks: int, date: int) -> None:
         """Queue :meth:`give_back` of ``chunks`` for cycle ``date``, which
         is still ahead: the last branch crosses the chunk's end inside a
         run it has committed."""
-        releases = self._releases
-        if releases and releases[-1][0] > date:
-            position = len(releases) - 1
-            while position and releases[position - 1][0] > date:
-                position -= 1
-            releases.insert(position, (date, charge, chunks))
-        else:
-            releases.append((date, charge, chunks))
+        _insert(self._releases, (date, charge, chunks))
 
     def next_release(self) -> Optional[int]:
         """Date of the earliest queued release, or ``None``: allocation
@@ -195,34 +243,52 @@ class CentralBufferPool:
         return self._releases[0][0] if self._releases else None
 
     def _settle(self, now: int) -> None:
-        """Apply, in date order, the queued releases dated before ``now``
-        — what an allocation or release at ``now`` must find done."""
-        releases = self._releases
-        while releases and releases[0][0] < now:
-            date, charge, chunks = releases.popleft()
-            self._give_back(charge, chunks, date)
+        """Apply, in date order, the queued takes and releases dated
+        before ``now`` — what an allocation or release at ``now`` must
+        find done — a take before a release of the same date."""
+        takes, releases = self._takes, self._releases
+        while True:
+            take = takes[0][0] if takes else now
+            release = releases[0][0] if releases else now
+            if take < now and take <= release:
+                self._take(takes.pop(0)[1], take)
+            elif release < now:
+                date, charge, chunks = releases.popleft()
+                self._give_back(charge, chunks, date)
+            else:
+                return
 
     def at(self, now: int) -> "CentralBufferPool":
         """The pool as of the end of cycle ``now`` — the current cycle or
         a later one — on the one-flit-per-cycle timeline: this pool, or
-        while releases dated ``now`` or earlier are still queued a copy
-        with those applied (nothing here changes).  The reader behind
-        ``idle()``, the occupancy gauge and probe, and the tests."""
-        releases = self._releases
-        if not releases or releases[0][0] > now:
+        while takes or releases dated ``now`` or earlier are still queued
+        a copy with those applied (nothing here changes).  The reader
+        behind ``idle()``, the occupancy gauge and probe, and the
+        tests."""
+        takes, releases = self._takes, self._releases
+        if (not takes or takes[0][0] > now) and (
+            not releases or releases[0][0] > now
+        ):
             return self
         view = copy(self)
         view.free_quota = list(self.free_quota)
         view.occupancy = copy(self.occupancy)
-        view._releases = deque()
         charges: Dict[int, ChunkCharge] = {}
-        for date, charge, chunks in releases:
-            if date > now:
-                break
-            mirror = charges.get(id(charge))
-            if mirror is None:
-                mirror = charges[id(charge)] = copy(charge)
-            view._give_back(mirror, chunks, date)
+
+        def mirror(charge: ChunkCharge) -> ChunkCharge:
+            twin = charges.get(id(charge))
+            if twin is None:
+                twin = charges[id(charge)] = copy(charge)
+            return twin
+
+        view._takes = [
+            (entry[0], mirror(entry[1])) for entry in takes if entry[0] <= now
+        ]
+        view._releases = deque(
+            (date, mirror(charge), chunks)
+            for date, charge, chunks in releases if date <= now
+        )
+        view._settle(now + 1)
         return view
 
     # ------------------------------------------------------------------
@@ -244,6 +310,19 @@ class CentralBufferPool:
             f"CentralBufferPool(used={self.used_chunks}/"
             f"{self.capacity_chunks} chunks, shared_free={self.free_shared})"
         )
+
+
+def _insert(queue: MutableSequence, entry: Tuple) -> None:
+    """Queue ``entry`` on ``queue``, kept in order of the date each
+    entry leads with; equal dates keep their arrival order."""
+    date = entry[0]
+    if queue and queue[-1][0] > date:
+        position = len(queue) - 1
+        while position and queue[position - 1][0] > date:
+            position -= 1
+        queue.insert(position, entry)
+    else:
+        queue.append(entry)
 
 
 class ChunkCharge:
@@ -302,7 +381,8 @@ class StoredPacket:
     Created with ``reserve_all=True`` for multidestination worms (the
     admission rule: all chunks are taken up front via :meth:`try_admit`)
     and ``reserve_all=False`` for unicast packets, which allocate chunk by
-    chunk as flits are written.
+    chunk as flits are written — each take at its own cycle, dated ahead
+    by a write run once the packet is covered (:meth:`cover`).
     """
 
     def __init__(
@@ -322,8 +402,12 @@ class StoredPacket:
         #: cycle of the last write of the latest committed write run;
         #: while it is ahead, `written_by` is behind `flits_written`
         self.last_write = -1
-        #: chunks ever taken from the pool, released ones included
+        #: chunks ever taken from the pool, released ones included, and
+        #: dated takes counted when their run is committed
         self.chunks_taken = 0
+        #: an incremental packet whose input quota covers the rest of it
+        #: (:meth:`cover`): its write runs cross chunk boundaries
+        self.covered = False
         self._branches = 0
         #: chunks released or queued for release, in chunk order
         self._chunks_released = 0
@@ -380,21 +464,57 @@ class StoredPacket:
             self.charge.absorb(taken)
         return True
 
+    def cover(self) -> bool:
+        """At the first write of an incremental packet, its first chunk
+        taken: whether this input's free quota holds every chunk the
+        rest of the packet needs.  Only this packet draws on that quota
+        until it is written, so then none of its takes can be refused,
+        and its write runs may date them (:meth:`write_space`)."""
+        pool = self.pool
+        self.covered = pool.free_quota[self.input_port] >= (
+            pool.chunks_for(self.total_flits) - self.chunks_taken
+        )
+        return self.covered
+
     def owned_space(self) -> int:
         """Flits that can be written into the chunks this packet already
-        holds — no allocation, so nothing that could be refused: the
-        whole remainder of an admitted packet, the rest of the current
-        chunk of an incremental one."""
+        holds or has dated — no allocation, so nothing that could be
+        refused: the whole remainder of an admitted packet, the rest of
+        the current chunk of an incremental one."""
         return self.chunks_taken * self.pool.chunk_flits - self.flits_written
+
+    def write_space(self, now: int) -> int:
+        """Flits a write run from ``now`` may commit: the owned space,
+        or for a covered packet the rest of it, short of the first chunk
+        boundary whose cycle another input's dated take holds (two takes
+        dated to one cycle would be applied in queue order, not the
+        write arbiter's)."""
+        if not self.covered:
+            return self.owned_space()
+        written = self.flits_written
+        space = self.total_flits - written
+        chunk = self.pool.chunk_flits
+        for entry in self.pool._takes:
+            ahead = entry[0] - now
+            if 0 < ahead < space and not (written + ahead) % chunk:
+                space = ahead
+        return space
 
     def write_flit(self) -> None:
         """Commit one flit into the buffer (space must be ensured first)."""
         self.flits_written += 1
 
     def write_run(self, now: int, count: int) -> None:
-        """Commit ``count`` flits into owned space, one per cycle from
-        ``now``."""
-        self.flits_written += count
+        """Commit ``count`` flits of :meth:`write_space`, one per cycle
+        from ``now``, dating a take for each chunk they open."""
+        written = self.flits_written
+        chunk = self.pool.chunk_flits
+        while self.chunks_taken * chunk < written + count:
+            assert self.charge is not None  # the first chunk is taken
+            date = now + self.chunks_taken * chunk - written
+            self.pool.take_at(self.charge, date)
+            self.chunks_taken += 1
+        self.flits_written = written + count
         self.last_write = now + count - 1
 
     def written_by(self, now: int) -> int:

@@ -104,10 +104,12 @@ the cycle after the one before it if that is later, whatever else is
 going on.  Toward a drain the credit return of every flit is dated the
 moment the flit is sent, so the link dates it itself.  Two receivers
 declare one for a worm on their in-link (:meth:`drain`), on their first
-move of it: the central-buffer writer of an admitted multidestination
-worm, whose space the acceptance rule owns to the tail and which every
-cycle's write arbitration grants, and a central-buffer bypass feed
-whose out-link is an unthrottled sink (below).  From then on each send
+move of it: a central-buffer writer that every cycle's write
+arbitration grants and no chunk take can stop — of an admitted
+multidestination worm, whose space the acceptance rule owns to the
+tail, or of a unicast whose input's free quota holds every chunk it
+still needs — and a central-buffer bypass feed whose out-link is an
+unthrottled sink (below).  From then on each send
 of that worm — span or single flit — queues its members' returns as one
 ramp from ``max(now + latency, next) + credit_latency``, ``next`` being
 the cycle after the flit before is consumed, and the receiver returns

@@ -96,12 +96,15 @@ def _single(source, degree, payload, scheme):
     )
 
 
-def _short_pool(shared_chunks=0):
+def _short_pool(shared_chunks=0, **system):
     """Config overrides for a central buffer at its legal minimum — one
     maximum packet of chunks per input — plus ``shared_chunks``, with
     packets that fill their input's quota: the second worm from an input
-    waits for admission, the second unicast is refused its chunks."""
-    probe = SimulationConfig(num_hosts=N, max_packet_payload_flits=32)
+    waits for admission, the second unicast is refused its chunks.  The
+    system is ``N`` hosts, or the ``system`` fields given."""
+    probe = SimulationConfig(
+        **{"num_hosts": N, **system, "max_packet_payload_flits": 32}
+    )
     quota = -(-probe.max_packet_flits() // probe.chunk_flits)
     chunks = 2 * probe.arity * quota + shared_chunks
     return {

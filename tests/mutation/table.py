@@ -139,11 +139,10 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "drain-declared-by-a-unicast-writer",
         "src/repro/switches/central_buffer.py",
-        "                if not consumed and stored.reserve_all"
-        " and link is not None:\n",
-        "                if not consumed and link is not None:\n",
-        "only a writer whose space is owned to the tail is a drain: a "
-        "chunk-by-chunk unicast writer can be refused a chunk "
+        "                    and (stored.reserve_all or stored.cover())\n",
+        "                    and (stored.reserve_all or stored.cover() or True)\n",
+        "only a writer no chunk take can stop is a drain: a unicast writer "
+        "its input's quota does not cover can be refused a chunk "
         "(CentralBufferSwitch._write_central_buffer)",
     ),
     Row(
@@ -166,6 +165,35 @@ ROWS: Tuple[Row, ...] = (
         "the tail's send ends the drain: the next worm on the link gets "
         "the finite window, and no link holds a worm past its run "
         "(Link._prepay)",
+    ),
+    # -- the dated take: a covered unicast's write run opens its chunks
+    # on the pool's timeline (the chunks.py docstring, "The timeline") --
+    Row(
+        "dated-take-after-a-release-of-its-date",
+        "src/repro/switches/chunks.py",
+        "            if take < now and take <= release:\n",
+        "            if take < now and take < release:\n",
+        "a switch writes before it reads within a cycle: a chunk take dated "
+        "d is applied before a release dated d (CentralBufferPool._settle)",
+    ),
+    Row(
+        "covered-run-through-a-held-take-date",
+        "src/repro/switches/chunks.py",
+        "            if 0 < ahead < space and not (written + ahead) % chunk:\n"
+        "                space = ahead\n",
+        "            pass\n",
+        "one dated take per cycle per pool: two inputs' takes of one cycle "
+        "are ordered by the write arbiter, not by the queue "
+        "(StoredPacket.write_space)",
+    ),
+    Row(
+        "dated-take-queues-the-packet",
+        "src/repro/switches/chunks.py",
+        "            self.pool.take_at(self.charge, date)\n",
+        "            _insert(self.pool._takes, (date, self.charge, self))\n",
+        "a dated take holds the packet's charge, which points at nothing: "
+        "the packet, which points at the pool, would be a reference cycle "
+        "while the take waits (CentralBufferPool.take_at)",
     ),
     # -- determinism (DESIGN.md §7) and picklability (RunSpec) ----------
     Row(

@@ -23,6 +23,8 @@ from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation, run_workload
 from repro.routing.base import UpPortPolicy
 from repro.switches.base import Ingress
+from repro.switches.central_buffer import CentralBufferSwitch
+from repro.switches.chunks import CentralBufferPool
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream
 from repro.traffic.unicast import UniformRandomUnicast
@@ -167,10 +169,21 @@ class TestFinished:
 
     @pytest.mark.parametrize("architecture", list(SwitchArchitecture))
     @pytest.mark.parametrize("shape", sorted(SHAPES))
-    def test_no_worm_is_left_in_a_switch(self, shape, architecture):
+    def test_no_worm_is_left_in_a_switch(
+        self, shape, architecture, monkeypatch
+    ):
         # the releases of the tails that left in runs before the stop are
         # settled on the way out, as the next tick would: no input FIFO
-        # holds a worm, and no link still drains one
+        # holds a worm, and no link still drains one — and the chunk
+        # takes that covered writers dated are applied, none pending
+        dated = []
+        take_at = CentralBufferPool.take_at
+
+        def logged(pool, charge, date):
+            dated.append(date)
+            take_at(pool, charge, date)
+
+        monkeypatch.setattr(CentralBufferPool, "take_at", logged)
         config = SimulationConfig(
             num_hosts=64, switch_architecture=architecture, seed=3
         )
@@ -180,6 +193,12 @@ class TestFinished:
         assert reachable(network, Ingress) == 0
         assert not any(switch._releases for switch in network.switches)
         assert all(link._drain is None for link in network.links)
+        pools = [
+            switch.pool for switch in network.switches
+            if isinstance(switch, CentralBufferSwitch)
+        ]
+        assert bool(dated) == bool(pools)
+        assert not any(pool._takes or pool._releases for pool in pools)
 
 
 def reachable(root, kind):

@@ -6,6 +6,9 @@ deadlock-freedom quota) and shares the rest dynamically.
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -248,6 +251,84 @@ class TestStoredPacket:
                 stored.branch_read(action[1], now)
             assert 0 <= pool.free_chunks <= pool.capacity_chunks
         assert pool.free_chunks == pool.capacity_chunks
+
+
+class TestDatedTakes:
+    """A covered unicast's write run dates the takes of the chunks it
+    opens (chunks.py, "The timeline")."""
+
+    @staticmethod
+    def covered(pool, total, input_port=0, now=0):
+        stored = StoredPacket(pool, input_port, total, reserve_all=False)
+        assert stored.ensure_write_space(now) and stored.cover()
+        return stored
+
+    def test_coverage_is_the_input_quota_after_the_first_take(self):
+        pool = make_pool(capacity=128, chunk=8, inputs=4, quota=4)
+        assert pool.free_shared == 0
+        assert self.covered(pool, 32).covered  # 1 taken, 3 of 3 to come
+        partly_held = StoredPacket(pool, 1, 8, reserve_all=True)
+        assert partly_held.try_admit(0)
+        longer = StoredPacket(pool, 1, 32, reserve_all=False)
+        assert longer.ensure_write_space(0) and not longer.cover()
+        # an uncovered packet's space is its current chunk
+        assert longer.write_space(0) == longer.owned_space() == 8
+
+    def test_a_run_dates_a_take_per_chunk_it_opens(self):
+        pool = make_pool(capacity=160, chunk=8, inputs=4, quota=4)
+        stored = self.covered(pool, 20, now=10)
+        assert stored.write_space(10) == 20
+        stored.write_run(10, 20)
+        assert [entry[0] for entry in pool._takes] == [18, 26]
+        assert stored.chunks_taken == 3 and stored.owned_space() == 4
+        # held until their cycles, on the pool and in its view
+        assert pool.used_chunks == 1
+        assert pool.at(17).used_chunks == 1
+        assert pool.at(18).used_chunks == 2
+        assert (pool.at(26).used_chunks, pool.at(26).free_shared) == (3, 1)
+        # applied before anything at a later cycle: shared first
+        assert pool.try_take(1, 1, 27) is not None
+        assert not pool._takes and stored.charge.shared == 3
+
+    def test_a_run_stops_short_of_a_cycle_another_take_holds(self):
+        pool = make_pool(capacity=256, chunk=8, inputs=4, quota=4)
+        first = self.covered(pool, 32, input_port=0, now=0)
+        first.write_run(0, 32)  # takes at 8, 16, 24
+        second = self.covered(pool, 32, input_port=1, now=3)
+        assert second.write_space(3) == 32  # boundaries at 11, 19, 27
+        third = self.covered(pool, 32, input_port=2, now=8)
+        assert third.write_space(8) == 8  # its boundary at 16 is held
+
+    def test_a_take_goes_before_a_release_of_its_date(self):
+        # one shared chunk, freed at 9 by a release dated then: the take
+        # dated 9 finds it still held, and draws on the quota
+        pool = make_pool(capacity=136, chunk=8, inputs=4, quota=4)
+        holder = StoredPacket(pool, 1, 8, reserve_all=True)
+        assert holder.try_admit(0) and holder.charge.shared == 1
+        pool.release_at(holder.charge, 1, 9)
+        stored = self.covered(pool, 16, now=1)
+        stored.write_run(1, 16)  # the second chunk opens at 9
+        assert stored.charge.quota == 1
+        assert pool.at(9).free_shared == 1
+        assert pool.at(9).free_quota[0] == 2
+        pool.give_back(stored.charge, 1, 10)
+        assert stored.charge.quota == 1 and pool.free_shared == 1
+
+    def test_a_dated_take_holds_the_charge_not_the_packet(self):
+        # the packet points at the pool: queued itself it would be a
+        # reference cycle until the take is applied
+        pool = make_pool(capacity=160, chunk=8, inputs=4, quota=4)
+        stored = self.covered(pool, 24)
+        stored.write_run(0, 24)
+        charge, packet = stored.charge, weakref.ref(stored)
+        gc.disable()
+        try:
+            del stored
+            assert packet() is None
+        finally:
+            gc.enable()
+        pool.try_take(1, 1, 100)
+        assert charge.total == 3 and not pool._takes
 
 
 class TestPoolStateful:

@@ -55,6 +55,7 @@ from tests.differential import (
     ROW,
     TIMELINE_ROWS,
     TimelineProbe,
+    _short_pool,
     flavour,
     log_sends,
     log_takes,
@@ -1332,9 +1333,10 @@ class TestDrain:
     """A receiver that takes each flit of a worm as it lands through to
     its tail dates the credit returns of its later flits, and its sender
     is not held to the FIFO's window for that worm (``Link.drain``): the
-    central-buffer writer of an admitted multidestination worm, and a
-    bypass feed toward a host that never throttles.  Every case is held
-    to the per-flit reference, which declares none."""
+    central-buffer writer of an admitted multidestination worm or of a
+    unicast its input's quota covers, and a bypass feed toward a host
+    that never throttles.  Every case is held to the per-flit reference,
+    which declares none and dates no take."""
 
     def test_an_admitted_worm_crosses_each_hop_in_two_records(self):
         # degree 16 across 64 hosts, alone: at each hop the sender has
@@ -1371,17 +1373,63 @@ class TestDrain:
         assert not drains
         assert max(count for *_, count in calls["host0->sw0.p0"]) == 8
 
-    def test_no_drain_for_a_unicast_written_chunk_by_chunk(self):
-        # two unicasts for host 7 at once: one bypasses toward it (a
-        # drain), the other is written into the buffer a chunk at a time
-        # — a chunk may be refused, so that writer is none
-        calls, drains, _ = drained_run(UNCONTENDED, [
-            (schedule_unicast, 5, 0, 7, 40), (schedule_unicast, 5, 1, 7, 40),
+    def test_a_unicast_its_input_quota_covers_is_a_drain(self):
+        # two unicasts for host 7 at once: one bypasses toward it, the
+        # other is queued behind it and written into the buffer, whose
+        # fresh quota for that input holds all 6 chunks — no take can be
+        # refused, so both movers are drains
+        with log_buffer_runs() as buffered:
+            calls, drains, _ = drained_run(UNCONTENDED, [
+                (schedule_unicast, 5, 0, 7, 40),
+                (schedule_unicast, 5, 1, 7, 40),
+            ])
+        assert sorted(packet for _, packet, _ in drains) == [0, 1]
+        for source in ("host0->sw0.p0", "host1->sw0.p1"):
+            assert [call[2:] for call in calls[source]] == [(0, 8), (8, 33)]
+        # the queued worm is written as the FIFO's 8 flits, then one run
+        # from its second chunk to its tail, its 4 later chunks taken on
+        # the pool's timeline
+        writes = [entry[1:] for entry in buffered if entry[0] == "write_run"]
+        assert writes == [(9, 8), (17, 33)]
+
+    def test_no_drain_for_a_unicast_its_quota_does_not_cover(self):
+        # a pool at its legal minimum, no shared region: host 0's first
+        # unicast waits in the buffer behind host 1's bypass and holds 2
+        # of its input's 5 chunks when the second, of 5 chunks, is
+        # written — its last take waits for the first's chunks to go
+        # back, so that writer is none and its sends stay in the FIFO's
+        # window
+        config = UNCONTENDED.derived(**_short_pool(num_hosts=8, arity=8))
+        calls, drains, _ = drained_run(config, [
+            (schedule_unicast, 5, 1, 7, 32),
+            (schedule_unicast, 6, 0, 7, 8), (schedule_unicast, 6, 0, 7, 32),
         ])
-        (drained,) = {packet for _, packet, _ in drains}
-        other = 1 - drained
-        source = f"host{other}->sw0.p{other}"
-        assert max(count for *_, count in calls[source]) == 8
+        assert sorted(packet for _, packet, _ in drains) == [0, 1]
+        second = [call for call in calls["host0->sw0.p0"] if call[1] == 2]
+        assert max(count for *_, count in second) == 8
+        assert len(second) > 2
+
+    def test_two_inputs_that_open_chunks_on_one_cycle(self):
+        # two covered unicasts queued for host 7 behind host 2's bypass,
+        # host 1's posted 8 cycles before host 0's: their chunk
+        # boundaries fall on the same cycles.  Host 1's run dates its
+        # takes first; host 0's runs stop short of each cycle one holds
+        # and take that chunk at their own turn, which the write arbiter
+        # gives host 0 first.  With 6 shared chunks the last one goes at
+        # such a cycle, to whichever input takes first: every cycle's
+        # pool row is held to the reference's
+        config = UNCONTENDED.derived(**_short_pool(6, num_hosts=8, arity=8))
+        with log_buffer_runs() as buffered:
+            _, drains, _ = drained_run(config, [
+                (schedule_unicast, 4, 2, 7, 32),
+                (schedule_unicast, 5, 1, 7, 32),
+                (schedule_unicast, 13, 0, 7, 32),
+            ])
+        assert sorted(packet for _, packet, _ in drains) == [0, 1, 2]
+        writes = [entry[1:] for entry in buffered if entry[0] == "write_run"]
+        # host 1: 8, then 25 to its tail; host 0: 8, then cut at 33 and
+        # 41, where host 1's takes are dated
+        assert writes == [(9, 8), (17, 8), (17, 25), (25, 8), (33, 8), (41, 9)]
 
     def test_no_drain_window_where_the_lag_exceeds_the_credits(self):
         # the smallest FIFO, on links of latency 3: it is grown to hold a
