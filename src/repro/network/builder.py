@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import List, Optional, Union
@@ -82,9 +81,9 @@ class Network:
         delivery callback (NI to node, node to a collective engine that
         lists the nodes), and the worms a switch still holds for the
         dated release of a tail it sent in a run (an input-buffer worm
-        and its branches point at each other until it is popped): those
-        releases are settled, and with them the chunk takes and releases
-        a pool dated before the stop.  Everything a caller reads after a
+        and its branches point at each other until it is popped):
+        :meth:`~repro.switches.base.SwitchBase.close` settles them.
+        Everything a caller reads after a
         run — the result, the collector, switches and their buffer pools,
         link counters, the topology — stays readable; the network itself
         refuses to run again (:class:`~repro.errors.SimulationError`).
@@ -101,8 +100,7 @@ class Network:
             node.interface._on_delivery = None
             node._delivery_listeners.clear()
         for switch in self.switches:
-            switch.settle(sim.now)
-            switch._settle_releases(sys.maxsize)
+            switch.close(sim.now)
 
 
 def _build_topology(config: SimulationConfig):

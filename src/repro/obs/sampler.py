@@ -114,7 +114,7 @@ def register_network_gauges(
     pools = [
         switch.pool
         for switch in network.switches
-        if hasattr(switch, "pool")
+        if switch.pool is not None
     ]
     sim = network.sim
     registry.gauge(

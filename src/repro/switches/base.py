@@ -12,11 +12,12 @@ own cursors and :class:`SwitchBase` with its :meth:`~SwitchBase._phases`.
 from __future__ import annotations
 
 import enum
-from bisect import insort
+from bisect import bisect_left
 from collections import deque
+from copy import copy
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Callable, Deque, List, Optional, Tuple, Type
+from typing import Any, Callable, Deque, Dict, List, Optional, Set, Tuple, Type
 
 from repro.errors import ConfigurationError, ProtocolError
 from repro.flits.packed import SpanQueue, flit_repr
@@ -254,6 +255,104 @@ def _up_port_credits(
     return link.credits(now) + max(0, link._last_send_cycle - now + 1)
 
 
+#: The phases of a dated effect: its place in the per-flit switch's
+#: cycle, which writes (takes a chunk), then reads (gives chunks back),
+#: then frees what a tail that left frees.
+TAKE, RELEASE, TAIL = 0, 1, 2
+Effect = Tuple[int, int, Any, int]
+
+
+class DatedEffects:
+    """One switch's queue of *dated effects*, what its committed runs do
+    at cycles still ahead, as ``(date, phase, subject, count)``: a
+    one-chunk ``TAKE`` or a ``RELEASE`` of ``count`` chunks of the charge
+    ``subject`` (:mod:`repro.switches.chunks`, "The timeline"), or a
+    ``TAIL`` that frees the outputs ``subject`` and pops the inputs
+    ``count``.  :meth:`settle` applies them the first tick after their
+    date in ``(date, phase)`` order, equal keys in arrival order; the
+    timeline readers (:meth:`Ingress.gone_by`, ``CentralBufferPool.at``)
+    see them from their date.  One lane per phase, each a list in date
+    order: most arrive with an append, a reader of one kind reads its
+    lane, and the tails, which touch no pool state, settle last."""
+
+    __slots__ = ("takes", "releases", "tails", "take_dates")
+
+    def __init__(self) -> None:
+        self.takes: List[Effect] = []
+        self.releases: List[Effect] = []
+        self.tails: List[Effect] = []
+        #: the dates of the queued takes, one take each
+        self.take_dates: Set[int] = set()
+
+    def add(self, date: int, phase: int, subject: Any, count: int) -> None:
+        """Queue an effect behind those of its ``(date, phase)``."""
+        if phase == RELEASE:
+            lane = self.releases
+        elif phase == TAKE:
+            lane = self.takes
+            self.take_dates.add(date)
+        else:
+            lane = self.tails
+        entry = (date, phase, subject, count)
+        if lane and lane[-1][0] > date:
+            # the probe sorts after every entry dated up to `date` and
+            # before every later one, and compares no subject
+            lane.insert(bisect_left(lane, (date + 1,)), entry)
+        else:
+            lane.append(entry)
+
+    def take_due(self, charge: Any, now: int, pool: Any) -> None:
+        """Apply the take of ``charge`` dated ``now``, if it leads its lane."""
+        takes = self.takes
+        if now in self.take_dates and takes[0][2] is charge:
+            self.take_dates.discard(now)
+            del takes[0]
+            pool.take(charge, now)
+
+    def settle(self, now: int, pool: Any, left: Any) -> None:
+        """Apply, in order, the effects dated before ``now``: a take
+        (``pool.take``) or a release (``pool.give_back``) on ``pool``, a
+        tail through ``left(outputs, inputs)``."""
+        takes, releases, tails = self.takes, self.releases, self.tails
+        while takes and takes[0][0] < now:
+            date, _, charge, _ = takes.pop(0)
+            _give_back(releases, date, pool)  # a take leads its date
+            self.take_dates.discard(date)
+            pool.take(charge, date)
+        if releases and releases[0][0] < now:
+            _give_back(releases, now, pool)
+        due = 0
+        for date, _, outputs, inputs in tails:
+            if date >= now:
+                break
+            due += 1
+            left(outputs, inputs)
+        del tails[:due]
+
+    def pool_part(self, now: int) -> "DatedEffects":
+        """The takes and releases dated ``now`` or before, each on a copy
+        of its charge: what a view of the pool settles."""
+        part = DatedEffects()
+        twins: Dict[int, Any] = {}
+        for lane in (self.takes, self.releases):
+            for date, phase, charge, count in lane:
+                if date > now:
+                    break
+                part.add(date, phase, twins.setdefault(id(charge), copy(charge)), count)
+        return part
+
+
+def _give_back(releases: List[Effect], until: int, pool: Any) -> None:
+    """Apply, in order, the releases dated before ``until``."""
+    due = 0
+    for date, _, charge, chunks in releases:
+        if date >= until:
+            break
+        due += 1
+        pool.give_back(charge, chunks, date)
+    del releases[:due]
+
+
 class SwitchBase(Component):
     """Ports, links, worm arrival, routing plumbing and the tick skeleton
     common to both architectures."""
@@ -311,14 +410,11 @@ class SwitchBase(Component):
         if metrics is not None:
             self._c_forwarded = metrics.counter("switch.flits_forwarded")
             self._c_blocked = metrics.counter("switch.blocked_cycles")
-        #: releases dated by committed runs that carry a worm's tail, in
-        #: date order, as ``(date, outputs, inputs)``: the output ports
-        #: the tail frees and the input ports whose front worm it
-        #: empties, as bit masks.  Settled by the first tick after
-        #: ``date`` (`_settle_releases`); the masks and structures keep
-        #: them until then, the timeline readers do not
-        #: (`Ingress.gone_by`, `_freed_by`)
-        self._releases: List[Tuple[int, int, int]] = []
+        self._dated = DatedEffects()
+        # the central buffer's pool refused this tick (`_blocked_wake`)
+        self._starved = False
+        #: the central buffer's chunk pool, in the architecture with one
+        self.pool: Any = None
         # the blocked cycles a sleeping switch has yet to count: the
         # un-stirred tick at `_blocked_at` bumped the counter
         # `_blocked_rate` times and every cycle slept since would have
@@ -366,9 +462,13 @@ class SwitchBase(Component):
         if self._blocked_rate:
             self.settle_blocked(now)
             self._blocked_rate = 0
-        releases = self._releases
-        if releases and releases[0][0] < now:
-            self._settle_releases(now)
+        dated = self._dated
+        if (
+            dated.releases and dated.releases[0][0] < now
+            or dated.tails and dated.tails[0][0] < now
+            or dated.takes and dated.takes[0][0] < now
+        ):
+            dated.settle(now, self.pool, self._tail_left)
         if self._obs:
             blocked = self._c_blocked.value
         self._receive(now)
@@ -435,7 +535,7 @@ class SwitchBase(Component):
 
     def _blocked_wake(self, now: int) -> Optional[int]:
         """Earliest routing-delay expiry among the route-pending worms,
-        or the cycle after a dated release that something waits on.
+        or the cycle after a dated tail release that something waits on.
 
         The *time*-driven transitions a sleeping switch could miss:
         every other unblocking event fires a link wake hook.  A pending
@@ -444,7 +544,8 @@ class SwitchBase(Component):
         is waited on by a branch queued for the output it frees or a
         worm behind the one it pops, which act on the cycle after it;
         one nobody waits on is settled whenever the switch next ticks,
-        and every tick until then asks again.
+        and every tick until then asks again.  A switch its pool refused
+        wakes after the earliest dated chunk release, which fires no hook.
         """
         delay = self.settings.routing_delay
         best: Optional[int] = None
@@ -454,7 +555,7 @@ class SwitchBase(Component):
             if cycle > now and (best is None or cycle < best):
                 best = cycle
         wanted = self._egress_wanted
-        for date, outputs, inputs in self._releases:
+        for date, _, outputs, inputs in self._dated.tails:
             waited = outputs & wanted
             for port in PORTS_OF[inputs]:
                 if len(inflows[port]) > 1:
@@ -463,6 +564,10 @@ class SwitchBase(Component):
                 if best is None or date + 1 < best:
                     best = date + 1
                 break
+        if self._starved and self._dated.releases:
+            date = self._dated.releases[0][0]
+            if best is None or date < best - 1:
+                best = date + 1
         return best
 
     def _inside_runs(self, now: int) -> bool:
@@ -561,7 +666,7 @@ class SwitchBase(Component):
         """The branch or feed on output ``port`` has sent its tail."""
         raise NotImplementedError
 
-    # -- dated releases: the tails that committed runs carry --------------
+    # -- dated effects: what committed runs do at cycles still ahead ----
     def _release_at(self, date: int, outputs: int, inputs: int) -> None:
         """A committed run sends a tail at cycle ``date``, still ahead:
         free the ``outputs`` and pop the front worm of the ``inputs``
@@ -570,38 +675,36 @@ class SwitchBase(Component):
         inflows = self._inflow
         for port in PORTS_OF[inputs]:
             inflows[port][0].leaves = date
-        insort(self._releases, (date, outputs, inputs))
+        self._dated.add(date, TAIL, outputs, inputs)
 
     def settle(self, now: int) -> None:
-        """Apply what a tick at ``now`` would find done first: the dated
-        releases before it, and an architecture's own dated state.  What
-        :func:`~repro.network.simulation.run_workload` does on its way
-        out and ``Network.close()`` on closing, so a stopped run leaves
-        nothing dated before the stop pending."""
-        self._settle_releases(now)
+        """What a tick at ``now`` does first: apply the dated effects
+        before it (and ``run_workload`` on its way out)."""
+        self._dated.settle(now, self.pool, self._tail_left)
 
-    def _settle_releases(self, now: int) -> None:
-        """Apply, in date order, the releases dated before ``now`` —
-        what the per-flit switch did at the end of each tail's tick,
-        and what this tick's decisions must find done."""
-        releases = self._releases
-        due = 0
-        for date, outputs, inputs in releases:
-            if date >= now:
-                break
-            due += 1
-            for port in PORTS_OF[outputs]:
-                self._free_output(port)
-            for port in PORTS_OF[inputs]:
-                self._pop_front(port)
-        del releases[:due]
+    def _tail_left(self, outputs: int, inputs: int) -> None:
+        """A tail that left frees ``outputs`` and pops the ``inputs``."""
+        for port in PORTS_OF[outputs]:
+            self._free_output(port)
+        for port in PORTS_OF[inputs]:
+            self._pop_front(port)
+
+    def close(self, now: int) -> None:
+        """For ``Network.close()``: settle before ``now``, then every tail
+        whatever its date, so no worm is held.  The pool's later effects
+        stay queued: they hold charges only, and ``pool.at`` reads them."""
+        self.settle(now)
+        tails = self._dated.tails
+        for _, _, outputs, inputs in tails:
+            self._tail_left(outputs, inputs)
+        tails.clear()
 
     def _freed_by(self, now: int) -> int:
         """Output ports, as a bit mask, that a dated release frees by the
         end of cycle ``now``: free on the one-flit-per-cycle timeline,
         busy in the structures until the next tick."""
         freed = 0
-        for date, outputs, _ in self._releases:
+        for date, _, outputs, _ in self._dated.tails:
             if date > now:
                 break
             freed |= outputs

@@ -79,9 +79,9 @@ shape:
   inside the run is registered with the cycle it is crossed
   (:meth:`~repro.switches.chunks.StoredPacket.crossed`), the tail's
   last chunk included; the chunk goes back at the cycle the last branch
-  crosses, queued on the pool while that cycle is ahead, and such a
-  dated release wakes a switch that found the pool short
-  (``_blocked_wake``).
+  crosses, on the switch's queue of dated effects while that cycle is
+  ahead, and such a dated release wakes a switch that found the pool
+  short (``_blocked_wake``).
 
 **Drains.**  A mover that takes each flit of its worm on the cycle it
 lands, or the cycle after the one before if later, through to the
@@ -210,13 +210,13 @@ class CentralBufferSwitch(SwitchBase):
         metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         super().__init__(name, table, num_ports, settings, tracer, metrics)
-        quota_pool = CentralBufferPool(
+        self.pool = CentralBufferPool(
             capacity_flits=settings.central_buffer_flits,
             chunk_flits=settings.chunk_flits,
             num_inputs=num_ports,
             quota_chunks=-(-settings.max_packet_flits // settings.chunk_flits),
+            dated=self._dated,
         )
-        self.pool = quota_pool
         #: per-output FIFO of branch cursors queued in the central buffer
         self._out_queue: List[Deque[BranchCursor]] = [
             deque() for _ in range(num_ports)
@@ -254,9 +254,6 @@ class CentralBufferSwitch(SwitchBase):
         # the input asks no more after it (every other run ends with a
         # wake of its own)
         self._write_until: Dict[int, int] = {}
-        # an admission or a write found the pool short this tick: the
-        # earliest dated release is then a wake source (`_blocked_wake`)
-        self._starved = False
         # chunks given back by the end of the last write phase in which a
         # write was refused: while it stands, no chunk went back for the
         # refused
@@ -429,6 +426,7 @@ class CentralBufferSwitch(SwitchBase):
         in_links = self.in_links
         commit = self._write_runs
         pool = self.pool
+        dated = self._dated
         standing = 0
         progress = 0
         refused = False
@@ -439,8 +437,8 @@ class CentralBufferSwitch(SwitchBase):
             if stored.last_write >= now:
                 # this cycle's flit was written when the run was committed,
                 # and a chunk it opens is taken here, at this input's turn
-                if pool._takes:
-                    pool.take_due(stored.charge, now)
+                if dated.take_dates:
+                    dated.take_due(stored.charge, now, pool)
                 if stored.last_write > now:
                     standing |= 1 << port
                 continue
@@ -766,23 +764,6 @@ class CentralBufferSwitch(SwitchBase):
             ):
                 return False
         return True
-
-    def settle(self, now: int) -> None:
-        super().settle(now)
-        # and the pool's dated takes and releases (chunks.py, "The
-        # timeline"), which hold charges only
-        self.pool._settle(now)
-
-    def _blocked_wake(self, now: int) -> Optional[int]:
-        # a dated release is a wake source too: an admission or a write
-        # the pool just refused can succeed the cycle after the earliest
-        # queued release, and no link hook fires for that
-        wake = super()._blocked_wake(now)
-        if self._starved:
-            release = self.pool.next_release()
-            if release is not None and (wake is None or release + 1 < wake):
-                wake = release + 1
-        return wake
 
     # ------------------------------------------------------------------
     # introspection for tests and metrics

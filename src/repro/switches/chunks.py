@@ -27,51 +27,51 @@ latest of their crossing cycles, and goes back to the pool at that cycle.
 
 **The timeline.**  A switch that commits a run of flits ahead of time
 (:mod:`repro.switches.central_buffer`) dates what the run will do here
-instead of doing it cycle by cycle.  A write run advances
-``flits_written`` at once and records the cycle of its last write;
-:meth:`StoredPacket.written_by` is what has been written by a given
-cycle.  A write run of a *covered* unicast — one whose input's free
-quota held every chunk it still needed at its first write
-(:meth:`StoredPacket.cover`) — crosses chunk boundaries, and each chunk
-it opens is a take dated at the cycle of the boundary's write
-(:meth:`CentralBufferPool.take_at`): shared region first, else this
-input's quota, as :meth:`~CentralBufferPool.try_take` would, and it
-cannot be refused, for nothing but this packet draws on that quota
-while it is the front of its input.  A read run registers each chunk
-end it will cross with the cycle of the crossing
-(:meth:`StoredPacket.crossed`), and the packet's end too when it
-carries the tail, so a chunk's release — the last chunk's at the
-tail's cycle — may carry a date that is still ahead: the pool queues it
-(:meth:`CentralBufferPool.release_at`).
+on its queue of dated effects (:class:`repro.switches.base.
+DatedEffects`) instead of doing it cycle by cycle.  A write run
+advances ``flits_written`` at once and records the cycle of its last
+write (:meth:`StoredPacket.written_by`).  A write run of a *covered*
+unicast — one whose input's free quota held every chunk it still
+needed at its first write (:meth:`StoredPacket.cover`) — crosses chunk
+boundaries and dates a take of each chunk it opens at the cycle of the
+boundary's write: shared region first, else this input's quota, as
+:meth:`~CentralBufferPool.try_take` would, and never refused, for
+nothing but this packet draws on that quota while it is the front of
+its input.  A read run registers each chunk end it will cross with the
+cycle of the crossing (:meth:`StoredPacket.crossed`), the packet's end
+too when it carries the tail, so a chunk's release — the last chunk's
+at the tail's cycle — may be dated ahead.
 
-A dated take is applied where the per-flit switch takes the chunk: in
-the write phase of its own cycle, at its input's turn in the write
-arbiter's order (:meth:`CentralBufferPool.take_due`), when the switch
-ticks then; else before anything that allocates or frees at a later
-cycle.  Queued takes and releases are applied there in date order, a
-take before a release of the same date, for a switch writes before it
-reads within a cycle.  A release dated *d* is therefore seen by every
-:meth:`~CentralBufferPool.try_take` at a cycle after *d* and by none at
-*d* or before, which is when the per-flit switch's allocations see it
-too.  The pool holds at most one dated take per cycle (the writer cuts
-a run short of a boundary whose cycle another input's take holds): two
-applied after the cycle would follow the queue, not the arbiter.
-:meth:`CentralBufferPool.at` is the one reader for everything that
-looks at the pool from outside: the pool as of the end of a cycle, the
-takes and releases dated up to it applied, whatever was committed
-ahead of it.
+The queue applies them at the start of the switch's first tick after
+their date, a take before a release of the same date, for a switch
+writes before it reads: a release dated *d* is seen by every allocation
+after *d* and by none at *d* or before, as on the per-flit switch.  A
+take dated the cycle of a tick is applied in its write phase, at its
+input's turn in the write arbiter's order (:meth:`~repro.switches.base.
+DatedEffects.take_due`).  A settled take has no such turn, so at most
+one take is dated per cycle: a covered run stops short of a chunk
+boundary whose cycle another input's take holds
+(:meth:`StoredPacket.write_space`).  Two takes of one cycle cannot be
+ranked when the runs are committed: :meth:`~repro.switches.arbiter.
+RoundRobinArbiter.grant_batch` sets the pointer one past each cycle's
+last winner, so the order at *d* depends on which inputs ask at *d* and
+before — on flits not yet sent.  And it matters: a take draws on the
+shared region first, so the first of two may get the last shared chunk
+and the second draw on its quota.  :meth:`CentralBufferPool.at` is the
+one reader of the pool from outside: the pool as of the end of a cycle,
+the takes and releases dated up to it applied.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from copy import copy
-from typing import Deque, Dict, List, MutableSequence, Optional, Tuple
+from typing import List, Optional
 
 from repro.errors import BufferError_, ConfigurationError
 from repro.flits.worm import Worm
 from repro.sim.stats import TimeWeightedAverage
+from repro.switches.base import RELEASE, TAKE, DatedEffects
 
 
 class CentralBufferPool:
@@ -89,6 +89,8 @@ class CentralBufferPool:
         Chunks permanently guaranteed to each input (at least the largest
         packet, enforced by the network configuration); the remainder is
         the shared region.
+    dated:
+        Its switch's queue of dated effects (else a queue of its own).
     """
 
     def __init__(
@@ -97,6 +99,7 @@ class CentralBufferPool:
         chunk_flits: int,
         num_inputs: int,
         quota_chunks: int,
+        dated: Optional[DatedEffects] = None,
     ) -> None:
         if chunk_flits < 1:
             raise ConfigurationError("chunk_flits must be at least 1")
@@ -128,15 +131,9 @@ class CentralBufferPool:
         # counters so per-chunk bookkeeping never sums the quota list
         self._used_chunks = 0
         self.occupancy = TimeWeightedAverage()
-        #: ``(date, charge, chunks)`` releases dated ahead by committed
-        #: read runs, and ``(date, charge)`` one-chunk takes dated ahead
-        #: by committed write runs, each in date order; `_settle` applies
-        #: them.  A take queues the packet's charge, which points at
-        #: nothing: the packet points at the pool.  The takes are a list:
-        #: at most a few are queued, and an empty deque holds a block of
-        #: 64 slots in every pool of every network
-        self._releases: Deque[Tuple[int, "ChunkCharge", int]] = deque()
-        self._takes: List[Tuple[int, "ChunkCharge"]] = []
+        #: where the dated takes and releases queue: an entry holds a
+        #: charge, never the packet, which points at the pool
+        self.dated = DatedEffects() if dated is None else dated
         #: chunks ever given back: a count that only grows, so a take
         #: and a release between two looks cannot cancel out in it
         self.chunks_returned = 0
@@ -162,8 +159,6 @@ class CentralBufferPool:
         """
         if chunks < 1:
             raise ValueError("chunks must be positive")
-        if self._releases or self._takes:
-            self._settle(now)
         from_shared = min(self.free_shared, chunks)
         from_quota = chunks - from_shared
         if from_quota > self.free_quota[input_port]:
@@ -178,13 +173,6 @@ class CentralBufferPool:
         """Return ``chunks`` of a charge, refilling the quota first."""
         if chunks < 0:
             raise ValueError("chunks must be non-negative")
-        if chunks == 0:
-            return
-        if self._releases or self._takes:
-            self._settle(now)
-        self._give_back(charge, chunks, now)
-
-    def _give_back(self, charge: "ChunkCharge", chunks: int, now: int) -> None:
         if chunks > charge.shared + charge.quota:
             raise BufferError_("central buffer chunk over-release")
         to_quota = min(chunks, charge.quota)
@@ -204,22 +192,9 @@ class CentralBufferPool:
     # ------------------------------------------------------------------
     # the timeline (committed write and read runs)
     # ------------------------------------------------------------------
-    def take_at(self, charge: "ChunkCharge", date: int) -> None:
-        """Queue a one-chunk take for ``charge`` at cycle ``date``, which
-        is still ahead and held by no other take: a covered writer opens
-        the chunk inside a run it has committed."""
-        _insert(self._takes, (date, charge))
-
-    def take_due(self, charge: Optional["ChunkCharge"], now: int) -> None:
-        """Apply the take of ``charge`` dated ``now``, if one is queued:
-        the write phase of cycle ``now`` at its input's turn, where the
-        per-flit switch takes the chunk."""
-        self._settle(now)
-        takes = self._takes
-        if takes and takes[0][0] == now and takes[0][1] is charge:
-            self._take(takes.pop(0)[1], now)
-
-    def _take(self, charge: "ChunkCharge", date: int) -> None:
+    def take(self, charge: "ChunkCharge", date: int) -> None:
+        """Apply the one-chunk take of ``charge`` dated ``date``: shared
+        region first, else its input's quota, which covers it."""
         if self.free_shared:
             self.free_shared -= 1
             charge.shared += 1
@@ -231,64 +206,20 @@ class CentralBufferPool:
         self._used_chunks += 1
         self.occupancy.update(date, self._used_chunks)
 
-    def release_at(self, charge: "ChunkCharge", chunks: int, date: int) -> None:
-        """Queue :meth:`give_back` of ``chunks`` for cycle ``date``, which
-        is still ahead: the last branch crosses the chunk's end inside a
-        run it has committed."""
-        _insert(self._releases, (date, charge, chunks))
-
-    def next_release(self) -> Optional[int]:
-        """Date of the earliest queued release, or ``None``: allocation
-        sees it from the cycle after."""
-        return self._releases[0][0] if self._releases else None
-
-    def _settle(self, now: int) -> None:
-        """Apply, in date order, the queued takes and releases dated
-        before ``now`` — what an allocation or release at ``now`` must
-        find done — a take before a release of the same date."""
-        takes, releases = self._takes, self._releases
-        while True:
-            take = takes[0][0] if takes else now
-            release = releases[0][0] if releases else now
-            if take < now and take <= release:
-                self._take(takes.pop(0)[1], take)
-            elif release < now:
-                date, charge, chunks = releases.popleft()
-                self._give_back(charge, chunks, date)
-            else:
-                return
-
     def at(self, now: int) -> "CentralBufferPool":
-        """The pool as of the end of cycle ``now`` — the current cycle or
-        a later one — on the one-flit-per-cycle timeline: this pool, or
-        while takes or releases dated ``now`` or earlier are still queued
-        a copy with those applied (nothing here changes).  The reader
-        behind ``idle()``, the occupancy gauge and probe, and the
-        tests."""
-        takes, releases = self._takes, self._releases
-        if (not takes or takes[0][0] > now) and (
-            not releases or releases[0][0] > now
-        ):
+        """The pool as of the end of cycle ``now`` (this cycle or a later
+        one) on the one-flit-per-cycle timeline: this pool, or while
+        effects dated up to ``now`` are queued a copy that settles them
+        on copies of their charges.  The reader behind ``idle()``, the
+        occupancy gauge and probe, and the tests."""
+        due = self.dated.pool_part(now)
+        if not (due.takes or due.releases):
             return self
         view = copy(self)
         view.free_quota = list(self.free_quota)
         view.occupancy = copy(self.occupancy)
-        charges: Dict[int, ChunkCharge] = {}
-
-        def mirror(charge: ChunkCharge) -> ChunkCharge:
-            twin = charges.get(id(charge))
-            if twin is None:
-                twin = charges[id(charge)] = copy(charge)
-            return twin
-
-        view._takes = [
-            (entry[0], mirror(entry[1])) for entry in takes if entry[0] <= now
-        ]
-        view._releases = deque(
-            (date, mirror(charge), chunks)
-            for date, charge, chunks in releases if date <= now
-        )
-        view._settle(now + 1)
+        view.dated = due
+        due.settle(now + 1, view, None)
         return view
 
     # ------------------------------------------------------------------
@@ -310,19 +241,6 @@ class CentralBufferPool:
             f"CentralBufferPool(used={self.used_chunks}/"
             f"{self.capacity_chunks} chunks, shared_free={self.free_shared})"
         )
-
-
-def _insert(queue: MutableSequence, entry: Tuple) -> None:
-    """Queue ``entry`` on ``queue``, kept in order of the date each
-    entry leads with; equal dates keep their arrival order."""
-    date = entry[0]
-    if queue and queue[-1][0] > date:
-        position = len(queue) - 1
-        while position and queue[position - 1][0] > date:
-            position -= 1
-        queue.insert(position, entry)
-    else:
-        queue.append(entry)
 
 
 class ChunkCharge:
@@ -486,19 +404,18 @@ class StoredPacket:
     def write_space(self, now: int) -> int:
         """Flits a write run from ``now`` may commit: the owned space,
         or for a covered packet the rest of it, short of the first chunk
-        boundary whose cycle another input's dated take holds (two takes
-        dated to one cycle would be applied in queue order, not the
-        write arbiter's)."""
+        boundary whose cycle another input's dated take holds (see "The
+        timeline" above for why that take's cycle cannot be shared)."""
         if not self.covered:
             return self.owned_space()
-        written = self.flits_written
-        space = self.total_flits - written
-        chunk = self.pool.chunk_flits
-        for entry in self.pool._takes:
-            ahead = entry[0] - now
-            if 0 < ahead < space and not (written + ahead) % chunk:
-                space = ahead
-        return space
+        written, chunk = self.flits_written, self.pool.chunk_flits
+        held = self.pool.dated.take_dates
+        ahead = chunk - written % chunk  # to the next chunk boundary
+        while held and written + ahead < self.total_flits:
+            if now + ahead in held:
+                return ahead
+            ahead += chunk
+        return self.total_flits - written
 
     def write_flit(self) -> None:
         """Commit one flit into the buffer (space must be ensured first)."""
@@ -512,7 +429,7 @@ class StoredPacket:
         while self.chunks_taken * chunk < written + count:
             assert self.charge is not None  # the first chunk is taken
             date = now + self.chunks_taken * chunk - written
-            self.pool.take_at(self.charge, date)
+            self.pool.dated.add(date, TAKE, self.charge, 1)
             self.chunks_taken += 1
         self.flits_written = written + count
         self.last_write = now + count - 1
@@ -573,7 +490,7 @@ class StoredPacket:
         assert self.charge is not None
         self._chunks_released += 1
         if date > now:
-            self.pool.release_at(self.charge, 1, date)
+            self.pool.dated.add(date, RELEASE, self.charge, 1)
         else:
             self.pool.give_back(self.charge, 1, now)
 

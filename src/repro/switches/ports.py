@@ -24,9 +24,9 @@ set bits:
     output ``p`` has a current branch or bypass feed.  Set on bypass
     grant / branch activation, cleared on a single-flit tail send, or
     for a tail that left in a run by the next tick's settling of its
-    dated release (:meth:`~repro.switches.base.SwitchBase.
-    _settle_releases`): the structures and masks keep such a worm until
-    then, the timeline readers do not.
+    dated release (:meth:`~repro.switches.base.SwitchBase.settle`): the
+    structures and masks keep such a worm until then, the timeline
+    readers do not.
 ``_route_pending``
     the worm at the *front* of ``_inflow[p]`` has a complete header and
     awaits routing (central buffer: or admission).  Set when a front

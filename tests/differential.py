@@ -518,10 +518,10 @@ class MaskAuditor:
             if switch.idle():
                 # all that is left is what the dated releases of runs
                 # that carried a tail settle at the next tick
-                popped = 0
-                for date, _, inputs in switch._releases:
-                    if date <= cycle:
-                        popped |= inputs
+                popped = mask_of(
+                    inflow and inflow[0].gone_by(cycle)
+                    for inflow in switch._inflow
+                )
                 assert masks == (popped, 0, switch._freed_by(cycle), 0)
         if self.audit_rx:
             for interface in self.network.interfaces:

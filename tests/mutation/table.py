@@ -97,10 +97,16 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "tail-release-settled-at-its-own-cycle",
         "src/repro/switches/base.py",
-        "        if releases and releases[0][0] < now:\n"
-        "            self._settle_releases(now)\n",
-        "        if releases and releases[0][0] <= now:\n"
-        "            self._settle_releases(now + 1)\n",
+        "            dated.releases and dated.releases[0][0] < now\n"
+        "            or dated.tails and dated.tails[0][0] < now\n"
+        "            or dated.takes and dated.takes[0][0] < now\n"
+        "        ):\n"
+        "            dated.settle(now, self.pool, self._tail_left)\n",
+        "            dated.releases and dated.releases[0][0] <= now\n"
+        "            or dated.tails and dated.tails[0][0] <= now\n"
+        "            or dated.takes and dated.takes[0][0] <= now\n"
+        "        ):\n"
+        "            dated.settle(now + 1, self.pool, self._tail_left)\n",
         "a tail's departure frees its output and pops its FIFO for the "
         "decisions of the next cycle, not its own (SwitchBase."
         "_settle_releases)",
@@ -119,9 +125,9 @@ ROWS: Tuple[Row, ...] = (
         "last-chunk-freed-at-the-commit-cycle",
         "src/repro/switches/chunks.py",
         "        if date > now:\n"
-        "            self.pool.release_at(self.charge, 1, date)\n",
+        "            self.pool.dated.add(date, RELEASE, self.charge, 1)\n",
         "        if date > now and read < self.total_flits:\n"
-        "            self.pool.release_at(self.charge, 1, date)\n",
+        "            self.pool.dated.add(date, RELEASE, self.charge, 1)\n",
         "DESIGN.md §7: a chunk is freed when the last branch has read it, "
         "the last chunk at its tail's cycle (StoredPacket.crossed)",
     ),
@@ -170,17 +176,17 @@ ROWS: Tuple[Row, ...] = (
     # on the pool's timeline (the chunks.py docstring, "The timeline") --
     Row(
         "dated-take-after-a-release-of-its-date",
-        "src/repro/switches/chunks.py",
-        "            if take < now and take <= release:\n",
-        "            if take < now and take < release:\n",
+        "src/repro/switches/base.py",
+        "            _give_back(releases, date, pool)  # a take leads its date\n",
+        "            _give_back(releases, date + 1, pool)\n",
         "a switch writes before it reads within a cycle: a chunk take dated "
         "d is applied before a release dated d (CentralBufferPool._settle)",
     ),
     Row(
         "covered-run-through-a-held-take-date",
         "src/repro/switches/chunks.py",
-        "            if 0 < ahead < space and not (written + ahead) % chunk:\n"
-        "                space = ahead\n",
+        "            if now + ahead in held:\n"
+        "                return ahead\n",
         "            pass\n",
         "one dated take per cycle per pool: two inputs' takes of one cycle "
         "are ordered by the write arbiter, not by the queue "
@@ -189,8 +195,8 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "dated-take-queues-the-packet",
         "src/repro/switches/chunks.py",
-        "            self.pool.take_at(self.charge, date)\n",
-        "            _insert(self.pool._takes, (date, self.charge, self))\n",
+        "            self.pool.dated.add(date, TAKE, self.charge, 1)\n",
+        "            self.pool.dated.add(date, TAKE, self.charge, self)\n",
         "a dated take holds the packet's charge, which points at nothing: "
         "the packet, which points at the pool, would be a reference cycle "
         "while the take waits (CentralBufferPool.take_at)",

@@ -22,9 +22,8 @@ from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation, run_workload
 from repro.routing.base import UpPortPolicy
-from repro.switches.base import Ingress
+from repro.switches.base import TAKE, DatedEffects, Ingress
 from repro.switches.central_buffer import CentralBufferSwitch
-from repro.switches.chunks import CentralBufferPool
 from repro.traffic.hotspot import HotspotTraffic
 from repro.traffic.multicast import RandomMulticastStream
 from repro.traffic.unicast import UniformRandomUnicast
@@ -142,10 +141,10 @@ class TestNothingLeftForTheCollector:
                 lambda: workload.finished(network), max_cycles=10_000
             )
             assert network.quiescent()
-            assert any(switch._releases for switch in network.switches)
+            assert any(tails(switch) for switch in network.switches)
             sim = weakref.ref(network.sim)
             network.close()
-            assert not any(switch._releases for switch in network.switches)
+            assert not any(tails(switch) for switch in network.switches)
             del network, workload
             assert sim() is None
             assert gc.collect() == 0
@@ -177,13 +176,14 @@ class TestFinished:
         # holds a worm, and no link still drains one — and the chunk
         # takes that covered writers dated are applied, none pending
         dated = []
-        take_at = CentralBufferPool.take_at
+        add = DatedEffects.add
 
-        def logged(pool, charge, date):
-            dated.append(date)
-            take_at(pool, charge, date)
+        def logged(effects, date, phase, subject, count):
+            if phase == TAKE:
+                dated.append(date)
+            add(effects, date, phase, subject, count)
 
-        monkeypatch.setattr(CentralBufferPool, "take_at", logged)
+        monkeypatch.setattr(DatedEffects, "add", logged)
         config = SimulationConfig(
             num_hosts=64, switch_architecture=architecture, seed=3
         )
@@ -191,14 +191,22 @@ class TestFinished:
         network = result.network
         assert result.completed and network.quiescent()
         assert reachable(network, Ingress) == 0
-        assert not any(switch._releases for switch in network.switches)
+        assert not any(
+            dated.takes or dated.releases or dated.tails
+            for dated in (switch._dated for switch in network.switches)
+        )
         assert all(link._drain is None for link in network.links)
         pools = [
             switch.pool for switch in network.switches
             if isinstance(switch, CentralBufferSwitch)
         ]
         assert bool(dated) == bool(pools)
-        assert not any(pool._takes or pool._releases for pool in pools)
+        assert not any(pool.dated.take_dates for pool in pools)
+
+
+def tails(switch):
+    """The dated tail releases still queued on ``switch``."""
+    return switch._dated.tails
 
 
 def reachable(root, kind):

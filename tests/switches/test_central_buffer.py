@@ -336,7 +336,12 @@ class TestNoGarbage:
             assert all(switch.idle() for switch in network.switches)
             now = network.sim.now
             for switch in network.switches:
-                assert all(date < now for date, *_ in switch.pool._releases)
+                dated = switch._dated
+                assert all(
+                    date < now
+                    for lane in (dated.takes, dated.releases, dated.tails)
+                    for date, *_ in lane
+                )
                 pool = switch.pool.at(now)
                 assert pool.free_chunks == pool.capacity_chunks
             network.close()

@@ -16,6 +16,7 @@ from repro.errors import BufferError_, ConfigurationError
 from repro.flits.destset import DestinationSet
 from repro.flits.packet import Message, Packet, TrafficClass
 from repro.flits.worm import Worm
+from repro.switches.base import RELEASE
 from repro.switches.chunks import CentralBufferPool, StoredPacket
 
 
@@ -28,6 +29,12 @@ def make_worm(size=16, universe=8):
 
 def make_pool(capacity=256, chunk=8, inputs=4, quota=4):
     return CentralBufferPool(capacity, chunk, inputs, quota)
+
+
+def settle(pool, now):
+    """What a switch's tick at ``now`` does first to its pool: apply the
+    dated takes and releases before ``now``."""
+    pool.dated.settle(now, pool, None)
 
 
 class TestPoolConstruction:
@@ -279,7 +286,7 @@ class TestDatedTakes:
         stored = self.covered(pool, 20, now=10)
         assert stored.write_space(10) == 20
         stored.write_run(10, 20)
-        assert [entry[0] for entry in pool._takes] == [18, 26]
+        assert [entry[0] for entry in pool.dated.takes] == [18, 26]
         assert stored.chunks_taken == 3 and stored.owned_space() == 4
         # held until their cycles, on the pool and in its view
         assert pool.used_chunks == 1
@@ -287,8 +294,9 @@ class TestDatedTakes:
         assert pool.at(18).used_chunks == 2
         assert (pool.at(26).used_chunks, pool.at(26).free_shared) == (3, 1)
         # applied before anything at a later cycle: shared first
-        assert pool.try_take(1, 1, 27) is not None
-        assert not pool._takes and stored.charge.shared == 3
+        settle(pool, 27)
+        assert not pool.dated.takes and stored.charge.shared == 3
+        assert not pool.dated.take_dates
 
     def test_a_run_stops_short_of_a_cycle_another_take_holds(self):
         pool = make_pool(capacity=256, chunk=8, inputs=4, quota=4)
@@ -305,12 +313,13 @@ class TestDatedTakes:
         pool = make_pool(capacity=136, chunk=8, inputs=4, quota=4)
         holder = StoredPacket(pool, 1, 8, reserve_all=True)
         assert holder.try_admit(0) and holder.charge.shared == 1
-        pool.release_at(holder.charge, 1, 9)
+        pool.dated.add(9, RELEASE, holder.charge, 1)
         stored = self.covered(pool, 16, now=1)
         stored.write_run(1, 16)  # the second chunk opens at 9
         assert stored.charge.quota == 1
         assert pool.at(9).free_shared == 1
         assert pool.at(9).free_quota[0] == 2
+        settle(pool, 10)
         pool.give_back(stored.charge, 1, 10)
         assert stored.charge.quota == 1 and pool.free_shared == 1
 
@@ -327,8 +336,8 @@ class TestDatedTakes:
             assert packet() is None
         finally:
             gc.enable()
-        pool.try_take(1, 1, 100)
-        assert charge.total == 3 and not pool._takes
+        settle(pool, 100)
+        assert charge.total == 3 and not pool.dated.takes
 
 
 class TestPoolStateful:

@@ -37,14 +37,14 @@ from repro.obs.profile.kernel_profiler import KernelProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.routing.base import UpPortPolicy
 from repro.sim.trace import Tracer
-from repro.switches.base import committed_run
+from repro.switches.base import RELEASE, TAIL, TAKE, DatedEffects, committed_run
 from repro.switches.central_buffer import (
     _BypassFeed,
     _Ingress,
     _IngressState,
 )
 from repro.switches.arbiter import RoundRobinArbiter
-from repro.switches.chunks import CentralBufferPool, StoredPacket
+from repro.switches.chunks import StoredPacket
 from repro.switches.input_buffer import InputBufferSwitch, _Branch
 from repro.switches.input_buffer import _Ingress as _BufferIngress
 from repro.switches.link import Link
@@ -72,6 +72,20 @@ from tests.switches.test_link_spans import make_link, make_worm
 from tests.switches.test_input_buffer import (
     one_switch_config as one_buffer_switch_config,
 )
+
+
+def dated(switch, phase):
+    """The switch's queued effects of one phase, as ``(date, subject,
+    count)``, in queue order."""
+    effects = switch._dated
+    lane = {TAKE: effects.takes, RELEASE: effects.releases, TAIL: effects.tails}
+    return [(date, subject, count) for date, _, subject, count in lane[phase]]
+
+
+def queued(switch):
+    """Every dated effect still queued on ``switch``, lane by lane."""
+    effects = switch._dated
+    return effects.takes + effects.releases + effects.tails
 
 
 def _bypass_run(ingress, in_link, out_link, now):
@@ -314,23 +328,24 @@ def log_buffer_runs():
     """Every central-buffer write run ``(now, count)`` and dated release
     ``(chunks, date)`` committed inside the block, in order."""
     log = []
-    write_run, release_at = StoredPacket.write_run, CentralBufferPool.release_at
+    write_run, add = StoredPacket.write_run, DatedEffects.add
 
     def logged_write(stored, now, count):
         log.append(("write_run", now, count))
         write_run(stored, now, count)
 
-    def logged_release(pool, charge, chunks, date):
-        log.append(("release_at", chunks, date))
-        release_at(pool, charge, chunks, date)
+    def logged_add(dated, date, phase, subject, count):
+        if phase == RELEASE:
+            log.append(("dated_release", count, date))
+        add(dated, date, phase, subject, count)
 
     StoredPacket.write_run = logged_write
-    CentralBufferPool.release_at = logged_release
+    DatedEffects.add = logged_add
     try:
         yield log
     finally:
         StoredPacket.write_run = write_run
-        CentralBufferPool.release_at = release_at
+        DatedEffects.add = add
 
 
 class TestObservedIsProduction:
@@ -380,7 +395,7 @@ class TestObservedIsProduction:
         # central-buffer write runs and dated releases among them
         kinds = {kind for kind, *_ in observed[4]}
         assert kinds == (
-            {"write_run", "release_at"} if architecture is CB else set()
+            {"write_run", "dated_release"} if architecture is CB else set()
         )
 
 
@@ -429,7 +444,7 @@ class TestSleepRule:
         # included) — and nothing waits on the release at 34
         assert ticks == [0, 7, 9]
         (switch,) = network.switches
-        assert switch.idle() and switch._releases
+        assert switch.idle() and queued(switch)
 
     @pytest.mark.parametrize("config", (
         one_switch_config(input_fifo_depth=16), one_buffer_switch_config(),
@@ -560,7 +575,7 @@ class TestDatedRelease:
                 )(0)
                 rows.append((
                     cycle, occupancy, switch.idle(), network.quiescent(),
-                    len(switch._releases),
+                    len(dated(switch, TAIL)),
                 ))
 
         network.sim.add_probe(Probe)
@@ -578,7 +593,7 @@ class TestDatedRelease:
         assert max(by_cycle) > self.T_END + 8
         # the next tick settles it, whenever that is
         switch.tick(network.sim.now)
-        assert not switch._releases and not switch._inflow[0]
+        assert not queued(switch) and not switch._inflow[0]
         assert switch._egress_busy == switch._ingress_occupied == 0
 
 
@@ -980,12 +995,12 @@ class TestCentralBufferRuns:
         # at once and in the structures at the next tick
         assert ingress.leaves == end
         assert not ingress.gone_by(end - 1) and ingress.gone_by(end)
-        assert switch._releases == [(end, 0, 1)]
-        switch._settle_releases(end)
+        assert queued(switch) == [(end, TAIL, 0, 1)]
+        switch.settle(end)
         assert switch._inflow[0] and switch._cb_feed
-        switch._settle_releases(end + 1)
+        switch.settle(end + 1)
         assert not switch._inflow[0] and not switch._cb_feed
-        assert not switch._releases
+        assert not queued(switch)
 
     def test_an_incremental_unicast_stops_where_its_chunk_ends(self):
         switch, ingress, stored, _ = self.rig(received=8, reserve_all=False)
@@ -1025,12 +1040,13 @@ class TestCentralBufferRuns:
         switch._write_central_buffer(self.NOW)
         assert stored.flits_written == 8 and switch._starved
         # a release dated NOW + 3 is a wake source: visible from NOW + 4
-        pool.release_at(hog, 1, self.NOW + 3)
+        pool.dated.add(self.NOW + 3, RELEASE, hog, 1)
         assert switch._blocked_wake(self.NOW) == self.NOW + 4
-        switch._write_central_buffer(self.NOW + 3)
-        assert stored.flits_written == 8
-        switch._write_central_buffer(self.NOW + 4)
-        assert stored.flits_written == 12  # what it has, as a run
+        # (each tick settles what is dated before it, then writes)
+        for cycle, written in ((self.NOW + 3, 8), (self.NOW + 4, 12)):
+            switch.settle(cycle)
+            switch._write_central_buffer(cycle)
+            assert stored.flits_written == written  # at 12, as a run
 
     def feed(self, switch, port, written, on_hand, reserve_all=False):
         """One more front worm streaming into the buffer, at input
@@ -1132,7 +1148,7 @@ class TestCentralBufferRuns:
         for cycle in range(self.NOW + 1, self.NOW + 12):
             reference.grant_up_to([3, 6] if cycle <= self.NOW + 7 else [6], 16)
         race = self.NOW + 12
-        switch._settle_releases(race)
+        switch.settle(race)
         assert not switch._inflow[3]
         # 0 and 5 both need a chunk, and one shared chunk is left
         first.received += 1
@@ -1203,22 +1219,24 @@ class TestCentralBufferRuns:
         # output 1, behind it, crosses flit 8 at NOW+5 and stops at 9
         assert self.sent(switch, spans, 2) == [(self.NOW, 5, 25)]
         assert self.sent(switch, spans, 1) == [(self.NOW, 2, 7)]
-        assert pool.next_release() == self.NOW + 5
-        assert len(pool._releases) == 1  # once, at the later crossing
+        # once, at the later crossing
+        assert dated(switch, RELEASE) == [(self.NOW + 5, stored.charge, 1)]
         # still held at the end of NOW+4, gone at the end of NOW+5 ...
         assert pool.at(self.NOW + 4).used_chunks == held
         assert pool.at(self.NOW + 5).used_chunks == held - 1
         assert pool.used_chunks == held  # ... and nothing was applied
         # ... which allocation sees one cycle after and not before
         spare = pool.free_shared + pool.free_quota[3]
+        switch.settle(self.NOW + 5)
         assert pool.try_take(3, spare + 1, self.NOW + 5) is None
+        switch.settle(self.NOW + 6)
         assert pool.try_take(3, spare + 1, self.NOW + 6) is not None
-        assert not pool._releases
+        assert not dated(switch, RELEASE)
         assert pool.occupancy.peak == held + spare
         # the slow branch goes on alone: the chunks go back as it passes
         stored.crossed(16, self.NOW + 30, self.NOW + 12)
         stored.crossed(24, self.NOW + 38, self.NOW + 12)
-        assert [date for date, _, _ in pool._releases] == [
+        assert [date for date, _, _ in dated(switch, RELEASE)] == [
             self.NOW + 30, self.NOW + 38
         ]
 
@@ -1239,10 +1257,10 @@ class TestCentralBufferRuns:
             assert self.flits[link.name][-1] == (end, 0, self.SIZE - 1)
         # every chunk goes back at its last crossing, the last at the
         # tails' cycle; the outputs are free from then on too
-        assert [date for date, _, _ in pool._releases] == [
+        assert [date for date, _, _ in dated(switch, RELEASE)] == [
             self.NOW + 7 + 8 * j for j in range(5)
         ]
-        assert switch._releases == [(end, 1 << 1, 0), (end, 1 << 2, 0)]
+        assert dated(switch, TAIL) == [(end, 1 << 1, 0), (end, 1 << 2, 0)]
         assert stored.finished
         switch.sim.now = end - 1
         assert not switch.idle()
@@ -1250,11 +1268,11 @@ class TestCentralBufferRuns:
         assert switch.idle()
         assert pool.at(end).used_chunks == 0
         # the next tick settles both: nothing is left anywhere
-        switch._settle_releases(end + 1)
+        switch.settle(end + 1)
         assert switch._out_current[1] is switch._out_current[2] is None
         assert not switch._egress_busy
         assert pool.try_take(0, 1, end + 1) is not None
-        assert not pool._releases
+        assert not queued(switch)
 
 
 @contextmanager
