@@ -224,12 +224,14 @@ class HostInterface(Component):
         # a committed record's credits went back as a ramp
         credited = now == self._rx_end
         # a sink acts on each flit the cycle it lands (a delivery fires
-        # on its tail's): of a record it takes what has landed, no more
+        # on its tail's): of a record it takes what has landed, no more,
+        # and it asks only once the head has landed
         while queue._flits:
-            span = link.receive_span(now, now - queue.head_arrival() + 1)
-            if span is None:
+            landed = queue.head_arrival()
+            if landed > now:
                 break
-            worm, start, count = span
+            span = link.receive_span(now, now - landed + 1)
+            worm, start, count = span  # type: ignore[misc]
             if credited:
                 credited = False
             else:

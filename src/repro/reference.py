@@ -42,6 +42,10 @@ class _FlitArrival(SwitchBase):
     """Worm arrival one :class:`Flit` at a time, for both reference
     switches (production: ``SwitchBase._receive`` / ``_accept_span``)."""
 
+    # header completion is stamped `now`, so a head is taken the cycle
+    # it lands: every send wakes the switch at its landing
+    dates_head_wake = False
+
     def _receive(self, now: int) -> None:
         for port, link in enumerate(self.in_links):
             if link is None or not link.pending_arrival(now):

@@ -6,7 +6,11 @@ N-bit *reachability register* per output port.  A
 mask per down-port (disjoint across ports, covering the switch's subtree)
 plus the list of up-ports, any one of which reaches every host outside
 the subtree.  :meth:`compute_requests` is the decode step — one ``&`` per
-port — and produces the branch set for replication.
+port — and produces the branch set for replication.  A one-host header
+is decoded on its mask alone, as the hardware does: one ``&`` against
+the subtree, then against each down-port's register until one hits, or
+the up-port choice; it builds no destination set, and the branch
+carries the worm's own.
 """
 
 from __future__ import annotations
@@ -93,6 +97,28 @@ class SwitchRoutingTable:
         outside this switch's subtree, with the split between the up and
         down branches governed by ``mode``.
         """
+        destinations = worm.destinations
+        mask = destinations.mask
+        if not mask & (mask - 1) and mask and not self_check:
+            # one host: either mode gives the general decode's one branch
+            if mask & self.subtree_mask:
+                for port, reach in self.down_reach.items():
+                    if mask & reach:
+                        return [PortRequest(port, destinations, descending=True)]
+            elif not worm.descending and self.up_ports:
+                port = up_selector(self.up_ports, worm)
+                return [PortRequest(port, destinations, descending=False)]
+        return self._decode(worm, mode, up_selector, self_check)
+
+    def _decode(
+        self,
+        worm: Worm,
+        mode: MulticastRoutingMode,
+        up_selector: UpSelector,
+        self_check: bool,
+    ) -> List[PortRequest]:
+        """The general decode of :meth:`compute_requests`: any header, a
+        worm that has no way to go included."""
         destinations = worm.destinations
         inside = destinations.intersect_mask(self.subtree_mask)
         outside = destinations - inside

@@ -32,6 +32,12 @@ class Component:
     never changes behaviour.
     """
 
+    #: cycles after a worm's header lands that the component routes it,
+    #: doing nothing with the worm before, or -1: an in-link then dates
+    #: the arrival wake of a head at the routing cycle, not the landing
+    #: (see ``Link.wake_on_arrival``)
+    _route_lead = -1
+
     def __init__(self, name: str) -> None:
         self.name = name
         self._sim: "Simulator | None" = None

@@ -359,6 +359,11 @@ class SwitchBase(Component):
 
     #: the architecture's :class:`Ingress` subclass
     ingress_type: Type[Ingress] = Ingress
+    #: the in-links date the arrival wake of a head record at its
+    #: routing cycle (``Component._route_lead``): `_accept_span` stamps
+    #: header completion from the landing, whenever it takes the record,
+    #: and nothing happens to a worm before it is routed
+    dates_head_wake = True
 
     def __init__(
         self,
@@ -421,6 +426,8 @@ class SwitchBase(Component):
         # repeated it (see `settle_blocked`)
         self._blocked_rate = 0
         self._blocked_at = 0
+        if self.dates_head_wake:
+            self._route_lead = settings.routing_delay
 
     # ------------------------------------------------------------------
     # wiring (done by the network builder)
@@ -433,10 +440,11 @@ class SwitchBase(Component):
         """Wire an incoming link and declare our buffer depth on it.
 
         Also registers this switch as the link's arrival waker: a send
-        on the link schedules a tick at the delivery cycle, so an idle
-        switch needs no polling to notice new worms — and marks ``port``
-        in ``_rx_pending``, so a woken switch drains only the in-links
-        that hold flits.
+        on the link schedules a tick at the delivery cycle — or, for a
+        head record that lands in a clear input, at its routing cycle —
+        so an idle switch needs no polling to notice new worms, and
+        marks ``port`` in ``_rx_pending``, so a woken switch drains only
+        the in-links that hold flits.
         """
         if self.in_links[port] is not None:
             raise ProtocolError(f"{self.name}: input port {port} already wired")
@@ -444,6 +452,16 @@ class SwitchBase(Component):
         link.set_credits(self.input_credit_depth(port))
         link.wake_on_arrival(self, port)
         self._rx = None
+
+    def _clear_by(self, port: int, cycle: int) -> bool:
+        """True when input ``port`` holds no worm at ``cycle``, or only
+        one dated to leave before it: a head landing then is the FIFO
+        front, routed once its delay has run."""
+        inflow = self._inflow[port]
+        if not inflow:
+            return True
+        leaves = inflow[0].leaves
+        return len(inflow) == 1 and leaves is not None and leaves < cycle
 
     def connect_out(self, port: int, link: Link) -> None:
         """Wire an outgoing link and register this switch as its credit
@@ -497,9 +515,11 @@ class SwitchBase(Component):
         # from the cycle its next flit landed on — or it has caught up
         # with the landings, and then it moved the flit that landed this
         # cycle in this tick (stirred: re-arm) or is inside a run that
-        # took them all (the run's own wake).  And a record whose head
-        # is still in flight was sent by a call of its own, whose hook
-        # fires at that head.
+        # took them all (the run's own wake).  And a record not taken
+        # yet was sent by a call of its own, whose hook fires at its
+        # head's landing — or, for a worm's head landing in a clear
+        # input, at the cycle it can be routed, before which nothing
+        # can happen to it (see `Link.wake_on_arrival`).
         #
         # Committed-sleep: a stirred switch whose every worm is inside a
         # committed run, or waits for something that comes with a wake
@@ -633,8 +653,9 @@ class SwitchBase(Component):
         # header completion is stamped at the cycle the completing flit
         # lands, which is when a switch that takes one flit per cycle
         # accepts it — this one takes it with its record's head, or
-        # later if it slept through a committed run, and the routing
-        # delay must start neither early nor late for that
+        # later if it slept through a committed run or was woken at the
+        # routing cycle, and the routing delay must start neither early
+        # nor late for that
         header = worm.header_flits
         if start < header <= start + count:
             ingress.header_done_cycle = landed + header - 1 - start
@@ -661,6 +682,14 @@ class SwitchBase(Component):
             self._ingress_occupied &= ~(1 << port)
         elif inflow[0].header_done_cycle is not None:
             self._route_pending |= 1 << port
+
+    def _landed(self, port: int, now: int) -> int:
+        """Flits of the worms at input ``port`` that have landed by
+        ``now``, taken or — a head record whose wake is dated at its
+        routing cycle — still in the link."""
+        landed = sum(i.landed_by(now) for i in self._inflow[port])
+        link = self.in_links[port]
+        return landed if link is None else landed + link._in_flight.arrived(now)
 
     def _free_output(self, port: int) -> None:
         """The branch or feed on output ``port`` has sent its tail."""

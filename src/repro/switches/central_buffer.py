@@ -772,13 +772,13 @@ class CentralBufferSwitch(SwitchBase):
         """Flits held in an input FIFO once the current cycle's ticks
         are done, on the one-flit-per-cycle timeline."""
         # during a committed run `consumed` is ahead of the flits that
-        # have left by now, and the later members of a record taken at
-        # its head are not there yet: count each where the per-flit
-        # timeline has it.  Nothing waits untaken in the link: a record's
-        # head landing wakes the switch, whose tick takes it whole
+        # have left by now, the later members of a record taken at its
+        # head are not there yet, and a head record whose wake is dated
+        # at its routing cycle waits landed in the link: count each
+        # where the per-flit timeline has it
         inflow = self._inflow[port]
         now = self.sim.now
-        occupancy = sum(i.landed_by(now) - i.consumed for i in inflow)
+        occupancy = self._landed(port, now) - sum(i.consumed for i in inflow)
         if inflow:
             front = inflow[0]
             if front.bypass_port is not None:

@@ -492,13 +492,13 @@ class InputBufferSwitch(SwitchBase):
         """Flits held in an input buffer once the current cycle's ticks
         are done, on the one-flit-per-cycle timeline."""
         # the later members of a record taken at its head are not there
-        # yet, and a committed run handed its slots back ahead of the
-        # cycles they are freed in: count each where the per-flit
-        # timeline has it.  Nothing waits untaken in the link: a record's
-        # head landing wakes the switch, whose tick takes it whole
+        # yet, a committed run handed its slots back ahead of the cycles
+        # they are freed in, and a head record whose wake is dated at its
+        # routing cycle waits landed in the link: count each where the
+        # per-flit timeline has it
         inflow = self._inflow[port]
         now = self.sim.now
-        occupancy = sum(i.landed_by(now) - i.freed for i in inflow)
+        occupancy = self._landed(port, now) - sum(i.freed for i in inflow)
         if inflow and inflow[0].branches:
             front = inflow[0]
             slowest = self._slowest_read(front, now)

@@ -76,13 +76,21 @@ their first tick, so a profiler may rebind it (and the send entry
 points) per link before the run starts.
 
 The arrival wake fires once per :meth:`send` and once per
-:meth:`send_span` — at the send's *first* arrival cycle, not once per
-member flit, and whether or not the send joined a record already
-queued: an arrival is an event once per send.  That is the only wake a
-landing ever causes.  A switch that took a record whole needs no other:
-what the later members make possible is already dated in the switch
-(see ``SwitchBase.tick``).  The NI, which takes only what has landed,
-wakes itself for the rest of the head record.
+:meth:`send_span`, not once per member flit, and whether or not the
+send joined a record already queued: an arrival is an event once per
+send.  It fires at the send's *first* arrival cycle — but for the send
+of a worm's head to a receiver that declares a routing delay
+(:meth:`wake_on_arrival`; the production switches): when its record
+holds the whole header, is all the link holds and lands in an input
+that is clear by then, nothing can happen to the worm before its
+routing decision, so the wake is dated at the cycle the receiver can
+route it, ``landing + header_flits - 1 + routing_delay``.  The record
+waits landed in the link until then, or until the receiver ticks for
+something else and takes it.  Those are the only wakes a landing ever
+causes.  A switch that took a record whole needs no other: what the
+later members make possible is already dated in the switch (see
+``SwitchBase.tick``).  The NI, which takes only what has landed, wakes
+itself for the rest of the head record.
 
 A receiver that knows it will free one slot per cycle for the next
 ``count`` cycles — a switch that committed a run of bypass flits — hands
@@ -224,6 +232,14 @@ class Link:
         send also sets bit ``port`` of the component's ``_rx_pending``
         mask, so a receiver draining by mask visits only in-links that
         hold flits (it clears the bit when the span queue runs empty).
+
+        A component whose ``_route_lead`` is not negative routes a worm
+        that many cycles after its header lands, dates that from the
+        landing whenever it takes the record, and does nothing with the
+        worm before: the send of a head record it can route on time
+        wakes it at the routing cycle instead (see the module
+        docstring).  Such a component implements ``_clear_by(port,
+        cycle)``.
         """
         if self._arrival_comp is not None:
             raise ProtocolError(f"link {self.name}: arrival waker already set")
@@ -231,6 +247,23 @@ class Link:
         self._rx_bit = 1 << port
         if self._in_flight._flits:
             component._rx_pending |= self._rx_bit
+
+    def _head_wake(
+        self, comp: Component, worm: Worm, count: int, landing: int
+    ) -> int:
+        """The arrival wake of a send of ``count`` flits from a worm's
+        head, landing at ``landing``: the receiver's routing cycle when
+        the record holds the whole header, is all this link holds and
+        lands in an input that is clear by then; else the landing."""
+        header = worm.header_flits
+        port = self._rx_bit.bit_length() - 1
+        if (
+            count >= header
+            and self._in_flight.records == 1
+            and comp._clear_by(port, landing)  # type: ignore[attr-defined]
+        ):
+            return landing + header - 1 + comp._route_lead
+        return landing
 
     def wake_on_credit(self, component: Component) -> None:
         """Register the sending component: woken at the cycle a credit
@@ -519,6 +552,8 @@ class Link:
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
+            if index == 0 and comp._route_lead >= 0:
+                arrival = self._head_wake(comp, worm, 1, arrival)
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
 
@@ -543,6 +578,8 @@ class Link:
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
+            if index == 0 and comp._route_lead >= 0:
+                arrival = self._head_wake(comp, worm, 1, arrival)
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
 
@@ -552,8 +589,8 @@ class Link:
         Wire-identical to ``count`` single sends on consecutive cycles:
         one send slot and one credit per member flit (all reserved now)
         and member ``j`` arriving at ``now + latency + j``.  The arrival
-        wake fires once, at the first arrival cycle (see the module
-        docstring).
+        wake fires once, at the first arrival cycle or, for a head, at
+        the receiver's routing cycle (see the module docstring).
         Requires ``count <= sendable_span(now, worm)``.
         """
         if count < 1:
@@ -578,6 +615,8 @@ class Link:
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
+            if start == 0 and comp._route_lead >= 0:
+                arrival = self._head_wake(comp, worm, count, arrival)
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
 

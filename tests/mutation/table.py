@@ -108,8 +108,8 @@ ROWS: Tuple[Row, ...] = (
         "        ):\n"
         "            dated.settle(now + 1, self.pool, self._tail_left)\n",
         "a tail's departure frees its output and pops its FIFO for the "
-        "decisions of the next cycle, not its own (SwitchBase."
-        "_settle_releases)",
+        "decisions of the next cycle, not its own (SwitchBase.tick, "
+        "DatedEffects.settle)",
     ),
     Row(
         "tail-release-wakes-nobody",
@@ -180,7 +180,7 @@ ROWS: Tuple[Row, ...] = (
         "            _give_back(releases, date, pool)  # a take leads its date\n",
         "            _give_back(releases, date + 1, pool)\n",
         "a switch writes before it reads within a cycle: a chunk take dated "
-        "d is applied before a release dated d (CentralBufferPool._settle)",
+        "d is applied before a release dated d (DatedEffects.settle)",
     ),
     Row(
         "covered-run-through-a-held-take-date",
@@ -199,7 +199,26 @@ ROWS: Tuple[Row, ...] = (
         "            self.pool.dated.add(date, TAKE, self.charge, self)\n",
         "a dated take holds the packet's charge, which points at nothing: "
         "the packet, which points at the pool, would be a reference cycle "
-        "while the take waits (CentralBufferPool.take_at)",
+        "while the take waits (StoredPacket.write_run)",
+    ),
+    # -- a unicast hop: the head's wake is dated at its routing cycle and
+    # a one-host header decodes by mask ---------------------------------
+    Row(
+        "head-wake-one-cycle-late",
+        "src/repro/switches/link.py",
+        "            return landing + header - 1 + comp._route_lead\n",
+        "            return landing + header + comp._route_lead\n",
+        "a head record that lands in a clear input wakes its switch on the "
+        "cycle it can be routed, not after (Link._head_wake)",
+    ),
+    Row(
+        "unicast-decode-ignores-descending",
+        "src/repro/routing/table.py",
+        "            elif not worm.descending and self.up_ports:\n",
+        "            elif self.up_ports:\n",
+        "a descending worm never turns up again: the mask decode of a "
+        "one-host header raises for a host outside the subtree, as the "
+        "general decode does (SwitchRoutingTable._decode)",
     ),
     # -- determinism (DESIGN.md §7) and picklability (RunSpec) ----------
     Row(

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from functools import lru_cache
+from random import Random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import RoutingError
 from repro.flits.destset import DestinationSet
@@ -14,7 +18,9 @@ from repro.routing.base import (
     make_up_selector,
     validate_partition,
 )
+from repro.routing.reachability import tables_for_bmin
 from repro.routing.table import SwitchRoutingTable
+from repro.topology.bmin import BidirectionalMin
 
 N = 16
 FIRST_UP = make_up_selector(UpPortPolicy.DETERMINISTIC)
@@ -180,3 +186,109 @@ class TestHelpers:
 
     def test_down_ports_sorted(self):
         assert mid_table().down_ports() == [0, 1]
+
+
+# -- the one-host mask decode ------------------------------------------------
+
+
+@lru_cache(maxsize=None)
+def bmin_tables(num_hosts: int):
+    """The routing tables of the ``num_hosts``-host BMIN, by switch id."""
+    return tables_for_bmin(BidirectionalMin.for_hosts(num_hosts))
+
+
+@lru_cache(maxsize=None)
+def unicast_worm(num_hosts: int, host: int, descending: bool) -> Worm:
+    destinations = DestinationSet.single(num_hosts, host)
+    source = (host + 1) % num_hosts
+    message = Message(0, source, destinations, 4, TrafficClass.UNICAST, 0)
+    root = Worm.root(Packet(0, message, destinations, 1, 4))
+    return root.branch(destinations, descending) if descending else root
+
+
+def twin_selectors(policy: UpPortPolicy, seed: int, credits):
+    """Two selectors of ``policy`` that choose alike while asked alike,
+    and their RANDOM streams (``None`` for the other policies)."""
+    streams = (Random(seed), Random(seed))
+    selectors = tuple(
+        make_up_selector(
+            policy, rng=stream,
+            credit_view=lambda port: credits[port % len(credits)],
+        )
+        for stream in streams
+    )
+    return selectors, streams if policy is UpPortPolicy.RANDOM else None
+
+
+def decoded(decode, *args):
+    """What a decode returns, or the routing error it raises."""
+    try:
+        return decode(*args)
+    except RoutingError as error:
+        return f"RoutingError: {error}"
+
+
+class TestOneHostMaskDecode:
+    """A one-host header decoded on its mask alone is the general decode:
+    the same ``(port, destinations, descending)`` — the worm's own set —
+    the same draws from the up-port stream and the same routing error
+    (a descending worm outside its subtree, the up-port a top switch
+    lacks, which the general decode raises)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        num_hosts=st.sampled_from((64, 256)),
+        data=st.data(),
+        descending=st.booleans(),
+        mode=st.sampled_from(MulticastRoutingMode),
+        policy=st.sampled_from(UpPortPolicy),
+        seed=st.integers(0, 2**32 - 1),
+        credits=st.lists(st.integers(0, 8), min_size=1, max_size=8),
+    )
+    def test_the_mask_decode_is_the_general_decode(
+        self, num_hosts, data, descending, mode, policy, seed, credits
+    ):
+        tables = bmin_tables(num_hosts)
+        table = data.draw(st.sampled_from(tables), label="table")
+        host = data.draw(st.integers(0, num_hosts - 1), label="host")
+        worm = unicast_worm(num_hosts, host, descending)
+        (fast, general), streams = twin_selectors(policy, seed, credits)
+        # twice in a row: a draw too many or too few shows in the second
+        for _ in range(2):
+            by_mask = decoded(table.compute_requests, worm, mode, fast)
+            assert by_mask == decoded(
+                table._decode, worm, mode, general, False
+            )
+            if not isinstance(by_mask, str):
+                assert by_mask[0].destinations is worm.destinations
+        if streams is not None:
+            assert streams[0].getstate() == streams[1].getstate()
+
+    @pytest.mark.parametrize("policy", UpPortPolicy)
+    @pytest.mark.parametrize("mode", MulticastRoutingMode)
+    def test_every_host_at_every_switch_of_the_64_host_bmin(self, mode, policy):
+        (fast, general), streams = twin_selectors(policy, 1, [3, 0, 5, 1])
+        for table in bmin_tables(64):
+            for host in range(64):
+                for descending in (False, True):
+                    worm = unicast_worm(64, host, descending)
+                    assert decoded(
+                        table.compute_requests, worm, mode, fast
+                    ) == decoded(table._decode, worm, mode, general, False)
+        if streams is not None:
+            assert streams[0].getstate() == streams[1].getstate()
+
+    def test_self_check_takes_the_general_decode(self):
+        worm = worm_for(0, [12])
+        calls = []
+
+        def selector(candidates, worm):
+            calls.append(candidates)
+            return candidates[0]
+
+        table = mid_table()
+        table._decode = lambda *args: calls.append("general") or []
+        table.compute_requests(
+            worm, MulticastRoutingMode.TURNAROUND, selector, self_check=True
+        )
+        assert calls == ["general"]

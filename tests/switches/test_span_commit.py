@@ -401,8 +401,9 @@ class TestObservedIsProduction:
 
 class TestSleepRule:
     """The cycles a switch is awake on, exactly: an arrival is an event
-    once per send, taking a record is not a stir, and what its later
-    members allow is dated."""
+    once per send, dated at the routing cycle for a head record that
+    lands in a clear input, taking a record is not a stir, and what its
+    later members allow is dated."""
 
     @staticmethod
     def ticked(network):
@@ -425,8 +426,10 @@ class TestSleepRule:
         # is the other 17 flits at once
         assert ticks == [
             0,   # registration
-            7,   # the header lands, with its record: sleep to the expiry
-            9,   # routing delay over: bypass, a run of 8 (cycles 9-16)
+            9,   # the header landed at 7, with its record, in an empty
+                 # FIFO: woken at the expiry of the routing delay, the
+                 # record is taken and the worm bypasses, a run of 8
+                 # (cycles 9-16)
             15,  # the NI's second span (its own hook); inside the run
             17,  # run over: the other 17, the tail at 33 — and nothing
                  # waits on its release
@@ -439,10 +442,11 @@ class TestSleepRule:
         _, ticks = self.ticked(network)
         schedule_unicast(network, 5, 0, 7, 24)
         run_to_quiescence(network)
-        # the buffer holds the worm and the NI sends it as one record:
-        # header landing, routing expiry (a run of all 25, the tail
-        # included) — and nothing waits on the release at 34
-        assert ticks == [0, 7, 9]
+        # the buffer holds the worm and the NI sends it as one record,
+        # whose header lands at 7 in an empty buffer: one tick, at the
+        # routing expiry (a run of all 25, the tail included) — and
+        # nothing waits on the release at 34
+        assert ticks == [0, 9]
         (switch,) = network.switches
         assert switch.idle() and queued(switch)
 
@@ -459,14 +463,51 @@ class TestSleepRule:
         schedule_unicast(network, 5, 0, 7, 3)   # 4 flits, as one record
         schedule_unicast(network, 20, 0, 7, 7)  # 8 flits, as one record
         network.sim.run(60)
-        # the front worm is routed and refused a credit that never
-        # comes; the record behind it lands over cycles 22-29 and is
-        # taken at 22
-        assert ticks == [0, 7, 9, 22]
+        # the front worm, landed at 7 in an empty FIFO, is taken and
+        # routed at 9 and refused a credit that never comes; the record
+        # behind it lands over cycles 22-29 behind a worm that stays, so
+        # it wakes the switch at its landing and is taken at 22
+        assert ticks == [0, 9, 22]
         front, behind = switch._inflow[0]
         assert (behind.received, behind.last_landing) == (8, 29)
         assert out_link._credit_wanted and not out_link.flits_sent
 
+
+    @pytest.mark.parametrize("config", (
+        one_switch_config(), one_buffer_switch_config(),
+    ), ids=("cb", "ib"))
+    def test_a_head_record_in_a_clear_input_wakes_the_switch_to_route_it(
+        self, config
+    ):
+        # a header of three flits sent whole into an empty input: it
+        # lands at 6 and completes at 8, and the routing delay runs to
+        # 10.  Production is woken then, takes the record and routes it
+        # (a run of all 8, the tail at 17; nothing waits on its
+        # release).  The per-flit reference stamps a header on the tick
+        # that takes its last flit, so its landing wakes it
+        ticks, sends = {}, {}
+        for name in ("production", "reference-active"):
+            network = build_network(flavour(config, name))
+            flits, _ = log_sends(network)
+            switch, ticks[name] = self.ticked(network)
+            destinations = DestinationSet.single(config.num_hosts, 5)
+            message = Message(0, 0, destinations, 5, TrafficClass.UNICAST, 0)
+            worm = Worm.root(Packet(0, message, destinations, 3, 5))
+            link = switch.in_links[0]
+            network.interfaces[5].on_delivery(lambda worm, now: None)
+            network.sim.schedule_at(
+                5, lambda: link.send_span(5, worm, 0, 8)
+            )
+            network.sim.run(40)
+            (log,) = (
+                flits[out.name] for out in switch_out_links(network)
+                if flits[out.name]
+            )
+            sends[name] = log
+        assert sends["production"] == sends["reference-active"]
+        assert sends["production"][0] == (10, 0, 0)
+        assert ticks["production"] == [0, 10]
+        assert ticks["reference-active"][:3] == [0, 6, 7]
 
     @pytest.mark.parametrize("config", (
         one_switch_config(), one_buffer_switch_config(),
@@ -553,8 +594,32 @@ class TestDatedRelease:
         first, second = (sent[name] for name in sorted(sent, reverse=True))
         assert first[-1] == (self.T_END, 0, 16)
         assert second[0] == (self.T_END + 1, 1, 0)
-        # woken for the release, not for the record (landed at 19)
-        assert ticks == [0, 2, 4, 19, self.T_END + 1]
+        # the first record lands at 2 in an empty FIFO and is taken at
+        # its routing expiry; the second lands at 19 behind the first,
+        # whose tail leaves only at T_END, so it wakes the switch at its
+        # landing; then woken for the release, not for the record
+        assert ticks == [0, 4, 19, self.T_END + 1]
+
+    @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
+    def test_a_head_landing_after_the_release_wakes_the_switch_to_route_it(
+        self, label
+    ):
+        # host 0's second worm lands at 21, after its first left at
+        # T_END, which nothing waits on: the input is clear by then
+        # though the release is not settled, so the one tick is the
+        # routing expiry, which settles it, takes the record and routes
+        config = WHOLE_WORM[label]
+        ticks, sent = self.both_planes(config, ((0, 0, 7, 16), (19, 0, 6, 16)))
+        first, second = (sent[name] for name in sorted(sent, reverse=True))
+        assert first[-1] == (self.T_END, 0, 16)
+        assert second[0] == (self.T_END + 3, 1, 0)
+        assert ticks == [0, 4, self.T_END + 3]
+        # one that lands at T_END itself still finds the first worm in
+        # the FIFO: its landing wakes the switch, then the release
+        ticks, sent = self.both_planes(config, ((0, 0, 7, 16), (18, 0, 6, 16)))
+        first, second = (sent[name] for name in sorted(sent, reverse=True))
+        assert second[0] == (self.T_END + 2, 1, 0)
+        assert ticks == [0, 4, self.T_END, self.T_END + 1, self.T_END + 2]
 
     @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
     def test_nothing_waiting_means_no_tick_for_the_release(self, label):
@@ -582,8 +647,9 @@ class TestDatedRelease:
         schedule_unicast(network, 0, 0, 7, 16)
         run_to_quiescence(network)
         network.sim.run(10)
-        # header, routing expiry and its run of 17: nothing after
-        assert ticks == [0, 2, 4]
+        # the header lands at 2 in an empty FIFO: one tick, at the
+        # routing expiry, and its run of 17: nothing after
+        assert ticks == [0, 4]
         # the tail leaves at T_END: from then the switch is idle — the
         # network once it has been delivered — with the release pending
         by_cycle = {row[0]: row[1:] for row in rows}

@@ -1,7 +1,8 @@
 """The prose holds: every ``>>>`` example in a ``repro`` docstring runs
 and prints what it shows, and every citation the documents make — a
 path, a test, a kill-matrix row, a section of a page under ``docs/`` —
-names something that exists.
+names something that exists, as does every ``Class.attribute`` a
+kill-matrix row says it breaks.
 
 The citation checks read files and parse test modules with :mod:`ast`;
 they collect no test and run no simulation.
@@ -76,6 +77,9 @@ _LINK = re.compile(r"\]\(([\w./-]*?)(?:#([\w-]+))?\)")
 _KILL_PARAGRAPH = re.compile(r"\*\*Kill matrix:\*\*((?:.|\n(?!\s*\n))*)")
 _ROW_NAME = re.compile(r"`([a-z0-9]+(?:-[a-z0-9]+)+)`")
 _ROW_LIKE = re.compile(r"`([a-z0-9]+(?:-[a-z0-9]+){4,})`")
+#: a ``Class.attribute`` in prose (not ``DESIGN.md``: a class name has a
+#: lower-case letter after its capital)
+_DOTTED = re.compile(r"(?<![\w.])(_?[A-Z][a-z]\w*)\.(\w+)")
 
 _TOP_LEVEL = {p.name for p in ROOT.iterdir() if p.is_dir()}
 _SUBPACKAGES = {p.name for p in PACKAGE.iterdir() if p.is_dir()}
@@ -246,4 +250,67 @@ def test_every_pointer_into_docs_names_a_section():
                 broken.append(f"{_name(source)}: {target}#{anchor}")
     assert not broken, "pointers to sections that do not exist:\n" + "\n".join(
         broken
+    )
+
+
+@lru_cache(maxsize=None)
+def _classes():
+    """Every class under ``src/repro`` by name (a name may be reused):
+    the names of its bases, and the attributes its body defines —
+    methods, class-level names, ``__slots__`` entries and ``self.x``
+    assignments."""
+    classes = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(_text(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for item in ast.walk(node):
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    names.add(item.name)
+                elif isinstance(item, ast.Name) and isinstance(item.ctx, ast.Store):
+                    names.add(item.id)
+                elif (
+                    isinstance(item, ast.Attribute)
+                    and isinstance(item.ctx, ast.Store)
+                    and isinstance(item.value, ast.Name)
+                    and item.value.id == "self"
+                ):
+                    names.add(item.attr)
+            for item in node.body:
+                if isinstance(item, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__slots__"
+                    for t in item.targets
+                ):
+                    names |= {
+                        c.value for c in ast.walk(item.value)
+                        if isinstance(c, ast.Constant)
+                    }
+            bases = [b.id for b in node.bases if isinstance(b, ast.Name)]
+            classes.setdefault(node.name, []).append((bases, names))
+    return classes
+
+
+def _defines(name: str, attribute: str, seen=()) -> bool:
+    """True when a class ``name`` under ``src/repro``, or one of its
+    bases there, defines ``attribute``."""
+    for bases, names in _classes().get(name, ()):
+        if attribute in names or any(
+            base not in seen and _defines(base, attribute, seen + (name,))
+            for base in bases
+        ):
+            return True
+    return False
+
+
+def test_every_class_attribute_a_row_breaks_exists():
+    unknown = [
+        f"{row.name}: {name}.{attribute}"
+        for row in ROWS
+        for name, attribute in _DOTTED.findall(row.breaks)
+        if not _defines(name, attribute)
+    ]
+    assert not unknown, (
+        "kill-matrix rows naming what src/repro does not define:\n"
+        + "\n".join(unknown)
     )
