@@ -6,12 +6,12 @@ is rewritten to the subset of destinations that branch is responsible for
 the paper).  :class:`Worm` models one such branch: it shares the
 underlying :class:`~repro.flits.packet.Packet` (the data) but carries its
 own *effective destination set* (the rewritten header).  The worm injected
-by the source host is the root; every replication creates child worms.
+by the source host is the root; a replication that rewrites the header
+creates child worms, and a hop that leaves it as it is forwards the worm
+itself.
 """
 
 from __future__ import annotations
-
-from typing import Optional
 
 from repro.flits.destset import DestinationSet
 from repro.flits.flit import Flit
@@ -24,7 +24,6 @@ class Worm:
     __slots__ = (
         "packet",
         "destinations",
-        "parent",
         "descending",
         "size_flits",
         "header_flits",
@@ -34,7 +33,6 @@ class Worm:
         self,
         packet: Packet,
         destinations: DestinationSet,
-        parent: Optional["Worm"] = None,
         descending: bool = False,
     ) -> None:
         if not destinations:
@@ -45,7 +43,6 @@ class Worm:
             )
         self.packet = packet
         self.destinations = destinations
-        self.parent = parent
         #: True once the worm has turned around at (or below) the LCA and
         #: is travelling toward the leaves; switches use this to restrict
         #: routing to down-ports, matching the arrival-link direction the
@@ -62,9 +59,12 @@ class Worm:
         return cls(packet, packet.destinations)
 
     def branch(self, destinations: DestinationSet, descending: bool) -> "Worm":
-        """Create a child branch carrying ``destinations``."""
-        return Worm(packet=self.packet, destinations=destinations,
-                    parent=self, descending=descending)
+        """The branch carrying ``destinations``: this worm itself when
+        the header is unchanged (its own destination set, the same
+        direction, as a unicast hop decodes it), else a new child."""
+        if destinations is self.destinations and descending == self.descending:
+            return self
+        return Worm(self.packet, destinations, descending)
 
     # ------------------------------------------------------------------
     # convenience passthroughs

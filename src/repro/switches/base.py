@@ -440,9 +440,9 @@ class SwitchBase(Component):
         """Wire an incoming link and declare our buffer depth on it.
 
         Also registers this switch as the link's arrival waker: a send
-        on the link schedules a tick at the delivery cycle — or, for a
-        head record that lands in a clear input, at its routing cycle —
-        so an idle switch needs no polling to notice new worms, and
+        on the link schedules a tick at the first cycle this switch can
+        act on what it carries (see ``Link.wake_on_arrival``), so an
+        idle switch needs no polling to notice new worms, and
         marks ``port`` in ``_rx_pending``, so a woken switch drains only
         the in-links that hold flits.
         """
@@ -453,15 +453,19 @@ class SwitchBase(Component):
         link.wake_on_arrival(self, port)
         self._rx = None
 
-    def _clear_by(self, port: int, cycle: int) -> bool:
-        """True when input ``port`` holds no worm at ``cycle``, or only
-        one dated to leave before it: a head landing then is the FIFO
-        front, routed once its delay has run."""
+    def _clear_by(self, port: int, landing: int) -> Optional[int]:
+        """The first cycle a head landing at ``landing`` is the front of
+        input ``port``, routed once its delay has run there: the landing
+        if the input holds no worm or only one dated to leave before it,
+        the cycle after its one worm's dated tail leaves if that is
+        later (the tick that settles the release), else ``None``."""
         inflow = self._inflow[port]
         if not inflow:
-            return True
+            return landing
         leaves = inflow[0].leaves
-        return len(inflow) == 1 and leaves is not None and leaves < cycle
+        if len(inflow) > 1 or leaves is None:
+            return None
+        return landing if leaves < landing else leaves + 1
 
     def connect_out(self, port: int, link: Link) -> None:
         """Wire an outgoing link and register this switch as its credit
@@ -516,10 +520,12 @@ class SwitchBase(Component):
         # with the landings, and then it moved the flit that landed this
         # cycle in this tick (stirred: re-arm) or is inside a run that
         # took them all (the run's own wake).  And a record not taken
-        # yet was sent by a call of its own, whose hook fires at its
-        # head's landing — or, for a worm's head landing in a clear
-        # input, at the cycle it can be routed, before which nothing
-        # can happen to it (see `Link.wake_on_arrival`).
+        # yet was sent by a call of its own, whose hook fires at the
+        # first cycle the switch can act on it: its head's landing; for
+        # a worm's head, the cycle it can be routed as its input's
+        # front, before which nothing can happen to it; for a body
+        # landing inside its mover's committed run, never — the run's
+        # own wake takes it (see `Link.wake_on_arrival`).
         #
         # Committed-sleep: a stirred switch whose every worm is inside a
         # committed run, or waits for something that comes with a wake

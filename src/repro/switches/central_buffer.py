@@ -35,7 +35,11 @@ flits whose cycles are already determined
 (:func:`~repro.switches.base.committed_run`, the one run computation:
 a supply cut to a drain window) move in one call, the switch wakes
 itself when the run ends, and a switch whose every worm is inside a run
-does not re-arm in between (``_inside_runs``).  The tail is a member
+does not re-arm in between (``_inside_runs``).  Nor does the worm's next
+record wake it while it lands inside the run: a bypass feed or writer
+whose run does not carry the tail declares it on its in-link
+(:meth:`~repro.switches.link.Link.hold`), and the run's own wake takes
+what landed.  The tail is a member
 like any other flit.  What its departure does — the output freed, the
 input FIFO popped, the last chunk freed — is a dated release
 (:meth:`~repro.switches.base.SwitchBase._release_at`) settled by the
@@ -491,6 +495,8 @@ class CentralBufferSwitch(SwitchBase):
                         self._release_at(now + run - 1, 0, 1 << port)
                     else:
                         self.wake_at(now + run)
+                        if link is not None:
+                            link.hold(worm, now + run - 1)
                     continue
             stored.write_flit()
             # the FIFO slot is consumed inline: no call per flit
@@ -665,6 +671,8 @@ class CentralBufferSwitch(SwitchBase):
                 )
             else:
                 self.wake_at(now + run)
+                if in_link is not None:
+                    in_link.hold(ingress.worm, now + run - 1)
             return
         link.send_granted(now, worm, consumed)
         # FIFO-slot consume, inline as in _write_central_buffer

@@ -75,22 +75,38 @@ and those receivers look it up on the link instance no earlier than
 their first tick, so a profiler may rebind it (and the send entry
 points) per link before the run starts.
 
-The arrival wake fires once per :meth:`send` and once per
+The arrival wake fires at most once per :meth:`send` and once per
 :meth:`send_span`, not once per member flit, and whether or not the
 send joined a record already queued: an arrival is an event once per
-send.  It fires at the send's *first* arrival cycle — but for the send
-of a worm's head to a receiver that declares a routing delay
-(:meth:`wake_on_arrival`; the production switches): when its record
-holds the whole header, is all the link holds and lands in an input
-that is clear by then, nothing can happen to the worm before its
-routing decision, so the wake is dated at the cycle the receiver can
-route it, ``landing + header_flits - 1 + routing_delay``.  The record
-waits landed in the link until then, or until the receiver ticks for
-something else and takes it.  Those are the only wakes a landing ever
-causes.  A switch that took a record whole needs no other: what the
-later members make possible is already dated in the switch (see
-``SwitchBase.tick``).  The NI, which takes only what has landed, wakes
-itself for the rest of the head record.
+send.  It is dated at the first cycle the receiver can act on the
+record, which is its *first* arrival cycle but in two cases, both for
+the production switches only (the NI and the per-flit reference keep
+every landing wake):
+
+* *A head behind nothing, or behind a worm dated to leave.*  For the
+  send of a worm's head to a receiver that declares a routing delay
+  (:meth:`wake_on_arrival`), when its record holds the whole header and
+  is all the link holds, nothing can happen to the worm before its
+  routing decision, nor before it is its input's front.  So if the
+  receiver knows when that is (``_clear_by``: at the landing in an
+  input that is clear by then, or the cycle after the dated tail
+  release of the one worm ahead of it), the wake is dated at the later
+  of that cycle and the cycle it can route the worm,
+  ``landing + header_flits - 1 + routing_delay``.  The record waits
+  landed in the link until then, or until the receiver ticks for
+  something else and takes it.
+* *A body inside its mover's run.*  A send that continues the worm
+  whose mover at the receiver is inside a committed run (:meth:`hold`:
+  a central-buffer bypass feed or writer, for a run not carrying the
+  tail) and lands by that run's last cycle wakes nobody: the run's own
+  wake, the cycle after, takes the record, and nothing can move the
+  worm before.
+
+Those are the only wakes a landing ever causes, and the rx-pending bit
+is set all the same.  A switch that took a record whole needs no other:
+what the later members make possible is already dated in the switch
+(see ``SwitchBase.tick``).  The NI, which takes only what has landed,
+wakes itself for the rest of the head record.
 
 A receiver that knows it will free one slot per cycle for the next
 ``count`` cycles — a switch that committed a run of bypass flits — hands
@@ -206,6 +222,11 @@ class Link:
         #: receiver consumes the last of its flits sent so far
         self._drain: Optional[Worm] = None
         self._drain_next = 0
+        #: the worm whose mover at the receiver is inside a committed run
+        #: through cycle ``_held_through`` (:meth:`hold`): a send of its
+        #: body landing by then wakes nobody
+        self._held: Optional[Worm] = None
+        self._held_through = -1
         #: the sender was refused for lack of a credit while no return
         #: was queued: the next return wakes it
         self._credit_wanted = False
@@ -236,10 +257,13 @@ class Link:
         A component whose ``_route_lead`` is not negative routes a worm
         that many cycles after its header lands, dates that from the
         landing whenever it takes the record, and does nothing with the
-        worm before: the send of a head record it can route on time
-        wakes it at the routing cycle instead (see the module
-        docstring).  Such a component implements ``_clear_by(port,
-        cycle)``.
+        worm before: the send of a head record wakes it at the routing
+        cycle instead, or at the first cycle the input is the worm's,
+        if later (see the module docstring).  Such a component
+        implements ``_clear_by(port, landing)``, which returns that
+        cycle, or ``None`` when it does not know it.  A receiver that
+        declares a :meth:`hold` is not woken by a send of the held
+        worm's body that lands inside the run.
         """
         if self._arrival_comp is not None:
             raise ProtocolError(f"link {self.name}: arrival waker already set")
@@ -252,17 +276,17 @@ class Link:
         self, comp: Component, worm: Worm, count: int, landing: int
     ) -> int:
         """The arrival wake of a send of ``count`` flits from a worm's
-        head, landing at ``landing``: the receiver's routing cycle when
-        the record holds the whole header, is all this link holds and
-        lands in an input that is clear by then; else the landing."""
+        head, landing at ``landing``: when the record holds the whole
+        header and is all this link holds, the later of the receiver's
+        routing cycle and the first cycle its input is clear
+        (``_clear_by``), if it knows one; else the landing."""
         header = worm.header_flits
-        port = self._rx_bit.bit_length() - 1
-        if (
-            count >= header
-            and self._in_flight.records == 1
-            and comp._clear_by(port, landing)  # type: ignore[attr-defined]
-        ):
-            return landing + header - 1 + comp._route_lead
+        if count >= header and self._in_flight.records == 1:
+            port = self._rx_bit.bit_length() - 1
+            clear = comp._clear_by(port, landing)  # type: ignore[attr-defined]
+            if clear is not None:
+                routed = landing + header - 1 + comp._route_lead
+                return routed if routed > clear else clear
         return landing
 
     def wake_on_credit(self, component: Component) -> None:
@@ -309,6 +333,15 @@ class Link:
             self._drain = worm
             self._drain_next = after
         return taken
+
+    def hold(self, worm: Worm, through: int) -> None:
+        """The receiver's mover of ``worm`` committed a run, not carrying
+        the tail, through cycle ``through`` and wakes itself after it: a
+        later send of the worm's body landing by ``through`` wakes
+        nobody (see the module docstring).  A hold is never lifted; one
+        that has run out covers no send to come."""
+        self._held = worm
+        self._held_through = through
 
     def pending_arrival(self, now: int) -> bool:
         """True when :attr:`receive_span` would hand a record over at
@@ -552,8 +585,11 @@ class Link:
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
-            if index == 0 and comp._route_lead >= 0:
-                arrival = self._head_wake(comp, worm, 1, arrival)
+            if not index:
+                if comp._route_lead >= 0:
+                    arrival = self._head_wake(comp, worm, 1, arrival)
+            elif worm is self._held and arrival <= self._held_through:
+                return
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
 
@@ -578,8 +614,11 @@ class Link:
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
-            if index == 0 and comp._route_lead >= 0:
-                arrival = self._head_wake(comp, worm, 1, arrival)
+            if not index:
+                if comp._route_lead >= 0:
+                    arrival = self._head_wake(comp, worm, 1, arrival)
+            elif worm is self._held and arrival <= self._held_through:
+                return
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
 
@@ -589,8 +628,8 @@ class Link:
         Wire-identical to ``count`` single sends on consecutive cycles:
         one send slot and one credit per member flit (all reserved now)
         and member ``j`` arriving at ``now + latency + j``.  The arrival
-        wake fires once, at the first arrival cycle or, for a head, at
-        the receiver's routing cycle (see the module docstring).
+        wake fires at most once, at the first cycle the receiver can act
+        on the record (see the module docstring).
         Requires ``count <= sendable_span(now, worm)``.
         """
         if count < 1:
@@ -615,8 +654,11 @@ class Link:
         comp = self._arrival_comp
         if comp is not None:
             comp._rx_pending |= self._rx_bit
-            if start == 0 and comp._route_lead >= 0:
-                arrival = self._head_wake(comp, worm, count, arrival)
+            if not start:
+                if comp._route_lead >= 0:
+                    arrival = self._head_wake(comp, worm, count, arrival)
+            elif worm is self._held and arrival <= self._held_through:
+                return
             if comp._wake_marker != arrival:
                 comp.wake_at(arrival)
 

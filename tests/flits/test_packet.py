@@ -87,7 +87,6 @@ class TestWorm:
         worm = self.make_worm()
         assert worm.destinations == worm.packet.destinations
         assert not worm.descending
-        assert worm.parent is None
 
     def test_branch_subsets(self):
         worm = self.make_worm()
@@ -95,7 +94,6 @@ class TestWorm:
         child = worm.branch(sub, descending=True)
         assert child.destinations == sub
         assert child.descending
-        assert child.parent is worm
         assert child.packet is worm.packet
 
     def test_branch_must_be_subset(self):

@@ -206,8 +206,8 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "head-wake-one-cycle-late",
         "src/repro/switches/link.py",
-        "            return landing + header - 1 + comp._route_lead\n",
-        "            return landing + header + comp._route_lead\n",
+        "                routed = landing + header - 1 + comp._route_lead\n",
+        "                routed = landing + header + comp._route_lead\n",
         "a head record that lands in a clear input wakes its switch on the "
         "cycle it can be routed, not after (Link._head_wake)",
     ),
@@ -219,6 +219,26 @@ ROWS: Tuple[Row, ...] = (
         "a descending worm never turns up again: the mask decode of a "
         "one-host header raises for a host outside the subtree, as the "
         "general decode does (SwitchRoutingTable._decode)",
+    ),
+    # -- an arrival wakes its switch only when the switch can act on it -
+    Row(
+        "body-wake-skipped-past-run-end",
+        "src/repro/switches/link.py",
+        "                    arrival = self._head_wake(comp, worm, count, arrival)\n"
+        "            elif worm is self._held and arrival <= self._held_through:\n",
+        "                    arrival = self._head_wake(comp, worm, count, arrival)\n"
+        "            elif worm is self._held and arrival <= self._held_through + 1:\n",
+        "a body record of a held worm wakes its switch unless it lands "
+        "inside the mover's committed run, by its last cycle (Link.hold)",
+    ),
+    Row(
+        "head-behind-wakes-at-the-release-cycle",
+        "src/repro/switches/base.py",
+        "        return landing if leaves < landing else leaves + 1\n",
+        "        return landing if leaves < landing else leaves\n",
+        "a head landing behind a worm dated to leave is the input's front "
+        "from the tick that settles the release, the cycle after it "
+        "(SwitchBase._clear_by)",
     ),
     # -- determinism (DESIGN.md §7) and picklability (RunSpec) ----------
     Row(

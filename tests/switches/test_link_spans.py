@@ -300,6 +300,27 @@ class TestWakeSemantics:
 
         assert run(as_span=True) == run(as_span=False)
 
+    def test_a_held_worms_body_landing_inside_the_run_wakes_nobody(self):
+        # the receiver's mover of the worm committed a run through cycle
+        # 8 and wakes itself at 9 (`Link.hold`): a send of the worm's
+        # body landing by 8, single or span, sets the rx-pending bit but
+        # wakes nobody; one landing at 9, or another worm's, wakes
+        link = make_link(depth=16, latency=1)
+        receiver = WakeLog()
+        link.wake_on_arrival(receiver, port=2)
+        worm, other = make_worm(size=12), make_worm(packet_id=1)
+        link.send_span(0, worm, 0, 4)  # lands at 1 .. 4
+        link.hold(worm, 8)
+        link.send_packed(4, worm, 4)  # lands at 5
+        assert link.can_send(5)
+        link.send_granted(5, worm, 5)  # lands at 6
+        assert receiver.wakes == [1]
+        assert receiver._rx_pending == 0b100
+        link.send_span(6, other, 1, 1)  # lands at 7
+        link.send_span(7, worm, 6, 1)  # lands at 8
+        link.send_span(8, worm, 7, 5)  # lands at 9 .. 13
+        assert receiver.wakes == [1, 7, 9]
+
     def test_component_waker_ticks_receiver_at_arrival_cycles(self):
         # wake_on_arrival wires the component itself; a span send must
         # tick it at the first arrival, where the receiver takes the

@@ -430,9 +430,10 @@ class TestSleepRule:
                  # FIFO: woken at the expiry of the routing delay, the
                  # record is taken and the worm bypasses, a run of 8
                  # (cycles 9-16)
-            15,  # the NI's second span (its own hook); inside the run
-            17,  # run over: the other 17, the tail at 33 — and nothing
-                 # waits on its release
+            17,  # run over: the NI's second span, landed at 15 inside
+                 # the run and so no wake of its own, is taken — the
+                 # other 17, the tail at 33, and nothing waits on its
+                 # release
         ]
 
     def test_one_unicast_through_an_idle_input_buffer_switch(self):
@@ -536,6 +537,63 @@ class TestSleepRule:
         assert ticks == [0, 6, 11, 13]
         assert switch.idle()
 
+    @pytest.mark.parametrize("case", ("bypass", "admitted", "covered"))
+    def test_a_body_record_landing_inside_its_movers_run_wakes_nobody(
+        self, case
+    ):
+        # host 1's worm (host 0's for the bypass) lands as the FIFO's 8
+        # credits' worth at 7-14, is routed at 9 (10 for the two-flit
+        # header of the multicast) and its mover — a bypass feed toward
+        # host 7, the writer of a worm admitted for hosts 5-7, or the
+        # writer of a unicast queued behind host 0's and covered by its
+        # input's quota — moves those 8 as one run and is a drain, so
+        # the NI's second record is the rest of the worm, sent at 14.
+        # It lands at 15, inside the run: production is not woken then
+        # but by the run's own wake, which takes it and moves it all.
+        # The per-flit reference ticks at every landing
+        posts = {
+            "bypass": [(schedule_unicast, 5, 0, 7, 24)],
+            "admitted": [(schedule_multicast, 5, 0, (5, 6, 7), 24)],
+            "covered": [
+                (schedule_unicast, 5, 0, 7, 7),
+                (schedule_unicast, 5, 1, 7, 40),
+            ],
+        }[case]
+        mover = 1 if case == "covered" else 0
+        ticks, sent, records, held = {}, {}, {}, {}
+        for name in ("production", "reference-active"):
+            network = build_network(flavour(UNCONTENDED, name))
+            flits, spans = log_sends(network)
+            switch, ticks[name] = self.ticked(network)
+            for schedule, *post in posts:
+                schedule(network, *post)
+            run_to_quiescence(network)
+            sent[name] = {
+                link.name: flits[link.name]
+                for link in switch_out_links(network)
+            }
+            records[name] = [
+                (now, start, count)
+                for now, _, start, count in spans[f"host{mover}->sw0.p{mover}"]
+            ]
+            held[name] = switch.in_links[mover]._held_through
+        assert sent["production"] == sent["reference-active"]
+        assert records["production"][1][:2] == (14, 8)
+        assert 15 in ticks["reference-active"]
+        assert ticks["production"] == {
+            "bypass": [0, 9, 17],
+            "admitted": [0, 10, 18],
+            # the run of host 0's 8 flits ends at 16 and frees output 7
+            # for the queued branch: 17 also ends the writer's run
+            "covered": [0, 9, 17],
+        }[case]
+        # the 8 flits' run is the one the landing fell inside; the
+        # reference commits no run and holds nothing
+        assert held == {
+            "production": {"bypass": 16, "admitted": 17, "covered": 16}[case],
+            "reference-active": -1,
+        }
+
 
 WHOLE_WORM = {
     "cb": one_switch_config(input_fifo_depth=64),
@@ -596,9 +654,10 @@ class TestDatedRelease:
         assert second[0] == (self.T_END + 1, 1, 0)
         # the first record lands at 2 in an empty FIFO and is taken at
         # its routing expiry; the second lands at 19 behind the first,
-        # whose tail leaves only at T_END, so it wakes the switch at its
-        # landing; then woken for the release, not for the record
-        assert ticks == [0, 4, 19, self.T_END + 1]
+        # whose tail is dated to leave at T_END: the input is clear from
+        # the tick that settles that release, which is also the second's
+        # routing expiry, so that one tick takes it and routes it
+        assert ticks == [0, 4, self.T_END + 1]
 
     @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
     def test_a_head_landing_after_the_release_wakes_the_switch_to_route_it(
@@ -615,11 +674,28 @@ class TestDatedRelease:
         assert second[0] == (self.T_END + 3, 1, 0)
         assert ticks == [0, 4, self.T_END + 3]
         # one that lands at T_END itself still finds the first worm in
-        # the FIFO: its landing wakes the switch, then the release
+        # the FIFO, until the tick after: that is before its routing
+        # expiry, which is its one wake
         ticks, sent = self.both_planes(config, ((0, 0, 7, 16), (18, 0, 6, 16)))
         first, second = (sent[name] for name in sorted(sent, reverse=True))
         assert second[0] == (self.T_END + 2, 1, 0)
-        assert ticks == [0, 4, self.T_END, self.T_END + 1, self.T_END + 2]
+        assert ticks == [0, 4, self.T_END + 2]
+
+    def test_a_head_behind_a_worm_dated_to_leave_wakes_at_the_release(self):
+        # host 1's worm is routed at 4 and host 0's first at 6, which
+        # waits in its input buffer for output 7 until host 1's 41 flits
+        # have left, and at 45 leaves in one run whose
+        # tail is dated 61.  Its second worm, for host 6, is sent at 46
+        # and lands at 47, behind the first: routable at 49 but the
+        # input's front only from the tick that settles the release, 62,
+        # its one wake — neither the landing nor the release cycle
+        ticks, sent = self.both_planes(
+            one_buffer_switch_config(),
+            ((0, 1, 7, 40), (2, 0, 7, 16), (45, 0, 6, 8)),
+        )
+        assert sent["sw0.p7->host7"][-1] == (61, 1, 16)
+        assert sent["sw0.p6->host6"][0] == (62, 2, 0)
+        assert ticks == [0, 4, 6, 45, 62]
 
     @pytest.mark.parametrize("label", sorted(WHOLE_WORM))
     def test_nothing_waiting_means_no_tick_for_the_release(self, label):
