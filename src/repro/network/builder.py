@@ -75,7 +75,8 @@ class Network:
 
         Clears exactly the back-references that make the graph cyclic:
         the simulator's component list (each component points at its
-        simulator) and the events still on its calendar after a run cut
+        simulator), a kernel profiler's tick counters (each points at its
+        component) and the events still on its calendar after a run cut
         short (their closures point at nodes), every link's arrival and
         credit waker (each component points at its links), every
         delivery callback (NI to node, node to a collective engine that
@@ -92,6 +93,7 @@ class Network:
         """
         sim = self.sim
         sim._closed = True
+        sim.attach_profiler(None)
         sim._components.clear()
         sim._calendar.clear()
         for link in self.links:

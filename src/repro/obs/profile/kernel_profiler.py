@@ -3,10 +3,11 @@
 :class:`KernelProfiler` implements the kernel's
 :class:`~repro.sim.kernel.ProfilerHook` protocol: attach one with
 ``sim.attach_profiler(profiler)`` and every stepped cycle is attributed
-to the component classes that ticked, calendar events and wake backlog
-are accumulated, and each fast-forwarded idle span lands in a size
-histogram (the direct answer to "is the active-set kernel jumping or
-crawling?").  All counting uses simulated cycles only — no wall clock —
+to the component classes that ticked (the kernel rebinds each
+component's ``tick`` to call :meth:`KernelProfiler.record_tick` first),
+calendar events and wake backlog are accumulated, and each
+fast-forwarded idle span lands in a size histogram (the direct answer
+to "is the active-set kernel jumping or crawling?").  All counting uses simulated cycles only — no wall clock —
 so attaching a profiler can never perturb results.
 
 :class:`SpanProfiler` observes the packed data plane from outside: it

@@ -44,9 +44,9 @@ class Component:
         # active-set bookkeeping, owned by the kernel: registration index
         # (tick order within a cycle), the set of far cycles this component
         # is already scheduled to wake at (heap-push dedupe), and the
-        # next-cycle bucket marker (fast-path dedupe — see Simulator.wake;
-        # Link's send/credit paths also read the marker to skip redundant
-        # wake calls inline).
+        # next-cycle bucket marker (fast-path dedupe — see wake_at; Link's
+        # send/credit paths also read the marker to skip redundant wake
+        # calls inline).
         self._index = -1
         self._wake_cycles: Set[int] = set()
         self._wake_marker = -1
@@ -83,12 +83,12 @@ class Component:
         itself schedules an initial wake, so no pre-attach state is ever
         missed.
 
-        This inlines :meth:`Simulator.wake` (kept in sync with it):
-        every flit movement fires at least one wake through the link
-        hooks, making this the single most-called function in a run.
+        The kernel's one wake rule, for both kernels: every flit
+        movement fires at least one wake through the link hooks, making
+        this the single most-called function in a run.
         """
         sim = self._sim
-        if sim is None or sim.dense:
+        if sim is None:
             return
         if cycle < sim.now:
             cycle = sim.now
@@ -105,7 +105,7 @@ class Component:
     def wake_now(self) -> None:
         """Request a tick in the current cycle (idempotent)."""
         if self._sim is not None:
-            self._sim.wake(self, self._sim.now)
+            self.wake_at(self._sim.now)
 
     def tick(self, now: int) -> None:
         """Advance this component by one cycle.  ``now`` is the cycle index."""

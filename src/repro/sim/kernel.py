@@ -5,19 +5,18 @@ callbacks, and the registry of components.  The kernel deliberately has
 no knowledge of networks, flits, or switches — it only advances time.
 
 Components are not ticked unconditionally every cycle: they register
-*wake-ups* (:meth:`~repro.sim.component.Component.wake_at` /
-:meth:`~repro.sim.component.Component.wake_now`) and the kernel keeps a
-wake calendar keyed by ``(cycle, registration index)``, so ticks within
-one cycle still run in registration order.  When nothing — no calendar
-event, no wake — is due, :meth:`run` and :meth:`run_until` fast-forward
-``now`` directly to the next scheduled activity instead of spinning
-through idle cycles.  Stall detection counts those *simulated* idle
-cycles exactly as if they had been stepped one by one, so results,
-error cycles and messages are bit-identical to the dense reference
-kernel (``Simulator(dense=True)``), which still ticks every component
-every cycle and exists for differential testing (see
-``tests/sim/test_active_set.py`` and ``docs/performance.md``,
-"Fast-forward and stall parity").
+*wake-ups* (:meth:`~repro.sim.component.Component.wake_at`, the one
+wake rule) and the kernel keeps a wake calendar keyed by ``(cycle,
+registration index)``, so ticks within one cycle still run in
+registration order.  When nothing — no calendar event, no wake — is
+due, :meth:`run_until` (and :meth:`run`, which is ``run_until`` a target
+cycle) fast-forwards ``now`` directly to the next scheduled activity.
+Stall detection counts those *simulated* idle cycles exactly as if they
+had been stepped one by one, so results, error cycles and messages are
+bit-identical to the dense reference kernel (``Simulator(dense=True)``),
+which ticks every component every cycle and exists for differential
+testing (see ``tests/sim/test_active_set.py`` and
+``docs/performance.md``, "Fast-forward and stall parity").
 """
 
 from __future__ import annotations
@@ -58,9 +57,10 @@ class Probe(Protocol):
 class ProfilerHook(Protocol):
     """Kernel-side profiling callbacks (see ``repro.obs.profile``).
 
-    Installed with :meth:`Simulator.attach_profiler`; every call site in
-    the kernel is behind a ``prof is not None`` test so a run without a
-    profiler pays one local ``None`` check per step, nothing more.
+    Installed with :meth:`Simulator.attach_profiler`, which reaches
+    ``record_tick`` through a wrapper rebound on each component's
+    ``tick``: a run without a profiler pays one ``None`` test per step
+    and per jump, nothing more.
     """
 
     def record_tick(self, component: Component) -> None:
@@ -124,8 +124,7 @@ class Simulator:
         #: they never cap a fast-forward jump — skipped sample points
         #: are replayed before the clock moves (see :meth:`add_probe`)
         self._probes: List[Probe] = []
-        #: optional kernel profiler (see :meth:`attach_profiler`); every
-        #: call site is behind a ``prof is not None`` test
+        #: optional kernel profiler (see :meth:`attach_profiler`)
         self._prof: Optional[ProfilerHook] = None
         #: set by ``Network.close()``, which also empties the component
         #: list: :meth:`run` and :meth:`run_until` then refuse
@@ -146,7 +145,9 @@ class Simulator:
         component._index = len(self._components)
         component.attach(self)
         self._components.append(component)
-        self.wake(component, self.now)
+        if self._prof is not None:
+            self._count_ticks(component)
+        component.wake_at(self.now)
         return component
 
     @property
@@ -178,39 +179,36 @@ class Simulator:
     def attach_profiler(self, profiler: Optional[ProfilerHook]) -> None:
         """Install (or, with ``None``, remove) the kernel profiler hook.
 
-        With no profiler attached the kernel pays one local ``None``
-        test per step — the zero-overhead contract shared with the
-        telemetry layer (see ``docs/observability.md``).
+        Ticks are counted by rebinding ``tick`` on each component
+        instance, now and at every later :meth:`add_component`, so no
+        tick loop tests for a profiler (see ``docs/observability.md``).
+        Attach it before any other rebinding of ``tick``: removal takes
+        the counter off only where it is still the outermost wrapper.
         """
+        for component in self._components:
+            if hasattr(vars(component).get("tick"), "__wrapped__"):
+                del component.tick  # the counter is the outermost wrapper
         self._prof = profiler
+        if profiler is not None:
+            for component in self._components:
+                self._count_ticks(component)
+
+    def _count_ticks(self, component: Component) -> None:
+        """Rebind ``component.tick`` to report each tick to the profiler
+        first (``__wrapped__`` marks the counter for removal)."""
+        record = self._prof.record_tick  # type: ignore[union-attr]
+        tick = component.tick
+
+        def counted_tick(now: int) -> None:
+            record(component)
+            tick(now)
+
+        counted_tick.__wrapped__ = tick  # type: ignore[attr-defined]
+        component.tick = counted_tick  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # wake calendar
     # ------------------------------------------------------------------
-    def wake(self, component: Component, cycle: int) -> None:
-        """Schedule a tick of ``component`` at ``cycle`` (idempotent).
-
-        Cycles in the past are clamped to ``now`` (useful when a test
-        drives ticks by hand).  In dense mode this is a no-op — every
-        component is ticked every cycle anyway.
-
-        :meth:`Component.wake_at` inlines this logic as its fast path;
-        any change here must be mirrored there.
-        """
-        if self.dense:
-            return
-        if cycle < self.now:
-            cycle = self.now
-        if cycle == self._bucket_cycle:
-            if component._wake_marker != cycle:
-                component._wake_marker = cycle
-                self._bucket.append(component._index)
-            return
-        if cycle in component._wake_cycles:
-            return
-        component._wake_cycles.add(cycle)
-        heapq.heappush(self._wakes, (cycle, component._index))
-
     def mark_time(self, cycle: int) -> None:
         """Declare that a ``run_until`` predicate may flip at ``cycle``.
 
@@ -224,9 +222,8 @@ class Simulator:
         Workloads declare theirs via
         :meth:`repro.traffic.base.Workload.time_marks`.
         """
-        if self.dense or cycle <= self.now:
-            return
-        heapq.heappush(self._time_marks, cycle)
+        if cycle > self.now:
+            heapq.heappush(self._time_marks, cycle)
 
     def _next_time_mark(self) -> Optional[int]:
         """Earliest future time mark, discarding stale ones."""
@@ -281,87 +278,58 @@ class Simulator:
     def step(self) -> None:
         """Execute one cycle: calendar events for ``now``, then due ticks.
 
-        In dense mode every component ticks; otherwise only components
-        with a wake-up due this cycle tick, in registration order (the
-        wake heap is keyed ``(cycle, registration index)``).  An event
-        may wake a component for the current cycle — events run first,
-        so the wake is honoured this very cycle.
+        Both kernels drain the wakes due; the dense kernel then ticks
+        every component, the active-set kernel only those due, in
+        registration order.  Events run first, so a wake an event places
+        for the current cycle is honoured this very cycle.
         """
         now = self.now
         calendar = self._calendar
-        prof = self._prof
         events = 0
-        if prof is not None:
-            while calendar and calendar[0][0] == now:
-                heapq.heappop(calendar)[2]()
-                events += 1
+        while calendar and calendar[0][0] == now:
+            heapq.heappop(calendar)[2]()
+            events += 1
+        components = self._components
+        if self._bucket_cycle == now:
+            due = self._bucket
+            # fresh bucket for the re-arms the ticks below will issue
+            self._bucket = []
+            self._bucket_cycle = now + 1
         else:
-            while calendar and calendar[0][0] == now:
-                heapq.heappop(calendar)[2]()
-        if self.dense:
-            if prof is not None:
-                for component in self._components:
-                    prof.record_tick(component)
-                    component.tick(now)
-            else:
-                for component in self._components:
-                    component.tick(now)
-        else:
-            components = self._components
-            if self._bucket_cycle == now:
-                due = self._bucket
-                # fresh bucket for the re-arms the ticks below will issue
-                self._bucket = []
+            if self._bucket_cycle < now:
+                # stale empty bucket (fast-forward jumped past it);
+                # retarget so re-arms take the fast path again
                 self._bucket_cycle = now + 1
-            else:
-                if self._bucket_cycle < now:
-                    # stale empty bucket (fast-forward jumped past it);
-                    # retarget so re-arms take the fast path again
-                    self._bucket_cycle = now + 1
-                due = []
-            wakes = self._wakes
-            while wakes and wakes[0][0] <= now:
-                cycle, index = heapq.heappop(wakes)
-                components[index]._wake_cycles.discard(cycle)
-                due.append(index)
-            if due:
-                if 2 * len(due) >= len(components):
-                    # busy cycle: most components are due, so mark and
-                    # scan registration order instead of sorting — same
-                    # ascending tick order, same at-most-once dedup
-                    for index in due:
-                        components[index]._due_marker = now
-                    if prof is not None:
-                        for component in components:
-                            if component._due_marker == now:
-                                prof.record_tick(component)
-                                component.tick(now)
-                    else:
-                        for component in components:
-                            if component._due_marker == now:
-                                component.tick(now)
-                elif prof is not None:
-                    due.sort()
-                    last = -1
-                    for index in due:
-                        if index == last:
-                            continue  # at most one tick per component per cycle
-                        last = index
-                        prof.record_tick(components[index])
-                        components[index].tick(now)
-                else:
-                    due.sort()
-                    last = -1
-                    for index in due:
-                        if index == last:
-                            continue  # at most one tick per component per cycle
-                        last = index
-                        components[index].tick(now)
+            due = []
+        wakes = self._wakes
+        while wakes and wakes[0][0] <= now:
+            cycle, index = heapq.heappop(wakes)
+            components[index]._wake_cycles.discard(cycle)
+            due.append(index)
+        if self.dense:
+            for component in components:
+                component.tick(now)
+        elif 2 * len(due) >= len(components):
+            # busy cycle: most components are due, so mark and scan
+            # registration order instead of sorting — same ascending
+            # tick order, same at-most-once dedup
+            for index in due:
+                components[index]._due_marker = now
+            for component in components:
+                if component._due_marker == now:
+                    component.tick(now)
+        else:
+            due.sort()
+            last = -1
+            for index in due:
+                if index == last:
+                    continue  # at most one tick per component per cycle
+                last = index
+                components[index].tick(now)
+        prof = self._prof
         if prof is not None:
             prof.record_step(
-                now,
-                events,
-                len(calendar) + len(self._wakes) + len(self._bucket),
+                now, events, len(calendar) + len(wakes) + len(self._bucket)
             )
         if self._probes:
             self._fire_probes(now)
@@ -408,38 +376,13 @@ class Simulator:
             prof.record_fast_forward(self.now, cycle - self.now)
         self.now = cycle
 
-    def _next_activity_cycle(self) -> Optional[int]:
-        """Earliest cycle with a calendar event or a wake-up, or ``None``."""
-        best = self._calendar[0][0] if self._calendar else None
-        if self._wakes and (best is None or self._wakes[0][0] < best):
-            best = self._wakes[0][0]
-        if self._bucket and (best is None or self._bucket_cycle < best):
-            best = self._bucket_cycle
-        return best
-
     def run(self, cycles: int) -> None:
-        """Advance the clock by ``cycles`` cycles.
-
-        The active-set kernel fast-forwards over spans with no scheduled
-        activity; the clock still ends exactly ``cycles`` later.
-        """
+        """Advance the clock by exactly ``cycles`` cycles: :meth:`run_until`
+        a target, whose cycle budget caps every jump there."""
         if cycles < 0:
             raise ValueError("cycles must be non-negative")
-        if self._closed:
-            raise SimulationError("the network of this simulator is closed")
-        if self.dense:
-            for _ in range(cycles):
-                self.step()
-            return
         target = self.now + cycles
-        while self.now < target:
-            upcoming = self._next_activity_cycle()
-            if upcoming is None or upcoming >= target:
-                self._skip_to(target)
-                return
-            if upcoming > self.now:
-                self._skip_to(upcoming)
-            self.step()
+        self.run_until(lambda: self.now >= target, max_cycles=cycles)
 
     def run_until(
         self,
@@ -527,25 +470,29 @@ class Simulator:
         raised here with the exact cycle and message the dense kernel
         would produce.
         """
-        upcoming = self._next_activity_cycle()
-        if upcoming is not None and upcoming <= self.now:
-            return 0
-        if upcoming is None:
-            jump = budget_left
-        else:
-            jump = min(upcoming - self.now, budget_left)
+        now = self.now
+        jump = budget_left
+        calendar, wakes = self._calendar, self._wakes
+        if calendar and calendar[0][0] - now < jump:
+            jump = calendar[0][0] - now
+        if wakes and wakes[0][0] - now < jump:
+            jump = wakes[0][0] - now
+        if self._bucket and self._bucket_cycle - now < jump:
+            jump = self._bucket_cycle - now
+        if jump <= 0:
+            return 0  # activity due now
         mark = self._next_time_mark()
-        if mark is not None and mark - self.now < jump:
-            jump = mark - self.now
-        if stall_limit is not None and not self._calendar:
+        if mark is not None and mark - now < jump:
+            jump = mark - now
+        if stall_limit is not None and not calendar:
             trip = stall_limit - stalled
             if trip <= jump:
-                self._skip_to(self.now + trip)
+                self._skip_to(now + trip)
                 raise DeadlockSuspected(
                     f"no progress for {stall_limit} cycles at cycle "
                     f"{self.now}; suspected deadlock"
                 )
-        self._skip_to(self.now + jump)
+        self._skip_to(now + jump)
         return jump
 
     def __repr__(self) -> str:

@@ -296,7 +296,7 @@ class InputBufferSwitch(SwitchBase):
             return  # one blocked branch stalls the whole worm
         self._stirred = True
         for branch, link in zip(branches, links):
-            link.send_packed(now, branch.worm, branch.read)
+            link.send_granted(now, branch.worm, branch.read)
             branch.read += 1
         if self._obs:
             self._c_forwarded.inc(len(branches))

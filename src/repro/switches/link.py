@@ -19,7 +19,9 @@ data planes share this storage:
 * the per-flit reference (:mod:`repro.reference`; bare links in unit
   tests) sends one :class:`~repro.flits.flit.Flit` per cycle
   (:meth:`send`) and materialises flit objects on :meth:`receive`;
-* production sends flit *coordinates* (:meth:`send_packed`) or a
+* production sends flit *coordinates* (:meth:`send_granted`, after the
+  :meth:`can_send` its arbitration asked; :meth:`send_packed` is the
+  same send with the checks, and :meth:`send` goes through it) or a
   whole contiguous span in one call (:meth:`send_span`, which reserves
   one send slot and one credit per member flit, exactly as the same
   flits sent one per cycle would) and receives *records*:
@@ -559,7 +561,11 @@ class Link:
         self.send_packed(now, flit.worm, flit.index)
 
     def send_packed(self, now: int, worm: Worm, index: int) -> None:
-        """Transmit flit ``(worm, index)`` without materialising it."""
+        """Transmit flit ``(worm, index)`` without materialising it: the
+        slot and credit checks of :meth:`can_send`, raising instead of
+        refusing, then :meth:`send_granted`'s body.  That is called on
+        the class, not the instance, so a profiler that rebinds both
+        entry points on a link counts this send once."""
         if self._last_send_cycle >= now:
             raise ProtocolError(
                 f"link {self.name}: second send in cycle {now}"
@@ -575,32 +581,18 @@ class Link:
             raise ProtocolError(
                 f"link {self.name}: send without credit in cycle {now}"
             )
-        self._credits = credits - 1
-        self._last_send_cycle = now
-        arrival = now + self.latency
-        self._in_flight.push_span(arrival, worm, index, 1)
-        self.flits_sent += 1
-        if worm is self._drain:
-            self._prepay(now, worm, index, 1)
-        comp = self._arrival_comp
-        if comp is not None:
-            comp._rx_pending |= self._rx_bit
-            if not index:
-                if comp._route_lead >= 0:
-                    arrival = self._head_wake(comp, worm, 1, arrival)
-            elif worm is self._held and arrival <= self._held_through:
-                return
-            if comp._wake_marker != arrival:
-                comp.wake_at(arrival)
+        Link.send_granted(self, now, worm, index)
 
     def send_granted(self, now: int, worm: Worm, index: int) -> None:
-        """Transmit flit ``(worm, index)`` after a :meth:`can_send` check.
+        """Transmit flit ``(worm, index)`` after a :meth:`can_send` check:
+        the one single-flit send body.
 
         The switches test :meth:`can_send` while collecting grant
-        candidates and send to each winner in the same cycle; since
-        ``can_send`` already matured the credit returns due and nothing
-        else can touch this link's credits within the tick, maturing again
-        here would be pure overhead.  Caller contract: ``can_send(now)``
+        candidates (or, in lock-step replication, on every branch link)
+        and send to each winner in the same cycle; since ``can_send``
+        already matured the credit returns due and nothing else can
+        touch this link's credits within the tick, maturing again here
+        would be pure overhead.  Caller contract: ``can_send(now)``
         returned True earlier in this same cycle and no other send has
         happened since — exactly what the scan-then-grant phases ensure.
         """

@@ -281,19 +281,38 @@ ROWS: Tuple[Row, ...] = (
     Row(
         "kernel-ticks-due-components-in-set-order",
         "src/repro/sim/kernel.py",
-        "                else:\n"
-        "                    due.sort()\n"
-        "                    last = -1\n"
-        "                    for index in due:\n"
-        "                        if index == last:\n"
-        "                            continue  # at most one tick per "
-        "component per cycle\n"
-        "                        last = index\n"
-        "                        components[index].tick(now)\n",
-        "                else:\n"
-        "                    for component in {components[index] for index in due}:\n"
-        "                        component.tick(now)\n",
+        "        else:\n"
+        "            due.sort()\n"
+        "            last = -1\n"
+        "            for index in due:\n"
+        "                if index == last:\n"
+        "                    continue  # at most one tick per component per cycle\n"
+        "                last = index\n"
+        "                components[index].tick(now)\n",
+        "        else:\n"
+        "            for component in {components[index] for index in due}:\n"
+        "                component.tick(now)\n",
         DETERMINISM,
+    ),
+    Row(
+        "dense-kernel-ticks-only-due-components",
+        "src/repro/sim/kernel.py",
+        "        if self.dense:\n"
+        "            for component in components:\n"
+        "                component.tick(now)\n",
+        "        if self.dense:\n"
+        "            for index in sorted(set(due)):\n"
+        "                components[index].tick(now)\n",
+        "docs/performance.md, \"The wake contract\": the dense reference "
+        "kernel ticks every component every cycle, woken or not",
+    ),
+    Row(
+        "stall-trips-one-cycle-late",
+        "src/repro/sim/kernel.py",
+        "            trip = stall_limit - stalled\n",
+        "            trip = stall_limit - stalled + 1\n",
+        "docs/performance.md, \"Fast-forward and stall parity\": a "
+        "fast-forward trips the stall detector at the dense kernel's cycle",
     ),
     Row(
         "software-multicast-tree-in-set-order",

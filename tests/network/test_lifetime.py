@@ -21,6 +21,7 @@ from repro.errors import SimulationError
 from repro.network.builder import build_network
 from repro.network.config import SimulationConfig
 from repro.network.simulation import run_simulation, run_workload
+from repro.obs.profile import KernelProfiler
 from repro.routing.base import UpPortPolicy
 from repro.switches.base import TAKE, DatedEffects, Ingress
 from repro.switches.central_buffer import CentralBufferSwitch
@@ -148,6 +149,20 @@ class TestNothingLeftForTheCollector:
             del network, workload
             assert sim() is None
             assert gc.collect() == 0
+
+    def test_a_profiled_network_dies_by_reference_count_too(self):
+        # the kernel profiler's tick counters point at their components
+        with collector_off():
+            network = build_network(SimulationConfig(num_hosts=16))
+            profiler = KernelProfiler()
+            network.sim.attach_profiler(profiler)
+            run_workload(network, SHAPES["uniform"]())
+            sim = weakref.ref(network.sim)
+            network.close()
+            del network
+            assert sim() is None
+            assert gc.collect() == 0
+            assert profiler.total_ticks > 0
 
     def test_software_multicast_schedules_are_no_garbage_either(self):
         workload = RandomMulticastStream(

@@ -69,8 +69,9 @@ class SparseWaker(Recorder):
 class TestFastForwardNeverSkips:
     """Fast-forward must land on — not jump over — scheduled activity."""
 
-    def test_idle_run_still_ends_at_exact_target(self):
-        sim = Simulator()
+    @pytest.mark.parametrize("dense", (False, True), ids=("active", "dense"))
+    def test_idle_run_still_ends_at_exact_target(self, dense):
+        sim = Simulator(dense=dense)
         sim.add_component(Recorder())
         sim.run(1_000)
         assert sim.now == 1_000
@@ -83,8 +84,9 @@ class TestFastForwardNeverSkips:
         sim.run(501)
         assert waker.ticks == [0] + sorted(schedule)
 
-    def test_calendar_event_in_idle_gap_fires_at_its_cycle(self):
-        sim = Simulator()
+    @pytest.mark.parametrize("dense", (False, True), ids=("active", "dense"))
+    def test_calendar_event_in_idle_gap_fires_at_its_cycle(self, dense):
+        sim = Simulator(dense=dense)
         sim.add_component(Recorder())
         fired = []
         sim.schedule(300, lambda: fired.append(sim.now))
@@ -99,7 +101,7 @@ class TestFastForwardNeverSkips:
         # fast-forwarded straight to the event cycle
         sim = Simulator()
         rec = sim.add_component(Recorder())
-        sim.schedule(400, lambda: sim.wake(rec, sim.now))
+        sim.schedule(400, lambda: rec.wake_now())
         sim.run(1_000)
         assert rec.ticks == [0, 400]
 

@@ -165,14 +165,39 @@ class TestProfilerHook:
 
     def test_detach_stops_recording(self):
         sim = Simulator()
-        sim.add_component(SparseWaker([5, 15]))
+        waker = sim.add_component(SparseWaker([5, 15]))
         prof = KernelProfiler()
         sim.attach_profiler(prof)
         sim.run(10)
         recorded = prof.steps
+        ticked = dict(prof.ticks_by_class)
         sim.attach_profiler(None)
+        assert "tick" not in vars(waker)
         sim.run(10)
         assert prof.steps == recorded
+        assert prof.ticks_by_class == ticked == {"SparseWaker": 2}
+        assert waker.ticks == [0, 5, 15]
+
+    def test_component_added_after_attach_is_counted(self):
+        sim = Simulator()
+        prof = KernelProfiler()
+        sim.attach_profiler(prof)
+        sim.add_component(SparseWaker([3]))
+        sim.run(5)
+        sim.add_component(Recorder())
+        sim.run(5)
+        assert prof.ticks_by_class == {"SparseWaker": 2, "Recorder": 1}
+
+    def test_a_second_attach_counts_each_tick_once(self):
+        sim = Simulator()
+        sim.add_component(SparseWaker([3, 8]))
+        first, second = KernelProfiler(), KernelProfiler()
+        sim.attach_profiler(first)
+        sim.run(5)
+        sim.attach_profiler(second)
+        sim.run(5)
+        assert first.ticks_by_class == {"SparseWaker": 2}
+        assert second.ticks_by_class == {"SparseWaker": 1}
 
     def test_profiled_run_matches_unprofiled_ticks(self):
         schedule = [2, 7, 7, 30, 64]

@@ -927,7 +927,7 @@ class TestDatedReceive:
         self.taken_ahead(ingress, received=30, landed=10)
         flits = []
         for link in switch.out_links[1:3]:
-            link.send_packed = (
+            link.send_granted = (
                 lambda now, worm, index, _name=link.name:
                 flits.append((_name, now, index))
             )
